@@ -27,8 +27,9 @@ The server, not the protocol, handles the cluster control plane:
   externally visible promises exactly where they were: the WAL is
   synced before a client sees a commit response and before any
   outbound frame leaves (a forwarded update implies its commit record
-  is stable), and the journal is synced before a batch's cumulative
-  ack (journal-then-ack, per batch instead of per message);
+  is stable), and the journal is synced before the cumulative ack of
+  an apply round (journal-then-ack, once per round of queued frames
+  instead of per message);
 - ``CATCHUP_REQUEST``/``CATCHUP_REPLY`` — anti-entropy pulls: on start
   after WAL recovery, and periodically, each site asks for the update
   tail of every item it replicates (crash windows, messages lost with a
@@ -113,10 +114,11 @@ from repro.types import (
 LIVE_PROTOCOLS = ("dag_wt", "backedge")
 
 #: Inbound peer frames buffered between the socket-reading task and the
-#: applying task.  Small on purpose: it exists to overlap one batch's
-#: apply with the next batch's read, not to absorb load — backpressure
-#: belongs at the senders (their unacked windows) and the client
-#: admission bound.
+#: applying task — and so the most frames one apply round (one journal
+#: sync, one drive, one ack) can cover.  Small on purpose: it overlaps
+#: the next frames' read with the current round, it does not absorb
+#: load — backpressure belongs at the senders (their unacked windows)
+#: and the client admission bound.
 APPLY_PIPELINE_DEPTH = 8
 
 
@@ -134,24 +136,28 @@ class _GroupCommitSyncer:
 
     def __init__(self, log: typing.Any):
         self._log = log
-        self._round: typing.Optional[asyncio.Task] = None
+        self._round: typing.Optional[asyncio.Future] = None
+
+    def kick(self) -> "asyncio.Future":
+        """Return the sync round in flight, submitting one to the
+        executor *now* if there is none.
+
+        Synchronous on purpose: a caller that kicks and then does loop
+        work (a kernel drive) really has the disk busy underneath it —
+        a coroutine would submit nothing until the caller next yields."""
+        current = self._round
+        if current is None or current.done():
+            current = self._round = asyncio.get_running_loop() \
+                .run_in_executor(None, self._log.sync)
+        return current
 
     async def wait_durable(self) -> None:
         log = self._log
         target = log.appended
         while log.synced_records < target:
-            if self._round is None:
-                loop = asyncio.get_running_loop()
-                self._round = loop.create_task(self._run_round(loop))
-            # Shield: a cancelled waiter must not abort the shared
+            # Shield: a cancelled waiter must not cancel the shared
             # round other waiters (and the durability promise) ride on.
-            await asyncio.shield(self._round)
-
-    async def _run_round(self, loop: asyncio.AbstractEventLoop) -> None:
-        try:
-            await loop.run_in_executor(None, self._log.sync)
-        finally:
-            self._round = None
+            await asyncio.shield(self.kick())
 
 
 def live_system_config(spec: ClusterSpec) -> SystemConfig:
@@ -265,9 +271,9 @@ class SiteServer:
         self._h_journal_sync = self.metrics.histogram("journal.sync_s")
         self._g_apply_queue = self.metrics.gauge("server.apply_queue")
         # Wire/apply stage instrumentation: seconds spent decoding one
-        # inbound peer frame body, seconds spent applying one frame
-        # (dispatch + kernel drive), and how many inbound connections
-        # negotiated each wire format.
+        # inbound peer frame body, seconds spent on one apply round
+        # (dispatch + kernel drive + journal barrier), and how many
+        # inbound connections negotiated each wire format.
         self._h_decode = self.metrics.histogram("server.decode_s")
         self._h_apply = self.metrics.histogram("server.apply_s")
         # Stage timers along the inbound hot path (all perf_counter
@@ -360,10 +366,10 @@ class SiteServer:
                                durability=self.spec.durability,
                                group_commit=group_commit)
             # The journal always defers to its sync point — the ack
-            # barrier in the apply loop — which with unbatched frames
-            # degenerates to exactly one flush per message (the
-            # baseline behaviour) and with batches amortizes to one
-            # flush per batch.
+            # barrier in the apply loop — so it pays one flush per
+            # apply round: per message when unbatched frames arrive
+            # one at a time, amortized over every entry of every frame
+            # the round covers otherwise.
             self.journal = MessageJournal(
                 self.wal_path + ".inbox",
                 durability=self.spec.durability,
@@ -638,9 +644,9 @@ class SiteServer:
     def _accept_entry(self, incarnation: str, seq: int,
                       obj_msg: typing.Mapping[str, typing.Any]) -> None:
         """Dedup/journal/dispatch one channel entry (no kernel drive —
-        the caller drives once per frame, however many entries it
-        carried).  The caller acks afterwards — including duplicates,
-        which the sender needs acked to retire its unacked queue."""
+        the apply loop drives once per round, however many entries it
+        carried).  The round's ack covers duplicates too: the sender
+        needs them acked to retire its unacked queue."""
         message = decode_message(obj_msg)
         if message.dst != self.site_id:
             self.transport.dead_letters.append(message)
@@ -692,11 +698,10 @@ class SiteServer:
         cumulative ack sequence (``None`` if the frame carried nothing
         to ack).
 
-        The per-frame shape is the amortization: every entry is
-        dedup-checked and dispatched in arrival order; the caller
-        (:meth:`_apply_loop`) then runs ONE journal sync covering all
-        the durable entries and ONE kernel drive over the whole batch —
-        overlapping the two, since the sync runs in the executor."""
+        Every entry is dedup-checked, journalled (buffered, not
+        synced) and dispatched in arrival order.  Nothing here syncs,
+        drives or acks: :meth:`_apply_loop` does each once per round,
+        over all the frames the round covers."""
         if frame.get("kind") == "batch":
             incarnation = str(frame.get("inc", ""))
             msgs = frame.get("msgs")
@@ -1034,64 +1039,80 @@ class SiteServer:
                           writer: asyncio.StreamWriter,
                           codec: typing.Optional[WireCodec] = None
                           ) -> None:
-        """Applying half of the inbound pipeline: accept + journal +
-        drive each frame, then write its single cumulative ack.
+        """Applying half of the inbound pipeline: one *round* per
+        wake-up, however many frames the reader queued meanwhile.
 
-        The journal sync round starts (in the executor) *before* the
-        kernel drive, so the disk wait and the protocol work overlap;
-        the ack still waits for both — journal-then-ack holds."""
+        A round accepts every queued frame in arrival order, then pays
+        the per-round costs once: ONE journal sync covering all their
+        durable entries, ONE kernel drive, ONE cumulative ack carrying
+        the last frame's sequence.  Senders frame at their own WAL-sync
+        cadence, so under load a backlog arrives as many small frames;
+        charging the sync barrier per frame is what let it grow.
+
+        Ack invariant (journal-then-ack): no ack byte is written before
+        the journal sync covering every entry the ack retires has
+        completed.  The sync is kicked into the executor *before* the
+        drive, so the disk wait and the protocol work overlap; the ack
+        waits for both."""
         on_encode = self._h_encode.observe if self.metrics else None
         on_write = self._h_write.observe if self.metrics else None
         while not self._closed:
             item = await queue.get()
-            if item is None:
-                return
-            enqueued, decode_s, frame = item
             started = time.perf_counter()
-            if self.metrics and enqueued:
-                self._frame_queue_s = started - enqueued
-                self._frame_decode_s = decode_s
-                self._h_queue_wait.observe(self._frame_queue_s)
-            try:
-                last_seq = self._apply_frame(frame)
-            except CodecError as exc:
-                print("site s{}: dropping malformed peer frame: {}"
-                      .format(self.site_id, exc), file=sys.stderr)
-                continue
-            finally:
-                self._frame_queue_s = 0.0
-                self._frame_decode_s = 0.0
-            barrier: typing.Optional[asyncio.Future] = None
-            if self.journal is not None:
-                if self._journal_syncer is not None:
-                    if self.journal.synced_records < \
-                            self.journal.appended:
-                        barrier = asyncio.ensure_future(
-                            self._journal_syncer.wait_durable())
+            round_items = []
+            while item is not None:
+                round_items.append(item)
+                if queue.empty():
+                    break
+                item = queue.get_nowait()
+            reader_gone = item is None  # sentinel: this round is the last
+            last_seq: typing.Optional[int] = None
+            for enqueued, decode_s, frame in round_items:
+                if self.metrics and enqueued:
+                    self._frame_queue_s = time.perf_counter() - enqueued
+                    self._frame_decode_s = decode_s
+                    self._h_queue_wait.observe(self._frame_queue_s)
+                try:
+                    seq = self._apply_frame(frame)
+                    if seq is not None:
+                        last_seq = seq
+                except CodecError as exc:
+                    print("site s{}: dropping malformed peer frame: {}"
+                          .format(self.site_id, exc), file=sys.stderr)
+                finally:
+                    self._frame_queue_s = 0.0
+                    self._frame_decode_s = 0.0
+            journal, syncer = self.journal, self._journal_syncer
+            unsynced = journal is not None and \
+                journal.synced_records < journal.appended
+            if unsynced:
+                if syncer is not None:
+                    syncer.kick()
                 else:
-                    self.journal.sync()  # journal-then-ack
+                    journal.sync()  # journal-then-ack
             self._drive()
-            if barrier is not None:
+            if unsynced and syncer is not None:
                 waited = time.perf_counter()
-                await barrier
+                await syncer.wait_durable()
                 if self.metrics:
                     self._h_journal_wait.observe(
                         time.perf_counter() - waited)
             self._h_apply.observe(time.perf_counter() - started)
-            if last_seq is None:
-                continue  # empty batch: nothing new to ack
-            # Ack only after the frame is journalled (durable classes)
-            # and dispatched; the sender retires everything <= last_seq
-            # on this one cumulative ack.  A failed ack write means the
-            # connection is dying; keep applying queued frames anyway —
-            # the reader will see EOF and stop the loop, and the
-            # unacked sender resends through the dedup filter.
-            try:
-                await write_frame(writer, {
-                    "kind": "ack", "seq": last_seq}, codec,
-                    on_encode=on_encode, on_write=on_write)
-            except (ConnectionError, OSError):
-                continue
+            if last_seq is not None:
+                # The sender retires everything <= last_seq on this one
+                # cumulative ack.  A failed ack write means the
+                # connection is dying; keep applying queued frames
+                # anyway — the reader will see EOF and stop the loop,
+                # and the unacked sender resends through the dedup
+                # filter.
+                try:
+                    await write_frame(writer, {
+                        "kind": "ack", "seq": last_seq}, codec,
+                        on_encode=on_encode, on_write=on_write)
+                except (ConnectionError, OSError):
+                    pass
+            if reader_gone:
+                return
 
     async def _client_loop(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter,

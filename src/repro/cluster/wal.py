@@ -424,6 +424,10 @@ class MessageJournal:
                  flush_interval: float = 0.005, max_pending: int = 256):
         self._out = _JsonlAppender(str(path), durability, group_commit,
                                    flush_interval, max_pending)
+        #: Entries loaded from disk at construction time — what start-up
+        #: replay reads.  Appends go to the file only: nothing re-reads
+        #: them in this process, and keeping every wire object alive
+        #: grew a site's memory with each replicated update.
         self.entries: typing.List[typing.Dict[str, typing.Any]] = []
         self.torn_tail = False
         if os.path.exists(self._out.path):
@@ -468,10 +472,8 @@ class MessageJournal:
 
     def append(self, src: int, incarnation: str, seq: int,
                msg: typing.Mapping[str, typing.Any]) -> None:
-        entry = {"src": src, "inc": incarnation, "seq": seq,
-                 "msg": dict(msg)}
-        self._out.push(_checksummed_line(entry))
-        self.entries.append(entry)
+        self._out.push(_checksummed_line(
+            {"src": src, "inc": incarnation, "seq": seq, "msg": msg}))
 
     def sync(self) -> int:
         """Journal-then-ack barrier: pending entries hit stable storage
@@ -479,7 +481,8 @@ class MessageJournal:
         return self._out.sync()
 
     def __len__(self) -> int:
-        return len(self.entries)
+        """Entries recovered from disk plus entries appended since."""
+        return len(self.entries) + self._out.appended
 
     def close(self) -> None:
         self._out.close()

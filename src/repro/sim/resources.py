@@ -81,8 +81,17 @@ class Resource:
         so short requests are not stuck behind long ones.  If the caller
         is interrupted while holding or waiting, the slot/request is
         cleaned up.
+
+        Zero work on an idle resource (a free slot, nobody queued) is a
+        no-op that schedules nothing: the live runtime zeroes every CPU
+        cost, and a grant event per ``work(0.0)`` was half its kernel
+        events.  Any contention takes the queued path, so FIFO order
+        among real waiters is untouched.
         """
         remaining = float(duration)
+        if remaining <= 0 and not self._waiting and \
+                len(self._users) < self.capacity:
+            return
         first = True
         while first or remaining > 1e-12:
             first = False

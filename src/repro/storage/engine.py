@@ -178,7 +178,7 @@ class StorageEngine:
                       value=value, time=self.env.now)
             self._log(LogRecordKind.COMMIT, gid=gid, time=self.env.now)
             record.committed_version = missed_version
-            record.writers.append(gid)
+            record.record_writer(gid)
             record.value = value
             self.history.record(gid, SubtransactionKind.SECONDARY,
                                 self.env.now, {},
@@ -192,7 +192,7 @@ class StorageEngine:
         ``item_id`` here (the writer lineage check used for at-least-once
         delivery dedup in the live runtime)."""
         record = self._items.get(item_id)
-        return record is not None and gid in record.writers
+        return record is not None and record.written_by(gid)
 
     def prepare(self, txn: Transaction) -> None:
         """Enter the prepared state (locks retained; commit/abort later)."""
@@ -210,7 +210,7 @@ class StorageEngine:
         for item_id in sorted(txn.writes):
             record = self._items[item_id]
             record.committed_version += 1
-            record.writers.append(txn.gid)
+            record.record_writer(txn.gid)
             write_versions[item_id] = record.committed_version
         txn.status = TransactionStatus.COMMITTED
         txn.commit_time = self.env.now

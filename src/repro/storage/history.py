@@ -14,7 +14,7 @@ import typing
 from repro.types import GlobalTransactionId, ItemId, SubtransactionKind
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class CommittedSubtransaction:
     """One committed subtransaction as recorded in a site history."""
 

@@ -41,7 +41,7 @@ class LogRecordKind(enum.Enum):
     EPOCH_COMMIT = "epoch-commit"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class LogRecord:
     """One entry of the redo log."""
 
@@ -113,7 +113,7 @@ def recover(env, site_id: int, wal: WriteAheadLog,
                 item_record = engine.item(item)
                 item_record.value = value
                 item_record.committed_version += 1
-                item_record.writers.append(record.gid)
+                item_record.record_writer(record.gid)
                 versions[item] = item_record.committed_version
             engine.history.record(
                 record.gid,

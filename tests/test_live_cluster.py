@@ -19,11 +19,17 @@ serializable as if the crash never happened.
 
 import asyncio
 import os
+import threading
 
 import pytest
 
 from repro.cluster.client import ClusterClient
-from repro.cluster.codec import decode_value
+from repro.cluster.codec import (
+    decode_value,
+    encode_batch_frame,
+    encode_message,
+    read_frame,
+)
 from repro.cluster.loadgen import (
     generate_load,
     history_from_status,
@@ -36,7 +42,9 @@ from repro.harness.serializability import (
     build_serialization_graph,
     find_dsg_cycle,
 )
+from repro.network.message import Message, MessageType
 from repro.sim.rng import RngRegistry
+from repro.types import GlobalTransactionId
 from repro.workload.generator import TransactionGenerator
 from repro.workload.params import WorkloadParams
 
@@ -506,3 +514,124 @@ def test_trace_ids_survive_kill_restart_and_catchup(tmp_path):
     summary = propagation_summary(reconstruct(spans))
     assert summary["propagating"] > 0
     assert summary["complete"] == summary["propagating"], summary
+
+
+def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
+    """The apply loop works in rounds: every frame already queued on a
+    connection is accepted in order, then ONE journal sync, ONE drive
+    and ONE cumulative ack of the last sequence cover them all — and
+    not a byte of that ack is written before the sync completes
+    (journal-then-ack).  The journal's sync is gated so the test, not
+    the disk, decides when the round becomes durable."""
+    spec = make_spec("dag_wt", 3, 7560)  # the chain s0 -> s1 -> s2
+    placement = spec.build_placement()
+    item = next(item for item in sorted(placement.items)
+                if placement.primary_site(item) == 0
+                and 1 in placement.replica_sites(item))
+
+    def secondary(seq):
+        return Message(MessageType.SECONDARY, src=0, dst=1, payload={
+            "gid": GlobalTransactionId(0, seq),
+            "writes": {item: 100 + seq}, "epoch": spec.epoch})
+
+    def msg_frame(seq):
+        return {"kind": "msg", "inc": "inc-a", "seq": seq,
+                "msg": encode_message(secondary(seq))}
+
+    class RecordingWriter:
+        def __init__(self):
+            self.data = bytearray()
+
+        def write(self, data):
+            self.data += data
+
+        async def drain(self):
+            pass
+
+    async def acks(writer):
+        reader = asyncio.StreamReader()
+        reader.feed_data(bytes(writer.data))
+        reader.feed_eof()
+        seqs = []
+        while True:
+            frame = await read_frame(reader)
+            if frame is None:
+                return seqs
+            assert frame["kind"] == "ack"
+            seqs.append(frame["seq"])
+
+    async def settle(predicate):
+        for _ in range(2000):
+            if predicate():
+                return
+            await asyncio.sleep(0.001)
+        raise AssertionError("condition never held")
+
+    async def scenario():
+        server = SiteServer(
+            spec, 1, wal_path=os.path.join(str(tmp_path), "site1.wal"),
+            anti_entropy_interval=0, catchup_on_start=False)
+        await server.start()
+        try:
+            journal = server.journal
+            gate = threading.Event()
+            entered = threading.Event()
+            real_sync = journal.sync
+
+            def gated_sync():
+                entered.set()
+                assert gate.wait(10.0)
+                return real_sync()
+
+            journal.sync = gated_sync
+            # Keep the appender's own flush timer (5 ms, on the loop
+            # thread) out of the way: the gated round is the only sync.
+            journal._out.flush_interval = 60.0
+            queue = asyncio.Queue()
+            writer = RecordingWriter()
+            # Five frames, six entries, queued before the loop wakes.
+            for frame in (
+                    msg_frame(1), msg_frame(2),
+                    encode_batch_frame("inc-a", [(3, secondary(3)),
+                                                 (4, secondary(4))]),
+                    msg_frame(5), msg_frame(6)):
+                queue.put_nowait((0.0, 0.0, frame))
+            task = asyncio.get_running_loop().create_task(
+                server._apply_loop(queue, writer, None))
+            # The sync was submitted before the loop first yielded (it
+            # overlaps the drive), and blocks on the gate: all six are
+            # applied, none is durable, so nothing may have been acked.
+            await settle(entered.is_set)
+            engine = server.system.site_of(1).engine
+            await settle(
+                lambda: engine.item(item).committed_version == 6)
+            for _ in range(20):
+                await asyncio.sleep(0.001)
+            assert journal.appended == 6 and journal.syncs == 0
+            assert not writer.data
+            gate.set()
+            await settle(lambda: writer.data)
+            assert journal.syncs == 1
+            assert await acks(writer) == [6]
+
+            # A resend overlapping the acked range plus one new entry:
+            # duplicates are dropped by the dedup filter but still
+            # covered by the round's single ack.
+            for frame in (msg_frame(5), msg_frame(6), msg_frame(7)):
+                queue.put_nowait((0.0, 0.0, frame))
+            await settle(lambda: journal.syncs == 2)
+            # A round of nothing but duplicates journals nothing, so it
+            # needs no sync — and is acked all the same.
+            for frame in (msg_frame(6), msg_frame(7)):
+                queue.put_nowait((0.0, 0.0, frame))
+            queue.put_nowait(None)
+            await asyncio.wait_for(task, 10.0)
+            assert await acks(writer) == [6, 7, 7]
+            assert journal.appended == 7 and journal.syncs == 2
+            assert engine.item(item).committed_version == 7
+            assert server.transport.dedup_dropped == 4
+        finally:
+            gate.set()
+            await server.stop()
+
+    asyncio.run(scenario())

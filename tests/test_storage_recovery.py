@@ -177,3 +177,97 @@ def test_property_recovery_equals_committed_state(actions, crash_point):
     for item in ("a", "b"):
         assert recovered.item(item).value == committed[item]
         assert recovered.item(item).committed_version == versions[item]
+
+
+# ----------------------------------------------------------------------
+# Property: the per-item writer membership index == the writer lineage
+# ----------------------------------------------------------------------
+
+lineage_step_strategy = st.one_of(
+    st.tuples(st.just("commit"),
+              st.sets(st.sampled_from(["a", "b"]), min_size=1)),
+    st.tuples(st.just("abort"),
+              st.sets(st.sampled_from(["a", "b"]), min_size=1)),
+    st.tuples(st.just("catchup"), st.sampled_from(["a", "b"]),
+              st.integers(1, 3), st.integers(0, 2)),
+    st.tuples(st.just("crash")),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(steps=st.lists(lineage_step_strategy, max_size=30))
+def test_property_writer_index_equals_lineage(steps):
+    """After any mix of commits, aborts, catch-up tails and
+    crash/recover rounds, ``has_applied`` answers exactly "is this gid
+    in the item's ``writers`` lineage" — the index behind it is
+    maintained at all three places a lineage grows."""
+    env = Environment()
+    wal = WriteAheadLog()
+    engine = StorageEngine(env, site_id=0, lock_timeout=None, wal=wal)
+    engine.create_item("a")
+    engine.create_item("b")
+    used = []
+
+    def fresh_gid():
+        used.append(gid(len(used) + 1))
+        return used[-1]
+
+    def write_txn(items, commit):
+        txn = engine.begin(fresh_gid())
+        for item in sorted(items):
+            yield from engine.write(txn, item, len(used))
+        if commit:
+            engine.commit(txn)
+        else:
+            engine.abort(txn)
+
+    for step in steps:
+        if step[0] in ("commit", "abort"):
+            run_txn(env, write_txn(step[1], step[0] == "commit"))
+        elif step[0] == "catchup":
+            _, item, missed, overlap = step
+            # A tail from the primary: ``overlap`` versions this copy
+            # already has (their recorded writers), then ``missed`` new.
+            record = engine.item(item)
+            overlap = min(overlap, record.committed_version)
+            tail = record.writers[record.committed_version - overlap:] \
+                + [fresh_gid() for _ in range(missed)]
+            assert engine.apply_catchup(
+                item, 7, record.committed_version + missed,
+                tail) == missed
+        else:
+            engine.crash()
+            engine = recover(env, 0, wal, lock_timeout=None)
+        for item in ("a", "b"):
+            record = engine.item(item)
+            assert len(record.writers) == record.committed_version
+            assert record._writer_set == set(record.writers)
+            for candidate in used:
+                assert engine.has_applied(item, candidate) == \
+                    (candidate in record.writers)
+
+
+def test_has_applied_does_not_scan_the_lineage(monkeypatch):
+    """The duplicate filter runs per item per replicated update: on an
+    item with 10 000 committed versions a miss must cost zero gid
+    comparisons (and a hit at most one), not one per version."""
+    env = Environment()
+    engine = StorageEngine(env, site_id=0, lock_timeout=None)
+    engine.create_item("a")
+    engine.apply_catchup("a", 1, 10_000,
+                         [gid(seq) for seq in range(10_000)])
+    assert engine.item("a").committed_version == 10_000
+
+    calls = [0]
+    dataclass_eq = GlobalTransactionId.__eq__
+
+    def counting_eq(self, other):
+        calls[0] += 1
+        return dataclass_eq(self, other)
+
+    monkeypatch.setattr(GlobalTransactionId, "__eq__", counting_eq)
+    assert not engine.has_applied("a", gid(10_000))
+    assert not engine.has_applied("a", GlobalTransactionId(1, 5))
+    assert calls[0] == 0
+    assert engine.has_applied("a", gid(9_999))
+    assert calls[0] <= 1

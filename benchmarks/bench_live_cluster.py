@@ -23,21 +23,6 @@ transaction generator identically everywhere):
    "low-overhead" claim of :mod:`repro.obs`, asserted where it is most
    exposed (the fsync-amortized hot path).
 
-4. **wire-format x apply-workers matrix** — the batched fsync
-   configuration across {json, bin1} x {serial, 4-worker parallel
-   apply}, plus the unbatched baseline.  Hard gates are the oracles
-   (every cell convergent, DSG-acyclic, zero watchdog criticals), the
-   amortization (every batched cell uses fewer frames and syncs than
-   the baseline and clears >= 2x its throughput), and pairwise
-   non-regression (binary within 15 % of json, parallel within 15 %
-   of serial).  A note on absolute throughput: everything — all three
-   servers, the client, and the load generator — shares ONE event
-   loop on (in CI) one CPU core, so the ceiling is the Python
-   hot-path cost per transaction, not fsync once group commit
-   amortizes it; on this substrate the codec and apply scheduler are
-   single-digit percent effects, and the honest claims are the oracle
-   gates and non-regression bounds above, not a multiplied headline.
-
 Writes ``BENCH_live_cluster.json`` with the paired numbers
 (p50/p95/p99 latency, throughput, wire amortization, speedup,
 observability overhead, live propagation-delay p50/p95/max, and
@@ -80,15 +65,12 @@ LIVE_PARAMS = WorkloadParams(
 MAX_IN_FLIGHT = 64
 
 
-def run_live(batch: int, obs: bool = True, wire_format: str = "binary",
-             apply_workers: int = 1, base_port: int = 0):
+def run_live(batch: int, obs: bool = True):
     spec = ClusterSpec(params=LIVE_PARAMS, protocol="dag_wt",
                        seed=LIVE_SEED,
-                       base_port=base_port or
-                       (7580 + 10 * min(batch, 9) + (0 if obs else 5)),
-                       durability="fsync", batch=batch, obs=obs,
-                       wire_format=wire_format,
-                       apply_workers=apply_workers)
+                       base_port=(7580 + 10 * min(batch, 9) +
+                                  (0 if obs else 5)),
+                       durability="fsync", batch=batch, obs=obs)
     with tempfile.TemporaryDirectory(prefix="bench-live-") as wal_dir:
         # The embedded watchdog only attaches on instrumented runs
         # (monitor needs the stats plane); alert counts land in
@@ -343,158 +325,6 @@ def test_live_cluster_batching_speedup(benchmark):
         batched.throughput, 2)
     benchmark.extra_info["batched_p95_ms"] = round(
         batched.latency["p95"] * 1000.0, 3)
-
-
-# ----------------------------------------------------------------------
-# Wire-format x apply-workers matrix
-# ----------------------------------------------------------------------
-
-MATRIX_ARTIFACT = ARTIFACT.parent / "BENCH_wire_matrix.json"
-
-#: (label, wire_format, apply_workers, base_port) — batch=64 cells.
-#: Ports sit clear of the other live suites (7850-7890).
-MATRIX_CELLS = (
-    ("json_serial", "json", 1, 7855),
-    ("binary_serial", "binary", 1, 7860),
-    ("json_parallel", "json", 4, 7865),
-    ("binary_parallel", "binary", 4, 7870),
-)
-
-#: Pairwise non-regression budget: a cell must stay within 25 % of its
-#: partner (json vs binary at equal workers; serial vs parallel at
-#: equal wire format).  Deliberately loose: at bench scale on one
-#: shared core, single runs of the SAME configuration spread ~±15 %,
-#: so a tighter bound flakes on noise while this one still catches a
-#: real hot-path regression.
-NON_REGRESSION = 0.75
-
-
-def _best_cell(wire_format, apply_workers, base_port, runs=3):
-    reports = [run_live(batch=64, wire_format=wire_format,
-                        apply_workers=apply_workers,
-                        base_port=base_port)
-               for _ in range(runs)]
-    return max(reports, key=lambda report: report.throughput)
-
-
-def test_live_cluster_wire_apply_matrix(benchmark):
-    results = run_once(
-        benchmark,
-        lambda: {"baseline": run_live(batch=1, base_port=7850),
-                 **{label: _best_cell(wire, workers, port)
-                    for label, wire, workers, port in MATRIX_CELLS}})
-    baseline = results["baseline"]
-
-    total = (LIVE_PARAMS.n_sites * LIVE_PARAMS.threads_per_site *
-             LIVE_PARAMS.transactions_per_thread)
-    for label, report in results.items():
-        # Hard gates: matched workload and both oracles, every cell.
-        assert report.committed + report.aborted == total, label
-        assert report.unknown == 0, label
-        assert report.convergent, \
-            "{}: divergent replicas {}".format(label, report.divergent)
-        assert report.serializable, label
-
-    for label, _wire, _workers, _port in MATRIX_CELLS:
-        cell = results[label]
-        # Quiet watchdog on every batched cell.  (The unbatched
-        # baseline legitimately trips the lag SLO while fsync-bound —
-        # the regime group commit exists to fix — so, as in the
-        # speedup bench above, its during-run alerts are reported but
-        # not charged.)
-        assert cell.alerts.get("critical", 0) == 0, \
-            "{}: watchdog criticals {}".format(label,
-                                               cell.alerts["by_rule"])
-        # The batching amortization holds in every cell...
-        assert cell.frames_sent < baseline.frames_sent, label
-        assert cell.wal_syncs < baseline.wal_syncs, label
-        # ...and clearly beats the unbatched baseline.  On one core
-        # the 4-worker cells pay scheduler bookkeeping with no real
-        # parallelism, so the per-cell floor is softer (1.5x) and the
-        # headline >= 2x is asserted on the best cell below.
-        ratio = cell.throughput / baseline.throughput
-        assert ratio >= 1.5, \
-            "{} only {:.2f}x the unbatched baseline".format(label,
-                                                            ratio)
-
-    best = max(results[label].throughput
-               for label, _w, _a, _p in MATRIX_CELLS)
-    assert best / baseline.throughput >= 2.0, \
-        "best batched cell only {:.2f}x the unbatched baseline".format(
-            best / baseline.throughput)
-
-    def ratio(a, b):
-        return results[a].throughput / results[b].throughput
-
-    pairs = [("binary_serial", "json_serial"),
-             ("binary_parallel", "json_parallel"),
-             ("json_parallel", "json_serial"),
-             ("binary_parallel", "binary_serial")]
-    ratios = {}
-    for contender, anchor in pairs:
-        key = "{}_vs_{}".format(contender, anchor)
-        ratios[key] = round(ratio(contender, anchor), 3)
-        assert ratios[key] >= NON_REGRESSION, \
-            "{} at {:.2f}x of {} (budget >= {:.2f}x)".format(
-                contender, ratios[key], anchor, NON_REGRESSION)
-
-    rows = {"workload": {
-        "protocol": "dag_wt", "seed": LIVE_SEED,
-        "n_sites": LIVE_PARAMS.n_sites,
-        "n_items": LIVE_PARAMS.n_items,
-        "threads_per_site": LIVE_PARAMS.threads_per_site,
-        "transactions_per_thread": LIVE_PARAMS.transactions_per_thread,
-        "max_in_flight": MAX_IN_FLIGHT, "batch": 64,
-        "durability": "fsync"},
-        "cells": {label: _live_row(report)
-                  for label, report in results.items()},
-        "ratios": ratios}
-    for label, wire, workers, _port in MATRIX_CELLS:
-        rows["cells"][label]["wire_format"] = wire
-        rows["cells"][label]["apply_workers"] = workers
-    with open(MATRIX_ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(rows, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    warning = check_regression(
-        "wire_matrix", "binary_parallel_throughput_txn_s",
-        results["binary_parallel"].throughput, threshold=0.2)
-    history_record = append_history("wire_matrix", dict(
-        {label: round(results[label].throughput, 2)
-         for label, _w, _a, _p in MATRIX_CELLS},
-        baseline_throughput_txn_s=round(baseline.throughput, 2),
-        binary_parallel_throughput_txn_s=round(
-            results["binary_parallel"].throughput, 2),
-        regression_warning=warning, **ratios))
-
-    print("")
-    print("=" * 70)
-    print("Wire format x apply workers, batch=64, fsync, open loop "
-          "({} txns/cell)".format(total))
-    print("=" * 70)
-    print("{:<18}{:>8}{:>9}{:>12}{:>11}{:>9}".format(
-        "cell", "wire", "workers", "txn/s", "p95 ms", "frames"))
-    order = [("baseline", "json", 1)] + \
-        [(label, wire, workers)
-         for label, wire, workers, _p in MATRIX_CELLS]
-    for label, wire, workers in order:
-        report = results[label]
-        print("{:<18}{:>8}{:>9}{:>12.1f}{:>11.1f}{:>9}".format(
-            label, wire, workers, report.throughput,
-            report.latency["p95"] * 1000.0, report.frames_sent))
-    for key, value in sorted(ratios.items()):
-        print("{}: {:.2f}x".format(key, value))
-    if warning:
-        print(warning)
-    print("wrote {}".format(os.path.relpath(MATRIX_ARTIFACT)))
-    print("appended run {} to BENCH_history.jsonl".format(
-        history_record["git_sha"]))
-
-    for key, value in ratios.items():
-        benchmark.extra_info[key] = value
-    for label, report in results.items():
-        benchmark.extra_info[label + "_throughput"] = round(
-            report.throughput, 2)
 
 
 # ----------------------------------------------------------------------

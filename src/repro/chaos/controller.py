@@ -97,14 +97,6 @@ class ChaosScenario:
     #: verdict checks the epoch-recovery invariant (every member in
     #: the same final epoch) plus the oracles on the *final* placement.
     reconfig: typing.Tuple[typing.Dict[str, typing.Any], ...] = ()
-    #: Per-site spec overrides for mixed-member runs — maps a site id
-    #: to replaced :class:`ClusterSpec` fields, e.g. ``{1:
-    #: {"wire_format": "json"}}`` boots site 1 as a JSON-only member.
-    #: Only per-process knobs are admissible: an override that changes
-    #: the cluster fingerprint would just be a member of a different
-    #: cluster, so ``validate`` rejects it.
-    member_overrides: typing.Dict[int, typing.Dict[str, typing.Any]] \
-        = dataclasses.field(default_factory=dict)
     name: str = ""
 
     def validate(self) -> "ChaosScenario":
@@ -119,23 +111,7 @@ class ChaosScenario:
             if float(entry.get("at", -1)) < 0:
                 raise ValueError("reconfig entry needs 'at' >= 0")
             PlacementChange.from_json(entry["change"])
-        for site, overrides in self.member_overrides.items():
-            if not 0 <= int(site) < self.spec.params.n_sites:
-                raise ValueError(
-                    "member_overrides site {} out of range".format(site))
-            member = self.member_spec(int(site)).validate()
-            if member.fingerprint() != self.spec.fingerprint():
-                raise ValueError(
-                    "member_overrides for site {} change the cluster "
-                    "fingerprint ({!r})".format(site, overrides))
         return self
-
-    def member_spec(self, site: int) -> ClusterSpec:
-        """The spec site ``site`` boots with (overrides applied)."""
-        overrides = self.member_overrides.get(site)
-        if not overrides:
-            return self.spec
-        return dataclasses.replace(self.spec, **overrides)
 
     @property
     def target_site(self) -> int:
@@ -168,9 +144,6 @@ class ChaosScenario:
             "catchup_on_start": self.catchup_on_start,
             "anti_entropy_interval": self.anti_entropy_interval,
             "reconfig": list(self.reconfig),
-            "member_overrides": {str(site): dict(overrides)
-                                 for site, overrides
-                                 in self.member_overrides.items()},
         }
 
     @classmethod
@@ -185,10 +158,6 @@ class ChaosScenario:
             anti_entropy_interval=float(
                 obj.get("anti_entropy_interval", 0.5)),
             reconfig=tuple(obj.get("reconfig", ())),
-            member_overrides={int(site): dict(overrides)
-                              for site, overrides
-                              in obj.get("member_overrides",
-                                         {}).items()},
             name=obj.get("name", ""),
         ).validate()
 
@@ -447,7 +416,7 @@ def _broadcast_event(servers: typing.Dict[int, SiteServer],
 async def _start_site(scenario: ChaosScenario, wal_dir: str, site: int,
                       injector: LinkFaultInjector) -> SiteServer:
     server = SiteServer(
-        scenario.member_spec(site), site,
+        scenario.spec, site,
         wal_path=os.path.join(wal_dir, "site{}.wal".format(site)),
         anti_entropy_interval=scenario.anti_entropy_interval,
         faults=injector,

@@ -673,20 +673,6 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
                              "buffer), flush (OS page cache; survives "
                              "a process crash), fsync (disk; survives "
                              "power loss)")
-    parser.add_argument("--wire-format",
-                        choices=("binary", "json"),
-                        default="binary",
-                        help="preferred frame encoding for this "
-                             "process (negotiated per connection in "
-                             "the hello exchange; receivers accept "
-                             "both, so mixed-format members "
-                             "interoperate)")
-    parser.add_argument("--apply-workers", type=int, default=1,
-                        help="max non-conflicting secondary "
-                             "subtransactions this site applies "
-                             "concurrently (write-set partitioning; "
-                             "conflicting updates stay FIFO; "
-                             "per-process knob)")
     parser.add_argument("--no-obs", action="store_true",
                         help="disable the metrics registry, span "
                              "tracing, and staleness probing for this "
@@ -706,8 +692,6 @@ def _cluster_spec_from_args(args: argparse.Namespace):
                        protocol=args.protocol, seed=args.seed,
                        host=args.host, base_port=args.base_port,
                        durability=args.durability, batch=args.batch,
-                       wire_format=args.wire_format,
-                       apply_workers=args.apply_workers,
                        obs=not args.no_obs,
                        metrics_base_port=args.metrics_base_port)
 

@@ -20,13 +20,7 @@ import dataclasses
 import itertools
 import typing
 
-from repro.cluster.codec import (
-    CodecError,
-    WireCodec,
-    read_frame,
-    wire_offer,
-    write_frame,
-)
+from repro.cluster.codec import read_frame, write_frame
 from repro.cluster.server import encode_spec
 from repro.cluster.spec import ClusterSpec
 from repro.types import SiteId, TransactionSpec
@@ -51,18 +45,15 @@ class WrongEpochError(ClusterError):
 class _Connection:
     """One client connection to one site, with rid-correlated replies."""
 
-    def __init__(self, host: str, port: int, fingerprint: str,
-                 wire_format: str = "json"):
+    def __init__(self, host: str, port: int, fingerprint: str):
         self.host = host
         self.port = port
         self.fingerprint = fingerprint
-        self.wire_format = wire_format
         self.reader: typing.Optional[asyncio.StreamReader] = None
         self.writer: typing.Optional[asyncio.StreamWriter] = None
         self.pending: typing.Dict[int, asyncio.Future] = {}
         self._reader_task: typing.Optional[asyncio.Task] = None
         self._write_lock = asyncio.Lock()
-        self._codec: typing.Optional[WireCodec] = None
 
     async def ensure_open(self) -> None:
         if self.writer is not None:
@@ -78,40 +69,16 @@ class _Connection:
             self.writer.close()
         self.reader, self.writer = await asyncio.open_connection(
             self.host, self.port)
-        # The hello itself is always JSON (it predates negotiation);
-        # offering "wire" asks the server to pick the connection's
-        # format, confirmed by a hello-ack before any request flows.
-        hello = {"kind": "hello", "role": "client",
-                 "fingerprint": self.fingerprint}
-        offer = wire_offer(self.wire_format)
-        if offer is not None:
-            hello["wire"] = offer
-        await write_frame(self.writer, hello)
-        self._codec = WireCodec()
-        if offer is not None:
-            # Consume the hello-ack inline, before the read loop owns
-            # the stream.  A fingerprint rejection arrives here instead
-            # of in the read loop, so replicate its error handling.
-            try:
-                ack = await asyncio.wait_for(read_frame(self.reader),
-                                             timeout=2.0)
-            except (asyncio.TimeoutError, CodecError):
-                ack = None  # legacy server: stay on JSON
-            if ack is not None and ack.get("kind") == "error":
-                if ack.get("epoch") is not None:
-                    raise WrongEpochError(
-                        ack.get("error", "wrong epoch"),
-                        epoch=int(ack["epoch"]))
-                raise ClusterError(ack.get("error", "server error"))
-            if ack is not None and ack.get("kind") == "hello-ack":
-                self._codec = WireCodec(str(ack.get("wire", "json")))
+        await write_frame(self.writer, {
+            "kind": "hello", "role": "client",
+            "fingerprint": self.fingerprint})
         self._reader_task = asyncio.get_running_loop().create_task(
             self._read_loop())
 
     async def _read_loop(self) -> None:
         try:
             while True:
-                frame = await read_frame(self.reader, self._codec)
+                frame = await read_frame(self.reader)
                 if frame is None:
                     break
                 if frame.get("kind") == "error":
@@ -146,7 +113,7 @@ class _Connection:
         self.pending[rid] = future
         try:
             async with self._write_lock:
-                await write_frame(self.writer, frame, self._codec)
+                await write_frame(self.writer, frame)
             return await future
         finally:
             self.pending.pop(rid, None)
@@ -196,8 +163,7 @@ class ClusterClient:
         conn = self._connections.get(site)
         if conn is None:
             host, port = self.spec.address(site)
-            conn = _Connection(host, port, self.spec.fingerprint(),
-                               wire_format=self.spec.wire_format)
+            conn = _Connection(host, port, self.spec.fingerprint())
             self._connections[site] = conn
         return conn
 

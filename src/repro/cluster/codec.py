@@ -17,32 +17,13 @@ tagged objects:
   ``{"~obj": {...}}``.
 
 Frames on a TCP stream are a 4-byte big-endian length followed by a
-body.  Two body encodings exist and are *self-describing* on the wire:
-
-- **JSON** (the bootstrap format): a UTF-8 JSON object.  Its first
-  byte is always ``"{"`` (0x7B).
-- **Binary** (``"bin1"``): a compact tagged encoding whose first byte
-  is the magic 0xB1 — a value no JSON body can start with — followed
-  by a version byte, a frame-kind byte, struct-packed headers for the
-  hot frame kinds (``msg``/``batch``/``ack``), varint-packed integers,
-  an interned string table shared per connection direction, and a
-  trailing CRC32 so a flipped bit can never decode to a plausible
-  frame.  :class:`BinaryDecoder` returns exactly the dict the JSON
-  decoder would have, so everything above the codec (journal, dedup,
-  traces, replay) is format-agnostic.
-
-Which encoding a *sender* uses is negotiated in the hello exchange
-(hello frames themselves are always JSON): the dialing side offers
-``"wire": ["bin1"]``, the accepting server answers with a
-``hello-ack`` naming the chosen format.  Like ``batch`` and ``obs``
-this is a per-process knob outside the cluster fingerprint — a
-binary-speaking member and a JSON-only member interoperate because
-every *receiver* accepts both encodings (the first body byte decides).
+UTF-8 JSON object, minified with sorted keys.  That is the only body
+encoding: a body that is not a JSON object raises :class:`CodecError`.
+There is no frame checksum — wire integrity is TCP's; the durable
+copies (WAL, inbox journal) carry their own per-record CRC32.
 
 :func:`read_frame` / :func:`write_frame` are the asyncio helpers used
-by the server, transport and client; both take an optional
-:class:`WireCodec` carrying the per-connection format and intern
-state.
+by the server, transport and client.
 """
 
 from __future__ import annotations
@@ -52,7 +33,6 @@ import json
 import struct
 import time
 import typing
-import zlib
 
 from repro.network.message import Message, MessageType
 from repro.types import GlobalTransactionId
@@ -256,637 +236,30 @@ def decode_frame_body(body: bytes) -> typing.Dict[str, typing.Any]:
     return obj
 
 
-# ----------------------------------------------------------------------
-# Binary wire format ("bin1")
-# ----------------------------------------------------------------------
-#
-# Body layout (after the 4-byte length prefix):
-#
-#   [0]     0xB1 magic (a JSON body starts with "{" = 0x7B)
-#   [1]     0x01 format version
-#   [2]     frame kind: 0 generic-object, 1 msg, 2 batch, 3 ack
-#   ...     kind-specific payload (below)
-#   [-4:]   CRC32 (big-endian) over everything before it
-#
-# Values are tagged:  none/false/true, zigzag-varint ints (arbitrary
-# precision), 8-byte IEEE-754 floats, strings (inline definition or a
-# varint reference into the intern table), lists, and string-keyed
-# dicts written in sorted key order.  Sorted keys plus deterministic
-# first-use interning make encoding a pure function of the value and
-# the table state — encode -> decode -> encode is byte-stable.
-#
-# The intern table starts from a static seed of protocol vocabulary
-# (frame keys, message-type values, common payload keys) shared by both
-# sides; strings up to _INTERN_MAX_LEN bytes are added on first inline
-# appearance by *both* the encoder and the decoder, so a reference is
-# only ever emitted for an index the receiver already holds.  The table
-# is per connection direction and dies with the connection — a
-# reconnect renegotiates and starts fresh.  Changing the static seed
-# changes the format: bump the format id, the hello negotiation does
-# the rest.
-
-#: Wire-level format identifiers, as offered/chosen in hello frames.
-WIRE_JSON = "json"
-WIRE_BINARY = "bin1"
-
-_MAGIC = 0xB1
-_VERSION = 0x01
-
-_K_OBJ = 0x00
-_K_MSG = 0x01
-_K_BATCH = 0x02
-_K_ACK = 0x03
-
-_T_NONE = 0x00
-_T_FALSE = 0x01
-_T_TRUE = 0x02
-_T_INT = 0x03
-_T_FLOAT = 0x04
-_T_SDEF = 0x05
-_T_SREF = 0x06
-_T_LIST = 0x07
-_T_DICT = 0x08
-
-_FLOAT64 = struct.Struct(">d")
-
-#: Strings longer than this (UTF-8 bytes) are never interned; the
-#: table also stops growing at _INTERN_MAX_TABLE entries.  Both rules
-#: are applied identically by encoder and decoder.
-_INTERN_MAX_LEN = 64
-_INTERN_MAX_TABLE = 4096
-
-#: Static intern seed: the protocol vocabulary both sides know a
-#: priori.  Order is part of the format — append-only; never reorder.
-_STATIC_STRINGS: typing.Tuple[str, ...] = (
-    # Frame / envelope keys and kinds.
-    "kind", "inc", "seq", "msg", "msgs", "batch", "ack", "hello",
-    "hello-ack", "role", "peer", "client", "site", "fingerprint",
-    "wire", "req", "resp", "rid", "op", "ok", "error", "status",
-    "reason", "elapsed", "epoch", "spec", "ops", "trace", "traces",
-    # Message-object keys.
-    "type", "src", "dst", "id", "payload",
-    # MessageType values.
-    "secondary", "dummy", "backedge", "special", "lock-request",
-    "lock-grant", "lock-denied", "lock-release", "prepare", "vote",
-    "decision", "abort-subtxn", "eager-write", "eager-write-done",
-    "wound", "catchup-request", "catchup-reply", "reconfig",
-    # Common payload keys.
-    "gid", "writes", "origin", "commit_time", "timestamp",
-    "participants", "item", "items", "value", "version", "writers",
-    "anchor", "request_id", "commit", "change",
-    # Value tags (appear as dict keys on the wire).
-    "~gid", "~map", "~set", "~tuple", "~obj",
-    # Client-plane vocabulary.
-    "ping", "txn", "committed", "aborted", "unknown",
-)
-assert len(_STATIC_STRINGS) == len(set(_STATIC_STRINGS))
-
-#: MessageType wire values indexed for packed message headers; index
-#: == len(table) marks a message that did not fit the packed shape and
-#: travels as a generic value instead.
-_TYPE_TABLE: typing.Tuple[str, ...] = tuple(
-    sorted(t.value for t in MessageType))
-_TYPE_INDEX = {value: idx for idx, value in enumerate(_TYPE_TABLE)}
-_TYPE_GENERIC = len(_TYPE_TABLE)
-
-_MSG_KEYS = ("type", "src", "dst", "id", "payload")
-
-
-def _zigzag(n: int) -> int:
-    return (n << 1) if n >= 0 else ((-n << 1) - 1)
-
-
-def _unzigzag(z: int) -> int:
-    return (z >> 1) if not (z & 1) else -((z + 1) >> 1)
-
-
-#: Single-byte varints (values < 128) precomputed — the overwhelmingly
-#: common case for table refs, sequence deltas, counts and small ints.
-_BYTE = tuple(bytes((i,)) for i in range(256))
-
-
-class BinaryEncoder:
-    """Stateful binary frame encoder (one per connection direction).
-
-    Reuses one internal buffer across frames — a frame's bytes are
-    copied out once at the end, with no per-value allocations along the
-    way.  The encoding loop is deliberately closure-inlined: JSON's
-    competitor is a C extension, so every Python-level method call on
-    this path is measurable."""
-
-    __slots__ = ("_buf", "_table")
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-        self._table: typing.Dict[str, int] = {
-            s: i for i, s in enumerate(_STATIC_STRINGS)}
-
-    def encode_frame(self, obj: typing.Mapping[str, typing.Any]
-                     ) -> bytes:
-        """One length-prefixed binary frame for ``obj`` (the same
-        frame-object vocabulary :func:`encode_frame` JSON-encodes)."""
-        buf = self._buf
-        del buf[:]
-        buf += b"\x00\x00\x00\x00\xb1\x01"  # length prefix + header
-        table = self._table
-        table_get = table.get
-        byte = _BYTE
-        append = buf.append
-        bext = buf.extend
-        float_pack = _FLOAT64.pack
-
-        def varint(n: int) -> None:
-            if n < 0x80:
-                bext(byte[n])
-                return
-            while n > 0x7F:
-                append((n & 0x7F) | 0x80)
-                n >>= 7
-            append(n)
-
-        def string(s: str) -> None:
-            idx = table_get(s)
-            if idx is not None:
-                if idx < 0x80:
-                    bext(b"\x06" + byte[idx])
-                else:
-                    append(_T_SREF)
-                    varint(idx)
-                return
-            raw = s.encode("utf-8")
-            append(_T_SDEF)
-            varint(len(raw))
-            bext(raw)
-            if len(raw) <= _INTERN_MAX_LEN and \
-                    len(table) < _INTERN_MAX_TABLE:
-                table[s] = len(table)
-
-        def value(v: typing.Any) -> None:
-            t = type(v)
-            if t is str:
-                string(v)
-            elif t is int:
-                z = (v << 1) if v >= 0 else ((-v << 1) - 1)
-                if z < 0x80:
-                    bext(b"\x03" + byte[z])
-                else:
-                    append(_T_INT)
-                    varint(z)
-            elif t is dict:
-                append(_T_DICT)
-                varint(len(v))
-                for key in sorted(v):
-                    if type(key) is not str:
-                        raise CodecError(
-                            "binary frame dict key must be str, got "
-                            "{!r}".format(key))
-                    string(key)
-                    value(v[key])
-            elif t is list or t is tuple:
-                append(_T_LIST)
-                varint(len(v))
-                for item in v:
-                    value(item)
-            elif v is None:
-                append(_T_NONE)
-            elif v is True:
-                append(_T_TRUE)
-            elif v is False:
-                append(_T_FALSE)
-            elif t is float:
-                append(_T_FLOAT)
-                bext(float_pack(v))
-            elif isinstance(v, str):
-                string(str(v))
-            elif isinstance(v, bool):
-                append(_T_TRUE if v else _T_FALSE)
-            elif isinstance(v, int):
-                append(_T_INT)
-                varint(_zigzag(int(v)))
-            elif isinstance(v, float):
-                append(_T_FLOAT)
-                bext(float_pack(float(v)))
-            elif isinstance(v, (list, tuple)):
-                append(_T_LIST)
-                varint(len(v))
-                for item in v:
-                    value(item)
-            elif isinstance(v, dict):
-                value(dict(v))
-            else:
-                raise CodecError(
-                    "cannot binary-encode {!r} ({})".format(
-                        v, type(v).__name__))
-
-        def message(m: typing.Any) -> None:
-            # Packed message header: type index + varint src/dst/id +
-            # payload dict + sorted extras (trace stamps).  Anything
-            # not fitting the shape travels as a generic value.
-            type_idx = _TYPE_INDEX.get(m.get("type")) \
-                if isinstance(m, dict) else None
-            if type_idx is None or not (
-                    type(m.get("src")) is int
-                    and type(m.get("dst")) is int
-                    and type(m.get("id")) is int
-                    and type(m.get("payload")) is dict):
-                varint(_TYPE_GENERIC)
-                value(m)
-                return
-            varint(type_idx)
-            varint(_zigzag(m["src"]))
-            varint(_zigzag(m["dst"]))
-            varint(_zigzag(m["id"]))
-            payload = m["payload"]
-            append(_T_DICT)
-            varint(len(payload))
-            for key in sorted(payload):
-                string(key)
-                value(payload[key])
-            if len(m) == 5:
-                bext(b"\x00")
-                return
-            extras = sorted(key for key in m if key not in _MSG_KEYS)
-            varint(len(extras))
-            for key in extras:
-                string(key)
-                value(m[key])
-
-        kind = obj.get("kind")
-        if kind == "batch" and len(obj) == 3 and "inc" in obj \
-                and type(obj["inc"]) is str \
-                and type(obj.get("msgs")) is list \
-                and all(type(entry) is dict and len(entry) == 2
-                        and type(entry.get("seq")) is int
-                        and entry["seq"] >= 0 and "msg" in entry
-                        for entry in obj["msgs"]):
-            append(_K_BATCH)
-            string(obj["inc"])
-            varint(len(obj["msgs"]))
-            for entry in obj["msgs"]:
-                varint(entry["seq"])
-                message(entry["msg"])
-        elif kind == "ack" and len(obj) == 2 \
-                and type(obj.get("seq")) is int and obj["seq"] >= 0:
-            append(_K_ACK)
-            varint(obj["seq"])
-        elif kind == "msg" and len(obj) == 4 and "msg" in obj \
-                and type(obj.get("seq")) is int and obj["seq"] >= 0 \
-                and type(obj.get("inc")) is str:
-            append(_K_MSG)
-            string(obj["inc"])
-            varint(obj["seq"])
-            message(obj["msg"])
-        else:
-            append(_K_OBJ)
-            value(dict(obj))
-        buf += (zlib.crc32(memoryview(buf)[4:]) & 0xFFFFFFFF).to_bytes(
-            4, "big")
-        body_len = len(buf) - 4
-        if body_len > MAX_FRAME:
-            raise CodecError(
-                "frame too large ({} bytes)".format(body_len))
-        buf[0:4] = _LENGTH.pack(body_len)
-        return bytes(buf)
-
-
-class BinaryDecoder:
-    """Stateful binary frame decoder (the receive half of a
-    connection).  Mirrors :class:`BinaryEncoder`'s interning exactly;
-    raises :class:`CodecError` on truncation, trailing garbage, a
-    checksum mismatch, or any malformed tag — never returns a partial
-    or garbled frame."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self) -> None:
-        self._table: typing.List[str] = list(_STATIC_STRINGS)
-
-    def decode_body(self, body: bytes) -> typing.Dict[str, typing.Any]:
-        """Invert :meth:`BinaryEncoder.encode_frame` for one body
-        (the bytes after the length prefix).
-
-        Like the encoder, the hot loop lives in closures over local
-        variables — a mutable one-slot position cell instead of
-        attribute round-trips per byte."""
-        if len(body) < 7 or body[0] != _MAGIC:
-            raise CodecError("not a binary frame body")
-        if body[1] != _VERSION:
-            raise CodecError(
-                "unsupported binary format version {}".format(body[1]))
-        stored = int.from_bytes(body[-4:], "big")
-        if zlib.crc32(memoryview(body)[:-4]) & 0xFFFFFFFF != stored:
-            raise CodecError("binary frame fails its checksum")
-        table = self._table
-        end = len(body) - 4
-        ctx = [2]  # position cell shared by the closures below
-
-        def varint() -> int:
-            pos = ctx[0]
-            if pos >= end:
-                raise CodecError("truncated binary frame")
-            b = body[pos]
-            if b < 0x80:
-                ctx[0] = pos + 1
-                return b
-            result = b & 0x7F
-            shift = 7
-            pos += 1
-            while True:
-                if pos >= end:
-                    raise CodecError("truncated binary frame")
-                b = body[pos]
-                pos += 1
-                result |= (b & 0x7F) << shift
-                if not b & 0x80:
-                    ctx[0] = pos
-                    return result
-                shift += 7
-                if shift > 1024:  # bignum guard: ~146 bytes of varint
-                    raise CodecError("unreasonable varint length")
-
-        def string_tagged(tag: int) -> str:
-            if tag == _T_SREF:
-                idx = varint()
-                try:
-                    return table[idx]
-                except IndexError:
-                    raise CodecError(
-                        "string ref {} outside intern table".format(
-                            idx)) from None
-            if tag != _T_SDEF:
-                raise CodecError(
-                    "expected string, got tag {}".format(tag))
-            length = varint()
-            pos = ctx[0]
-            if pos + length > end:
-                raise CodecError("truncated binary frame")
-            ctx[0] = pos + length
-            try:
-                s = body[pos:pos + length].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CodecError("malformed string: {}".format(exc)) \
-                    from None
-            if length <= _INTERN_MAX_LEN and \
-                    len(table) < _INTERN_MAX_TABLE:
-                table.append(s)
-            return s
-
-        def value() -> typing.Any:
-            pos = ctx[0]
-            if pos >= end:
-                raise CodecError("truncated binary frame")
-            tag = body[pos]
-            ctx[0] = pos + 1
-            if tag == _T_SREF:
-                idx = varint()
-                try:
-                    return table[idx]
-                except IndexError:
-                    raise CodecError(
-                        "string ref {} outside intern table".format(
-                            idx)) from None
-            if tag == _T_INT:
-                z = varint()
-                return (z >> 1) if not z & 1 else -((z + 1) >> 1)
-            if tag == _T_DICT:
-                count = varint()
-                out: typing.Dict[str, typing.Any] = {}
-                for _ in range(count):
-                    p = ctx[0]
-                    if p >= end:
-                        raise CodecError("truncated binary frame")
-                    # Inline fast path for the dominant shape: an
-                    # interned key (single-byte SREF) mapping to a
-                    # small int or another interned string — skips two
-                    # closure calls per entry on the hot loop.
-                    if body[p] == 6 and p + 1 < end and \
-                            body[p + 1] < 0x80:
-                        try:
-                            key = table[body[p + 1]]
-                        except IndexError:
-                            raise CodecError(
-                                "string ref {} outside intern "
-                                "table".format(body[p + 1])) from None
-                        p += 2
-                        ctx[0] = p
-                    else:
-                        ctx[0] = p + 1
-                        key = string_tagged(body[p])
-                        p = ctx[0]
-                    if p + 1 < end:
-                        t = body[p]
-                        if t == 3:  # _T_INT
-                            z = body[p + 1]
-                            if z < 0x80:
-                                ctx[0] = p + 2
-                                out[key] = (z >> 1) if not z & 1 \
-                                    else -((z + 1) >> 1)
-                                continue
-                            if p + 2 < end and body[p + 2] < 0x80:
-                                z = (z & 0x7F) | (body[p + 2] << 7)
-                                ctx[0] = p + 3
-                                out[key] = (z >> 1) if not z & 1 \
-                                    else -((z + 1) >> 1)
-                                continue
-                        elif t == 6 and body[p + 1] < 0x80:  # _T_SREF
-                            try:
-                                out[key] = table[body[p + 1]]
-                            except IndexError:
-                                raise CodecError(
-                                    "string ref {} outside intern "
-                                    "table".format(
-                                        body[p + 1])) from None
-                            ctx[0] = p + 2
-                            continue
-                        elif t == 4 and p + 9 <= end:  # _T_FLOAT
-                            out[key] = _FLOAT64.unpack_from(
-                                body, p + 1)[0]
-                            ctx[0] = p + 9
-                            continue
-                    out[key] = value()
-                return out
-            if tag == _T_LIST:
-                count = varint()
-                out_list: typing.List[typing.Any] = []
-                append = out_list.append
-                for _ in range(count):
-                    p = ctx[0]
-                    # Inline int fast path (1-3 byte varints): lists
-                    # here are mostly gid pairs and ~map item/value
-                    # rows, all integers.
-                    if p + 1 < end and body[p] == 3:
-                        z = body[p + 1]
-                        if z < 0x80:
-                            ctx[0] = p + 2
-                            append((z >> 1) if not z & 1
-                                   else -((z + 1) >> 1))
-                            continue
-                        if p + 2 < end:
-                            b2 = body[p + 2]
-                            if b2 < 0x80:
-                                z = (z & 0x7F) | (b2 << 7)
-                                ctx[0] = p + 3
-                                append((z >> 1) if not z & 1
-                                       else -((z + 1) >> 1))
-                                continue
-                            if p + 3 < end and body[p + 3] < 0x80:
-                                z = (z & 0x7F) | ((b2 & 0x7F) << 7) \
-                                    | (body[p + 3] << 14)
-                                ctx[0] = p + 4
-                                append((z >> 1) if not z & 1
-                                       else -((z + 1) >> 1))
-                                continue
-                    append(value())
-                return out_list
-            if tag == _T_NONE:
-                return None
-            if tag == _T_TRUE:
-                return True
-            if tag == _T_FALSE:
-                return False
-            if tag == _T_SDEF:
-                return string_tagged(tag)
-            if tag == _T_FLOAT:
-                pos = ctx[0]
-                if pos + 8 > end:
-                    raise CodecError("truncated binary frame")
-                ctx[0] = pos + 8
-                return _FLOAT64.unpack_from(body, pos)[0]
-            raise CodecError("unknown value tag {}".format(tag))
-
-        def message() -> typing.Dict[str, typing.Any]:
-            type_idx = varint()
-            if type_idx >= _TYPE_GENERIC:
-                if type_idx > _TYPE_GENERIC:
-                    raise CodecError(
-                        "message type index {} out of range".format(
-                            type_idx))
-                obj = value()
-                if not isinstance(obj, dict):
-                    raise CodecError("generic message is not an object")
-                return obj
-            src = varint()
-            dst = varint()
-            msg_id = varint()
-            payload = value()
-            if not isinstance(payload, dict):
-                raise CodecError("message payload is not an object")
-            obj = {
-                "type": _TYPE_TABLE[type_idx],
-                "src": (src >> 1) if not src & 1 else -((src + 1) >> 1),
-                "dst": (dst >> 1) if not dst & 1 else -((dst + 1) >> 1),
-                "id": (msg_id >> 1) if not msg_id & 1
-                else -((msg_id + 1) >> 1),
-                "payload": payload,
-            }
-            for _ in range(varint()):
-                p = ctx[0]
-                if p >= end:
-                    raise CodecError("truncated binary frame")
-                ctx[0] = p + 1
-                key = string_tagged(body[p])
-                obj[key] = value()
-            return obj
-
-        def string() -> str:
-            p = ctx[0]
-            if p >= end:
-                raise CodecError("truncated binary frame")
-            ctx[0] = p + 1
-            return string_tagged(body[p])
-
-        kind = body[2]
-        ctx[0] = 3
-        if kind == _K_BATCH:
-            inc = string()
-            count = varint()
-            msgs = [{"seq": varint(), "msg": message()}
-                    for _ in range(count)]
-            obj: typing.Dict[str, typing.Any] = {
-                "kind": "batch", "inc": inc, "msgs": msgs}
-        elif kind == _K_ACK:
-            obj = {"kind": "ack", "seq": varint()}
-        elif kind == _K_MSG:
-            obj = {"kind": "msg", "inc": string(),
-                   "seq": varint(), "msg": message()}
-        elif kind == _K_OBJ:
-            decoded = value()
-            if not isinstance(decoded, dict):
-                raise CodecError("frame is not an object")
-            obj = decoded
-        else:
-            raise CodecError(
-                "unknown binary frame kind {}".format(kind))
-        if ctx[0] != end:
-            raise CodecError("trailing bytes after binary frame")
-        return obj
-
-
+# Read by benchmarks/ledger (layers.py, traced_site.py) only, not by src/.
 class WireCodec:
-    """Per-connection codec state: the negotiated *send* format plus
-    both decoders for the receive side (the first body byte picks).
+    """:func:`encode_frame` / :func:`decode_frame_body` as methods; the
+    format name is accepted and ignored."""
 
-    ``fmt`` accepts the wire id (``"bin1"``), the spec-level name
-    (``"binary"``) or ``"json"``.  The binary decoder is created
-    lazily on the first binary body so a JSON connection pays nothing.
-    """
-
-    __slots__ = ("binary", "_encoder", "_decoder")
-
-    def __init__(self, fmt: str = WIRE_JSON):
-        self.binary = fmt in (WIRE_BINARY, "binary")
-        self._encoder = BinaryEncoder() if self.binary else None
-        self._decoder: typing.Optional[BinaryDecoder] = None
-
-    @property
-    def name(self) -> str:
-        return WIRE_BINARY if self.binary else WIRE_JSON
+    def __init__(self, fmt: str = "json"):
+        pass
 
     def encode_frame(self, obj: typing.Mapping[str, typing.Any]
                      ) -> bytes:
-        if self._encoder is not None:
-            return self._encoder.encode_frame(obj)
         return encode_frame(obj)
 
-    def decode_body(self, body: bytes
-                    ) -> typing.Dict[str, typing.Any]:
-        if body[:1] == b"\xb1":
-            if self._decoder is None:
-                self._decoder = BinaryDecoder()
-            return self._decoder.decode_body(body)
+    def decode_body(self, body: bytes) -> typing.Dict[str, typing.Any]:
         return decode_frame_body(body)
 
 
-def wire_offer(wire_format: str) -> typing.Optional[typing.List[str]]:
-    """The ``"wire"`` list a hello frame carries (``None``: offer
-    nothing — the legacy JSON-only hello, byte-identical to before)."""
-    if wire_format in ("binary", WIRE_BINARY):
-        return [WIRE_BINARY]
-    return None
-
-
-def choose_wire_format(offer: typing.Any, accept_binary: bool) -> str:
-    """Server side of the negotiation: the sender's offer against this
-    member's own ``wire_format`` knob."""
-    if accept_binary and isinstance(offer, list) and \
-            WIRE_BINARY in offer:
-        return WIRE_BINARY
-    return WIRE_JSON
-
-
 async def read_frame(reader: asyncio.StreamReader,
-                     codec: typing.Optional[WireCodec] = None,
                      on_decode: typing.Optional[
                          typing.Callable[[float], typing.Any]] = None
                      ) -> typing.Optional[typing.Dict[str, typing.Any]]:
     """Read one frame; ``None`` on clean EOF at a frame boundary.
 
-    ``codec`` carries the per-connection intern state for binary
-    bodies; without one, a binary body is decoded with a fresh table
-    (correct for the first frame of a connection — hello/hello-ack —
-    and for test vectors, but a long-lived connection must thread its
-    codec through).  ``on_decode`` observes the decode duration in
-    seconds (socket wait excluded) — the server's per-stage histogram.
+    ``on_decode`` observes the decode duration in seconds (socket wait
+    excluded) — the server's per-stage histogram.
     """
     try:
         prefix = await reader.readexactly(_LENGTH.size)
@@ -899,45 +272,28 @@ async def read_frame(reader: asyncio.StreamReader,
         body = await reader.readexactly(length)
     except (asyncio.IncompleteReadError, ConnectionError):
         return None
-    if on_decode is None:
-        if codec is not None:
-            return codec.decode_body(body)
-        if body[:1] == b"\xb1":
-            return BinaryDecoder().decode_body(body)
-        return decode_frame_body(body)
     started = time.perf_counter()
-    if codec is not None:
-        obj = codec.decode_body(body)
-    elif body[:1] == b"\xb1":
-        obj = BinaryDecoder().decode_body(body)
-    else:
-        obj = decode_frame_body(body)
-    on_decode(time.perf_counter() - started)
+    obj = decode_frame_body(body)
+    if on_decode is not None:
+        on_decode(time.perf_counter() - started)
     return obj
 
 
 async def write_frame(writer: asyncio.StreamWriter,
                       obj: typing.Mapping[str, typing.Any],
-                      codec: typing.Optional[WireCodec] = None,
                       on_encode: typing.Optional[
                           typing.Callable[[float], typing.Any]] = None,
                       on_write: typing.Optional[
                           typing.Callable[[float], typing.Any]] = None
                       ) -> None:
-    """Write one frame (in ``codec``'s negotiated format) and drain.
+    """Write one frame and drain.
 
     ``on_encode`` / ``on_write`` observe the serialization and the
     socket write+drain durations in seconds — the server's per-stage
-    histograms.  The unhooked path stays branch-free.
+    histograms.
     """
-    if on_encode is None and on_write is None:
-        writer.write(codec.encode_frame(obj) if codec is not None
-                     else encode_frame(obj))
-        await writer.drain()
-        return
     started = time.perf_counter()
-    data = (codec.encode_frame(obj) if codec is not None
-            else encode_frame(obj))
+    data = encode_frame(obj)
     if on_encode is not None:
         on_encode(time.perf_counter() - started)
     started = time.perf_counter()

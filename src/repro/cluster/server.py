@@ -67,8 +67,6 @@ import typing
 
 from repro.cluster.codec import (
     CodecError,
-    WireCodec,
-    choose_wire_format,
     decode_message,
     encode_value,
     read_frame,
@@ -272,8 +270,7 @@ class SiteServer:
         self._g_apply_queue = self.metrics.gauge("server.apply_queue")
         # Wire/apply stage instrumentation: seconds spent decoding one
         # inbound peer frame body, seconds spent on one apply round
-        # (dispatch + kernel drive + journal barrier), and how many
-        # inbound connections negotiated each wire format.
+        # (dispatch + kernel drive + journal barrier).
         self._h_decode = self.metrics.histogram("server.decode_s")
         self._h_apply = self.metrics.histogram("server.apply_s")
         # Stage timers along the inbound hot path (all perf_counter
@@ -292,9 +289,6 @@ class SiteServer:
         self._h_write = self.metrics.histogram("server.write_s")
         self._h_wal_barrier = self.metrics.histogram(
             "wal.barrier_wait_s")
-        self._m_conns_binary = self.metrics.counter(
-            "server.conns_binary")
-        self._m_conns_json = self.metrics.counter("server.conns_json")
         self._m_catchup_requests = self.metrics.counter(
             "catchup.requests")
         self._m_catchup_replies = self.metrics.counter("catchup.replies")
@@ -352,8 +346,7 @@ class SiteServer:
             sync_hook=self._sync_wal,
             metrics=self.metrics if self.spec.obs else None,
             trace_sink=self.trace,
-            faults=self.faults,
-            wire_format=self.spec.wire_format)
+            faults=self.faults)
         self.system = ReplicatedSystem(
             self.env, self.placement, live_system_config(self.spec),
             transport=self.transport, local_sites=[self.site_id])
@@ -432,11 +425,6 @@ class SiteServer:
                                  recovered=self.recovered)
         protocol = make_protocol(self.spec.protocol, self.system,
                                  **self.spec.protocol_options)
-        # Site-local apply concurrency (conflict-aware partitioning of
-        # secondary subtransactions); a per-process knob, so it is set
-        # on the protocol instance rather than carried in
-        # protocol_options (which enter the cluster fingerprint).
-        protocol.apply_workers = self.spec.apply_workers
         self.system.use_protocol(protocol)
         self.system.remote_wound = self._remote_wound
         if self.recovered:
@@ -933,36 +921,17 @@ class SiteServer:
                 # The epoch hint lets a client whose spec merely lags
                 # the cluster re-sync and retry; a genuinely mismatched
                 # cluster config still presents neither accepted
-                # fingerprint after adopting the epoch.  Always JSON:
-                # negotiation never happened on this connection.
+                # fingerprint after adopting the epoch.
                 await write_frame(writer, {
                     "kind": "error",
                     "error": "cluster fingerprint mismatch "
                              "(server epoch {})".format(self.epoch),
                     "epoch": self.epoch})
                 return
-            # Wire-format negotiation: a hello that carries a "wire"
-            # offer gets a hello-ack naming the chosen encoding; a
-            # legacy hello gets no ack at all (so old dialers see the
-            # exact byte stream they always did).  The chosen format
-            # governs both directions of this connection — the dialer
-            # encodes with it, and our acks/responses use it too.
-            codec = WireCodec()
-            if "wire" in hello:
-                chosen = choose_wire_format(
-                    hello.get("wire"),
-                    self.spec.wire_format == "binary")
-                codec = WireCodec(chosen)
-                await write_frame(writer, {
-                    "kind": "hello-ack", "wire": chosen})
-            if codec.binary:
-                self._m_conns_binary.inc()
-            else:
-                self._m_conns_json.inc()
             if hello.get("role") == "peer":
-                await self._peer_loop(reader, writer, codec)
+                await self._peer_loop(reader, writer)
             else:
-                await self._client_loop(reader, writer, codec)
+                await self._client_loop(reader, writer)
         except (ConnectionError, OSError, asyncio.CancelledError):
             pass
         finally:
@@ -974,9 +943,7 @@ class SiteServer:
                 pass
 
     async def _peer_loop(self, reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter,
-                         codec: typing.Optional[WireCodec] = None
-                         ) -> None:
+                         writer: asyncio.StreamWriter) -> None:
         """Socket-reading half of the inbound pipeline.
 
         Frames go through a small queue to :meth:`_apply_loop`, so the
@@ -988,7 +955,7 @@ class SiteServer:
         queue: "asyncio.Queue" = asyncio.Queue(
             maxsize=APPLY_PIPELINE_DEPTH)
         apply_task = asyncio.get_running_loop().create_task(
-            self._apply_loop(queue, writer, codec))
+            self._apply_loop(queue, writer))
         # ``decoded`` carries the last frame's decode seconds from the
         # read_frame callback to the queue entry, so the apply side can
         # stamp it onto that frame's "received" spans.
@@ -1004,8 +971,7 @@ class SiteServer:
         try:
             while not self._closed and not apply_task.done():
                 started = time.perf_counter() if timed else 0.0
-                frame = await read_frame(reader, codec,
-                                         on_decode=on_decode)
+                frame = await read_frame(reader, on_decode=on_decode)
                 if frame is None:
                     return
                 if timed:
@@ -1036,9 +1002,7 @@ class SiteServer:
                 pass
 
     async def _apply_loop(self, queue: "asyncio.Queue",
-                          writer: asyncio.StreamWriter,
-                          codec: typing.Optional[WireCodec] = None
-                          ) -> None:
+                          writer: asyncio.StreamWriter) -> None:
         """Applying half of the inbound pipeline: one *round* per
         wake-up, however many frames the reader queued meanwhile.
 
@@ -1107,7 +1071,7 @@ class SiteServer:
                 # filter.
                 try:
                     await write_frame(writer, {
-                        "kind": "ack", "seq": last_seq}, codec,
+                        "kind": "ack", "seq": last_seq},
                         on_encode=on_encode, on_write=on_write)
                 except (ConnectionError, OSError):
                     pass
@@ -1115,21 +1079,18 @@ class SiteServer:
                 return
 
     async def _client_loop(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter,
-                           codec: typing.Optional[WireCodec] = None
-                           ) -> None:
+                           writer: asyncio.StreamWriter) -> None:
         write_lock = asyncio.Lock()
         pending: typing.Set[asyncio.Task] = set()
         try:
             while not self._closed:
-                frame = await read_frame(reader, codec)
+                frame = await read_frame(reader)
                 if frame is None:
                     return
                 if frame.get("kind") != "req":
                     continue
                 task = asyncio.ensure_future(
-                    self._serve_request(frame, writer, write_lock,
-                                        codec))
+                    self._serve_request(frame, writer, write_lock))
                 pending.add(task)
                 task.add_done_callback(pending.discard)
         finally:
@@ -1138,9 +1099,7 @@ class SiteServer:
 
     async def _serve_request(self, frame: typing.Mapping,
                              writer: asyncio.StreamWriter,
-                             write_lock: asyncio.Lock,
-                             codec: typing.Optional[WireCodec] = None
-                             ) -> None:
+                             write_lock: asyncio.Lock) -> None:
         rid = frame.get("rid")
         try:
             response = await self._dispatch(frame)
@@ -1162,7 +1121,7 @@ class SiteServer:
         try:
             async with write_lock:
                 await write_frame(
-                    writer, response, codec,
+                    writer, response,
                     on_encode=(self._h_encode.observe
                                if self.metrics else None),
                     on_write=(self._h_write.observe
@@ -1541,8 +1500,7 @@ class SiteServer:
     def render_exposition(self) -> str:
         """This site's metrics snapshot as Prometheus text."""
         return render_exposition(self.metrics.snapshot(),
-                                 labels={"site": str(self.site_id)},
-                                 wire_format=self.spec.wire_format)
+                                 labels={"site": str(self.site_id)})
 
     # ------------------------------------------------------------------
     # HTTP scrape plane (spec.metrics_base_port)
@@ -1634,8 +1592,6 @@ class SiteServer:
             "batch": self.spec.batch,
             "durability": self.spec.durability,
             "obs": self.spec.obs,
-            "wire_format": self.spec.wire_format,
-            "apply_workers": self.spec.apply_workers,
             "wal": wal_stats,
             "journal": journal_stats,
             "apply_queue_hwm": self.apply_queue_hwm,

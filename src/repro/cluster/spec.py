@@ -57,20 +57,8 @@ class ClusterSpec:
     #: (scraping is read-only and changes nothing members must agree
     #: on), ``None`` (default) disables the listener entirely.
     metrics_base_port: typing.Optional[int] = None
-    #: Preferred wire encoding for frames this member *sends*:
-    #: ``"binary"`` (default — the compact ``bin1`` format) or
-    #: ``"json"``.  Per-process like ``batch``: the format a sender
-    #: actually uses is negotiated per connection in the hello
-    #: exchange, every receiver accepts both (the first body byte is
-    #: self-describing), so mixed-format clusters interoperate and
-    #: this stays out of the fingerprint.
-    wire_format: str = "binary"
-    #: Maximum non-conflicting secondary subtransactions a site applies
-    #: concurrently (write-set partitioning; conflicting updates stay
-    #: FIFO).  ``1`` (default) is strictly serial apply.  Per-process:
-    #: scheduling within one site never changes what other members
-    #: must agree on, so it too stays out of the fingerprint.
-    apply_workers: int = 1
+    # Read by benchmarks/ledger/layers.py only: a constant, not a field.
+    wire_format: typing.ClassVar[str] = "json"
     #: Configuration epoch (``repro.reconfig``).  Epoch 0 is *genesis*:
     #: the placement is exactly :meth:`build_placement`.  Each committed
     #: reconfiguration increments it; the epoch enters the fingerprint,
@@ -94,13 +82,6 @@ class ClusterSpec:
         if self.batch < 1:
             raise ValueError("batch must be >= 1, got {}".format(
                 self.batch))
-        if self.wire_format not in ("json", "binary"):
-            raise ValueError(
-                "unknown wire format {!r} (expected 'json' or "
-                "'binary')".format(self.wire_format))
-        if self.apply_workers < 1:
-            raise ValueError("apply_workers must be >= 1, got {}".format(
-                self.apply_workers))
         self.obs = bool(self.obs)
         if self.metrics_base_port is not None and not \
                 1 <= self.metrics_base_port <= 65535 - \
@@ -152,17 +133,6 @@ class ClusterSpec:
         payload — so it is excluded too, as is the monitoring plane's
         ``metrics_base_port`` (a read-only scrape listener changes
         nothing members must agree on).
-
-        ``wire_format`` and ``apply_workers`` follow the same rule and
-        are deliberately **excluded**: the wire encoding is negotiated
-        per connection in the hello exchange and every receiver decodes
-        both formats (the first body byte is self-describing), so a
-        binary-speaking member and a JSON-only member carry identical
-        message *content*; and apply concurrency is site-local
-        scheduling that preserves per-channel FIFO semantics.  Hashing
-        either would split one logical cluster into artificial
-        fingerprint islands and break mixed-member rolling upgrades —
-        exactly what the negotiation exists to allow.
         """
         params = self.params
         material = json.dumps(
@@ -199,8 +169,6 @@ class ClusterSpec:
             "base_port": self.base_port,
             "durability": self.durability,
             "batch": self.batch,
-            "wire_format": self.wire_format,
-            "apply_workers": self.apply_workers,
             "obs": self.obs,
             "metrics_base_port": self.metrics_base_port,
             "epoch": self.epoch,
@@ -218,8 +186,6 @@ class ClusterSpec:
             base_port=int(obj.get("base_port", 7450)),
             durability=obj.get("durability", "flush"),
             batch=int(obj.get("batch", 1)),
-            wire_format=obj.get("wire_format", "binary"),
-            apply_workers=int(obj.get("apply_workers", 1)),
             obs=bool(obj.get("obs", True)),
             metrics_base_port=(
                 int(obj["metrics_base_port"])

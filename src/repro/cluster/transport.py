@@ -67,12 +67,9 @@ import uuid
 
 from repro.cluster.codec import (
     CodecError,
-    WireCodec,
-    choose_wire_format,
     encode_batch_frame,
     encode_message,
     read_frame,
-    wire_offer,
     write_frame,
 )
 from repro.network.message import Message, MessageType
@@ -101,10 +98,6 @@ class _Channel:
         self.wakeup = asyncio.Event()
         self.task: typing.Optional[asyncio.Task] = None
         self._ack_task: typing.Optional[asyncio.Task] = None
-        #: Wire codec negotiated for the *current* connection (fresh
-        #: per connect — intern tables start from the static seed on
-        #: both ends of every TCP connection).
-        self._codec: typing.Optional[WireCodec] = None
 
     def put(self, message: Message) -> None:
         self.unsent.append((next(self.seq), message))
@@ -229,7 +222,7 @@ class _Channel:
                         self.transport.incarnation, entries, stamp=stamp)
                 try:
                     await write_frame(
-                        writer, frame, self._codec,
+                        writer, frame,
                         on_encode=(self.transport._h_encode.observe
                                    if self.transport.metrics else None),
                         on_write=(self.transport._h_write.observe
@@ -284,27 +277,8 @@ class _Channel:
             "site": self.transport.site_id,
             "fingerprint": self.transport.fingerprint,
         }
-        offer = wire_offer(self.transport.wire_format)
-        if offer is not None:
-            hello["wire"] = offer
         try:
-            # Hello frames are always JSON: negotiation must not
-            # presuppose its own outcome.
             await write_frame(writer, hello)
-            self._codec = WireCodec()
-            if offer is not None:
-                # The accepting server answers every offered hello with
-                # a hello-ack naming the chosen format.  A peer that
-                # never answers (an old build, a fake in a test) simply
-                # leaves the connection on JSON after the timeout —
-                # interop over speed.
-                try:
-                    ack = await asyncio.wait_for(read_frame(reader),
-                                                 timeout=2.0)
-                except (asyncio.TimeoutError, CodecError):
-                    ack = None
-                if ack is not None and ack.get("kind") == "hello-ack":
-                    self._codec = WireCodec(str(ack.get("wire", "json")))
         except (ConnectionError, OSError):
             await self._close_writer(writer)
             return None
@@ -343,22 +317,13 @@ class LiveTransport:
                      typing.Callable[[], typing.Any]] = None,
                  metrics: typing.Optional[MetricsRegistry] = None,
                  trace_sink: typing.Optional[typing.Any] = None,
-                 faults: typing.Optional[typing.Any] = None,
-                 wire_format: str = "json"):
+                 faults: typing.Optional[typing.Any] = None):
         self.site_id = site_id
         self.peers = dict(peers)
         self.n_sites = max(peers, default=site_id) + 1
         self.fingerprint = fingerprint
         #: Max messages per wire frame (1 = unbatched "msg" frames).
         self.max_batch = max(1, int(max_batch))
-        #: Preferred frame encoding for this member's outbound
-        #: channels.  ``"json"`` (the conservative default here —
-        #: :class:`~repro.cluster.spec.ClusterSpec` passes its own
-        #: default down) sends plain JSON and skips negotiation;
-        #: ``"binary"`` offers ``bin1`` in the hello and uses it when
-        #: the accepting server agrees.  Per connection, not global:
-        #: each reconnect renegotiates from scratch.
-        self.wire_format = wire_format
         #: Called synchronously right before a frame's bytes are
         #: written — the server points it at the WAL group-commit sync
         #: so no message can leave ahead of the commit record it

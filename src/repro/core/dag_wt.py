@@ -14,7 +14,6 @@ eventually commit (the fairness requirement of Sec. 2).
 
 from __future__ import annotations
 
-import collections
 import typing
 
 from repro.core.base import (
@@ -26,7 +25,7 @@ from repro.core.base import (
 from repro.errors import LockTimeout, TransactionAborted
 from repro.graph.tree import PropagationTree, build_propagation_tree
 from repro.network.message import Message, MessageType
-from repro.sim.events import AnyOf, Interrupt
+from repro.sim.events import Interrupt
 from repro.sim.resources import Mailbox
 from repro.storage.transaction import Transaction
 from repro.types import (
@@ -44,18 +43,6 @@ class DagWtProtocol(ReplicationProtocol):
 
     name = "dag_wt"
     requires_dag = True
-
-    #: Maximum non-conflicting secondaries one site applies concurrently
-    #: (a per-process scheduling knob; the live server copies
-    #: ``spec.apply_workers`` here).  ``1`` keeps the paper's strictly
-    #: serial queue processor.  With more workers, each incoming update
-    #: is partitioned by *full write-set* intersection: updates whose
-    #: write sets are disjoint commute (they touch different items and
-    #: forward along child channels for different items), so they may
-    #: commit in either order; updates that share any written item stay
-    #: in FIFO arrival order — both locally and, because commit and
-    #: forward are atomic, on every child channel.
-    apply_workers: int = 1
 
     def __init__(self, system: ReplicatedSystem,
                  tree: typing.Optional[PropagationTree] = None,
@@ -172,90 +159,12 @@ class DagWtProtocol(ReplicationProtocol):
 
     def _queue_processor(self, site: Site):
         """Commit incoming secondaries in FIFO order, forward in commit
-        order (one at a time, Sec. 3.2.3's simplification shared here).
-
-        With ``apply_workers > 1`` the serial loop is replaced by the
-        conflict-aware scheduler below; the serial loop is the
-        degenerate one-worker case and stays the default."""
+        order (one at a time, Sec. 3.2.3's simplification shared here)."""
         queue = self._queues[site.site_id]
-        if int(getattr(self, "apply_workers", 1)) > 1:
-            yield from self._parallel_queue_processor(site, queue)
-            return
         while True:
             message = yield queue.get()
             yield from site.work(self.config.cpu_message)
             yield from self._process_message(site, message)
-
-    def _apply_one(self, site: Site, message: Message):
-        """One queued message, start to finish (worker body — identical
-        to one iteration of the serial loop)."""
-        yield from site.work(self.config.cpu_message)
-        yield from self._process_message(site, message)
-
-    def _parallel_queue_processor(self, site: Site, queue: Mailbox):
-        """Conflict-aware apply scheduler (``apply_workers > 1``).
-
-        Partitioning rule: two messages conflict iff their *full* write
-        sets intersect (not just the locally-replicated items — child
-        forwarding order for an item this site does not hold must still
-        follow commit order).  Non-conflicting messages run on up to
-        ``apply_workers`` concurrent worker processes; a message whose
-        write set intersects any running or earlier-queued write set
-        waits, so every conflicting pair commits — and forwards — in
-        FIFO arrival order.  Non-``SECONDARY`` messages (BackEdge
-        control traffic) are exclusive barriers: they wait for the site
-        to go idle and nothing overtakes them.
-        """
-        workers = int(self.apply_workers)
-        lookahead = max(4 * workers, 8)
-        pending: "collections.deque[Message]" = collections.deque()
-        active: typing.Dict[typing.Any, typing.Optional[
-            typing.FrozenSet[ItemId]]] = {}
-
-        def write_set(message: Message
-                      ) -> typing.Optional[typing.FrozenSet[ItemId]]:
-            if message.msg_type is not MessageType.SECONDARY:
-                return None  # exclusive barrier
-            return frozenset(message.payload.get("writes", ()))
-
-        def pump() -> None:
-            if any(wset is None for wset in active.values()):
-                return  # a barrier is running: the site is exclusive
-            blocked: typing.Set[ItemId] = set()
-            for message in list(pending):
-                if len(active) >= workers:
-                    return
-                wset = write_set(message)
-                if wset is None:
-                    if not active and not blocked:
-                        pending.remove(message)
-                        active[self.env.process(
-                            self._apply_one(site, message))] = None
-                    return  # nothing may overtake a barrier
-                if blocked & wset or any(
-                        aset and (aset & wset)
-                        for aset in active.values()):
-                    # Conflicts with a running or earlier update: keep
-                    # FIFO.  Later disjoint messages may still start.
-                    blocked |= wset
-                    continue
-                pending.remove(message)
-                active[self.env.process(
-                    self._apply_one(site, message))] = wset
-
-        get_event = None
-        while True:
-            if get_event is None and len(pending) < lookahead:
-                get_event = queue.get()
-            waits = ([get_event] if get_event is not None else []) \
-                + list(active)
-            yield AnyOf(self.env, waits)
-            if get_event is not None and get_event.triggered:
-                pending.append(get_event.value)
-                get_event = None
-            for proc in [p for p in active if p.triggered]:
-                del active[proc]
-            pump()
 
     def _process_message(self, site: Site, message: Message):
         """Handle one queued message.  Subclasses extend (BackEdge)."""

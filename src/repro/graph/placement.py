@@ -192,10 +192,9 @@ class DataPlacement:
     def to_json(self) -> typing.Dict[str, typing.Any]:
         """JSON-ready form (used by the ``placement`` wire request).
 
-        Item keys are stringified up front: ``json.dumps`` would coerce
-        them silently, but the binary wire codec (rightly) refuses
-        non-``str`` dict keys, and both codecs must carry the same
-        frame."""
+        Item keys are stringified up front rather than left to
+        ``json.dumps``'s silent coercion, so the object is the same
+        before and after a round trip."""
         return {
             "n_sites": self.n_sites,
             "items": {str(item): [primary, sorted(self._replicas[item])]

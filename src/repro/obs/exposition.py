@@ -125,8 +125,7 @@ class _Family:
 def render_exposition(snapshot: typing.Mapping[str, typing.Any],
                       labels: typing.Optional[
                           typing.Mapping[str, str]] = None,
-                      namespace: str = "repro",
-                      wire_format: typing.Optional[str] = None) -> str:
+                      namespace: str = "repro") -> str:
     """Render one registry snapshot as Prometheus exposition text.
 
     ``labels`` (e.g. ``{"site": "1"}``) are attached to every sample.
@@ -134,11 +133,6 @@ def render_exposition(snapshot: typing.Mapping[str, typing.Any],
     the snapshot's (name-sorted) iteration order with histogram
     buckets in edge order — rendering the same snapshot twice yields
     byte-identical text (the golden test relies on this).
-
-    ``wire_format`` (when given) adds the ``<namespace>_wire_format``
-    canary — a constant ``1`` labelled with the member's *preferred*
-    frame encoding, so a dashboard can see at a glance which members
-    of a mixed cluster would speak binary.
     """
     base = dict(labels or {})
     enabled = bool(snapshot.get("enabled"))
@@ -154,14 +148,6 @@ def render_exposition(snapshot: typing.Mapping[str, typing.Any],
                     "1 when this member's metrics registry is "
                     "recording, 0 for a --no-obs member.")
     canary.add("", base, 1 if enabled else 0)
-    if wire_format is not None:
-        wire = family(namespace + "_wire_format", "gauge",
-                      "1, labelled with this member's preferred wire "
-                      "encoding (the per-connection format is "
-                      "negotiated; receivers accept both).")
-        wire_labels = dict(base)
-        wire_labels["format"] = str(wire_format)
-        wire.add("", wire_labels, 1)
 
     for name, value in snapshot.get("counters", {}).items():
         plain, peer = _split_peer(name)

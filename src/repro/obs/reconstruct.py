@@ -28,7 +28,7 @@ HOP_EVENTS = ("received", "journaled", "applied", "caught-up")
 #: queueing vs the WAL group-commit barrier, split by the ``wal``
 #: stamp on the forwarded span), ``wire`` spans forward→receive
 #: (socket, receiver read + apply-queue wait + decode), and ``apply``
-#: spans receive→apply (journal append, kernel drive, apply workers).
+#: spans receive→apply (journal append, kernel drive, queue processor).
 #: With all four span events present the components sum to the hop
 #: delay *exactly* — attribution is a partition of measured time, not
 #: an estimate.

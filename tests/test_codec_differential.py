@@ -1,24 +1,28 @@
-"""Differential battery: JSON and bin1 must agree on every wire op.
+"""Differential and corruption battery for the wire codec.
 
-Both codecs serialize the same frame-object vocabulary (the JSON-ready
-dicts produced by ``encode_message`` / ``encode_batch_frame`` plus the
-control frames — hello, hello-ack, ack, error, request/response).  The
-properties locked down here:
+The codec's frame path (``encode_frame`` -> ``decode_frame_body`` /
+``read_frame``) is checked against two references on the full
+frame-object vocabulary (the JSON-ready dicts produced by
+``encode_message`` / ``encode_batch_frame`` plus the control frames —
+hello, ack, error, request/response):
 
-* every wire op round-trips through BOTH codecs,
-* the binary decode of a frame equals the JSON decode of the same
-  frame (differential equality — neither codec gets to drift),
-* binary encode -> decode -> encode is byte-stable, both for
-  self-contained frames and across a warmed intern-table stream,
-* a truncated or bit-flipped binary body raises :class:`CodecError`,
-  never a partial or garbled frame,
-* tuple- and frozenset-keyed payload values survive both codecs with
-  hashable keys (the ``decode_value`` / ``_hashable`` regression).
+* the stdlib's own ``json.loads(json.dumps(frame))`` — the minified,
+  sorted-key body must decode to exactly what plain JSON would, and
+* ``WireCodec``, the object form the perf ledger measures — what the
+  ledger times must be what the server runs.
+
+Beyond agreement: a truncated body raises :class:`CodecError`, a
+bit-flipped body raises :class:`CodecError` or decodes to a ``dict``
+(JSON frames carry no checksum; a flipped digit is still a frame) and
+never anything else, ``read_frame`` never reads past its frame, and
+tuple- and frozenset-keyed payload values come back with hashable keys
+(the ``decode_value`` / ``_hashable`` regression).
 
 Payload builders are shared with ``test_cluster_codec`` so a new
 message type cannot ship without joining this battery too.
 """
 
+import asyncio
 import json
 import random
 
@@ -27,9 +31,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.cluster.codec import (
-    BinaryDecoder,
-    BinaryEncoder,
     CodecError,
+    WireCodec,
     decode_frame_body,
     decode_message,
     decode_value,
@@ -37,6 +40,7 @@ from repro.cluster.codec import (
     encode_frame,
     encode_message,
     encode_value,
+    read_frame,
 )
 from repro.network.message import Message, MessageType
 from repro.types import GlobalTransactionId
@@ -68,9 +72,7 @@ def _control_frames(rng):
     """The non-message vocabulary one connection exchanges."""
     return [
         {"kind": "hello", "role": rng.choice(["peer", "client"]),
-         "site": rng.randrange(8), "fingerprint": "f" * 16,
-         "wire": ["bin1"]},
-        {"kind": "hello-ack", "wire": rng.choice(["bin1", "json"])},
+         "site": rng.randrange(8), "fingerprint": "f" * 16},
         {"kind": "ack", "seq": rng.randrange(10**9)},
         {"kind": "error", "error": "wrong cluster fingerprint",
          "epoch": rng.choice([None, rng.randrange(10)])},
@@ -86,8 +88,7 @@ def _control_frames(rng):
 
 def _frame_stream(rng):
     """A realistic connection's worth of frames, in stream order."""
-    frames = [_control_frames(rng)[0], {"kind": "hello-ack",
-                                        "wire": "bin1"}]
+    frames = [_control_frames(rng)[0]]
     for _ in range(rng.randrange(4, 10)):
         roll = rng.random()
         if roll < 0.5:
@@ -100,13 +101,31 @@ def _frame_stream(rng):
     return frames
 
 
-def _binary_round_trip(frame, encoder=None, decoder=None):
-    """Encode+decode through bin1; returns (body, decoded)."""
-    encoder = encoder or BinaryEncoder()
-    decoder = decoder or BinaryDecoder()
-    wire = encoder.encode_frame(frame)
-    assert wire[4:5] == b"\xb1", "binary body must carry the magic"
-    return wire[4:], decoder.decode_body(wire[4:])
+def _assert_agrees(frame):
+    """One frame through the codec, against both references."""
+    wire = encode_frame(frame)
+    decoded = decode_frame_body(wire[4:])
+    assert decoded == frame
+    assert decoded == json.loads(json.dumps(frame))
+    shim = WireCodec()
+    assert shim.encode_frame(frame) == wire
+    assert shim.decode_body(wire[4:]) == decoded
+    return decoded
+
+
+def _read_all(data):
+    """Every frame ``read_frame`` yields from ``data`` until EOF."""
+    async def scenario():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        frames = []
+        while True:
+            frame = await read_frame(reader)
+            if frame is None:
+                return frames
+            frames.append(frame)
+    return asyncio.run(scenario())
 
 
 # ----------------------------------------------------------------------
@@ -119,17 +138,12 @@ def _binary_round_trip(frame, encoder=None, decoder=None):
 def test_differential_msg_frames(msg_type, seed):
     rng = random.Random(seed)
     frame = _msg_frame(rng, msg_type)
-    via_json = decode_frame_body(encode_frame(frame)[4:])
-    _, via_binary = _binary_round_trip(frame)
-    assert via_json == frame
-    assert via_binary == frame
-    assert via_binary == via_json
-    # And the decoded message is the original message, either way.
+    decoded = _assert_agrees(frame)
+    # And the decoded message is the original message.
     original = decode_message(frame["msg"])
-    for decoded in (via_json, via_binary):
-        message = decode_message(decoded["msg"])
-        assert message.msg_type is original.msg_type
-        assert message.payload == original.payload
+    message = decode_message(decoded["msg"])
+    assert message.msg_type is original.msg_type
+    assert message.payload == original.payload
 
 
 @settings(deadline=None, max_examples=60)
@@ -137,15 +151,11 @@ def test_differential_msg_frames(msg_type, seed):
 def test_differential_batch_and_control_frames(seed):
     rng = random.Random(seed)
     for frame in [_batch_frame(rng)] + _control_frames(rng):
-        via_json = decode_frame_body(encode_frame(frame)[4:])
-        _, via_binary = _binary_round_trip(frame)
-        assert via_json == frame
-        assert via_binary == frame
+        _assert_agrees(frame)
 
 
-# Generic frame objects beyond the protocol vocabulary: both codecs
-# must agree on arbitrary JSON-shaped frames too (strings that look
-# like intern-table vocabulary, ~-prefixed keys, big ints, unicode).
+# Generic frame objects beyond the protocol vocabulary: arbitrary
+# JSON-shaped frames (~-prefixed keys, big ints, unicode) agree too.
 _scalars = st.one_of(
     st.none(), st.booleans(),
     st.integers(min_value=-2**80, max_value=2**80),
@@ -165,109 +175,100 @@ _json_values = st.recursive(
 @given(frame=st.dictionaries(st.text(max_size=8), _json_values,
                              max_size=5))
 def test_differential_generic_frames(frame):
-    via_json = decode_frame_body(encode_frame(frame)[4:])
-    _, via_binary = _binary_round_trip(frame)
-    assert via_binary == via_json == frame
-
-
-# ----------------------------------------------------------------------
-# Byte stability and warmed intern-table streams
-# ----------------------------------------------------------------------
-
-@settings(deadline=None, max_examples=40)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_binary_stream_is_byte_stable(seed):
-    """encode -> decode -> encode reproduces the exact bytes, frame by
-    frame, with the intern tables warming in stream order on all three
-    parties (sender, receiver, re-sender)."""
-    rng = random.Random(seed)
-    frames = _frame_stream(rng)
-    sender, resender = BinaryEncoder(), BinaryEncoder()
-    receiver = BinaryDecoder()
-    for frame in frames:
-        first = sender.encode_frame(frame)
-        decoded = receiver.decode_body(first[4:])
-        assert decoded == frame
-        assert resender.encode_frame(decoded) == first
+    _assert_agrees(frame)
 
 
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_stream_decodes_match_json(seed):
-    """A warmed decoder (references into the intern table) produces the
-    same objects a JSON round trip does."""
-    rng = random.Random(seed)
-    encoder, decoder = BinaryEncoder(), BinaryDecoder()
-    for frame in _frame_stream(rng):
-        via_json = json.loads(json.dumps(frame))
-        decoded = decoder.decode_body(encoder.encode_frame(frame)[4:])
-        assert decoded == via_json
-
-
-def test_interning_pays_off_across_a_stream():
-    """Later frames reuse table references: repeated vocabulary must
-    not be re-defined inline (the compactness the format exists for)."""
-    rng = random.Random(5)
-    encoder = BinaryEncoder()
-    frame = _msg_frame(rng, MessageType.SECONDARY)
-    first = len(encoder.encode_frame(dict(frame, inc="warm-me-up")))
-    later = len(encoder.encode_frame(dict(frame, inc="warm-me-up")))
-    assert later < first
+    """A connection's frames back to back on one stream come out of
+    ``read_frame`` one by one, each equal to its JSON round trip."""
+    frames = _frame_stream(random.Random(seed))
+    data = b"".join(encode_frame(frame) for frame in frames)
+    assert _read_all(data) == [json.loads(json.dumps(frame))
+                               for frame in frames]
 
 
 # ----------------------------------------------------------------------
-# Corruption: CodecError, never garbage
+# Corruption: CodecError or a dict, never anything else
 # ----------------------------------------------------------------------
+
+def _decode_corrupt(body):
+    """``decode_frame_body`` on a damaged body: any outcome other than
+    a dict or :class:`CodecError` propagates and fails the test."""
+    try:
+        decoded = decode_frame_body(body)
+    except CodecError:
+        return None
+    assert isinstance(decoded, dict)
+    return decoded
+
 
 @settings(deadline=None, max_examples=120)
 @given(seed=st.integers(0, 2**32 - 1), where=st.integers(0, 2**31),
        bit=st.integers(0, 7))
 def test_bit_flips_raise_codec_error(seed, where, bit):
     rng = random.Random(seed)
-    frame = _msg_frame(rng, rng.choice(MESSAGE_TYPES))
-    body, _ = _binary_round_trip(frame)
+    body = encode_frame(_msg_frame(rng, rng.choice(MESSAGE_TYPES)))[4:]
     corrupt = bytearray(body)
     corrupt[where % len(body)] ^= 1 << bit
-    with pytest.raises(CodecError):
-        BinaryDecoder().decode_body(bytes(corrupt))
+    _decode_corrupt(bytes(corrupt))
 
 
 @settings(deadline=None, max_examples=120)
 @given(seed=st.integers(0, 2**32 - 1), where=st.integers(0, 2**31))
 def test_truncation_raises_codec_error(seed, where):
-    rng = random.Random(seed)
-    frame = _batch_frame(rng)
-    body, _ = _binary_round_trip(frame)
+    """Every strict prefix of a minified frame is invalid JSON (the
+    object never closes)."""
+    body = encode_frame(_batch_frame(random.Random(seed)))[4:]
     with pytest.raises(CodecError):
-        BinaryDecoder().decode_body(body[:where % len(body)])
-    # JSON bodies too: every strict prefix of a minified frame is
-    # invalid JSON (the object never closes).
-    json_body = encode_frame(frame)[4:]
-    with pytest.raises(CodecError):
-        decode_frame_body(json_body[:where % len(json_body)])
+        decode_frame_body(body[:where % len(body)])
 
 
 def test_exhaustive_corruption_sweep_small_frame():
-    """Every truncation point and two bit flips at every byte of one
-    real frame — the deterministic backstop under the fuzz above."""
+    """Every truncation point and every single-bit flip of one real
+    ``msg``, ``batch`` and ``ack`` body — the deterministic backstop
+    under the fuzz above — and, on a stream, a flipped frame never
+    makes ``read_frame`` consume any of the frame behind it."""
     rng = random.Random(11)
-    body, _ = _binary_round_trip(_msg_frame(rng, MessageType.SECONDARY))
-    for cut in range(len(body)):
-        with pytest.raises(CodecError):
-            BinaryDecoder().decode_body(body[:cut])
-    for pos in range(len(body)):
-        for mask in (0x01, 0x80):
-            corrupt = bytearray(body)
-            corrupt[pos] ^= mask
+    sentinel = {"kind": "ack", "seq": 424242}
+    small_batch = encode_batch_frame(
+        "inc", [(1, _message(rng, MessageType.LOCK_RELEASE))])
+    for frame in (_msg_frame(rng, MessageType.SECONDARY), small_batch,
+                  {"kind": "ack", "seq": 17}):
+        wire = encode_frame(frame)
+        body = wire[4:]
+        for cut in range(len(body)):
             with pytest.raises(CodecError):
-                BinaryDecoder().decode_body(bytes(corrupt))
+                decode_frame_body(body[:cut])
+        for pos in range(len(body)):
+            for bit in range(8):
+                corrupt = bytearray(body)
+                corrupt[pos] ^= 1 << bit
+                _decode_corrupt(bytes(corrupt))
+        # The stream half, at every byte (one flip each keeps it fast).
+        for pos in range(len(body)):
+            corrupt = bytearray(wire)
+            corrupt[4 + pos] ^= 0x01
+            try:
+                frames = _read_all(bytes(corrupt) + encode_frame(sentinel))
+            except CodecError:
+                continue
+            assert len(frames) == 2 and frames[1] == sentinel
 
 
 def test_garbage_and_wrong_version_raise():
-    for body in (b"", b"\xb1", b"\xb1\x01", b"not binary at all",
-                 b"\xb1\x02" + b"\x00" * 16, b"\x00" * 24):
+    """Anything that is not a UTF-8 JSON object is a malformed frame —
+    including a body that opens with 0xB1, the magic of the binary
+    format this codec once also spoke (any version byte)."""
+    for body in (b"", b"\xb1", b"\xb1\x01", b"\xb1\x01\x03\x05",
+                 b"\xb1\x02" + b"\x00" * 16, b"\x00" * 24,
+                 b"not json at all", b"\xff\xfe{}", b"[1,2]", b'"text"',
+                 b"17", b"null", b"true"):
         with pytest.raises(CodecError):
-            BinaryDecoder().decode_body(body)
+            decode_frame_body(body)
+        with pytest.raises(CodecError):
+            _read_all(len(body).to_bytes(4, "big") + body)
 
 
 # ----------------------------------------------------------------------
@@ -288,19 +289,19 @@ TRICKY_PAYLOADS = [
                          ids=["tuple-keys", "frozenset-key",
                               "set-of-frozensets", "nested-tuple-key"])
 def test_tuple_and_frozenset_keys_survive_both_codecs(payload):
+    """Through both codec layers: the value codec (tagged ``~map`` /
+    ``~set`` / ``~tuple`` forms) and the frame codec (JSON text)."""
     message = Message(MessageType.CATCHUP_REPLY, 0, 1, payload)
     frame = {"kind": "msg", "inc": "i", "seq": 1,
              "msg": encode_message(message)}
-    via_json = decode_frame_body(encode_frame(frame)[4:])
-    _, via_binary = _binary_round_trip(frame)
-    for decoded in (via_json, via_binary):
-        got = decode_message(decoded["msg"]).payload
-        assert got == payload
-        # Keys came back hashable: membership must work.
-        for value in got.values():
-            if isinstance(value, dict):
-                for key in value:
-                    assert key in value
+    decoded = decode_frame_body(encode_frame(frame)[4:])
+    got = decode_message(decoded["msg"]).payload
+    assert got == payload
+    # Keys came back hashable: membership must work.
+    for value in got.values():
+        if isinstance(value, dict):
+            for key in value:
+                assert key in value
 
 
 @settings(deadline=None, max_examples=60)
@@ -323,8 +324,6 @@ def test_random_hashable_keyed_maps_round_trip(seed):
 
     original = {key(): rng.randrange(1000)
                 for _ in range(rng.randrange(1, 5))}
-    lowered = encode_value(original)
-    # Through real JSON text and through bin1 inside a frame.
-    assert decode_value(json.loads(json.dumps(lowered))) == original
-    _, via_binary = _binary_round_trip({"kind": "x", "v": lowered})
-    assert decode_value(via_binary["v"]) == original
+    frame = {"kind": "x", "v": encode_value(original)}
+    decoded = decode_frame_body(encode_frame(frame)[4:])
+    assert decode_value(decoded["v"]) == original

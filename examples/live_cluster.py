@@ -12,8 +12,9 @@ simulated network.  The demo
 3. **kills** one replica site abruptly (volatile state gone, WAL and
    message journal survive),
 4. keeps committing at the surviving sites while the victim is down,
-5. restarts the victim, which recovers from its WAL, replays its inbox
-   journal, and pulls the rest via catch-up, and
+5. restarts the victim, which recovers from its WAL and replays its
+   inbox journal while its tree parent resends, in order, everything
+   the victim never acknowledged, and
 6. verifies the paper's two global oracles — replica convergence and an
    acyclic dynamic serialization graph — over the live histories.
 
@@ -86,8 +87,7 @@ async def main() -> None:
 
     servers = {}
     for site in range(3):
-        servers[site] = SiteServer(spec, site, wal_path=wal_path(site),
-                                   anti_entropy_interval=0.3)
+        servers[site] = SiteServer(spec, site, wal_path=wal_path(site))
         await servers[site].start()
     client = ClusterClient(spec, timeout=5.0)
     await client.wait_ready()
@@ -117,12 +117,11 @@ async def main() -> None:
           "survivors".format(committed))
 
     servers[VICTIM] = SiteServer(spec, VICTIM,
-                                 wal_path=wal_path(VICTIM),
-                                 anti_entropy_interval=0.3)
+                                 wal_path=wal_path(VICTIM))
     await servers[VICTIM].start()
     assert servers[VICTIM].recovered, "restart should replay the WAL"
     print("site s{} restarted: WAL replayed, inbox journal "
-          "re-delivered, catch-up requested".format(VICTIM))
+          "re-delivered; peers resend the unacked rest".format(VICTIM))
 
     statuses = await wait_quiescent(client, timeout=20.0,
                                     settle_polls=3)

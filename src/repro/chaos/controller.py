@@ -31,15 +31,13 @@ server code itself stays honest:
     keep.  A kill then drops everything the site ever promised; its
     replicas keep the forwarded updates, recovery cannot restore the
     primaries, and the convergence oracle flags the divergence.
-    Catch-up cannot mask it (replicas pull *from* the primary).
 ``ack-before-journal``
     The target's inbox journal never reaches stable storage, so
     inbound batches are acked — and retired by their senders — while
     the journal holds the only durable copy.  The loss window is
-    updates acked but not yet applied+WAL-synced at the kill, so
-    detection wants ``catchup_on_start=False`` and anti-entropy off
-    (otherwise the pull plane repairs the gap, which is the point of
-    having it).
+    updates acked but not yet applied+WAL-synced at the kill; nothing
+    re-sends them, so the verdict sees the gap (divergent copies, or
+    the post-quiesce watchdog's version-lag critical).
 """
 
 from __future__ import annotations
@@ -85,11 +83,6 @@ class ChaosScenario:
     #: Which site the regression neuters (default: the first kill's
     #: victim, else site 0).
     regression_site: typing.Optional[int] = None
-    #: Start-time catch-up pull.  Off when studying regressions that
-    #: the anti-entropy plane would repair.
-    catchup_on_start: bool = True
-    #: Periodic anti-entropy interval, seconds (0 disables).
-    anti_entropy_interval: float = 0.5
     #: Timed epoch transitions driven during the run: each entry is
     #: ``{"at": seconds, "change": PlacementChange JSON}``.  A kill
     #: scheduled inside a transition window is the reconfiguration
@@ -141,8 +134,6 @@ class ChaosScenario:
             "plan": self.plan.to_json(),
             "regression": self.regression,
             "regression_site": self.regression_site,
-            "catchup_on_start": self.catchup_on_start,
-            "anti_entropy_interval": self.anti_entropy_interval,
             "reconfig": list(self.reconfig),
         }
 
@@ -154,9 +145,6 @@ class ChaosScenario:
             plan=FaultPlan.from_json(obj.get("plan", {})),
             regression=obj.get("regression"),
             regression_site=obj.get("regression_site"),
-            catchup_on_start=bool(obj.get("catchup_on_start", True)),
-            anti_entropy_interval=float(
-                obj.get("anti_entropy_interval", 0.5)),
             reconfig=tuple(obj.get("reconfig", ())),
             name=obj.get("name", ""),
         ).validate()
@@ -418,9 +406,7 @@ async def _start_site(scenario: ChaosScenario, wal_dir: str, site: int,
     server = SiteServer(
         scenario.spec, site,
         wal_path=os.path.join(wal_dir, "site{}.wal".format(site)),
-        anti_entropy_interval=scenario.anti_entropy_interval,
-        faults=injector,
-        catchup_on_start=scenario.catchup_on_start)
+        faults=injector)
     try:
         await server.start()
     except BaseException:

@@ -230,9 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--wal", metavar="PATH", default=None,
                               help="WAL file (enables durability and "
                                    "crash recovery)")
-    serve_parser.add_argument("--anti-entropy", type=float, default=2.0,
-                              help="catch-up poll interval in seconds "
-                                   "(0 disables)")
+    # Accepted and ignored: the frozen benchmarks/ledger passes it.
+    serve_parser.add_argument("--anti-entropy", type=float,
+                              help=argparse.SUPPRESS)
     serve_parser.add_argument("--dump-dir", metavar="DIR", default=None,
                               help="arm the flight-recorder exit "
                                    "triggers: SIGTERM and fatal "
@@ -477,13 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
                               default=None, metavar="SITE",
                               help="site the regression neuters "
                                    "(default: the first kill's victim)")
-    chaos_parser.add_argument("--no-catchup", action="store_true",
-                              help="disable the start-time catch-up "
-                                   "pull")
-    chaos_parser.add_argument("--anti-entropy", type=float, default=0.5,
-                              metavar="SECONDS",
-                              help="periodic anti-entropy interval "
-                                   "(0 disables)")
     chaos_parser.add_argument("--quiesce-timeout", type=float,
                               default=30.0, metavar="SECONDS")
     chaos_parser.add_argument("--no-monitor", action="store_true",
@@ -854,8 +847,7 @@ def _cmd_serve(args: argparse.Namespace, out: typing.TextIO) -> int:
     from repro.cluster.server import SiteServer
 
     spec = _cluster_spec_from_args(args)
-    server = SiteServer(spec, args.site, wal_path=args.wal,
-                        anti_entropy_interval=args.anti_entropy)
+    server = SiteServer(spec, args.site, wal_path=args.wal)
     host, port = spec.address(args.site)
     out.write("site s{} serving {}:{} (protocol {}, seed {}{})\n".format(
         args.site, host, port, spec.protocol, spec.seed,
@@ -1194,8 +1186,6 @@ def _cmd_chaos(args: argparse.Namespace, out: typing.TextIO) -> int:
         scenario = ChaosScenario(
             spec=spec, plan=plan, regression=args.regression,
             regression_site=args.regression_site,
-            catchup_on_start=not args.no_catchup,
-            anti_entropy_interval=args.anti_entropy,
             name=(args.fault_profile if args.script is None
                   else args.script))
     scenario.validate()

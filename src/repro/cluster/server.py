@@ -30,22 +30,21 @@ The server, not the protocol, handles the cluster control plane:
   is stable), and the journal is synced before the cumulative ack of
   an apply round (journal-then-ack, once per round of queued frames
   instead of per message);
-- ``CATCHUP_REQUEST``/``CATCHUP_REPLY`` — anti-entropy pulls: on start
-  after WAL recovery, and periodically, each site asks for the update
-  tail of every item it replicates (crash windows, messages lost with a
-  dead process).  Requests go to the site's *propagation-tree parent*
-  whenever the parent holds a copy: the reply then travels the same
-  FIFO channel as regular secondaries and is a consistent cut of the
-  parent's commit order, so it can never deliver an update ahead of
-  tree order — pulling straight from an item's primary can (the reply
-  bypasses the intermediate sites' commit ordering, which is what makes
-  lazy tree propagation serializable; the chaos harness's jitter
-  profiles catch exactly that inversion).  Only items the parent does
-  not hold fall back to a direct primary pull, and each reply applies
-  all-or-nothing so a partially locked item never splits the cut;
-- delivery dedup — at-least-once transport resends and catch-up overlap
-  are filtered via the transport sequence numbers and the writer-lineage
-  check before a ``SECONDARY`` reaches the protocol queue;
+- ``CATCHUP_REQUEST``/``CATCHUP_REPLY`` — reconfiguration's state
+  transfer, and nothing else.  Updates reach a replica one way: the
+  propagation tree's acknowledged FIFO chain, repaired after a crash
+  by journal replay, primary re-forward and transport resend.  A site
+  that gains a copy in a pending epoch pulls the item's state from its
+  current primary; that is ordered because the item is write-fenced
+  (quiesced) for the whole transition, the coordinator polls and
+  re-pulls until the copy matches, and the reply is WAL-logged ahead
+  of the synced ``EPOCH_COMMIT``.  There is no periodic or start-time
+  pull: a reply installed beside the FIFO stream while its secondaries
+  are in flight is the one thing that ever produced a DSG cycle here;
+- delivery dedup — at-least-once transport resends and recovery
+  re-forwards are filtered via the transport sequence numbers and the
+  writer-lineage check before a ``SECONDARY`` reaches the protocol
+  queue;
 - observability (``spec.obs``, on by default) — a
   :class:`repro.obs.registry.MetricsRegistry` instruments the hot path
   (frames, batch sizes, WAL/journal sync latency, apply-queue depth,
@@ -81,7 +80,6 @@ from repro.network.message import Message, MessageType
 from repro.obs.exposition import CONTENT_TYPE, render_exposition
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import (
-    LAG_BUCKETS,
     SIZE_BUCKETS,
     MetricsRegistry,
 )
@@ -118,6 +116,10 @@ LIVE_PROTOCOLS = ("dag_wt", "backedge")
 #: load — backpressure belongs at the senders (their unacked windows)
 #: and the client admission bound.
 APPLY_PIPELINE_DEPTH = 8
+
+#: Seconds between flight-recorder metric checkpoints (a counter-delta
+#: snapshot into a bounded ring).
+FLIGHT_CHECKPOINT_S = 2.0
 
 
 class _GroupCommitSyncer:
@@ -192,9 +194,7 @@ class SiteServer:
 
     def __init__(self, spec: ClusterSpec, site_id: SiteId,
                  wal_path: typing.Optional[str] = None,
-                 anti_entropy_interval: float = 2.0,
-                 faults: typing.Optional[typing.Any] = None,
-                 catchup_on_start: bool = True):
+                 faults: typing.Optional[typing.Any] = None):
         spec.validate()
         if spec.protocol not in LIVE_PROTOCOLS:
             raise ValueError(
@@ -204,15 +204,10 @@ class SiteServer:
         self.spec = spec
         self.site_id = site_id
         self.wal_path = wal_path
-        self.anti_entropy_interval = anti_entropy_interval
         #: Per-process chaos fault injector, handed to the transport
         #: (see :mod:`repro.cluster.transport`).  Like batching and
         #: durability, deliberately outside the cluster fingerprint.
         self.faults = faults
-        #: Whether to pull the catch-up tail at startup.  The chaos
-        #: harness turns this off to study protocol regressions that
-        #: anti-entropy would otherwise silently repair.
-        self.catchup_on_start = bool(catchup_on_start)
         self.placement = spec.build_placement()
         self.committed = 0
         self.aborted = 0
@@ -292,8 +287,6 @@ class SiteServer:
         self._m_catchup_requests = self.metrics.counter(
             "catchup.requests")
         self._m_catchup_replies = self.metrics.counter("catchup.replies")
-        self._h_catchup_lag = self.metrics.histogram(
-            "catchup.lag_versions", LAG_BUCKETS)
         self._g_epoch = self.metrics.gauge("reconfig.epoch")
         self._h_reconfig = self.metrics.histogram("reconfig.transition_s")
         self._m_fence_refusals = self.metrics.counter(
@@ -301,13 +294,16 @@ class SiteServer:
         self._m_placement_refusals = self.metrics.counter(
             "reconfig.placement_refusals")
         self._closed = False
+        #: The kernel exception this site fail-stopped on (see
+        #: :meth:`_fail_stop`); ``serve_forever`` re-raises it.
+        self.fatal: typing.Optional[BaseException] = None
         self._loop: typing.Optional[asyncio.AbstractEventLoop] = None
         self._epoch = 0.0
         self._timer: typing.Optional[asyncio.TimerHandle] = None
         self._tcp_server: typing.Optional[asyncio.AbstractServer] = None
         self._http_server: typing.Optional[asyncio.AbstractServer] = None
         self._conn_writers: typing.Set[asyncio.StreamWriter] = set()
-        self._anti_entropy_task: typing.Optional[asyncio.Task] = None
+        self._checkpoint_timer: typing.Optional[asyncio.TimerHandle] = None
         self.env: typing.Optional[Environment] = None
         self.system: typing.Optional[ReplicatedSystem] = None
         self.transport: typing.Optional[LiveTransport] = None
@@ -432,6 +428,12 @@ class SiteServer:
             # accepting live traffic: acknowledged-but-unapplied peer
             # updates (the inbox journal) and our own committed primary
             # updates whose forwards may have died with the old process.
+            # The epoch's commit gossip goes first, as it did when the
+            # commit happened: on every channel it precedes whatever we
+            # send in this epoch, so a peer still one epoch behind
+            # adopts the placement before an update that needs it.
+            if self.last_change is not None:
+                self._gossip_reconfig(self.epoch, self.last_change)
             self._replay_journal()
             self._reforward_primaries()
         host, port = self.spec.address(self.site_id)
@@ -441,11 +443,9 @@ class SiteServer:
         if scrape is not None:
             self._http_server = await asyncio.start_server(
                 self._on_http_connection, scrape[0], scrape[1])
-        if self.catchup_on_start:
-            self._request_catchup()
-        if self.anti_entropy_interval > 0:
-            self._anti_entropy_task = self._loop.create_task(
-                self._anti_entropy_loop())
+        if self.metrics:
+            self._checkpoint_timer = self._loop.call_later(
+                FLIGHT_CHECKPOINT_S, self._flight_checkpoint)
         self._drive()
 
     async def serve_forever(self) -> None:
@@ -454,6 +454,8 @@ class SiteServer:
             await self._tcp_server.serve_forever()
         except asyncio.CancelledError:
             pass
+        if self.fatal is not None:
+            raise self.fatal
 
     async def stop(self) -> None:
         """Graceful shutdown (state preserved in the WAL, if any)."""
@@ -466,8 +468,8 @@ class SiteServer:
         self._closed = True
         if self._timer is not None:
             self._timer.cancel()
-        if self._anti_entropy_task is not None:
-            self._anti_entropy_task.cancel()
+        if self._checkpoint_timer is not None:
+            self._checkpoint_timer.cancel()
         if self._tcp_server is not None:
             self._tcp_server.close()
         if self._http_server is not None:
@@ -499,8 +501,8 @@ class SiteServer:
         self._closed = True
         if self._timer is not None:
             self._timer.cancel()
-        if self._anti_entropy_task is not None:
-            self._anti_entropy_task.cancel()
+        if self._checkpoint_timer is not None:
+            self._checkpoint_timer.cancel()
         if self._tcp_server is not None:
             self._tcp_server.close()
             await self._tcp_server.wait_closed()
@@ -527,26 +529,48 @@ class SiteServer:
     def _wall(self) -> float:
         return self._loop.time() - self._epoch
 
-    def _drive(self) -> None:
-        """Run the environment through everything due by wall-now, then
-        arm a timer for the next purely-timed event."""
-        if self._closed:
-            return
+    def _advance(self) -> None:
+        """Run the environment through everything due by wall-now and
+        leave its clock there.  Called on its own before external input
+        is injected, so a submission or delivery is stamped with the
+        time it arrived rather than the previous drive's."""
         env = self.env
-        hist = self._h_drive
-        started = time.perf_counter() if hist else 0.0
         try:
             while True:
-                target = max(env.now, self._wall())
-                env.run(until=target)
+                env.run(until=max(env.now, self._wall()))
                 if env.peek() > self._wall():
                     break
-        except Exception as exc:  # pragma: no cover - defensive
-            print("site s{}: event loop error: {!r}".format(
-                self.site_id, exc), file=sys.stderr)
+        except Exception as exc:
+            self._fail_stop(exc)
+
+    def _drive(self) -> None:
+        """:meth:`_advance`, then arm a timer for the next purely-timed
+        event."""
+        if self._closed:
+            return
+        hist = self._h_drive
+        started = time.perf_counter() if hist else 0.0
+        self._advance()
         if hist:
             hist.observe(time.perf_counter() - started)
-        self._arm_timer()
+        if not self._closed:
+            self._arm_timer()
+
+    def _fail_stop(self, exc: BaseException) -> None:
+        """An exception out of the kernel means engine and protocol
+        state can no longer be trusted: crash-stop.  The site stops
+        like :meth:`kill` (listeners closed, connections aborted, only
+        synced log records survive), peers see a dead site rather than
+        a zombie, and ``serve_forever`` re-raises so ``repro serve``
+        dumps its flight bundle and exits non-zero."""
+        self.fatal = exc
+        self.flight.record_event("fatal", error=repr(exc))
+        self.kill()
+
+    def _flight_checkpoint(self) -> None:
+        self.flight.checkpoint()
+        self._checkpoint_timer = self._loop.call_later(
+            FLIGHT_CHECKPOINT_S, self._flight_checkpoint)
 
     def _arm_timer(self) -> None:
         if self._timer is not None:
@@ -591,6 +615,7 @@ class SiteServer:
             self._m_committed.inc()
             _resolve(future, ("committed", None, env.now - start))
 
+        self._advance()
         process_ref.append(env.process(body()))
         self._drive()
         return future
@@ -778,45 +803,8 @@ class SiteServer:
                                       replicated)
 
     # ------------------------------------------------------------------
-    # Catch-up / anti-entropy
+    # State transfer (reconfiguration only; see _reconfig_pull_items)
     # ------------------------------------------------------------------
-
-    def _catchup_source(self, item: ItemId) -> SiteId:
-        """Which site to pull ``item``'s tail from.
-
-        The tree parent when it holds a copy — its reply rides the same
-        FIFO channel as tree secondaries and reflects a prefix of the
-        stream we consume anyway, so applying it cannot reorder updates.
-        Only when the parent merely forwards the item (no local copy) do
-        we fall back to the primary."""
-        tree = getattr(self.system.protocol, "tree", None)
-        if tree is not None:
-            parent = tree.parent.get(self.site_id)
-            if parent is not None and \
-                    parent in self.placement.sites_of(item):
-                return parent
-        return self.placement.primary_site(item)
-
-    def _request_catchup(self) -> None:
-        """Ask upstream for the update tail of our replica items."""
-        engine = self.system.site_of(self.site_id).engine
-        by_source: typing.Dict[SiteId, typing.Dict] = {}
-        for item in sorted(self.placement.replica_items_at(self.site_id)):
-            by_source.setdefault(self._catchup_source(item), {})[item] = \
-                engine.item(item).committed_version
-        for source, items in sorted(by_source.items()):
-            self.transport.send(MessageType.CATCHUP_REQUEST,
-                                self.site_id, source, items=items)
-
-    async def _anti_entropy_loop(self) -> None:
-        while not self._closed:
-            await asyncio.sleep(self.anti_entropy_interval)
-            if not self._closed:
-                self._request_catchup()
-                # The flight recorder's periodic checkpoint rides the
-                # anti-entropy cadence: a counter-delta snapshot into a
-                # bounded ring, cheap enough to never earn its own task.
-                self.flight.checkpoint()
 
     def _on_catchup_request(self, message: Message) -> None:
         self._m_catchup_requests.inc()
@@ -826,10 +814,6 @@ class SiteServer:
             if not engine.has_item(item):
                 continue
             record = engine.item(item)
-            # Free recency sample: the requester just told us how far
-            # its replica trails this primary, in versions.
-            self._h_catchup_lag.observe(
-                max(0, record.committed_version - remote_version))
             if record.committed_version > remote_version:
                 reply[item] = {
                     "value": record.value,
@@ -854,20 +838,20 @@ class SiteServer:
         entries = {item: entry
                    for item, entry in message.payload["items"].items()
                    if engine.has_item(item)}
-        # Catch-up bypasses the lock manager, so it must not touch an
-        # item an in-flight subtransaction holds or awaits a lock on —
-        # that subtransaction (or the next anti-entropy round) covers
-        # the gap, and racing it could double-apply a version.  The
-        # check is all-or-nothing: the reply is a consistent cut of the
-        # sender's commit order, and applying only part of it would
-        # reorder its updates relative to each other.
-        if any(item in busy or locks.holders(item)
-               for item in entries):
+        # The transfer bypasses the lock manager, so it must not touch
+        # an item an in-flight subtransaction holds or awaits a lock on
+        # (racing it could double-apply a version), and every tail must
+        # provably extend our lineage.  All-or-nothing: the reply is a
+        # consistent cut of the primary's commit order, and applying
+        # only part of it would reorder its updates relative to each
+        # other.  Dropping it is free — the coordinator re-pulls until
+        # the copy matches.
+        if any(item in busy or locks.holders(item) or
+               not self._catchup_tail_aligned(engine.item(item), entry)
+               for item, entry in entries.items()):
             return
         for item, entry in entries.items():
             record = engine.item(item)
-            if not self._catchup_tail_aligned(record, entry):
-                continue
             if self.trace is not None:
                 # The tail's writers beyond our current version are the
                 # origin transactions this catch-up applies for us.
@@ -881,15 +865,15 @@ class SiteServer:
 
     @staticmethod
     def _catchup_tail_aligned(record, entry: typing.Mapping) -> bool:
-        """True when a catch-up tail provably extends our lineage.
+        """True when a transferred tail provably extends our lineage.
 
         The reply was computed for the version we reported when we
         asked; updates may have landed here since.  The tail is safe to
         apply only if (a) its anchor — the writer of the version the
         reply assumes we hold — matches our history, and (b) wherever
         the tail overlaps versions we already have, the writers agree.
-        Anything else is stale or misaligned; the next anti-entropy
-        round will resolve it from fresher state."""
+        Anything else is stale or misaligned; the coordinator's next
+        re-pull resolves it from fresher state."""
         base = entry["version"] - len(entry["writers"])
         current = record.committed_version
         if current < base:
@@ -1031,6 +1015,9 @@ class SiteServer:
                 item = queue.get_nowait()
             reader_gone = item is None  # sentinel: this round is the last
             last_seq: typing.Optional[int] = None
+            self._advance()
+            if self._closed:
+                return  # fail-stopped: accept (and ack) nothing more
             for enqueued, decode_s, frame in round_items:
                 if self.metrics and enqueued:
                     self._frame_queue_s = time.perf_counter() - enqueued
@@ -1443,10 +1430,6 @@ class SiteServer:
             self._h_reconfig.observe(
                 self._loop.time() - self._pending_since)
             self._pending_since = None
-        # Close any transfer gap from the new placement's perspective
-        # (e.g. a gained copy whose prepare-time pull raced the swap).
-        self._request_catchup()
-        self._drive()
         self._gossip_reconfig(epoch, change.to_json())
         return {"ok": True, "site": self.site_id, "epoch": self.epoch}
 

@@ -8,7 +8,7 @@ and :meth:`DataPlacement.migrate_primary` — and exposes *shards*: the
 equivalence classes of items sharing one ``(primary, replicas)``
 signature.  Each shard has its own propagation chain (primary first,
 replicas in site order), which is the unit the partial-replication
-placement generators and the catch-up plane reason about.
+placement generators reason about.
 """
 
 from __future__ import annotations

@@ -198,10 +198,10 @@ def build_shard_trees(placement) -> typing.Dict[
     the chain ``primary -> replicas in site order``, spanning **exactly**
     the replicating sites — within a shard every copy-graph edge runs
     primary -> replica, so any chain starting at the primary satisfies
-    the Sec. 2 property restricted to the shard.  The catch-up plane and
-    the placement analytics (per-site footprint, forwarding fan-out)
-    consume these; live forwarding stays on the epoch's global tree,
-    whose subtree-relevance pruning already stops messages at the last
+    the Sec. 2 property restricted to the shard.  The placement
+    analytics (per-site footprint, forwarding fan-out) consume these;
+    live forwarding stays on the epoch's global tree, whose
+    subtree-relevance pruning already stops messages at the last
     replicating site of each chain.
     """
     return {key: chain_tree([primary] + list(replicas))

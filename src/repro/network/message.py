@@ -65,11 +65,12 @@ class MessageType(enum.Enum):
     - ``WOUND`` — wound the primary of ``gid`` registered at the
       destination (the cross-process form of the victim policy's direct
       registry wound).  Payload: ``gid``, ``reason``.
-    - ``CATCHUP_REQUEST`` — a rejoining replica asks an item's primary
-      site for updates it missed while down.  Payload: ``items``
-      (item -> version held locally).
-    - ``CATCHUP_REPLY`` — the missed tail per item: current ``value``,
-      ``version``, and ``writers`` (the gid lineage of the missed
+    - ``CATCHUP_REQUEST`` — reconfiguration state transfer: a site
+      gaining a copy asks the item's primary site for its state while
+      the item is write-fenced.  Payload: ``items`` (item -> version
+      held locally).
+    - ``CATCHUP_REPLY`` — the missing tail per item: current ``value``,
+      ``version``, and ``writers`` (the gid lineage of the missing
       versions, oldest first).  Payload: ``items``
       (item -> {value, version, writers}).
     - ``RECONFIG`` — epoch-commit gossip (:mod:`repro.reconfig`): a

@@ -169,8 +169,8 @@ class FlightRecorder:
 
     def checkpoint(self) -> typing.Optional[typing.Dict[str, typing.Any]]:
         """Snapshot the metric registry's counters/gauges as a delta
-        against the previous checkpoint.  Cheap enough for a periodic
-        (anti-entropy-rate) cadence; a no-op for obs-off members."""
+        against the previous checkpoint.  Cheap enough for the server's
+        periodic timer; a no-op for obs-off members."""
         if self.metrics is None:
             return None
         snapshot = self.metrics.snapshot()

@@ -37,10 +37,6 @@ LATENCY_BUCKETS_S: typing.Tuple[float, ...] = (
 SIZE_BUCKETS: typing.Tuple[float, ...] = (
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
-#: Default version-lag buckets (how far a replica trails its primary).
-LAG_BUCKETS: typing.Tuple[float, ...] = (
-    0, 1, 2, 4, 8, 16, 32, 64, 128)
-
 
 class NullInstrument:
     """Shared no-op stand-in for every instrument type.

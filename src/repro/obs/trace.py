@@ -3,9 +3,9 @@
 Every origin (primary) transaction gets a **trace id** derived
 deterministically from its global transaction id (:func:`trace_id`).
 Deterministic derivation is the crash-safety trick: a restarted site
-re-forwarding committed primaries from its WAL, or a catch-up reply
-assembled months later, stamps exactly the same trace id without any
-volatile lookup table — the invariant "every wire message derived from
+re-forwarding committed primaries from its WAL, or a state-transfer
+reply assembled months later, stamps exactly the same trace id without
+any volatile lookup table — the invariant "every wire message derived from
 an origin transaction carries its trace id" survives restarts for free.
 
 The sender stamps the id onto the *wire object* of each message

@@ -54,16 +54,23 @@ class Process(Event):
 
         The interrupt is delivered at the current simulated time with urgent
         priority.  If the process is waiting on an event, it stops waiting
-        (the event remains valid for other listeners).  Interrupting a
-        finished process is an error.
+        (the event remains valid for other listeners).  An event that has
+        already *failed* but not yet been processed — a lock wait timing
+        out in the same instant a wound arrives — is defused when this
+        process was its last listener: the interrupt pre-empts it, and
+        nobody is left to handle the failure.  Interrupting a finished
+        process is an error.
         """
         if self.triggered:
             raise RuntimeError("cannot interrupt finished process")
-        if self._target is not None and self._target.callbacks is not None:
+        target = self._target
+        if target is not None and target.callbacks is not None:
             try:
-                self._target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._resume)
             except ValueError:
                 pass
+            if target._ok is False and not target.callbacks:
+                target._defused = True
         self._target = None
         interrupt_event = Event(self.env)
         interrupt_event.callbacks.append(self._resume)

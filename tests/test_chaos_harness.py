@@ -79,7 +79,6 @@ def test_injection_log_is_exactly_replayable(tmp_path):
     plan = FaultPlan(seed=21, events=(
         LinkFault(delay=0.001, jitter=0.004),))
     scenario = ChaosScenario(spec=spec, plan=plan,
-                             anti_entropy_interval=0.0,
                              name="replay-equality")
     first = run_chaos(scenario, str(tmp_path / "wal1"), monitor=False)
     second = run_chaos(scenario, str(tmp_path / "wal2"), monitor=False)

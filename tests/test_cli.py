@@ -145,7 +145,7 @@ def test_serve_args_round_trip():
     args = parser.parse_args(
         ["serve", "--site", "1", "--protocol", "backedge", "--seed",
          "7", "--host", "0.0.0.0", "--base-port", "9000", "--wal",
-         "/tmp/s1.wal", "--anti-entropy", "0.5", "--sites", "3"])
+         "/tmp/s1.wal", "--sites", "3"])
     assert args.command == "serve"
     assert args.site == 1
     assert args.protocol == "backedge"
@@ -153,7 +153,6 @@ def test_serve_args_round_trip():
     assert args.host == "0.0.0.0"
     assert args.base_port == 9000
     assert args.wal == "/tmp/s1.wal"
-    assert args.anti_entropy == 0.5
     assert args.n_sites == 3
 
 
@@ -576,7 +575,7 @@ def test_chaos_args_round_trip():
         ["chaos", "--protocol", "dag_wt", "--seed", "3",
          "--base-port", "7700", "--fault-profile", "crash",
          "--fault-seed", "9", "--regression", "forward-before-wal",
-         "--regression-site", "1", "--anti-entropy", "0.2",
+         "--regression-site", "1",
          "--quiesce-timeout", "12", "--shrink",
          "--max-shrunk-events", "3", "--expect-fail",
          "--out", "report.json", "--save-script", "script.json",
@@ -586,7 +585,6 @@ def test_chaos_args_round_trip():
     assert args.fault_seed == 9
     assert args.regression == "forward-before-wal"
     assert args.regression_site == 1
-    assert args.anti_entropy == 0.2
     assert args.quiesce_timeout == 12.0
     assert args.shrink and args.expect_fail
     assert args.max_shrunk_events == 3
@@ -595,16 +593,89 @@ def test_chaos_args_round_trip():
     assert args.injection_log == "inj.json"
 
     args = parser.parse_args(
-        ["chaos", "--scenario", "bad.json", "--no-monitor",
-         "--no-catchup"])
+        ["chaos", "--scenario", "bad.json", "--no-monitor"])
     assert args.scenario == "bad.json"
-    assert args.no_monitor and args.no_catchup
+    assert args.no_monitor
 
     # A profile and a scenario file are mutually exclusive sources.
     # (argparse only flags the conflict for non-default values.)
     with pytest.raises(SystemExit):
         parser.parse_args(["chaos", "--fault-profile", "crash",
                            "--scenario", "bad.json"])
+
+
+def test_anti_entropy_knobs_are_gone(capsys):
+    """The anti-entropy plane was deleted: its chaos flags, constructor
+    parameters and scenario fields no longer exist.  ``serve
+    --anti-entropy`` alone still parses — accepted, ignored and hidden
+    — because the frozen perf ledger passes it to every site."""
+    from repro.chaos import ChaosScenario
+    from repro.cluster.server import SiteServer
+    from repro.cluster.spec import ClusterSpec
+
+    parser = build_parser()
+    for flag in (["--anti-entropy", "0.2"], ["--no-catchup"]):
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(["chaos", *flag])
+        assert exit_info.value.code == 2
+    parser.parse_args(["serve", "--site", "0", "--anti-entropy", "0"])
+    with pytest.raises(SystemExit):
+        parser.parse_args(["serve", "--help"])
+    assert "anti-entropy" not in capsys.readouterr().out
+
+    spec = ClusterSpec()
+    with pytest.raises(TypeError):
+        SiteServer(spec, 0, anti_entropy_interval=0.5)
+    with pytest.raises(TypeError):
+        SiteServer(spec, 0, catchup_on_start=False)
+    with pytest.raises(TypeError):
+        ChaosScenario(spec=spec, anti_entropy_interval=0.5)
+    # Scenario files written before the deletion carry the two keys;
+    # they load unedited and round-trip without them.
+    scenario = ChaosScenario.load("tests/data/chaos_known_bad.json")
+    assert not {"anti_entropy_interval", "catchup_on_start"} & set(
+        scenario.to_json())
+
+
+def test_serve_exits_nonzero_with_a_bundle_on_a_kernel_exception(
+        tmp_path, monkeypatch):
+    """Fail-stop end to end: an exception out of the site's kernel
+    ends ``repro serve`` with exit 1 and a ``fatal-exception`` flight
+    bundle whose event ring names the failure."""
+    import json
+
+    from repro.cluster.server import SiteServer
+
+    def boom(env):
+        yield env.timeout(0)
+        raise RuntimeError("injected kernel fault")
+
+    real_start = SiteServer.start
+
+    async def start_then_fault(self):
+        await real_start(self)
+
+        def inject():
+            self.env.process(boom(self.env))
+            self._drive()
+
+        self._loop.call_later(0.05, inject)
+
+    monkeypatch.setattr(SiteServer, "start", start_then_fault)
+    dump_dir = tmp_path / "bundles"
+    code, output = run_cli(
+        "serve", "--site", "0", "--sites", "3", "--items", "12",
+        "--replication", "0.8", "--protocol", "dag_wt", "--seed", "3",
+        "--base-port", "7580",
+        "--wal", str(tmp_path / "s0.wal"), "--dump-dir", str(dump_dir))
+    assert code == 1
+    assert "fatal: RuntimeError: injected kernel fault" in output
+    bundles = sorted(dump_dir.glob("flight-s0-*.jsonl"))
+    assert len(bundles) == 1
+    records = [json.loads(line)
+               for line in bundles[0].read_text().splitlines()]
+    assert records[0]["trigger"] == "fatal-exception"
+    assert any(record.get("kind") == "fatal" for record in records)
 
 
 def test_chaos_sweep_args_round_trip():

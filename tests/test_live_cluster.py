@@ -12,9 +12,10 @@ histories.
 
 The kill/restart test is the reliability story end to end: a replica
 site dies abruptly mid-workload (volatile state dropped), restarts from
-its WAL, replays its durable inbox journal, and catches up over the
-anti-entropy plane — after which the cluster must be convergent and
-serializable as if the crash never happened.
+its WAL and replays its durable inbox journal while its peers resend
+what it never acknowledged — all on the tree's FIFO chain, no pull
+beside it — after which the cluster must be convergent and serializable
+as if the crash never happened.
 """
 
 import asyncio
@@ -44,7 +45,12 @@ from repro.harness.serializability import (
 )
 from repro.network.message import Message, MessageType
 from repro.sim.rng import RngRegistry
-from repro.types import GlobalTransactionId
+from repro.types import (
+    GlobalTransactionId,
+    Operation,
+    OpType,
+    TransactionSpec,
+)
 from repro.workload.generator import TransactionGenerator
 from repro.workload.params import WorkloadParams
 
@@ -62,14 +68,12 @@ def make_spec(protocol, seed, base_port):
                        base_port=base_port)
 
 
-async def start_cluster(spec, wal_dir=None, anti_entropy_interval=0.3):
+async def start_cluster(spec, wal_dir=None):
     servers = {}
     for site in range(spec.params.n_sites):
         wal_path = (os.path.join(wal_dir, "site{}.wal".format(site))
                     if wal_dir is not None else None)
-        servers[site] = SiteServer(
-            spec, site, wal_path=wal_path,
-            anti_entropy_interval=anti_entropy_interval)
+        servers[site] = SiteServer(spec, site, wal_path=wal_path)
         await servers[site].start()
     client = ClusterClient(spec, timeout=5.0)
     await client.wait_ready()
@@ -217,8 +221,7 @@ def test_mixed_batched_and_unbatched_members_interoperate(tmp_path):
             servers[site] = SiteServer(
                 spec, site,
                 wal_path=os.path.join(str(tmp_path),
-                                      "site{}.wal".format(site)),
-                anti_entropy_interval=0.3)
+                                      "site{}.wal".format(site)))
             await servers[site].start()
         client = ClusterClient(plain_spec, timeout=5.0)
         await client.wait_ready()
@@ -264,8 +267,7 @@ def test_dag_wt_survives_kill_and_wal_restart(tmp_path):
             servers[victim].kill()
             await asyncio.sleep(0.3)
             servers[victim] = SiteServer(
-                spec, victim, wal_path=wal_path(victim),
-                anti_entropy_interval=0.3)
+                spec, victim, wal_path=wal_path(victim))
             await servers[victim].start()
 
         await asyncio.gather(
@@ -326,8 +328,7 @@ def test_recovered_site_keeps_serving_transactions(tmp_path):
         servers[victim] = SiteServer(
             spec, victim,
             wal_path=os.path.join(str(tmp_path),
-                                  "site{}.wal".format(victim)),
-            anti_entropy_interval=0.3)
+                                  "site{}.wal".format(victim)))
         await servers[victim].start()
         second = await client.run_transaction(
             txn(victim, 1, primaries[0]))
@@ -441,8 +442,7 @@ def test_mixed_obs_and_plain_members_interoperate(tmp_path):
             servers[site] = SiteServer(
                 spec, site,
                 wal_path=os.path.join(str(tmp_path),
-                                      "site{}.wal".format(site)),
-                anti_entropy_interval=0.3)
+                                      "site{}.wal".format(site)))
             await servers[site].start()
         client = ClusterClient(obs_spec, timeout=5.0)
         await client.wait_ready()
@@ -480,9 +480,10 @@ def test_mixed_obs_and_plain_members_interoperate(tmp_path):
 def test_trace_ids_survive_kill_restart_and_catchup(tmp_path):
     """The tracing crash-safety invariant: trace ids are re-derived
     deterministically, so spans recorded before a crash (in the JSONL
-    file), after the WAL restart (replayed / re-forwarded), and over
-    the anti-entropy plane (caught-up) all stitch into the same trees —
-    and after quiescence every propagating tree is complete."""
+    file) and after the WAL restart (replayed / re-forwarded / resent)
+    all stitch into the same trees — and after quiescence every
+    propagating tree is complete.  Recovery runs on the FIFO chain
+    alone: no site sends a catch-up message at any point."""
     import re
 
     from repro.obs import propagation_summary, reconstruct
@@ -511,8 +512,7 @@ def test_trace_ids_survive_kill_restart_and_catchup(tmp_path):
             servers[victim] = SiteServer(
                 spec, victim,
                 wal_path=os.path.join(str(tmp_path),
-                                      "site{}.wal".format(victim)),
-                anti_entropy_interval=0.3)
+                                      "site{}.wal".format(victim)))
             await servers[victim].start()
 
         await asyncio.gather(
@@ -520,14 +520,15 @@ def test_trace_ids_survive_kill_restart_and_catchup(tmp_path):
             *(worker(site, thread)
               for site in range(spec.params.n_sites)
               for thread in range(spec.params.threads_per_site)))
-        await wait_quiescent(client, timeout=20.0, settle_polls=3)
+        statuses = await wait_quiescent(client, timeout=20.0,
+                                        settle_polls=3)
         live_spans = await client.traces_all()
         try:
-            return live_spans
+            return live_spans, statuses
         finally:
             await stop_cluster(servers, client)
 
-    live_spans = asyncio.run(scenario())
+    live_spans, statuses = asyncio.run(scenario())
 
     # Pool the live rings with the on-disk JSONL sinks: the victim's
     # pre-crash ring died with it, but its file did not.
@@ -545,10 +546,16 @@ def test_trace_ids_survive_kill_restart_and_catchup(tmp_path):
     # The victim saw the failure/recovery paths, attributed to traces.
     victim_events = {span["event"] for span in spans
                      if span["site"] == victim}
-    assert victim_events & {"replayed", "caught-up", "received"}
+    assert {"replayed", "received"} <= victim_events
+    assert "caught-up" not in {span["event"] for span in spans}
+    # (The restarted victim's counters start from zero, so they cover
+    # exactly the recovery it had to do.)
+    for status in statuses.values():
+        assert not {"catchup-request", "catchup-reply"} & set(
+            status["messages_by_type"]), status["messages_by_type"]
 
-    # The headline invariant: ids survived restart, re-forward, and
-    # catch-up, so reconstruction closes every propagating tree.
+    # The headline invariant: ids survived restart, re-forward and
+    # resend, so reconstruction closes every propagating tree.
     summary = propagation_summary(reconstruct(spans))
     assert summary["propagating"] > 0
     assert summary["complete"] == summary["propagating"], summary
@@ -607,8 +614,7 @@ def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
 
     async def scenario():
         server = SiteServer(
-            spec, 1, wal_path=os.path.join(str(tmp_path), "site1.wal"),
-            anti_entropy_interval=0, catchup_on_start=False)
+            spec, 1, wal_path=os.path.join(str(tmp_path), "site1.wal"))
         await server.start()
         try:
             journal = server.journal
@@ -673,3 +679,153 @@ def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
             await server.stop()
 
     asyncio.run(scenario())
+
+
+def _write_txn(site, seq, item):
+    return TransactionSpec(GlobalTransactionId(site, seq), site,
+                           (Operation(OpType.WRITE, item),))
+
+
+def test_catchup_reply_with_one_misaligned_item_changes_nothing():
+    """A state-transfer reply is a consistent cut and applies whole or
+    not at all: one entry whose tail does not extend the local lineage
+    drops the entire reply (the coordinator re-pulls), it does not
+    install the entries around it."""
+    spec = make_spec("dag_wt", 3, 7565)  # the chain s0 -> s1 -> s2
+    placement = spec.build_placement()
+    good, bad = [item for item in sorted(placement.items)
+                 if placement.primary_site(item) == 0
+                 and 1 in placement.replica_sites(item)][:2]
+    first, second, third = (GlobalTransactionId(0, seq)
+                            for seq in (1, 2, 3))
+
+    def reply(items):
+        return Message(MessageType.CATCHUP_REPLY, src=0, dst=1,
+                       payload={"items": items})
+
+    aligned = {"value": "v1", "version": 1, "writers": [first],
+               "anchor": None}
+    # Claims to extend a version 2 this site never held.
+    misaligned = {"value": "v3", "version": 3, "writers": [third],
+                  "anchor": second}
+
+    async def scenario():
+        server = SiteServer(spec, 1)
+        await server.start()
+        try:
+            engine = server.system.site_of(1).engine
+            server._on_catchup_reply(
+                reply({good: aligned, bad: misaligned}))
+            mixed = (engine.item(good).committed_version,
+                     engine.item(bad).committed_version,
+                     len(engine.history))
+            server._on_catchup_reply(reply({good: aligned}))
+            return mixed, (engine.item(good).committed_version,
+                           engine.item(good).value)
+        finally:
+            await server.stop()
+
+    mixed, alone = asyncio.run(scenario())
+    assert mixed == (0, 0, 0)
+    assert alone == (1, "v1")
+
+
+def test_kernel_exception_fail_stops_the_site_and_survivors_converge(
+        tmp_path):
+    """A site whose kernel raises stops like a crash — no zombie that
+    logs and carries on.  The tail of the chain s0 -> s1 -> s2 dies on
+    an injected process failure; it answers nothing afterwards, and
+    the survivors keep committing, converge and pass the DSG oracle on
+    what committed."""
+    from repro.cluster.client import ClusterError
+
+    spec = make_spec("dag_wt", 3, 7570)
+    placement = spec.build_placement()
+    victim = 2
+    survivors = (0, 1)
+
+    def boom(env):
+        yield env.timeout(0)
+        raise RuntimeError("injected kernel fault")
+
+    async def scenario():
+        servers, client = await start_cluster(spec,
+                                              wal_dir=str(tmp_path))
+        seq = 0
+        for site in range(3):
+            for item in sorted(placement.primary_items_at(site))[:2]:
+                seq += 1
+                await client.run_transaction(_write_txn(site, seq, item))
+        dead = servers[victim]
+        dead.env.process(boom(dead.env))
+        dead._drive()
+        probe = ClusterClient(spec, timeout=0.5, retries=1)
+        try:
+            with pytest.raises((ClusterError, OSError)):
+                await probe.ping(victim)
+        finally:
+            await probe.close()
+        outcomes = []
+        for site in survivors:
+            for item in sorted(placement.primary_items_at(site)):
+                seq += 1
+                outcomes.append(await client.run_transaction(
+                    _write_txn(site, seq, item)))
+
+        def settled(statuses):
+            state = {site: decode_value(status["items"])
+                     for site, status in statuses.items()}
+            return all(
+                len({state[site][item]["version"]
+                     for site in placement.sites_of(item)
+                     if site in survivors}) <= 1
+                for item in placement.items)
+
+        for _ in range(200):
+            statuses = {site: await client.status(site)
+                        for site in survivors}
+            if settled(statuses):
+                break
+            await asyncio.sleep(0.05)
+        try:
+            return dead, outcomes, statuses, settled(statuses)
+        finally:
+            await stop_cluster(servers, client)
+
+    dead, outcomes, statuses, converged = asyncio.run(scenario())
+    assert isinstance(dead.fatal, RuntimeError)
+    assert dead._closed
+    assert any(event["kind"] == "fatal" for event in dead.flight._events)
+    assert outcomes and all(outcome["status"] == "committed"
+                            for outcome in outcomes)
+    assert converged
+    histories = [history_from_status(status)
+                 for status in statuses.values()]
+    assert find_dsg_cycle(build_serialization_graph(histories)) is None
+
+
+def test_commit_time_is_stamped_at_arrival_not_at_the_previous_drive():
+    """External input enters the kernel at wall-now: on an idle site
+    (no timed event has advanced the clock since start) a transaction
+    submitted after a 50 ms pause commits at >= 50 ms, not at the
+    instant of the last drive."""
+    spec = make_spec("dag_wt", 3, 7575)
+    placement = spec.build_placement()
+    item = sorted(placement.primary_items_at(0))[0]
+    pause = 0.05
+
+    async def scenario():
+        server = SiteServer(spec, 0)
+        await server.start()
+        try:
+            await asyncio.sleep(pause)
+            outcome = await server.submit_transaction(
+                _write_txn(0, 1, item))
+            engine = server.system.site_of(0).engine
+            return outcome, list(engine.history)[-1].commit_time
+        finally:
+            await server.stop()
+
+    (status, _reason, _elapsed), commit_time = asyncio.run(scenario())
+    assert status == "committed"
+    assert commit_time >= pause

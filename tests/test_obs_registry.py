@@ -12,7 +12,6 @@ import threading
 import pytest
 
 from repro.obs.registry import (
-    LAG_BUCKETS,
     LATENCY_BUCKETS_S,
     NULL,
     SIZE_BUCKETS,
@@ -82,7 +81,7 @@ def test_histogram_empty_and_invalid_buckets():
 
 
 def test_default_bucket_tables_are_ascending():
-    for table in (LATENCY_BUCKETS_S, SIZE_BUCKETS, LAG_BUCKETS):
+    for table in (LATENCY_BUCKETS_S, SIZE_BUCKETS):
         assert list(table) == sorted(table)
         assert len(set(table)) == len(table)
 

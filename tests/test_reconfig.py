@@ -204,13 +204,12 @@ def _spec(base_port, n_sites=6, n_items=12, txns=8):
                        base_port=base_port)
 
 
-async def _boot(spec, wal_dir, anti_entropy_interval=0.3):
+async def _boot(spec, wal_dir):
     servers = {}
     for site in range(spec.params.n_sites):
         servers[site] = SiteServer(
             spec, site,
-            wal_path=os.path.join(wal_dir, "s{}.wal".format(site)),
-            anti_entropy_interval=anti_entropy_interval)
+            wal_path=os.path.join(wal_dir, "s{}.wal".format(site)))
         await servers[site].start()
     client = ClusterClient(spec, timeout=5.0)
     await client.wait_ready()
@@ -369,8 +368,7 @@ def test_crashed_member_recovers_into_the_committed_epoch(tmp_path):
         servers[victim] = SiteServer(
             spec, victim,
             wal_path=os.path.join(str(tmp_path),
-                                  "s{}.wal".format(victim)),
-            anti_entropy_interval=0.3)
+                                  "s{}.wal".format(victim)))
         await servers[victim].start()
         status = await client.reconfig_status(victim)
         statuses = await wait_quiescent(client, timeout=20.0,
@@ -407,8 +405,9 @@ def test_torn_commit_is_healed(tmp_path):
         # The torn schedule: s5 crashes, then the coordinator commits
         # everyone it can reach and dies before s5 returns.  The
         # commit-time gossip to s5 dies with the sockets when the
-        # committed members are bounced, so nothing heals s5 by
-        # accident.
+        # committed members are bounced, and the gossip a recovered
+        # member re-sends is held back here, so nothing heals s5
+        # before the coordinator looks.
         servers[5].kill()
         for site in range(5):
             await client.reconfig_commit(site, target,
@@ -420,8 +419,8 @@ def test_torn_commit_is_healed(tmp_path):
             servers[site] = SiteServer(
                 spec, site,
                 wal_path=os.path.join(str(tmp_path),
-                                      "s{}.wal".format(site)),
-                anti_entropy_interval=0.3)
+                                      "s{}.wal".format(site)))
+            servers[site]._gossip_reconfig = lambda epoch, change: None
             await servers[site].start()
         client = ClusterClient(spec, timeout=5.0)
         await client.wait_ready()
@@ -477,3 +476,130 @@ def test_writes_on_fenced_items_are_refused_not_lost(tmp_path):
     assert fenced["status"] == "aborted"
     assert "fenced" in fenced.get("reason", "")
     assert unfenced["status"] == "committed"
+
+
+def _write(site, seq, item):
+    from repro.types import (GlobalTransactionId, Operation, OpType,
+                             TransactionSpec)
+
+    return TransactionSpec(GlobalTransactionId(site, seq), site,
+                           (Operation(OpType.WRITE, item),))
+
+
+async def _version_reaches(server, item, want):
+    """Poll one in-process member until its copy of ``item`` is at
+    version ``want`` (False after ~4 s)."""
+    engine = server.system.site_of(server.site_id).engine
+    for _ in range(400):
+        if engine.has_item(item) and \
+                engine.item(item).committed_version == want:
+            return True
+        await asyncio.sleep(0.01)
+    return False
+
+
+def test_state_transfer_runs_fenced_and_commit_gossip_orders_the_swap(
+        tmp_path):
+    """Reconfiguration is the one place a catch-up reply is applied,
+    and it is ordered there: the gaining site installs the transfer
+    while the item is write-fenced, and nobody else pulls anything.
+    After the swap the gained copy is fed by the FIFO chain alone —
+    the primary's commit gossip travels each channel ahead of its
+    first post-fence update, so every site on the way has adopted the
+    epoch before that update reaches it, even when the coordinator has
+    committed nobody but the primary."""
+    spec = _spec(8170)
+    item, primary, gainer = 1, 1, 4
+    change = PlacementChange(kind="add-replica", site=gainer, item=item)
+
+    async def scenario():
+        servers, client = await _boot(spec, str(tmp_path))
+        for seq in (9200, 9201, 9202):
+            await client.run_transaction(_write(primary, seq, item))
+        for site in range(spec.params.n_sites):
+            await client.reconfig_prepare(site, 1, change.to_json())
+        transferred = await _version_reaches(servers[gainer], item, 3)
+        fenced = (servers[gainer].pending_epoch,
+                  set(servers[gainer]._fenced_items), servers[gainer].epoch)
+        replies = {
+            site: server.metrics.snapshot()["counters"].get(
+                "catchup.replies", 0)
+            for site, server in servers.items()}
+        # Commit the primary only: its fence lifts, the rest of the
+        # cluster still sits in epoch 0 as far as the coordinator goes.
+        await client.reconfig_commit(primary, 1, change.to_json())
+        await client.adopt_epoch(1)
+        after = await client.run_transaction(
+            _write(primary, 9203, item))
+        fed = await _version_reaches(servers[gainer], item, 4)
+        epochs = {site: server.epoch for site, server in servers.items()}
+        try:
+            return transferred, fenced, replies, after, fed, epochs
+        finally:
+            await _shutdown(servers, client)
+
+    transferred, fenced, replies, after, fed, epochs = \
+        asyncio.run(scenario())
+    assert transferred
+    assert fenced == (1, {item}, 0)
+    assert replies[gainer] > 0
+    assert {site for site, count in replies.items() if count} == {gainer}
+    assert after["status"] == "committed"
+    assert fed
+    assert set(epochs.values()) == {1}
+
+
+def test_power_loss_in_the_commit_window_keeps_the_gained_copy_fed(
+        tmp_path):
+    """Reconfiguration x crash, with no pull plane to paper over it:
+    the gaining site is down while the primary commits the epoch and
+    takes a post-fence write, then the whole cluster loses power, so
+    every queued commit gossip is gone.  Recovered members re-send
+    their epoch's gossip ahead of everything they replay or re-forward,
+    so the gainer adopts the placement before the re-forwarded update
+    reaches it instead of discarding a write to a copy it does not yet
+    know it holds."""
+    spec = _spec(8180)
+    item, primary, gainer = 1, 1, 4
+    change = PlacementChange(kind="add-replica", site=gainer, item=item)
+
+    async def scenario():
+        servers, client = await _boot(spec, str(tmp_path))
+        for seq in (9300, 9301, 9302):
+            await client.run_transaction(_write(primary, seq, item))
+        for site in range(spec.params.n_sites):
+            await client.reconfig_prepare(site, 1, change.to_json())
+        assert await _version_reaches(servers[gainer], item, 3)
+        servers[gainer].wal.sync()  # the transfer is on disk
+        servers[gainer].kill()
+        await client.reconfig_commit(primary, 1, change.to_json())
+        await client.adopt_epoch(1)
+        outcome = await client.run_transaction(
+            _write(primary, 9303, item))
+        for site in range(spec.params.n_sites):
+            if site != gainer:
+                servers[site].kill()
+        await client.close()
+        for site in range(spec.params.n_sites):
+            servers[site] = SiteServer(
+                spec, site,
+                wal_path=os.path.join(str(tmp_path),
+                                      "s{}.wal".format(site)))
+            await servers[site].start()
+        client = ClusterClient(spec, timeout=5.0)
+        await client.wait_ready()
+        await _version_reaches(servers[gainer], item, 4)
+        statuses = await wait_quiescent(client, timeout=20.0,
+                                        settle_polls=2)
+        try:
+            return outcome, statuses
+        finally:
+            await _shutdown(servers, client)
+
+    outcome, statuses = asyncio.run(scenario())
+    assert outcome["status"] == "committed"
+    assert {int(status["epoch"]) for status in statuses.values()} == {1}
+    versions = {site: decode_value(status["items"])[item]["version"]
+                for site, status in statuses.items()
+                if item in decode_value(status["items"])}
+    assert versions[primary] == versions[gainer] == 4, versions

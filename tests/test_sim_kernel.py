@@ -278,6 +278,44 @@ def test_interrupted_wait_leaves_event_usable_by_others():
     assert survivor.value == "payload"
 
 
+def test_interrupt_preempts_a_failure_the_process_has_not_seen_yet():
+    """A wait that fails and an interrupt that lands in the same
+    instant, before the failure is processed (a lock timeout racing a
+    wound): the process gets the interrupt, and the failure it was the
+    only listener of is dropped instead of surfacing from ``step`` as
+    unhandled.  With another listener left, the failure still reaches
+    it."""
+    env = Environment()
+    lonely, shared = env.event(), env.event()
+
+    def doomed(env, ev):
+        try:
+            yield ev
+        except Interrupt:
+            return "interrupted"
+
+    def listener(env, ev):
+        try:
+            yield ev
+        except KeyError:
+            return "saw the failure"
+
+    first = env.process(doomed(env, lonely))
+    second = env.process(doomed(env, shared))
+    other = env.process(listener(env, shared))
+
+    def driver(env):
+        yield env.timeout(1.0)
+        for event, victim in ((lonely, first), (shared, second)):
+            event.fail(KeyError("timed out"))
+            victim.interrupt()
+
+    env.process(driver(env))
+    env.run()
+    assert first.value == second.value == "interrupted"
+    assert other.value == "saw the failure"
+
+
 def test_allof_collects_all_values():
     env = Environment()
 

@@ -506,7 +506,7 @@ async def _run_chaos(scenario: ChaosScenario, wal_dir: str,
                                scenario.regression)
         client = ClusterClient(spec, timeout=txn_timeout)
         await client.wait_ready()
-        if monitor and spec.obs:
+        if monitor:
             config = monitor_config if monitor_config is not None \
                 else MonitorConfig(interval=0.25, convergence_every=0,
                                    trace_limit=0)
@@ -625,7 +625,7 @@ async def _run_chaos(scenario: ChaosScenario, wal_dir: str,
         # Post-quiesce polls from a fresh watchdog: every site must be
         # up and answering, replicas current, no divergence — even for
         # crash scenarios, this is the "recovered" assertion.
-        if monitor and spec.obs and statuses:
+        if monitor and statuses:
             post = Watchdog(spec, client, config=MonitorConfig(
                 interval=0.1, convergence_every=1, trace_limit=0,
                 down_polls=1))

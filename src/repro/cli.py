@@ -36,28 +36,35 @@ Commands
     offline from per-site ``.trace`` JSONL files via ``--files``) and
     reconstruct origin→replica propagation trees with per-hop
     latencies.
-``metrics``
-    Fetch every site's Prometheus text exposition over the ``metrics``
-    wire request (the same text the optional ``--metrics-base-port``
-    HTTP endpoint serves).  ``--check`` validates the exposition
-    grammar (CI mode).
+    ``--attribute`` splits each hop's latency into queue/wal/wire/apply
+    components.
 ``monitor``
     Online invariant watchdog: poll a live cluster and alert on
     replica-lag SLO violations, stuck propagation (localized to the
-    copy-graph hop via trace trees), apply-queue saturation, WAL sync
-    regressions, divergence and dead sites.  ``--check`` exits
-    non-zero if any critical alert fired (CI mode); ``--alerts``
-    appends each alert to a JSONL sink.
+    copy-graph hop via trace trees), divergence and dead sites.
+    ``--check`` exits non-zero if any critical alert fired (CI mode);
+    ``--alerts`` appends each alert to a JSONL sink; ``--dump-dir``
+    fans a flight-recorder dump out on each new critical.
 ``top``
     Live terminal dashboard: per-site throughput, queue depths,
-    version lag, propagation-delay percentiles, sparklines and active
-    alerts, refreshed in place on a TTY; degrades to a single-shot
-    snapshot when stdout is not a terminal (or with ``--once``).
+    version lag, dominant stage, propagation-delay percentiles and
+    active alerts, refreshed in place on a TTY; degrades to a
+    single-shot snapshot when stdout is not a terminal (or with
+    ``--once``).
 ``reconfig``
     Drive one online placement change (add-replica, drop-replica,
     migrate-primary, remove-site) through an epoch transition against
     a live cluster — fence, transfer, quiesce, commit — or survey the
     members' epochs with ``status``.  See docs/RECONFIGURATION.md.
+``chaos`` / ``chaos-sweep``
+    Run one seeded fault script (or a protocol x seed x profile matrix)
+    against an in-process live cluster and judge it with the offline
+    oracles.  See docs/CHAOS.md.
+``dump``
+    Ask live sites to dump their flight-recorder incident bundles now.
+``postmortem``
+    Merge flight-recorder bundles from all sites into one causally
+    ordered cross-site incident timeline with fault localization.
 
 Examples::
 
@@ -71,7 +78,6 @@ Examples::
     python -m repro loadgen --spawn --sites 3 --items 12 --replication 0.8 --seed 3 --txns 20
     python -m repro stats --sites 3 --seed 3 --check
     python -m repro trace --files s0.wal.trace s1.wal.trace --require-complete 1
-    python -m repro metrics --sites 3 --seed 3 --check
     python -m repro monitor --sites 3 --seed 3 --duration 10 --check
     python -m repro top --sites 3 --seed 3 --once
     python -m repro reconfig add-replica --item 4 --target-site 2 \\
@@ -264,10 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen_parser.add_argument("--max-in-flight", type=int, default=64,
                                 help="client-side transaction "
                                      "admission bound")
-    loadgen_parser.add_argument("--monitor", action="store_true",
-                                help="attach the invariant watchdog "
-                                     "during the run and report its "
-                                     "alert counts")
     loadgen_parser.add_argument("--open-loop", action="store_true",
                                 help="submit each thread's whole "
                                      "stream concurrently (bounded by "
@@ -321,49 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "queue/wal/wire/apply components "
                                    "and print the aggregate table + "
                                    "slowest critical paths")
-    trace_parser.add_argument("--export-chrome", metavar="PATH",
-                              default=None,
-                              help="write the spans as Chrome/Perfetto "
-                                   "trace-event JSON (load in "
-                                   "ui.perfetto.dev)")
     _add_param_flags(trace_parser)
-
-    profile_parser = subparsers.add_parser(
-        "profile", help="sample a live site's wall-clock stacks via "
-                        "the in-process profiler")
-    _add_cluster_flags(profile_parser)
-    profile_parser.add_argument("--site", type=int, default=None,
-                                help="profile one site instead of all")
-    profile_parser.add_argument("--duration", type=float, default=2.0,
-                                help="seconds to sample before "
-                                     "collecting (default 2)")
-    profile_parser.add_argument("--interval", type=float, default=0.005,
-                                help="sampling interval in seconds "
-                                     "(default 0.005)")
-    profile_parser.add_argument("--out", metavar="PATH", default=None,
-                                help="write flamegraph-compatible "
-                                     "collapsed stacks (site-prefixed) "
-                                     "to a file")
-    profile_parser.add_argument("--top", type=int, default=10,
-                                metavar="N",
-                                help="print the N hottest stacks per "
-                                     "site (default 10)")
-    _add_param_flags(profile_parser)
-
-    metrics_parser = subparsers.add_parser(
-        "metrics", help="fetch every site's Prometheus text exposition "
-                        "from a live cluster")
-    _add_cluster_flags(metrics_parser)
-    metrics_parser.add_argument("--site", type=int, default=None,
-                                help="query one site instead of all")
-    metrics_parser.add_argument("--check", action="store_true",
-                                help="validate each exposition against "
-                                     "the text-format grammar; exit "
-                                     "non-zero on violation (CI mode)")
-    metrics_parser.add_argument("--out", metavar="PATH", default=None,
-                                help="also write the concatenated "
-                                     "exposition to a file")
-    _add_param_flags(metrics_parser)
 
     monitor_parser = subparsers.add_parser(
         "monitor", help="online invariant watchdog against a live "
@@ -629,12 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    default=None,
                                    help="also write the full analysis "
                                         "as JSON")
-    postmortem_parser.add_argument("--export-chrome", metavar="PATH",
-                                   default=None,
-                                   help="write the merged spans + "
-                                        "incident timeline as "
-                                        "Chrome/Perfetto trace-event "
-                                        "JSON")
     postmortem_parser.add_argument("--check", action="store_true",
                                    help="validate every bundle against "
                                         "the schema; exit non-zero on "
@@ -666,16 +620,6 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
                              "buffer), flush (OS page cache; survives "
                              "a process crash), fsync (disk; survives "
                              "power loss)")
-    parser.add_argument("--no-obs", action="store_true",
-                        help="disable the metrics registry, span "
-                             "tracing, and staleness probing for this "
-                             "process (per-process knob; mixed members "
-                             "interoperate)")
-    parser.add_argument("--metrics-base-port", type=int, default=None,
-                        help="also serve plain-HTTP GET /metrics "
-                             "(Prometheus text format) on "
-                             "metrics-base-port + site (per-process "
-                             "knob; off by default)")
 
 
 def _cluster_spec_from_args(args: argparse.Namespace):
@@ -684,9 +628,7 @@ def _cluster_spec_from_args(args: argparse.Namespace):
     return ClusterSpec(params=_params_from_args(args),
                        protocol=args.protocol, seed=args.seed,
                        host=args.host, base_port=args.base_port,
-                       durability=args.durability, batch=args.batch,
-                       obs=not args.no_obs,
-                       metrics_base_port=args.metrics_base_port)
+                       durability=args.durability, batch=args.batch)
 
 
 def _cmd_protocols(_args: argparse.Namespace,
@@ -921,14 +863,12 @@ def _cmd_loadgen(args: argparse.Namespace, out: typing.TextIO) -> int:
                                 verify=not args.no_verify,
                                 max_in_flight=args.max_in_flight,
                                 timeout=args.txn_timeout,
-                                loop_mode=loop_mode,
-                                monitor=args.monitor)
+                                loop_mode=loop_mode)
     else:
         report = run_loadgen(spec, verify=not args.no_verify,
                              max_in_flight=args.max_in_flight,
                              timeout=args.txn_timeout,
-                             loop_mode=loop_mode,
-                             monitor=args.monitor)
+                             loop_mode=loop_mode)
     out.write(report.format() + "\n")
     if args.json:
         import json
@@ -946,8 +886,7 @@ def _format_stats(site: int, response: typing.Mapping) -> str:
     from repro.obs.registry import snapshot_percentile
 
     snapshot = response.get("stats", {})
-    lines = ["site s{} (obs {})".format(
-        site, "on" if snapshot.get("enabled") else "off")]
+    lines = ["site s{}".format(site)]
     counters = snapshot.get("counters", {})
     if counters:
         lines.append("  counters: " + "  ".join(
@@ -1018,53 +957,6 @@ def _cmd_stats(args: argparse.Namespace, out: typing.TextIO) -> int:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         out.write("wrote {}\n".format(args.json))
-    return 1 if violations else 0
-
-
-def _cmd_metrics(args: argparse.Namespace, out: typing.TextIO) -> int:
-    import asyncio
-
-    from repro.cluster.client import ClusterClient, ClusterError
-    from repro.obs.exposition import validate_exposition
-
-    spec = _cluster_spec_from_args(args)
-
-    async def fetch():
-        client = ClusterClient(spec)
-        try:
-            sites = ([args.site] if args.site is not None
-                     else sorted(spec.addresses()))
-            results = await asyncio.gather(
-                *(client.metrics(site) for site in sites))
-            return dict(zip(sites, results))
-        finally:
-            await client.close()
-
-    try:
-        responses = asyncio.run(fetch())
-    except (ClusterError, OSError) as exc:
-        out.write("metrics fetch failed: {}\n".format(exc))
-        return 1
-    violations = 0
-    chunks = []
-    for site, response in sorted(responses.items()):
-        text = response.get("exposition", "")
-        chunks.append(text)
-        out.write(text)
-        if args.check:
-            try:
-                validate_exposition(text)
-            except ValueError as exc:
-                out.write("# SCHEMA VIOLATION s{}: {}\n".format(
-                    site, exc))
-                violations += 1
-    if args.check and not violations:
-        out.write("# all {} exposition(s) format-valid\n".format(
-            len(responses)))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write("".join(chunks))
-        out.write("# wrote {}\n".format(args.out))
     return 1 if violations else 0
 
 
@@ -1395,17 +1287,6 @@ def _cmd_trace(args: argparse.Namespace, out: typing.TextIO) -> int:
 
         attribution = attribution_summary(trees, top=max(0, args.show))
         out.write("\n" + format_attribution(attribution) + "\n")
-    if args.export_chrome:
-        import json
-
-        from repro.obs.export import chrome_trace
-
-        document = chrome_trace(spans, trees)
-        with open(args.export_chrome, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-            handle.write("\n")
-        out.write("wrote {} ({} events)\n".format(
-            args.export_chrome, len(document["traceEvents"])))
     if args.json:
         import json
 
@@ -1422,67 +1303,6 @@ def _cmd_trace(args: argparse.Namespace, out: typing.TextIO) -> int:
     if summary["complete"] < args.require_complete:
         out.write("FAIL: {} complete tree(s) < required {}\n".format(
             summary["complete"], args.require_complete))
-        return 1
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace, out: typing.TextIO) -> int:
-    """Start every target site's sampling profiler, let the cluster
-    run for --duration seconds, stop them and collect the collapsed
-    stacks.  With --out, stacks are written site-prefixed (``s0;...``)
-    so one flamegraph shows all members side by side."""
-    import asyncio
-
-    from repro.cluster.client import ClusterClient, ClusterError
-
-    spec = _cluster_spec_from_args(args)
-    sites = ([args.site] if args.site is not None
-             else sorted(spec.addresses()))
-
-    async def sample():
-        client = ClusterClient(spec)
-        try:
-            await asyncio.gather(*(
-                client.profile(site, "start", interval=args.interval)
-                for site in sites))
-            await asyncio.sleep(max(0.0, args.duration))
-            results = await asyncio.gather(*(
-                client.profile(site, "stop") for site in sites))
-            return dict(zip(sites, results))
-        finally:
-            await client.close()
-
-    try:
-        responses = asyncio.run(sample())
-    except (ClusterError, OSError) as exc:
-        out.write("profile failed: {}\n".format(exc))
-        return 1
-    total_samples = 0
-    collapsed_lines: typing.List[str] = []
-    for site in sites:
-        response = responses[site]
-        samples = int(response.get("samples") or 0)
-        total_samples += samples
-        stacks = response.get("stacks") or {}
-        out.write("s{}: {} sample(s) over {:.2f}s ({} distinct "
-                  "stack(s))\n".format(site, samples,
-                                       float(response.get("duration_s")
-                                             or 0.0), len(stacks)))
-        ranked = sorted(stacks.items(), key=lambda kv: kv[1],
-                        reverse=True)
-        for stack, count in ranked[:max(0, args.top)]:
-            leaf = stack.rsplit(";", 1)[-1]
-            out.write("  {:>6}  {}\n".format(count, leaf))
-        collapsed_lines.extend(
-            "s{};{} {}\n".format(site, stack, count)
-            for stack, count in ranked)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write("".join(collapsed_lines))
-        out.write("wrote {} ({} stack line(s))\n".format(
-            args.out, len(collapsed_lines)))
-    if total_samples == 0:
-        out.write("FAIL: no samples collected\n")
         return 1
     return 0
 
@@ -1536,8 +1356,7 @@ def _cmd_postmortem(args: argparse.Namespace,
     import json
 
     from repro.obs.flight import validate_bundle
-    from repro.obs.postmortem import (analysis_json, analyze,
-                                      chrome_export, collect_bundles,
+    from repro.obs.postmortem import (analyze, collect_bundles,
                                       format_report)
 
     bundles, problems = collect_bundles(args.bundles)
@@ -1563,17 +1382,9 @@ def _cmd_postmortem(args: argparse.Namespace,
     analysis = analyze(bundles, injections=injections)
     out.write(format_report(analysis,
                             timeline_limit=args.timeline_limit) + "\n")
-    if args.export_chrome:
-        document = chrome_export(analysis)
-        with open(args.export_chrome, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-            handle.write("\n")
-        out.write("wrote {} ({} events)\n".format(
-            args.export_chrome, len(document["traceEvents"])))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(analysis_json(analysis), handle, indent=2,
-                      sort_keys=True)
+            json.dump(analysis, handle, indent=2, sort_keys=True)
             handle.write("\n")
         out.write("wrote {}\n".format(args.json))
     if args.check and (violations or problems):
@@ -1600,8 +1411,6 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None,
         "loadgen": _cmd_loadgen,
         "stats": _cmd_stats,
         "trace": _cmd_trace,
-        "profile": _cmd_profile,
-        "metrics": _cmd_metrics,
         "monitor": _cmd_monitor,
         "top": _cmd_top,
         "chaos": _cmd_chaos,

@@ -283,12 +283,6 @@ class ClusterClient:
             *(self.stats(site) for site in sites))
         return dict(zip(sites, results))
 
-    async def metrics(self, site: SiteId
-                      ) -> typing.Dict[str, typing.Any]:
-        """One site's Prometheus text exposition (wire ``metrics``)."""
-        return await self._request(site, {"op": "metrics"},
-                                   idempotent=True)
-
     # ------------------------------------------------------------------
     # Reconfiguration plane
     # ------------------------------------------------------------------
@@ -398,19 +392,6 @@ class ClusterClient:
         for result in results:
             spans.extend(result.get("spans", ()))
         return spans
-
-    async def profile(self, site: SiteId, action: str = "status",
-                      interval: typing.Optional[float] = None
-                      ) -> typing.Dict[str, typing.Any]:
-        """Drive one site's in-process sampling profiler
-        (``action`` = ``start`` / ``stop`` / ``status``).  All three
-        are retry-safe on the server (start-on-running and
-        stop-on-stopped are no-ops), so the request is idempotent."""
-        frame: typing.Dict[str, typing.Any] = {
-            "op": "profile", "action": action}
-        if interval is not None:
-            frame["interval"] = float(interval)
-        return await self._request(site, frame, idempotent=True)
 
     async def dump(self, site: SiteId,
                    trigger: typing.Optional[str] = None,

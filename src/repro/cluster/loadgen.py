@@ -44,13 +44,12 @@ from repro.cluster.client import ClusterClient, ClusterError
 from repro.cluster.codec import decode_value
 from repro.cluster.spec import ClusterSpec
 from repro.harness.convergence import divergent_copies
-from repro.harness.metrics import MetricsCollector
+from repro.harness.metrics import MetricsCollector, percentile
 from repro.harness.serializability import (
     build_serialization_graph,
     find_dsg_cycle,
 )
 from repro.obs.monitor import MonitorConfig, Watchdog
-from repro.obs.probe import LiveStalenessProbe
 from repro.obs.reconstruct import (
     attribution_summary,
     propagation_summary,
@@ -93,9 +92,6 @@ class LoadReport:
     frames_sent: int = 0
     #: WAL + journal write+flush sync points across all sites.
     wal_syncs: int = 0
-    #: Whether the cluster ran with observability on (the two stat
-    #: blocks below are empty otherwise).
-    obs: bool = True
     #: Live propagation-delay stats (seconds) from reconstructed trace
     #: trees: count / complete / p50 / p95 / max / mean.
     propagation: typing.Dict[str, typing.Any] = dataclasses.field(
@@ -105,12 +101,13 @@ class LoadReport:
     #: totals/shares, coverage, top critical paths.
     attribution: typing.Dict[str, typing.Any] = dataclasses.field(
         default_factory=dict)
-    #: Replica version-lag stats sampled by the live staleness probe.
+    #: Replica version-lag stats over the embedded watchdog's per-poll
+    #: lag samples (``samples`` / ``observations`` / ``mean`` / ``p95``
+    #: / ``max`` / ``fraction_current``).
     version_lag: typing.Dict[str, typing.Any] = dataclasses.field(
         default_factory=dict)
-    #: Watchdog alert counts from the optional embedded monitor
-    #: (``polls`` / ``critical`` / ``warning`` / ``by_rule``); empty
-    #: when the run was not monitored.
+    #: The embedded watchdog's alert counts (``polls`` / ``critical`` /
+    #: ``warning`` / ``by_rule``).
     alerts: typing.Dict[str, typing.Any] = dataclasses.field(
         default_factory=dict)
 
@@ -194,16 +191,17 @@ class LoadReport:
 async def generate_load(spec: ClusterSpec, client: ClusterClient,
                         verify: bool = True,
                         quiesce_timeout: float = 30.0,
-                        loop_mode: str = "closed",
-                        monitor: bool = False) -> LoadReport:
+                        loop_mode: str = "closed") -> LoadReport:
     """Drive the matched workload through ``client`` and verify.
 
-    With ``monitor=True`` (and ``spec.obs``) an embedded
-    :class:`~repro.obs.monitor.Watchdog` rides along and its alert
-    counts land in :attr:`LoadReport.alerts` — a healthy bench run
-    should report zero criticals.  The embedded config is deliberately
-    light (no trace fetches, no convergence sampling) so monitoring
-    does not perturb the throughput being measured.
+    An embedded :class:`~repro.obs.monitor.Watchdog` rides along: its
+    per-poll lag samples become :attr:`LoadReport.version_lag` (lag
+    measured while propagation queues are actually loaded) and its
+    alert counts :attr:`LoadReport.alerts` — a healthy run reports zero
+    criticals.  The embedded config is deliberately light (one
+    ``versions`` poll per period: no trace fetches, no convergence
+    sampling) so watching does not perturb the throughput being
+    measured.
     """
     spec.validate()
     if loop_mode not in ("closed", "open"):
@@ -217,22 +215,18 @@ async def generate_load(spec: ClusterSpec, client: ClusterClient,
                                      .stream("workload"))
     metrics = MetricsCollector(spec.params.n_sites)
     unknown = [0]
-    # Recency probe: rides the lightweight versions plane alongside the
-    # workload, so lag is measured while propagation queues are
-    # actually loaded.
-    probe = (LiveStalenessProbe(spec, client, period=0.1)
-             if spec.obs else None)
-    watchdog: typing.Optional[Watchdog] = None
-    watchdog_task: typing.Optional[asyncio.Task] = None
-    if monitor and spec.obs:
-        watchdog = Watchdog(spec, client, config=MonitorConfig(
-            interval=0.5, convergence_every=0, trace_limit=0))
+    watchdog = Watchdog(spec, client, config=MonitorConfig(
+        interval=0.1, convergence_every=0, trace_limit=0))
+    lags: typing.List[int] = []
+
+    async def watch() -> None:
+        while True:
+            await asyncio.sleep(watchdog.config.interval)
+            await watchdog.poll_once()
+            lags.extend(watchdog.lags)
+
     started = time.monotonic()
-    if probe is not None:
-        probe.start()
-    if watchdog is not None:
-        watchdog_task = asyncio.get_running_loop().create_task(
-            watchdog.run())
+    watch_task = asyncio.get_running_loop().create_task(watch())
 
     async def submit_one(site: int, txn_spec) -> None:
         sent = time.monotonic()
@@ -258,41 +252,47 @@ async def generate_load(spec: ClusterSpec, client: ClusterClient,
             for txn_spec in generator.thread_stream(site, thread):
                 await submit_one(site, txn_spec)
 
-    await asyncio.gather(*(
-        worker(site, thread)
-        for site in range(spec.params.n_sites)
-        for thread in range(spec.params.threads_per_site)))
+    try:
+        await asyncio.gather(*(
+            worker(site, thread)
+            for site in range(spec.params.n_sites)
+            for thread in range(spec.params.threads_per_site)))
+    finally:
+        watch_task.cancel()
     duration = time.monotonic() - started
-    if probe is not None:
-        # One last sample after the workload drains, then stop — the
-        # quiescent tail would only dilute the loaded-phase lags.
-        await probe.sample_once()
-        await probe.stop()
-    alerts: typing.Dict[str, typing.Any] = {}
-    if watchdog is not None:
-        watchdog.request_stop()
-        await watchdog_task
-        watchdog.close()
-        summary = watchdog.summary()
-        alerts = {"polls": summary["polls"],
-                  "critical": summary["critical"],
-                  "warning": summary["warning"],
-                  "by_rule": summary["by_rule"]}
+    try:
+        await watch_task
+    except asyncio.CancelledError:
+        pass
+    # One last sample after the workload drains, then stop — the
+    # quiescent tail would only dilute the loaded-phase lags.
+    await watchdog.poll_once()
+    lags.extend(watchdog.lags)
+    watchdog.close()
+    summary = watchdog.summary()
+    alerts = {key: summary[key]
+              for key in ("polls", "critical", "warning", "by_rule")}
+    version_lag = {
+        "samples": summary["polls"],
+        "observations": len(lags),
+        "mean": sum(lags) / len(lags) if lags else 0.0,
+        "p95": percentile(lags, 95.0),
+        "max": max(lags, default=0),
+        "fraction_current": (sum(1 for lag in lags if lag == 0)
+                             / len(lags) if lags else 1.0),
+    }
 
     statuses = await wait_quiescent(client, timeout=quiesce_timeout)
     propagation: typing.Dict[str, typing.Any] = {}
     attribution: typing.Dict[str, typing.Any] = {}
-    version_lag: typing.Dict[str, typing.Any] = {}
-    if spec.obs:
-        version_lag = probe.summary()
-        try:
-            spans = await client.traces_all()
-        except ClusterError:
-            spans = []
-        if spans:
-            trees = reconstruct(spans)
-            propagation = propagation_summary(trees)
-            attribution = attribution_summary(trees)
+    try:
+        spans = await client.traces_all()
+    except ClusterError:
+        spans = []
+    if spans:
+        trees = reconstruct(spans)
+        propagation = propagation_summary(trees)
+        attribution = attribution_summary(trees)
     convergent, divergent, serializable, dsg_nodes = True, 0, True, 0
     if verify:
         state = {site: decode_value(status["items"])
@@ -333,7 +333,6 @@ async def generate_load(spec: ClusterSpec, client: ClusterClient,
         wal_syncs=sum(status.get("wal_syncs", 0)
                       + status.get("journal_syncs", 0)
                       for status in statuses.values()),
-        obs=spec.obs,
         propagation=propagation,
         attribution=attribution,
         version_lag=version_lag,
@@ -391,8 +390,7 @@ def run_loadgen(spec: ClusterSpec, verify: bool = True,
                 quiesce_timeout: float = 30.0,
                 max_in_flight: int = 64,
                 timeout: float = 30.0,
-                loop_mode: str = "closed",
-                monitor: bool = False) -> LoadReport:
+                loop_mode: str = "closed") -> LoadReport:
     """Synchronous entry point (the ``repro loadgen`` command)."""
 
     async def _run() -> LoadReport:
@@ -402,8 +400,7 @@ def run_loadgen(spec: ClusterSpec, verify: bool = True,
             await client.wait_ready()
             return await generate_load(spec, client, verify=verify,
                                        quiesce_timeout=quiesce_timeout,
-                                       loop_mode=loop_mode,
-                                       monitor=monitor)
+                                       loop_mode=loop_mode)
         finally:
             await client.close()
 
@@ -416,8 +413,7 @@ def spawn_and_load(spec: ClusterSpec,
                    quiesce_timeout: float = 30.0,
                    max_in_flight: int = 64,
                    timeout: float = 30.0,
-                   loop_mode: str = "closed",
-                   monitor: bool = False) -> LoadReport:
+                   loop_mode: str = "closed") -> LoadReport:
     """``repro loadgen --spawn``: start every site in-process, drive the
     workload, tear the cluster down.  With ``wal_dir`` each site gets a
     durable WAL file ``site<N>.wal`` there."""
@@ -441,8 +437,7 @@ def spawn_and_load(spec: ClusterSpec,
             await client.wait_ready()
             return await generate_load(spec, client, verify=verify,
                                        quiesce_timeout=quiesce_timeout,
-                                       loop_mode=loop_mode,
-                                       monitor=monitor)
+                                       loop_mode=loop_mode)
         finally:
             if client is not None:
                 await client.close()

@@ -45,7 +45,7 @@ The server, not the protocol, handles the cluster control plane:
   re-forwards are filtered via the transport sequence numbers and the
   writer-lineage check before a ``SECONDARY`` reaches the protocol
   queue;
-- observability (``spec.obs``, on by default) — a
+- observability (always on) — a
   :class:`repro.obs.registry.MetricsRegistry` instruments the hot path
   (frames, batch sizes, WAL/journal sync latency, apply-queue depth,
   drive time), and a :class:`repro.obs.trace.TraceSink` records
@@ -60,7 +60,6 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import os
-import sys
 import time
 import typing
 
@@ -77,13 +76,11 @@ from repro.cluster.wal import FileWal, MessageJournal
 from repro.core.base import ReplicatedSystem, SystemConfig, make_protocol
 from repro.errors import PlacementError, TransactionAborted
 from repro.network.message import Message, MessageType
-from repro.obs.exposition import CONTENT_TYPE, render_exposition
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import (
     SIZE_BUCKETS,
     MetricsRegistry,
 )
-from repro.obs.profiler import SamplingProfiler
 from repro.obs.trace import TraceSink, message_trace_ids, traces_of_obj
 # Imported from the change module directly (not repro.reconfig) to keep
 # the import graph acyclic: repro.reconfig -> coordinator -> client ->
@@ -225,28 +222,22 @@ class SiteServer:
         self.pending_change: typing.Optional[typing.Dict] = None
         self._fenced_items: typing.Set[ItemId] = set()
         self._pending_since: typing.Optional[float] = None
-        # Observability plane (docs/OBSERVABILITY.md).  A disabled
-        # registry hands out no-op instruments and the sink stays None,
-        # so an obs-off member records nothing and stamps nothing.
-        self.metrics = MetricsRegistry(enabled=spec.obs)
-        self.trace: typing.Optional[TraceSink] = (
-            TraceSink(site_id,
-                      path=(wal_path + ".trace"
-                            if wal_path is not None else None))
-            if spec.obs else None)
+        # Observability plane (docs/OBSERVABILITY.md).
+        self.metrics = MetricsRegistry()
+        self.trace = TraceSink(
+            site_id,
+            path=wal_path + ".trace" if wal_path is not None else None)
         self.apply_queue_hwm = 0
         #: Black-box flight recorder (docs/OBSERVABILITY.md): bounded
         #: rings of recent spans/metric checkpoints/events, dumped as
         #: an incident bundle on a trigger (``dump`` wire op, watchdog
-        #: critical, chaos verdict, SIGTERM).  Always constructed — an
-        #: obs-off member dumps a *degraded* bundle (manifest + WAL
-        #: positions + watermarks, no spans) rather than nothing.
+        #: critical, chaos verdict, SIGTERM).
         self.flight = FlightRecorder(
             site_id, trace=self.trace, metrics=self.metrics,
             epoch=lambda: self.epoch,
             cluster={"n_sites": spec.params.n_sites,
                      "protocol": spec.protocol, "seed": spec.seed,
-                     "base_port": spec.base_port, "obs": spec.obs},
+                     "base_port": spec.base_port},
             default_dir=(os.path.dirname(os.path.abspath(wal_path))
                          if wal_path is not None else None))
         self.flight.add_source("wal", lambda: _appender_stats(self.wal))
@@ -269,12 +260,12 @@ class SiteServer:
         self._h_decode = self.metrics.histogram("server.decode_s")
         self._h_apply = self.metrics.histogram("server.apply_s")
         # Stage timers along the inbound hot path (all perf_counter
-        # deltas, all skipped when obs is off): socket wait for the
-        # next peer frame, time a decoded frame sits in the apply
-        # pipeline queue, time the apply loop blocks on the journal
-        # group-commit barrier, response/ack serialization and socket
-        # write, and — shared with the transport — time any waiter
-        # spends parked on the WAL group-commit barrier.
+        # deltas): socket wait for the next peer frame, time a decoded
+        # frame sits in the apply pipeline queue, time the apply loop
+        # blocks on the journal group-commit barrier, response/ack
+        # serialization and socket write, and — shared with the
+        # transport — time any waiter spends parked on the WAL
+        # group-commit barrier.
         self._h_read_wait = self.metrics.histogram("server.read_wait_s")
         self._h_queue_wait = self.metrics.histogram(
             "server.queue_wait_s")
@@ -301,7 +292,6 @@ class SiteServer:
         self._epoch = 0.0
         self._timer: typing.Optional[asyncio.TimerHandle] = None
         self._tcp_server: typing.Optional[asyncio.AbstractServer] = None
-        self._http_server: typing.Optional[asyncio.AbstractServer] = None
         self._conn_writers: typing.Set[asyncio.StreamWriter] = set()
         self._checkpoint_timer: typing.Optional[asyncio.TimerHandle] = None
         self.env: typing.Optional[Environment] = None
@@ -311,11 +301,6 @@ class SiteServer:
         self.journal: typing.Optional[MessageJournal] = None
         self._wal_syncer: typing.Optional[_GroupCommitSyncer] = None
         self._journal_syncer: typing.Optional[_GroupCommitSyncer] = None
-        #: In-process sampling profiler (``profile`` wire op).  Like
-        #: every other obs knob it is per-process and outside the
-        #: cluster fingerprint; unlike metrics it works on a --no-obs
-        #: member too — it samples threads, not instruments.
-        self.profiler: typing.Optional[SamplingProfiler] = None
         # Stage context of the frame currently being applied, read by
         # _accept_entry when stamping "received" spans.  Safe as plain
         # members: _apply_loop sets them and calls _apply_frame
@@ -340,14 +325,13 @@ class SiteServer:
             fingerprint=self.spec.genesis_fingerprint(),
             max_batch=self.spec.batch,
             sync_hook=self._sync_wal,
-            metrics=self.metrics if self.spec.obs else None,
+            metrics=self.metrics,
             trace_sink=self.trace,
             faults=self.faults)
         self.system = ReplicatedSystem(
             self.env, self.placement, live_system_config(self.spec),
             transport=self.transport, local_sites=[self.site_id])
-        if self.trace is not None:
-            self.system.observers.append(_SpanObserver(self))
+        self.system.observers.append(_SpanObserver(self))
         site = self.system.site_of(self.site_id)
         if self.wal_path is not None:
             group_commit = self.spec.batch > 1
@@ -370,20 +354,19 @@ class SiteServer:
             # shares the next one (leader/follower).
             self._wal_syncer = _GroupCommitSyncer(self.wal)
             self._journal_syncer = _GroupCommitSyncer(self.journal)
-            if self.metrics:
-                # Each sync round reports its duration and how many
-                # records it coalesced — the group-commit amortization
-                # in histogram form.
-                h_wal_records = self.metrics.histogram(
-                    "wal.sync_records", SIZE_BUCKETS)
-                h_journal_records = self.metrics.histogram(
-                    "journal.sync_records", SIZE_BUCKETS)
-                self.wal.set_sync_observer(
-                    lambda dt, n: (self._h_wal_sync.observe(dt),
-                                   h_wal_records.observe(n)))
-                self.journal.set_sync_observer(
-                    lambda dt, n: (self._h_journal_sync.observe(dt),
-                                   h_journal_records.observe(n)))
+            # Each sync round reports its duration and how many
+            # records it coalesced — the group-commit amortization in
+            # histogram form.
+            h_wal_records = self.metrics.histogram(
+                "wal.sync_records", SIZE_BUCKETS)
+            h_journal_records = self.metrics.histogram(
+                "journal.sync_records", SIZE_BUCKETS)
+            self.wal.set_sync_observer(
+                lambda dt, n: (self._h_wal_sync.observe(dt),
+                               h_wal_records.observe(n)))
+            self.journal.set_sync_observer(
+                lambda dt, n: (self._h_journal_sync.observe(dt),
+                               h_journal_records.observe(n)))
             if self.wal.recovered_records:
                 # Crash recovery: rebuild the engine from the redo log.
                 site.engine = recover(
@@ -439,13 +422,8 @@ class SiteServer:
         host, port = self.spec.address(self.site_id)
         self._tcp_server = await asyncio.start_server(
             self._on_connection, host, port)
-        scrape = self.spec.metrics_address(self.site_id)
-        if scrape is not None:
-            self._http_server = await asyncio.start_server(
-                self._on_http_connection, scrape[0], scrape[1])
-        if self.metrics:
-            self._checkpoint_timer = self._loop.call_later(
-                FLIGHT_CHECKPOINT_S, self._flight_checkpoint)
+        self._checkpoint_timer = self._loop.call_later(
+            FLIGHT_CHECKPOINT_S, self._flight_checkpoint)
         self._drive()
 
     async def serve_forever(self) -> None:
@@ -472,8 +450,6 @@ class SiteServer:
             self._checkpoint_timer.cancel()
         if self._tcp_server is not None:
             self._tcp_server.close()
-        if self._http_server is not None:
-            self._http_server.close()
         # A real crash severs established connections too — peers and
         # clients must see the failure, not talk to a zombie.
         for writer in list(self._conn_writers):
@@ -492,10 +468,7 @@ class SiteServer:
             self.journal.abandon()
         # Trace spans are diagnostics, not promises — keeping them
         # through a simulated crash only helps the post-mortem.
-        if self.trace is not None:
-            self.trace.close()
-        if self.profiler is not None:
-            self.profiler.stop()
+        self.trace.close()
 
     async def _teardown(self) -> None:
         self._closed = True
@@ -506,9 +479,6 @@ class SiteServer:
         if self._tcp_server is not None:
             self._tcp_server.close()
             await self._tcp_server.wait_closed()
-        if self._http_server is not None:
-            self._http_server.close()
-            await self._http_server.wait_closed()
         for writer in list(self._conn_writers):
             writer.close()
         if self.transport is not None:
@@ -517,10 +487,7 @@ class SiteServer:
             self.wal.close()
         if self.journal is not None:
             self.journal.close()
-        if self.trace is not None:
-            self.trace.close()
-        if self.profiler is not None:
-            self.profiler.stop()
+        self.trace.close()
 
     # ------------------------------------------------------------------
     # The real-time clock driver
@@ -548,11 +515,9 @@ class SiteServer:
         event."""
         if self._closed:
             return
-        hist = self._h_drive
-        started = time.perf_counter() if hist else 0.0
+        started = time.perf_counter()
         self._advance()
-        if hist:
-            hist.observe(time.perf_counter() - started)
+        self._h_drive.observe(time.perf_counter() - started)
         if not self._closed:
             self._arm_timer()
 
@@ -597,17 +562,15 @@ class SiteServer:
 
         def body():
             start = env.now
-            if self.trace is not None:
-                self.trace.emit("submitted", gid=spec.gid, now=start)
+            self.trace.emit("submitted", gid=spec.gid, now=start)
             try:
                 yield from protocol.run_transaction(
                     spec.origin, spec, process_ref[0])
             except TransactionAborted as exc:
                 self.aborted += 1
                 self._m_aborted.inc()
-                if self.trace is not None:
-                    self.trace.emit("aborted", gid=spec.gid,
-                                    now=env.now, reason=exc.reason)
+                self.trace.emit("aborted", gid=spec.gid, now=env.now,
+                                reason=exc.reason)
                 _resolve(future, ("aborted", exc.reason,
                                   env.now - start))
                 return
@@ -666,24 +629,22 @@ class SiteServer:
             return
         if not self.transport.fresh(message.src, incarnation, seq):
             return  # transport-level resend
-        traces: typing.List[str] = []
-        if self.trace is not None:
-            # Prefer the sender's stamp; a plain (obs-off) sender omits
-            # it, so re-derive the ids from the decoded payload — the
-            # trace invariant must not depend on the peer's config.
-            traces = traces_of_obj(obj_msg) or message_trace_ids(message)
-            if traces:
-                # Stage stamps refine the receiver side of the hop for
-                # attribution: how long this frame sat in the apply
-                # pipeline queue and how long its body took to decode.
-                self.trace.emit(
-                    "received", trace=traces[0],
-                    traces=traces if len(traces) > 1 else None,
-                    peer=message.src, type=message.msg_type.value,
-                    q=(round(self._frame_queue_s, 6)
-                       if self._frame_queue_s else None),
-                    dec=(round(self._frame_decode_s, 6)
-                         if self._frame_decode_s else None))
+        # Prefer the sender's stamp; an unstamped sender omits it, so
+        # re-derive the ids from the decoded payload — the trace
+        # invariant must not depend on the peer.
+        traces = traces_of_obj(obj_msg) or message_trace_ids(message)
+        if traces:
+            # Stage stamps refine the receiver side of the hop for
+            # attribution: how long this frame sat in the apply
+            # pipeline queue and how long its body took to decode.
+            self.trace.emit(
+                "received", trace=traces[0],
+                traces=traces if len(traces) > 1 else None,
+                peer=message.src, type=message.msg_type.value,
+                q=(round(self._frame_queue_s, 6)
+                   if self._frame_queue_s else None),
+                dec=(round(self._frame_decode_s, 6)
+                     if self._frame_decode_s else None))
         if message.msg_type is MessageType.SECONDARY and \
                 self.journal is not None:
             # Journal before ack: once the sender retires this update,
@@ -758,14 +719,13 @@ class SiteServer:
         so replay past the durable point is idempotent."""
         for entry in self.journal.entries:
             message = decode_message(entry["msg"])
-            if self.trace is not None:
-                traces = traces_of_obj(entry["msg"]) or \
-                    message_trace_ids(message)
-                if traces:
-                    self.trace.emit(
-                        "replayed", trace=traces[0],
-                        traces=traces if len(traces) > 1 else None,
-                        peer=message.src, type=message.msg_type.value)
+            traces = traces_of_obj(entry["msg"]) or \
+                message_trace_ids(message)
+            if traces:
+                self.trace.emit(
+                    "replayed", trace=traces[0],
+                    traces=traces if len(traces) > 1 else None,
+                    peer=message.src, type=message.msg_type.value)
             self.transport.accept(int(entry["src"]), entry["inc"],
                                   int(entry["seq"]), message)
 
@@ -852,14 +812,13 @@ class SiteServer:
             return
         for item, entry in entries.items():
             record = engine.item(item)
-            if self.trace is not None:
-                # The tail's writers beyond our current version are the
-                # origin transactions this catch-up applies for us.
-                base = entry["version"] - len(entry["writers"])
-                for writer in entry["writers"][
-                        record.committed_version - base:]:
-                    self.trace.emit("caught-up", gid=writer,
-                                    peer=message.src, item=item)
+            # The tail's writers beyond our current version are the
+            # origin transactions this catch-up applies for us.
+            base = entry["version"] - len(entry["writers"])
+            for writer in entry["writers"][
+                    record.committed_version - base:]:
+                self.trace.emit("caught-up", gid=writer,
+                                peer=message.src, item=item)
             engine.apply_catchup(item, entry["value"], entry["version"],
                                  entry["writers"])
 
@@ -913,7 +872,8 @@ class SiteServer:
                     "epoch": self.epoch})
                 return
             if hello.get("role") == "peer":
-                await self._peer_loop(reader, writer)
+                await self._peer_loop(reader, writer,
+                                      hello.get("site"))
             else:
                 await self._client_loop(reader, writer)
         except (ConnectionError, OSError, asyncio.CancelledError):
@@ -927,7 +887,8 @@ class SiteServer:
                 pass
 
     async def _peer_loop(self, reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter) -> None:
+                         writer: asyncio.StreamWriter,
+                         peer: typing.Optional[SiteId]) -> None:
         """Socket-reading half of the inbound pipeline.
 
         Frames go through a small queue to :meth:`_apply_loop`, so the
@@ -939,34 +900,28 @@ class SiteServer:
         queue: "asyncio.Queue" = asyncio.Queue(
             maxsize=APPLY_PIPELINE_DEPTH)
         apply_task = asyncio.get_running_loop().create_task(
-            self._apply_loop(queue, writer))
+            self._apply_loop(queue, writer, peer))
         # ``decoded`` carries the last frame's decode seconds from the
         # read_frame callback to the queue entry, so the apply side can
         # stamp it onto that frame's "received" spans.
         decoded = [0.0]
-        on_decode: typing.Optional[typing.Callable[[float], None]] = None
-        if self.metrics:
-            hist_decode = self._h_decode
+        hist_decode = self._h_decode
 
-            def on_decode(seconds: float) -> None:
-                hist_decode.observe(seconds)
-                decoded[0] = seconds
-        timed = bool(self.metrics)
+        def on_decode(seconds: float) -> None:
+            hist_decode.observe(seconds)
+            decoded[0] = seconds
         try:
             while not self._closed and not apply_task.done():
-                started = time.perf_counter() if timed else 0.0
+                started = time.perf_counter()
                 frame = await read_frame(reader, on_decode=on_decode)
                 if frame is None:
                     return
-                if timed:
-                    # Socket wait for this frame, decode included (the
-                    # decode share is histogrammed separately).
-                    self._h_read_wait.observe(
-                        time.perf_counter() - started)
+                # Socket wait for this frame, decode included (the
+                # decode share is histogrammed separately).
+                self._h_read_wait.observe(time.perf_counter() - started)
                 if frame.get("kind") in ("msg", "batch"):
                     await queue.put(
-                        (time.perf_counter() if timed else 0.0,
-                         decoded[0], frame))
+                        (time.perf_counter(), decoded[0], frame))
                     decoded[0] = 0.0
                     depth = queue.qsize()
                     if depth > self.apply_queue_hwm:
@@ -986,7 +941,8 @@ class SiteServer:
                 pass
 
     async def _apply_loop(self, queue: "asyncio.Queue",
-                          writer: asyncio.StreamWriter) -> None:
+                          writer: asyncio.StreamWriter,
+                          peer: typing.Optional[SiteId]) -> None:
         """Applying half of the inbound pipeline: one *round* per
         wake-up, however many frames the reader queued meanwhile.
 
@@ -1002,8 +958,8 @@ class SiteServer:
         completed.  The sync is kicked into the executor *before* the
         drive, so the disk wait and the protocol work overlap; the ack
         waits for both."""
-        on_encode = self._h_encode.observe if self.metrics else None
-        on_write = self._h_write.observe if self.metrics else None
+        on_encode = self._h_encode.observe
+        on_write = self._h_write.observe
         while not self._closed:
             item = await queue.get()
             started = time.perf_counter()
@@ -1019,17 +975,17 @@ class SiteServer:
             if self._closed:
                 return  # fail-stopped: accept (and ack) nothing more
             for enqueued, decode_s, frame in round_items:
-                if self.metrics and enqueued:
-                    self._frame_queue_s = time.perf_counter() - enqueued
-                    self._frame_decode_s = decode_s
-                    self._h_queue_wait.observe(self._frame_queue_s)
+                self._frame_queue_s = time.perf_counter() - enqueued
+                self._frame_decode_s = decode_s
+                self._h_queue_wait.observe(self._frame_queue_s)
                 try:
                     seq = self._apply_frame(frame)
                     if seq is not None:
                         last_seq = seq
                 except CodecError as exc:
-                    print("site s{}: dropping malformed peer frame: {}"
-                          .format(self.site_id, exc), file=sys.stderr)
+                    self.flight.record_event(
+                        "malformed-peer-frame", peer=peer,
+                        error=repr(exc))
                 finally:
                     self._frame_queue_s = 0.0
                     self._frame_decode_s = 0.0
@@ -1045,9 +1001,8 @@ class SiteServer:
             if unsynced and syncer is not None:
                 waited = time.perf_counter()
                 await syncer.wait_durable()
-                if self.metrics:
-                    self._h_journal_wait.observe(
-                        time.perf_counter() - waited)
+                self._h_journal_wait.observe(
+                    time.perf_counter() - waited)
             self._h_apply.observe(time.perf_counter() - started)
             if last_seq is not None:
                 # The sender retires everything <= last_seq on this one
@@ -1100,19 +1055,15 @@ class SiteServer:
         # resolved while it ran — that coalescing IS the group commit.
         barrier = self._sync_wal()
         if barrier is not None:
-            waited = time.perf_counter() if self.metrics else 0.0
+            waited = time.perf_counter()
             await barrier
-            if self.metrics:
-                self._h_wal_barrier.observe(
-                    time.perf_counter() - waited)
+            self._h_wal_barrier.observe(time.perf_counter() - waited)
         try:
             async with write_lock:
                 await write_frame(
                     writer, response,
-                    on_encode=(self._h_encode.observe
-                               if self.metrics else None),
-                    on_write=(self._h_write.observe
-                              if self.metrics else None))
+                    on_encode=self._h_encode.observe,
+                    on_write=self._h_write.observe)
         except (ConnectionError, OSError):
             pass
         # Requests that end the server act after the response is out.
@@ -1152,8 +1103,8 @@ class SiteServer:
             return self._status()
         if op == "versions":
             # Lightweight recency plane: committed versions only, no
-            # values and no history — cheap enough for a staleness
-            # probe to poll mid-workload without perturbing the run.
+            # values and no history — cheap enough for the watchdog
+            # to poll mid-workload without perturbing the run.
             engine = self.system.site_of(self.site_id).engine
             return {"ok": True, "site": self.site_id,
                     "epoch": self.epoch,
@@ -1162,29 +1113,15 @@ class SiteServer:
                          for item in engine.item_ids()})}
         if op == "stats":
             return {"ok": True, "site": self.site_id,
-                    "obs": self.spec.obs,
                     "stats": self.metrics.snapshot()}
-        if op == "metrics":
-            # Prometheus text exposition of the same snapshot `stats`
-            # serves as JSON.  A --no-obs member answers too — with the
-            # empty-but-valid exposition (just the obs_enabled 0
-            # canary) — so scraping never needs to know the member's
-            # configuration.
-            return {"ok": True, "site": self.site_id,
-                    "obs": self.spec.obs,
-                    "content_type": CONTENT_TYPE,
-                    "exposition": self.render_exposition()}
         if op == "trace":
             # Span tail, optionally filtered to one trace id.  The
             # limit keeps the response under the wire frame cap.
             limit = min(int(frame.get("limit") or 20000), 20000)
             trace = frame.get("trace")
-            spans = (self.trace.spans(trace=trace, limit=limit)
-                     if self.trace is not None else [])
             return {"ok": True, "site": self.site_id,
-                    "obs": self.spec.obs, "spans": spans,
-                    "dropped": (self.trace.dropped
-                                if self.trace is not None else 0)}
+                    "spans": self.trace.spans(trace=trace, limit=limit),
+                    "dropped": self.trace.dropped}
         if op == "placement":
             return {"ok": True, "site": self.site_id,
                     "epoch": self.epoch,
@@ -1214,8 +1151,6 @@ class SiteServer:
             self._drive()
             return {"ok": True, "site": self.site_id,
                     "requested": items}
-        if op == "profile":
-            return self._profile_op(frame)
         if op == "dump":
             return await self._dump_op(frame)
         if op == "crash":
@@ -1223,47 +1158,6 @@ class SiteServer:
         if op == "shutdown":
             return {"ok": True, "_shutdown": True}
         return {"ok": False, "error": "unknown op {!r}".format(op)}
-
-    def _profile_op(self, frame: typing.Mapping
-                    ) -> typing.Dict[str, typing.Any]:
-        """``profile`` wire op: drive the in-process sampling profiler.
-
-        ``action`` is ``start`` / ``stop`` / ``status``.  ``stop`` and
-        ``status`` return the collapsed stacks gathered so far
-        (bounded, so the response stays under the frame cap); ``start``
-        on a running profiler is a no-op, so the op is retry-safe."""
-        action = str(frame.get("action", "status"))
-        profiler = self.profiler
-        if action == "start":
-            if profiler is None or not profiler.running:
-                interval = float(frame.get("interval") or 0.005)
-                profiler = SamplingProfiler(interval=interval)
-                profiler.start()
-                self.profiler = profiler
-            return {"ok": True, "site": self.site_id, "running": True,
-                    "samples": self.profiler.samples}
-        if action == "stop":
-            if profiler is None:
-                return {"ok": True, "site": self.site_id,
-                        "running": False, "samples": 0,
-                        "duration_s": 0.0, "stacks": {}}
-            profiler.stop()
-            return {"ok": True, "site": self.site_id, "running": False,
-                    "samples": profiler.samples,
-                    "duration_s": profiler.duration_s,
-                    "interval_s": profiler.interval,
-                    "stacks": profiler.top_stacks()}
-        if action == "status":
-            running = profiler is not None and profiler.running
-            return {"ok": True, "site": self.site_id,
-                    "running": running,
-                    "samples": profiler.samples if profiler else 0,
-                    "duration_s": (profiler.duration_s
-                                   if profiler else 0.0),
-                    "stacks": (profiler.top_stacks()
-                               if profiler else {})}
-        return {"ok": False,
-                "error": "unknown profile action {!r}".format(action)}
 
     async def _dump_op(self, frame: typing.Mapping
                        ) -> typing.Dict[str, typing.Any]:
@@ -1480,60 +1374,6 @@ class SiteServer:
         if epoch == self.epoch + 1:
             self._reconfig_commit(epoch, dict(message.payload["change"]))
 
-    def render_exposition(self) -> str:
-        """This site's metrics snapshot as Prometheus text."""
-        return render_exposition(self.metrics.snapshot(),
-                                 labels={"site": str(self.site_id)})
-
-    # ------------------------------------------------------------------
-    # HTTP scrape plane (spec.metrics_base_port)
-    # ------------------------------------------------------------------
-
-    async def _on_http_connection(self, reader: asyncio.StreamReader,
-                                  writer: asyncio.StreamWriter) -> None:
-        """Minimal HTTP/1.0 responder for ``GET /metrics`` scrapes.
-
-        One request per connection, ``Connection: close`` semantics —
-        everything a Prometheus scraper (or ``curl``) needs and nothing
-        more; the wire ``metrics`` request is the first-class path."""
-        self._conn_writers.add(writer)
-        try:
-            request = await asyncio.wait_for(reader.readline(), 5.0)
-            parts = request.decode("latin-1", "replace").split()
-            # Drain the header block; scrape requests have no body.
-            while True:
-                line = await asyncio.wait_for(reader.readline(), 5.0)
-                if line in (b"", b"\r\n", b"\n"):
-                    break
-            if len(parts) < 2 or parts[0] != "GET":
-                status, body, ctype = ("405 Method Not Allowed",
-                                       "method not allowed\n",
-                                       "text/plain")
-            elif parts[1].split("?", 1)[0] not in ("/metrics", "/"):
-                status, body, ctype = ("404 Not Found", "not found\n",
-                                       "text/plain")
-            else:
-                status, body, ctype = ("200 OK",
-                                       self.render_exposition(),
-                                       CONTENT_TYPE)
-            payload = body.encode("utf-8")
-            writer.write((
-                "HTTP/1.0 {}\r\nContent-Type: {}\r\n"
-                "Content-Length: {}\r\nConnection: close\r\n\r\n"
-                .format(status, ctype, len(payload))).encode("ascii"))
-            writer.write(payload)
-            await writer.drain()
-        except (ConnectionError, OSError, asyncio.CancelledError,
-                asyncio.TimeoutError):
-            pass
-        finally:
-            self._conn_writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
     def _status(self) -> typing.Dict[str, typing.Any]:
         engine = self.system.site_of(self.site_id).engine
         items = {
@@ -1574,7 +1414,6 @@ class SiteServer:
             "dedup_dropped": self.transport.dedup_dropped,
             "batch": self.spec.batch,
             "durability": self.spec.durability,
-            "obs": self.spec.obs,
             "wal": wal_stats,
             "journal": journal_stats,
             "apply_queue_hwm": self.apply_queue_hwm,
@@ -1591,7 +1430,7 @@ class SiteServer:
 
 class _SpanObserver:
     """System observer translating protocol commit notifications into
-    trace spans (registered only when the server traces)."""
+    trace spans."""
 
     def __init__(self, server: SiteServer):
         self.server = server

@@ -45,18 +45,6 @@ class ClusterSpec:
     #: ``> 1`` also turns on WAL/journal group commit, coalescing
     #: concurrent appends into single write+flush sync points.
     batch: int = 1
-    #: Observability: metrics registry + trace spans + ``stats``/
-    #: ``trace`` requests on this member.  Per-process, like the perf
-    #: knobs: trace stamps ride *outside* message payloads and the
-    #: codec ignores them, so instrumented and plain members
-    #: interoperate and ``obs`` stays out of the fingerprint.
-    obs: bool = True
-    #: Plain-HTTP Prometheus scrape plane: when set, site ``i`` also
-    #: serves ``GET /metrics`` on ``metrics_base_port + i``.  A monitor
-    #: knob like ``obs`` — per-process, excluded from the fingerprint
-    #: (scraping is read-only and changes nothing members must agree
-    #: on), ``None`` (default) disables the listener entirely.
-    metrics_base_port: typing.Optional[int] = None
     # Read by benchmarks/ledger/layers.py only: a constant, not a field.
     wire_format: typing.ClassVar[str] = "json"
     #: Configuration epoch (``repro.reconfig``).  Epoch 0 is *genesis*:
@@ -82,14 +70,6 @@ class ClusterSpec:
         if self.batch < 1:
             raise ValueError("batch must be >= 1, got {}".format(
                 self.batch))
-        self.obs = bool(self.obs)
-        if self.metrics_base_port is not None and not \
-                1 <= self.metrics_base_port <= 65535 - \
-                self.params.n_sites:
-            raise ValueError(
-                "metrics_base_port {} leaves no room for {} "
-                "sites".format(self.metrics_base_port,
-                               self.params.n_sites))
         return self
 
     # ------------------------------------------------------------------
@@ -106,13 +86,6 @@ class ClusterSpec:
         """Listen address of ``site``'s server."""
         return self.host, self.base_port + site
 
-    def metrics_address(self, site: SiteId
-                        ) -> typing.Optional[typing.Tuple[str, int]]:
-        """HTTP scrape address of ``site`` (``None`` when disabled)."""
-        if self.metrics_base_port is None:
-            return None
-        return self.host, self.metrics_base_port + site
-
     def addresses(self) -> typing.Dict[SiteId, typing.Tuple[str, int]]:
         return {site: self.address(site)
                 for site in range(self.params.n_sites)}
@@ -128,11 +101,7 @@ class ClusterSpec:
         concerns, and the performance knobs (``durability``, ``batch``)
         are per-process: the wire format is self-describing (``msg`` vs
         ``batch`` frames), so batched and unbatched members interoperate
-        within one cluster.  ``obs`` is likewise per-process — trace
-        stamps are codec-ignored extras on the wire object, never
-        payload — so it is excluded too, as is the monitoring plane's
-        ``metrics_base_port`` (a read-only scrape listener changes
-        nothing members must agree on).
+        within one cluster.
         """
         params = self.params
         material = json.dumps(
@@ -169,8 +138,6 @@ class ClusterSpec:
             "base_port": self.base_port,
             "durability": self.durability,
             "batch": self.batch,
-            "obs": self.obs,
-            "metrics_base_port": self.metrics_base_port,
             "epoch": self.epoch,
         }
 
@@ -186,9 +153,5 @@ class ClusterSpec:
             base_port=int(obj.get("base_port", 7450)),
             durability=obj.get("durability", "flush"),
             batch=int(obj.get("batch", 1)),
-            obs=bool(obj.get("obs", True)),
-            metrics_base_port=(
-                int(obj["metrics_base_port"])
-                if obj.get("metrics_base_port") is not None else None),
             epoch=int(obj.get("epoch", 0)),
         ).validate()

@@ -190,8 +190,8 @@ class _JsonlAppender:
         #: Cumulative wall seconds spent inside sync drains
         #: (write+flush+fsync).  Always tracked — syncs are disk
         #: operations, so two clock reads per round are noise — and
-        #: served by the status plane so even a --no-obs member can
-        #: answer "how much of this process's life went to fsync".
+        #: served by the status plane: "how much of this process's life
+        #: went to fsync".
         self.sync_seconds = 0.0
         #: Optional observer called as ``observe_sync(seconds, records)``
         #: after each sync that actually wrote — the server points it at

@@ -1,30 +1,26 @@
 """``repro.obs`` — telemetry for the live cluster runtime.
 
-Three cooperating pieces (see ``docs/OBSERVABILITY.md``):
+What is left after the consumer trial (``docs/OBSERVABILITY.md`` has
+the module → consumer table):
 
 - :mod:`repro.obs.registry` — a low-overhead metrics registry
   (counters, gauges, fixed-bucket histograms) instrumenting the hot
-  paths of :mod:`repro.cluster`.  Disabled registries hand out shared
-  no-op instruments, so un-instrumented members pay nothing.
+  paths of :mod:`repro.cluster`; served by the ``stats`` wire request.
 - :mod:`repro.obs.trace` — distributed update-propagation tracing:
   deterministic per-origin-transaction trace ids stamped onto every
   wire message derived from that transaction, and a per-site span sink
   (ring buffer + optional JSONL file).
 - :mod:`repro.obs.reconstruct` — stitches span records from many sites
-  into per-transaction propagation trees with per-hop latencies — the
-  paper's Sec. 5.3.4 propagation-delay measure on real sockets.
-- :mod:`repro.obs.probe` — a live replica-recency probe sampling
-  version lag through the cluster ``status`` plane (the wire analogue
-  of :class:`repro.harness.probes.StalenessProbe`).
-- :mod:`repro.obs.exposition` — Prometheus text-format rendering of
-  registry snapshots, served over the ``metrics`` wire request and the
-  optional per-site HTTP scrape endpoint.
+  into per-transaction propagation trees with per-hop latencies and
+  attribution — the paper's Sec. 5.3.4 propagation-delay measure on
+  real sockets.
 - :mod:`repro.obs.monitor` — the online invariant watchdog behind
-  ``repro monitor``: live alert rules (lag SLO, stuck propagation,
-  saturation, WAL regression, divergence, site-down) with deduplicated
-  structured alerts and a JSONL sink.
+  ``repro monitor``: four live rules (site-down, lag SLO, stuck
+  propagation, divergence) with deduplicated structured alerts and a
+  JSONL sink.  Its per-poll replica-lag sample is the one live lag
+  computation.
 - :mod:`repro.obs.dashboard` — the ``repro top`` terminal dashboard
-  (per-site rates, lag, propagation percentiles, sparklines, active
+  (per-site rates, lag, stage shares, propagation percentiles, active
   alerts).
 - :mod:`repro.obs.flight` — the per-site black-box flight recorder:
   a bounded in-memory ring of recent spans, metric checkpoints and
@@ -55,17 +51,12 @@ from repro.obs.reconstruct import (  # noqa: F401
     propagation_summary,
     reconstruct,
 )
-from repro.obs.probe import LiveStalenessProbe  # noqa: F401
-from repro.obs.exposition import (  # noqa: F401
-    render_exposition,
-    validate_exposition,
-)
 from repro.obs.monitor import (  # noqa: F401
     Alert,
     MonitorConfig,
     Watchdog,
 )
-from repro.obs.dashboard import Dashboard, sparkline  # noqa: F401
+from repro.obs.dashboard import Dashboard  # noqa: F401
 from repro.obs.flight import (  # noqa: F401
     FlightRecorder,
     bundle_paths,

@@ -1,12 +1,13 @@
 """Live terminal dashboard for a running cluster (``repro top``).
 
-Polls every site over the monitoring plane (``versions`` + ``stats`` +
-``trace`` via the failure-tolerant ``try_each`` fan-out) and renders a
-single-screen view: per-site commit/abort rates, apply-queue depth,
-replica version lag, WAL sync latency, end-to-end propagation-delay
-percentiles, rolling throughput sparklines, and the watchdog's active
-alerts.  A dead member stays on the board as ``DOWN`` — disappearing
-rows are how outages get missed.
+Polls every site over the monitoring plane (``stats`` + ``trace`` via
+the failure-tolerant ``try_each`` fan-out, plus one watchdog poll) and
+renders a single-screen view: per-site commit/abort rates, apply-queue
+depth, replica version lag (the watchdog's sample, so it follows the
+placement across epochs), WAL sync latency, end-to-end
+propagation-delay percentiles, and the watchdog's active alerts.  A
+dead member stays on the board as ``DOWN`` — disappearing rows are how
+outages get missed.
 
 On a TTY the screen redraws in place each interval (ANSI home+clear);
 without one (CI logs, pipes) ``repro top`` degrades to a single-shot
@@ -29,9 +30,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.client import ClusterClient
     from repro.cluster.spec import ClusterSpec
 
-#: Eight-level bar glyphs, lowest to highest.
-SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
-
 #: Hot-path stage histograms behind the ``stage`` column: short label
 #: -> instrument name, in pipeline order.  The column shows the stage
 #: with the largest share of the summed per-stage p95 — a one-glance
@@ -52,7 +50,7 @@ STAGE_HISTOGRAMS = (
 def top_stage(histograms: typing.Mapping[str, typing.Any]
               ) -> typing.Optional[typing.Tuple[str, float]]:
     """``(label, share)`` for the dominant stage, or None if no stage
-    histogram has recorded anything (plain members, idle sites)."""
+    histogram has recorded anything (idle sites)."""
     p95s: typing.Dict[str, float] = {}
     for label, name in STAGE_HISTOGRAMS:
         hist = histograms.get(name) or {}
@@ -64,20 +62,6 @@ def top_stage(histograms: typing.Mapping[str, typing.Any]
     total = sum(p95s.values())
     label = max(p95s, key=lambda key: p95s[key])
     return label, p95s[label] / total
-
-
-def sparkline(values: typing.Sequence[float], width: int = 30) -> str:
-    """Render the last ``width`` values as a unicode sparkline."""
-    tail = list(values)[-width:]
-    if not tail:
-        return ""
-    top = max(tail)
-    if top <= 0:
-        return SPARK_GLYPHS[0] * len(tail)
-    scale = len(SPARK_GLYPHS) - 1
-    return "".join(
-        SPARK_GLYPHS[min(scale, int(round(value / top * scale)))]
-        for value in tail)
 
 
 def _rate(delta: float, elapsed: float) -> float:
@@ -118,13 +102,11 @@ class Dashboard:
     """
 
     def __init__(self, spec: "ClusterSpec", client: "ClusterClient",
-                 interval: float = 1.0, spark_width: int = 30,
-                 trace_limit: int = 5000,
+                 interval: float = 1.0, trace_limit: int = 5000,
                  watchdog: typing.Optional[Watchdog] = None):
         self.spec = spec
         self.client = client
         self.interval = interval
-        self.spark_width = spark_width
         self.trace_limit = trace_limit
         if watchdog is None:
             config = MonitorConfig(interval=interval,
@@ -132,18 +114,9 @@ class Dashboard:
                                    trace_limit=0)
             watchdog = Watchdog(spec, client, config=config)
         self.watchdog = watchdog
-        placement = spec.build_placement()
-        self._pairs: typing.List[typing.Tuple[str, int, int]] = []
-        for item in placement.items:
-            primary = placement.primary_site(item)
-            for replica in placement.replica_sites(item):
-                self._pairs.append((item, primary, replica))
         #: Previous poll's cumulative counters, for rate derivation.
         self._prev: typing.Dict[int, typing.Dict[str, float]] = {}
         self._prev_t: typing.Optional[float] = None
-        #: Rolling cluster-wide commit/s for the sparkline.
-        self.throughput_history: typing.List[float] = []
-        self._site_history: typing.Dict[int, typing.List[float]] = {}
 
     # ------------------------------------------------------------------
     # Sampling
@@ -151,27 +124,14 @@ class Dashboard:
 
     async def sample(self) -> typing.Dict[str, typing.Any]:
         """One poll of every site, folded into the display model."""
-        from repro.cluster.codec import decode_value
-
         now = time.monotonic()
         elapsed = (now - self._prev_t) if self._prev_t is not None \
             else 0.0
         self._prev_t = now
 
-        versions_resp, down = await self.client.try_each("versions")
-        stats_resp, _ = await self.client.try_each("stats")
+        stats_resp, down = await self.client.try_each("stats")
         await self.watchdog.poll_once()
-
-        versions = {site: decode_value(response["versions"])
-                    for site, response in versions_resp.items()}
-        lag_by_site: typing.Dict[int, int] = {}
-        for item, primary, replica in self._pairs:
-            primary_version = versions.get(primary, {}).get(item)
-            replica_version = versions.get(replica, {}).get(item)
-            if primary_version is None or replica_version is None:
-                continue
-            lag = max(0, primary_version - replica_version)
-            lag_by_site[replica] = max(lag_by_site.get(replica, 0), lag)
+        lag_by_site = self.watchdog.lag_by_site
 
         rows = []
         total_commit_rate = 0.0
@@ -187,7 +147,6 @@ class Dashboard:
             histograms = snapshot.get("histograms", {})
             committed = counters.get("txn.committed", 0)
             aborted = counters.get("txn.aborted", 0)
-            row["obs"] = bool(snapshot.get("enabled"))
             row["committed"] = committed
             queue = gauges.get("server.apply_queue", {})
             row["queue"] = int(queue.get("value", 0))
@@ -212,14 +171,7 @@ class Dashboard:
                 self._prev[site] = {"committed": committed,
                                     "aborted": aborted}
             total_commit_rate += row["commit_rate"]
-            history = self._site_history.setdefault(site, [])
-            history.append(row["commit_rate"])
-            del history[:-self.spark_width]
-            row["spark"] = sparkline(history, self.spark_width)
             rows.append(row)
-
-        self.throughput_history.append(total_commit_rate)
-        del self.throughput_history[:-self.spark_width]
 
         propagation = None
         if self.trace_limit > 0:
@@ -237,8 +189,6 @@ class Dashboard:
             "rows": rows,
             "down": sorted(down),
             "total_commit_rate": total_commit_rate,
-            "spark": sparkline(self.throughput_history,
-                               self.spark_width),
             "propagation": propagation,
             "alerts": [alert for alert
                        in self.watchdog.active_alerts()],
@@ -257,8 +207,8 @@ class Dashboard:
                         time.strftime("%H:%M:%S",
                                       time.localtime(model["t"]))))
         lines.append(
-            "cluster commit rate {:6.1f} txn/s  {}".format(
-                model["total_commit_rate"], model["spark"]))
+            "cluster commit rate {:6.1f} txn/s".format(
+                model["total_commit_rate"]))
         propagation = model.get("propagation")
         if propagation and propagation["complete"]:
             lines.append(
@@ -272,7 +222,7 @@ class Dashboard:
         lines.append("")
         lines.append(
             "site  state  commit/s  abort/s  applyq  lag  "
-            "drive p95  wal p95        stage  trend")
+            "drive p95  wal p95        stage")
         for row in model["rows"]:
             state = "up" if row["up"] else "DOWN"
             stage = row.get("top_stage")
@@ -280,12 +230,11 @@ class Dashboard:
                 if stage else "-"
             lines.append(
                 "s{:<4} {:<5} {:>8.1f} {:>8.1f} {:>7} {:>4} "
-                "{:>9} {:>8} {:>12}  {}".format(
+                "{:>9} {:>8} {:>12}".format(
                     row["site"], state, row["commit_rate"],
                     row["abort_rate"], row["queue"], row["lag"],
                     _fmt_ms(row["drive_p95_s"]),
-                    _fmt_ms(row["wal_p95_s"]), stage_cell,
-                    row["spark"]))
+                    _fmt_ms(row["wal_p95_s"]), stage_cell))
         alerts = model.get("alerts") or []
         lines.append("")
         if alerts:

@@ -20,11 +20,8 @@ remaining lines are typed records.  The write is atomic (temp file +
 gathering is separated from file IO so a server can gather on its
 event loop and write in an executor without stalling acks.
 
-A bundle from an observability-disabled member (``--no-obs``) is
-*degraded but valid*: no spans, a disabled metrics snapshot — the
-manifest and state sources still carry the WAL positions and
-watermarks a postmortem needs.  :func:`validate_bundle` is the schema
-check behind ``repro postmortem --check``.
+:func:`validate_bundle` is the schema check behind ``repro postmortem
+--check``.
 
 :mod:`repro.obs.postmortem` merges bundles from every site of an
 incident into one causally ordered cross-site timeline.
@@ -96,9 +93,8 @@ class FlightRecorder:
     site:
         The site id stamped into every bundle.
     trace:
-        The site's :class:`~repro.obs.trace.TraceSink` (or ``None`` for
-        an obs-off member); its existing ring *is* the span buffer, no
-        copy is kept here.
+        The site's :class:`~repro.obs.trace.TraceSink` (or ``None``);
+        its existing ring *is* the span buffer, no copy is kept here.
     metrics:
         The site's :class:`~repro.obs.registry.MetricsRegistry` (or
         ``None``); checkpoints and the final snapshot come from it.
@@ -170,12 +166,10 @@ class FlightRecorder:
     def checkpoint(self) -> typing.Optional[typing.Dict[str, typing.Any]]:
         """Snapshot the metric registry's counters/gauges as a delta
         against the previous checkpoint.  Cheap enough for the server's
-        periodic timer; a no-op for obs-off members."""
+        periodic timer; a no-op for a recorder handed no registry."""
         if self.metrics is None:
             return None
         snapshot = self.metrics.snapshot()
-        if not snapshot.get("enabled"):
-            return None
         counters = {name: int(value) for name, value
                     in snapshot.get("counters", {}).items()}
         delta = {name: value - self._last_counters.get(name, 0)
@@ -216,7 +210,6 @@ class FlightRecorder:
             dropped_spans = getattr(self.trace, "dropped", 0)
             for span in self.trace.spans(limit=self.span_limit):
                 records.append(dict(span, type="span"))
-        snapshot: typing.Optional[typing.Dict[str, typing.Any]] = None
         if self.metrics is not None:
             snapshot = self.metrics.snapshot()
             records.append({"type": "metrics", "t": time.time(),
@@ -248,8 +241,6 @@ class FlightRecorder:
             "trigger": str(trigger),
             "wall_t": time.time(),
             "mono_t": time.monotonic(),
-            "obs": bool(snapshot.get("enabled")) if snapshot is not None
-            else self.trace is not None,
             "cluster": dict(self.cluster),
             "sequence": self.dumps,
             "dropped_spans": dropped_spans,
@@ -383,12 +374,9 @@ def load_bundle(path: str
 
 def validate_bundle(path: str) -> typing.List[str]:
     """Schema check of one bundle file; returns problems (empty =
-    valid).  The check behind ``repro postmortem --check``.
-
-    Degraded bundles (obs-off members: no spans, disabled metrics) are
-    valid — the schema requires the manifest and typed records, not any
-    particular record population.
-    """
+    valid).  The check behind ``repro postmortem --check``.  The
+    schema requires the manifest and typed records, not any particular
+    record population."""
     problems: typing.List[str] = []
     try:
         manifest, records = load_bundle(path)

@@ -1,6 +1,6 @@
 """Online invariant watchdog for a live cluster.
 
-The passive telemetry plane (``stats``/``versions``/``trace``) measures
+The passive telemetry plane (``versions``/``trace``/``status``) measures
 the paper's guarantees; this module *watches* them while the cluster is
 serving.  A :class:`Watchdog` polls every site on an interval and
 evaluates live rules derived from the offline oracles:
@@ -13,28 +13,16 @@ evaluates live rules derived from the offline oracles:
     A replica trails its primary by more committed versions than the
     staleness SLO allows (Sec. 5.3.4's recency claim, enforced instead
     of merely measured).  Unreachable replicas are judged from their
-    last known versions and flagged as such.
+    last known versions and flagged as such.  Each poll's lags stay
+    readable on the watchdog (:attr:`Watchdog.lags`,
+    :attr:`Watchdog.lag_by_site`): the one live lag computation, read
+    by ``repro top`` and the load generator's recency summary.
 ``stuck-propagation``
     A committed primary update did not reach an expected replica within
     the deadline.  Localised via the propagation trees of
     :mod:`repro.obs.reconstruct`: the evidence names the exact copy-
     graph hop (origin → missing replica) and the stuck trace ids, so
     the alert points at a channel, not just "something is slow".
-``apply-queue-saturation``
-    The inbound apply pipeline sat at (or above) its bound for
-    consecutive polls — the senders' backpressure windows are full and
-    propagation is throughput-limited at this member.
-``wal-sync-regression``
-    The windowed p95 WAL sync latency (delta of the ``wal.sync_s``
-    histogram between polls) regressed by more than a factor over the
-    run's baseline window — the group-commit amortisation stopped
-    holding, usually a disk or contention problem.
-``stage-regression:<stage>``
-    One hot-path stage's share of the windowed per-stage p95 latency
-    (read / queue / wal / journal / drive / apply / encode / write,
-    from the stage histograms of :mod:`repro.cluster.server`) grew by
-    more than a factor over its share in the run's baseline window —
-    the latency profile shifted, and the rule name says *where*.
 ``divergence``
     Sampled convergence: two copies report the **same committed
     version with different values**.  With the paper's writer-lineage
@@ -58,7 +46,6 @@ import time
 import typing
 
 from repro.obs.reconstruct import reconstruct
-from repro.obs.registry import bucket_percentile
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     # Runtime import would be circular (cluster imports repro.obs);
@@ -68,20 +55,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 #: Severity order, mildest first.
 SEVERITIES = ("warning", "critical")
-
-#: Hot-path stage histograms judged by ``stage-regression:<stage>``:
-#: stage label -> instrument name (the server's stage timers).  The
-#: stage rides in the rule name, so dedup is per (rule, site, stage).
-STAGE_RULE_HISTOGRAMS = (
-    ("read", "server.read_wait_s"),
-    ("queue", "server.queue_wait_s"),
-    ("wal", "wal.barrier_wait_s"),
-    ("journal", "server.journal_wait_s"),
-    ("drive", "server.drive_s"),
-    ("apply", "server.apply_s"),
-    ("encode", "server.encode_s"),
-    ("write", "server.write_s"),
-)
 
 
 @dataclasses.dataclass
@@ -98,20 +71,6 @@ class MonitorConfig:
     #: Seconds a committed update may remain un-applied at an expected
     #: replica before its propagation counts as stuck.
     stuck_deadline: float = 5.0
-    #: Apply-queue depth considered saturated (the server pipeline's
-    #: bound) and how many consecutive saturated polls fire the alert.
-    queue_saturation: int = 8
-    queue_polls: int = 3
-    #: Windowed p95 WAL sync regression: factor over the baseline
-    #: window, with a floor below which jitter never alerts.
-    wal_regression_factor: float = 4.0
-    wal_floor_s: float = 0.002
-    #: Per-stage latency-profile regression: a stage whose share of
-    #: the summed per-stage windowed p95 grows by more than this
-    #: factor over its baseline-window share fires; the floor keeps
-    #: sub-millisecond jitter from alerting.
-    stage_regression_factor: float = 2.0
-    stage_floor_s: float = 0.002
     #: Run the sampled convergence check every N polls (0 disables).
     convergence_every: int = 5
     #: Consecutive unreachable polls before ``site-down`` fires.
@@ -274,18 +233,11 @@ class Watchdog:
         #: a dead replica is judged against what it had).
         self._versions: typing.Dict[int, typing.Dict[str, int]] = {}
         self._down_streak: typing.Dict[int, int] = {}
-        self._queue_streak: typing.Dict[int, int] = {}
-        #: Per-site cumulative wal.sync_s snapshot of the previous poll
-        #: and the baseline windowed p95.
-        self._wal_prev: typing.Dict[int, typing.Dict[str, typing.Any]] \
-            = {}
-        self._wal_baseline: typing.Dict[int, float] = {}
-        #: Per-(site, stage) cumulative stage-histogram snapshots and
-        #: baseline windowed-p95 shares for the stage-regression rule.
-        self._stage_prev: typing.Dict[
-            typing.Tuple[int, str], typing.Dict[str, typing.Any]] = {}
-        self._stage_baseline: typing.Dict[
-            typing.Tuple[int, str], float] = {}
+        #: The latest poll's replica lags in committed versions, over
+        #: the current epoch's pairs: one entry per judged pair, and the
+        #: worst per replica site.
+        self.lags: typing.List[int] = []
+        self.lag_by_site: typing.Dict[int, int] = {}
         self._started = time.time()
         self._stopping = asyncio.Event()
 
@@ -394,14 +346,6 @@ class Watchdog:
                     {"streak": streak, "epoch": self._epoch})
         self._check_lag(fired, set(unreachable))
 
-        stats, _ = await self.client.try_each("stats")
-        for site, response in stats.items():
-            snapshot = response.get("stats") or {}
-            if snapshot.get("enabled"):
-                self._check_queue(fired, site, snapshot)
-                self._check_wal(fired, site, snapshot)
-                self._check_stage(fired, site, snapshot)
-
         if config.trace_limit > 0:
             await self._check_stuck(fired)
         if config.convergence_every > 0 and \
@@ -494,6 +438,8 @@ class Watchdog:
         config = self.config
         worst: typing.Dict[int, typing.List[typing.Tuple[int, str, int]]] \
             = {}
+        self.lags = []
+        self.lag_by_site = {}
         for item, primary, replica in self._pairs:
             primary_version = self._versions.get(primary, {}).get(item)
             replica_version = self._versions.get(replica, {}).get(item)
@@ -504,7 +450,10 @@ class Watchdog:
                 # judging live replicas against it would only shrink
                 # lag — skip rather than understate.
                 continue
-            lag = primary_version - replica_version
+            lag = max(0, primary_version - replica_version)
+            self.lags.append(lag)
+            self.lag_by_site[replica] = max(
+                self.lag_by_site.get(replica, 0), lag)
             if lag >= config.lag_warn:
                 worst.setdefault(replica, []).append(
                     (lag, item, primary))
@@ -530,117 +479,6 @@ class Watchdog:
                     "; site unreachable, judged from last known "
                     "versions" if replica in unreachable else ""),
                 evidence)
-
-    def _check_queue(self, fired: typing.List[Alert], site: int,
-                     snapshot: typing.Mapping[str, typing.Any]) -> None:
-        config = self.config
-        gauge = snapshot.get("gauges", {}).get("server.apply_queue")
-        depth = gauge.get("value", 0) if isinstance(gauge, dict) else 0
-        if depth >= config.queue_saturation:
-            streak = self._queue_streak.get(site, 0) + 1
-        else:
-            streak = 0
-        self._queue_streak[site] = streak
-        if streak >= config.queue_polls:
-            self._fire(
-                fired, "apply-queue-saturation", "warning", site,
-                "apply queue at depth {} for {} consecutive polls "
-                "(pipeline bound {})".format(
-                    int(depth), streak, config.queue_saturation),
-                {"depth": depth, "streak": streak,
-                 "high_water": gauge.get("high_water")
-                 if isinstance(gauge, dict) else None})
-
-    def _check_wal(self, fired: typing.List[Alert], site: int,
-                   snapshot: typing.Mapping[str, typing.Any]) -> None:
-        """Windowed p95 of ``wal.sync_s`` vs the baseline window."""
-        config = self.config
-        hist = snapshot.get("histograms", {}).get("wal.sync_s")
-        if not isinstance(hist, dict) or not hist.get("count"):
-            return
-        previous = self._wal_prev.get(site)
-        self._wal_prev[site] = hist
-        if previous is None or \
-                previous.get("buckets") != hist.get("buckets"):
-            return
-        window = hist["count"] - previous["count"]
-        if window <= 0:
-            return
-        delta = [now - before for now, before
-                 in zip(hist["counts"], previous["counts"])]
-        p95 = bucket_percentile(hist["buckets"], delta, window,
-                                hist.get("max"), 95.0)
-        baseline = self._wal_baseline.get(site)
-        if baseline is None:
-            self._wal_baseline[site] = p95
-            return
-        if p95 > config.wal_floor_s and \
-                p95 > config.wal_regression_factor * max(
-                    baseline, 1e-9):
-            self._fire(
-                fired, "wal-sync-regression", "warning", site,
-                "WAL sync p95 {:.1f} ms over the last window vs "
-                "{:.1f} ms baseline (x{:.1f})".format(
-                    p95 * 1000.0, baseline * 1000.0,
-                    p95 / max(baseline, 1e-9)),
-                {"window_p95_s": p95, "baseline_p95_s": baseline,
-                 "window_syncs": window,
-                 "factor": config.wal_regression_factor})
-
-    def _check_stage(self, fired: typing.List[Alert], site: int,
-                     snapshot: typing.Mapping[str, typing.Any]) -> None:
-        """Latency-profile shift: one stage's share of the windowed
-        per-stage p95 regressed past the factor over its share in the
-        run's first (baseline) window.  Same windowed-delta mechanics
-        as :meth:`_check_wal`, run per stage histogram; the stage name
-        rides in the rule, so a queue regression and a write
-        regression at the same site are separate alerts."""
-        config = self.config
-        histograms = snapshot.get("histograms", {})
-        window_p95: typing.Dict[str, float] = {}
-        for stage, name in STAGE_RULE_HISTOGRAMS:
-            hist = histograms.get(name)
-            if not isinstance(hist, dict) or not hist.get("count"):
-                continue
-            key = (site, stage)
-            previous = self._stage_prev.get(key)
-            self._stage_prev[key] = hist
-            if previous is None or \
-                    previous.get("buckets") != hist.get("buckets"):
-                continue
-            window = hist["count"] - previous["count"]
-            if window <= 0:
-                continue
-            delta = [now - before for now, before
-                     in zip(hist["counts"], previous["counts"])]
-            p95 = bucket_percentile(hist["buckets"], delta, window,
-                                    hist.get("max"), 95.0)
-            if p95 > 0.0:
-                window_p95[stage] = p95
-        total = sum(window_p95.values())
-        if total <= 0.0:
-            return
-        for stage, p95 in window_p95.items():
-            share = p95 / total
-            key = (site, stage)
-            baseline = self._stage_baseline.get(key)
-            if baseline is None:
-                self._stage_baseline[key] = share
-                continue
-            if p95 > config.stage_floor_s and \
-                    share > config.stage_regression_factor * max(
-                        baseline, 1e-9):
-                self._fire(
-                    fired, "stage-regression:" + stage, "warning",
-                    site,
-                    "stage {} at {:.0%} of windowed stage p95 vs "
-                    "{:.0%} baseline share (p95 {:.1f} ms, "
-                    "x{:.1f})".format(
-                        stage, share, baseline, p95 * 1000.0,
-                        share / max(baseline, 1e-9)),
-                    {"stage": stage, "window_p95_s": p95,
-                     "share": share, "baseline_share": baseline,
-                     "factor": config.stage_regression_factor})
 
     async def _check_stuck(self, fired: typing.List[Alert]) -> None:
         """Committed updates past the propagation deadline, localised

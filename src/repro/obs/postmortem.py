@@ -24,10 +24,8 @@ causally ordered cross-site picture:
    hops — each with the site and the time window the evidence spans
    ("first stall at hop s0→s2 within +1.2s..+3.4s").
 
-Outputs: a terminal report (:func:`format_report`), machine-readable
-JSON (:func:`analysis_json`), and a Chrome/Perfetto export lane that
-reuses :func:`repro.obs.export.chrome_trace` with the incident events
-overlaid (:func:`chrome_export`).
+Outputs: a terminal report (:func:`format_report`); the analysis
+itself is plain JSON types (``repro postmortem --json``).
 
 All live runs in this repo share one host clock, so the estimated
 offsets should be ~0 there; the machinery exists for genuinely
@@ -41,7 +39,6 @@ import json
 import os
 import typing
 
-from repro.obs.export import chrome_trace
 from repro.obs.flight import bundle_paths, load_bundle
 from repro.obs.reconstruct import (
     attribution_summary,
@@ -229,12 +226,8 @@ _FINDING_ORDER = ("divergence", "site-down", "stall", "critical-alert")
 def analyze(bundles: typing.List[Bundle],
             injections: typing.Optional[typing.List[typing.Dict]] = None
             ) -> typing.Dict[str, typing.Any]:
-    """Merge loaded bundles into one cross-site analysis.
-
-    Keys starting with ``_`` hold non-JSON working state (aligned
-    spans, trees) for :func:`chrome_export`; :func:`analysis_json`
-    strips them.
-    """
+    """Merge loaded bundles into one cross-site analysis (plain JSON
+    types throughout)."""
     latest = _latest_per_site(bundles)
     sites = sorted(latest)
     n_sites = 0
@@ -306,7 +299,6 @@ def analyze(bundles: typing.List[Bundle],
             "trigger": bundle.manifest.get("trigger"),
             "epoch": bundle.manifest.get("epoch"),
             "git_sha": bundle.manifest.get("git_sha"),
-            "obs": bundle.manifest.get("obs"),
             "wall_t": bundle.wall_t,
             "records": len(bundle.records),
             "spans": len(spans_by_site.get(site, ())),
@@ -325,8 +317,6 @@ def analyze(bundles: typing.List[Bundle],
         "findings": findings,
         "injections": list(injections or ()),
         "window": window,
-        "_spans": aligned_spans,
-        "_trees": trees,
     }
 
 
@@ -464,13 +454,6 @@ def _findings(latest: typing.Mapping[int, Bundle],
     return findings
 
 
-def analysis_json(analysis: typing.Mapping[str, typing.Any]
-                  ) -> typing.Dict[str, typing.Any]:
-    """The machine-readable view: the analysis minus working state."""
-    return {key: value for key, value in analysis.items()
-            if not key.startswith("_")}
-
-
 # ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------
@@ -504,10 +487,9 @@ def format_report(analysis: typing.Mapping[str, typing.Any],
     for bundle in analysis["bundles"]:
         lines.append(
             "  s{}: {} record(s), {} span(s), trigger {!r}, epoch {}, "
-            "git {}{}".format(
+            "git {}".format(
                 bundle["site"], bundle["records"], bundle["spans"],
-                bundle["trigger"], bundle["epoch"], bundle["git_sha"],
-                "" if bundle["obs"] else " [degraded: obs off]"))
+                bundle["trigger"], bundle["epoch"], bundle["git_sha"]))
 
     clock = analysis["clock"]
     parts = []
@@ -562,47 +544,3 @@ def format_report(analysis: typing.Mapping[str, typing.Any],
             entry.get("site", "?"), entry.get("kind", "?"),
             entry.get("label", "")))
     return "\n".join(lines)
-
-
-def chrome_export(analysis: typing.Mapping[str, typing.Any]
-                  ) -> typing.Dict[str, typing.Any]:
-    """Chrome/Perfetto document: the aligned spans + attribution lanes
-    of :func:`repro.obs.export.chrome_trace`, with the incident
-    timeline (alerts, faults, epoch commits, dumps) overlaid as global
-    instants on each site's process."""
-    spans = analysis["_spans"]
-    trees = analysis["_trees"]
-    document = chrome_trace(spans, trees)
-    events = document["traceEvents"]
-    meta = [event for event in events if event.get("ph") == "M"]
-    timed = [event for event in events if event.get("ph") != "M"]
-    base = min((span["t"] for span in spans
-                if isinstance(span.get("t"), (int, float))
-                and isinstance(span.get("site"), int)), default=0.0)
-    known_pids = {event["pid"] for event in meta}
-    extra_pids: typing.Set[int] = set()
-    for entry in analysis["timeline"]:
-        wall = entry.get("t")
-        if not isinstance(wall, (int, float)):
-            continue
-        site = entry.get("site")
-        pid = site if isinstance(site, int) else -1
-        if pid not in known_pids:
-            extra_pids.add(pid)
-        args = {key: value for key, value in entry.items()
-                if key not in ("t", "kind", "label") and value is not None}
-        timed.append({
-            "ph": "i", "s": "g",
-            "name": "{}: {}".format(entry.get("kind"),
-                                    entry.get("label"))[:140],
-            "pid": pid, "tid": 0,
-            "ts": max(0, int(round((wall - base) * 1e6))),
-            "args": args,
-        })
-    for pid in sorted(extra_pids):
-        meta.append({"ph": "M", "name": "process_name", "pid": pid,
-                     "tid": 0,
-                     "args": {"name": "site {}".format(pid)
-                              if pid >= 0 else "incident"}})
-    timed.sort(key=lambda event: event["ts"])
-    return {"traceEvents": meta + timed, "displayTimeUnit": "ms"}

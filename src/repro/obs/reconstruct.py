@@ -180,7 +180,7 @@ def hop_attributions(tree: PropagationTree
         anchor ──queue+wal── forwarded ──wire── received ──apply── applied
 
     Attribution degrades to partial, never fails: a hop whose
-    ``forwarded`` span is missing (an obs-off sender) or that applied
+    ``forwarded`` span is missing (lost with its sender) or that applied
     via catch-up only keeps its measurable segments and banks the rest
     in ``unattributed``, so components + unattributed always sum to
     the hop delay.
@@ -229,7 +229,7 @@ def hop_attributions(tree: PropagationTree
             components["wire"] = received - forward[0]
             components["apply"] = applied - received
         elif received is not None and anchor <= received <= applied:
-            # No forward span (obs-off sender, ring overflow): only
+            # No forward span (sender's spans lost, ring overflow): only
             # the receiver side is measurable.
             components["apply"] = applied - received
         # else: applied/caught-up only — nothing to partition.
@@ -300,8 +300,8 @@ def attribution_summary(trees: typing.Mapping[str, PropagationTree],
     """Aggregate attribution over every observed hop (seconds).
 
     ``coverage`` is the attributed share of total hop time — 1.0 when
-    every hop carried all four span events; a cluster with obs-off
-    members degrades it instead of breaking.  ``top`` critical-path
+    every hop carried all four span events; missing spans degrade it
+    instead of breaking.  ``top`` critical-path
     breakdowns of the slowest complete trees ride along for the
     "which traces should I stare at" question.
     """

@@ -10,10 +10,9 @@ an origin transaction carries its trace id" survives restarts for free.
 
 The sender stamps the id onto the *wire object* of each message
 (:func:`stamp_message_obj`), outside the protocol payload: the protocol
-classes never see it, the codec ignores unknown keys, and un-stamped
-frames from an observability-disabled member decode identically — so
-instrumented and plain members interoperate, and the receiver can
-always re-derive the id from the decoded payload anyway.
+classes never see it, the codec ignores unknown keys, un-stamped
+frames decode identically, and the receiver can always re-derive the
+id from the decoded payload anyway.
 
 Each site appends timestamped **span records** to its
 :class:`TraceSink`: a bounded in-memory ring (served live by the

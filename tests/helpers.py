@@ -83,3 +83,32 @@ def no_locks_leaked(system) -> bool:
         if manager._table:  # noqa: SLF001 - test introspection
             return False
     return True
+
+
+def free_base_port(n_ports: int) -> int:
+    """A base port with ``n_ports`` consecutive free ports above it
+    (sites listen on ``base_port + site``), so live tests do not collide
+    on a fixed range.
+
+    Drawn below the kernel's ephemeral range on purpose: a ready poll
+    connects to a port nobody listens on yet, and on loopback such a
+    connect can be handed its own destination as source port."""
+    import random
+    import socket
+
+    rng = random.Random()  # seeded from the OS
+    for _ in range(200):
+        base = rng.randrange(12000, 30000)
+        sockets = []
+        try:
+            for offset in range(n_ports):
+                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                sockets.append(sock)
+                sock.bind(("127.0.0.1", base + offset))
+        except OSError:
+            continue
+        finally:
+            for sock in sockets:
+                sock.close()
+        return base
+    raise RuntimeError("no free port range found")

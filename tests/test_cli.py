@@ -190,10 +190,13 @@ def test_serve_requires_site():
 @pytest.mark.parametrize("flag", [
     ["--wire-format", "json"],
     ["--apply" + "-workers", "2"],  # split: kept out of the "gone" grep
+    ["--no" + "-obs"],
+    ["--metrics" + "-base-port", "9750"],
 ])
 def test_serve_rejects_the_deleted_knobs(flag, capsys):
-    """One wire format, one apply scheduler: the flags that selected
-    the others are unknown arguments now (argparse exits 2)."""
+    """One wire format, one apply scheduler, obs always on and no
+    scrape listener: the flags that selected the others are unknown
+    arguments now (argparse exits 2)."""
     with pytest.raises(SystemExit) as exit_info:
         build_parser().parse_args(["serve", "--site", "0"] + flag)
     assert exit_info.value.code == 2
@@ -225,12 +228,11 @@ def test_stats_and_trace_args_round_trip():
     parser = build_parser()
     args = parser.parse_args(
         ["stats", "--site", "1", "--check", "--json", "stats.json",
-         "--base-port", "7710", "--sites", "3", "--no-obs"])
+         "--base-port", "7710", "--sites", "3"])
     assert args.command == "stats"
     assert args.site == 1
     assert args.check
     assert args.json == "stats.json"
-    assert args.no_obs
 
     args = parser.parse_args(
         ["trace", "--id", "t0.3", "--files", "a.trace", "b.trace",
@@ -242,9 +244,6 @@ def test_stats_and_trace_args_round_trip():
     assert args.limit == 50
     assert args.show == 2
     assert args.require_complete == 3
-
-    args = parser.parse_args(["loadgen", "--no-obs"])
-    assert args.no_obs
 
 
 def test_loadgen_then_offline_trace_reconstruction(tmp_path):
@@ -339,15 +338,6 @@ def test_serve_flushes_trace_sink_on_sigterm(tmp_path):
 def test_metrics_monitor_top_args_round_trip():
     parser = build_parser()
     args = parser.parse_args(
-        ["metrics", "--site", "1", "--check", "--out", "m.prom",
-         "--base-port", "7750", "--metrics-base-port", "9750"])
-    assert args.command == "metrics"
-    assert args.site == 1
-    assert args.check
-    assert args.out == "m.prom"
-    assert args.metrics_base_port == 9750
-
-    args = parser.parse_args(
         ["monitor", "--interval", "0.2", "--duration", "3",
          "--alerts", "alerts.jsonl", "--check", "--lag-warn", "2",
          "--lag-slo", "8", "--stuck-deadline", "1.5",
@@ -372,17 +362,19 @@ def test_metrics_monitor_top_args_round_trip():
     assert args.interval == 0.4
     assert args.iterations == 2
 
-    args = parser.parse_args(["loadgen", "--monitor"])
-    assert args.monitor
+    # The scrape and profiler subcommands are gone, and the load
+    # generator always carries its watchdog.
+    for argv in (["metrics"], ["profile"], ["loadgen", "--monitor"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
 
 
 def test_monitoring_commands_against_live_cluster(tmp_path):
     """The monitoring plane end to end over real server processes:
-    `metrics --check` validates every exposition, `monitor --check`
-    exits 0 while the cluster is healthy, `top --once` renders a
-    non-TTY snapshot — then one member is killed and `monitor --check`
-    flips to a non-zero exit with a critical alert naming the dead
-    site (the acceptance scenario)."""
+    `monitor --check` exits 0 while the cluster is healthy, `top --once`
+    renders a non-TTY snapshot — then one member is killed and
+    `monitor --check` flips to a non-zero exit with a critical alert
+    naming the dead site (the acceptance scenario)."""
     import json
     import os
     import signal
@@ -413,11 +405,6 @@ def test_monitoring_commands_against_live_cluster(tmp_path):
                 break
             time.sleep(0.25)
         assert code == 0
-
-        code, output = run_cli("metrics", "--check", *cluster)
-        assert code == 0, output
-        assert "all 3 exposition(s) format-valid" in output
-        assert "repro_obs_enabled" in output
 
         alerts = tmp_path / "alerts.jsonl"
         code, output = run_cli(
@@ -465,18 +452,6 @@ def test_monitoring_commands_against_live_cluster(tmp_path):
                 proc.wait()
 
 
-def test_loadgen_no_obs_disables_telemetry(tmp_path):
-    code, output = run_cli(
-        "loadgen", "--spawn", "--no-obs", "--seed", "3",
-        "--base-port", "7570", "--sites", "3", "--items", "12",
-        "--replication", "0.8", "--threads", "2", "--txns", "4",
-        "--wal-dir", str(tmp_path))
-    assert code == 0, output
-    assert "propagation:" not in output
-    assert "replica lag:" not in output
-    assert list(tmp_path.glob("*.trace")) == []
-
-
 def test_dump_and_postmortem_args_round_trip():
     parser = build_parser()
     args = parser.parse_args(
@@ -495,14 +470,12 @@ def test_dump_and_postmortem_args_round_trip():
     args = parser.parse_args(
         ["postmortem", "bundles/", "extra.jsonl", "--check",
          "--injections", "inj.json", "--json", "analysis.json",
-         "--export-chrome", "incident.trace.json",
          "--timeline-limit", "25"])
     assert args.command == "postmortem"
     assert args.bundles == ["bundles/", "extra.jsonl"]
     assert args.check
     assert args.injections == "inj.json"
     assert args.json == "analysis.json"
-    assert args.export_chrome == "incident.trace.json"
     assert args.timeline_limit == 25
 
     args = parser.parse_args(
@@ -525,7 +498,7 @@ def test_dump_and_postmortem_args_round_trip():
 
 def test_postmortem_cli_offline_roundtrip(tmp_path):
     """`repro postmortem` over crafted bundles: report + schema check
-    + JSON + Chrome export, all offline (no cluster)."""
+    + JSON, all offline (no cluster)."""
     import json
 
     from repro.obs.flight import FlightRecorder
@@ -537,11 +510,9 @@ def test_postmortem_cli_offline_roundtrip(tmp_path):
     recorder.dump("drill", out_dir=str(tmp_path))
 
     analysis_path = tmp_path / "analysis.json"
-    chrome_path = tmp_path / "incident.trace.json"
     code, output = run_cli(
         "postmortem", str(tmp_path), "--check",
-        "--json", str(analysis_path),
-        "--export-chrome", str(chrome_path))
+        "--json", str(analysis_path))
     assert code == 0, output
     assert "all 1 bundle(s) schema-valid" in output
     assert "postmortem: 1 bundle(s) from s0 (missing: s1)" in output
@@ -552,9 +523,6 @@ def test_postmortem_cli_offline_roundtrip(tmp_path):
     assert analysis["missing_sites"] == [1]
     assert analysis["findings"][0]["kind"] == "site-down"
     assert not any(key.startswith("_") for key in analysis)
-    document = json.loads(chrome_path.read_text())
-    assert any(event.get("ph") == "i"
-               for event in document["traceEvents"])
 
     # A damaged bundle fails --check with a non-zero exit.
     (tmp_path / "flight-s1-001.jsonl").write_text("not json\n")

@@ -19,6 +19,7 @@ as if the crash never happened.
 """
 
 import asyncio
+import dataclasses
 import os
 import threading
 
@@ -53,6 +54,7 @@ from repro.types import (
 )
 from repro.workload.generator import TransactionGenerator
 from repro.workload.params import WorkloadParams
+from tests.helpers import free_base_port
 
 #: Seed 3 yields a DAG copy graph for these parameters (required by
 #: DAG(WT)); seed 5's graph has back edges (exercised by BackEdge).
@@ -63,9 +65,9 @@ PARAMS = WorkloadParams(n_sites=3, n_items=12,
                         deadlock_timeout=0.05)
 
 
-def make_spec(protocol, seed, base_port):
+def make_spec(protocol, seed):
     return ClusterSpec(params=PARAMS, protocol=protocol, seed=seed,
-                       base_port=base_port)
+                       base_port=free_base_port(PARAMS.n_sites))
 
 
 async def start_cluster(spec, wal_dir=None):
@@ -86,13 +88,13 @@ async def stop_cluster(servers, client):
         await server.stop()
 
 
-@pytest.mark.parametrize("protocol,seed,base_port", [
-    ("dag_wt", 3, 7510),
-    ("backedge", 5, 7515),
+@pytest.mark.parametrize("protocol,seed", [
+    ("dag_wt", 3),
+    ("backedge", 5),
 ])
 def test_live_mixed_workload_converges_and_serializes(
-        protocol, seed, base_port, tmp_path):
-    spec = make_spec(protocol, seed, base_port)
+        protocol, seed, tmp_path):
+    spec = make_spec(protocol, seed)
 
     async def scenario():
         servers, client = await start_cluster(spec,
@@ -122,16 +124,16 @@ def test_live_batched_run_converges_and_keeps_pace(tmp_path):
     pace with the unbatched baseline.
 
     The threshold is deliberately noise-tolerant (0.7x) — tier-1 must
-    not flake on a loaded CI box; the strict >= 2x assertion lives in
-    ``benchmarks/bench_live_cluster.py`` where fsync durability makes
-    the amortization the bottleneck under test."""
+    not flake on a loaded CI box; what batching buys under fsync is the
+    ledger's to measure (``benchmarks/ledger/run.py``)."""
     params = PARAMS.replaced(threads_per_site=3,
                              transactions_per_thread=12,
                              read_txn_probability=0.1)
 
-    def run(batch, base_port, wal_dir):
+    def run(batch, wal_dir):
         spec = ClusterSpec(params=params, protocol="dag_wt", seed=3,
-                           base_port=base_port, batch=batch)
+                           base_port=free_base_port(params.n_sites),
+                           batch=batch)
 
         async def scenario():
             servers, client = await start_cluster(spec,
@@ -146,8 +148,8 @@ def test_live_batched_run_converges_and_keeps_pace(tmp_path):
 
     os.mkdir(os.path.join(str(tmp_path), "plain"))
     os.mkdir(os.path.join(str(tmp_path), "batched"))
-    baseline = run(1, 7530, os.path.join(str(tmp_path), "plain"))
-    batched = run(32, 7535, os.path.join(str(tmp_path), "batched"))
+    baseline = run(1, os.path.join(str(tmp_path), "plain"))
+    batched = run(32, os.path.join(str(tmp_path), "batched"))
 
     expected = (params.n_sites * params.threads_per_site *
                 params.transactions_per_thread)
@@ -172,16 +174,18 @@ def test_live_batched_run_converges_and_keeps_pace(tmp_path):
 #: are gone everywhere else.
 APPLY_WORKERS = "apply" + "_workers"
 MEMBER_OVERRIDES = "member" + "_overrides"
+SCRAPE_PORT = "metrics" + "_base_port"
 
 
 def test_deleted_knobs_are_not_spec_fields_and_old_files_still_load():
-    """``wire_format`` and the apply-worker count are not constructor
-    arguments, are not serialised, and a spec or chaos scenario written
-    by a build that had them (plus per-member overrides) loads with the
-    cluster identity it always had."""
+    """``wire_format``, the apply-worker count, the obs switch and the
+    scrape port are not constructor arguments, are not serialised, and
+    a spec or chaos scenario written by a build that had them (plus
+    per-member overrides) loads with the cluster identity it always
+    had."""
     from repro.chaos.controller import ChaosScenario
 
-    for removed in ("wire_format", APPLY_WORKERS):
+    for removed in ("wire_format", APPLY_WORKERS, "obs", SCRAPE_PORT):
         with pytest.raises(TypeError):
             ClusterSpec(**{removed: 1})
         assert removed not in ClusterSpec().to_json()
@@ -191,8 +195,9 @@ def test_deleted_knobs_are_not_spec_fields_and_old_files_still_load():
     # Pinned literal: the default 3-site spec's fingerprint before the
     # knobs were deleted.  It never hashed them, so it cannot move.
     assert default.fingerprint() == "6bcb6038c29c86b8"
-    old_spec = dict(default.to_json(), wire_format="binary")
+    old_spec = dict(default.to_json(), wire_format="binary", obs=False)
     old_spec[APPLY_WORKERS] = 4
+    old_spec[SCRAPE_PORT] = 9750
     loaded = ClusterSpec.from_json(old_spec)
     assert loaded == default
     assert loaded.fingerprint() == "6bcb6038c29c86b8"
@@ -208,10 +213,8 @@ def test_mixed_batched_and_unbatched_members_interoperate(tmp_path):
     from the cluster fingerprint: a batched site and unbatched sites
     must form one cluster (the wire is self-describing) and still pass
     both oracles."""
-    batched_spec = ClusterSpec(params=PARAMS, protocol="dag_wt",
-                               seed=3, base_port=7540, batch=32)
-    plain_spec = ClusterSpec(params=PARAMS, protocol="dag_wt",
-                             seed=3, base_port=7540, batch=1)
+    plain_spec = make_spec("dag_wt", 3)
+    batched_spec = dataclasses.replace(plain_spec, batch=32)
     assert batched_spec.fingerprint() == plain_spec.fingerprint()
 
     async def scenario():
@@ -241,7 +244,7 @@ def test_dag_wt_survives_kill_and_wal_restart(tmp_path):
     """The acceptance scenario: a replica site is killed mid-workload
     and restarted from stable storage; convergence and an acyclic DSG
     must still hold over the full run."""
-    spec = make_spec("dag_wt", 3, 7520)
+    spec = make_spec("dag_wt", 3)
     placement = spec.build_placement()
     victim = 2
 
@@ -303,7 +306,7 @@ def test_dag_wt_survives_kill_and_wal_restart(tmp_path):
 def test_recovered_site_keeps_serving_transactions(tmp_path):
     """After a WAL restart the victim accepts new primaries and its
     updates propagate — the rejoin is full, not read-only."""
-    spec = make_spec("dag_wt", 3, 7525)
+    spec = make_spec("dag_wt", 3)
     placement = spec.build_placement()
     victim = 2
 
@@ -361,7 +364,7 @@ def test_stats_trace_wire_ops_and_durability_status(tmp_path):
     from repro.obs import (propagation_summary, reconstruct,
                            validate_snapshot)
 
-    spec = make_spec("dag_wt", 3, 7545)
+    spec = make_spec("dag_wt", 3)
 
     async def scenario():
         servers, client = await start_cluster(spec,
@@ -380,7 +383,6 @@ def test_stats_trace_wire_ops_and_durability_status(tmp_path):
     # -- stats op: schema-valid, hot-path instruments populated.
     committed = frames = 0
     for site, response in stats.items():
-        assert response["obs"] is True
         validate_snapshot(response["stats"])
         snapshot = response["stats"]
         assert snapshot["enabled"] is True
@@ -398,7 +400,6 @@ def test_stats_trace_wire_ops_and_durability_status(tmp_path):
     summary = propagation_summary(reconstruct(spans))
     assert summary["propagating"] > 0
     assert summary["complete"] == summary["propagating"]
-    assert report.obs
     assert report.propagation["complete"] == summary["complete"]
     assert report.propagation["p50"] <= report.propagation["p95"] \
         <= report.propagation["max"]
@@ -417,64 +418,9 @@ def test_stats_trace_wire_ops_and_durability_status(tmp_path):
         assert status["journal"]["records"] == \
             status["journal_records"]
         assert status["apply_queue_hwm"] >= 0
-        assert status["obs"] is True
+        assert "obs" not in status
         assert "wire_format" not in status
         assert APPLY_WORKERS not in status
-
-
-def test_mixed_obs_and_plain_members_interoperate(tmp_path):
-    """``obs`` is a per-process knob excluded from the fingerprint: an
-    instrumented member and plain members form one cluster, stamped
-    frames decode identically on both, and the plain member exposes a
-    disabled (stateless, still schema-valid) stats snapshot."""
-    from repro.obs import validate_snapshot
-
-    obs_spec = ClusterSpec(params=PARAMS, protocol="dag_wt", seed=3,
-                           base_port=7550, obs=True)
-    plain_spec = ClusterSpec(params=PARAMS, protocol="dag_wt", seed=3,
-                             base_port=7550, obs=False)
-    assert obs_spec.fingerprint() == plain_spec.fingerprint()
-
-    async def scenario():
-        servers = {}
-        for site in range(PARAMS.n_sites):
-            spec = plain_spec if site == 0 else obs_spec
-            servers[site] = SiteServer(
-                spec, site,
-                wal_path=os.path.join(str(tmp_path),
-                                      "site{}.wal".format(site)))
-            await servers[site].start()
-        client = ClusterClient(obs_spec, timeout=5.0)
-        await client.wait_ready()
-        try:
-            report = await generate_load(obs_spec, client, verify=True)
-            stats = await client.stats_all()
-            traces = {site: await client.trace(site)
-                      for site in range(PARAMS.n_sites)}
-            return report, stats, traces
-        finally:
-            await stop_cluster(servers, client)
-
-    report, stats, traces = asyncio.run(scenario())
-    assert report.committed > 0
-    assert report.unknown == 0
-    assert report.convergent
-    assert report.serializable
-
-    # The plain member records nothing and serves the empty snapshot...
-    assert stats[0]["obs"] is False
-    assert stats[0]["stats"]["enabled"] is False
-    assert stats[0]["stats"]["counters"] == {}
-    validate_snapshot(stats[0]["stats"])
-    assert traces[0]["spans"] == []
-    # ...while instrumented members observed real traffic, including
-    # frames from the un-stamped member (re-derived from the payload).
-    assert stats[1]["stats"]["counters"]["server.frames_decoded"] > 0
-    received_from_plain = [
-        span for span in traces[1]["spans"] + traces[2]["spans"]
-        if span["event"] == "received" and span.get("peer") == 0]
-    assert received_from_plain
-    assert all(span.get("trace") for span in received_from_plain)
 
 
 def test_trace_ids_survive_kill_restart_and_catchup(tmp_path):
@@ -489,7 +435,7 @@ def test_trace_ids_survive_kill_restart_and_catchup(tmp_path):
     from repro.obs import propagation_summary, reconstruct
     from repro.obs.trace import load_trace_file
 
-    spec = make_spec("dag_wt", 3, 7555)
+    spec = make_spec("dag_wt", 3)
     placement = spec.build_placement()
     victim = 2
 
@@ -561,6 +507,33 @@ def test_trace_ids_survive_kill_restart_and_catchup(tmp_path):
     assert summary["complete"] == summary["propagating"], summary
 
 
+class RecordingWriter:
+    """The writer half of a peer connection, for driving
+    ``SiteServer._apply_loop`` without a socket."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def write(self, data):
+        self.data += data
+
+    async def drain(self):
+        pass
+
+    async def acks(self):
+        """Sequence numbers of the ack frames written so far."""
+        reader = asyncio.StreamReader()
+        reader.feed_data(bytes(self.data))
+        reader.feed_eof()
+        seqs = []
+        while True:
+            frame = await read_frame(reader)
+            if frame is None:
+                return seqs
+            assert frame["kind"] == "ack"
+            seqs.append(frame["seq"])
+
+
 def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
     """The apply loop works in rounds: every frame already queued on a
     connection is accepted in order, then ONE journal sync, ONE drive
@@ -568,7 +541,7 @@ def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
     not a byte of that ack is written before the sync completes
     (journal-then-ack).  The journal's sync is gated so the test, not
     the disk, decides when the round becomes durable."""
-    spec = make_spec("dag_wt", 3, 7560)  # the chain s0 -> s1 -> s2
+    spec = make_spec("dag_wt", 3)  # the chain s0 -> s1 -> s2
     placement = spec.build_placement()
     item = next(item for item in sorted(placement.items)
                 if placement.primary_site(item) == 0
@@ -582,28 +555,6 @@ def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
     def msg_frame(seq):
         return {"kind": "msg", "inc": "inc-a", "seq": seq,
                 "msg": encode_message(secondary(seq))}
-
-    class RecordingWriter:
-        def __init__(self):
-            self.data = bytearray()
-
-        def write(self, data):
-            self.data += data
-
-        async def drain(self):
-            pass
-
-    async def acks(writer):
-        reader = asyncio.StreamReader()
-        reader.feed_data(bytes(writer.data))
-        reader.feed_eof()
-        seqs = []
-        while True:
-            frame = await read_frame(reader)
-            if frame is None:
-                return seqs
-            assert frame["kind"] == "ack"
-            seqs.append(frame["seq"])
 
     async def settle(predicate):
         for _ in range(2000):
@@ -641,7 +592,7 @@ def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
                     msg_frame(5), msg_frame(6)):
                 queue.put_nowait((0.0, 0.0, frame))
             task = asyncio.get_running_loop().create_task(
-                server._apply_loop(queue, writer))
+                server._apply_loop(queue, writer, 0))
             # The sync was submitted before the loop first yielded (it
             # overlaps the drive), and blocks on the gate: all six are
             # applied, none is durable, so nothing may have been acked.
@@ -656,7 +607,7 @@ def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
             gate.set()
             await settle(lambda: writer.data)
             assert journal.syncs == 1
-            assert await acks(writer) == [6]
+            assert await writer.acks() == [6]
 
             # A resend overlapping the acked range plus one new entry:
             # duplicates are dropped by the dedup filter but still
@@ -670,7 +621,7 @@ def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
                 queue.put_nowait((0.0, 0.0, frame))
             queue.put_nowait(None)
             await asyncio.wait_for(task, 10.0)
-            assert await acks(writer) == [6, 7, 7]
+            assert await writer.acks() == [6, 7, 7]
             assert journal.appended == 7 and journal.syncs == 2
             assert engine.item(item).committed_version == 7
             assert server.transport.dedup_dropped == 4
@@ -679,6 +630,55 @@ def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
             await server.stop()
 
     asyncio.run(scenario())
+
+
+def test_malformed_peer_frame_is_dropped_into_the_flight_ring():
+    """A peer frame whose body does not decode is dropped as a
+    structured flight-recorder event naming the peer and the error —
+    not a line on stderr — and the rest of its round still applies and
+    is acked."""
+    spec = make_spec("dag_wt", 3)  # the chain s0 -> s1 -> s2
+    placement = spec.build_placement()
+    item = next(item for item in sorted(placement.items)
+                if placement.primary_site(item) == 0
+                and 1 in placement.replica_sites(item))
+
+    def msg_frame(seq):
+        return {"kind": "msg", "inc": "inc-a", "seq": seq,
+                "msg": encode_message(Message(
+                    MessageType.SECONDARY, src=0, dst=1, payload={
+                        "gid": GlobalTransactionId(0, seq),
+                        "writes": {item: 100 + seq},
+                        "epoch": spec.epoch}))}
+
+    async def scenario():
+        server = SiteServer(spec, 1)
+        await server.start()
+        try:
+            queue = asyncio.Queue()
+            writer = RecordingWriter()
+            for frame in (msg_frame(1),
+                          {"kind": "batch", "inc": "inc-a",
+                           "msgs": "not a list"},
+                          msg_frame(2)):
+                queue.put_nowait((0.0, 0.0, frame))
+            queue.put_nowait(None)
+            await asyncio.wait_for(
+                server._apply_loop(queue, writer, 0), 10.0)
+            engine = server.system.site_of(1).engine
+            assert engine.item(item).committed_version == 2
+            assert await writer.acks() == [2]
+            _manifest, records = server.flight.gather("test")
+            return [record for record in records
+                    if record["type"] == "event"
+                    and record["kind"] == "malformed-peer-frame"]
+        finally:
+            await server.stop()
+
+    dropped = asyncio.run(scenario())
+    assert len(dropped) == 1
+    assert dropped[0]["peer"] == 0
+    assert "batch frame without a msgs list" in dropped[0]["error"]
 
 
 def _write_txn(site, seq, item):
@@ -691,7 +691,7 @@ def test_catchup_reply_with_one_misaligned_item_changes_nothing():
     not at all: one entry whose tail does not extend the local lineage
     drops the entire reply (the coordinator re-pulls), it does not
     install the entries around it."""
-    spec = make_spec("dag_wt", 3, 7565)  # the chain s0 -> s1 -> s2
+    spec = make_spec("dag_wt", 3)  # the chain s0 -> s1 -> s2
     placement = spec.build_placement()
     good, bad = [item for item in sorted(placement.items)
                  if placement.primary_site(item) == 0
@@ -739,7 +739,7 @@ def test_kernel_exception_fail_stops_the_site_and_survivors_converge(
     what committed."""
     from repro.cluster.client import ClusterError
 
-    spec = make_spec("dag_wt", 3, 7570)
+    spec = make_spec("dag_wt", 3)
     placement = spec.build_placement()
     victim = 2
     survivors = (0, 1)
@@ -809,7 +809,7 @@ def test_commit_time_is_stamped_at_arrival_not_at_the_previous_drive():
     (no timed event has advanced the clock since start) a transaction
     submitted after a 50 ms pause commits at >= 50 ms, not at the
     instant of the last drive."""
-    spec = make_spec("dag_wt", 3, 7575)
+    spec = make_spec("dag_wt", 3)
     placement = spec.build_placement()
     item = sorted(placement.primary_items_at(0))[0]
     pause = 0.05

@@ -1,25 +1,16 @@
-"""Critical-path latency attribution, Chrome trace export, the
-sampling profiler, and the observability pieces riding with them
-(:mod:`repro.obs.reconstruct` attribution, :mod:`repro.obs.export`,
-:mod:`repro.obs.profiler`, the dashboard stage column and the
-``stage-regression`` watchdog rule).
+"""Critical-path latency attribution and the observability pieces
+riding with it (:mod:`repro.obs.reconstruct` attribution, the trace
+sink's shutdown flush, the dashboard stage column).
 
-All synthetic — no sockets.  The live acceptance criteria (components
-summing to end-to-end latency on a real 3-site run, the obs-overhead
-budget) ride with ``bench_live_cluster.py``; the ``profile`` wire op
-is exercised in ``test_live_cluster.py``/CLI smoke.
+All synthetic — no sockets.
 """
 
-import asyncio
 import os
 import time
 
 import pytest
 
 from repro.obs.dashboard import Dashboard, top_stage
-from repro.obs.export import chrome_trace, validate_chrome_trace
-from repro.obs.monitor import MonitorConfig
-from repro.obs.profiler import SamplingProfiler, collapse_frame
 from repro.obs.reconstruct import (
     HOP_COMPONENTS,
     attribute_tree,
@@ -30,14 +21,7 @@ from repro.obs.reconstruct import (
     reconstruct,
 )
 from repro.obs.trace import TraceSink, load_trace_file
-from tests.test_obs_monitor import (
-    StubClient,
-    make_spec,
-    stats_frame,
-    stub_watchdog,
-    uniform_versions,
-    wal_hist,
-)
+from tests.test_obs_monitor import StubClient, make_spec
 
 
 def attributed_spans():
@@ -94,7 +78,7 @@ def test_hop_components_partition_the_hop_delay():
 
 
 def test_hop_attribution_degrades_without_forward_span():
-    """An obs-off sender emits no ``forwarded`` span: the receiver
+    """A sender whose ``forwarded`` span is lost: the receiver
     side stays measurable, the rest banks in ``unattributed``."""
     spans = [
         {"t": 1.0, "site": 0, "event": "committed", "trace": "t0.2",
@@ -155,7 +139,7 @@ def test_critical_path_telescopes_to_end_to_end_delay():
 
 def test_attribution_summary_coverage_and_format():
     spans = attributed_spans() + [
-        # A second tree with an obs-off sender: only apply measured.
+        # A second tree without its forward span: only apply measured.
         {"t": 5.0, "site": 0, "event": "committed", "trace": "t0.4",
          "expected": [1]},
         {"t": 5.8, "site": 1, "event": "received", "trace": "t0.4"},
@@ -188,8 +172,9 @@ def test_attribution_summary_coverage_and_format():
 
 
 def test_attribution_survives_torn_files_and_mixed_members(tmp_path):
-    """Satellite (c): span files from a crashed writer plus obs-off
-    members reconstruct into *partial* attribution, never an error."""
+    """Satellite (c): span files from a crashed writer plus members
+    whose spans are missing reconstruct into *partial* attribution,
+    never an error."""
     path = str(tmp_path / "site0.trace")
     sink = TraceSink(site_id=0, path=path, flush_every=1)
     for span in attributed_spans():
@@ -202,7 +187,8 @@ def test_attribution_survives_torn_files_and_mixed_members(tmp_path):
         handle.write('{"t": 9.0, "site": 0, "ev')  # torn tail
 
     spans = load_trace_file(path)
-    # Receiver sites ran --no-obs: only a late catch-up is visible.
+    # The receiver sites' span files are lost: only a late catch-up
+    # is visible.
     spans.append({"t": time.time() + 5.0, "site": 2,
                   "event": "caught-up", "traces": ["t0.1"]})
     summary = attribution_summary(reconstruct(spans))
@@ -210,113 +196,6 @@ def test_attribution_survives_torn_files_and_mixed_members(tmp_path):
     assert summary["attributed_hops"] == 0
     assert summary["coverage"] == pytest.approx(0.0)
     assert format_attribution(summary)  # renders without detail
-
-
-# ----------------------------------------------------------------------
-# Chrome/Perfetto export
-# ----------------------------------------------------------------------
-
-def test_chrome_trace_is_valid_and_complete():
-    spans = attributed_spans()
-    document = chrome_trace(spans)
-    assert validate_chrome_trace(document) == []
-    events = document["traceEvents"]
-    assert document["displayTimeUnit"] == "ms"
-
-    metadata = [event for event in events if event["ph"] == "M"]
-    assert {event["name"] for event in metadata} == \
-        {"process_name", "thread_name"}
-    assert {event["pid"] for event in metadata} == {0, 1, 2}
-
-    instants = [event for event in events if event["ph"] == "i"]
-    assert len(instants) == len(spans)
-    assert all(event["tid"] == 1 for event in instants)  # one trace
-
-    segments = [event for event in events if event["ph"] == "X"]
-    # 4 positive components on the direct hop + 3 on the relay hop.
-    assert len(segments) == 7
-    assert {event["name"] for event in segments} <= set(HOP_COMPONENTS)
-    assert all(event["dur"] >= 1 for event in segments)
-    wire = [event for event in segments
-            if event["name"] == "wire" and event["pid"] == 1]
-    assert wire[0]["ts"] == 40000 and wire[0]["dur"] == 20000
-
-
-def test_chrome_trace_skips_unusable_spans_and_lanes_untraced():
-    spans = [
-        {"site": 0, "event": "no-timestamp"},
-        {"t": 1.0, "event": "no-site"},
-        {"t": 1.0, "site": 0, "event": "committed"},  # untraced
-    ]
-    document = chrome_trace(spans)
-    assert validate_chrome_trace(document) == []
-    instants = [event for event in document["traceEvents"]
-                if event["ph"] == "i"]
-    assert len(instants) == 1
-    assert instants[0]["tid"] == 0  # the untraced lane
-
-
-def test_validate_chrome_trace_flags_problems():
-    assert validate_chrome_trace([]) == ["document is not an object"]
-    assert validate_chrome_trace({}) == ["traceEvents is not a list"]
-    bad = {"traceEvents": [
-        {"ph": "i", "name": "a", "pid": 0, "tid": 0, "ts": 10},
-        {"ph": "i", "name": "b", "pid": 0, "tid": 0, "ts": 5},
-        {"ph": "X", "name": "c", "pid": 0, "tid": 0, "ts": 6},
-        {"ph": "i", "pid": 0, "tid": 0, "ts": 7},
-    ]}
-    problems = validate_chrome_trace(bad)
-    assert any("decreases" in problem for problem in problems)
-    assert any("without int dur" in problem for problem in problems)
-    assert any("missing 'name'" in problem for problem in problems)
-
-
-# ----------------------------------------------------------------------
-# Sampling profiler
-# ----------------------------------------------------------------------
-
-def test_profiler_collects_collapsed_stacks():
-    profiler = SamplingProfiler(interval=0.001)
-    assert profiler.interval == 0.001
-    profiler.start()
-    profiler.start()  # idempotent
-    assert profiler.running
-    deadline = time.monotonic() + 2.0
-    while profiler.samples < 3 and time.monotonic() < deadline:
-        sum(range(10000))
-    profiler.stop()
-    profiler.stop()  # idempotent
-    assert not profiler.running
-    assert profiler.samples >= 3
-    assert 0.0 < profiler.duration_s <= 2.5
-
-    stacks = profiler.top_stacks()
-    assert stacks and sum(stacks.values()) == profiler.samples
-    for stack in stacks:
-        # Root-first module:function frames, profiler's own excluded.
-        assert "repro.obs.profiler" not in stack
-        assert all(":" in label for label in stack.split(";"))
-
-    collapsed = profiler.collapsed()
-    lines = collapsed.strip().splitlines()
-    assert len(lines) == len(stacks)
-    stack, count = lines[0].rsplit(" ", 1)
-    assert stack in stacks and int(count) == max(stacks.values())
-
-    snapshot = profiler.snapshot()
-    assert snapshot["running"] is False
-    assert snapshot["samples"] == profiler.samples
-
-
-def test_profiler_interval_floor_and_skip_modules():
-    assert SamplingProfiler(interval=0.0).interval == 0.0005
-    import sys
-    frame = sys._getframe()
-    stack = collapse_frame(frame)
-    assert stack is not None
-    assert stack.endswith(
-        "test_obs_attribution:"
-        "test_profiler_interval_floor_and_skip_modules")
 
 
 # ----------------------------------------------------------------------
@@ -363,16 +242,16 @@ def test_top_stage_picks_dominant_p95_share():
 
 
 def test_dashboard_render_shows_stage_breakdown():
-    dashboard = Dashboard(make_spec(7760), client=StubClient())
+    dashboard = Dashboard(make_spec(), client=StubClient())
 
     def row(site, stage):
         return {"site": site, "up": True, "commit_rate": 1.0,
                 "abort_rate": 0.0, "queue": 0, "queue_hwm": 0,
                 "lag": 0, "drive_p95_s": None, "wal_p95_s": None,
-                "top_stage": stage, "spark": ""}
+                "top_stage": stage}
 
     model = {"t": time.time(), "elapsed": 1.0, "down": [],
-             "total_commit_rate": 1.0, "spark": "",
+             "total_commit_rate": 1.0,
              "propagation": None, "alerts": [],
              "rows": [row(0, ("apply", 0.62)), row(1, None)]}
     text = dashboard.render(model)
@@ -380,66 +259,6 @@ def test_dashboard_render_shows_stage_breakdown():
                   if line.startswith("site"))
     assert "stage" in header
     assert "apply 62%" in text
-    # A plain (--no-obs) member renders a dash, not a crash.
+    # A member with no stage samples renders a dash, not a crash.
     assert any("-" in line for line in text.splitlines()
                if line.startswith("s1"))
-
-
-# ----------------------------------------------------------------------
-# stage-regression watchdog rule (satellite f)
-# ----------------------------------------------------------------------
-
-def test_stage_regression_fires_on_profile_shift():
-    config = MonitorConfig(stage_regression_factor=2.0,
-                           stage_floor_s=0.002, trace_limit=0,
-                           convergence_every=0)
-    spec, client, watchdog = stub_watchdog(config, base_port=7765)
-    client.set("versions", uniform_versions(spec, 5))
-
-    def poll_with(apply_counts, write_counts):
-        client.set("stats", {0: stats_frame(0, histograms={
-            "server.apply_s": wal_hist(apply_counts),
-            "server.write_s": wal_hist(write_counts)})})
-        return asyncio.run(watchdog.poll_once())
-
-    # First sight: snapshots recorded, no window yet.
-    assert poll_with([0, 0, 0, 10], [10, 0, 0, 0]) == []
-    # Baseline window: apply dominates (p95 64 ms), write is ~1.5 %.
-    assert poll_with([0, 0, 0, 20], [20, 0, 0, 0]) == []
-    # Steady profile: no alert.
-    assert poll_with([0, 0, 0, 30], [30, 0, 0, 0]) == []
-    # The write stage jumps to half the windowed stage p95 — far past
-    # 2x its baseline share — while apply (still dominant in absolute
-    # terms, but *shrinking* in share) stays quiet.
-    fired = poll_with([0, 0, 0, 40], [30, 0, 0, 10])
-    assert [(alert.rule, alert.site, alert.severity)
-            for alert in fired] == \
-        [("stage-regression:write", 0, "warning")]
-    assert fired[0].evidence["stage"] == "write"
-    assert fired[0].evidence["share"] == pytest.approx(0.5)
-    assert fired[0].evidence["window_p95_s"] == pytest.approx(0.064)
-    assert "write" in fired[0].message
-
-    # Persisting condition deduplicates into the same alert.
-    assert poll_with([0, 0, 0, 50], [30, 0, 0, 20]) == []
-    assert watchdog.alerts[("stage-regression:write", 0)].count == 2
-
-
-def test_stage_regression_respects_floor():
-    """Sub-floor p95s never alert, whatever their share does."""
-    config = MonitorConfig(stage_regression_factor=2.0,
-                           stage_floor_s=0.1, trace_limit=0,
-                           convergence_every=0)
-    spec, client, watchdog = stub_watchdog(config, base_port=7770)
-    client.set("versions", uniform_versions(spec, 5))
-
-    def poll_with(apply_counts, write_counts):
-        client.set("stats", {0: stats_frame(0, histograms={
-            "server.apply_s": wal_hist(apply_counts),
-            "server.write_s": wal_hist(write_counts)})})
-        return asyncio.run(watchdog.poll_once())
-
-    poll_with([0, 0, 0, 10], [10, 0, 0, 0])
-    poll_with([0, 0, 0, 20], [20, 0, 0, 0])
-    assert poll_with([0, 0, 0, 30], [20, 0, 0, 10]) == []
-    assert not watchdog.alerts

@@ -2,8 +2,7 @@
 validation, and the ``dump`` wire op on a live cluster.
 
 The unit tests drive :class:`~repro.obs.flight.FlightRecorder`
-directly — ring bounds, checkpoint deltas, degraded (obs-off) and
-damaged bundles.  The live tests boot a real 3-site cluster and prove
+directly — ring bounds, checkpoint deltas, damaged bundles.  The live tests boot a real 3-site cluster and prove
 the acceptance property: a dump taken *under load* runs off the event
 loop, so every transaction still gets its ack and the convergence /
 serializability oracles stay green while bundles land on disk.
@@ -28,6 +27,7 @@ from repro.obs.flight import (
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import TraceSink
 from repro.workload.params import WorkloadParams
+from tests.helpers import free_base_port
 
 PARAMS = WorkloadParams(n_sites=3, n_items=12,
                         replication_probability=0.8,
@@ -36,9 +36,9 @@ PARAMS = WorkloadParams(n_sites=3, n_items=12,
                         deadlock_timeout=0.05)
 
 
-def make_spec(base_port):
+def make_spec():
     return ClusterSpec(params=PARAMS, protocol="dag_wt", seed=3,
-                       base_port=base_port)
+                       base_port=free_base_port(PARAMS.n_sites))
 
 
 # ----------------------------------------------------------------------
@@ -83,8 +83,6 @@ def test_checkpoint_records_counter_deltas_and_gauges():
 
 def test_checkpoint_is_noop_without_live_metrics():
     assert FlightRecorder(0).checkpoint() is None
-    disabled = MetricsRegistry(enabled=False)
-    assert FlightRecorder(0, metrics=disabled).checkpoint() is None
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +112,6 @@ def test_dump_writes_valid_bundle_atomically(tmp_path):
     assert manifest["site"] == 0
     assert manifest["epoch"] == 2
     assert manifest["trigger"] == "unit-test"
-    assert manifest["obs"] is True
     assert manifest["cluster"]["protocol"] == "dag_wt"
     assert sum(manifest["counts"].values()) == len(records)
     assert len([r for r in records if r["type"] == "span"]) == 5
@@ -148,21 +145,6 @@ def test_raising_source_degrades_to_error_record(tmp_path):
     assert states["wal"]["error"] == "RuntimeError: disk gone"
     assert "state" not in states["wal"]
     assert states["watermarks"]["state"] == {"0": 1}
-
-
-def test_no_obs_bundle_is_degraded_but_valid(tmp_path):
-    recorder = FlightRecorder(1, trace=None,
-                              metrics=MetricsRegistry(enabled=False),
-                              cluster={"n_sites": 3, "obs": False})
-    recorder.add_source("watermarks", lambda: {"5": 9})
-    path = recorder.dump("no-obs", out_dir=str(tmp_path))
-    assert validate_bundle(path) == []
-    manifest, records = load_bundle(path)
-    assert manifest["obs"] is False
-    assert "span" not in manifest["counts"]
-    states = {record["name"]: record for record in records
-              if record["type"] == "state"}
-    assert states["watermarks"]["state"] == {"5": 9}
 
 
 def test_foreign_objects_degrade_to_repr(tmp_path):
@@ -213,7 +195,7 @@ async def start_cluster(spec):
 
 
 def test_dump_wire_op_on_live_cluster(tmp_path):
-    spec = make_spec(7775)
+    spec = make_spec()
 
     async def scenario():
         servers, client = await start_cluster(spec)
@@ -262,7 +244,7 @@ def test_dump_under_load_drops_no_acks(tmp_path):
     """Dumps fired while the workload runs: gathering happens on the
     loop but the file write is in the executor, so every transaction
     still gets a decision and the oracles stay green."""
-    spec = make_spec(7780)
+    spec = make_spec()
 
     async def scenario():
         servers, client = await start_cluster(spec)

@@ -2,10 +2,9 @@
 alerting on a real degraded cluster.
 
 The rule tests drive :class:`~repro.obs.monitor.Watchdog` through a
-stub client returning fabricated ``versions``/``stats``/``trace``/
-``status`` responses, so each alert rule (lag SLO, saturation, WAL
-regression, divergence, site-down, dedup/escalation) is checked
-deterministically.  The live tests boot a real 3-site cluster, verify
+stub client returning fabricated ``versions``/``trace``/``status``
+responses, so each alert rule (lag SLO, divergence, site-down,
+dedup/escalation) is checked deterministically.  The live tests boot a real 3-site cluster, verify
 a healthy run stays alert-free, then kill one site and assert the
 watchdog both notices the death and **localises the stuck propagation
 to the dead replica** via the trace trees — the acceptance criterion
@@ -16,8 +15,6 @@ import asyncio
 import json
 import time
 
-import pytest
-
 from repro.cluster.client import ClusterClient
 from repro.cluster.codec import encode_value
 from repro.cluster.loadgen import generate_load
@@ -27,6 +24,7 @@ from repro.obs.monitor import Alert, AlertSink, MonitorConfig, Watchdog
 from repro.types import GlobalTransactionId, Operation, OpType, \
     TransactionSpec
 from repro.workload.params import WorkloadParams
+from tests.helpers import free_base_port
 
 PARAMS = WorkloadParams(n_sites=3, n_items=12,
                         replication_probability=0.8,
@@ -35,9 +33,9 @@ PARAMS = WorkloadParams(n_sites=3, n_items=12,
                         deadlock_timeout=0.05)
 
 
-def make_spec(base_port):
+def make_spec():
     return ClusterSpec(params=PARAMS, protocol="dag_wt", seed=3,
-                       base_port=base_port)
+                       base_port=free_base_port(PARAMS.n_sites))
 
 
 class StubClient:
@@ -59,8 +57,8 @@ class StubClient:
                 list(self.unreachable.get(op, [])))
 
 
-def stub_watchdog(config=None, base_port=7735):
-    spec = make_spec(base_port)
+def stub_watchdog(config=None):
+    spec = make_spec()
     client = StubClient()
     watchdog = Watchdog(spec, client, config=config)
     return spec, client, watchdog
@@ -105,10 +103,14 @@ def test_healthy_poll_fires_nothing():
     spec, client, watchdog = stub_watchdog(MonitorConfig(
         trace_limit=0, convergence_every=0))
     client.set("versions", uniform_versions(spec, 5))
-    client.set("stats", {})
     fired = asyncio.run(watchdog.poll_once())
     assert fired == []
     assert watchdog.critical_count == 0
+    # With trace and convergence sampling off, a poll is exactly one
+    # ``versions`` fan-out, and its lag sample is readable afterwards.
+    assert [op for op, _fields in client.calls] == ["versions"]
+    assert watchdog.lags and set(watchdog.lags) == {0}
+    assert set(watchdog.lag_by_site.values()) == {0}
 
 
 def test_lag_slo_warns_then_escalates():
@@ -117,7 +119,6 @@ def test_lag_slo_warns_then_escalates():
     spec, client, watchdog = stub_watchdog(config)
     frames, primary, replica, item = lagged_pair(spec, lag=6)
     client.set("versions", frames)
-    client.set("stats", {})
     fired = asyncio.run(watchdog.poll_once())
     assert [alert.rule for alert in fired] == ["lag-slo"]
     alert = fired[0]
@@ -150,7 +151,6 @@ def test_lag_judged_from_last_known_versions_of_dead_replica():
     spec, client, watchdog = stub_watchdog(config)
     frames, _primary, replica, _item = lagged_pair(spec, lag=0)
     client.set("versions", frames)
-    client.set("stats", {})
     assert asyncio.run(watchdog.poll_once()) == []
 
     # The replica dies; primaries advance 20 versions past its last
@@ -172,7 +172,6 @@ def test_site_down_needs_consecutive_misses():
     healthy = uniform_versions(spec, 5)
     degraded = {site: frame for site, frame in healthy.items()
                 if site != 2}
-    client.set("stats", {})
     client.set("versions", degraded, unreachable=[2])
     assert asyncio.run(watchdog.poll_once()) == []  # one miss: not yet
     fired = asyncio.run(watchdog.poll_once())
@@ -189,62 +188,6 @@ def test_site_down_needs_consecutive_misses():
     assert watchdog.alerts[("site-down", 2)].count == before
 
 
-def stats_frame(site, gauges=None, histograms=None):
-    return {"ok": True, "site": site,
-            "stats": {"enabled": True, "counters": {},
-                      "gauges": gauges or {},
-                      "histograms": histograms or {}}}
-
-
-def test_apply_queue_saturation_needs_a_streak():
-    config = MonitorConfig(queue_saturation=8, queue_polls=3,
-                           trace_limit=0, convergence_every=0)
-    spec, client, watchdog = stub_watchdog(config)
-    client.set("versions", uniform_versions(spec, 5))
-    saturated = {0: stats_frame(0, gauges={
-        "server.apply_queue": {"value": 9, "high_water": 12}})}
-    client.set("stats", saturated)
-    assert asyncio.run(watchdog.poll_once()) == []
-    assert asyncio.run(watchdog.poll_once()) == []
-    fired = asyncio.run(watchdog.poll_once())
-    assert [(alert.rule, alert.site, alert.severity)
-            for alert in fired] == \
-        [("apply-queue-saturation", 0, "warning")]
-    assert fired[0].evidence["streak"] == 3
-
-
-def wal_hist(counts, edges=(0.001, 0.004, 0.064)):
-    total = sum(counts)
-    return {"buckets": list(edges), "counts": list(counts),
-            "count": total, "sum": 0.0, "min": 0.0,
-            "max": edges[-1]}
-
-
-def test_wal_sync_regression_compares_windows():
-    config = MonitorConfig(wal_regression_factor=4.0,
-                           wal_floor_s=0.002, trace_limit=0,
-                           convergence_every=0)
-    spec, client, watchdog = stub_watchdog(config)
-    client.set("versions", uniform_versions(spec, 5))
-
-    def poll_with(counts):
-        client.set("stats", {0: stats_frame(0, histograms={
-            "wal.sync_s": wal_hist(counts)})})
-        return asyncio.run(watchdog.poll_once())
-
-    # Baseline window: all syncs under 1 ms (p95 = 0.001).
-    assert poll_with([10, 0, 0, 0]) == []          # first sight
-    assert poll_with([30, 0, 0, 0]) == []          # baseline window
-    # Fast windows keep passing.
-    assert poll_with([60, 0, 0, 0]) == []
-    # A window whose p95 lands in the 64 ms bucket: 64x the baseline.
-    fired = poll_with([60, 0, 0, 20])
-    assert [(alert.rule, alert.site) for alert in fired] == \
-        [("wal-sync-regression", 0)]
-    assert fired[0].severity == "warning"
-    assert fired[0].evidence["window_p95_s"] == pytest.approx(0.064)
-
-
 def status_frame(site, items):
     return {"ok": True, "site": site, "items": encode_value(items)}
 
@@ -258,7 +201,6 @@ def test_divergence_same_version_different_value_is_critical():
     primary = placement.primary_site(item)
     replica = min(placement.replica_sites(item))
     client.set("versions", uniform_versions(spec, 5))
-    client.set("stats", {})
     statuses = {}
     for site in range(spec.params.n_sites):
         held = {it: {"version": 5, "value": "v5"}
@@ -282,13 +224,12 @@ def test_alert_sink_writes_first_fire_and_escalation_only(tmp_path):
     sink_path = tmp_path / "alerts.jsonl"
     config = MonitorConfig(lag_warn=4, lag_critical=16,
                            trace_limit=0, convergence_every=0)
-    spec = make_spec(7735)
+    spec = make_spec()
     client = StubClient()
     watchdog = Watchdog(spec, client, config=config,
                         sink_path=str(sink_path))
     frames, _primary, replica, _item = lagged_pair(spec, lag=6)
     client.set("versions", frames)
-    client.set("stats", {})
     asyncio.run(watchdog.poll_once())   # fires (warning)
     asyncio.run(watchdog.poll_once())   # dedup: no record
     frames, _, _, _ = lagged_pair(spec, lag=20)
@@ -401,7 +342,6 @@ def test_alert_dedup_and_escalation_survive_epoch_change():
     spec, client, watchdog = stub_watchdog(config)
     frames, _primary, replica, _item = lagged_pair(spec, lag=6)
     client.set("versions", frames)
-    client.set("stats", {})
     fired = asyncio.run(watchdog.poll_once())
     assert [(a.rule, a.site, a.severity) for a in fired] == \
         [("lag-slo", replica, "warning")]
@@ -443,7 +383,6 @@ def test_epoch_change_retires_dropped_pairs_and_members():
     spec, client, watchdog = stub_watchdog(config)
     frames, _primary, replica, _item = lagged_pair(spec, lag=6)
     client.set("versions", frames)
-    client.set("stats", {})
     fired = asyncio.run(watchdog.poll_once())
     assert [(a.rule, a.site) for a in fired] == [("lag-slo", replica)]
     count_before = watchdog.alerts[("lag-slo", replica)].count
@@ -474,6 +413,49 @@ def test_epoch_change_retires_dropped_pairs_and_members():
     assert watchdog.critical_count == 0
 
 
+def test_dashboard_lag_follows_the_placement_across_an_epoch_change():
+    """``repro top`` reads the watchdog's lag sample instead of judging
+    the boot-time replica sets itself: a copy gained by a
+    reconfiguration that trails its primary shows in that site's LAG
+    column."""
+    from repro.obs.dashboard import Dashboard
+    from repro.reconfig.change import PlacementChange
+
+    spec = make_spec()
+    client = StubClient()
+    dashboard = Dashboard(spec, client, trace_limit=0)
+    genesis = spec.build_placement()
+    item = next(it for it in genesis.items
+                if not genesis.replica_sites(it))
+    primary = genesis.primary_site(item)
+    gainer = next(site for site in range(spec.params.n_sites)
+                  if site != primary
+                  and not genesis.replica_items_at(site))
+    client.set("versions", uniform_versions(spec, 10))
+    model = asyncio.run(dashboard.sample())
+    assert [row["lag"] for row in model["rows"]] == [0, 0, 0]
+
+    # Epoch 1 (``repro reconfig add-replica``): the gainer holds a copy
+    # of ``item`` now, seven versions behind its primary.
+    grown = PlacementChange("add-replica", site=gainer,
+                            item=item).apply(genesis)
+    frames = {}
+    for site in range(spec.params.n_sites):
+        held = {it: 10 for it in grown.items
+                if site in grown.sites_of(it)}
+        if site == gainer:
+            held[item] = 3
+        frames[site] = dict(versions_frame(site, held), epoch=1)
+    client.set("versions", frames)
+    client.set("placement", {site: placement_frame(site, 1, grown)
+                             for site in range(spec.params.n_sites)})
+    model = asyncio.run(dashboard.sample())
+    assert {row["site"]: row["lag"] for row in model["rows"]} == \
+        {site: 7 if site == gainer else 0
+         for site in range(spec.params.n_sites)}
+    assert dashboard.watchdog.summary()["epoch"] == 1
+
+
 # ----------------------------------------------------------------------
 # Watchdog dump-on-critical fan-out
 # ----------------------------------------------------------------------
@@ -492,12 +474,11 @@ def test_new_critical_fans_one_dump_per_key(tmp_path):
     never re-dumps, a *new* critical key does."""
     config = MonitorConfig(down_polls=2, trace_limit=0,
                            convergence_every=0)
-    spec = make_spec(7735)
+    spec = make_spec()
     client = StubClient()
     watchdog = Watchdog(spec, client, config=config,
                         dump_dir=str(tmp_path))
     healthy = uniform_versions(spec, 5)
-    client.set("stats", {})
     client.set("versions", {site: frame for site, frame
                             in healthy.items() if site != 2},
                unreachable=[2])
@@ -535,7 +516,6 @@ def test_without_dump_dir_no_dump_fanout():
                            convergence_every=0)
     spec, client, watchdog = stub_watchdog(config)
     healthy = uniform_versions(spec, 5)
-    client.set("stats", {})
     client.set("versions", {site: frame for site, frame
                             in healthy.items() if site != 2},
                unreachable=[2])
@@ -560,7 +540,7 @@ async def start_cluster(spec):
 
 
 def test_live_healthy_run_is_alert_free():
-    spec = make_spec(7740)
+    spec = make_spec()
 
     async def scenario():
         servers, client = await start_cluster(spec)
@@ -590,7 +570,7 @@ def test_live_killed_site_localised_by_stuck_propagation():
     """The acceptance scenario: one member dies, new updates commit at
     the survivors, and the watchdog names the dead replica — both as
     unreachable and as the missing hop of the stuck trace trees."""
-    spec = make_spec(7745)
+    spec = make_spec()
     placement = spec.build_placement()
     victim = 2
     item = next(it for it in placement.items

@@ -15,13 +15,10 @@ import json
 
 import pytest
 
-from repro.obs.export import validate_chrome_trace
 from repro.obs.flight import BUNDLE_NAME, write_bundle
 from repro.obs.postmortem import (
     Bundle,
-    analysis_json,
     analyze,
-    chrome_export,
     collect_bundles,
     estimate_offsets,
     format_report,
@@ -35,8 +32,7 @@ def span(site, t, event, trace, **fields):
 
 
 def make_bundle(directory, site, wall_t, spans=(), events=(),
-                n_sites=3, trigger="test", sequence=1, obs=True,
-                epoch=0):
+                n_sites=3, trigger="test", sequence=1, epoch=0):
     records = [dict(record, type="span") for record in spans]
     records += [dict(record, type="event") for record in events]
     counts = {}
@@ -45,7 +41,7 @@ def make_bundle(directory, site, wall_t, spans=(), events=(),
     manifest = {"type": "manifest", "version": 1, "site": site,
                 "epoch": epoch, "git_sha": "cafecafecafe",
                 "trigger": trigger, "wall_t": wall_t, "mono_t": 0.0,
-                "obs": obs, "cluster": {"n_sites": n_sites},
+                "cluster": {"n_sites": n_sites},
                 "sequence": sequence, "dropped_spans": 0,
                 "counts": counts}
     path = str(directory / BUNDLE_NAME.format(site, sequence))
@@ -182,17 +178,15 @@ def test_analyze_localizes_dark_site_and_stalled_hop(tmp_path):
     assert kinds.count("dump") == 2
 
 
-def test_report_renders_localization_and_degraded_bundles(tmp_path):
+def test_report_renders_localization(tmp_path):
     base = incident_bundles(tmp_path)
-    make_bundle(tmp_path, 2, base + 1.5, obs=False, trigger="sigterm",
-                sequence=1)
+    make_bundle(tmp_path, 2, base + 1.5, trigger="sigterm", sequence=1)
     bundles, _ = collect_bundles([str(tmp_path)])
     analysis = analyze(
         bundles,
         injections=[{"t": 0.4, "kind": "kill", "site": 2}])
     report = format_report(analysis)
     assert "postmortem: 3 bundle(s) from s0, s1, s2" in report
-    assert "[degraded: obs off]" in report
     assert "clock alignment:" in report
     assert "fault localization:" in report
     assert "s2 dark" in report
@@ -206,25 +200,7 @@ def test_report_renders_localization_and_degraded_bundles(tmp_path):
                 if finding["kind"] == "site-down")
     assert "no bundle recovered" not in down["summary"]
 
-    encoded = analysis_json(analysis)
-    assert not any(key.startswith("_") for key in encoded)
-    json.dumps(encoded)  # machine-readable view must serialize
-
-
-def test_chrome_export_overlays_incident_instants(tmp_path):
-    incident_bundles(tmp_path)
-    bundles, _ = collect_bundles([str(tmp_path)])
-    analysis = analyze(bundles)
-    document = chrome_export(analysis)
-    assert validate_chrome_trace(document) == []
-    instants = [event for event in document["traceEvents"]
-                if event.get("ph") == "i"]
-    assert any(event["name"].startswith("alert:")
-               for event in instants)
-    assert any(event["name"].startswith("stall:")
-               for event in instants)
-    assert any(event["name"].startswith("dump:")
-               for event in instants)
+    json.dumps(analysis)  # the analysis is its machine-readable view
 
 
 def test_skewed_bundles_align_back_into_one_timeline(tmp_path):

@@ -318,10 +318,10 @@ def _inject_regression(server: SiteServer,
     """Neuter one durability barrier on ``server`` (the server code
     itself stays honest — the regression lives in the harness)."""
     if regression == "forward-before-wal" and server.wal is not None:
-        server.wal._out.sync = _lying_sync(server.wal._out)
+        server.wal.sync = _lying_sync(server.wal)
     elif regression == "ack-before-journal" and \
             server.journal is not None:
-        server.journal._out.sync = _lying_sync(server.journal._out)
+        server.journal.sync = _lying_sync(server.journal)
 
 
 def _change_applied(change: PlacementChange,

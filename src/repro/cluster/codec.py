@@ -43,6 +43,12 @@ MAX_FRAME = 16 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
 
+#: ``obj -> str``, minified, keys in insertion order: the one pre-built
+#: encoder for everything serialized per record rather than per frame
+#: (log lines, ``status`` history rows).  ``json.dumps`` with keyword
+#: arguments builds a new ``JSONEncoder`` on every call.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
 
 class CodecError(ValueError):
     """A value that cannot be encoded, or a malformed wire object."""
@@ -224,6 +230,33 @@ def encode_frame(obj: typing.Mapping[str, typing.Any]) -> bytes:
     if len(body) > MAX_FRAME:
         raise CodecError("frame too large ({} bytes)".format(len(body)))
     return _LENGTH.pack(len(body)) + body
+
+
+def encode_frame_chunks(head: typing.Mapping[str, typing.Any], key: str,
+                        rows: typing.Sequence[bytes]
+                        ) -> typing.List[bytes]:
+    """The frame of ``head`` (not empty) plus one more member, ``key``,
+    whose value is the JSON array of the already-encoded ``rows`` — as
+    a list of byte chunks for ``writer.writelines``.
+
+    For a reply dominated by one long list (``status`` and its
+    history): the rows are encoded one at a time by the caller and
+    never exist as one list of lowered dicts, one ``str`` and one
+    ``bytes`` on top of the chunks themselves.  Decodes like any other
+    frame."""
+    chunks = [b"", encode_frame(head)[_LENGTH.size:-1],
+              b',"%s":[' % key.encode("ascii")]
+    for row in rows:
+        chunks.append(row)
+        chunks.append(b",")
+    if rows:
+        chunks.pop()
+    chunks.append(b"]}")
+    length = sum(map(len, chunks))
+    if length > MAX_FRAME:
+        raise CodecError("frame too large ({} bytes)".format(length))
+    chunks[0] = _LENGTH.pack(length)
+    return chunks
 
 
 def decode_frame_body(body: bytes) -> typing.Dict[str, typing.Any]:

@@ -112,8 +112,6 @@ class StorageEngine:
         txn = Transaction(gid, self.site_id, kind, self.env.now)
         txn.process = process
         self._active.add(txn)
-        self._log(LogRecordKind.BEGIN, gid=gid, txn_kind=kind,
-                  time=self.env.now)
         return txn
 
     def read(self, txn: Transaction, item_id: ItemId):
@@ -145,8 +143,6 @@ class StorageEngine:
             txn.undo.append((item_id, record.value))
         record.value = value
         txn.writes[item_id] = value
-        self._log(LogRecordKind.WRITE, gid=txn.gid, item=item_id,
-                  value=value, time=self.env.now)
 
     def apply_catchup(self, item_id: ItemId, value, version: int,
                       writers: typing.Sequence[GlobalTransactionId]
@@ -171,12 +167,9 @@ class StorageEngine:
             missed_version = base + offset + 1
             if missed_version <= record.committed_version:
                 continue
-            self._log(LogRecordKind.BEGIN, gid=gid,
+            self._log(LogRecordKind.COMMIT, gid=gid,
                       txn_kind=SubtransactionKind.SECONDARY,
-                      time=self.env.now)
-            self._log(LogRecordKind.WRITE, gid=gid, item=item_id,
-                      value=value, time=self.env.now)
-            self._log(LogRecordKind.COMMIT, gid=gid, time=self.env.now)
+                      value={item_id: value}, time=self.env.now)
             record.committed_version = missed_version
             record.record_writer(gid)
             record.value = value
@@ -200,12 +193,20 @@ class StorageEngine:
         txn.status = TransactionStatus.PREPARED
 
     def commit(self, txn: Transaction) -> None:
-        """Atomically commit: bump versions, log history, release locks."""
+        """Atomically commit: log the write set, bump versions, record
+        history, release locks.
+
+        The COMMIT record is the transaction's only trace in the redo
+        log (see :mod:`repro.storage.log`); a subtransaction that wrote
+        nothing has nothing to redo and logs nothing."""
         if txn.status not in (TransactionStatus.ACTIVE,
                               TransactionStatus.PREPARED):
             raise TransactionAborted(txn.gid,
                                      "commit in state " + txn.status.value)
-        self._log(LogRecordKind.COMMIT, gid=txn.gid, time=self.env.now)
+        if txn.writes:
+            self._log(LogRecordKind.COMMIT, gid=txn.gid,
+                      txn_kind=txn.kind, value=dict(txn.writes),
+                      time=self.env.now)
         write_versions: typing.Dict[ItemId, int] = {}
         for item_id in sorted(txn.writes):
             record = self._items[item_id]
@@ -233,7 +234,6 @@ class StorageEngine:
         self._active.discard(txn)
         self.locks.cancel_waits(txn)
         self.locks.release_all(txn)
-        self._log(LogRecordKind.ABORT, gid=txn.gid, time=self.env.now)
 
     def _check_active(self, txn: Transaction) -> None:
         if txn.status is not TransactionStatus.ACTIVE:

@@ -5,13 +5,19 @@ manager; replication is motivated by reliability and availability
 (Sec. 1).  This module gives each site engine the matching durability
 story:
 
-- every transaction's writes are logged logically (item, new value) and
-  sealed by a commit record — redo-only logging, so recovery never needs
-  undo: transactions without a commit record simply never happened;
+- the log is commit-granular: a subtransaction that wrote something
+  appends **one** ``COMMIT`` record when it commits — its gid, its
+  kind, its write set (item -> new value, in ``value``) and the commit
+  time.  ``begin``, ``write`` and ``abort`` log nothing, and neither
+  does a commit with an empty write set: with redo-only logging a
+  transaction without a commit record never happened, so there is
+  nothing to say about it until it commits and nothing to redo for one
+  that only read;
 - :func:`recover` rebuilds a site engine from its log: committed values,
   per-item version counters and writer lineage, and the committed-write
   history (read sets are not logged, as usual for a WAL, so recovered
-  history entries carry writes only).
+  history entries carry writes only, and read-only subtransactions
+  leave no entry).
 
 The log models stable storage inside the simulation: a crash
 (:meth:`StorageEngine.crash`) wipes all volatile state but leaves the
@@ -29,10 +35,11 @@ from repro.types import GlobalTransactionId, ItemId, SubtransactionKind
 
 class LogRecordKind(enum.Enum):
     CREATE = "create"
-    BEGIN = "begin"
+    # Appended by benchmarks/ledger/layers.py only (its frozen WAL
+    # microbenches time a bare record append); the engine never logs
+    # one and recover() refuses it.
     WRITE = "write"
     COMMIT = "commit"
-    ABORT = "abort"
     # Reconfiguration plane (repro.reconfig): the epoch number rides the
     # ``item`` field and the PlacementChange JSON rides ``value``.
     # Transaction recovery ignores both kinds; epoch recovery scans for
@@ -51,6 +58,7 @@ class LogRecord:
     gid: typing.Optional[GlobalTransactionId] = None
     txn_kind: typing.Optional[SubtransactionKind] = None
     item: typing.Optional[ItemId] = None
+    #: CREATE: the initial value; COMMIT: the write set, item -> value.
     value: typing.Any = None
     time: float = 0.0
 
@@ -74,7 +82,7 @@ class WriteAheadLog:
 
     @property
     def last_lsn(self) -> int:
-        return len(self._records) - 1
+        return len(self) - 1
 
     def records_of(self, gid: GlobalTransactionId
                    ) -> typing.List[LogRecord]:
@@ -86,41 +94,35 @@ def recover(env, site_id: int, wal: WriteAheadLog,
     """Rebuild a :class:`~repro.storage.engine.StorageEngine` from its
     log.
 
-    Redo-only recovery: replay CREATEs, buffer each transaction's
-    writes, apply them at its COMMIT record (bumping versions and the
-    writer lineage), and drop transactions that never committed.
-    Returns the recovered engine (attached to the same log, so new
-    transactions keep appending to it).
+    Redo-only recovery: replay CREATEs and apply every COMMIT record's
+    write set (bumping versions and the writer lineage).  Whatever was
+    in flight at the crash left no record and needs no undoing.  A kind
+    this function does not replay is refused, not skipped — a log that
+    holds one was not written by this engine.  Returns the recovered
+    engine (attached to the same log, so new transactions keep
+    appending to it).
     """
     from repro.storage.engine import StorageEngine
 
     engine = StorageEngine(env, site_id, lock_timeout=lock_timeout)
-    buffers: typing.Dict[GlobalTransactionId,
-                         typing.Dict[ItemId, typing.Any]] = {}
-    kinds: typing.Dict[GlobalTransactionId, SubtransactionKind] = {}
     for record in wal:
         if record.kind is LogRecordKind.CREATE:
             engine.create_item(record.item, record.value)
-        elif record.kind is LogRecordKind.BEGIN:
-            buffers[record.gid] = {}
-            kinds[record.gid] = record.txn_kind
-        elif record.kind is LogRecordKind.WRITE:
-            buffers.setdefault(record.gid, {})[record.item] = record.value
         elif record.kind is LogRecordKind.COMMIT:
-            writes = buffers.pop(record.gid, {})
             versions: typing.Dict[ItemId, int] = {}
-            for item, value in sorted(writes.items()):
+            for item, value in sorted(record.value.items()):
                 item_record = engine.item(item)
                 item_record.value = value
                 item_record.committed_version += 1
                 item_record.record_writer(record.gid)
                 versions[item] = item_record.committed_version
-            engine.history.record(
-                record.gid,
-                kinds.get(record.gid, SubtransactionKind.PRIMARY),
-                record.time, {}, versions)
-        elif record.kind is LogRecordKind.ABORT:
-            buffers.pop(record.gid, None)
-    # Losers (no COMMIT record) are implicitly discarded.
+            engine.history.record(record.gid, record.txn_kind,
+                                  record.time, {}, versions)
+        elif record.kind not in (LogRecordKind.EPOCH_PREPARE,
+                                 LogRecordKind.EPOCH_COMMIT):
+            raise ValueError(
+                "cannot replay a {!r} record (lsn {}): the redo log "
+                "holds create, commit and epoch records only".format(
+                    record.kind.value, record.lsn))
     engine.attach_wal(wal)
     return engine

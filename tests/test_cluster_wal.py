@@ -44,15 +44,23 @@ def test_file_wal_round_trips_records(tmp_path):
     env, engine = build_engine(wal)
     run_workload(env, engine)
     wal.close()
+    # Two creates, two commits; the aborted transaction left nothing.
+    assert len(wal) == 4
+    # Nothing appended is kept in memory: this log loaded no records.
+    assert list(wal) == [] and wal.recovered_records == 0
 
     reloaded = FileWal(path)
-    assert reloaded.recovered_records == len(wal)
-    for original, loaded in zip(wal, reloaded):
-        assert loaded.kind is original.kind
-        assert loaded.gid == original.gid
-        assert loaded.txn_kind is original.txn_kind
-        assert loaded.item == original.item
-        assert loaded.value == original.value
+    assert reloaded.recovered_records == len(reloaded) == 4
+    assert [(record.kind, record.gid, record.txn_kind, record.item,
+             record.value) for record in reloaded] == [
+        (LogRecordKind.CREATE, None, None, 1, 10),
+        (LogRecordKind.CREATE, None, None, 2, 20),
+        (LogRecordKind.COMMIT, gid(1), SubtransactionKind.PRIMARY,
+         None, {1: 111}),
+        (LogRecordKind.COMMIT, gid(2), SubtransactionKind.SECONDARY,
+         None, {2: 222}),
+    ]
+    assert [record.lsn for record in reloaded] == [0, 1, 2, 3]
 
 
 def test_recover_from_file_wal_restores_committed_state(tmp_path):
@@ -70,9 +78,12 @@ def test_recover_from_file_wal_restores_committed_state(tmp_path):
     assert recovered.item(1).committed_version == 1  # abort undone
     assert recovered.item(1).writers == [gid(1)]
     assert recovered.item(2).writers == [gid(2)]
+    assert [(entry.gid, entry.kind) for entry in recovered.history] == \
+        [(gid(1), SubtransactionKind.PRIMARY),
+         (gid(2), SubtransactionKind.SECONDARY)]
     # Recovery is idempotent across restarts: the recovered engine can
     # keep appending to the same file.
-    assert FileWal(path).recovered_records == len(wal)
+    assert FileWal(path).recovered_records == len(wal) == 4
 
 
 def test_file_wal_append_after_reload(tmp_path):
@@ -82,13 +93,18 @@ def test_file_wal_append_after_reload(tmp_path):
     wal.close()
 
     wal2 = FileWal(path)
-    wal2.append(LogRecordKind.BEGIN, gid=gid(9),
-                txn_kind=SubtransactionKind.PRIMARY, time=1.0)
+    record = wal2.append(LogRecordKind.COMMIT, gid=gid(9),
+                         txn_kind=SubtransactionKind.PRIMARY,
+                         value={7: "x"}, time=1.0)
+    assert record.lsn == 1 and len(wal2) == 2
+    # Held in memory: what was on disk at start-up, not the append.
+    assert [held.kind for held in wal2] == [LogRecordKind.CREATE]
     wal2.close()
     reloaded = FileWal(path)
     assert [record.kind for record in reloaded] == \
-        [LogRecordKind.CREATE, LogRecordKind.BEGIN]
+        [LogRecordKind.CREATE, LogRecordKind.COMMIT]
     assert list(reloaded)[1].gid == gid(9)
+    assert list(reloaded)[1].value == {7: "x"}
 
 
 def _secondary(seq):

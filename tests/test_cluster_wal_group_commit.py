@@ -5,8 +5,9 @@ The durability promise of a group-committed record attaches to the
 down both sides of that contract:
 
 - records buffered between sync points coalesce into **one** write+flush
-  (the amortization the live hot path depends on), and the size cap /
-  timer force a sync when no explicit barrier arrives;
+  (the amortization the live hot path depends on), and the size cap
+  forces a sync when no explicit barrier arrives — nothing else does,
+  there is no timer;
 - a crash — simulated by ``abandon()`` or by truncating the file at
   *every* byte offset — loses only never-promised records, and reload
   repairs the file to the last complete record boundary;
@@ -15,10 +16,11 @@ down both sides of that contract:
   crash damage.
 """
 
-import asyncio
 import json
 import os
+import re
 import shutil
+import zlib
 
 import pytest
 
@@ -26,7 +28,7 @@ from repro.cluster.codec import encode_message
 from repro.cluster.wal import CorruptLogError, FileWal, MessageJournal
 from repro.network.message import Message, MessageType
 from repro.storage.log import LogRecordKind
-from repro.types import GlobalTransactionId
+from repro.types import GlobalTransactionId, SubtransactionKind
 
 
 def gid(seq):
@@ -78,20 +80,20 @@ def test_max_pending_cap_forces_a_sync(tmp_path):
     assert wal.syncs == 3           # close drains the tail
 
 
-def test_flush_interval_timer_syncs_without_explicit_barrier(tmp_path):
-    async def scenario():
-        wal = FileWal(tmp_path / "site0.wal", group_commit=True,
-                      flush_interval=0.01)
-        append_n(wal, 3)
-        assert wal.pending_sync == 3
-        deadline = asyncio.get_event_loop().time() + 5.0
-        while wal.pending_sync:
-            assert asyncio.get_event_loop().time() < deadline
-            await asyncio.sleep(0.005)
-        assert wal.syncs == 1
-        wal.close()
+def test_appended_records_are_not_retained(tmp_path):
+    """Nothing re-reads an appended record in-process, so the log holds
+    in memory only what it loaded at start-up."""
+    path = tmp_path / "site0.wal"
+    wal = FileWal(path, group_commit=True)
+    append_n(wal, 5)
+    wal.close()
+    assert len(wal) == 5 and list(wal) == []
 
-    asyncio.run(scenario())
+    reopened = FileWal(path, group_commit=True)
+    append_n(reopened, 300, start=5)    # crosses the max_pending cap
+    assert len(reopened) == 305 and reopened.last_lsn == 304
+    assert reopened.recovered_records == len(list(reopened)) == 5
+    reopened.close()
 
 
 def test_sync_with_nothing_pending_is_free(tmp_path):
@@ -163,13 +165,16 @@ def test_malformed_terminated_line_is_corruption_not_crash(tmp_path):
         handle.write(b"{not json}\n")          # terminated => promised
     with pytest.raises(CorruptLogError):
         FileWal(path)
-    # Same verdict for a well-formed line that is not an object.
+    # Same verdict for lines whose checksum holds but whose body is not
+    # JSON, or is JSON but not an object.
     shutil.copy(path, tmp_path / "x.wal")
-    os.truncate(path, path.stat().st_size - len(b"{not json}\n"))
-    with open(path, "ab") as handle:
-        handle.write(b"[1, 2]\n")
-    with pytest.raises(CorruptLogError):
-        FileWal(path)
+    for body, complaint in ((b"{not json}", "malformed"),
+                            (b"[1,2]", "not an object")):
+        os.truncate(path, path.read_bytes().rfind(b"\n", 0, -1) + 1)
+        with open(path, "ab") as handle:
+            handle.write(b"%08x %s\n" % (zlib.crc32(body), body))
+        with pytest.raises(CorruptLogError, match=complaint):
+            FileWal(path)
 
 
 # ----------------------------------------------------------------------
@@ -267,26 +272,27 @@ def test_journal_torn_tail_repaired_on_reload(tmp_path):
 
 
 def test_wal_sync_coalesces_interleaved_transactions(tmp_path):
-    """The group-commit story end to end: several transactions' records
-    interleave in the buffer, one sync makes them all durable, and the
+    """The group-commit story end to end: several transactions' commit
+    records sit in the buffer, one sync makes them all durable, and the
     reloaded WAL replays them in append order."""
     path = tmp_path / "site0.wal"
     wal = FileWal(path, group_commit=True)
-    for seq in (1, 2):
-        wal.append(LogRecordKind.BEGIN, gid=gid(seq), time=0.0)
-    for seq in (1, 2):
-        wal.append(LogRecordKind.WRITE, gid=gid(seq), item=seq,
-                   value=seq * 10, time=0.1)
-        wal.append(LogRecordKind.COMMIT, gid=gid(seq), time=0.2)
-    assert wal.sync() == 6
+    for seq in (1, 2, 3):
+        wal.append(LogRecordKind.COMMIT, gid=gid(seq),
+                   txn_kind=SubtransactionKind.PRIMARY,
+                   value={seq: seq * 10, seq + 10: "v"}, time=0.2)
+    assert wal.syncs == 0
+    assert wal.sync() == 3
+    assert wal.syncs == 1
     wal.close()
 
     reloaded = FileWal(path)
-    kinds = [record.kind for record in reloaded]
-    assert kinds == [LogRecordKind.BEGIN, LogRecordKind.BEGIN,
-                     LogRecordKind.WRITE, LogRecordKind.COMMIT,
-                     LogRecordKind.WRITE, LogRecordKind.COMMIT]
-    assert json.loads(path.read_text().splitlines()[0])  # real JSONL
+    assert [(record.kind, record.gid, record.value)
+            for record in reloaded] == [
+        (LogRecordKind.COMMIT, gid(seq), {seq: seq * 10, seq + 10: "v"})
+        for seq in (1, 2, 3)]
+    first = path.read_bytes().splitlines()[0]
+    assert json.loads(first[9:])["k"] == "commit"  # real JSON lines
 
 
 # ----------------------------------------------------------------------
@@ -347,8 +353,8 @@ def test_bit_flip_in_interior_record_raises(tmp_path):
 
     for bit in (0, 4):
         damaged = bytearray(data)
-        # Flip inside the stored checksum value of record 2 ("c" sorts
-        # first in the canonical encoding, so byte +6 is inside it).
+        # Flip inside the stored checksum of record 2 (the first eight
+        # bytes of the line).
         damaged[second_record_at + 6] ^= 1 << bit
         victim = tmp_path / "flip.wal"
         victim.write_bytes(bytes(damaged))
@@ -387,24 +393,117 @@ def test_journal_bit_flip_at_every_byte_of_final_entry(tmp_path):
         victim.unlink()
 
 
+def _small_log(path):
+    """Every kind a site writes: creates, commits, an epoch pair."""
+    wal = FileWal(path, group_commit=True)
+    wal.append(LogRecordKind.CREATE, item=1, value=0, time=0.0)
+    wal.append(LogRecordKind.CREATE, item=2, value="zero", time=0.0)
+    wal.append(LogRecordKind.COMMIT, gid=gid(1),
+               txn_kind=SubtransactionKind.PRIMARY,
+               value={1: "T0.1#1", 2: 7}, time=0.25)
+    wal.append(LogRecordKind.EPOCH_PREPARE, item=1,
+               value={"kind": "add-replica", "item": 1, "site": 2},
+               time=0.5)
+    wal.append(LogRecordKind.EPOCH_COMMIT, item=1,
+               value={"kind": "add-replica", "item": 1, "site": 2},
+               time=0.5)
+    wal.append(LogRecordKind.COMMIT, gid=GlobalTransactionId(1, 4),
+               txn_kind=SubtransactionKind.SECONDARY,
+               value={2: "T1.4#2"}, time=0.75)
+    wal.close()
+    return list(FileWal(path))
+
+
 def test_checksummed_lines_round_trip_and_detect_missing_field(
         tmp_path):
-    """Every line carries ``"c"``; a record without one (hand-edited or
-    pre-checksum file) is corruption, not a quiet default."""
-    from repro.cluster.wal import record_checksum
-
+    """Every line is ``<crc32 of the body bytes, 8 hex> <compact
+    JSON>``; a line without the prefix (hand-edited, or JSON on its
+    own) is corruption, not a quiet default."""
     path = tmp_path / "site0.wal"
-    wal = FileWal(path, group_commit=True)
-    append_n(wal, 2)
-    wal.close()
-    lines = path.read_text().splitlines()
+    _small_log(path)
+    lines = path.read_bytes().splitlines()
+    assert len(lines) == 6
     for line in lines:
-        obj = json.loads(line)
-        stored = obj.pop("c")
-        assert stored == record_checksum(obj)
+        assert re.match(rb"^[0-9a-f]{8} \{", line)
+        body = line[9:]
+        assert int(line[:8], 16) == zlib.crc32(body)
+        assert json.loads(body)["k"] in (
+            "create", "commit", "epoch-prepare", "epoch-commit")
+        assert b", " not in body and b'": ' not in body  # compact
 
-    stripped = json.loads(lines[0])
-    del stripped["c"]
-    path.write_bytes(json.dumps(stripped).encode() + b"\n")
-    with pytest.raises(CorruptLogError):
+    path.write_bytes(lines[0][9:] + b"\n")
+    with pytest.raises(CorruptLogError, match="checksum"):
         FileWal(path)
+
+
+def test_every_bit_flip_and_every_truncation_of_a_small_log(tmp_path):
+    """Sweep the whole file, not just its last record: each of the
+    8 x len single-bit flips and each truncation point is either
+    refused or repaired as a torn tail — what loads is always a prefix
+    of the records that were written, never a different record."""
+    path = tmp_path / "site0.wal"
+    written = _small_log(path)
+    data = path.read_bytes()
+    victim = tmp_path / "victim.wal"
+
+    for cut in range(len(data) + 1):
+        victim.write_bytes(data[:cut])
+        loaded = FileWal(victim)
+        complete = data[:cut].count(b"\n")
+        assert list(loaded) == written[:complete]
+        assert loaded.torn_tail == (not data[:cut].endswith(b"\n")
+                                    and cut > 0)
+
+    refused = repaired = 0
+    for offset in range(len(data)):
+        for bit in range(8):
+            damaged = bytearray(data)
+            damaged[offset] ^= 1 << bit
+            victim.write_bytes(bytes(damaged))
+            verdict, result = _reload_verdict(victim)
+            if verdict == "error":
+                refused += 1
+                continue
+            # Only a flip that unterminates the final line may load.
+            repaired += 1
+            assert offset == len(data) - 1
+            assert result.torn_tail
+            assert list(result) == written[:-1]
+    assert repaired == 8 and refused == 8 * (len(data) - 1)
+
+
+def _parent_format_line(obj):
+    """A line as the previous format wrote it: the CRC32 of the sorted
+    dump, spliced in front as field ``"c"``."""
+    material = json.dumps(obj, sort_keys=True)
+    return ('{"c": %d, %s\n' % (
+        zlib.crc32(material.encode("utf-8")) & 0xFFFFFFFF,
+        material[1:])).encode("utf-8")
+
+
+def test_parent_format_file_is_refused_by_name(tmp_path):
+    """A log of the retired format is never half-read into an empty
+    database: both loaders name the format and stop."""
+    wal_path = tmp_path / "site0.wal"
+    wal_path.write_bytes(b"".join(_parent_format_line(obj) for obj in (
+        {"k": "create", "item": 1, "value": 0},
+        {"k": "begin", "gid": {"~gid": [0, 1]}, "tk": "primary"},
+        {"k": "write", "gid": {"~gid": [0, 1]}, "item": 1, "value": 5},
+        {"k": "commit", "gid": {"~gid": [0, 1]}, "t": 0.5})))
+    with pytest.raises(CorruptLogError, match="retired"):
+        FileWal(wal_path)
+    assert wal_path.stat().st_size > 0          # and left as found
+
+    inbox = tmp_path / "site0.wal.inbox"
+    inbox.write_bytes(_parent_format_line(
+        {"src": 1, "inc": "inc-a", "seq": 1,
+         "msg": encode_message(_secondary(1))}))
+    with pytest.raises(CorruptLogError, match="retired"):
+        MessageJournal(inbox)
+
+    # Begin/write records in the *current* framing are no better.
+    wal_path.write_bytes(b"")
+    body = b'{"k":"begin","gid":[0,1],"tk":"primary"}'
+    wal_path.write_bytes(b"%08x %s\n" % (zlib.crc32(body), body))
+    with pytest.raises(CorruptLogError, match="begin"):
+        FileWal(wal_path)

@@ -70,8 +70,8 @@ def test_wr_and_ww_explanations():
 def test_wal_lsns_are_dense_and_ordered():
     wal = WriteAheadLog()
     for index in range(5):
-        record = wal.append(LogRecordKind.BEGIN, gid=gid(0, index),
-                            time=float(index))
+        record = wal.append(LogRecordKind.COMMIT, gid=gid(0, index),
+                            value={"x": index}, time=float(index))
         assert record.lsn == index
     assert wal.last_lsn == 4
     assert len(wal) == 5
@@ -80,9 +80,9 @@ def test_wal_lsns_are_dense_and_ordered():
 
 def test_wal_records_of_filters_by_gid():
     wal = WriteAheadLog()
-    wal.append(LogRecordKind.BEGIN, gid=gid(0, 1))
-    wal.append(LogRecordKind.WRITE, gid=gid(0, 1), item="x", value=1)
-    wal.append(LogRecordKind.BEGIN, gid=gid(0, 2))
+    wal.append(LogRecordKind.COMMIT, gid=gid(0, 1), value={"x": 1})
+    wal.append(LogRecordKind.COMMIT, gid=gid(0, 1), value={"y": 1})
+    wal.append(LogRecordKind.COMMIT, gid=gid(0, 2), value={"x": 2})
     assert len(wal.records_of(gid(0, 1))) == 2
     assert len(wal.records_of(gid(0, 2))) == 1
     assert wal.records_of(gid(9, 9)) == []

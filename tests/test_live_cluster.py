@@ -37,7 +37,7 @@ from repro.cluster.loadgen import (
     history_from_status,
     wait_quiescent,
 )
-from repro.cluster.server import SiteServer
+from repro.cluster.server import SiteServer, encode_spec
 from repro.cluster.spec import ClusterSpec
 from repro.harness.convergence import divergent_copies
 from repro.harness.serializability import (
@@ -373,7 +373,15 @@ def test_stats_trace_wire_ops_and_durability_status(tmp_path):
             report = await generate_load(spec, client, verify=True)
             stats = await client.stats_all()
             spans = await client.traces_all()
+            staged = [(server._h_encode.count, server._h_write.count)
+                      for server in servers.values()]
             statuses = await client.statuses()
+            # The chunked ``status`` reply is booked to the same two
+            # stage timers as every other response.
+            for server, (encodes, writes) in zip(servers.values(),
+                                                 staged):
+                assert server._h_encode.count > encodes
+                assert server._h_write.count > writes
             return report, stats, spans, statuses
         finally:
             await stop_cluster(servers, client)
@@ -507,6 +515,14 @@ def test_trace_ids_survive_kill_restart_and_catchup(tmp_path):
     assert summary["complete"] == summary["propagating"], summary
 
 
+async def settle(predicate):
+    for _ in range(2000):
+        if predicate():
+            return
+        await asyncio.sleep(0.001)
+    raise AssertionError("condition never held")
+
+
 class RecordingWriter:
     """The writer half of a peer connection, for driving
     ``SiteServer._apply_loop`` without a socket."""
@@ -556,13 +572,6 @@ def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
         return {"kind": "msg", "inc": "inc-a", "seq": seq,
                 "msg": encode_message(secondary(seq))}
 
-    async def settle(predicate):
-        for _ in range(2000):
-            if predicate():
-                return
-            await asyncio.sleep(0.001)
-        raise AssertionError("condition never held")
-
     async def scenario():
         server = SiteServer(
             spec, 1, wal_path=os.path.join(str(tmp_path), "site1.wal"))
@@ -579,9 +588,6 @@ def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
                 return real_sync()
 
             journal.sync = gated_sync
-            # Keep the appender's own flush timer (5 ms, on the loop
-            # thread) out of the way: the gated round is the only sync.
-            journal._out.flush_interval = 60.0
             queue = asyncio.Queue()
             writer = RecordingWriter()
             # Five frames, six entries, queued before the loop wakes.
@@ -625,6 +631,157 @@ def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
             assert journal.appended == 7 and journal.syncs == 2
             assert engine.item(item).committed_version == 7
             assert server.transport.dedup_dropped == 4
+        finally:
+            gate.set()
+            await server.stop()
+
+    asyncio.run(scenario())
+
+
+def test_unsynced_replica_applies_come_back_from_the_journal(tmp_path):
+    """A replica's COMMIT records have no timer behind them and need
+    none.  The replica applies a round of updates, acks it (journal
+    synced, WAL not) and is killed before any WAL barrier: the three
+    commit records die in the buffer.  On restart the copy converges
+    from the inbox journal alone — no peer is running, so nothing is
+    resent — and replaying the journal once more over the now-logged
+    commits changes nothing (``has_applied``)."""
+    spec = dataclasses.replace(make_spec("dag_wt", 3), batch=8)
+    placement = spec.build_placement()
+    item = next(item for item in sorted(placement.items)
+                if placement.primary_site(item) == 0
+                and 1 in placement.replica_sites(item))
+    wal_path = os.path.join(str(tmp_path), "site1.wal")
+    gids = [GlobalTransactionId(0, seq) for seq in (1, 2, 3)]
+
+    def msg_frame(seq):
+        return {"kind": "msg", "inc": "inc-a", "seq": seq,
+                "msg": encode_message(Message(
+                    MessageType.SECONDARY, src=0, dst=1, payload={
+                        "gid": GlobalTransactionId(0, seq),
+                        "writes": {item: 100 + seq},
+                        "epoch": spec.epoch}))}
+
+    def copy_of(server):
+        record = server.system.site_of(1).engine.item(item)
+        return record.value, record.committed_version, \
+            list(record.writers)
+
+    async def scenario():
+        server = SiteServer(spec, 1, wal_path=wal_path)
+        await server.start()
+        queue = asyncio.Queue()
+        writer = RecordingWriter()
+        for seq in (1, 2, 3):
+            queue.put_nowait((0.0, 0.0, msg_frame(seq)))
+        queue.put_nowait(None)
+        await asyncio.wait_for(server._apply_loop(queue, writer, 0), 10.0)
+        assert await writer.acks() == [3]
+        assert copy_of(server) == (103, 3, gids)
+        # Acked means journalled; the apply's own records are pending.
+        assert server.journal.pending_sync == 0
+        assert server.wal.pending_sync == 3
+        assert server.wal.synced_records < server.wal.appended
+        server.kill()
+        assert server.wal.abandoned == 3
+
+        restarted = SiteServer(spec, 1, wal_path=wal_path)
+        await restarted.start()
+        assert restarted.recovered
+        assert copy_of(restarted) == (103, 3, gids)
+        assert restarted.transport.dedup_dropped == 0
+        await restarted.stop()          # graceful: the commits sync
+
+        again = SiteServer(spec, 1, wal_path=wal_path)
+        await again.start()
+        try:
+            assert copy_of(again) == (103, 3, gids)
+            assert len(again.system.site_of(1).engine.history) == 3
+        finally:
+            await again.stop()
+
+    asyncio.run(scenario())
+
+
+def test_read_only_transaction_waits_for_a_pending_commit_only(tmp_path):
+    """A read-only transaction logs nothing, and the response barrier
+    is what keeps that safe: "everything appended so far is stable".
+    Served while a writer's commit record is still pending, a reader
+    that saw the new value is not answered before the log has caught up
+    (``synced_records == appended``); served on a clean log it is
+    answered without a sync.  The WAL's sync is gated so the test
+    decides when the pending record becomes durable."""
+    spec = dataclasses.replace(make_spec("dag_wt", 3), batch=8)
+    placement = spec.build_placement()
+    item = sorted(placement.primary_items_at(0))[0]
+
+    def request(rid, seq, op_type):
+        txn = TransactionSpec(GlobalTransactionId(0, seq), 0,
+                              (Operation(op_type, item),))
+        return {"kind": "req", "rid": rid, "op": "txn",
+                "spec": encode_spec(txn)}
+
+    async def scenario():
+        server = SiteServer(
+            spec, 0, wal_path=os.path.join(str(tmp_path), "site0.wal"))
+        await server.start()
+        wal = server.wal
+        gate = threading.Event()
+        entered = threading.Event()
+        real_sync = wal.sync
+
+        def gated_sync():
+            entered.set()
+            assert gate.wait(10.0)
+            return real_sync()
+
+        class BarrierCheckingWriter(RecordingWriter):
+            def write(self, data):
+                # No response byte leaves ahead of the log.
+                assert wal.synced_records == wal.appended
+                super().write(data)
+
+        async def responses(writer):
+            reader = asyncio.StreamReader()
+            reader.feed_data(bytes(writer.data))
+            reader.feed_eof()
+            frames = []
+            while (frame := await read_frame(reader)) is not None:
+                frames.append((frame["rid"], frame["status"]))
+            return frames
+
+        try:
+            wal.sync = gated_sync
+            writer, lock = BarrierCheckingWriter(), asyncio.Lock()
+            loop = asyncio.get_running_loop()
+            before = wal.appended
+            tasks = [loop.create_task(server._serve_request(
+                request(1, 1, OpType.WRITE), writer, lock))]
+            await settle(entered.is_set)    # the writer's round, gated
+            tasks.append(loop.create_task(server._serve_request(
+                request(2, 2, OpType.READ), writer, lock)))
+            await settle(lambda: server.committed == 2)
+            for _ in range(20):
+                await asyncio.sleep(0.001)
+            # Both committed in the engine; one record between them;
+            # neither has been answered.
+            assert wal.appended == before + 1
+            assert wal.synced_records < wal.appended
+            assert not writer.data
+            gate.set()
+            await asyncio.wait_for(asyncio.gather(*tasks), 10.0)
+            assert sorted(await responses(writer)) == [
+                (1, "committed"), (2, "committed")]
+
+            # Clean log: a reader appends nothing and syncs nothing.
+            entered.clear()
+            syncs, appended = wal.syncs, wal.appended
+            writer = BarrierCheckingWriter()
+            await asyncio.wait_for(server._serve_request(
+                request(3, 3, OpType.READ), writer, lock), 10.0)
+            assert await responses(writer) == [(3, "committed")]
+            assert (wal.syncs, wal.appended) == (syncs, appended)
+            assert not entered.is_set()
         finally:
             gate.set()
             await server.stop()

@@ -317,10 +317,9 @@ def _inject_regression(server: SiteServer,
                        regression: typing.Optional[str]) -> None:
     """Neuter one durability barrier on ``server`` (the server code
     itself stays honest — the regression lives in the harness)."""
-    if regression == "forward-before-wal" and server.wal is not None:
+    if regression == "forward-before-wal":
         server.wal.sync = _lying_sync(server.wal)
-    elif regression == "ack-before-journal" and \
-            server.journal is not None:
+    elif regression == "ack-before-journal":
         server.journal.sync = _lying_sync(server.journal)
 
 

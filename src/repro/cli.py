@@ -233,9 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--site", type=int, required=True,
                               help="site id to host")
     _add_cluster_flags(serve_parser)
-    serve_parser.add_argument("--wal", metavar="PATH", default=None,
-                              help="WAL file (enables durability and "
-                                   "crash recovery)")
+    _add_server_flags(serve_parser)
+    serve_parser.add_argument("--wal", metavar="PATH", required=True,
+                              help="WAL file (the inbox journal and the "
+                                   "span file sit beside it); recovery "
+                                   "replays it on restart")
     # Accepted and ignored: the frozen benchmarks/ledger passes it.
     serve_parser.add_argument("--anti-entropy", type=float,
                               help=argparse.SUPPRESS)
@@ -250,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         "loadgen", help="drive the closed-loop workload against a "
                         "live cluster")
     _add_cluster_flags(loadgen_parser)
+    _add_server_flags(loadgen_parser)
     loadgen_parser.add_argument("--spawn", action="store_true",
                                 help="start the whole cluster "
                                      "in-process before generating "
@@ -257,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "needed)")
     loadgen_parser.add_argument("--wal-dir", metavar="DIR", default=None,
                                 help="with --spawn: directory for the "
-                                     "sites' WAL files")
+                                     "sites' WAL files (default: a "
+                                     "fresh temporary directory)")
     loadgen_parser.add_argument("--no-verify", action="store_true",
                                 help="skip the convergence and "
                                      "serializability oracles")
@@ -410,6 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "in-process live cluster and judge it with the "
                       "offline oracles (see docs/CHAOS.md)")
     _add_cluster_flags(chaos_parser)
+    _add_server_flags(chaos_parser)
     source = chaos_parser.add_mutually_exclusive_group()
     source.add_argument("--fault-profile", default="jitter",
                         metavar="NAME",
@@ -498,10 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     default=None,
                                     help="ports reserved per cell "
                                          "(default: n_sites + 2)")
-    chaos_sweep_parser.add_argument("--durability",
-                                    choices=("none", "flush", "fsync"),
-                                    default="flush")
-    chaos_sweep_parser.add_argument("--batch", type=int, default=1)
     chaos_sweep_parser.add_argument("--fault-seed", type=int, default=0)
     chaos_sweep_parser.add_argument("--wal-root", default=None,
                                     metavar="DIR",
@@ -610,25 +611,34 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--base-port", type=int, default=7450,
                         help="site i listens on base-port + i")
-    parser.add_argument("--batch", type=int, default=1,
-                        help="max messages per wire frame; > 1 also "
-                             "turns on WAL/journal group commit")
+
+
+def _add_server_flags(parser: argparse.ArgumentParser) -> None:
+    """Per-process server settings, outside the cluster fingerprint:
+    only the commands that start servers take them.  Unset, they are
+    :class:`~repro.cluster.spec.ClusterSpec`'s defaults."""
+    parser.add_argument("--batch", type=int, default=None,
+                        help="max messages per peer wire frame "
+                             "(default 64)")
     parser.add_argument("--durability",
                         choices=("none", "flush", "fsync"),
-                        default="flush",
+                        default=None,
                         help="WAL/journal sync level: none (process "
                              "buffer), flush (OS page cache; survives "
-                             "a process crash), fsync (disk; survives "
-                             "power loss)")
+                             "a process crash), fsync (default; disk; "
+                             "survives power loss)")
 
 
 def _cluster_spec_from_args(args: argparse.Namespace):
     from repro.cluster.spec import ClusterSpec
 
+    server = {name: getattr(args, name)
+              for name in ("durability", "batch")
+              if getattr(args, name, None) is not None}
     return ClusterSpec(params=_params_from_args(args),
                        protocol=args.protocol, seed=args.seed,
                        host=args.host, base_port=args.base_port,
-                       durability=args.durability, batch=args.batch)
+                       **server)
 
 
 def _cmd_protocols(_args: argparse.Namespace,
@@ -791,9 +801,9 @@ def _cmd_serve(args: argparse.Namespace, out: typing.TextIO) -> int:
     spec = _cluster_spec_from_args(args)
     server = SiteServer(spec, args.site, wal_path=args.wal)
     host, port = spec.address(args.site)
-    out.write("site s{} serving {}:{} (protocol {}, seed {}{})\n".format(
-        args.site, host, port, spec.protocol, spec.seed,
-        ", wal " + args.wal if args.wal else ""))
+    out.write("site s{} serving {}:{} (protocol {}, seed {}, wal {})\n"
+              .format(args.site, host, port, spec.protocol, spec.seed,
+                      args.wal))
     async def _serve_until_signalled() -> None:
         # SIGTERM is the standard stop for a backgrounded site (shell
         # scripts, CI smokes); a bare kill would drop the group-commit
@@ -1139,8 +1149,7 @@ def _cmd_chaos_sweep(args: argparse.Namespace,
     from repro.cluster.spec import ClusterSpec
 
     template = ClusterSpec(params=_params_from_args(args),
-                           host=args.host, base_port=args.base_port,
-                           durability=args.durability, batch=args.batch)
+                           host=args.host, base_port=args.base_port)
     protocols = [token for token in args.protocols.split(",") if token]
     seeds = [int(token) for token in args.seeds.split(",") if token]
     profiles = [token for token in args.profiles.split(",") if token]

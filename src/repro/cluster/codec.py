@@ -158,13 +158,13 @@ def decode_message(obj: typing.Mapping[str, typing.Any]) -> Message:
 # Batch frames
 # ----------------------------------------------------------------------
 #
-# A ``batch`` frame carries several consecutive channel messages in one
-# wire frame: ``{"kind": "batch", "inc": <incarnation>, "msgs":
-# [{"seq": n, "msg": {...}}, ...]}``.  Entries preserve the channel's
-# sequence numbering exactly as individual ``msg`` frames would — the
-# receiver dedups each ``(src, inc, seq)`` and replies with ONE
-# cumulative ack for the last entry, so batching changes the syscall
-# count, never the FIFO/dedup contract.
+# The one peer data frame: ``{"kind": "batch", "inc": <incarnation>,
+# "msgs": [{"seq": n, "msg": {...}}, ...]}`` carries one or more
+# consecutive channel messages.  Entries keep the channel's sequence
+# numbering — the receiver dedups each ``(src, inc, seq)`` and replies
+# with ONE cumulative ack for the last entry, so how many messages
+# share a frame changes the syscall count, never the FIFO/dedup
+# contract.
 
 
 def encode_batch_frame(incarnation: str,

@@ -84,9 +84,9 @@ class LoadReport:
     messages_sent: int
     #: Loop discipline the workload was driven with.
     loop_mode: str = "closed"
-    #: Batching factor / durability level the cluster ran at.
-    batch: int = 1
-    durability: str = "flush"
+    #: Frame cap / durability level the cluster ran at.
+    batch: int = 64
+    durability: str = "fsync"
     #: Wire frames actually written across all sites — with batching,
     #: ``messages_sent / frames_sent`` is the amortization ratio.
     frames_sent: int = 0
@@ -330,8 +330,7 @@ async def generate_load(spec: ClusterSpec, client: ClusterClient,
         durability=spec.durability,
         frames_sent=sum(status.get("frames_sent", 0)
                         for status in statuses.values()),
-        wal_syncs=sum(status.get("wal_syncs", 0)
-                      + status.get("journal_syncs", 0)
+        wal_syncs=sum(status["wal"]["syncs"] + status["journal"]["syncs"]
                       for status in statuses.values()),
         propagation=propagation,
         attribution=attribution,
@@ -415,21 +414,23 @@ def spawn_and_load(spec: ClusterSpec,
                    timeout: float = 30.0,
                    loop_mode: str = "closed") -> LoadReport:
     """``repro loadgen --spawn``: start every site in-process, drive the
-    workload, tear the cluster down.  With ``wal_dir`` each site gets a
-    durable WAL file ``site<N>.wal`` there."""
+    workload, tear the cluster down.  Each site logs to ``site<N>.wal``
+    in ``wal_dir`` (default: a fresh temporary directory, removed
+    afterwards)."""
     import os
+    import tempfile
 
     from repro.cluster.server import SiteServer
 
-    async def _run() -> LoadReport:
+    async def _run(wal_dir: str) -> LoadReport:
         servers = []
         client = None
         try:
             for site in range(spec.params.n_sites):
-                wal_path = (os.path.join(
-                    wal_dir, "site{}.wal".format(site))
-                    if wal_dir is not None else None)
-                server = SiteServer(spec, site, wal_path=wal_path)
+                server = SiteServer(
+                    spec, site,
+                    wal_path=os.path.join(wal_dir,
+                                          "site{}.wal".format(site)))
                 await server.start()
                 servers.append(server)
             client = ClusterClient(spec, timeout=timeout,
@@ -444,4 +445,7 @@ def spawn_and_load(spec: ClusterSpec,
             for server in servers:
                 await server.stop()
 
-    return asyncio.run(_run())
+    if wal_dir is not None:
+        return asyncio.run(_run(wal_dir))
+    with tempfile.TemporaryDirectory(prefix="repro-loadgen-") as scratch:
+        return asyncio.run(_run(scratch))

@@ -1,9 +1,12 @@
 """The live site server.
 
 One :class:`SiteServer` hosts one site of the copy graph: its
-:class:`~repro.storage.engine.StorageEngine` (optionally backed by a
-durable :class:`~repro.cluster.wal.FileWal`), its protocol instance, and
-a TCP endpoint serving both peers and clients.
+:class:`~repro.storage.engine.StorageEngine` backed by a durable
+:class:`~repro.cluster.wal.FileWal`, the inbox
+:class:`~repro.cluster.wal.MessageJournal` beside it, its protocol
+instance, and a TCP endpoint serving both peers and clients.  There is
+no memory-only site: the model is crash-stop plus recovery from a
+stable log, so every site has both logs.
 
 Execution model — *virtual time riding the wall clock*: the server owns
 a private discrete-event :class:`~repro.sim.environment.Environment`
@@ -19,17 +22,18 @@ over real sockets via :class:`LiveTransport`.
 The server, not the protocol, handles the cluster control plane:
 
 - ``WOUND`` — apply a remote victim-policy wound to a local primary;
-- **group commit + batching** (``spec.batch > 1``) — WAL/journal
-  appends coalesce at durability *barriers* instead of paying one
-  flush per record, and inbound peer frames flow through a pipelined
-  read/apply pair of tasks so the socket read of batch ``n+1``
-  overlaps decode/journal/apply of batch ``n``.  The barriers keep the
-  externally visible promises exactly where they were: the WAL is
-  synced before a client sees a commit response and before any
-  outbound frame leaves (a forwarded update implies its commit record
-  is stable), and the journal is synced before the cumulative ack of
-  an apply round (journal-then-ack, once per round of queued frames
-  instead of per message);
+- **group commit** — WAL/journal appends coalesce at durability
+  *barriers* (and the appender's ``max_pending`` cap) instead of paying
+  one flush per record, each sync round running in the executor, and
+  inbound peer frames flow through a pipelined read/apply pair of tasks
+  so the socket read of frame ``n+1`` overlaps decode/journal/apply of
+  frame ``n``.  The barriers are where the externally visible promises
+  are made: the WAL is synced before a client sees a commit response
+  and before any outbound frame leaves (a forwarded update implies its
+  commit record is stable), and the journal is synced before the
+  cumulative ack of an apply round (journal-then-ack, once per round of
+  queued frames instead of per message) — the WAL too when the round
+  carried a message the journal does not hold;
 - ``CATCHUP_REQUEST``/``CATCHUP_REPLY`` — reconfiguration's state
   transfer, and nothing else.  Updates reach a replica one way: the
   propagation tree's acknowledged FIFO chain, repaired after a crash
@@ -202,8 +206,7 @@ def encode_spec(spec: TransactionSpec) -> typing.Dict[str, typing.Any]:
 class SiteServer:
     """One live site: engine + WAL + protocol + TCP endpoint."""
 
-    def __init__(self, spec: ClusterSpec, site_id: SiteId,
-                 wal_path: typing.Optional[str] = None,
+    def __init__(self, spec: ClusterSpec, site_id: SiteId, wal_path: str,
                  faults: typing.Optional[typing.Any] = None):
         spec.validate()
         if spec.protocol not in LIVE_PROTOCOLS:
@@ -215,9 +218,23 @@ class SiteServer:
         self.site_id = site_id
         self.wal_path = wal_path
         #: Per-process chaos fault injector, handed to the transport
-        #: (see :mod:`repro.cluster.transport`).  Like batching and
-        #: durability, deliberately outside the cluster fingerprint.
+        #: (see :mod:`repro.cluster.transport`).  Like the frame cap and
+        #: durability level, deliberately outside the cluster
+        #: fingerprint.
         self.faults = faults
+        # Stable storage.  Loading a log is what refuses a corrupt file
+        # (CorruptLogError) and repairs a torn tail, before anything
+        # else of the site exists.
+        self.wal = FileWal(wal_path, durability=spec.durability)
+        self.journal = MessageJournal(wal_path + ".inbox",
+                                      durability=spec.durability)
+        # Group-commit coalescing off the event loop: fsync/flush
+        # releases the GIL, so running each sync round in the default
+        # executor lets decode/apply/drive proceed during the disk wait,
+        # and every waiter that arrives mid-round shares the next one
+        # (leader/follower).
+        self._wal_syncer = _GroupCommitSyncer(self.wal)
+        self._journal_syncer = _GroupCommitSyncer(self.journal)
         self.placement = spec.build_placement()
         self.committed = 0
         self.aborted = 0
@@ -237,9 +254,7 @@ class SiteServer:
         self._pending_since: typing.Optional[float] = None
         # Observability plane (docs/OBSERVABILITY.md).
         self.metrics = MetricsRegistry()
-        self.trace = TraceSink(
-            site_id,
-            path=wal_path + ".trace" if wal_path is not None else None)
+        self.trace = TraceSink(site_id, path=wal_path + ".trace")
         self.apply_queue_hwm = 0
         #: Black-box flight recorder (docs/OBSERVABILITY.md): bounded
         #: rings of recent spans/metric checkpoints/events, dumped as
@@ -251,8 +266,7 @@ class SiteServer:
             cluster={"n_sites": spec.params.n_sites,
                      "protocol": spec.protocol, "seed": spec.seed,
                      "base_port": spec.base_port},
-            default_dir=(os.path.dirname(os.path.abspath(wal_path))
-                         if wal_path is not None else None))
+            default_dir=os.path.dirname(os.path.abspath(wal_path)))
         self.flight.add_source("wal", lambda: _appender_stats(self.wal))
         self.flight.add_source("journal",
                                lambda: _appender_stats(self.journal))
@@ -266,6 +280,18 @@ class SiteServer:
         self._h_drive = self.metrics.histogram("server.drive_s")
         self._h_wal_sync = self.metrics.histogram("wal.sync_s")
         self._h_journal_sync = self.metrics.histogram("journal.sync_s")
+        # Each sync round reports its duration and how many records it
+        # coalesced — the group-commit amortization in histogram form.
+        h_wal_records = self.metrics.histogram(
+            "wal.sync_records", SIZE_BUCKETS)
+        h_journal_records = self.metrics.histogram(
+            "journal.sync_records", SIZE_BUCKETS)
+        self.wal.observe_sync = \
+            lambda dt, n: (self._h_wal_sync.observe(dt),
+                           h_wal_records.observe(n))
+        self.journal.observe_sync = \
+            lambda dt, n: (self._h_journal_sync.observe(dt),
+                           h_journal_records.observe(n))
         self._g_apply_queue = self.metrics.gauge("server.apply_queue")
         # Wire/apply stage instrumentation: seconds spent decoding one
         # inbound peer frame body, seconds spent on one apply round
@@ -310,23 +336,24 @@ class SiteServer:
         self.env: typing.Optional[Environment] = None
         self.system: typing.Optional[ReplicatedSystem] = None
         self.transport: typing.Optional[LiveTransport] = None
-        self.wal: typing.Optional[FileWal] = None
-        self.journal: typing.Optional[MessageJournal] = None
-        self._wal_syncer: typing.Optional[_GroupCommitSyncer] = None
-        self._journal_syncer: typing.Optional[_GroupCommitSyncer] = None
         # Stage context of the frame currently being applied, read by
         # _accept_entry when stamping "received" spans.  Safe as plain
         # members: _apply_loop sets them and calls _apply_frame
         # synchronously, with no await in between.
         self._frame_queue_s = 0.0
         self._frame_decode_s = 0.0
+        # Set by _accept_entry for a fresh entry the journal does not
+        # hold; read and cleared by the same apply round, before its
+        # first await.
+        self._round_unjournaled = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Recover (if a WAL exists), wire the system, begin serving."""
+        """Recover (if the WAL holds records), wire the system, begin
+        serving."""
         self._loop = asyncio.get_running_loop()
         self._epoch = self._loop.time()
         self.env = Environment()
@@ -346,54 +373,20 @@ class SiteServer:
             transport=self.transport, local_sites=[self.site_id])
         self.system.observers.append(_SpanObserver(self))
         site = self.system.site_of(self.site_id)
-        if self.wal_path is not None:
-            group_commit = self.spec.batch > 1
-            self.wal = FileWal(self.wal_path,
-                               durability=self.spec.durability,
-                               group_commit=group_commit)
-            # The journal always defers to its sync point — the ack
-            # barrier in the apply loop — so it pays one flush per
-            # apply round: per message when unbatched frames arrive
-            # one at a time, amortized over every entry of every frame
-            # the round covers otherwise.
-            self.journal = MessageJournal(
-                self.wal_path + ".inbox",
-                durability=self.spec.durability,
-                group_commit=True)
-            # Group-commit coalescing off the event loop: fsync/flush
-            # releases the GIL, so running each sync round in the
-            # default executor lets decode/apply/drive proceed during
-            # the disk wait, and every waiter that arrives mid-round
-            # shares the next one (leader/follower).
-            self._wal_syncer = _GroupCommitSyncer(self.wal)
-            self._journal_syncer = _GroupCommitSyncer(self.journal)
-            # Each sync round reports its duration and how many
-            # records it coalesced — the group-commit amortization in
-            # histogram form.
-            h_wal_records = self.metrics.histogram(
-                "wal.sync_records", SIZE_BUCKETS)
-            h_journal_records = self.metrics.histogram(
-                "journal.sync_records", SIZE_BUCKETS)
-            self.wal.observe_sync = \
-                lambda dt, n: (self._h_wal_sync.observe(dt),
-                               h_wal_records.observe(n))
-            self.journal.observe_sync = \
-                lambda dt, n: (self._h_journal_sync.observe(dt),
-                               h_journal_records.observe(n))
-            if self.wal.recovered_records:
-                # Crash recovery: rebuild the engine from the redo log.
-                site.engine = recover(
-                    self.env, self.site_id, self.wal,
-                    lock_timeout=self.spec.params.deadlock_timeout)
-                self.recovered = True
-            else:
-                site.engine.attach_wal(self.wal)
-                for item_id in sorted(site.engine.item_ids()):
-                    self.wal.append(
-                        LogRecordKind.CREATE, item=item_id,
-                        value=site.engine.item(item_id).value,
-                        time=self.env.now)
-                self.wal.sync()
+        if self.wal.recovered_records:
+            # Crash recovery: rebuild the engine from the redo log.
+            site.engine = recover(
+                self.env, self.site_id, self.wal,
+                lock_timeout=self.spec.params.deadlock_timeout)
+            self.recovered = True
+        else:
+            site.engine.attach_wal(self.wal)
+            for item_id in sorted(site.engine.item_ids()):
+                self.wal.append(
+                    LogRecordKind.CREATE, item=item_id,
+                    value=site.engine.item(item_id).value,
+                    time=self.env.now)
+            self.wal.sync()
         self.system.epoch = self.epoch
         if self.recovered:
             # Epoch recovery: the genesis placement plus the ordered
@@ -449,7 +442,7 @@ class SiteServer:
             raise self.fatal
 
     async def stop(self) -> None:
-        """Graceful shutdown (state preserved in the WAL, if any)."""
+        """Graceful shutdown (state preserved in the WAL)."""
         await self._teardown()
 
     def kill(self) -> None:
@@ -475,10 +468,8 @@ class SiteServer:
         # never reached a sync point were never promised to anyone
         # (no response, ack or forward went out for them), so dropping
         # them here is exactly what recovery is specified against.
-        if self.wal is not None:
-            self.wal.abandon()
-        if self.journal is not None:
-            self.journal.abandon()
+        self.wal.abandon()
+        self.journal.abandon()
         # Trace spans are diagnostics, not promises — keeping them
         # through a simulated crash only helps the post-mortem.
         self.trace.close()
@@ -496,10 +487,8 @@ class SiteServer:
             writer.close()
         if self.transport is not None:
             await self.transport.close()
-        if self.wal is not None:
-            self.wal.close()
-        if self.journal is not None:
-            self.journal.close()
+        self.wal.close()
+        self.journal.close()
         self.trace.close()
 
     # ------------------------------------------------------------------
@@ -613,22 +602,15 @@ class SiteServer:
         reports must be durable) and before any outbound peer frame
         (a forwarded update implies its commit record is stable).
 
-        Returns ``None`` when already durable (or no WAL), otherwise an
-        awaitable that resolves once the records are stable — the sync
-        itself runs in the executor so the event loop keeps decoding and
+        Returns ``None`` when already durable, otherwise an awaitable
+        that resolves once the records are stable — the sync itself
+        runs in the executor so the event loop keeps decoding and
         applying during the disk wait, and concurrent waiters coalesce
-        into shared group-commit rounds.  Callers that may be
-        synchronous treat a non-``None`` return as "await me".
+        into shared group-commit rounds.
         """
-        wal = self.wal
-        if wal is None:
+        if self.wal.synced_records >= self.wal.appended:
             return None
-        if self._wal_syncer is not None:
-            if wal.synced_records >= wal.appended:
-                return None
-            return self._wal_syncer.wait_durable()
-        wal.sync()
-        return None
+        return self._wal_syncer.wait_durable()
 
     def _accept_entry(self, incarnation: str, seq: int,
                       obj_msg: typing.Mapping[str, typing.Any]) -> None:
@@ -658,8 +640,7 @@ class SiteServer:
                    if self._frame_queue_s else None),
                 dec=(round(self._frame_decode_s, 6)
                      if self._frame_decode_s else None))
-        if message.msg_type is MessageType.SECONDARY and \
-                self.journal is not None:
+        if message.msg_type is MessageType.SECONDARY:
             # Journal before ack: once the sender retires this update,
             # the journal is the only copy that survives our crash.
             # Appends buffer; the apply loop syncs before the ack.
@@ -669,6 +650,8 @@ class SiteServer:
                     "journaled", trace=traces[0],
                     traces=traces if len(traces) > 1 else None,
                     peer=message.src, type=message.msg_type.value)
+        else:
+            self._round_unjournaled = True
         if message.msg_type is MessageType.WOUND:
             self._on_wound(message)
         elif message.msg_type is MessageType.RECONFIG:
@@ -681,37 +664,31 @@ class SiteServer:
             self.transport.deliver(message)
 
     def _apply_frame(self, frame: typing.Mapping) -> typing.Optional[int]:
-        """Accept one ``msg`` or ``batch`` frame's entries; returns the
-        cumulative ack sequence (``None`` if the frame carried nothing
-        to ack).
+        """Accept one ``batch`` frame's entries; returns the cumulative
+        ack sequence (``None`` if the frame carried nothing to ack).
 
         Every entry is dedup-checked, journalled (buffered, not
         synced) and dispatched in arrival order.  Nothing here syncs,
         drives or acks: :meth:`_apply_loop` does each once per round,
         over all the frames the round covers."""
-        if frame.get("kind") == "batch":
-            incarnation = str(frame.get("inc", ""))
-            msgs = frame.get("msgs")
-            if not isinstance(msgs, list):
-                raise CodecError("batch frame without a msgs list")
-            last_seq: typing.Optional[int] = None
-            count = 0
-            for item in msgs:
-                try:
-                    seq = int(item["seq"])
-                    obj_msg = item["msg"]
-                except (TypeError, KeyError, ValueError):
-                    raise CodecError("malformed batch entry")
-                self._accept_entry(incarnation, seq, obj_msg)
-                last_seq = seq
-                count += 1
-        else:
-            last_seq = int(frame.get("seq", 0))
-            self._accept_entry(str(frame.get("inc", "")), last_seq,
-                               frame["msg"])
-            count = 1
+        if frame.get("kind") != "batch":
+            raise CodecError("not a batch frame: {!r}".format(
+                frame.get("kind")))
+        incarnation = str(frame.get("inc", ""))
+        msgs = frame.get("msgs")
+        if not isinstance(msgs, list):
+            raise CodecError("batch frame without a msgs list")
+        last_seq: typing.Optional[int] = None
+        for item in msgs:
+            try:
+                seq = int(item["seq"])
+                obj_msg = item["msg"]
+            except (TypeError, KeyError, ValueError):
+                raise CodecError("malformed batch entry")
+            self._accept_entry(incarnation, seq, obj_msg)
+            last_seq = seq
         self._m_frames_decoded.inc()
-        self._m_frame_msgs.observe(count)
+        self._m_frame_msgs.observe(len(msgs))
         return last_seq
 
     def _on_wound(self, message: Message) -> None:
@@ -921,14 +898,12 @@ class SiteServer:
                 # Socket wait for this frame, decode included (the
                 # decode share is histogrammed separately).
                 self._h_read_wait.observe(time.perf_counter() - started)
-                if frame.get("kind") in ("msg", "batch"):
-                    await queue.put(
-                        (time.perf_counter(), decoded[0], frame))
-                    decoded[0] = 0.0
-                    depth = queue.qsize()
-                    if depth > self.apply_queue_hwm:
-                        self.apply_queue_hwm = depth
-                    self._g_apply_queue.set(depth)
+                await queue.put((time.perf_counter(), decoded[0], frame))
+                decoded[0] = 0.0
+                depth = queue.qsize()
+                if depth > self.apply_queue_hwm:
+                    self.apply_queue_hwm = depth
+                self._g_apply_queue.set(depth)
         finally:
             if not apply_task.done():
                 try:
@@ -959,7 +934,11 @@ class SiteServer:
         the journal sync covering every entry the ack retires has
         completed.  The sync is kicked into the executor *before* the
         drive, so the disk wait and the protocol work overlap; the ack
-        waits for both."""
+        waits for both.  A round that accepted anything the journal
+        does not hold (a 2PC decision, which commits a backedge
+        subtransaction here) also waits for the WAL: once acked, such a
+        message is gone from its sender, and only the log still holds
+        what it caused."""
         on_encode = self._h_encode.observe
         on_write = self._h_write.observe
         while not self._closed:
@@ -991,20 +970,20 @@ class SiteServer:
                 finally:
                     self._frame_queue_s = 0.0
                     self._frame_decode_s = 0.0
-            journal, syncer = self.journal, self._journal_syncer
-            unsynced = journal is not None and \
-                journal.synced_records < journal.appended
+            unsynced = self.journal.synced_records < self.journal.appended
             if unsynced:
-                if syncer is not None:
-                    syncer.kick()
-                else:
-                    journal.sync()  # journal-then-ack
+                self._journal_syncer.kick()
             self._drive()
-            if unsynced and syncer is not None:
+            unjournaled, self._round_unjournaled = \
+                self._round_unjournaled, False
+            if unsynced:
                 waited = time.perf_counter()
-                await syncer.wait_durable()
+                await self._journal_syncer.wait_durable()
                 self._h_journal_wait.observe(
                     time.perf_counter() - waited)
+            barrier = self._sync_wal() if unjournaled else None
+            if barrier is not None:
+                await barrier
             self._h_apply.observe(time.perf_counter() - started)
             if last_seq is not None:
                 # The sender retires everything <= last_seq on this one
@@ -1277,13 +1256,11 @@ class SiteServer:
                              "change".format(self.pending_epoch)}
         first = self.pending_epoch is None
         if first:
-            if self.wal is not None:
-                # Durability of the prepare is best-effort on purpose:
-                # a crash drops the volatile fence anyway, and the
-                # coordinator re-prepares on seeing no pending epoch.
-                self.wal.append(LogRecordKind.EPOCH_PREPARE, item=epoch,
-                                value=change.to_json(),
-                                time=self.env.now)
+            # Durability of the prepare is best-effort on purpose: a
+            # crash drops the volatile fence anyway, and the coordinator
+            # re-prepares on seeing no pending epoch.
+            self.wal.append(LogRecordKind.EPOCH_PREPARE, item=epoch,
+                            value=change.to_json(), time=self.env.now)
             self._pending_since = self._loop.time()
         self.pending_epoch = epoch
         self.pending_change = change.to_json()
@@ -1321,10 +1298,9 @@ class SiteServer:
             new_placement = change.apply(self.placement)
         except ReconfigError as exc:
             return {"ok": False, "error": str(exc)}
-        if self.wal is not None:
-            self.wal.append(LogRecordKind.EPOCH_COMMIT, item=epoch,
-                            value=change.to_json(), time=self.env.now)
-            self.wal.sync()
+        self.wal.append(LogRecordKind.EPOCH_COMMIT, item=epoch,
+                        value=change.to_json(), time=self.env.now)
+        self.wal.sync()
         self.placement = new_placement
         self.system.swap_placement(new_placement, epoch)
         self.epoch = epoch
@@ -1395,15 +1371,11 @@ class SiteServer:
             item: {"value": engine.item(item).value,
                    "version": engine.item(item).committed_version}
             for item in engine.item_ids()}
-        # Canonical durability counters, one sub-dict per log.  The flat
-        # wal_*/journal_* keys below duplicate the subset older tooling
-        # (loadgen, tests) already reads.
+        # Durability counters, one sub-dict per log.
         wal_stats = _appender_stats(self.wal)
-        wal_stats["records"] = len(self.wal) if self.wal is not None \
-            else 0
+        wal_stats["records"] = len(self.wal)
         journal_stats = _appender_stats(self.journal)
-        journal_stats["records"] = (len(self.journal)
-                                    if self.journal is not None else 0)
+        journal_stats["records"] = len(self.journal)
         return {
             "ok": True,
             "site": self.site_id,
@@ -1432,10 +1404,6 @@ class SiteServer:
             "epoch": self.epoch,
             "pending_epoch": self.pending_epoch,
             "epoch_skew": getattr(self.system.protocol, "epoch_skew", 0),
-            "wal_records": wal_stats["records"],
-            "wal_syncs": wal_stats["syncs"],
-            "journal_records": journal_stats["records"],
-            "journal_syncs": journal_stats["syncs"],
             "recovered": self.recovered,
         }
 
@@ -1459,11 +1427,7 @@ class _SpanObserver:
 
 
 def _appender_stats(log) -> typing.Dict[str, int]:
-    """Durability counters of a :class:`FileWal`/:class:`MessageJournal`
-    (zeroes for a memory-only site)."""
-    if log is None:
-        return {"appended": 0, "syncs": 0, "bytes": 0, "pending": 0,
-                "abandoned": 0, "sync_seconds": 0.0}
+    """Durability counters of a :class:`FileWal`/:class:`MessageJournal`."""
     return {
         "appended": log.appended,
         "syncs": log.syncs,

@@ -35,16 +35,14 @@ class ClusterSpec:
     host: str = "127.0.0.1"
     base_port: int = 7450
     #: WAL/journal durability level: ``"none"`` (Python buffer —
-    #: a process crash can lose records), ``"flush"`` (default; OS page
-    #: cache — survives a process crash, **not** power loss) or
-    #: ``"fsync"`` (disk — survives power loss).  See
+    #: a process crash can lose records), ``"flush"`` (OS page cache —
+    #: survives a process crash, **not** power loss) or ``"fsync"``
+    #: (default; disk — survives power loss).  See
     #: :mod:`repro.cluster.wal` for the honest fine print.
-    durability: str = "flush"
-    #: Hot-path batching factor: maximum messages per wire frame on
-    #: every peer channel.  ``1`` (default) is the unbatched baseline;
-    #: ``> 1`` also turns on WAL/journal group commit, coalescing
-    #: concurrent appends into single write+flush sync points.
-    batch: int = 1
+    durability: str = "fsync"
+    #: Frame cap: maximum messages per ``batch`` wire frame on every
+    #: peer channel.  Both logs group-commit whatever it is.
+    batch: int = 64
     # Read by benchmarks/ledger/layers.py only: a constant, not a field.
     wire_format: typing.ClassVar[str] = "json"
     #: Configuration epoch (``repro.reconfig``).  Epoch 0 is *genesis*:
@@ -98,10 +96,10 @@ class ClusterSpec:
         agreement set is hashed — the placement-determining parameters,
         the deadlock timeout, protocol and seed.  Workload-volume knobs
         (threads, transactions per thread, read mix) are load-generator
-        concerns, and the performance knobs (``durability``, ``batch``)
-        are per-process: the wire format is self-describing (``msg`` vs
-        ``batch`` frames), so batched and unbatched members interoperate
-        within one cluster.
+        concerns, and ``durability`` and ``batch`` are per-process
+        settings: a receiver takes a ``batch`` frame of any length, so
+        members with different frame caps interoperate within one
+        cluster.
         """
         params = self.params
         material = json.dumps(
@@ -151,7 +149,7 @@ class ClusterSpec:
             seed=int(obj.get("seed", 0)),
             host=obj.get("host", "127.0.0.1"),
             base_port=int(obj.get("base_port", 7450)),
-            durability=obj.get("durability", "flush"),
-            batch=int(obj.get("batch", 1)),
+            durability=obj.get("durability", cls.durability),
+            batch=int(obj.get("batch", cls.batch)),
             epoch=int(obj.get("epoch", 0)),
         ).validate()

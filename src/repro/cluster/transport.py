@@ -17,22 +17,22 @@ DAG(WT)'s correctness depends on:
   punch a gap into the FIFO stream (the root of all replication evil:
   a later update applied before an earlier one can never be serialized
   again);
-- a per-process random *incarnation id* plus a per-channel sequence
-  number on every frame; the receiving server drops ``(src,
-  incarnation)`` sequence numbers it has already seen, making resends
-  idempotent.  A restarted receiver reloads that dedup state from its
-  message journal and re-applies idempotently past it;
-- **frame batching** (``max_batch > 1``): when the channel has a
-  backlog, up to ``max_batch`` consecutive messages travel in a single
-  ``batch`` wire frame, acknowledged by one cumulative ack — the
-  deferred-update amortization the paper's lazy protocols exist to
-  enable.  Entries keep their per-channel sequence numbers, so the
-  receiver's FIFO and dedup contracts are byte-for-byte those of
-  individual ``msg`` frames; batching is invisible above the wire.
+- a per-process random *incarnation id* on every frame plus a
+  per-channel sequence number on every message; the receiving server
+  drops ``(src, incarnation)`` sequence numbers it has already seen,
+  making resends idempotent.  A restarted receiver reloads that dedup
+  state from its message journal and re-applies idempotently past it;
+- **one peer data frame**: every message travels in a ``batch`` wire
+  frame (:func:`~repro.cluster.codec.encode_batch_frame`) — a singleton
+  as a one-entry batch — and a channel with a backlog packs up to
+  ``max_batch`` consecutive messages into one, acknowledged by one
+  cumulative ack: the deferred-update amortization the paper's lazy
+  protocols exist to enable.  Entries keep their per-channel sequence
+  numbers, so the frame cap is invisible above the wire.
 
-Delivery happens on the receiving server: inbound ``msg`` frames are
-decoded and handed to :meth:`LiveTransport.deliver`, which dispatches to
-the handler the protocol registered for the local site.
+Delivery happens on the receiving server: inbound frames are decoded
+and each entry is handed to :meth:`LiveTransport.deliver`, which
+dispatches to the handler the protocol registered for the local site.
 
 Backpressure note: the per-channel backlog is unbounded by design — a
 site that is down accumulates its updates at the senders (exactly the
@@ -51,8 +51,8 @@ receiver got the frame, the sender resends it, and the receiver-side
 dedup drops the duplicate).  The injector never touches frame contents,
 so an injector that decides "no fault" leaves the wire byte-identical
 to running without one.  The hook is per-process and deliberately
-outside the cluster fingerprint, like the batching and durability
-knobs.
+outside the cluster fingerprint, like the frame cap and durability
+level.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ import uuid
 from repro.cluster.codec import (
     CodecError,
     encode_batch_frame,
-    encode_message,
     read_frame,
     write_frame,
 )
@@ -150,14 +149,12 @@ class _Channel:
                     self._ack_task = asyncio.get_running_loop() \
                         .create_task(self._ack_loop(reader))
                     continue
-                # Drain up to max_batch queued messages into one wire
-                # frame: a singleton goes as a plain "msg" frame (the
-                # unbatched wire format), more become a "batch" frame
-                # with one cumulative ack.  The snapshot below is fixed
-                # before the awaited write; messages arriving during it
-                # simply form the next batch.
-                count = min(len(self.unsent),
-                            max(1, self.transport.max_batch))
+                # Drain up to max_batch queued messages into one batch
+                # frame (a singleton is a one-entry batch) with one
+                # cumulative ack.  The snapshot below is fixed before
+                # the awaited write; messages arriving during it simply
+                # form the next frame.
+                count = min(len(self.unsent), self.transport.max_batch)
                 entries = list(itertools.islice(self.unsent, count))
                 # Chaos seam: one decision per frame attempt, keyed by
                 # the frame's first sequence number so a replay with
@@ -191,42 +188,23 @@ class _Channel:
                     # so attribution can split the pre-wire segment.
                     maybe = sync_hook()
                     if inspect.isawaitable(maybe):
-                        timed = bool(self.transport.metrics) or \
-                            self.transport.trace_sink is not None
-                        waited = time.perf_counter() if timed else 0.0
+                        waited = time.perf_counter()
                         await maybe
-                        if timed:
-                            sync_s = time.perf_counter() - waited
-                            if self.transport.metrics:
-                                self.transport._h_wal_barrier.observe(
-                                    sync_s)
+                        sync_s = time.perf_counter() - waited
+                        self.transport._h_wal_barrier.observe(sync_s)
                 # Trace ids ride beside the payload on each wire object
                 # (stamped only when this member traces; the receiver
                 # can re-derive them from the payload regardless).
-                stamp = (stamp_message_obj
-                         if self.transport.trace_sink is not None
-                         else None)
-                if count == 1:
-                    seq, message = entries[0]
-                    obj = encode_message(message)
-                    if stamp is not None:
-                        stamp(obj, message)
-                    frame = {
-                        "kind": "msg",
-                        "inc": self.transport.incarnation,
-                        "seq": seq,
-                        "msg": obj,
-                    }
-                else:
-                    frame = encode_batch_frame(
-                        self.transport.incarnation, entries, stamp=stamp)
+                frame = encode_batch_frame(
+                    self.transport.incarnation, entries,
+                    stamp=(stamp_message_obj
+                           if self.transport.trace_sink is not None
+                           else None))
                 try:
                     await write_frame(
                         writer, frame,
-                        on_encode=(self.transport._h_encode.observe
-                                   if self.transport.metrics else None),
-                        on_write=(self.transport._h_write.observe
-                                  if self.transport.metrics else None))
+                        on_encode=self.transport._h_encode.observe,
+                        on_write=self.transport._h_write.observe)
                 except (ConnectionError, OSError):
                     writer = await self._drop_connection(writer)
                     continue
@@ -322,7 +300,7 @@ class LiveTransport:
         self.peers = dict(peers)
         self.n_sites = max(peers, default=site_id) + 1
         self.fingerprint = fingerprint
-        #: Max messages per wire frame (1 = unbatched "msg" frames).
+        #: Max messages per wire frame.
         self.max_batch = max(1, int(max_batch))
         #: Called synchronously right before a frame's bytes are
         #: written — the server points it at the WAL group-commit sync
@@ -358,12 +336,12 @@ class LiveTransport:
         self.dedup_dropped = 0
         self.record_deliveries = False
         self.delivery_log: typing.List[Message] = []
-        #: Observability (both optional): a metrics registry — a
-        #: disabled stand-in when absent, so instrument calls are no-op
-        #: — and a span sink; trace ids are stamped onto outbound wire
-        #: objects only when a sink is attached.
+        #: Observability: a metrics registry (the server's, or a private
+        #: one when none is handed in) and an optional span sink; trace
+        #: ids are stamped onto outbound wire objects only when a sink
+        #: is attached.
         self.metrics = metrics if metrics is not None \
-            else MetricsRegistry(enabled=False)
+            else MetricsRegistry()
         self.trace_sink = trace_sink
         self._m_frames = self.metrics.counter("net.frames_sent")
         self._m_batch = self.metrics.histogram("net.batch_size",

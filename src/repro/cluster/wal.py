@@ -31,19 +31,18 @@ Durability levels (honest about what each survives):
     Records stay in the Python file buffer until the OS decides to
     drain it.  A process crash can lose them.  Fastest; only for
     throwaway runs.
-``"flush"`` (default)
+``"flush"`` (this class's default)
     Every sync ``flush()`` es to the OS page cache.  Survives a process
-    crash (the historical behaviour of this module), **not** an OS
-    crash or power loss.
-``"fsync"``
+    crash, **not** an OS crash or power loss.
+``"fsync"`` (the cluster default, :class:`~repro.cluster.spec.ClusterSpec`)
     Every sync additionally calls :func:`os.fsync`.  Survives power
     loss, at the price of a real disk round trip per sync.
 
-Group commit: with ``group_commit=True`` appends are buffered and a
-*sync point* — an explicit :meth:`FileWal.sync` or the ``max_pending``
-size cap — writes all of them with **one** ``write`` + one ``flush``
-(+ one ``fsync``), amortizing the per-record syscall cost across every
-transaction that committed since the last sync.  There is no timer: the
+Group commit, always: appends are buffered and a *sync point* — an
+explicit :meth:`FileWal.sync` or the ``max_pending`` size cap — writes
+all of them with **one** ``write`` + one ``flush`` (+ one ``fsync``),
+amortizing the per-record syscall cost across every transaction that
+committed since the last sync.  There is no timer: the
 durability promise attaches to the sync, not the append, and callers
 must sync before any externally visible action (client response, peer
 ack, outbound forward) that implies the record is stable.
@@ -146,19 +145,16 @@ class _LineAppender:
     """The append/sync machinery and durability counters that
     :class:`FileWal` and :class:`MessageJournal` both are.
 
-    Buffers encoded lines and drains them at sync points; with group
-    commit off, every append is its own sync point.
+    Buffers encoded lines and drains them at sync points.
     """
 
-    def __init__(self, path: str, durability: str, group_commit: bool,
-                 max_pending: int):
+    def __init__(self, path: str, durability: str, max_pending: int):
         if durability not in DURABILITY_LEVELS:
             raise ValueError(
                 "unknown durability level {!r} (expected one of {})"
                 .format(durability, ", ".join(DURABILITY_LEVELS)))
         self.path = str(path)
         self.durability = durability
-        self.group_commit = bool(group_commit)
         self.max_pending = max_pending
         self._handle: typing.Optional[typing.BinaryIO] = None
         self._pending: typing.List[bytes] = []
@@ -204,7 +200,7 @@ class _LineAppender:
             self._pending.append(line)
             self.appended += 1
             pending = len(self._pending)
-        if not self.group_commit or pending >= self.max_pending:
+        if pending >= self.max_pending:
             self.sync()
 
     def sync(self) -> int:
@@ -280,19 +276,18 @@ class FileWal(_LineAppender, WriteAheadLog):
     durability:
         ``"none"``, ``"flush"`` (default) or ``"fsync"`` — see the
         module docstring for what each level actually survives.
-    group_commit:
-        Buffer appends and coalesce them at sync points instead of
-        paying one write+flush per record.
     max_pending:
-        Group commit only: buffered-record cap that forces a sync.
+        Buffered-record cap that forces a sync.
     """
 
     def __init__(self, path: typing.Union[str, "os.PathLike"],
-                 durability: str = "flush", group_commit: bool = False,
+                 durability: str = "flush", group_commit: bool = True,
                  max_pending: int = 256):
+        # ``group_commit`` accepts only True: benchmarks/ledger passes it.
+        if group_commit is not True:
+            raise ValueError("FileWal always group-commits")
         WriteAheadLog.__init__(self)
-        _LineAppender.__init__(self, str(path), durability, group_commit,
-                               max_pending)
+        _LineAppender.__init__(self, str(path), durability, max_pending)
         self.torn_tail = False
         if os.path.exists(self.path):
             objects, self.torn_tail = _load_lines(self.path)
@@ -327,17 +322,15 @@ class MessageJournal(_LineAppender):
     dedup state (``src``/``inc``/``seq``) and the FIFO update stream the
     protocol queue had accepted but not yet durably applied.
 
-    Group commit mirrors :class:`FileWal`: with ``group_commit=True``
-    the entries of one inbound batch are buffered and :meth:`sync` ed
-    with a single write+flush before the batch's cumulative ack goes
-    out — journal-then-ack, per batch instead of per message.
+    Group commit mirrors :class:`FileWal`: the entries of one apply
+    round are buffered and :meth:`sync` ed with a single write+flush
+    before the round's cumulative ack goes out — journal-then-ack, per
+    round instead of per message.
     """
 
     def __init__(self, path: typing.Union[str, "os.PathLike"],
-                 durability: str = "flush", group_commit: bool = False,
-                 max_pending: int = 256):
-        super().__init__(str(path), durability, group_commit,
-                         max_pending)
+                 durability: str = "flush", max_pending: int = 256):
+        super().__init__(str(path), durability, max_pending)
         #: Entries loaded from disk at construction time — what start-up
         #: replay reads.  Appends go to the file only: nothing re-reads
         #: them in this process, and keeping every wire object alive

@@ -5,14 +5,9 @@ Design constraints, in order:
 1. **Cheap on the hot path.**  An increment is one lock acquire and one
    integer add; a histogram observation is a bisect into a fixed bucket
    table.  No strings are formatted, no timestamps taken, nothing is
-   allocated per observation.
-2. **Zero-cost when disabled.**  A registry built with
-   ``enabled=False`` hands out one shared :class:`NullInstrument`
-   whose methods do nothing; it is falsy, so callers can guard optional
-   work (``if hist: hist.observe(perf_counter() - t0)``) and skip even
-   the clock reads.  A disabled registry keeps **no** state — nothing
-   it could leak onto the wire or into a cluster fingerprint.
-3. **Thread- and task-safe.**  The live server runs a pipelined asyncio
+   allocated per observation.  There is no off switch: what the
+   instruments cost is the ledger's ``obs.*`` rows.
+2. **Thread- and task-safe.**  The live server runs a pipelined asyncio
    apply loop, and tests (plus future multi-threaded frontends) hammer
    instruments from worker threads; every mutation holds the
    instrument's own lock, so counts are exact, not "close enough".
@@ -38,46 +33,6 @@ SIZE_BUCKETS: typing.Tuple[float, ...] = (
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
-class NullInstrument:
-    """Shared no-op stand-in for every instrument type.
-
-    Falsy on purpose: hot paths guard optional work (clock reads,
-    snapshot assembly) behind ``if instrument:``, which makes the
-    disabled configuration genuinely zero-cost rather than merely
-    cheap.
-    """
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return False
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    @property
-    def value(self) -> int:
-        return 0
-
-    @property
-    def high_water(self) -> float:
-        return 0.0
-
-    @property
-    def count(self) -> int:
-        return 0
-
-
-#: The one shared null instrument a disabled registry hands out.
-NULL = NullInstrument()
-
-
 class Counter:
     """A monotonically increasing integer."""
 
@@ -87,9 +42,6 @@ class Counter:
         self.name = name
         self._value = 0
         self._lock = threading.Lock()
-
-    def __bool__(self) -> bool:
-        return True
 
     def inc(self, amount: int = 1) -> None:
         with self._lock:
@@ -113,9 +65,6 @@ class Gauge:
         self._value = 0.0
         self._high_water = 0.0
         self._lock = threading.Lock()
-
-    def __bool__(self) -> bool:
-        return True
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -166,9 +115,6 @@ class Histogram:
         self._min: typing.Optional[float] = None
         self._max: typing.Optional[float] = None
         self._lock = threading.Lock()
-
-    def __bool__(self) -> bool:
-        return True
 
     def observe(self, value: float) -> None:
         index = bisect.bisect_left(self.edges, value)
@@ -227,21 +173,14 @@ class MetricsRegistry:
 
     ``counter`` / ``gauge`` / ``histogram`` are get-or-create: asking
     for an existing name returns the same instrument (asking with a
-    different instrument type raises).  A disabled registry returns the
-    shared :data:`NULL` instrument and records nothing at all.
+    different instrument type raises).
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = bool(enabled)
+    def __init__(self):
         self._instruments: typing.Dict[str, typing.Any] = {}
         self._lock = threading.Lock()
 
-    def __bool__(self) -> bool:
-        return self.enabled
-
     def _get_or_create(self, name: str, cls, factory):
-        if not self.enabled:
-            return NULL
         with self._lock:
             instrument = self._instruments.get(name)
             if instrument is None:
@@ -266,9 +205,6 @@ class MetricsRegistry:
 
     def snapshot(self) -> typing.Dict[str, typing.Any]:
         """JSON-safe snapshot of every instrument, grouped by type."""
-        if not self.enabled:
-            return {"enabled": False, "counters": {}, "gauges": {},
-                    "histograms": {}}
         counters: typing.Dict[str, int] = {}
         gauges: typing.Dict[str, typing.Any] = {}
         histograms: typing.Dict[str, typing.Any] = {}
@@ -281,7 +217,7 @@ class MetricsRegistry:
                 gauges[name] = instrument.snapshot()
             elif isinstance(instrument, Histogram):
                 histograms[name] = instrument.snapshot()
-        return {"enabled": True, "counters": counters, "gauges": gauges,
+        return {"counters": counters, "gauges": gauges,
                 "histograms": histograms}
 
 
@@ -331,8 +267,6 @@ def validate_snapshot(obj: typing.Any) -> None:
 
     if not isinstance(obj, dict):
         fail("not an object")
-    if not isinstance(obj.get("enabled"), bool):
-        fail("missing boolean 'enabled'")
     for section in ("counters", "gauges", "histograms"):
         if not isinstance(obj.get(section), dict):
             fail("missing object section {!r}".format(section))

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
+from tests.helpers import free_base_port
 
 SMALL = ["--sites", "3", "--items", "30", "--txns", "8",
          "--threads", "2"]
@@ -145,7 +146,8 @@ def test_serve_args_round_trip():
     args = parser.parse_args(
         ["serve", "--site", "1", "--protocol", "backedge", "--seed",
          "7", "--host", "0.0.0.0", "--base-port", "9000", "--wal",
-         "/tmp/s1.wal", "--sites", "3"])
+         "/tmp/s1.wal", "--sites", "3", "--batch", "8",
+         "--durability", "flush"])
     assert args.command == "serve"
     assert args.site == 1
     assert args.protocol == "backedge"
@@ -154,6 +156,7 @@ def test_serve_args_round_trip():
     assert args.base_port == 9000
     assert args.wal == "/tmp/s1.wal"
     assert args.n_sites == 3
+    assert (args.batch, args.durability) == (8, "flush")
 
 
 def test_loadgen_args_round_trip():
@@ -184,7 +187,7 @@ def test_loadgen_defaults_target_local_cluster():
 
 def test_serve_requires_site():
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["serve"])
+        build_parser().parse_args(["serve", "--wal", "s0.wal"])
 
 
 @pytest.mark.parametrize("flag", [
@@ -198,9 +201,29 @@ def test_serve_rejects_the_deleted_knobs(flag, capsys):
     scrape listener: the flags that selected the others are unknown
     arguments now (argparse exits 2)."""
     with pytest.raises(SystemExit) as exit_info:
-        build_parser().parse_args(["serve", "--site", "0"] + flag)
+        build_parser().parse_args(
+            ["serve", "--site", "0", "--wal", "s0.wal"] + flag)
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--site", "0"],                   # no memory-only site
+    ["stats", "--batch", "8"],                  # server setting, no server
+    ["chaos-sweep", "--durability", "flush"],   # cells run the defaults
+])
+def test_server_settings_only_where_a_server_starts(argv):
+    """Every site has a WAL, and the per-process server settings
+    (``--batch``, ``--durability``) are taken only by the commands that
+    start servers: ``serve``, ``loadgen`` (``--spawn``) and ``chaos``.
+    Anything else exits 2 at parse time."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+    for command in (["loadgen"], ["chaos"]):
+        args = build_parser().parse_args(
+            command + ["--batch", "8", "--durability", "flush"])
+        assert (args.batch, args.durability) == (8, "flush")
 
 
 def test_loadgen_spawned_cluster_end_to_end(tmp_path):
@@ -208,10 +231,10 @@ def test_loadgen_spawned_cluster_end_to_end(tmp_path):
     3-site cluster, drives the matched workload, prints throughput and
     latency percentiles, and exits 0 only if the oracles pass."""
     code, output = run_cli(
-        "loadgen", "--spawn", "--seed", "3", "--base-port", "7560",
+        "loadgen", "--spawn", "--seed", "3",
+        "--base-port", str(free_base_port(3)),
         "--sites", "3", "--items", "12", "--replication", "0.8",
         "--threads", "2", "--txns", "4",
-        "--wal-dir", str(tmp_path),
         "--json", str(tmp_path / "report.json"))
     assert code == 0, output
     assert "throughput" in output and "committed txns/s" in output
@@ -251,7 +274,8 @@ def test_loadgen_then_offline_trace_reconstruction(tmp_path):
     propagation + replica-lag lines and leaves per-site span files that
     `repro trace --files` reconstructs offline (CI's smoke path)."""
     code, output = run_cli(
-        "loadgen", "--spawn", "--seed", "3", "--base-port", "7565",
+        "loadgen", "--spawn", "--seed", "3",
+        "--base-port", str(free_base_port(3)),
         "--sites", "3", "--items", "12", "--replication", "0.8",
         "--threads", "2", "--txns", "4", "--wal-dir", str(tmp_path))
     assert code == 0, output
@@ -301,20 +325,21 @@ def test_serve_flushes_trace_sink_on_sigterm(tmp_path):
     import time
 
     wal = tmp_path / "site0.wal"
+    base_port = str(free_base_port(1))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, ["src", env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--site", "0",
          "--sites", "1", "--items", "6", "--replication", "0.8",
-         "--seed", "3", "--base-port", "7575", "--wal", str(wal)],
+         "--seed", "3", "--base-port", base_port, "--wal", str(wal)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
         deadline = time.time() + 10
         code = None
         while time.time() < deadline:
             code, _ = run_cli(
-                "loadgen", "--seed", "3", "--base-port", "7575",
+                "loadgen", "--seed", "3", "--base-port", base_port,
                 "--sites", "1", "--items", "6", "--replication", "0.8",
                 "--threads", "1", "--txns", "3")
             if code == 0:
@@ -382,7 +407,8 @@ def test_monitoring_commands_against_live_cluster(tmp_path):
     import sys
     import time
 
-    cluster = ["--seed", "3", "--base-port", "7750", "--sites", "3",
+    cluster = ["--seed", "3", "--base-port", str(free_base_port(3)),
+               "--sites", "3",
                "--items", "12", "--replication", "0.8"]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -486,7 +512,8 @@ def test_dump_and_postmortem_args_round_trip():
     assert args.alerts_backups == 2
 
     args = parser.parse_args(
-        ["serve", "--site", "0", "--dump-dir", "/tmp/bundles"])
+        ["serve", "--site", "0", "--wal", "s0.wal",
+         "--dump-dir", "/tmp/bundles"])
     assert args.dump_dir == "/tmp/bundles"
 
     args = parser.parse_args(["top", "--json"])
@@ -586,21 +613,24 @@ def test_anti_entropy_knobs_are_gone(capsys):
         with pytest.raises(SystemExit) as exit_info:
             parser.parse_args(["chaos", *flag])
         assert exit_info.value.code == 2
-    parser.parse_args(["serve", "--site", "0", "--anti-entropy", "0"])
+    parser.parse_args(["serve", "--site", "0", "--wal", "s0.wal",
+                       "--anti-entropy", "0"])
     with pytest.raises(SystemExit):
         parser.parse_args(["serve", "--help"])
     assert "anti-entropy" not in capsys.readouterr().out
 
     spec = ClusterSpec()
     with pytest.raises(TypeError):
-        SiteServer(spec, 0, anti_entropy_interval=0.5)
+        SiteServer(spec, 0, "s0.wal", anti_entropy_interval=0.5)
     with pytest.raises(TypeError):
-        SiteServer(spec, 0, catchup_on_start=False)
+        SiteServer(spec, 0, "s0.wal", catchup_on_start=False)
     with pytest.raises(TypeError):
         ChaosScenario(spec=spec, anti_entropy_interval=0.5)
     # Scenario files written before the deletion carry the two keys;
     # they load unedited and round-trip without them.
-    scenario = ChaosScenario.load("tests/data/chaos_known_bad.json")
+    old = dict(ChaosScenario(spec=spec).to_json(),
+               anti_entropy_interval=0.5, catchup_on_start=True)
+    scenario = ChaosScenario.from_json(old)
     assert not {"anti_entropy_interval", "catchup_on_start"} & set(
         scenario.to_json())
 
@@ -634,7 +664,7 @@ def test_serve_exits_nonzero_with_a_bundle_on_a_kernel_exception(
     code, output = run_cli(
         "serve", "--site", "0", "--sites", "3", "--items", "12",
         "--replication", "0.8", "--protocol", "dag_wt", "--seed", "3",
-        "--base-port", "7580",
+        "--base-port", str(free_base_port(1)),
         "--wal", str(tmp_path / "s0.wal"), "--dump-dir", str(dump_dir))
     assert code == 1
     assert "fatal: RuntimeError: injected kernel fault" in output
@@ -675,7 +705,7 @@ def test_chaos_cli_jitter_run_green(tmp_path):
     log_path = tmp_path / "injections.json"
     code, output = run_cli(
         "chaos", "--protocol", "dag_wt", "--seed", "3",
-        "--base-port", "7700", "--fault-profile", "jitter",
+        "--base-port", str(free_base_port(3)), "--fault-profile", "jitter",
         "--wal-dir", str(tmp_path / "wal"),
         "--sites", "3", "--items", "12", "--replication", "0.8",
         "--threads", "2", "--txns", "6", "--read-txn", "0.3",

@@ -47,7 +47,7 @@ def append_n(wal, count, start=0):
 
 def test_appends_buffer_until_sync_then_one_write(tmp_path):
     path = tmp_path / "site0.wal"
-    wal = FileWal(path, group_commit=True)
+    wal = FileWal(path)
     append_n(wal, 5)
     assert wal.pending_sync == 5
     assert wal.syncs == 0
@@ -61,17 +61,8 @@ def test_appends_buffer_until_sync_then_one_write(tmp_path):
     wal.close()
 
 
-def test_without_group_commit_every_append_is_a_sync(tmp_path):
-    wal = FileWal(tmp_path / "site0.wal")  # group_commit=False
-    append_n(wal, 3)
-    assert wal.pending_sync == 0
-    assert wal.syncs == 3           # the pre-batching behaviour
-    wal.close()
-
-
 def test_max_pending_cap_forces_a_sync(tmp_path):
-    wal = FileWal(tmp_path / "site0.wal", group_commit=True,
-                  max_pending=4)
+    wal = FileWal(tmp_path / "site0.wal", max_pending=4)
     append_n(wal, 11)
     # Two forced syncs at 4 and 8; three records still pending.
     assert wal.syncs == 2
@@ -84,12 +75,12 @@ def test_appended_records_are_not_retained(tmp_path):
     """Nothing re-reads an appended record in-process, so the log holds
     in memory only what it loaded at start-up."""
     path = tmp_path / "site0.wal"
-    wal = FileWal(path, group_commit=True)
+    wal = FileWal(path)
     append_n(wal, 5)
     wal.close()
     assert len(wal) == 5 and list(wal) == []
 
-    reopened = FileWal(path, group_commit=True)
+    reopened = FileWal(path)
     append_n(reopened, 300, start=5)    # crosses the max_pending cap
     assert len(reopened) == 305 and reopened.last_lsn == 304
     assert reopened.recovered_records == len(list(reopened)) == 5
@@ -97,7 +88,7 @@ def test_appended_records_are_not_retained(tmp_path):
 
 
 def test_sync_with_nothing_pending_is_free(tmp_path):
-    wal = FileWal(tmp_path / "site0.wal", group_commit=True)
+    wal = FileWal(tmp_path / "site0.wal")
     assert wal.sync() == 0
     assert wal.syncs == 0           # no empty write+flush cycles
     wal.close()
@@ -106,6 +97,11 @@ def test_sync_with_nothing_pending_is_free(tmp_path):
 def test_unknown_durability_level_rejected(tmp_path):
     with pytest.raises(ValueError):
         FileWal(tmp_path / "site0.wal", durability="scout's-honour")
+    # Group commit is not optional: the keyword survives for callers
+    # that pass it, and only as True.
+    FileWal(tmp_path / "site0.wal", group_commit=True).close()
+    with pytest.raises(ValueError, match="always group-commits"):
+        FileWal(tmp_path / "site0.wal", group_commit=False)
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +110,7 @@ def test_unknown_durability_level_rejected(tmp_path):
 
 def test_abandon_loses_only_unpromised_records(tmp_path):
     path = tmp_path / "site0.wal"
-    wal = FileWal(path, group_commit=True)
+    wal = FileWal(path)
     append_n(wal, 4)
     wal.sync()                      # these four are promised
     append_n(wal, 3, start=4)       # these three are not
@@ -130,7 +126,7 @@ def test_crash_truncation_at_every_byte_offset(tmp_path):
     complete newline-terminated prefix, repair the file to that
     boundary, and accept appends afterwards."""
     path = tmp_path / "site0.wal"
-    wal = FileWal(path, group_commit=True)
+    wal = FileWal(path)
     append_n(wal, 6)
     wal.close()
     data = path.read_bytes()
@@ -158,7 +154,7 @@ def test_crash_truncation_at_every_byte_offset(tmp_path):
 
 def test_malformed_terminated_line_is_corruption_not_crash(tmp_path):
     path = tmp_path / "site0.wal"
-    wal = FileWal(path, group_commit=True)
+    wal = FileWal(path)
     append_n(wal, 2)
     wal.close()
     with open(path, "ab") as handle:
@@ -189,8 +185,7 @@ def test_fsync_durability_actually_calls_os_fsync(tmp_path,
                         lambda fd: (fsynced.append(fd),
                                     real_fsync(fd))[1])
 
-    wal = FileWal(tmp_path / "site0.wal", durability="fsync",
-                  group_commit=True)
+    wal = FileWal(tmp_path / "site0.wal", durability="fsync")
     append_n(wal, 5)
     assert fsynced == []            # buffered: no promise, no fsync
     wal.sync()
@@ -198,7 +193,7 @@ def test_fsync_durability_actually_calls_os_fsync(tmp_path,
     wal.close()
 
     journal = MessageJournal(tmp_path / "site0.wal.inbox",
-                             durability="fsync", group_commit=True)
+                             durability="fsync")
     journal.append(1, "inc-a", 1, encode_message(
         Message(MessageType.SECONDARY, 1, 0,
                 {"gid": gid(1), "writes": {0: 1}})))
@@ -213,7 +208,7 @@ def test_flush_and_none_levels_never_fsync(tmp_path, monkeypatch):
                         lambda fd: pytest.fail("fsync at level<fsync"))
     for durability in ("none", "flush"):
         wal = FileWal(tmp_path / (durability + ".wal"),
-                      durability=durability, group_commit=True)
+                      durability=durability)
         append_n(wal, 3)
         wal.sync()
         wal.close()
@@ -231,7 +226,7 @@ def _secondary(seq):
 
 def test_journal_batch_is_atomic_at_the_sync_barrier(tmp_path):
     path = tmp_path / "site0.wal.inbox"
-    journal = MessageJournal(path, group_commit=True)
+    journal = MessageJournal(path)
     for seq in range(1, 5):
         journal.append(1, "inc-a", seq,
                        encode_message(_secondary(seq)))
@@ -242,7 +237,7 @@ def test_journal_batch_is_atomic_at_the_sync_barrier(tmp_path):
     journal.abandon()
     assert len(MessageJournal(path)) == 0
 
-    journal = MessageJournal(path, group_commit=True)
+    journal = MessageJournal(path)
     for seq in range(1, 5):
         journal.append(1, "inc-a", seq,
                        encode_message(_secondary(seq)))
@@ -255,7 +250,7 @@ def test_journal_batch_is_atomic_at_the_sync_barrier(tmp_path):
 
 def test_journal_torn_tail_repaired_on_reload(tmp_path):
     path = tmp_path / "site0.wal.inbox"
-    journal = MessageJournal(path, group_commit=True)
+    journal = MessageJournal(path)
     for seq in range(1, 4):
         journal.append(1, "inc-a", seq,
                        encode_message(_secondary(seq)))
@@ -276,7 +271,7 @@ def test_wal_sync_coalesces_interleaved_transactions(tmp_path):
     records sit in the buffer, one sync makes them all durable, and the
     reloaded WAL replays them in append order."""
     path = tmp_path / "site0.wal"
-    wal = FileWal(path, group_commit=True)
+    wal = FileWal(path)
     for seq in (1, 2, 3):
         wal.append(LogRecordKind.COMMIT, gid=gid(seq),
                    txn_kind=SubtransactionKind.PRIMARY,
@@ -316,7 +311,7 @@ def test_bit_flip_at_every_byte_of_final_record_is_never_silent(
     never hand back the full record count with a silently altered
     record."""
     path = tmp_path / "site0.wal"
-    wal = FileWal(path, group_commit=True)
+    wal = FileWal(path)
     append_n(wal, 6)
     wal.close()
     data = path.read_bytes()
@@ -345,7 +340,7 @@ def test_bit_flip_in_interior_record_raises(tmp_path):
     """A flip in a fully-terminated interior record can never look like
     a torn tail — it must raise."""
     path = tmp_path / "site0.wal"
-    wal = FileWal(path, group_commit=True)
+    wal = FileWal(path)
     append_n(wal, 6)
     wal.close()
     data = path.read_bytes()
@@ -366,7 +361,7 @@ def test_bit_flip_in_interior_record_raises(tmp_path):
 def test_journal_bit_flip_at_every_byte_of_final_entry(tmp_path):
     """Same contract for the inbox journal."""
     path = tmp_path / "site0.inbox"
-    journal = MessageJournal(path, group_commit=True)
+    journal = MessageJournal(path)
     for seq in range(1, 5):
         journal.append(1, "inc-a", seq, encode_message(
             Message(MessageType.SECONDARY, src=1, dst=0,
@@ -395,7 +390,7 @@ def test_journal_bit_flip_at_every_byte_of_final_entry(tmp_path):
 
 def _small_log(path):
     """Every kind a site writes: creates, commits, an epoch pair."""
-    wal = FileWal(path, group_commit=True)
+    wal = FileWal(path)
     wal.append(LogRecordKind.CREATE, item=1, value=0, time=0.0)
     wal.append(LogRecordKind.CREATE, item=2, value="zero", time=0.0)
     wal.append(LogRecordKind.COMMIT, gid=gid(1),

@@ -184,10 +184,12 @@ def test_repo_git_sha_resolves_this_checkout(tmp_path):
 # Live cluster: the dump wire op, and dumping under load
 # ----------------------------------------------------------------------
 
-async def start_cluster(spec):
+async def start_cluster(spec, wal_dir):
     servers = {}
     for site in range(spec.params.n_sites):
-        servers[site] = SiteServer(spec, site)
+        servers[site] = SiteServer(
+            spec, site,
+            wal_path=os.path.join(str(wal_dir), "site{}.wal".format(site)))
         await servers[site].start()
     client = ClusterClient(spec, timeout=2.0, retries=1)
     await client.wait_ready()
@@ -198,7 +200,7 @@ def test_dump_wire_op_on_live_cluster(tmp_path):
     spec = make_spec()
 
     async def scenario():
-        servers, client = await start_cluster(spec)
+        servers, client = await start_cluster(spec, tmp_path)
         try:
             report = await generate_load(spec, client, verify=True)
             single = await client.dump(0, trigger="wire-test",
@@ -247,7 +249,7 @@ def test_dump_under_load_drops_no_acks(tmp_path):
     spec = make_spec()
 
     async def scenario():
-        servers, client = await start_cluster(spec)
+        servers, client = await start_cluster(spec, tmp_path)
         try:
             async def dumper():
                 paths = []

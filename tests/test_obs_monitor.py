@@ -13,6 +13,7 @@ of the monitoring plane.
 
 import asyncio
 import json
+import os
 import time
 
 from repro.cluster.client import ClusterClient
@@ -529,21 +530,23 @@ def test_without_dump_dir_no_dump_fanout():
 # Live cluster: healthy run clean, killed site localised
 # ----------------------------------------------------------------------
 
-async def start_cluster(spec):
+async def start_cluster(spec, wal_dir):
     servers = {}
     for site in range(spec.params.n_sites):
-        servers[site] = SiteServer(spec, site)
+        servers[site] = SiteServer(
+            spec, site,
+            wal_path=os.path.join(str(wal_dir), "site{}.wal".format(site)))
         await servers[site].start()
     client = ClusterClient(spec, timeout=2.0, retries=1)
     await client.wait_ready()
     return servers, client
 
 
-def test_live_healthy_run_is_alert_free():
+def test_live_healthy_run_is_alert_free(tmp_path):
     spec = make_spec()
 
     async def scenario():
-        servers, client = await start_cluster(spec)
+        servers, client = await start_cluster(spec, tmp_path)
         watchdog = Watchdog(spec, client, config=MonitorConfig(
             interval=0.1, stuck_deadline=3.0))
         try:
@@ -566,7 +569,7 @@ def test_live_healthy_run_is_alert_free():
     assert summary["critical"] == 0, summary["by_rule"]
 
 
-def test_live_killed_site_localised_by_stuck_propagation():
+def test_live_killed_site_localised_by_stuck_propagation(tmp_path):
     """The acceptance scenario: one member dies, new updates commit at
     the survivors, and the watchdog names the dead replica — both as
     unreachable and as the missing hop of the stuck trace trees."""
@@ -578,7 +581,7 @@ def test_live_killed_site_localised_by_stuck_propagation():
                 and victim in placement.replica_sites(it))
 
     async def scenario():
-        servers, client = await start_cluster(spec)
+        servers, client = await start_cluster(spec, tmp_path)
         try:
             servers[victim].kill()
             watchdog = Watchdog(spec, client, config=MonitorConfig(

@@ -1,10 +1,9 @@
 """Unit tests for the metrics registry (:mod:`repro.obs.registry`).
 
 The registry underpins the live cluster's ``stats`` plane, so the
-tests pin down the three design constraints: exact counts under thread
+tests pin down its design constraints: exact counts under thread
 concurrency, Prometheus-style ``le`` bucket semantics at the edges,
-and a disabled registry that keeps literally no state (the guard that
-mixed instrumented/plain cluster members can interoperate).
+and a snapshot schema that ``repro stats --check`` can enforce.
 """
 
 import threading
@@ -13,7 +12,6 @@ import pytest
 
 from repro.obs.registry import (
     LATENCY_BUCKETS_S,
-    NULL,
     SIZE_BUCKETS,
     Counter,
     Gauge,
@@ -103,7 +101,7 @@ def test_snapshot_percentile_matches_live_instrument():
 # ----------------------------------------------------------------------
 
 def test_instruments_are_exact_under_thread_concurrency():
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     counter = registry.counter("hits")
     hist = registry.histogram("lat", buckets=(0.5, 1.5))
     n_threads, per_thread = 8, 5000
@@ -131,39 +129,21 @@ def test_instruments_are_exact_under_thread_concurrency():
 # ----------------------------------------------------------------------
 
 def test_registry_get_or_create_returns_same_instrument():
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     assert registry.counter("a") is registry.counter("a")
     assert registry.histogram("h") is registry.histogram("h")
     with pytest.raises(TypeError):
         registry.gauge("a")  # name already registered as a Counter
 
 
-def test_disabled_registry_keeps_no_state():
-    """The interoperability guard: a disabled registry hands out the
-    shared falsy null instrument and its snapshot exposes nothing that
-    could leak onto the wire or into a fingerprint."""
-    registry = MetricsRegistry(enabled=False)
-    assert not registry
-    counter = registry.counter("hits")
-    assert counter is NULL and not counter
-    counter.inc(100)
-    registry.gauge("depth").set(9.0)
-    registry.histogram("lat").observe(1.0)
-    snap = registry.snapshot()
-    assert snap == {"enabled": False, "counters": {}, "gauges": {},
-                    "histograms": {}}
-    validate_snapshot(snap)  # still schema-valid
-    assert registry._instruments == {}
-
-
 def test_enabled_registry_snapshot_roundtrip_and_schema():
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     registry.counter("net.frames_sent").inc(3)
     registry.gauge("server.apply_queue").set(2.0)
     registry.histogram("wal.sync_s").observe(0.004)
     snap = registry.snapshot()
     validate_snapshot(snap)
-    assert snap["enabled"] is True
+    assert set(snap) == {"counters", "gauges", "histograms"}
     assert snap["counters"]["net.frames_sent"] == 3
     assert snap["gauges"]["server.apply_queue"]["high_water"] == 2.0
     assert snap["histograms"]["wal.sync_s"]["count"] == 1
@@ -173,7 +153,7 @@ def test_enabled_registry_snapshot_roundtrip_and_schema():
 
 
 @pytest.mark.parametrize("mutate", [
-    lambda snap: snap.pop("enabled"),
+    lambda snap: snap.pop("counters"),
     lambda snap: snap.pop("histograms"),
     lambda snap: snap["counters"].__setitem__("bad", -1),
     lambda snap: snap["counters"].__setitem__("bad", True),
@@ -183,7 +163,7 @@ def test_enabled_registry_snapshot_roundtrip_and_schema():
     lambda snap: snap["histograms"]["wal.sync_s"]["counts"].pop(),
 ])
 def test_validate_snapshot_rejects_malformed(mutate):
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     registry.counter("ok").inc()
     registry.gauge("g").set(1.0)
     registry.histogram("wal.sync_s").observe(0.002)
@@ -191,16 +171,6 @@ def test_validate_snapshot_rejects_malformed(mutate):
     mutate(snap)
     with pytest.raises(ValueError):
         validate_snapshot(snap)
-
-
-def test_null_instrument_is_inert_and_falsy():
-    assert not NULL
-    NULL.inc()
-    NULL.set(5.0)
-    NULL.observe(1.0)
-    assert NULL.value == 0
-    assert NULL.count == 0
-    assert NULL.high_water == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +194,7 @@ def test_histogram_snapshot_pre_derives_percentiles():
     # Raw buckets are still the source of truth for windowed deltas.
     assert snap["buckets"] == [0.001, 0.004, 0.016, 0.064]
     assert sum(snap["counts"]) == snap["count"] == 100
-    validate_snapshot({"enabled": True, "counters": {}, "gauges": {},
+    validate_snapshot({"counters": {}, "gauges": {},
                        "histograms": {"lat": snap}})
 
 

@@ -252,8 +252,7 @@ def test_property_recovery_equals_live_engine_over_interleavings(
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "site0.wal")
         env = Environment()
-        wal = FileWal(path, group_commit=True) if durable \
-            else WriteAheadLog()
+        wal = FileWal(path) if durable else WriteAheadLog()
         engine = StorageEngine(env, site_id=0, lock_timeout=None,
                                wal=wal)
         for item in (1, 2, 3):

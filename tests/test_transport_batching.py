@@ -1,12 +1,13 @@
 """Frame batching on the live channel: the invariants that make it
 invisible above the wire.
 
-Batching is a syscall amortization, never a protocol change.  Whatever
-``max_batch`` is, the receiver must observe:
+Every peer data frame is a ``batch`` frame — a singleton travels as a
+one-entry batch — and how many messages share one is a syscall
+amortization, never a protocol change.  Whatever ``max_batch`` is, the
+receiver must observe:
 
-- the same gap-free per-channel sequence ``1..n`` it would see from
-  individual ``msg`` frames, in the same order, entries carrying their
-  original sequence numbers;
+- the same gap-free per-channel sequence ``1..n``, in the same order,
+  entries carrying their original sequence numbers;
 - one cumulative ack retiring a whole batch, with resend of the unacked
   tail (same seqs, still gap-free) after a connection loss;
 - the sender's ``sync_hook`` fired before each frame's bytes leave the
@@ -26,7 +27,6 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.cluster.codec import (
     decode_batch_frame,
-    decode_message,
     read_frame,
     write_frame,
 )
@@ -67,11 +67,7 @@ def flatten(frames):
     """Every (seq, message) a frame stream carries, in wire order."""
     entries = []
     for frame in frames:
-        if frame["kind"] == "msg":
-            entries.append((frame["seq"],
-                            decode_message(frame["msg"])))
-        elif frame["kind"] == "batch":
-            entries.extend(decode_batch_frame(frame)[1])
+        entries.extend(decode_batch_frame(frame)[1])
     return entries
 
 
@@ -103,16 +99,15 @@ def test_backlog_travels_in_capped_batches_with_gap_free_seqs():
             receiver.connections[0]["frames"])) == 30)
         frames = receiver.connections[0]["frames"]
         entries = flatten(frames)
-        # The exact sequence individual msg frames would have carried.
+        # The channel's exact sequence, in order.
         assert [seq for seq, _ in entries] == list(range(1, 31))
         assert [message.payload["writes"][0]
                 for _, message in entries] == list(range(1, 31))
         # Never more than max_batch per frame; fewer frames than
         # messages (the amortization is real).
         for frame in frames:
-            if frame["kind"] == "batch":
-                assert 2 <= len(frame["msgs"]) <= 8
-                assert frame["inc"] == transport.incarnation
+            assert 1 <= len(frame["msgs"]) <= 8
+            assert frame["inc"] == transport.incarnation
         assert len(frames) < 30
         assert transport.frames_sent == len(frames)
         assert transport.batched_messages == 30
@@ -129,7 +124,7 @@ def test_backlog_travels_in_capped_batches_with_gap_free_seqs():
     asyncio.run(scenario())
 
 
-def test_single_message_uses_plain_msg_frame():
+def test_single_message_travels_as_a_one_entry_batch_frame():
     async def scenario():
         receiver = FakeReceiver()
         port = await receiver.start()
@@ -140,17 +135,18 @@ def test_single_message_uses_plain_msg_frame():
         await wait_until(lambda: receiver.connections and
                          receiver.connections[0]["frames"])
         frame = receiver.connections[0]["frames"][0]
-        # A singleton is the unbatched wire format: batched senders
-        # interoperate with pre-batching receivers out of the box.
-        assert frame["kind"] == "msg"
-        assert frame["seq"] == 1
+        # One peer data frame kind: a singleton is a one-entry batch
+        # with the same seq, dedup and cumulative-ack contract.
+        assert frame["kind"] == "batch"
+        assert frame["inc"] == transport.incarnation
+        assert [seq for seq, _ in flatten([frame])] == [1]
         await transport.close()
         await receiver.close()
 
     asyncio.run(scenario())
 
 
-def test_max_batch_one_never_emits_batch_frames():
+def test_max_batch_one_sends_one_entry_batch_frames():
     async def scenario():
         receiver = FakeReceiver()
         port = await receiver.start()
@@ -161,9 +157,9 @@ def test_max_batch_one_never_emits_batch_frames():
         await wait_until(lambda: receiver.connections and len(
             receiver.connections[0]["frames"]) == 12)
         frames = receiver.connections[0]["frames"]
-        assert all(frame["kind"] == "msg" for frame in frames)
-        assert [frame["seq"] for frame in frames] == \
-            list(range(1, 13))
+        assert all(frame["kind"] == "batch" and len(frame["msgs"]) == 1
+                   for frame in frames)
+        assert [seq for seq, _ in flatten(frames)] == list(range(1, 13))
         await transport.close()
         await receiver.close()
 

@@ -49,6 +49,11 @@ def txn(site, seq, *ops):
                            operations)
 
 
+def seqs(frames):
+    """The channel sequence numbers a list of wire frames carries."""
+    return [entry["seq"] for frame in frames for entry in frame["msgs"]]
+
+
 def run_workload(system):
     protocol = system.protocol
 
@@ -228,8 +233,8 @@ def test_live_channel_fifo_with_ack_and_resend_after_reconnect():
         await wait_until(lambda: connections and
                          len(connections[0]["frames"]) == 10)
         first = connections[0]["frames"]
-        assert [frame["seq"] for frame in first] == list(range(1, 11))
-        assert all(frame["kind"] == "msg" for frame in first)
+        assert seqs(first) == list(range(1, 11))
+        assert all(frame["kind"] == "batch" for frame in first)
         assert transport.pending_out == 10  # written, none acked
 
         # Ack the first three, then cut the connection.
@@ -242,8 +247,7 @@ def test_live_channel_fifo_with_ack_and_resend_after_reconnect():
         await wait_until(lambda: len(connections) == 2 and
                          len(connections[1]["frames"]) >= 7)
         resent = connections[1]["frames"]
-        assert [frame["seq"] for frame in resent[:7]] == \
-            list(range(4, 11))
+        assert seqs(resent[:7]) == list(range(4, 11))
         await write_frame(connections[1]["writer"], {"kind": "ack",
                                                      "seq": 10})
         await wait_until(lambda: transport.pending_out == 0)
@@ -252,7 +256,7 @@ def test_live_channel_fifo_with_ack_and_resend_after_reconnect():
         transport.send(MessageType.SECONDARY, 0, 1,
                        gid=GlobalTransactionId(0, 11), writes={0: 11})
         await wait_until(lambda: len(connections[1]["frames"]) == 8)
-        assert connections[1]["frames"][-1]["seq"] == 11
+        assert seqs(connections[1]["frames"])[-1] == 11
 
         await transport.close()
         server.close()
@@ -299,7 +303,7 @@ async def _frame_server(connections, accept_hello=True):
                 return
             record["frames"].append(frame)
             await write_frame(writer, {"kind": "ack",
-                                       "seq": frame["seq"]})
+                                       "seq": seqs([frame])[-1]})
 
     server = await asyncio.start_server(on_connect, "127.0.0.1", 0)
     return server, server.sockets[0].getsockname()[1]
@@ -324,8 +328,7 @@ def test_fault_delay_preserves_fifo_order():
                            writes={0: seq})
         await _wait_until(lambda: connections and
                           len(connections[0]["frames"]) == 8)
-        assert [frame["seq"] for frame in connections[0]["frames"]] == \
-            list(range(1, 9))
+        assert seqs(connections[0]["frames"]) == list(range(1, 9))
         assert len(connections) == 1  # delays never sever
         assert len(injector.log) == 8
         assert all(entry["delay"] > 0 for entry in injector.log)
@@ -361,7 +364,7 @@ def test_fault_drop_severs_then_resends_gap_free():
                                       for c in connections) >= 5)
         assert len(connections) == 2  # the drop severed once
         assert connections[0]["frames"] == []  # seq 1 never hit the wire
-        resent = [frame["seq"] for frame in connections[1]["frames"]]
+        resent = seqs(connections[1]["frames"])
         assert resent == list(range(1, 6))
         await _wait_until(lambda: transport.pending_out == 0)
         await transport.close()
@@ -394,11 +397,11 @@ def test_fault_ack_loss_resends_and_receiver_dedups():
                            writes={0: seq})
         await _wait_until(lambda: transport.pending_out == 0 and
                           len(connections) >= 2)
-        arrived = [frame["seq"] for record in connections
-                   for frame in record["frames"]]
+        arrived = [seq for record in connections
+                   for seq in seqs(record["frames"])]
         # Seq 2 reached the wire twice (original + resend) ...
         assert arrived.count(2) == 2
-        resent = [frame["seq"] for frame in connections[1]["frames"]]
+        resent = seqs(connections[1]["frames"])
         # ... via a contiguous resend tail (acks may race the sever, so
         # the tail starts at the lowest unacked seq, at most 2).
         assert resent[0] <= 2

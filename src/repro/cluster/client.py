@@ -20,7 +20,7 @@ import dataclasses
 import itertools
 import typing
 
-from repro.cluster.codec import read_frame, write_frame
+from repro.cluster.codec import FrameReader, FrameWriter, write_frame
 from repro.cluster.server import encode_spec
 from repro.cluster.spec import ClusterSpec
 from repro.types import SiteId, TransactionSpec
@@ -43,55 +43,56 @@ class WrongEpochError(ClusterError):
 
 
 class _Connection:
-    """One client connection to one site, with rid-correlated replies."""
+    """One client connection to one site, with rid-correlated replies
+    (requests share one coalescing writer, so they need no lock)."""
 
     def __init__(self, host: str, port: int, fingerprint: str):
         self.host = host
         self.port = port
         self.fingerprint = fingerprint
-        self.reader: typing.Optional[asyncio.StreamReader] = None
-        self.writer: typing.Optional[asyncio.StreamWriter] = None
         self.pending: typing.Dict[int, asyncio.Future] = {}
+        self._out: typing.Optional[FrameWriter] = None
         self._reader_task: typing.Optional[asyncio.Task] = None
-        self._write_lock = asyncio.Lock()
 
     async def ensure_open(self) -> None:
-        if self.writer is not None:
+        if self._out is not None:
             # A finished read loop means the server went away even if
             # our writing side still looks open (half-closed TCP): a
             # crashed peer FINs us, and writing into that socket would
             # wait forever for a response that cannot come.
-            defunct = self.writer.is_closing() or (
+            defunct = self._out.writer.is_closing() or (
                 self._reader_task is not None
                 and self._reader_task.done())
             if not defunct:
                 return
-            self.writer.close()
-        self.reader, self.writer = await asyncio.open_connection(
-            self.host, self.port)
-        await write_frame(self.writer, {
+            self._out.writer.close()
+        reader, writer = await asyncio.open_connection(self.host, self.port)
+        await write_frame(writer, {
             "kind": "hello", "role": "client",
             "fingerprint": self.fingerprint})
+        self._out = FrameWriter(writer)
         self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop())
+            self._read_loop(FrameReader(reader)))
 
-    async def _read_loop(self) -> None:
+    async def _read_loop(self, frames: FrameReader) -> None:
         try:
             while True:
-                frame = await read_frame(self.reader)
-                if frame is None:
+                batch = await frames.frames()
+                if batch is None:
                     break
-                if frame.get("kind") == "error":
-                    if frame.get("epoch") is not None:
-                        raise WrongEpochError(
-                            frame.get("error", "wrong epoch"),
-                            epoch=int(frame["epoch"]))
-                    raise ClusterError(frame.get("error", "server error"))
-                if frame.get("kind") != "resp":
-                    continue
-                future = self.pending.pop(frame.get("rid"), None)
-                if future is not None and not future.done():
-                    future.set_result(frame)
+                for frame in batch:
+                    if frame.get("kind") == "error":
+                        if frame.get("epoch") is not None:
+                            raise WrongEpochError(
+                                frame.get("error", "wrong epoch"),
+                                epoch=int(frame["epoch"]))
+                        raise ClusterError(
+                            frame.get("error", "server error"))
+                    if frame.get("kind") != "resp":
+                        continue
+                    future = self.pending.pop(frame.get("rid"), None)
+                    if future is not None and not future.done():
+                        future.set_result(frame)
         except (ConnectionError, OSError, asyncio.CancelledError):
             pass
         except ClusterError as exc:
@@ -112,11 +113,16 @@ class _Connection:
         future = asyncio.get_running_loop().create_future()
         self.pending[rid] = future
         try:
-            async with self._write_lock:
-                await write_frame(self.writer, frame)
+            self._out.write(frame)
+            self._out.flush_soon()      # one write for this tick's requests
+            await self._out.drain()
             return await future
         finally:
             self.pending.pop(rid, None)
+            # A connection loss and a timeout in one tick fail the
+            # future *and* cancel this await: mark the error retrieved.
+            if future.done() and not future.cancelled():
+                future.exception()
 
     async def close(self) -> None:
         if self._reader_task is not None:
@@ -125,13 +131,9 @@ class _Connection:
                 await self._reader_task
             except (asyncio.CancelledError, Exception):
                 pass
-        if self.writer is not None:
-            self.writer.close()
-            try:
-                await self.writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self.writer = None
+        if self._out is not None:
+            await self._out.close()
+            self._out = None
 
 
 class ClusterClient:

@@ -22,8 +22,8 @@ encoding: a body that is not a JSON object raises :class:`CodecError`.
 There is no frame checksum — wire integrity is TCP's; the durable
 copies (WAL, inbox journal) carry their own per-record CRC32.
 
-:func:`read_frame` / :func:`write_frame` are the asyncio helpers used
-by the server, transport and client.
+:class:`FrameReader` / :class:`FrameWriter` carry every long-lived
+connection; :func:`read_frame` / :func:`write_frame` the handshake.
 """
 
 from __future__ import annotations
@@ -285,15 +285,10 @@ class WireCodec:
         return decode_frame_body(body)
 
 
-async def read_frame(reader: asyncio.StreamReader,
-                     on_decode: typing.Optional[
-                         typing.Callable[[float], typing.Any]] = None
+async def read_frame(reader: asyncio.StreamReader
                      ) -> typing.Optional[typing.Dict[str, typing.Any]]:
-    """Read one frame; ``None`` on clean EOF at a frame boundary.
-
-    ``on_decode`` observes the decode duration in seconds (socket wait
-    excluded) — the server's per-stage histogram.
-    """
+    """Read one frame; ``None`` on clean EOF or a truncated tail.  It
+    never reads past its frame: a :class:`FrameReader` can take over."""
     try:
         prefix = await reader.readexactly(_LENGTH.size)
     except (asyncio.IncompleteReadError, ConnectionError):
@@ -305,32 +300,119 @@ async def read_frame(reader: asyncio.StreamReader,
         body = await reader.readexactly(length)
     except (asyncio.IncompleteReadError, ConnectionError):
         return None
-    started = time.perf_counter()
-    obj = decode_frame_body(body)
-    if on_decode is not None:
-        on_decode(time.perf_counter() - started)
-    return obj
+    return decode_frame_body(body)
 
 
 async def write_frame(writer: asyncio.StreamWriter,
-                      obj: typing.Mapping[str, typing.Any],
-                      on_encode: typing.Optional[
-                          typing.Callable[[float], typing.Any]] = None,
-                      on_write: typing.Optional[
-                          typing.Callable[[float], typing.Any]] = None
-                      ) -> None:
-    """Write one frame and drain.
-
-    ``on_encode`` / ``on_write`` observe the serialization and the
-    socket write+drain durations in seconds — the server's per-stage
-    histograms.
-    """
-    started = time.perf_counter()
-    data = encode_frame(obj)
-    if on_encode is not None:
-        on_encode(time.perf_counter() - started)
-    started = time.perf_counter()
-    writer.write(data)
+                      obj: typing.Mapping[str, typing.Any]) -> None:
+    """Write one frame and drain (``hello``, the handshake ``error``)."""
+    writer.write(encode_frame(obj))
     await writer.drain()
-    if on_write is not None:
-        on_write(time.perf_counter() - started)
+
+
+_Timer = typing.Optional[typing.Callable[[float], typing.Any]]
+
+#: Bytes buffered toward one peer (queued frames plus the transport's
+#: write buffer) above which :meth:`FrameWriter.drain` waits.  Not a knob.
+HIGH_WATER = 64 * 1024
+
+
+class FrameReader:
+    """One ``read()`` per wake-up: :meth:`frames` decodes every complete
+    frame buffered, on :func:`read_frame`'s contract.  ``on_decode``
+    observes each decode's seconds."""
+
+    def __init__(self, reader: asyncio.StreamReader,
+                 on_decode: _Timer = None):
+        self._reader = reader
+        self._on_decode = on_decode
+        self._buf = bytearray()
+
+    async def frames(self) -> typing.Optional[
+            typing.List[typing.Dict[str, typing.Any]]]:
+        buf = self._buf
+        while True:
+            frames, pos = [], 0
+            while len(buf) - pos >= _LENGTH.size:
+                (length,) = _LENGTH.unpack_from(buf, pos)
+                if length > MAX_FRAME:
+                    raise CodecError(
+                        "frame length {} exceeds cap".format(length))
+                end = pos + _LENGTH.size + length
+                if end > len(buf):
+                    break
+                started = time.perf_counter()
+                frames.append(decode_frame_body(buf[end - length:end]))
+                if self._on_decode is not None:
+                    self._on_decode(time.perf_counter() - started)
+                pos = end
+            del buf[:pos]
+            if frames:
+                return frames
+            try:
+                data = await self._reader.read(MAX_FRAME)
+            except ConnectionError:
+                data = b""
+            if not data:
+                return None
+            buf += data
+
+
+class FrameWriter:
+    """Frames queue until :meth:`flush` hands them all to the transport
+    in one ``writelines`` — now, or at the end of the loop tick
+    (:meth:`flush_soon`) so that every frame the tick queues joins.
+    Writing never awaits; :meth:`drain` waits only above
+    :data:`HIGH_WATER`.  ``on_encode`` / ``on_write`` observe each
+    encode's and each flush's seconds."""
+
+    def __init__(self, writer: asyncio.StreamWriter,
+                 on_encode: _Timer = None, on_write: _Timer = None):
+        self.writer = writer
+        self._on_encode = on_encode
+        self._on_write = on_write
+        self._loop = asyncio.get_running_loop()
+        self._chunks: typing.List[bytes] = []
+        self._pending = 0
+        self._scheduled = False
+
+    def write(self, obj: typing.Mapping[str, typing.Any]) -> None:
+        started = time.perf_counter()
+        data = encode_frame(obj)
+        if self._on_encode is not None:
+            self._on_encode(time.perf_counter() - started)
+        self.write_chunks((data,))
+
+    def write_chunks(self, chunks: typing.Sequence[bytes]) -> None:
+        """Queue one frame already encoded (:func:`encode_frame_chunks`)."""
+        self._chunks.extend(chunks)
+        self._pending += sum(map(len, chunks))
+
+    def flush_soon(self) -> None:
+        if not self._scheduled:
+            self._scheduled = True
+            self._loop.call_soon(self.flush)
+
+    def flush(self) -> None:
+        chunks, self._chunks, self._pending = self._chunks, [], 0
+        self._scheduled = False
+        if chunks and not self.writer.is_closing():
+            started = time.perf_counter()
+            self.writer.writelines(chunks)
+            if self._on_write is not None:
+                self._on_write(time.perf_counter() - started)
+
+    async def drain(self) -> None:
+        """Backpressure: bounds memory toward a peer that stops reading."""
+        if self._pending + self.writer.transport.get_write_buffer_size() \
+                > HIGH_WATER:
+            self.flush()
+            await self.writer.drain()
+
+    async def close(self) -> None:
+        self.flush()
+        self.writer.close()
+        try:
+            await self.writer.wait_closed()
+        except (ConnectionError, OSError, asyncio.CancelledError):
+            pass

@@ -69,6 +69,8 @@ import typing
 
 from repro.cluster.codec import (
     CodecError,
+    FrameReader,
+    FrameWriter,
     compact_json,
     decode_message,
     encode_frame_chunks,
@@ -333,15 +335,10 @@ class SiteServer:
         self._tcp_server: typing.Optional[asyncio.AbstractServer] = None
         self._conn_writers: typing.Set[asyncio.StreamWriter] = set()
         self._checkpoint_timer: typing.Optional[asyncio.TimerHandle] = None
+        self._shutdown_task: typing.Optional[asyncio.Task] = None
         self.env: typing.Optional[Environment] = None
         self.system: typing.Optional[ReplicatedSystem] = None
         self.transport: typing.Optional[LiveTransport] = None
-        # Stage context of the frame currently being applied, read by
-        # _accept_entry when stamping "received" spans.  Safe as plain
-        # members: _apply_loop sets them and calls _apply_frame
-        # synchronously, with no await in between.
-        self._frame_queue_s = 0.0
-        self._frame_decode_s = 0.0
         # Set by _accept_entry for a fresh entry the journal does not
         # hold; read and cleared by the same apply round, before its
         # first await.
@@ -540,14 +537,20 @@ class SiteServer:
             FLIGHT_CHECKPOINT_S, self._flight_checkpoint)
 
     def _arm_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        next_due = self.env.peek()
-        if next_due == float("inf"):
-            return
-        delay = max(0.0, next_due - self._wall())
-        self._timer = self._loop.call_later(delay, self._drive)
+        """Arm a timer for the next purely-timed event — unless the one
+        armed already fires no later."""
+        when = self._epoch + self.env.peek()
+        timer = self._timer
+        if timer is not None:
+            if timer.when() <= when:
+                return
+            timer.cancel()
+        if when != float("inf"):
+            self._timer = self._loop.call_at(when, self._on_timer)
+
+    def _on_timer(self) -> None:
+        self._timer = None
+        self._drive()
 
     # ------------------------------------------------------------------
     # Transactions (client plane)
@@ -598,9 +601,10 @@ class SiteServer:
 
     def _sync_wal(self) -> typing.Optional[typing.Awaitable[None]]:
         """Durability barrier: group-committed WAL records reach stable
-        storage.  Runs before a client response leaves (the commit it
-        reports must be durable) and before any outbound peer frame
-        (a forwarded update implies its commit record is stable).
+        storage.  Runs before any outbound peer frame (a forwarded
+        update implies its commit record is stable) and before the ack
+        of an apply round holding an unjournalled message; a client
+        response keeps the same promise through :meth:`_respond_durable`.
 
         Returns ``None`` when already durable, otherwise an awaitable
         that resolves once the records are stable — the sync itself
@@ -629,17 +633,10 @@ class SiteServer:
         # invariant must not depend on the peer.
         traces = traces_of_obj(obj_msg) or message_trace_ids(message)
         if traces:
-            # Stage stamps refine the receiver side of the hop for
-            # attribution: how long this frame sat in the apply
-            # pipeline queue and how long its body took to decode.
             self.trace.emit(
                 "received", trace=traces[0],
                 traces=traces if len(traces) > 1 else None,
-                peer=message.src, type=message.msg_type.value,
-                q=(round(self._frame_queue_s, 6)
-                   if self._frame_queue_s else None),
-                dec=(round(self._frame_decode_s, 6)
-                     if self._frame_decode_s else None))
+                peer=message.src, type=message.msg_type.value)
         if message.msg_type is MessageType.SECONDARY:
             # Journal before ack: once the sender retires this update,
             # the journal is the only copy that survives our crash.
@@ -880,26 +877,19 @@ class SiteServer:
             maxsize=APPLY_PIPELINE_DEPTH)
         apply_task = asyncio.get_running_loop().create_task(
             self._apply_loop(queue, writer, peer))
-        # ``decoded`` carries the last frame's decode seconds from the
-        # read_frame callback to the queue entry, so the apply side can
-        # stamp it onto that frame's "received" spans.
-        decoded = [0.0]
-        hist_decode = self._h_decode
-
-        def on_decode(seconds: float) -> None:
-            hist_decode.observe(seconds)
-            decoded[0] = seconds
+        frames = FrameReader(reader, on_decode=self._h_decode.observe)
         try:
             while not self._closed and not apply_task.done():
                 started = time.perf_counter()
-                frame = await read_frame(reader, on_decode=on_decode)
-                if frame is None:
+                batch = await frames.frames()
+                if batch is None:
                     return
-                # Socket wait for this frame, decode included (the
+                # Socket wait for this read, decode included (the
                 # decode share is histogrammed separately).
-                self._h_read_wait.observe(time.perf_counter() - started)
-                await queue.put((time.perf_counter(), decoded[0], frame))
-                decoded[0] = 0.0
+                enqueued = time.perf_counter()
+                self._h_read_wait.observe(enqueued - started)
+                for frame in batch:
+                    await queue.put((enqueued, frame))
                 depth = queue.qsize()
                 if depth > self.apply_queue_hwm:
                     self.apply_queue_hwm = depth
@@ -938,9 +928,10 @@ class SiteServer:
         does not hold (a 2PC decision, which commits a backedge
         subtransaction here) also waits for the WAL: once acked, such a
         message is gone from its sender, and only the log still holds
-        what it caused."""
-        on_encode = self._h_encode.observe
-        on_write = self._h_write.observe
+        what it caused.  The ack is queued on the connection's
+        coalescing writer, never behind a drain."""
+        out = FrameWriter(writer, on_encode=self._h_encode.observe,
+                          on_write=self._h_write.observe)
         while not self._closed:
             item = await queue.get()
             started = time.perf_counter()
@@ -955,10 +946,8 @@ class SiteServer:
             self._advance()
             if self._closed:
                 return  # fail-stopped: accept (and ack) nothing more
-            for enqueued, decode_s, frame in round_items:
-                self._frame_queue_s = time.perf_counter() - enqueued
-                self._frame_decode_s = decode_s
-                self._h_queue_wait.observe(self._frame_queue_s)
+            for enqueued, frame in round_items:
+                self._h_queue_wait.observe(time.perf_counter() - enqueued)
                 try:
                     seq = self._apply_frame(frame)
                     if seq is not None:
@@ -967,9 +956,6 @@ class SiteServer:
                     self.flight.record_event(
                         "malformed-peer-frame", peer=peer,
                         error=repr(exc))
-                finally:
-                    self._frame_queue_s = 0.0
-                    self._frame_decode_s = 0.0
             unsynced = self.journal.synced_records < self.journal.appended
             if unsynced:
                 self._journal_syncer.kick()
@@ -987,112 +973,140 @@ class SiteServer:
             self._h_apply.observe(time.perf_counter() - started)
             if last_seq is not None:
                 # The sender retires everything <= last_seq on this one
-                # cumulative ack.  A failed ack write means the
-                # connection is dying; keep applying queued frames
-                # anyway — the reader will see EOF and stop the loop,
-                # and the unacked sender resends through the dedup
-                # filter.
-                try:
-                    await write_frame(writer, {
-                        "kind": "ack", "seq": last_seq},
-                        on_encode=on_encode, on_write=on_write)
-                except (ConnectionError, OSError):
-                    pass
+                # cumulative ack.  On a dying connection the bytes go
+                # nowhere; keep applying queued frames anyway — the
+                # reader will see EOF and stop the loop, and the
+                # unacked sender resends through the dedup filter.
+                out.write({"kind": "ack", "seq": last_seq})
+                out.flush()
             if reader_gone:
                 return
 
     async def _client_loop(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
-        write_lock = asyncio.Lock()
-        pending: typing.Set[asyncio.Task] = set()
+        """Requests are answered inline once their result is ready (the
+        answers one read releases leave in one write); a dump is a task."""
+        frames = FrameReader(reader)
+        out = FrameWriter(writer, on_encode=self._h_encode.observe,
+                          on_write=self._h_write.observe)
+        dumps: typing.Set[asyncio.Task] = set()
         try:
             while not self._closed:
-                frame = await read_frame(reader)
-                if frame is None:
+                batch = await frames.frames()
+                if batch is None:
                     return
-                if frame.get("kind") != "req":
-                    continue
-                task = asyncio.ensure_future(
-                    self._serve_request(frame, writer, write_lock))
-                pending.add(task)
-                task.add_done_callback(pending.discard)
+                for frame in batch:
+                    if self._closed:
+                        return  # crashed mid-read: serve nothing more
+                    if frame.get("kind") == "req":
+                        self._serve(frame, out, dumps)
+                out.flush()
+                await out.drain()
         finally:
-            for task in pending:
+            for task in dumps:
                 task.cancel()
 
-    async def _serve_request(self, frame: typing.Mapping,
-                             writer: asyncio.StreamWriter,
-                             write_lock: asyncio.Lock) -> None:
-        rid = frame.get("rid")
+    def _serve(self, frame: typing.Mapping, out: FrameWriter,
+               dumps: typing.Set[asyncio.Task]) -> None:
+        rid, op = frame.get("rid"), frame.get("op")
+        if op == "dump":
+            task = self._loop.create_task(self._dump_op(frame, rid, out))
+            dumps.add(task)
+            task.add_done_callback(dumps.discard)
+            return
         try:
-            response = await self._dispatch(frame)
+            response = (self._txn_op(frame, rid, out) if op == "txn"
+                        else self._dispatch(frame))
         except Exception as exc:
             response = {"ok": False, "error": repr(exc)}
+        if response is not None:
+            self._respond(rid, response, out)
+
+    def _txn_op(self, frame: typing.Mapping, rid: typing.Any,
+                out: FrameWriter
+                ) -> typing.Optional[typing.Dict[str, typing.Any]]:
+        """A refusal is the response; a submitted transaction is answered
+        once the kernel resolves it — inline when the drive did."""
+        spec = decode_spec(frame["spec"])
+        if spec.origin != self.site_id:
+            return {"ok": False,
+                    "error": "transaction for s{} sent to s{}".format(
+                        spec.origin, self.site_id)}
+        refusal = self._txn_refusal(spec)
+        if refusal is not None:
+            # Refused before touching the engine: an "aborted" outcome,
+            # not an error — the client's workload loop counts it and
+            # moves on, exactly as for a lock-timeout abort.
+            self.aborted += 1
+            self._m_aborted.inc()
+            return {"ok": True, "status": "aborted",
+                    "reason": refusal, "elapsed": None}
+        future = self.submit_transaction(spec)
+        if future.done():
+            self._respond_durable(rid, future, out)
+        else:
+            future.add_done_callback(
+                lambda done: self._respond_durable(rid, done, out))
+        return None
+
+    def _respond_durable(self, rid: typing.Any, future: "asyncio.Future",
+                         out: FrameWriter) -> None:
+        """Group-commit barrier: an outcome reaches the client only once
+        the WAL holds everything appended so far (the commit it reports,
+        or the write a read-only transaction read).  Until then it rides
+        the shared sync rounds, and every response one round releases
+        leaves in the same flush — that coalescing IS the group commit."""
+        status, reason, elapsed = future.result()
+        response = {"ok": True, "status": status, "reason": reason,
+                    "elapsed": elapsed}
+        target, waited = self.wal.appended, time.perf_counter()
+
+        def release(done: typing.Optional[asyncio.Future] = None) -> None:
+            if self._closed or (done is not None and done.exception()):
+                return  # crashed, or a failed sync: promise nothing
+            if self.wal.synced_records < target:
+                self._wal_syncer.kick().add_done_callback(release)
+                return
+            if done is not None:
+                self._h_wal_barrier.observe(time.perf_counter() - waited)
+            self._respond(rid, response, out)
+
+        release()
+
+    def _respond(self, rid: typing.Any,
+                 response: typing.Dict[str, typing.Any],
+                 out: FrameWriter) -> None:
         response["kind"] = "resp"
         response["rid"] = rid
-        # Group-commit barrier: a commit outcome must not reach the
-        # client before its WAL records reach stable storage.  One
-        # executor-side sync round here covers every transaction that
-        # resolved while it ran — that coalescing IS the group commit.
-        barrier = self._sync_wal()
-        if barrier is not None:
-            waited = time.perf_counter()
-            await barrier
-            self._h_wal_barrier.observe(time.perf_counter() - waited)
         entries = response.pop("_history_entries", None)
-        try:
-            async with write_lock:
-                if entries is None:
-                    await write_frame(
-                        writer, response,
-                        on_encode=self._h_encode.observe,
-                        on_write=self._h_write.observe)
-                else:
-                    # ``status``: same two stage timers as write_frame.
-                    started = time.perf_counter()
-                    chunks = encode_frame_chunks(
-                        response, "history",
-                        [_history_row(entry) for entry in entries])
-                    self._h_encode.observe(time.perf_counter() - started)
-                    started = time.perf_counter()
-                    writer.writelines(chunks)
-                    await writer.drain()
-                    self._h_write.observe(time.perf_counter() - started)
-        except (ConnectionError, OSError):
-            pass
+        if entries is None:
+            out.write(response)
+        else:
+            # ``status``: the history rows are spliced in pre-encoded.
+            started = time.perf_counter()
+            chunks = encode_frame_chunks(
+                response, "history",
+                [_history_row(entry) for entry in entries])
+            self._h_encode.observe(time.perf_counter() - started)
+            out.write_chunks(chunks)
+        out.flush_soon()
         # Requests that end the server act after the response is out.
         if response.get("_shutdown"):
-            await self._teardown()
+            out.flush()
+            self._shutdown_task = self._loop.create_task(self._teardown())
         elif response.get("_crash"):
+            out.flush()
             self.kill()
 
-    async def _dispatch(self, frame: typing.Mapping
-                        ) -> typing.Dict[str, typing.Any]:
+    def _dispatch(self, frame: typing.Mapping
+                  ) -> typing.Dict[str, typing.Any]:
+        """Every request but ``txn`` and ``dump``, answered inline."""
         op = frame.get("op")
         if op == "ping":
             return {"ok": True, "site": self.site_id,
                     "protocol": self.spec.protocol,
                     "epoch": self.epoch,
                     "recovered": self.recovered}
-        if op == "txn":
-            spec = decode_spec(frame["spec"])
-            if spec.origin != self.site_id:
-                return {"ok": False,
-                        "error": "transaction for s{} sent to s{}".format(
-                            spec.origin, self.site_id)}
-            refusal = self._txn_refusal(spec)
-            if refusal is not None:
-                # Refused before touching the engine: an "aborted"
-                # outcome, not an error — the client's workload loop
-                # counts it and moves on, exactly as for a lock-timeout
-                # abort.
-                self.aborted += 1
-                self._m_aborted.inc()
-                return {"ok": True, "status": "aborted",
-                        "reason": refusal, "elapsed": None}
-            status, reason, elapsed = await self.submit_transaction(spec)
-            return {"ok": True, "status": status, "reason": reason,
-                    "elapsed": elapsed}
         if op == "status":
             return self._status()
         if op == "versions":
@@ -1145,16 +1159,14 @@ class SiteServer:
             self._drive()
             return {"ok": True, "site": self.site_id,
                     "requested": items}
-        if op == "dump":
-            return await self._dump_op(frame)
         if op == "crash":
             return {"ok": True, "_crash": True}
         if op == "shutdown":
             return {"ok": True, "_shutdown": True}
         return {"ok": False, "error": "unknown op {!r}".format(op)}
 
-    async def _dump_op(self, frame: typing.Mapping
-                       ) -> typing.Dict[str, typing.Any]:
+    async def _dump_op(self, frame: typing.Mapping, rid: typing.Any,
+                       out: FrameWriter) -> None:
         """``dump`` wire op: freeze the flight recorder into an
         incident bundle.  Record gathering runs inline on the loop
         (pure memory work); the atomic file write runs in the executor,
@@ -1166,12 +1178,13 @@ class SiteServer:
         try:
             path = await self.flight.dump_async(
                 trigger, out_dir=str(out_dir) if out_dir else None)
-        except OSError as exc:
-            return {"ok": False,
-                    "error": "dump failed: {}".format(exc)}
-        return {"ok": True, "site": self.site_id, "path": path,
-                "trigger": trigger,
-                "records": self.flight.last_dump_records}
+        except Exception as exc:
+            response = {"ok": False, "error": "dump failed: {}".format(exc)}
+        else:
+            response = {"ok": True, "site": self.site_id, "path": path,
+                        "trigger": trigger,
+                        "records": self.flight.last_dump_records}
+        self._respond(rid, response, out)
 
     def _watermarks(self) -> typing.Dict[str, typing.Any]:
         """Applied-version watermarks for the flight recorder: every
@@ -1384,7 +1397,7 @@ class SiteServer:
             "aborted": self.aborted,
             "items": encode_value(items),
             # The history is the bulk of the reply and grows with every
-            # commit: _serve_request encodes each entry on its own and
+            # commit: _respond encodes each entry on its own and
             # splices it into the frame (codec.encode_frame_chunks).
             "_history_entries": list(engine.history),
             "messages_sent": self.transport.total_sent,

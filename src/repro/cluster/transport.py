@@ -67,8 +67,9 @@ import uuid
 
 from repro.cluster.codec import (
     CodecError,
+    FrameReader,
+    FrameWriter,
     encode_batch_frame,
-    read_frame,
     write_frame,
 )
 from repro.network.message import Message, MessageType
@@ -118,23 +119,23 @@ class _Channel:
         front of the unsent queue, so the receiver always observes one
         gap-free sequence."""
         backoff = _BACKOFF_MIN
-        writer: typing.Optional[asyncio.StreamWriter] = None
+        out: typing.Optional[FrameWriter] = None
         try:
             while not self.transport.closed:
-                if writer is not None and self._ack_task is not None \
+                if out is not None and self._ack_task is not None \
                         and self._ack_task.done():
                     # Receiver closed (or broke) the connection.
-                    writer = await self._drop_connection(writer)
+                    out = await self._drop_connection(out)
                     continue
                 if not self.unsent and \
-                        (writer is not None or not self.unacked):
+                        (out is not None or not self.unacked):
                     self.wakeup.clear()
                     if not self.unsent and not (
                             self._ack_task is not None
                             and self._ack_task.done()):
                         await self.wakeup.wait()
                     continue
-                if writer is None:
+                if out is None:
                     connection = await self._connect()
                     if connection is None:
                         await asyncio.sleep(backoff)
@@ -142,6 +143,9 @@ class _Channel:
                         continue
                     backoff = _BACKOFF_MIN
                     reader, writer = connection
+                    out = FrameWriter(
+                        writer, on_encode=self.transport._h_encode.observe,
+                        on_write=self.transport._h_write.observe)
                     self.transport._note_connect(self.dst,
                                                  len(self.unacked))
                     while self.unacked:
@@ -172,7 +176,7 @@ class _Channel:
                         # Lost in transit: sever before the write.  The
                         # entries stay unsent; the reconnect path
                         # resends them with the same sequence numbers.
-                        writer = await self._drop_connection(writer)
+                        out = await self._drop_connection(out)
                         continue
                 sync_hook = self.transport.sync_hook
                 sync_s = 0.0
@@ -200,14 +204,7 @@ class _Channel:
                     stamp=(stamp_message_obj
                            if self.transport.trace_sink is not None
                            else None))
-                try:
-                    await write_frame(
-                        writer, frame,
-                        on_encode=self.transport._h_encode.observe,
-                        on_write=self.transport._h_write.observe)
-                except (ConnectionError, OSError):
-                    writer = await self._drop_connection(writer)
-                    continue
+                out.write(frame)
                 for _ in range(count):
                     self.unacked.append(self.unsent.popleft())
                 self.transport._note_frame(self.dst, entries,
@@ -216,23 +213,34 @@ class _Channel:
                     # The frame arrived but its ack is "lost": sever
                     # after the write.  The unacked tail is requeued
                     # and resent; the receiver's dedup drops the copy.
-                    writer = await self._drop_connection(writer)
+                    out = await self._drop_connection(out)
+                    continue
+                if self.unsent:
+                    out.flush_soon()    # the next frames join this write
+                else:
+                    out.flush()
+                try:
+                    await out.drain()
+                except (ConnectionError, OSError):
+                    out = await self._drop_connection(out)
         finally:
-            if writer is not None:
-                await self._drop_connection(writer)
+            if out is not None:
+                await self._drop_connection(out)
 
     async def _ack_loop(self, reader: asyncio.StreamReader) -> None:
+        frames = FrameReader(reader)
         try:
             while True:
-                frame = await read_frame(reader)
-                if frame is None:
+                batch = await frames.frames()
+                if batch is None:
                     return
-                if frame.get("kind") != "ack":
-                    continue
-                acked = int(frame["seq"])
-                while self.unacked and self.unacked[0][0] <= acked:
-                    _seq, message = self.unacked.popleft()
-                    self.transport._note_acked(self.dst, message)
+                for frame in batch:
+                    if frame.get("kind") != "ack":
+                        continue
+                    acked = int(frame["seq"])
+                    while self.unacked and self.unacked[0][0] <= acked:
+                        _seq, message = self.unacked.popleft()
+                        self.transport._note_acked(self.dst, message)
         except (ConnectionError, OSError, CodecError,
                 asyncio.CancelledError, ValueError, KeyError):
             return
@@ -258,25 +266,16 @@ class _Channel:
         try:
             await write_frame(writer, hello)
         except (ConnectionError, OSError):
-            await self._close_writer(writer)
+            writer.close()
             return None
         return reader, writer
 
-    async def _drop_connection(self, writer: asyncio.StreamWriter
-                               ) -> None:
+    async def _drop_connection(self, out: FrameWriter) -> None:
         if self._ack_task is not None:
             self._ack_task.cancel()
             self._ack_task = None
-        await self._close_writer(writer)
+        await out.close()
         return None
-
-    @staticmethod
-    async def _close_writer(writer: asyncio.StreamWriter) -> None:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            pass
 
     def cancel(self) -> None:
         if self.task is not None:

@@ -7,8 +7,8 @@ injection log replays bit-for-bit, injected regressions are caught and
 shrink to a tiny script, log corruption is never silent, and a killed
 mid-tree site is localised to its copy-graph hop.
 
-Port plan: this file owns 7600-7799 (stride 10 per test) so it never
-collides with the other live-cluster suites or the CI fixture.
+Every cluster listens on a free port range drawn per test
+(``tests.helpers.free_base_port``), so runs never collide.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from repro.chaos.shrinker import shrink_scenario
 from repro.cluster.spec import ClusterSpec
 from repro.obs.monitor import MonitorConfig
 from repro.workload.params import WorkloadParams
+from tests.helpers import free_base_port
 
 
-def make_spec(base_port, protocol="dag_wt", seed=3, **overrides):
+def make_spec(protocol="dag_wt", seed=3, **overrides):
     params = dict(n_sites=3, n_items=12,
                   replication_probability=0.8,
                   threads_per_site=2, transactions_per_thread=6,
@@ -32,7 +33,7 @@ def make_spec(base_port, protocol="dag_wt", seed=3, **overrides):
     params.update(overrides)
     return ClusterSpec(params=WorkloadParams(**params),
                        protocol=protocol, seed=seed,
-                       base_port=base_port)
+                       base_port=free_base_port(params["n_sites"]))
 
 
 def assert_green(report):
@@ -44,7 +45,7 @@ def assert_green(report):
 
 def test_healthy_jitter_run_is_green_on_dag_wt(tmp_path):
     scenario = ChaosScenario(
-        spec=make_spec(7600), plan=profile_plan("jitter", seed=1,
+        spec=make_spec(), plan=profile_plan("jitter", seed=1,
                                                 n_sites=3),
         name="jitter/dag_wt")
     report = run_chaos(scenario, str(tmp_path / "wal"))
@@ -55,7 +56,7 @@ def test_healthy_jitter_run_is_green_on_dag_wt(tmp_path):
 
 def test_healthy_jitter_run_is_green_on_backedge(tmp_path):
     scenario = ChaosScenario(
-        spec=make_spec(7610, protocol="backedge", seed=5),
+        spec=make_spec(protocol="backedge", seed=5),
         plan=profile_plan("jitter", seed=1, n_sites=3),
         name="jitter/backedge")
     report = run_chaos(scenario, str(tmp_path / "wal"))
@@ -76,7 +77,7 @@ def test_injection_log_is_exactly_replayable(tmp_path):
     many messages share a frame depends on the backlog the sender
     finds, which is timing, not the plan."""
     spec = dataclasses.replace(
-        make_spec(7620, n_sites=2, n_items=6,
+        make_spec(n_sites=2, n_items=6,
                   replication_probability=1.0,
                   threads_per_site=1, transactions_per_thread=8,
                   read_txn_probability=0.0),
@@ -112,7 +113,8 @@ def test_regression_is_caught_and_shrinks_to_tiny_script(tmp_path):
     noise down to at most 3 events."""
     scenario = ChaosScenario.load("tests/data/chaos_known_bad.json")
     scenario = scenario.replaced(spec=dataclasses.replace(
-        scenario.spec, base_port=7630))
+        scenario.spec,
+        base_port=free_base_port(scenario.spec.params.n_sites)))
     probes = []
     minimal, report = shrink_scenario(
         scenario, str(tmp_path / "shrink"),
@@ -133,7 +135,7 @@ def test_regression_is_caught_and_shrinks_to_tiny_script(tmp_path):
 
 def test_torn_journal_profile_repairs_silently(tmp_path):
     scenario = ChaosScenario(
-        spec=make_spec(7650),
+        spec=make_spec(),
         plan=profile_plan("torn-journal", seed=4, n_sites=3),
         name="torn-journal")
     report = run_chaos(scenario, str(tmp_path / "wal"))
@@ -146,7 +148,7 @@ def test_torn_journal_profile_repairs_silently(tmp_path):
 
 def test_bitflip_profile_is_detected_never_silent(tmp_path):
     scenario = ChaosScenario(
-        spec=make_spec(7660),
+        spec=make_spec(),
         plan=profile_plan("bitflip-wal", seed=4, n_sites=3),
         name="bitflip-wal")
     report = run_chaos(scenario, str(tmp_path / "wal"))
@@ -165,7 +167,7 @@ def test_killed_mid_tree_site_is_localised_to_its_hop(tmp_path):
     """DAG(WT) on seed 3 is the chain 0 -> 1 -> 2.  Chaos-killing
     site 1 mid-workload must raise a stuck-propagation alert whose
     evidence names the copy-graph hop into the dead site."""
-    spec = make_spec(7670, transactions_per_thread=20)
+    spec = make_spec(transactions_per_thread=20)
     scenario = ChaosScenario(
         spec=spec,
         plan=FaultPlan(seed=0, events=(

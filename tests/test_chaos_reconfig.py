@@ -8,8 +8,6 @@ retry once the member restarts, and land the transition — and the
 verdict must be green: converged against the *final* placement, DSG
 acyclic, and every surviving member in the same epoch (the controller
 files an ``epoch-divergence`` violation otherwise).
-
-Port plan: this file owns 8250-8299.
 """
 
 import pytest
@@ -18,9 +16,10 @@ from repro.chaos.controller import ChaosScenario, run_chaos
 from repro.chaos.plan import FaultPlan, KillFault
 from repro.cluster.spec import ClusterSpec
 from repro.workload.params import WorkloadParams
+from tests.helpers import free_base_port
 
 
-def _scenario(base_port=8250, at=0.15, kill_at=0.2, down_for=0.8):
+def _scenario(at=0.15, kill_at=0.2, down_for=0.8):
     params = WorkloadParams(n_sites=6, n_items=18,
                             placement_scheme="sharded-hash",
                             replication_factor=2,
@@ -30,7 +29,7 @@ def _scenario(base_port=8250, at=0.15, kill_at=0.2, down_for=0.8):
                             deadlock_timeout=0.05)
     return ChaosScenario(
         spec=ClusterSpec(params=params, protocol="dag_wt", seed=3,
-                         base_port=base_port),
+                         base_port=free_base_port(params.n_sites)),
         plan=FaultPlan(seed=11, events=(
             KillFault(site=4, at=kill_at, down_for=down_for),)),
         reconfig=({"at": at,

@@ -11,6 +11,11 @@ hello, ack, error, request/response):
 * ``WireCodec``, the object form the perf ledger measures — what the
   ledger times must be what the server runs.
 
+The buffered parser every long-lived connection reads with
+(``FrameReader``) is held to ``read_frame``'s contract: the same frame
+sequence for the same bytes however they are split across reads, ``None``
+for a truncated tail, :class:`CodecError` for an oversize length prefix.
+
 Beyond agreement: a truncated body raises :class:`CodecError`, a
 bit-flipped body raises :class:`CodecError` or decodes to a ``dict``
 (JSON frames carry no checksum; a flipped digit is still a frame) and
@@ -31,7 +36,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.cluster.codec import (
+    MAX_FRAME,
     CodecError,
+    FrameReader,
     WireCodec,
     decode_frame_body,
     decode_message,
@@ -128,6 +135,31 @@ def _read_all(data):
     return asyncio.run(scenario())
 
 
+class _ChunkedReader:
+    """A stream whose ``read()`` hands out the given chunks in order."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+
+    async def read(self, _n):
+        return self.chunks.pop(0) if self.chunks else b""
+
+
+def _frame_reader_all(chunks):
+    """Every frame ``FrameReader`` yields over ``chunks`` until EOF, and
+    the number of ``frames()`` calls that returned some."""
+    async def scenario():
+        reader = FrameReader(_ChunkedReader(chunks))
+        frames, wakeups = [], 0
+        while True:
+            batch = await reader.frames()
+            if batch is None:
+                return frames, wakeups
+            frames.extend(batch)
+            wakeups += 1
+    return asyncio.run(scenario())
+
+
 # ----------------------------------------------------------------------
 # Differential equality, every wire op
 # ----------------------------------------------------------------------
@@ -190,6 +222,55 @@ def test_stream_decodes_match_json(seed):
 
 
 # ----------------------------------------------------------------------
+# The buffered parser: read_frame's frames, however the bytes arrive
+# ----------------------------------------------------------------------
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), cuts=st.lists(
+    st.integers(0, 2**31), max_size=12))
+def test_frame_reader_matches_read_frame_on_any_split(seed, cuts):
+    frames = _frame_stream(random.Random(seed))
+    data = b"".join(encode_frame(frame) for frame in frames)
+    offsets = sorted({cut % (len(data) + 1) for cut in cuts})
+    chunks = [data[a:b] for a, b in
+              zip([0] + offsets, offsets + [len(data)]) if b > a]
+    assert _frame_reader_all(chunks)[0] == _read_all(data)
+
+
+def test_frame_reader_one_byte_per_read_and_all_in_one():
+    frames = _frame_stream(random.Random(5))
+    data = b"".join(encode_frame(frame) for frame in frames)
+    expected = _read_all(data)
+    assert _frame_reader_all([data[i:i + 1] for i in range(len(data))]
+                             )[0] == expected
+    # Many frames in one read come out of ONE wake-up.
+    assert _frame_reader_all([data]) == (expected, 1)
+
+
+def test_frame_reader_split_at_every_offset():
+    first, second = {"kind": "ack", "seq": 1}, _batch_frame(
+        random.Random(9))
+    data = encode_frame(first) + encode_frame(second)
+    for cut in range(1, len(data)):
+        assert _frame_reader_all([data[:cut], data[cut:]])[0] == [
+            first, second]
+
+
+def test_frame_reader_truncated_tail_and_oversize_prefix():
+    whole = encode_frame({"kind": "ack", "seq": 7})
+    for cut in range(1, len(whole)):
+        # The frames before a torn tail are delivered; then EOF.
+        assert _frame_reader_all([whole + whole[:cut]])[0] == [
+            {"kind": "ack", "seq": 7}]
+        assert _read_all(whole + whole[:cut]) == [{"kind": "ack", "seq": 7}]
+    oversize = (MAX_FRAME + 1).to_bytes(4, "big")
+    with pytest.raises(CodecError):
+        _frame_reader_all([oversize])
+    with pytest.raises(CodecError):
+        _read_all(oversize)
+
+
+# ----------------------------------------------------------------------
 # Corruption: CodecError or a dict, never anything else
 # ----------------------------------------------------------------------
 
@@ -229,7 +310,8 @@ def test_exhaustive_corruption_sweep_small_frame():
     """Every truncation point and every single-bit flip of one real
     ``msg``, ``batch`` and ``ack`` body — the deterministic backstop
     under the fuzz above — and, on a stream, a flipped frame never
-    makes ``read_frame`` consume any of the frame behind it."""
+    makes ``read_frame`` or ``FrameReader`` consume any of the frame
+    behind it."""
     rng = random.Random(11)
     sentinel = {"kind": "ack", "seq": 424242}
     small_batch = encode_batch_frame(
@@ -250,11 +332,14 @@ def test_exhaustive_corruption_sweep_small_frame():
         for pos in range(len(body)):
             corrupt = bytearray(wire)
             corrupt[4 + pos] ^= 0x01
-            try:
-                frames = _read_all(bytes(corrupt) + encode_frame(sentinel))
-            except CodecError:
-                continue
-            assert len(frames) == 2 and frames[1] == sentinel
+            stream = bytes(corrupt) + encode_frame(sentinel)
+            for read_all in (_read_all,
+                             lambda data: _frame_reader_all([data])[0]):
+                try:
+                    frames = read_all(stream)
+                except CodecError:
+                    continue
+                assert len(frames) == 2 and frames[1] == sentinel
 
 
 def test_garbage_and_wrong_version_raise():

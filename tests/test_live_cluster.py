@@ -29,6 +29,7 @@ from repro.cluster.client import ClusterClient
 from repro.cluster.codec import (
     decode_value,
     encode_batch_frame,
+    encode_frame,
     read_frame,
 )
 from repro.cluster.loadgen import (
@@ -529,14 +530,21 @@ async def settle(predicate):
 
 
 class RecordingWriter:
-    """The writer half of a peer connection, for driving
-    ``SiteServer._apply_loop`` without a socket."""
+    """The writer half of a connection, for driving
+    ``SiteServer._apply_loop`` / ``_client_loop`` without a socket."""
 
     def __init__(self):
         self.data = bytearray()
+        self.transport = self
 
-    def write(self, data):
-        self.data += data
+    def writelines(self, chunks):
+        self.data += b"".join(chunks)
+
+    def get_write_buffer_size(self):
+        return 0
+
+    def is_closing(self):
+        return False
 
     async def drain(self):
         pass
@@ -600,7 +608,7 @@ def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
                     encode_batch_frame("inc-a", [(3, secondary(3)),
                                                  (4, secondary(4))]),
                     single(5), single(6)):
-                queue.put_nowait((0.0, 0.0, frame))
+                queue.put_nowait((0.0, frame))
             task = asyncio.get_running_loop().create_task(
                 server._apply_loop(queue, writer, 0))
             # The sync was submitted before the loop first yielded (it
@@ -623,12 +631,12 @@ def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
             # duplicates are dropped by the dedup filter but still
             # covered by the round's single ack.
             for frame in (single(5), single(6), single(7)):
-                queue.put_nowait((0.0, 0.0, frame))
+                queue.put_nowait((0.0, frame))
             await settle(lambda: journal.syncs == 2)
             # A round of nothing but duplicates journals nothing, so it
             # needs no sync — and is acked all the same.
             for frame in (single(6), single(7)):
-                queue.put_nowait((0.0, 0.0, frame))
+                queue.put_nowait((0.0, frame))
             queue.put_nowait(None)
             await asyncio.wait_for(task, 10.0)
             assert await writer.acks() == [6, 7, 7]
@@ -675,7 +683,7 @@ def test_unsynced_replica_applies_come_back_from_the_journal(tmp_path):
         queue = asyncio.Queue()
         writer = RecordingWriter()
         for seq in (1, 2, 3):
-            queue.put_nowait((0.0, 0.0, single(seq)))
+            queue.put_nowait((0.0, single(seq)))
         queue.put_nowait(None)
         await asyncio.wait_for(server._apply_loop(queue, writer, 0), 10.0)
         assert await writer.acks() == [3]
@@ -736,11 +744,11 @@ def test_acked_2pc_decision_survives_a_kill(tmp_path):
         writer = RecordingWriter()
         task = asyncio.get_running_loop().create_task(
             server._apply_loop(queue, writer, 2))
-        queue.put_nowait((0.0, 0.0, single(
+        queue.put_nowait((0.0, single(
             1, MessageType.BACKEDGE, gid=gid, writes={item: 102},
             origin=2)))
         await settle(lambda: writer.data)   # prepared here, acked
-        queue.put_nowait((0.0, 0.0, single(
+        queue.put_nowait((0.0, single(
             2, MessageType.DECISION, gid=gid, commit=True)))
         queue.put_nowait(None)
         await asyncio.wait_for(task, 10.0)
@@ -791,10 +799,18 @@ def test_read_only_transaction_waits_for_a_pending_commit_only(tmp_path):
             return real_sync()
 
         class BarrierCheckingWriter(RecordingWriter):
-            def write(self, data):
+            def writelines(self, chunks):
                 # No response byte leaves ahead of the log.
                 assert wal.synced_records == wal.appended
-                super().write(data)
+                super().writelines(chunks)
+
+        def serve(writer):
+            """A client connection on ``writer``; requests are fed to
+            the returned reader."""
+            reader = asyncio.StreamReader()
+            task = asyncio.get_running_loop().create_task(
+                server._client_loop(reader, writer))
+            return reader, task
 
         async def responses(writer):
             reader = asyncio.StreamReader()
@@ -807,14 +823,12 @@ def test_read_only_transaction_waits_for_a_pending_commit_only(tmp_path):
 
         try:
             wal.sync = gated_sync
-            writer, lock = BarrierCheckingWriter(), asyncio.Lock()
-            loop = asyncio.get_running_loop()
+            writer = BarrierCheckingWriter()
+            reader, task = serve(writer)
             before = wal.appended
-            tasks = [loop.create_task(server._serve_request(
-                request(1, 1, OpType.WRITE), writer, lock))]
+            reader.feed_data(encode_frame(request(1, 1, OpType.WRITE)))
             await settle(entered.is_set)    # the writer's round, gated
-            tasks.append(loop.create_task(server._serve_request(
-                request(2, 2, OpType.READ), writer, lock)))
+            reader.feed_data(encode_frame(request(2, 2, OpType.READ)))
             await settle(lambda: server.committed == 2)
             for _ in range(20):
                 await asyncio.sleep(0.001)
@@ -824,16 +838,21 @@ def test_read_only_transaction_waits_for_a_pending_commit_only(tmp_path):
             assert wal.synced_records < wal.appended
             assert not writer.data
             gate.set()
-            await asyncio.wait_for(asyncio.gather(*tasks), 10.0)
+            await settle(lambda: writer.data.count(b'"kind":"resp"') == 2)
+            reader.feed_eof()
+            await asyncio.wait_for(task, 10.0)
             assert sorted(await responses(writer)) == [
                 (1, "committed"), (2, "committed")]
 
-            # Clean log: a reader appends nothing and syncs nothing.
+            # Clean log: a reader appends nothing and syncs nothing,
+            # and is answered inline.
             entered.clear()
             syncs, appended = wal.syncs, wal.appended
             writer = BarrierCheckingWriter()
-            await asyncio.wait_for(server._serve_request(
-                request(3, 3, OpType.READ), writer, lock), 10.0)
+            reader, task = serve(writer)
+            reader.feed_data(encode_frame(request(3, 3, OpType.READ)))
+            reader.feed_eof()
+            await asyncio.wait_for(task, 10.0)
             assert await responses(writer) == [(3, "committed")]
             assert (wal.syncs, wal.appended) == (syncs, appended)
             assert not entered.is_set()
@@ -872,7 +891,7 @@ def test_malformed_peer_frame_is_dropped_into_the_flight_ring(tmp_path):
                           {"kind": "batch", "inc": "inc-a",
                            "msgs": "not a list"},
                           single(2)):
-                queue.put_nowait((0.0, 0.0, frame))
+                queue.put_nowait((0.0, frame))
             queue.put_nowait(None)
             await asyncio.wait_for(
                 server._apply_loop(queue, writer, 0), 10.0)

@@ -137,10 +137,15 @@ class _GroupCommitSyncer:
     round runs shares the *next* round (leader/follower group commit).
     The fsync itself runs in the default executor, so the event loop
     keeps decoding, applying and batching while the disk works — on a
-    single core that overlap, not parallelism, is the win."""
+    single core that overlap, not parallelism, is the win.
 
-    def __init__(self, log: typing.Any):
+    A failed round is a crash: ``on_failure`` gets its exception, and
+    the log, poisoned, fails every later round and waiter."""
+
+    def __init__(self, log: typing.Any,
+                 on_failure: typing.Callable[[BaseException], None]):
         self._log = log
+        self._on_failure = on_failure
         self._round: typing.Optional[asyncio.Future] = None
 
     def kick(self) -> "asyncio.Future":
@@ -154,7 +159,12 @@ class _GroupCommitSyncer:
         if current is None or current.done():
             current = self._round = asyncio.get_running_loop() \
                 .run_in_executor(None, self._log.sync)
+            current.add_done_callback(self._settled)
         return current
+
+    def _settled(self, done: "asyncio.Future") -> None:
+        if not done.cancelled() and done.exception() is not None:
+            self._on_failure(done.exception())
 
     async def wait_durable(self) -> None:
         log = self._log
@@ -235,8 +245,9 @@ class SiteServer:
         # executor lets decode/apply/drive proceed during the disk wait,
         # and every waiter that arrives mid-round shares the next one
         # (leader/follower).
-        self._wal_syncer = _GroupCommitSyncer(self.wal)
-        self._journal_syncer = _GroupCommitSyncer(self.journal)
+        self._wal_syncer = _GroupCommitSyncer(self.wal, self._fail_stop)
+        self._journal_syncer = _GroupCommitSyncer(self.journal,
+                                                  self._fail_stop)
         self.placement = spec.build_placement()
         self.committed = 0
         self.aborted = 0
@@ -521,12 +532,15 @@ class SiteServer:
             self._arm_timer()
 
     def _fail_stop(self, exc: BaseException) -> None:
-        """An exception out of the kernel means engine and protocol
-        state can no longer be trusted: crash-stop.  The site stops
-        like :meth:`kill` (listeners closed, connections aborted, only
-        synced log records survive), peers see a dead site rather than
-        a zombie, and ``serve_forever`` re-raises so ``repro serve``
-        dumps its flight bundle and exits non-zero."""
+        """An exception out of the kernel or a failed log sync means
+        engine, protocol or log state can no longer be trusted:
+        crash-stop.  The site stops like :meth:`kill` (listeners closed,
+        connections aborted, only synced log records survive), peers see
+        a dead site rather than a zombie, and ``serve_forever`` re-raises
+        so ``repro serve`` dumps its flight bundle and exits non-zero.
+        A site already stopped has nothing left to stop."""
+        if self._closed:
+            return
         self.fatal = exc
         self.flight.record_event("fatal", error=repr(exc))
         self.kill()
@@ -904,8 +918,11 @@ class SiteServer:
                     apply_task.cancel()
             try:
                 await apply_task
-            except (asyncio.CancelledError, Exception):
+            except asyncio.CancelledError:
                 pass
+            except Exception as exc:
+                # The applying half died (a failed journal sync): crash.
+                self._fail_stop(exc)
 
     async def _apply_loop(self, queue: "asyncio.Queue",
                           writer: asyncio.StreamWriter,

@@ -60,10 +60,19 @@ silently; a terminated line that fails its checksum is out-of-model
 damage (bit rot, a corrupting middlebox, an operator accident), cannot
 be produced by a torn append-only write, and raises
 :class:`CorruptLogError`.
+
+A failed sync is a crash: the first exception out of ``write``,
+``flush`` or ``fsync`` poisons the log.  No later sync writes a byte, so
+the file never holds a hole the lost block would leave, the durable
+watermark never moves again, and every later sync raises
+:class:`LogFailedError`.  Retrying is no fix — after a failed ``fsync``
+the kernel may have dropped the dirty pages, so a retry can report
+success for data that is gone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -81,6 +90,10 @@ DURABILITY_LEVELS = ("none", "flush", "fsync")
 
 class CorruptLogError(ValueError):
     """A malformed record somewhere other than a torn tail."""
+
+
+class LogFailedError(OSError):
+    """A sync of a log whose earlier sync failed."""
 
 
 def _checksummed_line(obj: typing.Mapping[str, typing.Any]) -> bytes:
@@ -175,6 +188,9 @@ class _LineAppender:
         self.synced_records = 0
         #: Bytes this process wrote to the file.
         self.bytes_written = 0
+        #: The exception the first failed sync raised; it poisons the
+        #: log (see the module docstring).
+        self._failure: typing.Optional[BaseException] = None
         #: Pending records dropped by :meth:`abandon` (the simulated
         #: crash loss — they were never promised to anyone).
         self.abandoned = 0
@@ -212,8 +228,13 @@ class _LineAppender:
         returning — callers sequence externally visible effects
         (responses, acks, forwards) after it.  Thread-safe: safe to
         call from an executor thread while the loop thread appends.
+        Raises if this or any earlier sync failed.
         """
         with self._io_lock:
+            if self._failure is not None:
+                raise LogFailedError("{}: an earlier sync failed ({!r})"
+                                     .format(self.path, self._failure)
+                                     ) from self._failure
             with self._buf_lock:
                 if not self._pending:
                     return 0
@@ -222,13 +243,24 @@ class _LineAppender:
             block = b"".join(lines)
             observer = self.observe_sync
             started = time.perf_counter()
-            if self._handle is None:
-                self._handle = open(self.path, "ab")
-            self._handle.write(block)
-            if self.durability != "none":
-                self._handle.flush()
-                if self.durability == "fsync":
-                    os.fsync(self._handle.fileno())
+            try:
+                if self._handle is None:
+                    self._handle = open(self.path, "ab")
+                self._handle.write(block)
+                if self.durability != "none":
+                    self._handle.flush()
+                    if self.durability == "fsync":
+                        os.fsync(self._handle.fileno())
+            except BaseException as exc:
+                self._failure = exc
+                # Closing may still flush part of the lost block: never-
+                # promised bytes at the end of the file (a torn tail on
+                # reload), not a hole.
+                handle, self._handle = self._handle, None
+                if handle is not None:
+                    with contextlib.suppress(OSError):
+                        handle.close()
+                raise
             self.syncs += 1
             self.bytes_written += len(block)
             self.synced_records = target
@@ -239,8 +271,10 @@ class _LineAppender:
             return len(lines)
 
     def close(self) -> None:
-        """Graceful close: pending records reach stable storage."""
-        self.sync()
+        """Graceful close: pending records reach stable storage (unless
+        the log failed, when nothing more is written)."""
+        if self._failure is None:
+            self.sync()
         if self._handle is not None:
             self._handle.close()
             self._handle = None
@@ -256,7 +290,9 @@ class _LineAppender:
                 # The dropped records will never sync; resolve the
                 # watermark so a durability waiter on a killed appender
                 # fails fast (teardown cancels it) instead of spinning.
-                self.synced_records = self.appended
+                # A failed log keeps its watermark: its waiters raise.
+                if self._failure is None:
+                    self.synced_records = self.appended
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None

@@ -6,15 +6,19 @@
   interface shared by all protocols.
 - :mod:`repro.core.dag_wt` — DAG(WT), Sec. 2.
 - :mod:`repro.core.dag_t` — DAG(T), Sec. 3.
-- :mod:`repro.core.backedge` — BackEdge, Sec. 4 (extension of DAG(WT); the
-  chain variant of Sec. 5.1 is the default used in the performance study).
+- :mod:`repro.core.backedge` — BackEdge, Sec. 4: one eager phase along the
+  backedges over either lazy half — ``backedge`` over DAG(WT) (the chain
+  variant of Sec. 5.1 is the default used in the performance study) and
+  ``backedge_t`` over DAG(T), the extension the paper defers to its
+  technical report.
+- :mod:`repro.core.indiscriminate` — the commercial-style lazy baseline
+  the paper argues against (Sec. 1).
 - :mod:`repro.core.psl` — the lazy primary-site-locking baseline, Sec. 5.1.
 - :mod:`repro.core.eager` — a classic eager read-one/write-all 2PC
   baseline, used for ablation benchmarks.
 """
 
-from repro.core.backedge import BackEdgeProtocol
-from repro.core.backedge_t import BackEdgeTProtocol
+from repro.core.backedge import BackEdgeProtocol, BackEdgeTProtocol
 from repro.core.base import (
     PROTOCOLS,
     ReplicatedSystem,

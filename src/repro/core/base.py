@@ -6,11 +6,12 @@ and one CPU :class:`~repro.sim.resources.Resource` per site, the FIFO
 :class:`~repro.network.network.Network`, the copy graph derived from the
 data placement, and one :class:`ReplicationProtocol` instance.
 
-Protocols implement ``run_transaction`` (executed inside a client thread's
-simulation process) plus whatever background machinery they need
-(``setup``).  Shared behaviour — local operation execution with CPU
-accounting, deterministic write values, the paper's timeout victim rules —
-lives here.
+The lazy protocols share one primary path (``run_transaction``) and plug
+in at two points: an eager phase before commit (BackEdge's backedge
+round) and propagation after it.  PSL and eager replication lock remotely
+and keep their own primaries.  Shared behaviour — local operation
+execution with CPU accounting, deterministic write values, the paper's
+timeout victim rules — lives here.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.errors import ConfigurationError, TransactionAborted
+from repro.errors import ConfigurationError, LockTimeout, TransactionAborted
 from repro.graph.copygraph import CopyGraph
 from repro.graph.placement import DataPlacement
 from repro.network.network import Network
 from repro.sim.environment import Environment
+from repro.sim.events import Interrupt
 from repro.sim.resources import Resource
 from repro.storage.engine import StorageEngine
 from repro.storage.locks import (
@@ -35,6 +37,7 @@ from repro.storage.locks import (
 from repro.storage.transaction import Transaction
 from repro.types import (
     GlobalTransactionId,
+    ItemId,
     SiteId,
     SubtransactionKind,
     TransactionSpec,
@@ -238,9 +241,10 @@ class ReplicatedSystem:
 class ReplicationProtocol:
     """Base class for update-propagation protocols.
 
-    Subclasses must define :attr:`name`, implement ``run_transaction``
-    (a generator executed inside the client process) and may override
-    ``setup`` to install message handlers and background processes.
+    Subclasses must define :attr:`name`.  A lazy protocol implements
+    ``_propagate`` and may override ``_eager_phase``; a protocol that
+    locks remotely overrides ``run_transaction`` instead.  ``setup``
+    installs message handlers and background processes.
     """
 
     #: Registry key, e.g. ``"backedge"``.
@@ -281,7 +285,42 @@ class ReplicationProtocol:
         transaction woundable).  Raises
         :class:`~repro.errors.TransactionAborted` after rolling back on
         any abort (lock timeout, wound, global deadlock).
+
+        This is the lazy primary path: execute locally, run the eager
+        phase, commit, then propagate.  Commit and propagation happen in
+        one simulation step, so they are atomic with respect to other
+        commits at the site (Secs. 2, 3.2.2).
         """
+        site = self._site(site_id)
+        yield from self._txn_setup(site)
+        txn = site.engine.begin(spec.gid, SubtransactionKind.PRIMARY,
+                                process=process)
+        self.system.register_primary(txn)
+        try:
+            yield from self._local_operations(site, txn, spec)
+            yield from self._eager_phase(site, txn)
+            yield from site.work(self.config.cpu_commit)
+        except (LockTimeout, Interrupt) as exc:
+            self._abort_primary(site, txn, exc)
+        site.engine.commit(txn)
+        self.system.unregister_primary(txn)
+        replicated = self._replicated_writes(txn)
+        self.system.notify(
+            "primary_commit", gid=txn.gid, site=site_id, time=self.env.now,
+            expected_replicas=self._expected_replicas(replicated))
+        self._propagate(site_id, txn.gid, replicated)
+
+    def _eager_phase(self, site: Site, txn: Transaction
+                     ) -> typing.Iterable:
+        """Work done holding the primary's locks before it commits; it
+        may raise :class:`~repro.errors.TransactionAborted`.  Purely lazy
+        protocols have none."""
+        return ()
+
+    def _propagate(self, site_id: SiteId, gid: GlobalTransactionId,
+                   writes: typing.Mapping[ItemId, typing.Any]) -> None:
+        """Send a committed primary's replicated ``writes`` on their way
+        (runs in the commit step)."""
         raise NotImplementedError
 
     # -- shared helpers ------------------------------------------------
@@ -315,12 +354,26 @@ class ReplicationProtocol:
                     txn, op.item, self._write_value(txn.gid, index))
             yield from site.work(self.config.cpu_per_op)
 
+    def _replicated_writes(self, txn: Transaction
+                           ) -> typing.Dict[ItemId, typing.Any]:
+        return {item: value for item, value in txn.writes.items()
+                if self.placement.is_replicated(item)}
+
+    def _expected_replicas(self, writes: typing.Mapping[ItemId, typing.Any]
+                           ) -> typing.Set[SiteId]:
+        sites: typing.Set[SiteId] = set()
+        for item in writes:
+            sites |= self.placement.replica_sites(item)
+        return sites
+
     def _abort_primary(self, site: Site, txn: Transaction,
-                       reason: str) -> typing.NoReturn:
-        """Roll back a primary and raise :class:`TransactionAborted`."""
+                       exc: Exception) -> typing.NoReturn:
+        """Roll back a primary after a lock timeout or a wound's
+        :class:`~repro.sim.events.Interrupt` and raise
+        :class:`TransactionAborted`."""
         site.engine.abort(txn)
         self.system.unregister_primary(txn)
-        raise TransactionAborted(txn.gid, reason)
+        raise TransactionAborted(txn.gid, _abort_reason(exc))
 
     # -- the paper's timeout victim rules ------------------------------
 
@@ -378,6 +431,13 @@ class ReplicationProtocol:
                      or mode is LockMode.EXCLUSIVE)]
 
 
+def _abort_reason(exc: Exception) -> str:
+    cause = exc.cause if isinstance(exc, Interrupt) else exc
+    if isinstance(cause, TransactionAborted):
+        return cause.reason
+    return str(cause)
+
+
 #: Protocol registry, populated by the concrete modules at import time via
 #: :func:`register_protocol`.
 PROTOCOLS: typing.Dict[str, typing.Type[ReplicationProtocol]] = {}
@@ -395,7 +455,6 @@ def make_protocol(name: str, system: ReplicatedSystem,
     """Instantiate a registered protocol by name."""
     # Import the concrete modules so their registrations run.
     import repro.core.backedge  # noqa: F401
-    import repro.core.backedge_t  # noqa: F401
     import repro.core.dag_t  # noqa: F401
     import repro.core.dag_wt  # noqa: F401
     import repro.core.eager  # noqa: F401

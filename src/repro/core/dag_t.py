@@ -28,20 +28,14 @@ from repro.core.base import (
     register_protocol,
 )
 from repro.core.timestamps import SiteTuple, VectorTimestamp
-from repro.errors import (
-    ConfigurationError,
-    LockTimeout,
-    TransactionAborted,
-)
+from repro.errors import ConfigurationError
 from repro.network.message import Message, MessageType
-from repro.sim.events import Event, Interrupt
-from repro.storage.transaction import Transaction
+from repro.sim.events import Event
 from repro.types import (
     GlobalTransactionId,
     ItemId,
     SiteId,
     SubtransactionKind,
-    TransactionSpec,
 )
 
 
@@ -128,7 +122,7 @@ class DagTProtocol(ReplicationProtocol):
         for site in self.system.local_sites:
             site_id = site.site_id
             self.install_lazy_timeout_policy(site.engine.locks)
-            self.network.set_handler(site_id, self._make_handler(site_id))
+            self.network.set_handler(site_id, self._make_handler(site))
             if graph.parents(site_id):
                 self.env.process(self._queue_processor(site))
             if graph.children(site_id):
@@ -137,7 +131,9 @@ class DagTProtocol(ReplicationProtocol):
             if source in local and graph.children(source):
                 self.env.process(self._epoch_loop(source))
 
-    def _make_handler(self, site_id: SiteId):
+    def _make_handler(self, site: Site):
+        site_id = site.site_id
+
         def handler(message: Message) -> None:
             self._queues[site_id][message.src].append(message)
             self._check_ready(site_id)
@@ -147,41 +143,12 @@ class DagTProtocol(ReplicationProtocol):
     # Primary subtransactions (Sec. 3.2.2)
     # ------------------------------------------------------------------
 
-    def run_transaction(self, site_id: SiteId, spec: TransactionSpec,
-                        process):
-        site = self._site(site_id)
-        yield from self._txn_setup(site)
-        txn = site.engine.begin(spec.gid, SubtransactionKind.PRIMARY,
-                                process=process)
-        self.system.register_primary(txn)
-        try:
-            yield from self._local_operations(site, txn, spec)
-            yield from site.work(self.config.cpu_commit)
-        except LockTimeout as exc:
-            self._abort_primary(site, txn, exc.reason)
-        except Interrupt as exc:
-            cause = exc.cause
-            reason = cause.reason if isinstance(
-                cause, TransactionAborted) else str(cause)
-            self._abort_primary(site, txn, reason)
-        # Steps 1-3 of Sec. 3.2.2, atomic within this simulation step
-        # (the "critical section" of the paper).
+    def _propagate(self, site_id: SiteId, gid: GlobalTransactionId,
+                   writes: typing.Mapping[ItemId, typing.Any]) -> None:
+        """Steps 1-3 of Sec. 3.2.2, in the commit step (the paper's
+        "critical section"): bump ``LTS``, take ``TS(site)``, send."""
         timestamp = self.clocks[site_id].on_primary_commit()
-        site.engine.commit(txn)
-        self.system.unregister_primary(txn)
-        replicated = {item: value for item, value in txn.writes.items()
-                      if self.placement.is_replicated(item)}
-        self.system.notify(
-            "primary_commit", gid=txn.gid, site=site_id, time=self.env.now,
-            expected_replicas=self._expected_replicas(replicated))
-        self._schedule_secondaries(site_id, spec.gid, replicated, timestamp)
-
-    def _expected_replicas(self, writes: typing.Mapping[ItemId, typing.Any]
-                           ) -> typing.Set[SiteId]:
-        sites: typing.Set[SiteId] = set()
-        for item in writes:
-            sites |= self.placement.replica_sites(item)
-        return sites
+        self._schedule_secondaries(site_id, gid, writes, timestamp)
 
     def _schedule_secondaries(self, site_id: SiteId,
                               gid: GlobalTransactionId,
@@ -189,9 +156,11 @@ class DagTProtocol(ReplicationProtocol):
                               timestamp: VectorTimestamp) -> None:
         """Sec. 3.2.2 step 3: append to relevant children's queues.
 
-        In DAG(T) every replica holder is a direct copy-graph child, so
-        updates travel one hop."""
-        for child in sorted(self._expected_replicas(writes)):
+        In DAG(T) every replica holder is a direct child in :attr:`graph`,
+        so updates travel one hop.  (BackEdge-T serves the replica holders
+        its backedges reach eagerly; they are not children here.)"""
+        for child in sorted(self._expected_replicas(writes)
+                            & self.graph.children(site_id)):
             relevant = {item: value for item, value in writes.items()
                         if child in self.placement.replica_sites(item)}
             self.network.send(MessageType.SECONDARY, site_id, child,
@@ -240,8 +209,14 @@ class DagTProtocol(ReplicationProtocol):
                 self.system.notify("timestamp_adopted", site=site_id,
                                    ts=timestamp, gid=None,
                                    time=self.env.now)
-                continue
-            yield from self._apply_secondary(site, message, timestamp)
+            else:
+                yield from self._apply_secondary(site, message, timestamp)
+            self._adopted(site_id, message)
+
+    def _adopted(self, site_id: SiteId, message: Message) -> None:
+        """Hook: the site adopted ``message``'s timestamp (a committed
+        secondary or a dummy).  BackEdge-T wakes its catch-up waiters
+        here."""
 
     def _apply_secondary(self, site: Site, message: Message,
                          timestamp: VectorTimestamp):

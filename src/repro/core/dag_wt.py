@@ -22,18 +22,15 @@ from repro.core.base import (
     Site,
     register_protocol,
 )
-from repro.errors import LockTimeout, TransactionAborted
+from repro.errors import TransactionAborted
 from repro.graph.tree import PropagationTree, build_propagation_tree
 from repro.network.message import Message, MessageType
-from repro.sim.events import Interrupt
 from repro.sim.resources import Mailbox
-from repro.storage.transaction import Transaction
 from repro.types import (
     GlobalTransactionId,
     ItemId,
     SiteId,
     SubtransactionKind,
-    TransactionSpec,
 )
 
 
@@ -90,46 +87,6 @@ class DagWtProtocol(ReplicationProtocol):
         return handler
 
     # ------------------------------------------------------------------
-    # Primary subtransactions
-    # ------------------------------------------------------------------
-
-    def run_transaction(self, site_id: SiteId, spec: TransactionSpec,
-                        process):
-        site = self._site(site_id)
-        yield from self._txn_setup(site)
-        txn = site.engine.begin(spec.gid, SubtransactionKind.PRIMARY,
-                                process=process)
-        self.system.register_primary(txn)
-        try:
-            yield from self._local_operations(site, txn, spec)
-            yield from site.work(self.config.cpu_commit)
-        except LockTimeout as exc:
-            self._abort_primary(site, txn, exc.reason)
-        except Interrupt as exc:
-            self._abort_primary(site, txn, _wound_reason(exc))
-        # Commit + forward happen in one simulation step: atomic with
-        # respect to other commits at this site (Sec. 2's requirement).
-        site.engine.commit(txn)
-        self.system.unregister_primary(txn)
-        replicated = self._replicated_writes(txn)
-        self.system.notify(
-            "primary_commit", gid=txn.gid, site=site_id, time=self.env.now,
-            expected_replicas=self._expected_replicas(replicated))
-        self._forward(site_id, spec.gid, replicated)
-
-    def _replicated_writes(self, txn: Transaction
-                           ) -> typing.Dict[ItemId, typing.Any]:
-        return {item: value for item, value in txn.writes.items()
-                if self.placement.is_replicated(item)}
-
-    def _expected_replicas(self, writes: typing.Mapping[ItemId, typing.Any]
-                           ) -> typing.Set[SiteId]:
-        sites: typing.Set[SiteId] = set()
-        for item in writes:
-            sites |= self.placement.replica_sites(item)
-        return sites
-
-    # ------------------------------------------------------------------
     # Propagation along the tree
     # ------------------------------------------------------------------
 
@@ -143,6 +100,9 @@ class DagWtProtocol(ReplicationProtocol):
                 self.network.send(MessageType.SECONDARY, from_site, child,
                                   gid=gid, writes=dict(writes),
                                   epoch=self.system.epoch)
+
+    #: A committed primary takes the same path as a committed secondary.
+    _propagate = _forward
 
     def _child_is_relevant(self, child: SiteId,
                            writes: typing.Mapping[ItemId, typing.Any]
@@ -204,10 +164,3 @@ class DagWtProtocol(ReplicationProtocol):
         # Forward (in commit order — this processor is the only secondary
         # committer and does not yield between commit and forward).
         self._forward(site.site_id, gid, writes)
-
-
-def _wound_reason(interrupt: Interrupt) -> str:
-    cause = interrupt.cause
-    if isinstance(cause, TransactionAborted):
-        return cause.reason
-    return str(cause)

@@ -124,21 +124,15 @@ class EagerProtocol(ReplicationProtocol):
                 self.network.send(MessageType.DECISION, site_id,
                                   participant, gid=gid, commit=True)
             yield from site.work(self.config.cpu_commit)
-        except LockTimeout as exc:
+        except (LockTimeout, Interrupt) as exc:
             self._global_abort(site_id, gid, participants)
-            self._abort_primary(site, txn, exc.reason)
-        except Interrupt as exc:
-            self._global_abort(site_id, gid, participants)
-            self._abort_primary(site, txn, str(exc.cause))
+            self._abort_primary(site, txn, exc)
         site.engine.commit(txn)
         self.system.unregister_primary(txn)
-        replicated = {item for item in txn.writes
-                      if self.placement.is_replicated(item)}
-        expected: typing.Set[SiteId] = set()
-        for item in replicated:
-            expected |= self.placement.replica_sites(item)
-        self.system.notify("primary_commit", gid=gid, site=site_id,
-                           time=self.env.now, expected_replicas=expected)
+        self.system.notify(
+            "primary_commit", gid=gid, site=site_id, time=self.env.now,
+            expected_replicas=self._expected_replicas(
+                self._replicated_writes(txn)))
 
     def _write_replicas(self, site: Site, txn: Transaction, item, value,
                         participants: typing.Set[SiteId]):

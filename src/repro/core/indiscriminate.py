@@ -29,16 +29,13 @@ from repro.core.base import (
     Site,
     register_protocol,
 )
-from repro.errors import LockTimeout, TransactionAborted
 from repro.network.message import Message, MessageType
-from repro.sim.events import Interrupt
 from repro.storage.locks import LockMode
 from repro.types import (
     GlobalTransactionId,
     ItemId,
     SiteId,
     SubtransactionKind,
-    TransactionSpec,
 )
 
 
@@ -71,39 +68,14 @@ class IndiscriminateProtocol(ReplicationProtocol):
             self.env.process(self._apply_secondary(site, message))
         return handler
 
-    def run_transaction(self, site_id: SiteId, spec: TransactionSpec,
-                        process):
-        site = self._site(site_id)
-        yield from self._txn_setup(site)
-        txn = site.engine.begin(spec.gid, SubtransactionKind.PRIMARY,
-                                process=process)
-        self.system.register_primary(txn)
-        try:
-            yield from self._local_operations(site, txn, spec)
-            yield from site.work(self.config.cpu_commit)
-        except LockTimeout as exc:
-            self._abort_primary(site, txn, exc.reason)
-        except Interrupt as exc:
-            cause = exc.cause
-            reason = cause.reason if isinstance(
-                cause, TransactionAborted) else str(cause)
-            self._abort_primary(site, txn, reason)
-        site.engine.commit(txn)
-        self.system.unregister_primary(txn)
-        replicated = {item: value for item, value in txn.writes.items()
-                      if self.placement.is_replicated(item)}
-        expected: typing.Set[SiteId] = set()
-        for item in replicated:
-            expected |= self.placement.replica_sites(item)
-        self.system.notify("primary_commit", gid=spec.gid, site=site_id,
-                           time=self.env.now, expected_replicas=expected)
-        # Indiscriminate: straight to every replica holder, no ordering.
-        for replica in sorted(expected):
-            relevant = {item: value
-                        for item, value in replicated.items()
+    def _propagate(self, site_id: SiteId, gid: GlobalTransactionId,
+                   writes: typing.Mapping[ItemId, typing.Any]) -> None:
+        """Straight to every replica holder, no ordering."""
+        for replica in sorted(self._expected_replicas(writes)):
+            relevant = {item: value for item, value in writes.items()
                         if replica in self.placement.replica_sites(item)}
             self.network.send(MessageType.SECONDARY, site_id, replica,
-                              gid=spec.gid, writes=relevant,
+                              gid=gid, writes=relevant,
                               commit_time=self.env.now)
 
     def _apply_secondary(self, site: Site, message: Message):

@@ -110,12 +110,9 @@ class PrimarySiteLockingProtocol(ReplicationProtocol):
                         txn, op.item, self._write_value(gid, index))
                 yield from site.work(self.config.cpu_per_op)
             yield from site.work(self.config.cpu_commit)
-        except LockTimeout as exc:
+        except (LockTimeout, Interrupt) as exc:
             self._release_remote(site_id, gid, remote_sites, commit=False)
-            self._abort_primary(site, txn, exc.reason)
-        except Interrupt as exc:
-            self._release_remote(site_id, gid, remote_sites, commit=False)
-            self._abort_primary(site, txn, str(exc.cause))
+            self._abort_primary(site, txn, exc)
         site.engine.commit(txn)
         self.system.unregister_primary(txn)
         self.system.notify("primary_commit", gid=gid, site=site_id,

@@ -16,6 +16,7 @@ down both sides of that contract:
   crash damage.
 """
 
+import errno
 import json
 import os
 import re
@@ -25,7 +26,12 @@ import zlib
 import pytest
 
 from repro.cluster.codec import encode_message
-from repro.cluster.wal import CorruptLogError, FileWal, MessageJournal
+from repro.cluster.wal import (
+    CorruptLogError,
+    FileWal,
+    LogFailedError,
+    MessageJournal,
+)
 from repro.network.message import Message, MessageType
 from repro.storage.log import LogRecordKind
 from repro.types import GlobalTransactionId, SubtransactionKind
@@ -502,3 +508,54 @@ def test_parent_format_file_is_refused_by_name(tmp_path):
     wal_path.write_bytes(b"%08x %s\n" % (zlib.crc32(body), body))
     with pytest.raises(CorruptLogError, match="begin"):
         FileWal(wal_path)
+
+
+# ----------------------------------------------------------------------
+# A failed sync is a crash
+# ----------------------------------------------------------------------
+
+class _FailingWrites:
+    """A file handle whose writes fail while ``full`` is set."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.full = False
+
+    def write(self, block):
+        if self.full:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.handle.write(block)
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+
+def test_failed_sync_poisons_the_log_so_no_later_record_lands(tmp_path):
+    """Seqs 1-3, the write of 2 fails with ENOSPC.  The disk then has
+    room again, but the journal must not go on to hold 1 and 3 with
+    ``synced_records`` at 3 — which would ack 2, a record that never
+    reached the file.  The first failure poisons it: no later sync
+    writes a byte, the watermark stays at 1, and every later sync
+    (with or without pending records) raises."""
+    path = tmp_path / "site0.wal.inbox"
+    journal = MessageJournal(path, durability="fsync")
+    journal.append(1, "inc-a", 1, encode_message(_secondary(1)))
+    assert journal.sync() == 1
+    disk = journal._handle = _FailingWrites(journal._handle)
+    disk.full = True
+    journal.append(1, "inc-a", 2, encode_message(_secondary(2)))
+    with pytest.raises(OSError) as failure:
+        journal.sync()
+    assert failure.value.errno == errno.ENOSPC
+    disk.full = False
+    size = os.path.getsize(path)
+    journal.append(1, "inc-a", 3, encode_message(_secondary(3)))
+    for _attempt in range(2):
+        with pytest.raises(LogFailedError):
+            journal.sync()
+    assert journal.synced_records == 1
+    journal.close()
+    journal.abandon()
+    assert journal.synced_records == 1
+    assert os.path.getsize(path) == size
+    assert [entry["seq"] for entry in MessageJournal(path).entries] == [1]

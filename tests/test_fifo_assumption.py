@@ -70,7 +70,7 @@ def test_dag_t_rejects_stale_timestamp_delivery_order():
                 .item("a", primary=0, replicas=[2])
                 .item("b", primary=1, replicas=[2]))
     env, system, protocol = scenario.build()
-    handler = protocol._make_handler(2)
+    handler = protocol._make_handler(system.site_of(2))
     t_late = GlobalTransactionId(1, 1)
     t_early = GlobalTransactionId(0, 1)
     ts_early = VectorTimestamp().concat(SiteTuple(protocol.ranks[0], 1))

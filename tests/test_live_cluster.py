@@ -1036,6 +1036,60 @@ def test_kernel_exception_fail_stops_the_site_and_survivors_converge(
     assert find_dsg_cycle(build_serialization_graph(histories)) is None
 
 
+def test_failed_journal_sync_fail_stops_the_site(tmp_path):
+    """A journal sync that fails is a crash, not an exception the peer
+    loop swallows: the site records the failure as ``fatal``, closes,
+    and acks nothing of the round the failed sync covered."""
+    import errno
+
+    from repro.cluster.wal import LogFailedError
+
+    spec = make_spec("dag_wt", 3)  # the chain s0 -> s1 -> s2
+    placement = spec.build_placement()
+    item = next(item for item in sorted(placement.items)
+                if placement.primary_site(item) == 0
+                and 1 in placement.replica_sites(item))
+
+    class FullDisk:
+        def write(self, block):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def close(self):
+            pass
+
+    async def scenario():
+        server = SiteServer(
+            spec, 1, wal_path=os.path.join(str(tmp_path), "site1.wal"))
+        await server.start()
+        try:
+            server.journal._handle = FullDisk()
+            reader = asyncio.StreamReader()
+            for seq in (1, 2):
+                reader.feed_data(encode_frame(encode_batch_frame(
+                    "inc-a", [(seq, Message(
+                        MessageType.SECONDARY, src=0, dst=1, payload={
+                            "gid": GlobalTransactionId(0, seq),
+                            "writes": {item: 100 + seq},
+                            "epoch": spec.epoch}))])))
+            reader.feed_eof()
+            writer = RecordingWriter()
+            await asyncio.wait_for(server._peer_loop(reader, writer, 0),
+                                   10.0)
+            await settle(lambda: server.fatal is not None)
+            assert await writer.acks() == []
+            assert server.journal.synced_records == 0
+            with pytest.raises(LogFailedError):
+                server.journal.sync()
+            return server.fatal, server._closed
+        finally:
+            if not server._closed:
+                await server.stop()
+
+    fatal, closed = asyncio.run(scenario())
+    assert isinstance(fatal, OSError)
+    assert closed
+
+
 def test_commit_time_is_stamped_at_arrival_not_at_the_previous_drive(
         tmp_path):
     """External input enters the kernel at wall-now: on an idle site

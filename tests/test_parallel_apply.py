@@ -147,17 +147,31 @@ def test_backedge_control_messages_are_barriers(ahead):
     """A BackEdge SPECIAL rides the same queue as the secondaries and is
     handled in its queue position.  A long reader at s1 holds ``x`` so
     the secondaries back up there; the SPECIAL arrives behind ``ahead``
-    of them with more to follow, and each site on its path must commit
+    of them with more to follow, and each site on its path must handle
     exactly in delivery order — the SPECIAL neither overtakes nor is
-    overtaken.  (``strict_fifo_commit`` makes the queue wait for the
-    2PC decision, so the commit order shows the whole property.)"""
+    overtaken.  At the backedge site s1 it prepares in that position:
+    when its handling ends it holds its locks, every secondary delivered
+    before it has committed and none delivered after it has."""
     placement = DataPlacement(3)
     placement.add_item("x", primary=0, replicas=[1, 2])
     placement.add_item("c", primary=2, replicas=[0, 1])  # back edges
-    env, system, proto = make_system(
-        placement, "backedge",
-        protocol_options={"strict_fifo_commit": True})
+    env, system, proto = make_system(placement, "backedge")
     system.network.record_deliveries = True
+    handled = {1: [], 2: []}
+    process_message = proto._process_message
+
+    def traced(site, message):
+        gid = message.payload["gid"]
+        log = handled.get(site.site_id, [])
+        log.append(("start", gid))
+        yield from process_message(site, message)
+        participant = proto._participants[site.site_id].get(gid)
+        log.append(("end", gid, [
+            entry.gid for entry in site.engine.history
+            if "x" in entry.writes],
+            participant is not None and participant.status.value))
+
+    proto._process_message = traced
     outcomes = []
     gap = 0.002
     n_writers = ahead + 2
@@ -176,10 +190,16 @@ def test_backedge_control_messages_are_barriers(ahead):
                   if message.dst == site_id and message.msg_type in (
                       MessageType.SECONDARY, MessageType.SPECIAL)]
         assert queued.index(backedge_txn.gid) == ahead
-        committed = [entry.gid for entry
-                     in system.site_of(site_id).engine.history
-                     if entry.gid != reader.gid]
-        assert committed == queued
+        log = handled[site_id]
+        assert [entry[1] for entry in log[0::2]] == queued
+        assert [entry[1] for entry in log[1::2]] == queued
+        assert all(entry[0] == "start" for entry in log[0::2])
+        _end, _gid, committed, held = log[2 * ahead + 1]
+        assert committed == queued[:ahead]
+        if site_id == 1:
+            assert held == "prepared"
+        assert writers_of(system, site_id, "x") == [
+            gid for gid in queued if gid != backedge_txn.gid]
 
 
 # ----------------------------------------------------------------------

@@ -26,15 +26,13 @@ def example_41_placement():
     return placement
 
 
-@pytest.mark.parametrize("strict", [False, True])
-def test_example_41_global_deadlock_resolved(strict):
+def test_example_41_global_deadlock_resolved():
     """T1 at s0 reads b, writes a; T2 at s1 reads a, writes b —
     concurrently.  Lazy propagation alone could never serialize both
     (Example 4.1); BackEdge must abort at least one and stay
     serializable."""
     env, system, proto = make_system(
-        example_41_placement(), "backedge", lock_timeout=0.02,
-        protocol_options={"strict_fifo_commit": strict})
+        example_41_placement(), "backedge", lock_timeout=0.02)
     outcomes = []
     run_client(env, proto, spec(0, 1, ("r", "b"), ("w", "a")), 0.0,
                outcomes)

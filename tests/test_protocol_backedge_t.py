@@ -112,3 +112,31 @@ def test_rejects_unreachable_replica_site():
     proto.graph = proto.graph.without_edges([(0, 2)])
     with pytest.raises(GraphError):
         proto._backedge_targets(0, {"a": 1})
+
+
+def test_timestamp_oracle_sees_the_same_adoptions_as_dag_t():
+    """On a DAG, BackEdge-T is DAG(T): its site timestamps advance
+    through the same committed secondaries *and dummies*, and the
+    timestamp oracle must be told about every one of them."""
+    from repro.explorer import PerturbationPlan, ScenarioSpec, run_schedule
+    from repro.explorer.oracles import TimestampMonotonicityOracle
+
+    scenario = ScenarioSpec(
+        protocol="dag_t", n_sites=3,
+        items=((0, 0, (1, 2)), (1, 1, (2,))),
+        transactions=((0, 1, 0.0, (("w", 0),)),
+                      (1, 1, 0.1, (("r", 0), ("w", 1))),
+                      (0, 2, 0.2, (("w", 0),))))
+    plan = PerturbationPlan(seed=0, latency_scale=0.0,
+                            schedule_noise=False)
+    adopted = {}
+    for protocol in ("dag_t", "backedge_t"):
+        oracle = TimestampMonotonicityOracle()
+        outcome = run_schedule(scenario.with_protocol(protocol), plan,
+                               oracles=[oracle])
+        assert not outcome.failures
+        adopted[protocol] = oracle._adopted
+    dummies = [entry for entries in adopted["dag_t"].values()
+               for entry in entries if entry[1] is None]
+    assert dummies
+    assert adopted["backedge_t"] == adopted["dag_t"]

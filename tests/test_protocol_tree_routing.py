@@ -1,6 +1,6 @@
 """Deep scenario tests for tree-based propagation: branched trees,
-multi-hop relaying, relevance pruning, strict-FIFO mode, and the Sec. 4.2
-weighted site order."""
+multi-hop relaying, relevance pruning, and the Sec. 4.2 weighted site
+order."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.network.message import MessageType
 from tests.helpers import (
     histories,
     make_system,
-    no_locks_leaked,
     run_client,
     spec,
 )
@@ -79,30 +78,6 @@ def test_multi_hop_relay_through_five_site_chain():
     # Intermediate sites relayed without committing anything.
     for site_id in (1, 2, 3):
         assert len(system.site_of(site_id).engine.history) == 0
-
-
-def test_strict_fifo_backedge_blocks_queue_until_decision():
-    """In strict-FIFO mode a later secondary must commit after an
-    earlier special's transaction at the shared site."""
-    placement = DataPlacement(3)
-    placement.add_item("x", primary=0, replicas=[1, 2])   # chain glue
-    placement.add_item("back", primary=2, replicas=[0])   # backedge 2->0
-    env, system, proto = make_system(
-        placement, "backedge",
-        protocol_options={"strict_fifo_commit": True})
-    outcomes = []
-    # T1 at s2 updates 'back' -> eager path to s0 (special via chain).
-    run_client(env, proto, spec(2, 1, ("w", "back")), 0.0, outcomes)
-    # T2 at s0 updates x shortly after: its secondary will queue at s1
-    # and s2 behind/around the special traffic.
-    run_client(env, proto, spec(0, 1, ("w", "x")), 0.002, outcomes)
-    env.run(until=3.0)
-    statuses = {gid: status for gid, status, _t in outcomes}
-    assert statuses[spec(2, 1).gid] == "committed"
-    assert statuses[spec(0, 1).gid] == "committed"
-    check_serializable(histories(system))
-    check_convergence(system)
-    assert no_locks_leaked(system)
 
 
 def test_greedy_site_order_reduces_backedge_weight():

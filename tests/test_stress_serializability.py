@@ -58,17 +58,6 @@ def test_dag_protocols_serializable_under_contention(protocol, seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_backedge_strict_fifo_variant_serializable(seed):
-    params = CONTENDED.replaced(backedge_probability=0.5)
-    config = ExperimentConfig(
-        protocol="backedge", params=params, seed=seed,
-        protocol_options={"strict_fifo_commit": True},
-        cost_overrides=dict(FAST_COSTS), drain_time=2.0)
-    result = run_experiment(config)
-    assert result.serializable is True
-
-
-@pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("protocol,b", [
     ("dag_wt", 0.0), ("dag_t", 0.0), ("backedge", 0.5), ("eager", 0.5)])
 def test_replicas_converge_after_quiescence(protocol, b, seed):

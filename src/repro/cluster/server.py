@@ -25,15 +25,15 @@ The server, not the protocol, handles the cluster control plane:
 - **group commit** — WAL/journal appends coalesce at durability
   *barriers* (and the appender's ``max_pending`` cap) instead of paying
   one flush per record, each sync round running in the executor, and
-  inbound peer frames flow through a pipelined read/apply pair of tasks
-  so the socket read of frame ``n+1`` overlaps decode/journal/apply of
-  frame ``n``.  The barriers are where the externally visible promises
-  are made: the WAL is synced before a client sees a commit response
-  and before any outbound frame leaves (a forwarded update implies its
-  commit record is stable), and the journal is synced before the
-  cumulative ack of an apply round (journal-then-ack, once per round of
-  queued frames instead of per message) — the WAL too when the round
-  carried a message the journal does not hold;
+  each inbound peer connection is one coroutine that applies every
+  frame one socket read returned as one round.  The barriers are where
+  the externally visible promises are made: the WAL is synced before a
+  client sees a commit response and before any outbound frame leaves (a
+  forwarded update implies its commit record is stable), and the
+  journal is synced before the cumulative ack of an apply round
+  (journal-then-ack, once per round of frames instead of per message)
+  — the WAL too when the round carried a message the journal does not
+  hold;
 - ``CATCHUP_REQUEST``/``CATCHUP_REPLY`` — reconfiguration's state
   transfer, and nothing else.  Updates reach a replica one way: the
   propagation tree's acknowledged FIFO chain, repaired after a crash
@@ -51,8 +51,8 @@ The server, not the protocol, handles the cluster control plane:
   queue;
 - observability (always on) — a
   :class:`repro.obs.registry.MetricsRegistry` instruments the hot path
-  (frames, batch sizes, WAL/journal sync latency, apply-queue depth,
-  drive time), and a :class:`repro.obs.trace.TraceSink` records
+  (frames, batch sizes, WAL/journal sync latency, frames per apply
+  round, drive time), and a :class:`repro.obs.trace.TraceSink` records
   propagation spans (received → journaled → applied …) keyed by
   deterministic per-origin-transaction trace ids; both are served over
   the client plane by the ``stats`` and ``trace`` requests.  See
@@ -113,14 +113,6 @@ from repro.types import (
 #: Protocols the live runtime supports (their cross-site interactions
 #: flow entirely through the transport + the control plane above).
 LIVE_PROTOCOLS = ("dag_wt", "backedge")
-
-#: Inbound peer frames buffered between the socket-reading task and the
-#: applying task — and so the most frames one apply round (one journal
-#: sync, one drive, one ack) can cover.  Small on purpose: it overlaps
-#: the next frames' read with the current round, it does not absorb
-#: load — backpressure belongs at the senders (their unacked windows)
-#: and the client admission bound.
-APPLY_PIPELINE_DEPTH = 8
 
 #: Seconds between flight-recorder metric checkpoints (a counter-delta
 #: snapshot into a bounded ring).
@@ -312,15 +304,12 @@ class SiteServer:
         self._h_decode = self.metrics.histogram("server.decode_s")
         self._h_apply = self.metrics.histogram("server.apply_s")
         # Stage timers along the inbound hot path (all perf_counter
-        # deltas): socket wait for the next peer frame, time a decoded
-        # frame sits in the apply pipeline queue, time the apply loop
-        # blocks on the journal group-commit barrier, response/ack
+        # deltas): socket wait for the next peer frames, time an apply
+        # round blocks on the journal group-commit barrier, response/ack
         # serialization and socket write, and — shared with the
         # transport — time any waiter spends parked on the WAL
         # group-commit barrier.
         self._h_read_wait = self.metrics.histogram("server.read_wait_s")
-        self._h_queue_wait = self.metrics.histogram(
-            "server.queue_wait_s")
         self._h_journal_wait = self.metrics.histogram(
             "server.journal_wait_s")
         self._h_encode = self.metrics.histogram("server.encode_s")
@@ -633,7 +622,7 @@ class SiteServer:
     def _accept_entry(self, incarnation: str, seq: int,
                       obj_msg: typing.Mapping[str, typing.Any]) -> None:
         """Dedup/journal/dispatch one channel entry (no kernel drive —
-        the apply loop drives once per round, however many entries it
+        the peer loop drives once per round, however many entries it
         carried).  The round's ack covers duplicates too: the sender
         needs them acked to retire its unacked queue."""
         message = decode_message(obj_msg)
@@ -654,7 +643,7 @@ class SiteServer:
         if message.msg_type is MessageType.SECONDARY:
             # Journal before ack: once the sender retires this update,
             # the journal is the only copy that survives our crash.
-            # Appends buffer; the apply loop syncs before the ack.
+            # Appends buffer; the peer loop syncs before the ack.
             self.journal.append(message.src, incarnation, seq, obj_msg)
             if traces:
                 self.trace.emit(
@@ -680,7 +669,7 @@ class SiteServer:
 
         Every entry is dedup-checked, journalled (buffered, not
         synced) and dispatched in arrival order.  Nothing here syncs,
-        drives or acks: :meth:`_apply_loop` does each once per round,
+        drives or acks: :meth:`_peer_loop` does each once per round,
         over all the frames the round covers."""
         if frame.get("kind") != "batch":
             raise CodecError("not a batch frame: {!r}".format(
@@ -879,59 +868,15 @@ class SiteServer:
     async def _peer_loop(self, reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter,
                          peer: typing.Optional[SiteId]) -> None:
-        """Socket-reading half of the inbound pipeline.
+        """One coroutine per inbound peer connection: each pass makes one
+        read and runs one apply *round* over every frame it returned.
+        Frames that arrive during a round's sync wait in the
+        ``StreamReader`` — which pauses the socket above twice its
+        64 KiB limit, and then the sender's unacked window fills — and
+        form the next round.
 
-        Frames go through a small queue to :meth:`_apply_loop`, so the
-        read of batch ``n+1`` overlaps the decode/journal/apply of
-        batch ``n`` — the two stages of the hot path run concurrently
-        instead of strictly alternating.  The bounded queue applies
-        backpressure to the socket (we stop reading, the sender's
-        unacked window fills) rather than buffering unboundedly."""
-        queue: "asyncio.Queue" = asyncio.Queue(
-            maxsize=APPLY_PIPELINE_DEPTH)
-        apply_task = asyncio.get_running_loop().create_task(
-            self._apply_loop(queue, writer, peer))
-        frames = FrameReader(reader, on_decode=self._h_decode.observe)
-        try:
-            while not self._closed and not apply_task.done():
-                started = time.perf_counter()
-                batch = await frames.frames()
-                if batch is None:
-                    return
-                # Socket wait for this read, decode included (the
-                # decode share is histogrammed separately).
-                enqueued = time.perf_counter()
-                self._h_read_wait.observe(enqueued - started)
-                for frame in batch:
-                    await queue.put((enqueued, frame))
-                depth = queue.qsize()
-                if depth > self.apply_queue_hwm:
-                    self.apply_queue_hwm = depth
-                self._g_apply_queue.set(depth)
-        finally:
-            if not apply_task.done():
-                try:
-                    # Let queued frames finish applying (their senders
-                    # are waiting on acks), then stop the consumer.
-                    queue.put_nowait(None)
-                except asyncio.QueueFull:
-                    apply_task.cancel()
-            try:
-                await apply_task
-            except asyncio.CancelledError:
-                pass
-            except Exception as exc:
-                # The applying half died (a failed journal sync): crash.
-                self._fail_stop(exc)
-
-    async def _apply_loop(self, queue: "asyncio.Queue",
-                          writer: asyncio.StreamWriter,
-                          peer: typing.Optional[SiteId]) -> None:
-        """Applying half of the inbound pipeline: one *round* per
-        wake-up, however many frames the reader queued meanwhile.
-
-        A round accepts every queued frame in arrival order, then pays
-        the per-round costs once: ONE journal sync covering all their
+        A round accepts its frames in arrival order, then pays the
+        per-round costs once: ONE journal sync covering all their
         durable entries, ONE kernel drive, ONE cumulative ack carrying
         the last frame's sequence.  Senders frame at their own WAL-sync
         cadence, so under load a backlog arrives as many small frames;
@@ -946,58 +891,67 @@ class SiteServer:
         subtransaction here) also waits for the WAL: once acked, such a
         message is gone from its sender, and only the log still holds
         what it caused.  The ack is queued on the connection's
-        coalescing writer, never behind a drain."""
+        coalescing writer, never behind a drain.
+
+        An exception out of a round (a failed sync) fail-stops the
+        site; a socket error or an over-cap frame ends only this
+        connection."""
+        frames = FrameReader(reader, on_decode=self._h_decode.observe)
         out = FrameWriter(writer, on_encode=self._h_encode.observe,
                           on_write=self._h_write.observe)
         while not self._closed:
-            item = await queue.get()
+            reading = time.perf_counter()
+            batch = await frames.frames()
+            if batch is None:
+                return
             started = time.perf_counter()
-            round_items = []
-            while item is not None:
-                round_items.append(item)
-                if queue.empty():
-                    break
-                item = queue.get_nowait()
-            reader_gone = item is None  # sentinel: this round is the last
-            last_seq: typing.Optional[int] = None
+            # Socket wait for this read, decode included (the decode
+            # share is histogrammed separately).
+            self._h_read_wait.observe(started - reading)
+            # The backlog this wake found: the frames one round takes.
+            if len(batch) > self.apply_queue_hwm:
+                self.apply_queue_hwm = len(batch)
+            self._g_apply_queue.set(len(batch))
             self._advance()
             if self._closed:
                 return  # fail-stopped: accept (and ack) nothing more
-            for enqueued, frame in round_items:
-                self._h_queue_wait.observe(time.perf_counter() - enqueued)
-                try:
-                    seq = self._apply_frame(frame)
-                    if seq is not None:
-                        last_seq = seq
-                except CodecError as exc:
-                    self.flight.record_event(
-                        "malformed-peer-frame", peer=peer,
-                        error=repr(exc))
-            unsynced = self.journal.synced_records < self.journal.appended
-            if unsynced:
-                self._journal_syncer.kick()
-            self._drive()
-            unjournaled, self._round_unjournaled = \
-                self._round_unjournaled, False
-            if unsynced:
-                waited = time.perf_counter()
-                await self._journal_syncer.wait_durable()
-                self._h_journal_wait.observe(
-                    time.perf_counter() - waited)
-            barrier = self._sync_wal() if unjournaled else None
-            if barrier is not None:
-                await barrier
+            try:
+                last_seq: typing.Optional[int] = None
+                for frame in batch:
+                    try:
+                        seq = self._apply_frame(frame)
+                        if seq is not None:
+                            last_seq = seq
+                    except CodecError as exc:
+                        self.flight.record_event(
+                            "malformed-peer-frame", peer=peer,
+                            error=repr(exc))
+                unsynced = \
+                    self.journal.synced_records < self.journal.appended
+                if unsynced:
+                    self._journal_syncer.kick()
+                self._drive()
+                unjournaled, self._round_unjournaled = \
+                    self._round_unjournaled, False
+                if unsynced:
+                    waited = time.perf_counter()
+                    await self._journal_syncer.wait_durable()
+                    self._h_journal_wait.observe(
+                        time.perf_counter() - waited)
+                barrier = self._sync_wal() if unjournaled else None
+                if barrier is not None:
+                    await barrier
+            except Exception as exc:
+                self._fail_stop(exc)
+                return
             self._h_apply.observe(time.perf_counter() - started)
             if last_seq is not None:
                 # The sender retires everything <= last_seq on this one
                 # cumulative ack.  On a dying connection the bytes go
-                # nowhere; keep applying queued frames anyway — the
-                # reader will see EOF and stop the loop, and the
-                # unacked sender resends through the dedup filter.
+                # nowhere; the unacked sender resends through the dedup
+                # filter.
                 out.write({"kind": "ack", "seq": last_seq})
                 out.flush()
-            if reader_gone:
-                return
 
     async def _client_loop(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import inspect
 import itertools
 import time
 import typing
@@ -183,15 +182,15 @@ class _Channel:
                 if sync_hook is not None:
                     # Durability barrier: whatever these messages imply
                     # is committed must be on stable storage before the
-                    # bytes leave the process.  An async hook lets the
-                    # server coalesce the fsync with concurrent waiters
-                    # off the event loop; a plain callable still runs
-                    # synchronously (the historical contract).  The
-                    # wall wait is the sender's WAL-barrier stage; it
-                    # is also stamped onto the frame's forwarded spans
-                    # so attribution can split the pre-wire segment.
+                    # bytes leave the process.  The hook returns
+                    # ``None`` when already durable, or an awaitable,
+                    # so the server can coalesce the fsync with
+                    # concurrent waiters off the event loop.  The wall
+                    # wait is the sender's WAL-barrier stage; it is
+                    # also stamped onto the frame's forwarded spans so
+                    # attribution can split the pre-wire segment.
                     maybe = sync_hook()
-                    if inspect.isawaitable(maybe):
+                    if maybe is not None:
                         waited = time.perf_counter()
                         await maybe
                         sync_s = time.perf_counter() - waited
@@ -290,8 +289,8 @@ class LiveTransport:
     def __init__(self, site_id: SiteId,
                  peers: typing.Mapping[SiteId, typing.Tuple[str, int]],
                  fingerprint: str = "", max_batch: int = 1,
-                 sync_hook: typing.Optional[
-                     typing.Callable[[], typing.Any]] = None,
+                 sync_hook: typing.Optional[typing.Callable[
+                     [], typing.Optional[typing.Awaitable[None]]]] = None,
                  metrics: typing.Optional[MetricsRegistry] = None,
                  trace_sink: typing.Optional[typing.Any] = None,
                  faults: typing.Optional[typing.Any] = None):
@@ -301,10 +300,10 @@ class LiveTransport:
         self.fingerprint = fingerprint
         #: Max messages per wire frame.
         self.max_batch = max(1, int(max_batch))
-        #: Called synchronously right before a frame's bytes are
-        #: written — the server points it at the WAL group-commit sync
-        #: so no message can leave ahead of the commit record it
-        #: advertises.
+        #: Called right before a frame's bytes are written; returns
+        #: ``None`` or an awaitable the write waits for.  The server
+        #: points it at the WAL group-commit sync so no message can
+        #: leave ahead of the commit record it advertises.
         self.sync_hook = sync_hook
         #: Chaos fault injector (duck-typed, see the module docstring):
         #: ``on_frame(src, dst, first_seq, count)`` returning ``None``

@@ -2,9 +2,9 @@
 
 Polls every site over the monitoring plane (``stats`` + ``trace`` via
 the failure-tolerant ``try_each`` fan-out, plus one watchdog poll) and
-renders a single-screen view: per-site commit/abort rates, apply-queue
-depth, replica version lag (the watchdog's sample, so it follows the
-placement across epochs), WAL sync latency, end-to-end
+renders a single-screen view: per-site commit/abort rates, frames per
+apply round, replica version lag (the watchdog's sample, so it follows
+the placement across epochs), WAL sync latency, end-to-end
 propagation-delay percentiles, and the watchdog's active alerts.  A
 dead member stays on the board as ``DOWN`` — disappearing rows are how
 outages get missed.
@@ -37,7 +37,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 STAGE_HISTOGRAMS = (
     ("read", "server.read_wait_s"),
     ("decode", "server.decode_s"),
-    ("queue", "server.queue_wait_s"),
     ("wal", "wal.barrier_wait_s"),
     ("journal", "server.journal_wait_s"),
     ("drive", "server.drive_s"),

@@ -7,10 +7,11 @@ Design constraints, in order:
    table.  No strings are formatted, no timestamps taken, nothing is
    allocated per observation.  There is no off switch: what the
    instruments cost is the ledger's ``obs.*`` rows.
-2. **Thread- and task-safe.**  The live server runs a pipelined asyncio
-   apply loop, and tests (plus future multi-threaded frontends) hammer
-   instruments from worker threads; every mutation holds the
-   instrument's own lock, so counts are exact, not "close enough".
+2. **Thread- and task-safe.**  The live server runs one asyncio
+   coroutine per connection, and tests (plus future multi-threaded
+   frontends) hammer instruments from worker threads; every mutation
+   holds the instrument's own lock, so counts are exact, not "close
+   enough".
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-safe dicts
 served by the cluster ``stats`` wire request; their shape is pinned by

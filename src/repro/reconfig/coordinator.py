@@ -126,11 +126,6 @@ class ReconfigCoordinator:
                     ", ".join("s{}".format(s) for s in unreachable)))
         return responses
 
-    async def current_epoch(self) -> int:
-        """The cluster's epoch (max across members after a heal)."""
-        statuses = await self.survey()
-        return max(status["epoch"] for status in statuses.values())
-
     async def current_placement(self) -> typing.Tuple[int,
                                                       DataPlacement]:
         """(epoch, placement) as reported by a maximal-epoch member."""

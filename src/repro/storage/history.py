@@ -60,7 +60,3 @@ class SiteHistory:
         )
         self.entries.append(entry)
         return entry
-
-    def committed_gids(self) -> typing.Set[GlobalTransactionId]:
-        """Distinct global transaction ids committed at this site."""
-        return {entry.gid for entry in self.entries}

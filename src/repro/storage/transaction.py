@@ -69,10 +69,6 @@ class Transaction:
         return self.status in (TransactionStatus.COMMITTED,
                                TransactionStatus.ABORTED)
 
-    @property
-    def is_primary(self) -> bool:
-        return self.kind is SubtransactionKind.PRIMARY
-
     def wound(self, reason: str) -> bool:
         """Request this transaction's abort from outside its own process.
 

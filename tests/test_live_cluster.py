@@ -531,7 +531,7 @@ async def settle(predicate):
 
 class RecordingWriter:
     """The writer half of a connection, for driving
-    ``SiteServer._apply_loop`` / ``_client_loop`` without a socket."""
+    ``SiteServer._peer_loop`` / ``_client_loop`` without a socket."""
 
     def __init__(self):
         self.data = bytearray()
@@ -563,13 +563,22 @@ class RecordingWriter:
             seqs.append(frame["seq"])
 
 
+def feed(reader, *frames):
+    """Put ``frames`` on a peer connection's socket."""
+    for frame in frames:
+        reader.feed_data(encode_frame(frame))
+
+
 def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
-    """The apply loop works in rounds: every frame already queued on a
-    connection is accepted in order, then ONE journal sync, ONE drive
-    and ONE cumulative ack of the last sequence cover them all — and
-    not a byte of that ack is written before the sync completes
-    (journal-then-ack).  The journal's sync is gated so the test, not
-    the disk, decides when the round becomes durable."""
+    """The peer loop works in rounds: every frame one read returns is
+    accepted in order, then ONE journal sync, ONE drive and ONE
+    cumulative ack of the last sequence cover them all — and not a
+    byte of that ack is written before the sync completes
+    (journal-then-ack).  Frames that arrive during the sync wait in
+    the socket and form the next round, acked only after its own sync.
+    The journal's sync is gated so the test, not the disk, decides
+    when each round becomes durable: one release lets one sync
+    through."""
     spec = make_spec("dag_wt", 3)  # the chain s0 -> s1 -> s2
     placement = spec.build_placement()
     item = next(item for item in sorted(placement.items)
@@ -590,27 +599,26 @@ def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
         await server.start()
         try:
             journal = server.journal
-            gate = threading.Event()
+            gate = threading.Semaphore(0)
             entered = threading.Event()
             real_sync = journal.sync
 
             def gated_sync():
                 entered.set()
-                assert gate.wait(10.0)
+                assert gate.acquire(timeout=10.0)
                 return real_sync()
 
             journal.sync = gated_sync
-            queue = asyncio.Queue()
+            reader = asyncio.StreamReader()
             writer = RecordingWriter()
-            # Five frames, six entries, queued before the loop wakes.
-            for frame in (
-                    single(1), single(2),
-                    encode_batch_frame("inc-a", [(3, secondary(3)),
-                                                 (4, secondary(4))]),
-                    single(5), single(6)):
-                queue.put_nowait((0.0, frame))
+            # Five frames, six entries, on the socket before the loop
+            # wakes: one read takes them all.
+            feed(reader, single(1), single(2),
+                 encode_batch_frame("inc-a", [(3, secondary(3)),
+                                              (4, secondary(4))]),
+                 single(5), single(6))
             task = asyncio.get_running_loop().create_task(
-                server._apply_loop(queue, writer, 0))
+                server._peer_loop(reader, writer, 0))
             # The sync was submitted before the loop first yielded (it
             # overlaps the drive), and blocks on the gate: all six are
             # applied, none is durable, so nothing may have been acked.
@@ -622,29 +630,45 @@ def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
                 await asyncio.sleep(0.001)
             assert journal.appended == 6 and journal.syncs == 0
             assert not writer.data
-            gate.set()
-            await settle(lambda: writer.data)
-            assert journal.syncs == 1
-            assert await writer.acks() == [6]
 
+            # Frames 7-9 arrive while round 1 waits on its sync: they
+            # stay in the socket, unread, and form round 2, whose ack
+            # waits for round 2's own sync.
+            feed(reader, single(7), single(8), single(9))
+            for _ in range(20):
+                await asyncio.sleep(0.001)
+            assert journal.appended == 6
+            entered.clear()
+            gate.release()
+            await settle(entered.is_set)
+            await settle(
+                lambda: engine.item(item).committed_version == 9)
+            assert journal.appended == 9 and journal.syncs == 1
+            assert await writer.acks() == [6]
+            acked = len(writer.data)
+            gate.release()
+            await settle(lambda: len(writer.data) > acked)
+            assert journal.syncs == 2
+            assert await writer.acks() == [6, 9]
+
+            # Later rounds sync ungated.
+            gate.release(8)
             # A resend overlapping the acked range plus one new entry:
             # duplicates are dropped by the dedup filter but still
             # covered by the round's single ack.
-            for frame in (single(5), single(6), single(7)):
-                queue.put_nowait((0.0, frame))
-            await settle(lambda: journal.syncs == 2)
+            feed(reader, single(8), single(9), single(10))
+            await settle(lambda: journal.syncs == 3)
             # A round of nothing but duplicates journals nothing, so it
             # needs no sync — and is acked all the same.
-            for frame in (single(6), single(7)):
-                queue.put_nowait((0.0, frame))
-            queue.put_nowait(None)
+            feed(reader, single(9), single(10))
+            reader.feed_eof()
             await asyncio.wait_for(task, 10.0)
-            assert await writer.acks() == [6, 7, 7]
-            assert journal.appended == 7 and journal.syncs == 2
-            assert engine.item(item).committed_version == 7
+            assert await writer.acks() == [6, 9, 10, 10]
+            assert journal.appended == 10 and journal.syncs == 3
+            assert engine.item(item).committed_version == 10
             assert server.transport.dedup_dropped == 4
         finally:
-            gate.set()
+            gate.release(8)
             await server.stop()
 
     asyncio.run(scenario())
@@ -680,12 +704,11 @@ def test_unsynced_replica_applies_come_back_from_the_journal(tmp_path):
     async def scenario():
         server = SiteServer(spec, 1, wal_path=wal_path)
         await server.start()
-        queue = asyncio.Queue()
+        reader = asyncio.StreamReader()
         writer = RecordingWriter()
-        for seq in (1, 2, 3):
-            queue.put_nowait((0.0, single(seq)))
-        queue.put_nowait(None)
-        await asyncio.wait_for(server._apply_loop(queue, writer, 0), 10.0)
+        feed(reader, single(1), single(2), single(3))
+        reader.feed_eof()
+        await asyncio.wait_for(server._peer_loop(reader, writer, 0), 10.0)
         assert await writer.acks() == [3]
         assert copy_of(server) == (103, 3, gids)
         # Acked means journalled; the apply's own records are pending.
@@ -740,17 +763,16 @@ def test_acked_2pc_decision_survives_a_kill(tmp_path):
     async def scenario():
         server = SiteServer(spec, 1, wal_path=wal_path)
         await server.start()
-        queue = asyncio.Queue()
+        reader = asyncio.StreamReader()
         writer = RecordingWriter()
         task = asyncio.get_running_loop().create_task(
-            server._apply_loop(queue, writer, 2))
-        queue.put_nowait((0.0, single(
+            server._peer_loop(reader, writer, 2))
+        feed(reader, single(
             1, MessageType.BACKEDGE, gid=gid, writes={item: 102},
-            origin=2)))
+            origin=2))
         await settle(lambda: writer.data)   # prepared here, acked
-        queue.put_nowait((0.0, single(
-            2, MessageType.DECISION, gid=gid, commit=True)))
-        queue.put_nowait(None)
+        feed(reader, single(2, MessageType.DECISION, gid=gid, commit=True))
+        reader.feed_eof()
         await asyncio.wait_for(task, 10.0)
         assert await writer.acks() == [1, 2]
         assert copy_of(server) == (102, 1)
@@ -885,16 +907,14 @@ def test_malformed_peer_frame_is_dropped_into_the_flight_ring(tmp_path):
             spec, 1, wal_path=os.path.join(str(tmp_path), "site1.wal"))
         await server.start()
         try:
-            queue = asyncio.Queue()
+            reader = asyncio.StreamReader()
             writer = RecordingWriter()
-            for frame in (single(1),
-                          {"kind": "batch", "inc": "inc-a",
-                           "msgs": "not a list"},
-                          single(2)):
-                queue.put_nowait((0.0, frame))
-            queue.put_nowait(None)
+            feed(reader, single(1),
+                 {"kind": "batch", "inc": "inc-a", "msgs": "not a list"},
+                 single(2))
+            reader.feed_eof()
             await asyncio.wait_for(
-                server._apply_loop(queue, writer, 0), 10.0)
+                server._peer_loop(reader, writer, 0), 10.0)
             engine = server.system.site_of(1).engine
             assert engine.item(item).committed_version == 2
             assert await writer.acks() == [2]

@@ -42,6 +42,10 @@ class WrongEpochError(ClusterError):
         self.epoch = epoch
 
 
+class _Refused(ConnectionError):
+    """A closed connection refused a request before sending any of it."""
+
+
 class _Connection:
     """One client connection to one site, with rid-correlated replies
     (requests share one coalescing writer, so they need no lock)."""
@@ -53,23 +57,37 @@ class _Connection:
         self.pending: typing.Dict[int, asyncio.Future] = {}
         self._out: typing.Optional[FrameWriter] = None
         self._reader_task: typing.Optional[asyncio.Task] = None
+        self._closed = False
 
     async def ensure_open(self) -> None:
-        if self._out is not None:
+        # A closed connection stays closed: reopening it here would
+        # start a read loop that nobody holds and nobody closes.  The
+        # client retries on the fresh connection it registers instead.
+        if self._closed:
+            raise _Refused("connection closed")
+        stale = self._out
+        if stale is not None:
             # A finished read loop means the server went away even if
             # our writing side still looks open (half-closed TCP): a
             # crashed peer FINs us, and writing into that socket would
             # wait forever for a response that cannot come.
-            defunct = self._out.writer.is_closing() or (
+            defunct = stale.writer.is_closing() or (
                 self._reader_task is not None
                 and self._reader_task.done())
             if not defunct:
                 return
-            self._out.writer.close()
+            stale.writer.close()
         reader, writer = await asyncio.open_connection(self.host, self.port)
         await write_frame(writer, {
             "kind": "hello", "role": "client",
             "fingerprint": self.fingerprint})
+        if self._closed or self._out is not stale:
+            # Closed while connecting, or a concurrent caller reopened
+            # first: this socket would have a read loop nobody closes.
+            writer.close()
+            if self._closed:
+                raise _Refused("connection closed")
+            return
         self._out = FrameWriter(writer)
         self._reader_task = asyncio.get_running_loop().create_task(
             self._read_loop(FrameReader(reader)))
@@ -125,6 +143,7 @@ class _Connection:
                 future.exception()
 
     async def close(self) -> None:
+        self._closed = True
         if self._reader_task is not None:
             self._reader_task.cancel()
             try:
@@ -169,6 +188,14 @@ class ClusterClient:
             self._connections[site] = conn
         return conn
 
+    async def _drop(self, site: SiteId, conn: _Connection) -> None:
+        """Close a failed ``conn``.  It leaves the registry first, and
+        only if it is still the site's connection: a concurrent request
+        may already have replaced it with a live one."""
+        if self._connections.get(site) is conn:
+            del self._connections[site]
+        await conn.close()
+
     async def _request(self, site: SiteId,
                        frame: typing.Dict[str, typing.Any],
                        idempotent: bool,
@@ -184,13 +211,16 @@ class ClusterClient:
             try:
                 response = await asyncio.wait_for(
                     conn.request(frame, next(self._rids)), timeout)
+            except _Refused:
+                # Nothing was sent, so even a non-idempotent request
+                # retries, on the connection that replaced this one.
+                continue
             except WrongEpochError as exc:
                 # The server moved to a newer epoch and rejected our
                 # hello — nothing was executed, so retrying is safe even
                 # for non-idempotent requests.  Adopt the hinted epoch
                 # (the fingerprint depends on it) and reconnect.
-                await conn.close()
-                self._connections.pop(site, None)
+                await self._drop(site, conn)
                 if exc.epoch > self.spec.epoch and epoch_adoptions < 3:
                     epoch_adoptions += 1
                     await self.adopt_epoch(exc.epoch)
@@ -201,8 +231,7 @@ class ClusterClient:
             except (ConnectionError, OSError, ClusterError,
                     asyncio.TimeoutError) as exc:
                 last_error = exc
-                await conn.close()
-                self._connections.pop(site, None)
+                await self._drop(site, conn)
                 attempt += 1
                 if attempt < attempts:
                     await asyncio.sleep(0.05 * attempt)

@@ -102,7 +102,7 @@ class Site:
     def work(self, duration: float):
         """Consume ``duration`` of this site's CPU under round-robin
         scheduling.  Use as ``yield from site.work(t)``."""
-        yield from self.cpu.use(duration, quantum=self.config.cpu_quantum)
+        return self.cpu.use(duration, quantum=self.config.cpu_quantum)
 
     def __repr__(self):
         return "<Site s{}>".format(self.site_id)
@@ -337,7 +337,7 @@ class ReplicationProtocol:
     def _txn_setup(self, site: Site):
         """Pre-lock per-transaction CPU work (run first in every
         ``run_transaction``)."""
-        yield from site.work(self.config.cpu_txn_setup)
+        return site.work(self.config.cpu_txn_setup)
 
     def _local_operations(self, site: Site, txn: Transaction,
                           spec: TransactionSpec):

@@ -80,7 +80,10 @@ class Environment:
         """Schedule a triggered ``event`` for processing after ``delay``."""
         self._eid += 1
         when = self._now + delay
-        key = self.schedule_policy.tie_break(when, priority, self._eid)
+        policy = self.schedule_policy
+        # The default policy's key is the constant 0: skip the call.
+        key = 0 if policy is INSERTION_ORDER else \
+            policy.tie_break(when, priority, self._eid)
         heapq.heappush(self._queue, (when, priority, key, self._eid,
                                      event))
 
@@ -144,13 +147,23 @@ class Environment:
                         stop_time, self._now))
             stop_event = None
 
-        while self._queue:
-            if stop_event is not None and stop_event.processed:
+        # ``step()`` inlined: this loop runs once per simulated event.
+        queue = self._queue
+        heappop = heapq.heappop
+        while queue:
+            if stop_event is not None and stop_event.callbacks is None:
                 break
-            if self.peek() > stop_time:
+            if queue[0][0] > stop_time:
                 self._now = stop_time
                 break
-            self.step()
+            when, _priority, _key, _eid, event = heappop(queue)
+            self._now = when
+            callbacks, event.callbacks = event.callbacks, None
+            self.events_processed += 1
+            for callback in callbacks:
+                callback(event)
+            if not event._ok and not event._defused:
+                raise event._value
         else:
             if stop_time != float("inf"):
                 self._now = stop_time

@@ -50,6 +50,8 @@ class Event:
         The environment that will schedule this event once triggered.
     """
 
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
+
     def __init__(self, env: "Environment"):
         self.env = env
         #: Callbacks run (in registration order) when the event is processed.
@@ -92,7 +94,7 @@ class Event:
 
     def succeed(self, value=None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise RuntimeError("event {!r} already triggered".format(self))
         self._ok = True
         self._value = value
@@ -119,13 +121,18 @@ class Event:
 class Timeout(Event):
     """An event that succeeds after a fixed simulated delay."""
 
+    __slots__ = ("_delay",)
+
     def __init__(self, env: "Environment", delay: float, value=None):
         if delay < 0:
             raise ValueError("negative delay {!r}".format(delay))
-        super().__init__(env)
-        self._delay = delay
-        self._ok = True
+        # Born triggered: set the fields directly, not via Event.__init__.
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._ok = True
+        self._defused = False
+        self._delay = delay
         env.schedule(self, delay=delay)
 
     @property
@@ -141,6 +148,8 @@ class Condition(Event):
     *triggered* child event to its value.  If any child fails, the condition
     fails with that child's exception (the child is defused).
     """
+
+    __slots__ = ("_events", "_count")
 
     def __init__(self, env: "Environment", events: typing.Iterable[Event]):
         super().__init__(env)
@@ -183,12 +192,16 @@ class Condition(Event):
 class AllOf(Condition):
     """Succeeds once every child event has succeeded."""
 
+    __slots__ = ()
+
     def _evaluate(self, n_triggered: int) -> bool:
         return n_triggered == len(self._events)
 
 
 class AnyOf(Condition):
     """Succeeds as soon as any child event succeeds."""
+
+    __slots__ = ()
 
     def _evaluate(self, n_triggered: int) -> bool:
         return n_triggered >= 1

@@ -30,6 +30,8 @@ class Process(Event):
         A generator that yields events.
     """
 
+    __slots__ = ("_generator", "_target")
+
     def __init__(self, env: "Environment", generator):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(

@@ -63,8 +63,11 @@ class Resource:
         Safe to call whether the request is still queued, already granted,
         or already released; a granted-but-unreleased token is released.
         """
-        if token in self._users:
-            self.release(token)
+        users = self._users
+        if token in users:
+            users.discard(token)
+            if self._waiting:
+                self._grant_next()
             return
         try:
             self._waiting.remove(token)
@@ -156,10 +159,3 @@ class Mailbox:
         if self._items:
             return self._items[0]
         return None
-
-    def cancel_get(self, event: Event) -> None:
-        """Withdraw a pending ``get`` request (no-op if already served)."""
-        try:
-            self._getters.remove(event)
-        except ValueError:
-            pass

@@ -30,6 +30,10 @@ class TransactionStatus(enum.Enum):
 class Transaction:
     """One subtransaction executing at one site."""
 
+    __slots__ = ("gid", "site", "kind", "status", "start_time",
+                 "commit_time", "undo", "reads", "writes", "process",
+                 "wound_reason", "shielded")
+
     def __init__(self, gid: GlobalTransactionId, site: int,
                  kind: SubtransactionKind, start_time: float):
         self.gid = gid
@@ -57,12 +61,6 @@ class Transaction:
     def __repr__(self):
         return "<Txn {} {} @s{} {}>".format(
             self.gid, self.kind.value, self.site, self.status.value)
-
-    def __hash__(self):
-        return id(self)
-
-    def __eq__(self, other):
-        return self is other
 
     @property
     def is_finished(self) -> bool:

@@ -1137,3 +1137,71 @@ def test_commit_time_is_stamped_at_arrival_not_at_the_previous_drive(
     (status, _reason, _elapsed), commit_time = asyncio.run(scenario())
     assert status == "committed"
     assert commit_time >= pause
+
+
+
+def test_client_kill_mid_flight_leaves_no_reader_task(tmp_path, monkeypatch):
+    """Concurrent idempotent requests to one site lose it — once while
+    idle, once mid-flight — and retry onto its restart.  Every
+    connection the client opened is either the one it holds for that
+    site or closed with its read loop, so ``close()`` leaves no pending
+    ``_read_loop`` task behind."""
+    from repro.cluster import client as client_module
+
+    spec = make_spec("dag_wt", 3)
+    victim = 2
+    readers = []        # (connection, its read-loop task), every one
+    read_loop = client_module._Connection._read_loop
+
+    async def spy(self, frames):
+        readers.append((self, asyncio.current_task()))
+        await read_loop(self, frames)
+
+    monkeypatch.setattr(client_module._Connection, "_read_loop", spy)
+
+    async def scenario():
+        servers, client = await start_cluster(spec,
+                                              wal_dir=str(tmp_path))
+
+        async def restart(pause):
+            servers[victim].kill()
+            await asyncio.sleep(pause)
+            servers[victim] = SiteServer(
+                spec, victim, wal_path=os.path.join(
+                    str(tmp_path), "site{}.wal".format(victim)))
+            await servers[victim].start()
+
+        # Idle loss: the held connection is defunct when the burst
+        # arrives, and every request of the burst finds it so.
+        await client.ping(victim)
+        await restart(0.05)
+        await asyncio.gather(*(client.ping(victim) for _ in range(8)))
+
+        # Mid-flight loss: requests fail, drop and retry concurrently.
+        stop = asyncio.Event()
+
+        async def prober():
+            while not stop.is_set():
+                try:
+                    await client.ping(victim)
+                except client_module.ClusterError:
+                    pass
+                await asyncio.sleep(0)
+
+        async def crash_and_restart():
+            await asyncio.sleep(0.05)
+            await restart(0.02)
+            await asyncio.sleep(0.3)
+            stop.set()
+
+        await asyncio.gather(crash_and_restart(),
+                             *(prober() for _ in range(8)))
+        live = {conn for conn, task in readers if not task.done()}
+        held = set(client._connections.values())
+        await stop_cluster(servers, client)
+        return live, held
+
+    live, held = asyncio.run(scenario())
+    assert len(readers) > 1, "the kill never forced a reconnect"
+    assert live <= held, "an unregistered connection kept reading"
+    assert all(task.done() for _conn, task in readers)

@@ -1,10 +1,23 @@
 """Tests for the discrete-event simulation kernel (events, environment,
 processes)."""
 
+import random
+
 import pytest
 
 from repro.errors import ReproError
-from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt
+from repro.sim import (
+    AllOf,
+    AnyOf,
+    Environment,
+    Event,
+    Interrupt,
+    SchedulePolicy,
+)
+from repro.sim.environment import EmptySchedule
+from repro.sim.events import URGENT
+from repro.storage.transaction import Transaction
+from repro.types import GlobalTransactionId, SubtransactionKind
 
 
 def test_clock_starts_at_zero():
@@ -442,3 +455,123 @@ def test_urgent_interrupt_processed_before_same_time_events():
     # and the interrupt (urgent) cannot be starved by normal events.
     assert order in (["timeout", "interrupter-awake"],
                      ["interrupter-awake", "interrupt"])
+
+
+# ----------------------------------------------------------------------
+# run() is step() inlined: both drive the identical schedule
+# ----------------------------------------------------------------------
+
+class _Scrambled(SchedulePolicy):
+    """A seeded tie-break that logs every schedule call it answers."""
+
+    def __init__(self, seed, trace):
+        self.seed = seed
+        self.trace = trace
+
+    def tie_break(self, time, priority, eid):
+        self.trace.append(("schedule", time, priority, eid))
+        return random.Random(self.seed * 1000003 + eid).randrange(3)
+
+
+def _scripted_trace(drive):
+    """Same-time NORMAL and URGENT events, an interrupt, a defused
+    failure and a handled one under a seeded tie-break; returns every
+    schedule call and every callback with ``(now, events_processed)``
+    in the order they happened."""
+    trace = []
+    env = Environment(schedule_policy=_Scrambled(11, trace))
+
+    def note(label):
+        return lambda _event: trace.append(
+            ("fire", label, env.now, env.events_processed))
+
+    for index in range(4):
+        env.timeout(1.0).callbacks.append(note("tick{}".format(index)))
+    urgent = env.event()
+    urgent._ok, urgent._value = True, "urgent"
+    urgent.callbacks.append(note("urgent"))
+    env.schedule(urgent, priority=URGENT, delay=1.0)
+    defused = env.event()
+    defused.callbacks.append(note("defused"))
+    defused.fail(ValueError("nobody minds")).defuse()
+
+    def sleeper():
+        try:
+            yield env.timeout(5.0)
+        except Interrupt as interrupt:
+            trace.append(("interrupted", interrupt.cause, env.now))
+        failing = env.event()
+        env.timeout(0.5).callbacks.append(
+            lambda _event: failing.fail(KeyError("handled")))
+        try:
+            yield failing
+        except KeyError:
+            trace.append(("caught", env.now))
+        yield AllOf(env, [env.timeout(0.25), env.timeout(0.25)])
+        return "done"
+
+    def interrupter(victim):
+        yield env.timeout(1.0)
+        victim.interrupt("wake")
+
+    victim = env.process(sleeper())
+    victim.callbacks.append(note("sleeper-exit"))
+    env.process(interrupter(victim))
+    drive(env)
+    trace.append(("end", env.now, env.events_processed, victim.value))
+    return trace
+
+
+def _drive_by_step(env):
+    while True:
+        try:
+            env.step()
+        except EmptySchedule:
+            return
+
+
+def test_run_and_repeated_step_give_the_same_trace():
+    stepped = _scripted_trace(_drive_by_step)
+    ran = _scripted_trace(lambda env: env.run())
+    assert ran == stepped
+    fired = [entry[1] for entry in ran if entry[0] == "fire"]
+    # The urgent event beats every same-time normal one, whatever keys
+    # the policy hands out.
+    assert fired.index("urgent") < min(
+        fired.index("tick{}".format(index)) for index in range(4))
+    assert ("interrupted", "wake", 1.0) in ran
+    assert ("caught", 1.5) in ran
+    # The abandoned 5.0 timeout still fires: the clock ends there.
+    assert ran[-1] == ("end", 5.0, ran[-1][2], "done")
+
+
+def test_unhandled_failure_raises_from_step_and_from_run():
+    def failing_env():
+        env = Environment()
+        env.timeout(1.0)
+        env.event().fail(ReproError("unhandled"))
+        return env
+
+    with pytest.raises(ReproError):
+        _drive_by_step(failing_env())
+    env = failing_env()
+    with pytest.raises(ReproError):
+        env.run()
+    # Raised as the failed event is processed, before the timeout.
+    assert env.events_processed == 1 and env.now == 0.0
+
+
+def test_kernel_objects_have_no_instance_dict():
+    env = Environment()
+
+    def proc():
+        yield env.timeout(1.0)
+
+    objects = [
+        env.event(), env.timeout(1.0), env.process(proc()),
+        AllOf(env, [env.timeout(1.0)]),
+        Transaction(GlobalTransactionId(0, 1), 0,
+                    SubtransactionKind.PRIMARY, 0.0),
+    ]
+    for obj in objects:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__

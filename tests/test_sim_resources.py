@@ -224,17 +224,6 @@ def test_mailbox_getters_served_fifo():
     assert not second.triggered
 
 
-def test_mailbox_cancel_get():
-    env = Environment()
-    box = Mailbox(env)
-    doomed = box.get()
-    live = box.get()
-    box.cancel_get(doomed)
-    box.put("only")
-    assert not doomed.triggered
-    assert live.triggered and live.value == "only"
-
-
 def test_mailbox_peek_empty_returns_none():
     env = Environment()
     box = Mailbox(env)

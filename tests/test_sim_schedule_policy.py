@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.environment import (
+    INSERTION_ORDER,
     EmptySchedule,
     Environment,
     SchedulePolicy,
@@ -112,3 +113,32 @@ def test_policy_is_consulted_with_absolute_time_and_eid():
     env = Environment(initial_time=10.0, schedule_policy=Spy())
     env.timeout(2.5)
     assert seen == [(12.5, NORMAL, 1)]
+
+
+def test_default_policy_is_never_called(monkeypatch):
+    # Its key is the constant 0, so the kernel skips the call.
+    def refuse(self, time, priority, eid):
+        raise AssertionError("tie_break called under the default policy")
+
+    monkeypatch.setattr(SchedulePolicy, "tie_break", refuse)
+    env = Environment()
+    assert env.schedule_policy is INSERTION_ORDER
+    for delay in (1.0, 1.0, 0.0):
+        env.timeout(delay)
+    env.run()
+    assert env.events_processed == 3
+
+
+def test_policy_assigned_after_construction_is_consulted():
+    seen = []
+
+    class Spy(SchedulePolicy):
+        def tie_break(self, time, priority, eid):
+            seen.append((time, priority, eid))
+            return 0
+
+    env = Environment(initial_time=10.0)
+    env.timeout(1.0)
+    env.schedule_policy = Spy()
+    env.timeout(2.5)
+    assert seen == [(12.5, NORMAL, 2)]

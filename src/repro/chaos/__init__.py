@@ -7,8 +7,7 @@ server lifecycle, WAL/journal corruption between restarts — from a
 seeded, serializable :class:`~repro.chaos.plan.FaultPlan`, then judges
 the run with the same offline oracles plus the live watchdog.  Failing
 scripts shrink to minimal replayable JSON artifacts with the explorer's
-``ddmin``; a Runner/Worker sweep fans a protocol × copy-graph × fault
-matrix out to parallel processes.  See ``docs/CHAOS.md``.
+``ddmin``.  See ``docs/CHAOS.md``.
 """
 
 from repro.chaos.controller import (
@@ -28,12 +27,10 @@ from repro.chaos.plan import (
     profile_plan,
 )
 from repro.chaos.shrinker import shrink_scenario
-from repro.chaos.sweep import ChaosSweepReport, SweepCell, run_sweep
 
 __all__ = [
     "ChaosRunReport",
     "ChaosScenario",
-    "ChaosSweepReport",
     "CorruptFault",
     "FaultPlan",
     "FaultVerdict",
@@ -42,9 +39,7 @@ __all__ = [
     "LinkFaultInjector",
     "PROFILES",
     "REGRESSIONS",
-    "SweepCell",
     "profile_plan",
     "run_chaos",
-    "run_sweep",
     "shrink_scenario",
 ]

@@ -54,12 +54,11 @@ Commands
 ``reconfig``
     Drive one online placement change (add-replica, drop-replica,
     migrate-primary, remove-site) through an epoch transition against
-    a live cluster — fence, transfer, quiesce, commit — or survey the
+    a live cluster — fence, quiesce, read, commit — or survey the
     members' epochs with ``status``.  See docs/RECONFIGURATION.md.
-``chaos`` / ``chaos-sweep``
-    Run one seeded fault script (or a protocol x seed x profile matrix)
-    against an in-process live cluster and judge it with the offline
-    oracles.  See docs/CHAOS.md.
+``chaos``
+    Run one seeded fault script against an in-process live cluster and
+    judge it with the offline oracles.  See docs/CHAOS.md.
 ``dump``
     Ask live sites to dump their flight-recorder incident bundles now.
 ``postmortem``
@@ -477,50 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(plus injections.json) here for "
                                    "repro postmortem")
     _add_param_flags(chaos_parser)
-
-    chaos_sweep_parser = subparsers.add_parser(
-        "chaos-sweep", help="fan a protocol x seed x fault-profile "
-                            "matrix out to parallel worker processes")
-    chaos_sweep_parser.add_argument("--protocols",
-                                    default="dag_wt,backedge",
-                                    help="comma-separated live "
-                                         "protocols")
-    chaos_sweep_parser.add_argument("--seeds", default="3,5",
-                                    help="comma-separated workload "
-                                         "seeds (each selects a copy "
-                                         "graph)")
-    chaos_sweep_parser.add_argument("--profiles", default="calm,jitter",
-                                    help="comma-separated fault "
-                                         "profiles")
-    chaos_sweep_parser.add_argument("--parallel", type=int, default=2,
-                                    help="concurrent worker processes")
-    chaos_sweep_parser.add_argument("--host", default="127.0.0.1")
-    chaos_sweep_parser.add_argument("--base-port", type=int,
-                                    default=7900,
-                                    help="cell i uses base-port + i * "
-                                         "port-stride")
-    chaos_sweep_parser.add_argument("--port-stride", type=int,
-                                    default=None,
-                                    help="ports reserved per cell "
-                                         "(default: n_sites + 2)")
-    chaos_sweep_parser.add_argument("--fault-seed", type=int, default=0)
-    chaos_sweep_parser.add_argument("--wal-root", default=None,
-                                    metavar="DIR",
-                                    help="root directory for per-cell "
-                                         "WALs (default: a fresh "
-                                         "temporary directory)")
-    chaos_sweep_parser.add_argument("--quiesce-timeout", type=float,
-                                    default=30.0, metavar="SECONDS")
-    chaos_sweep_parser.add_argument("--cell-timeout", type=float,
-                                    default=180.0, metavar="SECONDS",
-                                    help="wall-clock budget per cell "
-                                         "before it is terminated")
-    chaos_sweep_parser.add_argument("--no-monitor", action="store_true")
-    chaos_sweep_parser.add_argument("--out", metavar="PATH",
-                                    default=None,
-                                    help="write the sweep report as "
-                                         "JSON")
-    _add_param_flags(chaos_sweep_parser)
 
     reconfig_parser = subparsers.add_parser(
         "reconfig", help="drive one online placement change (epoch "
@@ -1141,35 +1096,6 @@ def _cmd_chaos(args: argparse.Namespace, out: typing.TextIO) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_chaos_sweep(args: argparse.Namespace,
-                     out: typing.TextIO) -> int:
-    import tempfile
-
-    from repro.chaos import run_sweep
-    from repro.cluster.spec import ClusterSpec
-
-    template = ClusterSpec(params=_params_from_args(args),
-                           host=args.host, base_port=args.base_port)
-    protocols = [token for token in args.protocols.split(",") if token]
-    seeds = [int(token) for token in args.seeds.split(",") if token]
-    profiles = [token for token in args.profiles.split(",") if token]
-
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as scratch:
-        report = run_sweep(
-            template, protocols, seeds, profiles,
-            wal_root=args.wal_root or os.path.join(scratch, "wal"),
-            parallel=args.parallel, base_port=args.base_port,
-            port_stride=args.port_stride, fault_seed=args.fault_seed,
-            quiesce_timeout=args.quiesce_timeout,
-            monitor=not args.no_monitor,
-            cell_timeout=args.cell_timeout,
-            log=lambda line: out.write(line + "\n"))
-    out.write(report.format() + "\n")
-    if args.out:
-        report.save(args.out)
-    return 0 if report.ok else 1
-
-
 def _cmd_reconfig(args: argparse.Namespace, out: typing.TextIO) -> int:
     import asyncio
 
@@ -1423,7 +1349,6 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None,
         "monitor": _cmd_monitor,
         "top": _cmd_top,
         "chaos": _cmd_chaos,
-        "chaos-sweep": _cmd_chaos_sweep,
         "reconfig": _cmd_reconfig,
         "dump": _cmd_dump,
         "postmortem": _cmd_postmortem,

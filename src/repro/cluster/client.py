@@ -327,8 +327,8 @@ class ClusterClient:
     async def reconfig_prepare(self, site: SiteId, epoch: int,
                                change: typing.Dict[str, typing.Any]
                                ) -> typing.Dict[str, typing.Any]:
-        """Phase 1: journal the proposed epoch, fence writes on the
-        affected items, start state transfer of gained copies."""
+        """Phase 1: journal the proposed epoch and fence writes on the
+        affected items."""
         return await self._request(
             site, {"op": "reconfig_prepare", "epoch": epoch,
                    "change": change}, idempotent=True)
@@ -336,7 +336,8 @@ class ClusterClient:
     async def reconfig_commit(self, site: SiteId, epoch: int,
                               change: typing.Dict[str, typing.Any]
                               ) -> typing.Dict[str, typing.Any]:
-        """Phase 2: journal the epoch commit and atomically swap the
+        """Phase 2: install the copies the site gains (from the change's
+        ``install``), journal the epoch commit and atomically swap the
         site's placement and propagation tree.  Idempotent — a site
         already at (or past) ``epoch`` acknowledges without re-applying;
         carrying the change lets a site that lost its prepare (crash)
@@ -358,16 +359,13 @@ class ClusterClient:
         return await self._request(site, {"op": "reconfig_status"},
                                    idempotent=True)
 
-    async def reconfig_pull(self, site: SiteId,
-                            items: typing.Optional[
-                                typing.Sequence[int]] = None
-                            ) -> typing.Dict[str, typing.Any]:
-        """Ask a site to (re-)pull specific items over the catch-up
-        channel from their current primaries (state-transfer retry)."""
-        frame: typing.Dict[str, typing.Any] = {"op": "reconfig_pull"}
-        if items is not None:
-            frame["items"] = list(items)
-        return await self._request(site, frame, idempotent=True)
+    async def reconfig_state(self, site: SiteId, item: int
+                             ) -> typing.Dict[str, typing.Any]:
+        """The value, version and writer lineage of ``item`` at its
+        primary ``site`` — or, unless it is fenced and quiet there, a
+        ``refused`` reason."""
+        return await self._request(
+            site, {"op": "reconfig_state", "item": item}, idempotent=True)
 
     async def try_each(self, op: str, **fields
                        ) -> typing.Tuple[typing.Dict[SiteId,

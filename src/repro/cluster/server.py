@@ -34,17 +34,15 @@ The server, not the protocol, handles the cluster control plane:
   (journal-then-ack, once per round of frames instead of per message)
   — the WAL too when the round carried a message the journal does not
   hold;
-- ``CATCHUP_REQUEST``/``CATCHUP_REPLY`` — reconfiguration's state
-  transfer, and nothing else.  Updates reach a replica one way: the
-  propagation tree's acknowledged FIFO chain, repaired after a crash
-  by journal replay, primary re-forward and transport resend.  A site
-  that gains a copy in a pending epoch pulls the item's state from its
-  current primary; that is ordered because the item is write-fenced
-  (quiesced) for the whole transition, the coordinator polls and
-  re-pulls until the copy matches, and the reply is WAL-logged ahead
-  of the synced ``EPOCH_COMMIT``.  There is no periodic or start-time
-  pull: a reply installed beside the FIFO stream while its secondaries
-  are in flight is the one thing that ever produced a DSG cycle here;
+- ``RECONFIG`` — epoch-commit gossip, carrying the change and the
+  state of every copy it gains.  Updates reach a replica one way: the
+  propagation tree's acknowledged FIFO chain, repaired after a crash by
+  journal replay, primary re-forward and transport resend.  A gained
+  copy's state is read once from the item's primary while the item is
+  fenced and quiet, and a gaining site installs it inside its epoch
+  commit, ahead of the synced ``EPOCH_COMMIT``.  Nothing is pulled: a
+  reply installed beside the FIFO stream while its secondaries are in
+  flight is the one thing that ever produced a DSG cycle here;
 - delivery dedup — at-least-once transport resends and recovery
   re-forwards are filtered via the transport sequence numbers and the
   writer-lineage check before a ``SECONDARY`` reaches the protocol
@@ -73,6 +71,7 @@ from repro.cluster.codec import (
     FrameWriter,
     compact_json,
     decode_message,
+    decode_value,
     encode_frame_chunks,
     encode_value,
     read_frame,
@@ -89,7 +88,7 @@ from repro.obs.registry import (
     SIZE_BUCKETS,
     MetricsRegistry,
 )
-from repro.obs.trace import TraceSink, message_trace_ids, traces_of_obj
+from repro.obs.trace import TraceSink, message_trace_id, trace_of_obj
 # Imported from the change module directly (not repro.reconfig) to keep
 # the import graph acyclic: repro.reconfig -> coordinator -> client ->
 # this module.
@@ -254,7 +253,7 @@ class SiteServer:
         self.epoch = spec.epoch
         self.last_change: typing.Optional[typing.Dict] = None
         self.pending_epoch: typing.Optional[int] = None
-        self.pending_change: typing.Optional[typing.Dict] = None
+        self.pending_change: typing.Optional[PlacementChange] = None
         self._fenced_items: typing.Set[ItemId] = set()
         self._pending_since: typing.Optional[float] = None
         # Observability plane (docs/OBSERVABILITY.md).
@@ -316,9 +315,6 @@ class SiteServer:
         self._h_write = self.metrics.histogram("server.write_s")
         self._h_wal_barrier = self.metrics.histogram(
             "wal.barrier_wait_s")
-        self._m_catchup_requests = self.metrics.counter(
-            "catchup.requests")
-        self._m_catchup_replies = self.metrics.counter("catchup.replies")
         self._g_epoch = self.metrics.gauge("reconfig.epoch")
         self._h_reconfig = self.metrics.histogram("reconfig.transition_s")
         self._m_fence_refusals = self.metrics.counter(
@@ -632,34 +628,27 @@ class SiteServer:
         if not self.transport.fresh(message.src, incarnation, seq):
             return  # transport-level resend
         # Prefer the sender's stamp; an unstamped sender omits it, so
-        # re-derive the ids from the decoded payload — the trace
+        # re-derive the id from the decoded payload — the trace
         # invariant must not depend on the peer.
-        traces = traces_of_obj(obj_msg) or message_trace_ids(message)
-        if traces:
-            self.trace.emit(
-                "received", trace=traces[0],
-                traces=traces if len(traces) > 1 else None,
-                peer=message.src, type=message.msg_type.value)
+        trace = trace_of_obj(obj_msg) or message_trace_id(message)
+        if trace:
+            self.trace.emit("received", trace=trace, peer=message.src,
+                            type=message.msg_type.value)
         if message.msg_type is MessageType.SECONDARY:
             # Journal before ack: once the sender retires this update,
             # the journal is the only copy that survives our crash.
             # Appends buffer; the peer loop syncs before the ack.
             self.journal.append(message.src, incarnation, seq, obj_msg)
-            if traces:
-                self.trace.emit(
-                    "journaled", trace=traces[0],
-                    traces=traces if len(traces) > 1 else None,
-                    peer=message.src, type=message.msg_type.value)
+            if trace:
+                self.trace.emit("journaled", trace=trace,
+                                peer=message.src,
+                                type=message.msg_type.value)
         else:
             self._round_unjournaled = True
         if message.msg_type is MessageType.WOUND:
             self._on_wound(message)
         elif message.msg_type is MessageType.RECONFIG:
             self._on_reconfig(message)
-        elif message.msg_type is MessageType.CATCHUP_REQUEST:
-            self._on_catchup_request(message)
-        elif message.msg_type is MessageType.CATCHUP_REPLY:
-            self._on_catchup_reply(message)
         else:
             self.transport.deliver(message)
 
@@ -709,13 +698,11 @@ class SiteServer:
         so replay past the durable point is idempotent."""
         for entry in self.journal.entries:
             message = decode_message(entry["msg"])
-            traces = traces_of_obj(entry["msg"]) or \
-                message_trace_ids(message)
-            if traces:
-                self.trace.emit(
-                    "replayed", trace=traces[0],
-                    traces=traces if len(traces) > 1 else None,
-                    peer=message.src, type=message.msg_type.value)
+            trace = trace_of_obj(entry["msg"]) or \
+                message_trace_id(message)
+            if trace:
+                self.trace.emit("replayed", trace=trace, peer=message.src,
+                                type=message.msg_type.value)
             self.transport.accept(int(entry["src"]), entry["inc"],
                                   int(entry["seq"]), message)
 
@@ -740,91 +727,6 @@ class SiteServer:
                 if self.placement.is_replicated(item)}
             if replicated:
                 protocol._forward(self.site_id, record.gid, replicated)
-
-    # ------------------------------------------------------------------
-    # State transfer (reconfiguration only; see _reconfig_pull_items)
-    # ------------------------------------------------------------------
-
-    def _on_catchup_request(self, message: Message) -> None:
-        self._m_catchup_requests.inc()
-        engine = self.system.site_of(self.site_id).engine
-        reply: typing.Dict = {}
-        for item, remote_version in message.payload["items"].items():
-            if not engine.has_item(item):
-                continue
-            record = engine.item(item)
-            if record.committed_version > remote_version:
-                reply[item] = {
-                    "value": record.value,
-                    "version": record.committed_version,
-                    "writers": list(
-                        record.writers[remote_version:]),
-                    # Writer of the requester's current version: lets it
-                    # verify the tail really extends its own lineage.
-                    "anchor": (record.writers[remote_version - 1]
-                               if 0 < remote_version <=
-                               len(record.writers) else None),
-                }
-        if reply:
-            self.transport.send(MessageType.CATCHUP_REPLY, self.site_id,
-                                message.src, items=reply)
-
-    def _on_catchup_reply(self, message: Message) -> None:
-        self._m_catchup_replies.inc()
-        engine = self.system.site_of(self.site_id).engine
-        locks = engine.locks
-        busy = {request.item for request in locks.waiting_requests()}
-        entries = {item: entry
-                   for item, entry in message.payload["items"].items()
-                   if engine.has_item(item)}
-        # The transfer bypasses the lock manager, so it must not touch
-        # an item an in-flight subtransaction holds or awaits a lock on
-        # (racing it could double-apply a version), and every tail must
-        # provably extend our lineage.  All-or-nothing: the reply is a
-        # consistent cut of the primary's commit order, and applying
-        # only part of it would reorder its updates relative to each
-        # other.  Dropping it is free — the coordinator re-pulls until
-        # the copy matches.
-        if any(item in busy or locks.holders(item) or
-               not self._catchup_tail_aligned(engine.item(item), entry)
-               for item, entry in entries.items()):
-            return
-        for item, entry in entries.items():
-            record = engine.item(item)
-            # The tail's writers beyond our current version are the
-            # origin transactions this catch-up applies for us.
-            base = entry["version"] - len(entry["writers"])
-            for writer in entry["writers"][
-                    record.committed_version - base:]:
-                self.trace.emit("caught-up", gid=writer,
-                                peer=message.src, item=item)
-            engine.apply_catchup(item, entry["value"], entry["version"],
-                                 entry["writers"])
-
-    @staticmethod
-    def _catchup_tail_aligned(record, entry: typing.Mapping) -> bool:
-        """True when a transferred tail provably extends our lineage.
-
-        The reply was computed for the version we reported when we
-        asked; updates may have landed here since.  The tail is safe to
-        apply only if (a) its anchor — the writer of the version the
-        reply assumes we hold — matches our history, and (b) wherever
-        the tail overlaps versions we already have, the writers agree.
-        Anything else is stale or misaligned; the coordinator's next
-        re-pull resolves it from fresher state."""
-        base = entry["version"] - len(entry["writers"])
-        current = record.committed_version
-        if current < base:
-            return False
-        if base > 0:
-            if len(record.writers) < base or \
-                    record.writers[base - 1] != entry.get("anchor"):
-                return False
-        overlap = current - base
-        tail = list(entry["writers"])
-        if overlap > len(tail):
-            return False
-        return list(record.writers[base:current]) == tail[:overlap]
 
     # ------------------------------------------------------------------
     # Connections
@@ -1120,16 +1022,8 @@ class SiteServer:
                                          dict(frame["change"]))
         if op == "reconfig_abort":
             return self._reconfig_abort(int(frame["epoch"]))
-        if op == "reconfig_pull":
-            items = frame.get("items")
-            if items is None:
-                items = sorted(
-                    self.placement.replica_items_at(self.site_id))
-            items = [int(item) for item in items]
-            self._reconfig_pull_items(items)
-            self._drive()
-            return {"ok": True, "site": self.site_id,
-                    "requested": items}
+        if op == "reconfig_state":
+            return self._reconfig_state(int(frame["item"]))
         if op == "crash":
             return {"ok": True, "_crash": True}
         if op == "shutdown":
@@ -1218,8 +1112,8 @@ class SiteServer:
                           change_json: typing.Dict
                           ) -> typing.Dict[str, typing.Any]:
         """Phase 1 of an epoch transition at this member: journal the
-        proposal, fence writes on the affected items, create gained
-        copies and start pulling their state from the current primaries.
+        proposal and fence writes on the affected items.  Nothing is
+        created or sent: gained copies are installed at commit.
         Idempotent for re-prepares of the same (epoch, change)."""
         if epoch <= self.epoch:
             return {"ok": True, "site": self.site_id,
@@ -1234,7 +1128,7 @@ class SiteServer:
         except ReconfigError as exc:
             return {"ok": False, "error": str(exc)}
         if self.pending_epoch is not None and \
-                self.pending_change != change.to_json():
+                self.pending_change != change:
             return {"ok": False,
                     "error": "epoch {} already pending with a different "
                              "change".format(self.pending_epoch)}
@@ -1247,29 +1141,49 @@ class SiteServer:
                             value=change.to_json(), time=self.env.now)
             self._pending_since = self._loop.time()
         self.pending_epoch = epoch
-        self.pending_change = change.to_json()
+        self.pending_change = change
         self._fenced_items = set(change.affected_items(self.placement))
-        gained = sorted(change.gained_items(self.placement,
-                                            self.site_id))
-        engine = self.system.site_of(self.site_id).engine
-        for item in gained:
-            if not engine.has_item(item):
-                engine.create_item(item)
-        self._reconfig_pull_items(gained)
-        self._drive()
         return {"ok": True, "site": self.site_id, "epoch": self.epoch,
                 "pending_epoch": epoch,
-                "fenced": sorted(self._fenced_items),
-                "gained": gained}
+                "fenced": sorted(self._fenced_items)}
+
+    def _reconfig_state(self, item: ItemId
+                        ) -> typing.Dict[str, typing.Any]:
+        """The value, version and writer lineage of ``item`` here, for
+        the coordinator to carry to the sites that gain a copy.
+
+        Refused (the answer says why under ``refused``) unless this site
+        is the item's primary, the item is fenced here and no lock on it
+        is held or awaited: the fence stops new writers and a lock-free
+        item has none in flight, so the state read stays final until
+        this site's own epoch commit.  The WAL is synced first, so no
+        installed version can outlive a crash of this primary."""
+        engine = self.system.site_of(self.site_id).engine
+        locks = engine.locks
+        if self.placement.primary_site(item) != self.site_id or \
+                item not in self._fenced_items or locks.holders(item) or \
+                any(request.item == item
+                    for request in locks.waiting_requests()):
+            return {"ok": True, "site": self.site_id,
+                    "refused": "item {} is not a fenced, quiet primary "
+                               "copy at s{}".format(item, self.site_id)}
+        self.wal.sync()
+        record = engine.item(item)
+        return {"ok": True, "site": self.site_id, "state": {
+            "item": item, "value": encode_value(record.value),
+            "version": record.committed_version,
+            "writers": [[gid.site, gid.seq] for gid in record.writers]}}
 
     def _reconfig_commit(self, epoch: int,
                          change_json: typing.Dict
                          ) -> typing.Dict[str, typing.Any]:
-        """Phase 2: journal the epoch commit (synced — the swap must
-        survive a crash) and atomically adopt the new placement and
-        propagation tree.  Carries the full change so a member that
-        lost its prepare (crash) can still commit; idempotent for
-        members already at or past ``epoch``."""
+        """Phase 2: install the copies this member gains, journal the
+        epoch commit (synced — the swap must survive a crash, and the
+        same sync makes the install durable) and atomically adopt the
+        new placement and propagation tree.  Carries the full change so
+        a member that lost its prepare (crash) can still commit, and a
+        gaining member refuses a change without its install; idempotent
+        for members already at or past ``epoch``."""
         if epoch <= self.epoch:
             return {"ok": True, "site": self.site_id,
                     "epoch": self.epoch, "already_committed": True}
@@ -1282,6 +1196,25 @@ class SiteServer:
             new_placement = change.apply(self.placement)
         except ReconfigError as exc:
             return {"ok": False, "error": str(exc)}
+        install = {state["item"]: state for state in change.install or ()}
+        gained = change.gained_items(self.placement, self.site_id)
+        if not gained <= set(install):
+            return {"ok": False,
+                    "error": "epoch {} change carries no install for "
+                             "gained item(s) {}".format(
+                                 epoch, sorted(gained - set(install)))}
+        engine = self.system.site_of(self.site_id).engine
+        for item in sorted(gained):
+            state = install[item]
+            writers = [GlobalTransactionId(*gid) for gid in state["writers"]]
+            record = engine.item(item) if engine.has_item(item) \
+                else engine.create_item(item)
+            local = record.committed_version
+            engine.install(item, decode_value(state["value"]),
+                           state["version"], writers)
+            for writer in writers[local:]:
+                self.trace.emit("caught-up", gid=writer, item=item,
+                                peer=self.placement.primary_site(item))
         self.wal.append(LogRecordKind.EPOCH_COMMIT, item=epoch,
                         value=change.to_json(), time=self.env.now)
         self.wal.sync()
@@ -1310,28 +1243,6 @@ class SiteServer:
             self._fenced_items = set()
             self._pending_since = None
         return {"ok": True, "site": self.site_id, "epoch": self.epoch}
-
-    def _reconfig_pull_items(self,
-                             items: typing.Iterable[ItemId]) -> None:
-        """One-shot catch-up pull of ``items`` from their *current*
-        primaries (state transfer for copies gained in a pending
-        transition; also the re-pull path for transfer laggards)."""
-        engine = self.system.site_of(self.site_id).engine
-        by_source: typing.Dict[SiteId, typing.Dict] = {}
-        for item in items:
-            if not engine.has_item(item):
-                continue
-            try:
-                source = self.placement.primary_site(item)
-            except PlacementError:
-                continue
-            if source == self.site_id:
-                continue
-            by_source.setdefault(source, {})[item] = \
-                engine.item(item).committed_version
-        for source, versions in sorted(by_source.items()):
-            self.transport.send(MessageType.CATCHUP_REQUEST,
-                                self.site_id, source, items=versions)
 
     def _gossip_reconfig(self, epoch: int,
                          change_json: typing.Dict) -> None:

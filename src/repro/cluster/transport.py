@@ -73,7 +73,7 @@ from repro.cluster.codec import (
 )
 from repro.network.message import Message, MessageType
 from repro.obs.registry import SIZE_BUCKETS, MetricsRegistry
-from repro.obs.trace import message_trace_ids, stamp_message_obj
+from repro.obs.trace import message_trace_id, stamp_message_obj
 from repro.types import SiteId
 
 #: Reconnect backoff bounds (seconds).
@@ -412,23 +412,20 @@ class LiveTransport:
         if sink is not None:
             wal = round(sync_s, 6) if sync_s > 0.0 else None
             for _seq, message in entries:
-                ids = message_trace_ids(message)
-                if ids:
-                    sink.emit("forwarded", trace=ids[0],
-                              traces=ids if len(ids) > 1 else None,
-                              peer=dst, type=message.msg_type.value,
-                              wal=wal)
+                trace = message_trace_id(message)
+                if trace:
+                    sink.emit("forwarded", trace=trace, peer=dst,
+                              type=message.msg_type.value, wal=wal)
 
     def _note_acked(self, dst: SiteId, message: Message) -> None:
         """The receiver durably took responsibility for ``message``."""
         self._m_acked.inc()
         sink = self.trace_sink
         if sink is not None:
-            ids = message_trace_ids(message)
-            if ids:
-                sink.emit("acked", trace=ids[0],
-                          traces=ids if len(ids) > 1 else None,
-                          peer=dst, type=message.msg_type.value)
+            trace = message_trace_id(message)
+            if trace:
+                sink.emit("acked", trace=trace, peer=dst,
+                          type=message.msg_type.value)
 
     # ------------------------------------------------------------------
     # Receiving side (called by the SiteServer)

@@ -197,23 +197,17 @@ class ReplicatedSystem:
         (:mod:`repro.reconfig`).
 
         Runs between drive steps of the live runtime (never mid-
-        subtransaction): replaces the placement and copy graph,
-        materialises engine records for copies this process *gains*
-        (their values arrive via catch-up), and lets the protocol
-        re-derive its routing state.  Copies this process *loses* stay
-        in the engine — frozen, unreferenced by the new placement, and
-        refused to clients by the server's placement legality check —
-        because deleting history that committed transactions read would
-        blind the serializability oracle.
+        subtransaction): replaces the placement and copy graph and lets
+        the protocol re-derive its routing state.  The caller has
+        already installed every copy this process *gains*.  Copies this
+        process *loses* stay in the engine — frozen, unreferenced by the
+        new placement, and refused to clients by the server's placement
+        legality check — because deleting history that committed
+        transactions read would blind the serializability oracle.
         """
         self.placement = placement
         self.copy_graph = CopyGraph.from_placement(placement)
         self.epoch = epoch
-        for site_id in self.local_site_ids:
-            engine = self.site_of(site_id).engine
-            for item in sorted(placement.items_at(site_id)):
-                if not engine.has_item(item):
-                    engine.create_item(item)
         if self.protocol is not None:
             self.protocol.on_placement_change()
 

@@ -65,19 +65,13 @@ class MessageType(enum.Enum):
     - ``WOUND`` — wound the primary of ``gid`` registered at the
       destination (the cross-process form of the victim policy's direct
       registry wound).  Payload: ``gid``, ``reason``.
-    - ``CATCHUP_REQUEST`` — reconfiguration state transfer: a site
-      gaining a copy asks the item's primary site for its state while
-      the item is write-fenced.  Payload: ``items`` (item -> version
-      held locally).
-    - ``CATCHUP_REPLY`` — the missing tail per item: current ``value``,
-      ``version``, and ``writers`` (the gid lineage of the missing
-      versions, oldest first).  Payload: ``items``
-      (item -> {value, version, writers}).
     - ``RECONFIG`` — epoch-commit gossip (:mod:`repro.reconfig`): a
       peer that committed epoch ``epoch`` tells the others, closing the
       window where a coordinator dies between commits.  Payload:
       ``epoch``, ``change`` (:class:`repro.reconfig.PlacementChange`
-      JSON).  Idempotent at the receiver.
+      JSON, with its ``install`` state).  Sent at the sender's commit,
+      before any update of the new epoch, so on every FIFO channel the
+      install arrives first.  Idempotent at the receiver.
     """
 
     SECONDARY = "secondary"
@@ -95,8 +89,6 @@ class MessageType(enum.Enum):
     EAGER_WRITE = "eager-write"
     EAGER_WRITE_DONE = "eager-write-done"
     WOUND = "wound"
-    CATCHUP_REQUEST = "catchup-request"
-    CATCHUP_REPLY = "catchup-reply"
     RECONFIG = "reconfig"
 
 

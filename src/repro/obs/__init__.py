@@ -41,7 +41,7 @@ from repro.obs.registry import (  # noqa: F401
 from repro.obs.trace import (  # noqa: F401
     TraceSink,
     load_trace_file,
-    message_trace_ids,
+    message_trace_id,
     stamp_message_obj,
     trace_id,
 )

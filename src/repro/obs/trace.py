@@ -3,10 +3,11 @@
 Every origin (primary) transaction gets a **trace id** derived
 deterministically from its global transaction id (:func:`trace_id`).
 Deterministic derivation is the crash-safety trick: a restarted site
-re-forwarding committed primaries from its WAL, or a state-transfer
-reply assembled months later, stamps exactly the same trace id without
-any volatile lookup table — the invariant "every wire message derived from
-an origin transaction carries its trace id" survives restarts for free.
+re-forwarding committed primaries from its WAL, or a gaining site
+installing a copy's lineage at an epoch commit, derives exactly the
+same trace id without any volatile lookup table — the invariant "every
+wire message derived from an origin transaction carries its trace id"
+survives restarts for free.
 
 The sender stamps the id onto the *wire object* of each message
 (:func:`stamp_message_obj`), outside the protocol payload: the protocol
@@ -20,8 +21,9 @@ Each site appends timestamped **span records** to its
 Span events along one update's life:
 
 ``submitted → committed → forwarded → received → journaled → applied
-→ forwarded → ... → acked`` (plus ``aborted``, ``replayed``,
-``caught-up`` on the failure/recovery paths).
+→ forwarded → ... → acked`` (plus ``aborted``, ``replayed`` on the
+recovery path, and ``caught-up`` where an epoch commit installs a
+gained copy).
 
 :mod:`repro.obs.reconstruct` stitches spans from all sites back into
 the origin→replica propagation tree with per-hop latencies.
@@ -52,7 +54,7 @@ SPAN_EVENTS = (
     "applied",       # replica: secondary subtransaction committed
     "acked",         # sender: receiver acknowledged (journal-then-ack)
     "replayed",      # receiver: re-delivered from the inbox journal
-    "caught-up",     # replica: version applied via a catch-up tail
+    "caught-up",     # replica: version installed with a gained copy
 )
 
 
@@ -74,35 +76,17 @@ def gid_of_trace(trace: str) -> typing.Optional[GlobalTransactionId]:
         return None
 
 
-def message_trace_ids(message) -> typing.List[str]:
-    """Trace ids of the origin transactions ``message`` derives from.
+def message_trace_id(message) -> typing.Optional[str]:
+    """Trace id of the origin transaction ``message`` derives from.
 
-    - Any payload carrying a ``gid`` (secondary/backedge/special
-      subtransactions, 2PC rounds, wounds, lock traffic) derives from
-      exactly that transaction.
-    - A ``CATCHUP_REPLY`` re-ships the update tails of many origin
-      transactions: every gid in its per-item ``writers`` lineage.
-    - Pure control traffic (``CATCHUP_REQUEST``, ``DUMMY``) derives
-      from no transaction and carries no trace.
+    Any payload carrying a ``gid`` (secondary/backedge/special
+    subtransactions, 2PC rounds, wounds, lock traffic) derives from
+    exactly that transaction; control traffic (``RECONFIG``, ``DUMMY``)
+    derives from none and carries no trace.
     """
-    payload = message.payload
-    gid = payload.get("gid")
-    if isinstance(gid, GlobalTransactionId):
-        return [trace_id(gid)]
-    ids: typing.List[str] = []
-    seen: typing.Set[str] = set()
-    items = payload.get("items")
-    if isinstance(items, dict):
-        for entry in items.values():
-            if not isinstance(entry, dict):
-                continue
-            for writer in entry.get("writers", ()):
-                if isinstance(writer, GlobalTransactionId):
-                    tid = trace_id(writer)
-                    if tid not in seen:
-                        seen.add(tid)
-                        ids.append(tid)
-    return ids
+    gid = message.payload.get("gid")
+    return trace_id(gid) if isinstance(gid, GlobalTransactionId) \
+        else None
 
 
 def stamp_message_obj(obj: typing.Dict[str, typing.Any],
@@ -115,22 +99,17 @@ def stamp_message_obj(obj: typing.Dict[str, typing.Any],
     journal — which stores the wire object verbatim — preserves it
     across a receiver crash.
     """
-    ids = message_trace_ids(message)
-    if ids:
-        obj["trace"] = ids[0]
-        if len(ids) > 1:
-            obj["traces"] = ids
+    trace = message_trace_id(message)
+    if trace:
+        obj["trace"] = trace
     return obj
 
 
-def traces_of_obj(obj: typing.Mapping[str, typing.Any]
-                  ) -> typing.List[str]:
-    """All trace ids stamped on a wire message object (maybe empty)."""
-    traces = obj.get("traces")
-    if isinstance(traces, list):
-        return [str(tid) for tid in traces]
+def trace_of_obj(obj: typing.Mapping[str, typing.Any]
+                 ) -> typing.Optional[str]:
+    """The trace id stamped on a wire message object, if any."""
     trace = obj.get("trace")
-    return [str(trace)] if isinstance(trace, str) else []
+    return trace if isinstance(trace, str) else None
 
 
 class TraceSink:
@@ -177,8 +156,8 @@ class TraceSink:
         Canonical optional ``fields``: ``gid`` (a
         :class:`GlobalTransactionId`, encoded as ``[site, seq]``),
         ``now`` (site-local virtual time), ``peer`` (the other site of
-        a hop), ``type`` (wire message type), ``traces`` (multi-origin
-        derivations, e.g. catch-up), plus free-form extras.
+        a hop), ``type`` (wire message type), ``traces`` (a span
+        that serves several origins), plus free-form extras.
         """
         span: typing.Dict[str, typing.Any] = {
             "t": time.time(),

@@ -34,11 +34,17 @@ class PlacementChange:
     ``remove-site``); ``site`` names the target site — the new replica
     holder, the replica being dropped, the new primary, or the site
     being removed from the replication plane.
+
+    ``install`` is the state the coordinator read from each gained
+    item's primary — one ``reconfig_state`` answer per item — carried
+    by the commit; :meth:`apply` ignores it and equality leaves it out.
     """
 
     kind: str
     site: SiteId
     item: typing.Optional[ItemId] = None
+    install: typing.Optional[typing.List[typing.Dict]] = \
+        dataclasses.field(default=None, compare=False)
 
     def validate(self) -> "PlacementChange":
         if self.kind not in CHANGE_KINDS:
@@ -89,7 +95,7 @@ class PlacementChange:
     def gained_items(self, placement: DataPlacement,
                      site: SiteId) -> typing.FrozenSet[ItemId]:
         """Items ``site`` holds after the change but not before (the
-        state-transfer set for that site)."""
+        copies it installs at commit)."""
         before = placement.items_at(site)
         after = self.apply(placement).items_at(site)
         return frozenset(after - before)
@@ -130,6 +136,8 @@ class PlacementChange:
                                              "site": self.site}
         if self.item is not None:
             obj["item"] = self.item
+        if self.install is not None:
+            obj["install"] = self.install
         return obj
 
     @classmethod
@@ -137,8 +145,8 @@ class PlacementChange:
                   ) -> "PlacementChange":
         return cls(kind=str(obj["kind"]), site=int(obj["site"]),
                    item=(int(obj["item"])
-                         if obj.get("item") is not None else None)
-                   ).validate()
+                         if obj.get("item") is not None else None),
+                   install=obj.get("install")).validate()
 
 
 def replay_epochs(placement: DataPlacement,

@@ -14,16 +14,15 @@ nothing that blocks progress):
    placement: structure, copy-graph acyclicity (tree protocols), and the
    no-site-loses-its-last-primary rule.
 3. **Prepare** — fan ``reconfig_prepare`` to every member: each journals
-   the proposal, fences writes on the affected items, creates gained
-   copies and starts pulling their state from the current primaries.
-4. **Quiesce + transfer** — poll ``versions`` until every affected
-   item's committed version agrees across its old *and* new copy sites
-   and stays stable for ``settle_polls`` consecutive polls.  A member
-   that restarted mid-transition (fence lost — ``reconfig_status`` shows
-   no pending epoch) is re-prepared; transfer laggards are re-pulled.
-5. **Commit** — fan ``reconfig_commit`` (carrying the change, so even a
-   member that lost its prepare can commit) and verify every member
-   reports the new epoch.
+   the proposal and fences writes on the affected items.
+4. **Quiesce, then read once** — poll ``versions`` until every affected
+   item's version agrees across its *old* copy sites and stays stable
+   for ``settle_polls`` polls, then read each gained item's state once
+   from its primary (``reconfig_state``); a refusal keeps polling.  A
+   member that restarted mid-transition (fence lost) is re-prepared.
+5. **Commit** — fan ``reconfig_commit`` carrying the change and the
+   state read, so every path that commits the epoch installs the same
+   copies, and verify every member reports the new epoch.
 
 On timeout the coordinator fans ``reconfig_abort`` and raises — the
 cluster stays in the old epoch with no fence left behind.
@@ -53,7 +52,6 @@ class ReconfigReport:
     commit_s: float = 0.0
     polls: int = 0
     re_prepares: int = 0
-    re_pulls: int = 0
     healed_sites: typing.List[SiteId] = dataclasses.field(
         default_factory=list)
 
@@ -69,9 +67,8 @@ class ReconfigReport:
                 self.prepare_s, self.quiesce_s, self.polls,
                 self.commit_s, self.total_s),
         ]
-        if self.re_prepares or self.re_pulls:
-            lines.append("  re-prepares {}  re-pulls {}".format(
-                self.re_prepares, self.re_pulls))
+        if self.re_prepares:
+            lines.append("  re-prepares {}".format(self.re_prepares))
         if self.healed_sites:
             lines.append("  healed laggards: {}".format(
                 ", ".join("s{}".format(s) for s in self.healed_sites)))
@@ -186,7 +183,6 @@ class ReconfigCoordinator:
             placement, protocol=self.spec.protocol,
             allow_empty_primaries=self.allow_empty_primaries)
         target = epoch + 1
-        change_json = change.to_json()
         report = ReconfigReport(epoch=target, change=change,
                                 healed_sites=healed)
         deadline = time.monotonic() + self.timeout
@@ -194,14 +190,14 @@ class ReconfigCoordinator:
 
         started = time.monotonic()
         for site in sites:
-            await self.client.reconfig_prepare(site, target, change_json)
+            await self.client.reconfig_prepare(site, target,
+                                               change.to_json())
         report.prepare_s = time.monotonic() - started
 
-        watch = self._watch_sets(change, placement)
         started = time.monotonic()
         try:
-            await self._quiesce(target, change_json, watch, report,
-                                deadline)
+            installed = await self._quiesce(target, change, placement,
+                                            report, deadline)
         except ReconfigError:
             await self._abort_everywhere(target)
             raise
@@ -209,7 +205,8 @@ class ReconfigCoordinator:
 
         started = time.monotonic()
         for site in sites:
-            await self.client.reconfig_commit(site, target, change_json)
+            await self.client.reconfig_commit(site, target,
+                                              installed.to_json())
         await self.client.adopt_epoch(target)
         statuses = await self.survey()
         behind = sorted(site for site, status in statuses.items()
@@ -224,24 +221,37 @@ class ReconfigCoordinator:
     def _watch_sets(change: PlacementChange, placement: DataPlacement
                     ) -> typing.Dict[ItemId, typing.Set[SiteId]]:
         """Per affected item, the sites whose committed versions must
-        agree before the swap: every copy site of the old epoch plus
-        every copy site of the new one (the transfer targets)."""
-        after = change.apply(placement)
-        watch: typing.Dict[ItemId, typing.Set[SiteId]] = {}
-        for item in change.affected_items(placement):
-            old_sites = set(placement.sites_of(item))
-            new_sites = set(after.sites_of(item)) if item in after.items \
-                else set()
-            watch[item] = old_sites | new_sites
-        return watch
+        agree before the state is read: the old epoch's copy sites."""
+        return {item: set(placement.sites_of(item))
+                for item in change.affected_items(placement)}
 
-    async def _quiesce(self, target: int, change_json: typing.Dict,
-                       watch: typing.Mapping[ItemId,
-                                             typing.Set[SiteId]],
-                       report: ReconfigReport, deadline: float) -> None:
-        """Wait until every watched item's version agrees and is stable
-        across its watch set; re-prepare members whose fence vanished
-        (restart mid-transition) and re-pull transfer laggards."""
+    async def read_install(self, change: PlacementChange,
+                           placement: DataPlacement
+                           ) -> typing.Optional[PlacementChange]:
+        """``change`` carrying the state its gaining sites install: each
+        gained item's value, version and writer lineage, read once from
+        its primary in ``placement``.  ``None`` when a primary refuses
+        (the item is not fenced there, or a lock on it is held or
+        awaited)."""
+        after = change.apply(placement)
+        install = []
+        for item in sorted(change.affected_items(placement)):
+            if after.sites_of(item) - placement.sites_of(item):
+                response = await self.client.reconfig_state(
+                    placement.primary_site(item), item)
+                if "refused" in response:
+                    return None
+                install.append(response["state"])
+        return dataclasses.replace(change, install=install)
+
+    async def _quiesce(self, target: int, change: PlacementChange,
+                       placement: DataPlacement, report: ReconfigReport,
+                       deadline: float) -> PlacementChange:
+        """Wait until every affected item's version agrees and is stable
+        across its old copy sites, then read the gained state; returns
+        the change to commit.  Re-prepares members whose fence vanished
+        (restart mid-transition); a refused read keeps polling."""
+        watch = self._watch_sets(change, placement)
         stable_streak = 0
         previous: typing.Optional[typing.Dict[ItemId, int]] = None
         while True:
@@ -258,37 +268,25 @@ class ReconfigCoordinator:
                     continue
                 if status.get("pending_epoch") != target:
                     await self.client.reconfig_prepare(
-                        site, target, change_json)
+                        site, target, change.to_json())
                     report.re_prepares += 1
             responses = await self.client.versions_all()
             versions = {site: decode_value(response["versions"])
                         for site, response in responses.items()}
-            agreed: typing.Dict[ItemId, int] = {}
-            laggards: typing.Dict[SiteId, typing.List[ItemId]] = {}
-            for item, watch_sites in watch.items():
-                seen = {site: versions[site][item]
-                        for site in watch_sites
-                        if item in versions[site]}
-                values = set(seen.values())
-                if len(values) == 1:
-                    agreed[item] = values.pop()
-                    continue
-                top = max(value for value in values)
-                for site, value in seen.items():
-                    if value != top:
-                        laggards.setdefault(site, []).append(item)
-            if not laggards and agreed and previous == agreed:
-                stable_streak += 1
-                if stable_streak >= self.settle_polls:
-                    return
-            elif not laggards and not watch:
-                return  # nothing to quiesce (no affected items)
-            else:
+            seen = {item: {versions[site].get(item) for site in sites}
+                    for item, sites in watch.items()}
+            agreed = {item: values.pop() for item, values in seen.items()
+                      if len(values) == 1}
+            if len(agreed) < len(watch):
+                agreed = None
+            stable_streak = stable_streak + 1 \
+                if agreed is not None and agreed == previous else 0
+            if not watch or stable_streak >= self.settle_polls:
+                installed = await self.read_install(change, placement)
+                if installed is not None:
+                    return installed
                 stable_streak = 0
-                for site, items in sorted(laggards.items()):
-                    await self.client.reconfig_pull(site, sorted(items))
-                    report.re_pulls += 1
-            previous = agreed if not laggards else None
+            previous = agreed
             report.polls += 1
             await asyncio.sleep(self.poll_interval)
 

@@ -144,29 +144,32 @@ class StorageEngine:
         record.value = value
         txn.writes[item_id] = value
 
-    def apply_catchup(self, item_id: ItemId, value, version: int,
-                      writers: typing.Sequence[GlobalTransactionId]
-                      ) -> int:
-        """Apply a missed update tail fetched from the primary copy.
+    def install(self, item_id: ItemId, value, version: int,
+                writers: typing.Sequence[GlobalTransactionId]) -> int:
+        """Install a copy's state as read from the item's primary.
 
         ``writers`` are the gids of versions ``version - len(writers) + 1
-        .. version`` in commit order.  Each missed version is recorded as
-        a committed secondary subtransaction (WAL + history), mirroring
-        the order the primary committed them in, so the DSG edges match
-        what lazy propagation would have produced.  Intermediate values
-        were never observable, so every replayed version carries the
-        final ``value``.  Versions already present locally are skipped —
-        the call is idempotent against concurrent regular propagation.
+        .. version`` in commit order.  They must extend this copy's own
+        lineage (a copy only ever receives the primary's versions in its
+        order); anything else raises :class:`ValueError` before anything
+        changes.  Each version this copy lacks is recorded as a
+        committed secondary subtransaction (WAL + history) carrying the
+        final ``value``, so the DSG edges match what lazy propagation
+        would have produced.
 
-        Returns the number of versions applied.
+        Returns the number of versions installed.
         """
         record = self._items[item_id]
         base = version - len(writers)
-        applied = 0
-        for offset, gid in enumerate(writers):
-            missed_version = base + offset + 1
-            if missed_version <= record.committed_version:
-                continue
+        current = record.committed_version
+        if not 0 <= base <= current or \
+                record.writers[base:] != list(writers[:current - base]):
+            raise ValueError(
+                "install of item {} at site {} does not extend its "
+                "lineage (local version {}, installed {})".format(
+                    item_id, self.site_id, current, version))
+        for missed_version, gid in enumerate(
+                writers[current - base:], current + 1):
             self._log(LogRecordKind.COMMIT, gid=gid,
                       txn_kind=SubtransactionKind.SECONDARY,
                       value={item_id: value}, time=self.env.now)
@@ -176,8 +179,7 @@ class StorageEngine:
             self.history.record(gid, SubtransactionKind.SECONDARY,
                                 self.env.now, {},
                                 {item_id: missed_version})
-            applied += 1
-        return applied
+        return version - current
 
     def has_applied(self, item_id: ItemId,
                     gid: GlobalTransactionId) -> bool:

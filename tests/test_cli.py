@@ -210,7 +210,7 @@ def test_serve_rejects_the_deleted_knobs(flag, capsys):
 @pytest.mark.parametrize("argv", [
     ["serve", "--site", "0"],                   # no memory-only site
     ["stats", "--batch", "8"],                  # server setting, no server
-    ["chaos-sweep", "--durability", "flush"],   # cells run the defaults
+    ["monitor", "--durability", "flush"],       # watches, starts none
 ])
 def test_server_settings_only_where_a_server_starts(argv):
     """Every site has a WAL, and the per-process server settings
@@ -674,25 +674,6 @@ def test_serve_exits_nonzero_with_a_bundle_on_a_kernel_exception(
                for line in bundles[0].read_text().splitlines()]
     assert records[0]["trigger"] == "fatal-exception"
     assert any(record.get("kind") == "fatal" for record in records)
-
-
-def test_chaos_sweep_args_round_trip():
-    parser = build_parser()
-    args = parser.parse_args(
-        ["chaos-sweep", "--protocols", "dag_wt,backedge",
-         "--seeds", "3,5", "--profiles", "calm,jitter",
-         "--parallel", "4", "--base-port", "7900",
-         "--port-stride", "8", "--fault-seed", "2",
-         "--cell-timeout", "90", "--out", "sweep.json"])
-    assert args.command == "chaos-sweep"
-    assert args.protocols == "dag_wt,backedge"
-    assert args.seeds == "3,5"
-    assert args.profiles == "calm,jitter"
-    assert args.parallel == 4
-    assert args.port_stride == 8
-    assert args.fault_seed == 2
-    assert args.cell_timeout == 90.0
-    assert args.out == "sweep.json"
 
 
 def test_chaos_cli_jitter_run_green(tmp_path):

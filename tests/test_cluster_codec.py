@@ -43,22 +43,6 @@ def _participants(rng):
     return {rng.randrange(8) for _ in range(rng.randrange(1, 4))}
 
 
-def _catchup_items(rng):
-    return {rng.randrange(50): rng.randrange(10)
-            for _ in range(rng.randrange(1, 6))}
-
-
-def _catchup_reply_items(rng):
-    return {
-        rng.randrange(50): {
-            "value": rng.randrange(10**6),
-            "version": rng.randrange(1, 20),
-            "writers": [_gid(rng) for _ in range(rng.randrange(1, 5))],
-            "anchor": _gid(rng) if rng.random() < 0.7 else None,
-        }
-        for _ in range(rng.randrange(1, 4))}
-
-
 #: MessageType -> payload builder, per the conventions on MessageType.
 PAYLOADS = {
     MessageType.SECONDARY: lambda rng: {
@@ -102,10 +86,6 @@ PAYLOADS = {
         "ok": rng.random() < 0.5},
     MessageType.WOUND: lambda rng: {
         "gid": _gid(rng), "reason": "remote-wound"},
-    MessageType.CATCHUP_REQUEST: lambda rng: {
-        "items": _catchup_items(rng)},
-    MessageType.CATCHUP_REPLY: lambda rng: {
-        "items": _catchup_reply_items(rng)},
     MessageType.RECONFIG: lambda rng: {
         "epoch": rng.randrange(1, 10),
         "change": {"kind": rng.choice(

@@ -441,13 +441,15 @@ def test_every_bit_flip_and_every_truncation_of_a_small_log(tmp_path):
     """Sweep the whole file, not just its last record: each of the
     8 x len single-bit flips and each truncation point is either
     refused or repaired as a torn tail — what loads is always a prefix
-    of the records that were written, never a different record."""
+    of the records that were written, never a different record.  Each
+    variant is a new file: rewriting one file in place truncates it to
+    zero first, which ext4 answers with a flush on close."""
     path = tmp_path / "site0.wal"
     written = _small_log(path)
     data = path.read_bytes()
-    victim = tmp_path / "victim.wal"
 
     for cut in range(len(data) + 1):
+        victim = tmp_path / "cut{}.wal".format(cut)
         victim.write_bytes(data[:cut])
         loaded = FileWal(victim)
         complete = data[:cut].count(b"\n")
@@ -460,6 +462,7 @@ def test_every_bit_flip_and_every_truncation_of_a_small_log(tmp_path):
         for bit in range(8):
             damaged = bytearray(data)
             damaged[offset] ^= 1 << bit
+            victim = tmp_path / "flip{}-{}.wal".format(offset, bit)
             victim.write_bytes(bytes(damaged))
             verdict, result = _reload_verdict(victim)
             if verdict == "error":

@@ -50,6 +50,7 @@ from repro.cluster.codec import (
     read_frame,
 )
 from repro.network.message import Message, MessageType
+from repro.reconfig import PlacementChange
 from repro.types import GlobalTransactionId
 from tests.test_cluster_codec import PAYLOADS, _gid
 
@@ -367,16 +368,23 @@ TRICKY_PAYLOADS = [
     {"sets": {frozenset({(1, 2), (3, 4)}),
               frozenset()}},
     {"nested": {((1, (2, frozenset({3}))),): {"deep": True}}},
+    # Epoch-commit gossip: the change carries its install already in
+    # tagged form, so the payload codec escapes the tags once more.
+    {"epoch": 2, "change": PlacementChange(
+        kind="add-replica", site=1, item=3, install=[{
+            "item": 3, "value": encode_value((1, frozenset({2}))),
+            "version": 2, "writers": [[0, 1], [0, 4]]}]).to_json()},
 ]
 
 
 @pytest.mark.parametrize("payload", TRICKY_PAYLOADS,
                          ids=["tuple-keys", "frozenset-key",
-                              "set-of-frozensets", "nested-tuple-key"])
+                              "set-of-frozensets", "nested-tuple-key",
+                              "reconfig-install"])
 def test_tuple_and_frozenset_keys_survive_both_codecs(payload):
     """Through both codec layers: the value codec (tagged ``~map`` /
     ``~set`` / ``~tuple`` forms) and the frame codec (JSON text)."""
-    message = Message(MessageType.CATCHUP_REPLY, 0, 1, payload)
+    message = Message(MessageType.RECONFIG, 0, 1, payload)
     frame = {"kind": "msg", "inc": "i", "seq": 1,
              "msg": encode_message(message)}
     decoded = decode_frame_body(encode_frame(frame)[4:])

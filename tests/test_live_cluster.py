@@ -936,52 +936,6 @@ def _write_txn(site, seq, item):
                            (Operation(OpType.WRITE, item),))
 
 
-def test_catchup_reply_with_one_misaligned_item_changes_nothing(
-        tmp_path):
-    """A state-transfer reply is a consistent cut and applies whole or
-    not at all: one entry whose tail does not extend the local lineage
-    drops the entire reply (the coordinator re-pulls), it does not
-    install the entries around it."""
-    spec = make_spec("dag_wt", 3)  # the chain s0 -> s1 -> s2
-    placement = spec.build_placement()
-    good, bad = [item for item in sorted(placement.items)
-                 if placement.primary_site(item) == 0
-                 and 1 in placement.replica_sites(item)][:2]
-    first, second, third = (GlobalTransactionId(0, seq)
-                            for seq in (1, 2, 3))
-
-    def reply(items):
-        return Message(MessageType.CATCHUP_REPLY, src=0, dst=1,
-                       payload={"items": items})
-
-    aligned = {"value": "v1", "version": 1, "writers": [first],
-               "anchor": None}
-    # Claims to extend a version 2 this site never held.
-    misaligned = {"value": "v3", "version": 3, "writers": [third],
-                  "anchor": second}
-
-    async def scenario():
-        server = SiteServer(
-            spec, 1, wal_path=os.path.join(str(tmp_path), "site1.wal"))
-        await server.start()
-        try:
-            engine = server.system.site_of(1).engine
-            server._on_catchup_reply(
-                reply({good: aligned, bad: misaligned}))
-            mixed = (engine.item(good).committed_version,
-                     engine.item(bad).committed_version,
-                     len(engine.history))
-            server._on_catchup_reply(reply({good: aligned}))
-            return mixed, (engine.item(good).committed_version,
-                           engine.item(good).value)
-        finally:
-            await server.stop()
-
-    mixed, alone = asyncio.run(scenario())
-    assert mixed == (0, 0, 0)
-    assert alone == (1, "v1")
-
-
 def test_kernel_exception_fail_stops_the_site_and_survivors_converge(
         tmp_path):
     """A site whose kernel raises stops like a crash — no zombie that

@@ -18,10 +18,10 @@ from repro.obs.trace import (
     TraceSink,
     gid_of_trace,
     load_trace_file,
-    message_trace_ids,
+    message_trace_id,
     stamp_message_obj,
     trace_id,
-    traces_of_obj,
+    trace_of_obj,
 )
 from repro.types import GlobalTransactionId
 
@@ -49,22 +49,12 @@ def test_gid_of_trace_rejects_malformed():
 def test_message_trace_ids_gid_payloads():
     secondary = Message(MessageType.SECONDARY, src=0, dst=1,
                         payload={"gid": gid(0, 3), "writes": {}})
-    assert message_trace_ids(secondary) == ["t0.3"]
-
-
-def test_message_trace_ids_catchup_reply_writers_lineage():
-    reply = Message(MessageType.CATCHUP_REPLY, src=0, dst=1, payload={
-        "items": {
-            5: {"version": 2, "writers": [gid(0, 1), gid(0, 4)]},
-            9: {"version": 1, "writers": [gid(0, 4)]},  # deduped
-        }})
-    assert message_trace_ids(reply) == ["t0.1", "t0.4"]
+    assert message_trace_id(secondary) == "t0.3"
 
 
 def test_message_trace_ids_control_traffic_is_untraced():
-    request = Message(MessageType.CATCHUP_REQUEST, src=1, dst=0,
-                      payload={"versions": {}})
-    assert message_trace_ids(request) == []
+    request = Message(MessageType.DUMMY, src=1, dst=0, payload={})
+    assert message_trace_id(request) is None
 
 
 def test_stamp_and_read_back_wire_object():
@@ -73,20 +63,11 @@ def test_stamp_and_read_back_wire_object():
     obj = {"type": "secondary", "payload": {}}
     stamp_message_obj(obj, secondary)
     assert obj["trace"] == "t0.3"
-    assert "traces" not in obj
-    assert traces_of_obj(obj) == ["t0.3"]
+    assert trace_of_obj(obj) == "t0.3"
 
-    reply = Message(MessageType.CATCHUP_REPLY, src=0, dst=1, payload={
-        "items": {5: {"version": 1, "writers": [gid(0, 1), gid(1, 2)]}}})
-    obj = stamp_message_obj({}, reply)
-    assert obj["trace"] == "t0.1"
-    assert obj["traces"] == ["t0.1", "t1.2"]
-    assert traces_of_obj(obj) == ["t0.1", "t1.2"]
-
-    untraced = Message(MessageType.CATCHUP_REQUEST, src=1, dst=0,
-                       payload={})
+    untraced = Message(MessageType.DUMMY, src=1, dst=0, payload={})
     assert stamp_message_obj({}, untraced) == {}
-    assert traces_of_obj({}) == []
+    assert trace_of_obj({}) is None
 
 
 # ----------------------------------------------------------------------

@@ -344,8 +344,8 @@ def test_stale_epoch_client_adopts_forward(tmp_path):
 def test_crashed_member_recovers_into_the_committed_epoch(tmp_path):
     """Epoch durability: a member killed after a transition restarts
     from its WAL directly into the committed epoch — including the
-    copy it *gained* in that epoch (created at prepare, journaled, and
-    refilled over catch-up)."""
+    copy it *gained* in that epoch (installed at its commit, and made
+    durable by the same sync as the ``EPOCH_COMMIT``)."""
     spec = _spec(8130)
     victim = 4
 
@@ -392,16 +392,21 @@ def test_crashed_member_recovers_into_the_committed_epoch(tmp_path):
 def test_torn_commit_is_healed(tmp_path):
     """A coordinator that dies between per-site commits leaves epochs
     torn; a later coordinator's heal pass re-drives the recorded change
-    to the laggard before doing anything else."""
+    to the laggard before doing anything else.  The laggard is the
+    gaining site, so the recorded change must carry the install: the
+    healed copy equals the primary's."""
     spec = _spec(8140)
-    change = PlacementChange(kind="add-replica", site=3, item=1)
+    change = PlacementChange(kind="add-replica", site=5, item=1)
 
     async def scenario():
         servers, client = await _boot(spec, str(tmp_path))
+        for seq in (9400, 9401):
+            await client.run_transaction(_write(1, seq, 1))
         target = 1
         for site in range(spec.params.n_sites):
             await client.reconfig_prepare(site, target,
                                           change.to_json())
+        installed = await _read_install(client, spec, change)
         # The torn schedule: s5 crashes, then the coordinator commits
         # everyone it can reach and dies before s5 returns.  The
         # commit-time gossip to s5 dies with the sockets when the
@@ -411,7 +416,7 @@ def test_torn_commit_is_healed(tmp_path):
         servers[5].kill()
         for site in range(5):
             await client.reconfig_commit(site, target,
-                                         change.to_json())
+                                         installed.to_json())
         for site in range(5):
             servers[site].kill()
         await client.close()
@@ -431,15 +436,17 @@ def test_torn_commit_is_healed(tmp_path):
         after = {site: (await client.reconfig_status(site))["epoch"]
                  for site in range(spec.params.n_sites)}
         try:
-            return before, healed, after
+            return before, healed, after, _copies(servers, 1)
         finally:
             await _shutdown(servers, client)
 
-    before, healed, after = asyncio.run(scenario())
+    before, healed, after, copies = asyncio.run(scenario())
     assert {before[site] for site in range(5)} == {1}
     assert before[5] == 0
     assert healed == [5]
     assert set(after.values()) == {1}
+    assert copies[5] == copies[1]
+    assert copies[5][1] == 2
 
 
 def test_writes_on_fenced_items_are_refused_not_lost(tmp_path):
@@ -463,9 +470,10 @@ def test_writes_on_fenced_items_are_refused_not_lost(tmp_path):
             await client.reconfig_prepare(site, target,
                                           change.to_json())
         fenced = await client.run_transaction(write(9100))
+        installed = await _read_install(client, spec, change)
         for site in range(spec.params.n_sites):
             await client.reconfig_commit(site, target,
-                                         change.to_json())
+                                         installed.to_json())
         unfenced = await client.run_transaction(write(9101))
         try:
             return fenced, unfenced
@@ -486,6 +494,28 @@ def _write(site, seq, item):
                            (Operation(OpType.WRITE, item),))
 
 
+async def _read_install(client, spec, change):
+    """``change`` with the state its gaining sites install, read from
+    the fenced primary the way the coordinator reads it."""
+    installed = await ReconfigCoordinator(client).read_install(
+        change, spec.build_placement())
+    assert installed is not None
+    return installed
+
+
+def _copies(servers, item):
+    """Per in-process member holding ``item``: (value, version,
+    writer lineage) of its copy."""
+    copies = {}
+    for site, server in servers.items():
+        engine = server.system.site_of(site).engine
+        if engine.has_item(item):
+            record = engine.item(item)
+            copies[site] = (record.value, record.committed_version,
+                            list(record.writers))
+    return copies
+
+
 async def _version_reaches(server, item, want):
     """Poll one in-process member until its copy of ``item`` is at
     version ``want`` (False after ~4 s)."""
@@ -500,14 +530,12 @@ async def _version_reaches(server, item, want):
 
 def test_state_transfer_runs_fenced_and_commit_gossip_orders_the_swap(
         tmp_path):
-    """Reconfiguration is the one place a catch-up reply is applied,
-    and it is ordered there: the gaining site installs the transfer
-    while the item is write-fenced, and nobody else pulls anything.
-    After the swap the gained copy is fed by the FIFO chain alone —
-    the primary's commit gossip travels each channel ahead of its
-    first post-fence update, so every site on the way has adopted the
-    epoch before that update reaches it, even when the coordinator has
-    committed nobody but the primary."""
+    """The gained copy's state is read once, from the fenced primary,
+    and installed inside the epoch commit: the prepare creates nothing
+    and sends nothing, and a gaining site the coordinator never commits
+    installs the state from the primary's commit gossip, so its copy
+    equals the primary's — value, version and writer lineage — the
+    moment it adopts the epoch."""
     spec = _spec(8170)
     item, primary, gainer = 1, 1, 4
     change = PlacementChange(kind="add-replica", site=gainer, item=item)
@@ -516,49 +544,184 @@ def test_state_transfer_runs_fenced_and_commit_gossip_orders_the_swap(
         servers, client = await _boot(spec, str(tmp_path))
         for seq in (9200, 9201, 9202):
             await client.run_transaction(_write(primary, seq, item))
+        await wait_quiescent(client, timeout=20.0, settle_polls=2)
+        sent = {site: server.transport.total_sent
+                for site, server in servers.items()}
         for site in range(spec.params.n_sites):
             await client.reconfig_prepare(site, 1, change.to_json())
-        transferred = await _version_reaches(servers[gainer], item, 3)
-        fenced = (servers[gainer].pending_epoch,
-                  set(servers[gainer]._fenced_items), servers[gainer].epoch)
-        replies = {
-            site: server.metrics.snapshot()["counters"].get(
-                "catchup.replies", 0)
-            for site, server in servers.items()}
-        # Commit the primary only: its fence lifts, the rest of the
-        # cluster still sits in epoch 0 as far as the coordinator goes.
-        await client.reconfig_commit(primary, 1, change.to_json())
-        await client.adopt_epoch(1)
-        after = await client.run_transaction(
-            _write(primary, 9203, item))
-        fed = await _version_reaches(servers[gainer], item, 4)
+        prepared = (servers[gainer].system.site_of(gainer).engine
+                    .has_item(item),
+                    {site: server.transport.total_sent - sent[site]
+                     for site, server in servers.items()})
+        installed = await _read_install(client, spec, change)
+        # Commit the primary only: the gainer commits through gossip.
+        await client.reconfig_commit(primary, 1, installed.to_json())
+        for _ in range(400):
+            if servers[gainer].epoch == 1:
+                break
+            await asyncio.sleep(0.01)
+        copies = _copies(servers, item)
         epochs = {site: server.epoch for site, server in servers.items()}
         try:
-            return transferred, fenced, replies, after, fed, epochs
+            return prepared, copies, epochs
         finally:
             await _shutdown(servers, client)
 
-    transferred, fenced, replies, after, fed, epochs = \
-        asyncio.run(scenario())
-    assert transferred
-    assert fenced == (1, {item}, 0)
-    assert replies[gainer] > 0
-    assert {site for site, count in replies.items() if count} == {gainer}
-    assert after["status"] == "committed"
-    assert fed
+    (had_copy, prepare_sent), copies, epochs = asyncio.run(scenario())
+    assert not had_copy
+    assert set(prepare_sent.values()) == {0}
+    assert copies[gainer] == copies[primary]
+    assert copies[gainer][1] == 3
     assert set(epochs.values()) == {1}
 
 
+def test_write_right_after_the_primary_commit_reaches_a_gossip_only_gainer(
+        tmp_path):
+    """The ordering premise, pinned: a site gossips ``RECONFIG`` at its
+    own commit, before it forwards any update of the new epoch, and
+    both share each FIFO channel.  A write committed at the primary
+    straight after its epoch commit therefore reaches a gaining site
+    that commits only through gossip after the install, never ahead of
+    it: the gained copy ends one version past the install, with the
+    primary's lineage."""
+    spec = _spec(8150)
+    item, primary, gainer = 1, 1, 4
+    change = PlacementChange(kind="add-replica", site=gainer, item=item)
+
+    async def scenario():
+        servers, client = await _boot(spec, str(tmp_path))
+        for seq in (9500, 9501, 9502):
+            await client.run_transaction(_write(primary, seq, item))
+        for site in range(spec.params.n_sites):
+            await client.reconfig_prepare(site, 1, change.to_json())
+        installed = await _read_install(client, spec, change)
+        await client.reconfig_commit(primary, 1, installed.to_json())
+        await client.adopt_epoch(1)
+        after = await client.run_transaction(
+            _write(primary, 9503, item))
+        fed = await _version_reaches(servers[gainer], item, 4)
+        copies = _copies(servers, item)
+        epochs = {site: server.epoch for site, server in servers.items()}
+        try:
+            return after, fed, copies, epochs
+        finally:
+            await _shutdown(servers, client)
+
+    after, fed, copies, epochs = asyncio.run(scenario())
+    assert after["status"] == "committed"
+    assert fed
+    assert copies[gainer] == copies[primary]
+    assert set(epochs.values()) == {1}
+
+
+def test_reconfig_state_refuses_an_unfenced_item_and_a_locked_one(
+        tmp_path):
+    """The one read of a gained item's state is taken only where it is
+    final: at the item's primary, fenced, with no lock held or awaited
+    on it.  Anything else is refused and the coordinator keeps
+    polling."""
+    from repro.storage.locks import LockMode
+    from repro.types import GlobalTransactionId
+
+    spec = _spec(8156, n_sites=3, n_items=6)
+    item, primary = 1, 1
+    change = PlacementChange(kind="add-replica", site=0, item=item)
+
+    async def scenario():
+        servers, client = await _boot(spec, str(tmp_path))
+        answers = {"unfenced": await client.reconfig_state(primary, item)}
+        for site in range(spec.params.n_sites):
+            await client.reconfig_prepare(site, 1, change.to_json())
+        answers["replica"] = await client.reconfig_state(2, item)
+        engine = servers[primary].system.site_of(primary).engine
+        reader = engine.begin(GlobalTransactionId(primary, 9600))
+        engine.locks.acquire(reader, item, LockMode.SHARED)
+        answers["locked"] = await client.reconfig_state(primary, item)
+        engine.abort(reader)
+        answers["quiet"] = await client.reconfig_state(primary, item)
+        try:
+            return answers
+        finally:
+            await _shutdown(servers, client)
+
+    answers = asyncio.run(scenario())
+    for case in ("unfenced", "replica", "locked"):
+        assert "refused" in answers[case], case
+        assert "state" not in answers[case], case
+    assert answers["quiet"]["state"] == {
+        "item": item, "value": 0, "version": 0, "writers": []}
+
+
+def test_gaining_member_refuses_a_commit_without_its_install(tmp_path):
+    """No commit without its install: a change that lacks the state of
+    a copy the member gains is refused, and the member stays in the old
+    epoch without the copy; members that gain nothing commit it."""
+    from repro.cluster.client import ClusterError
+
+    spec = _spec(8196, n_sites=3, n_items=6)
+    change = PlacementChange(kind="add-replica", site=2, item=0)
+
+    async def scenario():
+        servers, client = await _boot(spec, str(tmp_path))
+        for site in range(spec.params.n_sites):
+            await client.reconfig_prepare(site, 1, change.to_json())
+        with pytest.raises(ClusterError, match="no install"):
+            await client.reconfig_commit(2, 1, change.to_json())
+        refused = (servers[2].epoch,
+                   servers[2].system.site_of(2).engine.has_item(0))
+        installed = await _read_install(client, spec, change)
+        await client.reconfig_commit(1, 1, change.to_json())
+        await client.reconfig_commit(2, 1, installed.to_json())
+        try:
+            return refused, servers[1].epoch, servers[2].epoch
+        finally:
+            await _shutdown(servers, client)
+
+    refused, bystander, gainer = asyncio.run(scenario())
+    assert refused == (0, False)
+    assert bystander == 1
+    assert gainer == 1
+
+
+def test_misaligned_install_raises_and_changes_nothing():
+    """An install whose lineage does not extend the local one is a
+    broken invariant (a copy only ever receives its primary's versions
+    in the primary's order), not a retry path: it raises before it
+    touches the copy, the log or the history."""
+    from repro.sim.environment import Environment
+    from repro.storage.engine import StorageEngine
+    from repro.storage.log import WriteAheadLog
+    from repro.types import GlobalTransactionId
+
+    engine = StorageEngine(Environment(), site_id=4, lock_timeout=None,
+                           wal=WriteAheadLog())
+    engine.create_item(1)
+    ours = [GlobalTransactionId(1, seq) for seq in (1, 2)]
+    assert engine.install(1, "b", 2, ours) == 2
+    logged = len(engine.wal)
+    for version, writers in (
+            (3, [GlobalTransactionId(1, 9)] + ours[1:] +
+             [GlobalTransactionId(1, 3)]),              # fork
+            (1, ours[:1]),                              # behind
+            (4, [GlobalTransactionId(1, 4)])):          # gap
+        with pytest.raises(ValueError, match="does not extend"):
+            engine.install(1, "x", version, writers)
+    record = engine.item(1)
+    assert (record.value, record.committed_version, record.writers) == \
+        ("b", 2, ours)
+    assert len(engine.wal) == logged
+    assert engine.install(1, "c", 3, ours + [
+        GlobalTransactionId(1, 3)]) == 1
 def test_power_loss_in_the_commit_window_keeps_the_gained_copy_fed(
         tmp_path):
     """Reconfiguration x crash, with no pull plane to paper over it:
     the gaining site is down while the primary commits the epoch and
     takes a post-fence write, then the whole cluster loses power, so
     every queued commit gossip is gone.  Recovered members re-send
-    their epoch's gossip ahead of everything they replay or re-forward,
-    so the gainer adopts the placement before the re-forwarded update
-    reaches it instead of discarding a write to a copy it does not yet
-    know it holds."""
+    their epoch's gossip — the change with its install — ahead of
+    everything they replay or re-forward, so the gainer installs the
+    copy and adopts the placement before the re-forwarded update
+    reaches it, and ends equal to the primary."""
     spec = _spec(8180)
     item, primary, gainer = 1, 1, 4
     change = PlacementChange(kind="add-replica", site=gainer, item=item)
@@ -569,10 +732,9 @@ def test_power_loss_in_the_commit_window_keeps_the_gained_copy_fed(
             await client.run_transaction(_write(primary, seq, item))
         for site in range(spec.params.n_sites):
             await client.reconfig_prepare(site, 1, change.to_json())
-        assert await _version_reaches(servers[gainer], item, 3)
-        servers[gainer].wal.sync()  # the transfer is on disk
+        installed = await _read_install(client, spec, change)
         servers[gainer].kill()
-        await client.reconfig_commit(primary, 1, change.to_json())
+        await client.reconfig_commit(primary, 1, installed.to_json())
         await client.adopt_epoch(1)
         outcome = await client.run_transaction(
             _write(primary, 9303, item))
@@ -592,14 +754,15 @@ def test_power_loss_in_the_commit_window_keeps_the_gained_copy_fed(
         statuses = await wait_quiescent(client, timeout=20.0,
                                         settle_polls=2)
         try:
-            return outcome, statuses
+            return outcome, statuses, _copies(servers, item)
         finally:
             await _shutdown(servers, client)
 
-    outcome, statuses = asyncio.run(scenario())
+    outcome, statuses, copies = asyncio.run(scenario())
     assert outcome["status"] == "committed"
     assert {int(status["epoch"]) for status in statuses.values()} == {1}
     versions = {site: decode_value(status["items"])[item]["version"]
                 for site, status in statuses.items()
                 if item in decode_value(status["items"])}
     assert versions[primary] == versions[gainer] == 4, versions
+    assert copies[gainer] == copies[primary]

@@ -319,7 +319,7 @@ lineage_step_strategy = st.one_of(
               st.sets(st.sampled_from(["a", "b"]), min_size=1)),
     st.tuples(st.just("abort"),
               st.sets(st.sampled_from(["a", "b"]), min_size=1)),
-    st.tuples(st.just("catchup"), st.sampled_from(["a", "b"]),
+    st.tuples(st.just("install"), st.sampled_from(["a", "b"]),
               st.integers(1, 3), st.integers(0, 2)),
     st.tuples(st.just("crash")),
 )
@@ -328,7 +328,7 @@ lineage_step_strategy = st.one_of(
 @settings(max_examples=120, deadline=None)
 @given(steps=st.lists(lineage_step_strategy, max_size=30))
 def test_property_writer_index_equals_lineage(steps):
-    """After any mix of commits, aborts, catch-up tails and
+    """After any mix of commits, aborts, installed tails and
     crash/recover rounds, ``has_applied`` answers exactly "is this gid
     in the item's ``writers`` lineage" — the index behind it is
     maintained at all three places a lineage grows."""
@@ -355,7 +355,7 @@ def test_property_writer_index_equals_lineage(steps):
     for step in steps:
         if step[0] in ("commit", "abort"):
             run_txn(env, write_txn(step[1], step[0] == "commit"))
-        elif step[0] == "catchup":
+        elif step[0] == "install":
             _, item, missed, overlap = step
             # A tail from the primary: ``overlap`` versions this copy
             # already has (their recorded writers), then ``missed`` new.
@@ -363,7 +363,7 @@ def test_property_writer_index_equals_lineage(steps):
             overlap = min(overlap, record.committed_version)
             tail = record.writers[record.committed_version - overlap:] \
                 + [fresh_gid() for _ in range(missed)]
-            assert engine.apply_catchup(
+            assert engine.install(
                 item, 7, record.committed_version + missed,
                 tail) == missed
         else:
@@ -385,7 +385,7 @@ def test_has_applied_does_not_scan_the_lineage(monkeypatch):
     env = Environment()
     engine = StorageEngine(env, site_id=0, lock_timeout=None)
     engine.create_item("a")
-    engine.apply_catchup("a", 1, 10_000,
+    engine.install("a", 1, 10_000,
                          [gid(seq) for seq in range(10_000)])
     assert engine.item("a").committed_version == 10_000
 

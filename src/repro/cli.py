@@ -172,7 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "commits")
     run_parser.add_argument("--trace", type=int, default=0,
                             metavar="N",
-                            help="print the last N protocol events")
+                            help="print the last N commit spans "
+                                 "(committed/applied, with their "
+                                 "simulated time)")
     _add_param_flags(run_parser)
 
     sweep_parser = subparsers.add_parser(
@@ -612,10 +614,15 @@ def _cmd_run(args: argparse.Namespace, out: typing.TextIO) -> int:
     config = ExperimentConfig(protocol=args.protocol, params=params,
                               seed=args.seed,
                               strict_serializability=strict)
+    sink = None
     if args.trace:
-        result, tracer = _run_traced(config)
-    else:
-        result, tracer = run_experiment(config), None
+        from repro.obs.trace import SpanObserver, TraceSink
+
+        # Keeps only the tail the report prints; the observer puts the
+        # notifying site on every span.
+        sink = TraceSink(site_id=0, capacity=args.trace)
+        config.extra_observers.append(SpanObserver(sink))
+    result = run_experiment(config)
     out.write(result.summary() + "\n")
     out.write("committed={} aborted={} duration={:.2f}s "
               "serializable={}\n".format(
@@ -634,18 +641,15 @@ def _cmd_run(args: argparse.Namespace, out: typing.TextIO) -> int:
             dict(sorted(result.messages_by_type.items()))))
         out.write("committed per site: {}\n".format(
             dict(sorted(result.committed_per_site.items()))))
-    if tracer is not None:
-        out.write("trace tail:\n" + tracer.tail(args.trace) + "\n")
+    if sink is not None:
+        out.write("trace tail:\n")
+        for span in sink.spans():
+            out.write("[{:10.4f}s] {:<9} {} @s{}{}\n".format(
+                span["now"], span["event"], span["trace"], span["site"],
+                " expects " + ",".join(
+                    "s{}".format(site) for site in span["expected"])
+                if span.get("expected") else ""))
     return 0 if result.serializable in (True, None) else 1
-
-
-def _run_traced(config: ExperimentConfig):
-    """Run one experiment with an attached event tracer."""
-    from repro.harness.tracing import Tracer
-
-    tracer = Tracer(capacity=100_000)
-    config.extra_observers.append(tracer)
-    return run_experiment(config), tracer
 
 
 def _parse_values(raw: str) -> typing.List:

@@ -169,26 +169,12 @@ def decode_message(obj: typing.Mapping[str, typing.Any]) -> Message:
 
 def encode_batch_frame(incarnation: str,
                        entries: typing.Iterable[
-                           typing.Tuple[int, Message]],
-                       stamp: typing.Optional[typing.Callable[
-                           [typing.Dict[str, typing.Any], Message],
-                           typing.Any]] = None
+                           typing.Tuple[int, Message]]
                        ) -> typing.Dict[str, typing.Any]:
-    """A ``batch`` frame object from ``(seq, message)`` pairs.
-
-    ``stamp``, when given, is called with each encoded message object
-    and its source :class:`Message` before the object is framed — the
-    observability layer uses it to attach trace ids *beside* the
-    payload (:func:`decode_message` reads only the known keys, so
-    stamped and plain frames decode identically).
-    """
-    msgs = []
-    for seq, message in entries:
-        obj = encode_message(message)
-        if stamp is not None:
-            stamp(obj, message)
-        msgs.append({"seq": int(seq), "msg": obj})
-    return {"kind": "batch", "inc": incarnation, "msgs": msgs}
+    """A ``batch`` frame object from ``(seq, message)`` pairs."""
+    return {"kind": "batch", "inc": incarnation,
+            "msgs": [{"seq": int(seq), "msg": encode_message(message)}
+                     for seq, message in entries]}
 
 
 def decode_batch_frame(obj: typing.Mapping[str, typing.Any]

@@ -88,7 +88,7 @@ from repro.obs.registry import (
     SIZE_BUCKETS,
     MetricsRegistry,
 )
-from repro.obs.trace import TraceSink, message_trace_id, trace_of_obj
+from repro.obs.trace import SpanObserver, TraceSink, message_trace_id
 # Imported from the change module directly (not repro.reconfig) to keep
 # the import graph acyclic: repro.reconfig -> coordinator -> client ->
 # this module.
@@ -112,10 +112,6 @@ from repro.types import (
 #: Protocols the live runtime supports (their cross-site interactions
 #: flow entirely through the transport + the control plane above).
 LIVE_PROTOCOLS = ("dag_wt", "backedge")
-
-#: Seconds between flight-recorder metric checkpoints (a counter-delta
-#: snapshot into a bounded ring).
-FLIGHT_CHECKPOINT_S = 2.0
 
 
 class _GroupCommitSyncer:
@@ -261,7 +257,7 @@ class SiteServer:
         self.trace = TraceSink(site_id, path=wal_path + ".trace")
         self.apply_queue_hwm = 0
         #: Black-box flight recorder (docs/OBSERVABILITY.md): bounded
-        #: rings of recent spans/metric checkpoints/events, dumped as
+        #: rings of recent spans and events, dumped as
         #: an incident bundle on a trigger (``dump`` wire op, watchdog
         #: critical, chaos verdict, SIGTERM).
         self.flight = FlightRecorder(
@@ -330,7 +326,6 @@ class SiteServer:
         self._timer: typing.Optional[asyncio.TimerHandle] = None
         self._tcp_server: typing.Optional[asyncio.AbstractServer] = None
         self._conn_writers: typing.Set[asyncio.StreamWriter] = set()
-        self._checkpoint_timer: typing.Optional[asyncio.TimerHandle] = None
         self._shutdown_task: typing.Optional[asyncio.Task] = None
         self.env: typing.Optional[Environment] = None
         self.system: typing.Optional[ReplicatedSystem] = None
@@ -364,7 +359,7 @@ class SiteServer:
         self.system = ReplicatedSystem(
             self.env, self.placement, live_system_config(self.spec),
             transport=self.transport, local_sites=[self.site_id])
-        self.system.observers.append(_SpanObserver(self))
+        self.system.observers.append(SpanObserver(self.trace))
         site = self.system.site_of(self.site_id)
         if self.wal.recovered_records:
             # Crash recovery: rebuild the engine from the redo log.
@@ -421,8 +416,6 @@ class SiteServer:
         host, port = self.spec.address(self.site_id)
         self._tcp_server = await asyncio.start_server(
             self._on_connection, host, port)
-        self._checkpoint_timer = self._loop.call_later(
-            FLIGHT_CHECKPOINT_S, self._flight_checkpoint)
         self._drive()
 
     async def serve_forever(self) -> None:
@@ -445,8 +438,6 @@ class SiteServer:
         self._closed = True
         if self._timer is not None:
             self._timer.cancel()
-        if self._checkpoint_timer is not None:
-            self._checkpoint_timer.cancel()
         if self._tcp_server is not None:
             self._tcp_server.close()
         # A real crash severs established connections too — peers and
@@ -471,8 +462,6 @@ class SiteServer:
         self._closed = True
         if self._timer is not None:
             self._timer.cancel()
-        if self._checkpoint_timer is not None:
-            self._checkpoint_timer.cancel()
         if self._tcp_server is not None:
             self._tcp_server.close()
             await self._tcp_server.wait_closed()
@@ -529,11 +518,6 @@ class SiteServer:
         self.fatal = exc
         self.flight.record_event("fatal", error=repr(exc))
         self.kill()
-
-    def _flight_checkpoint(self) -> None:
-        self.flight.checkpoint()
-        self._checkpoint_timer = self._loop.call_later(
-            FLIGHT_CHECKPOINT_S, self._flight_checkpoint)
 
     def _arm_timer(self) -> None:
         """Arm a timer for the next purely-timed event — unless the one
@@ -627,10 +611,7 @@ class SiteServer:
             return
         if not self.transport.fresh(message.src, incarnation, seq):
             return  # transport-level resend
-        # Prefer the sender's stamp; an unstamped sender omits it, so
-        # re-derive the id from the decoded payload — the trace
-        # invariant must not depend on the peer.
-        trace = trace_of_obj(obj_msg) or message_trace_id(message)
+        trace = message_trace_id(message)
         if trace:
             self.trace.emit("received", trace=trace, peer=message.src,
                             type=message.msg_type.value)
@@ -698,8 +679,7 @@ class SiteServer:
         so replay past the durable point is idempotent."""
         for entry in self.journal.entries:
             message = decode_message(entry["msg"])
-            trace = trace_of_obj(entry["msg"]) or \
-                message_trace_id(message)
+            trace = message_trace_id(message)
             if trace:
                 self.trace.emit("replayed", trace=trace, peer=message.src,
                                 type=message.msg_type.value)
@@ -1301,24 +1281,6 @@ class SiteServer:
             "epoch_skew": getattr(self.system.protocol, "epoch_skew", 0),
             "recovered": self.recovered,
         }
-
-
-class _SpanObserver:
-    """System observer translating protocol commit notifications into
-    trace spans."""
-
-    def __init__(self, server: SiteServer):
-        self.server = server
-
-    def on_primary_commit(self, gid: GlobalTransactionId, site: SiteId,
-                          time: float,
-                          expected_replicas: typing.Set[SiteId]) -> None:
-        self.server.trace.emit("committed", gid=gid, now=time,
-                               expected=sorted(expected_replicas))
-
-    def on_replica_commit(self, gid: GlobalTransactionId, site: SiteId,
-                          time: float) -> None:
-        self.server.trace.emit("applied", gid=gid, now=time)
 
 
 def _appender_stats(log) -> typing.Dict[str, int]:

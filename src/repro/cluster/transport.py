@@ -73,7 +73,7 @@ from repro.cluster.codec import (
 )
 from repro.network.message import Message, MessageType
 from repro.obs.registry import SIZE_BUCKETS, MetricsRegistry
-from repro.obs.trace import message_trace_id, stamp_message_obj
+from repro.obs.trace import message_trace_id
 from repro.types import SiteId
 
 #: Reconnect backoff bounds (seconds).
@@ -195,14 +195,8 @@ class _Channel:
                         await maybe
                         sync_s = time.perf_counter() - waited
                         self.transport._h_wal_barrier.observe(sync_s)
-                # Trace ids ride beside the payload on each wire object
-                # (stamped only when this member traces; the receiver
-                # can re-derive them from the payload regardless).
-                frame = encode_batch_frame(
-                    self.transport.incarnation, entries,
-                    stamp=(stamp_message_obj
-                           if self.transport.trace_sink is not None
-                           else None))
+                frame = encode_batch_frame(self.transport.incarnation,
+                                           entries)
                 out.write(frame)
                 for _ in range(count):
                     self.unacked.append(self.unsent.popleft())
@@ -335,9 +329,8 @@ class LiveTransport:
         self.record_deliveries = False
         self.delivery_log: typing.List[Message] = []
         #: Observability: a metrics registry (the server's, or a private
-        #: one when none is handed in) and an optional span sink; trace
-        #: ids are stamped onto outbound wire objects only when a sink
-        #: is attached.
+        #: one when none is handed in) and an optional span sink for the
+        #: ``forwarded`` and ``acked`` spans.
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry()
         self.trace_sink = trace_sink
@@ -443,13 +436,6 @@ class LiveTransport:
             return False
         self._seen[key] = seq
         return True
-
-    def mark_seen(self, src: SiteId, incarnation: str,
-                  seq: int) -> None:
-        """Pre-load the dedup table (journal replay on recovery)."""
-        key = (src, incarnation)
-        if seq > self._seen.get(key, 0):
-            self._seen[key] = seq
 
     def accept(self, src: SiteId, incarnation: str, seq: int,
                message: Message) -> bool:

@@ -65,7 +65,7 @@ class ExperimentConfig:
     #: used to *measure* the anomalies of non-serializable baselines.
     strict_serializability: bool = True
     #: Additional system observers (e.g. a
-    #: :class:`repro.harness.tracing.Tracer`) registered for the run.
+    #: :class:`repro.obs.trace.SpanObserver`) registered for the run.
     extra_observers: typing.List = dataclasses.field(
         default_factory=list)
 

@@ -1,4 +1,5 @@
-"""``repro.obs`` — telemetry for the live cluster runtime.
+"""``repro.obs`` — telemetry for the live cluster runtime (and the
+span path of ``repro run --trace``).
 
 What is left after the consumer trial (``docs/OBSERVABILITY.md`` has
 the module → consumer table):
@@ -6,10 +7,11 @@ the module → consumer table):
 - :mod:`repro.obs.registry` — a low-overhead metrics registry
   (counters, gauges, fixed-bucket histograms) instrumenting the hot
   paths of :mod:`repro.cluster`; served by the ``stats`` wire request.
-- :mod:`repro.obs.trace` — distributed update-propagation tracing:
-  deterministic per-origin-transaction trace ids stamped onto every
-  wire message derived from that transaction, and a per-site span sink
-  (ring buffer + optional JSONL file).
+- :mod:`repro.obs.trace` — update-propagation tracing: per-origin
+  transaction trace ids derived from the message payload (nothing rides
+  on the wire), a per-site span sink (ring buffer + optional JSONL
+  file), and the one span observer the live server and the simulator
+  share.
 - :mod:`repro.obs.reconstruct` — stitches span records from many sites
   into per-transaction propagation trees with per-hop latencies and
   attribution — the paper's Sec. 5.3.4 propagation-delay measure on
@@ -23,14 +25,13 @@ the module → consumer table):
   (per-site rates, lag, stage shares, propagation percentiles, active
   alerts).
 - :mod:`repro.obs.flight` — the per-site black-box flight recorder:
-  a bounded in-memory ring of recent spans, metric checkpoints and
-  cluster events, dumped atomically as a versioned incident bundle on
+  bounded in-memory rings of recent spans and cluster events, dumped
+  atomically with a metrics snapshot as a versioned incident bundle on
   watchdog criticals, chaos verdicts, the ``dump`` wire op, SIGTERM
   or a fatal exception.
 - :mod:`repro.obs.postmortem` — the ``repro postmortem`` analyzer:
-  merges bundles from all sites into one causally ordered cross-site
-  timeline (clock offsets estimated from trace-id hop pairs) with
-  automatic fault localization.
+  merges bundles from all sites into one cross-site timeline on the
+  sites' shared host clock, with automatic fault localization.
 """
 
 from repro.obs.registry import (  # noqa: F401
@@ -39,10 +40,10 @@ from repro.obs.registry import (  # noqa: F401
     validate_snapshot,
 )
 from repro.obs.trace import (  # noqa: F401
+    SpanObserver,
     TraceSink,
     load_trace_file,
     message_trace_id,
-    stamp_message_obj,
     trace_id,
 )
 from repro.obs.reconstruct import (  # noqa: F401
@@ -67,6 +68,5 @@ from repro.obs.flight import (  # noqa: F401
 from repro.obs.postmortem import (  # noqa: F401
     analyze,
     collect_bundles,
-    estimate_offsets,
     format_report,
 )

@@ -1,14 +1,14 @@
 """Per-site black-box flight recorder.
 
 Every :class:`~repro.cluster.server.SiteServer` carries a
-:class:`FlightRecorder`: a bounded, low-overhead set of rings that
-continuously capture the recent past — the span tail (shared with
-:class:`~repro.obs.trace.TraceSink`'s ring, not copied), periodic
-metric-registry checkpoints (counter deltas + gauges), notable events
-(epoch commits, alerts, lifecycle, injected faults), and pluggable
-state sources (WAL/journal positions with their durability sub-dicts,
-applied-version watermarks).  Steady-state cost is a deque append per
-event; nothing is serialized until a dump.
+:class:`FlightRecorder`: a bounded, low-overhead record of the recent
+past — the span tail (shared with :class:`~repro.obs.trace.TraceSink`'s
+ring, not copied), a ring of notable events (epoch commits, alerts,
+lifecycle, injected faults), and pluggable state sources (WAL/journal
+positions with their durability sub-dicts, applied-version
+watermarks), plus the metric registry's snapshot taken at dump time.
+Steady-state cost is a deque append per event; nothing is sampled or
+serialized until a dump.
 
 On a trigger — watchdog critical, chaos verdict failure, the ``dump``
 wire op, SIGTERM, a fatal exception, or a manual ``repro dump`` — the
@@ -41,8 +41,7 @@ BUNDLE_VERSION = 1
 #: Record types a bundle may carry beyond the manifest.  Unknown types
 #: are tolerated by the validator (forward compatibility) but each
 #: record must declare one.
-RECORD_TYPES = ("event", "checkpoint", "span", "metrics", "stage",
-                "state")
+RECORD_TYPES = ("event", "span", "metrics", "state")
 
 #: Bundle filename pattern (``site``, ``sequence``).
 BUNDLE_NAME = "flight-s{}-{:03d}.jsonl"
@@ -97,7 +96,7 @@ class FlightRecorder:
         its existing ring *is* the span buffer, no copy is kept here.
     metrics:
         The site's :class:`~repro.obs.registry.MetricsRegistry` (or
-        ``None``); checkpoints and the final snapshot come from it.
+        ``None``); the bundle's ``metrics`` snapshot comes from it.
     epoch:
         Zero-argument callable returning the site's current
         configuration epoch at dump time.
@@ -117,7 +116,6 @@ class FlightRecorder:
                                                          typing.Any]] = None,
                  default_dir: typing.Optional[str] = None,
                  max_events: int = 512,
-                 max_checkpoints: int = 64,
                  span_limit: int = 4096):
         self.site = int(site)
         self.trace = trace
@@ -128,9 +126,6 @@ class FlightRecorder:
         self.span_limit = int(span_limit)
         self._events: typing.Deque[typing.Dict[str, typing.Any]] = \
             collections.deque(maxlen=int(max_events))
-        self._checkpoints: typing.Deque[typing.Dict[str, typing.Any]] = \
-            collections.deque(maxlen=int(max_checkpoints))
-        self._last_counters: typing.Dict[str, int] = {}
         self._sources: typing.Dict[str, typing.Callable[[], typing.Any]] \
             = {}
         self.dumps = 0
@@ -163,30 +158,6 @@ class FlightRecorder:
         self._events.append(event)
         return event
 
-    def checkpoint(self) -> typing.Optional[typing.Dict[str, typing.Any]]:
-        """Snapshot the metric registry's counters/gauges as a delta
-        against the previous checkpoint.  Cheap enough for the server's
-        periodic timer; a no-op for a recorder handed no registry."""
-        if self.metrics is None:
-            return None
-        snapshot = self.metrics.snapshot()
-        counters = {name: int(value) for name, value
-                    in snapshot.get("counters", {}).items()}
-        delta = {name: value - self._last_counters.get(name, 0)
-                 for name, value in counters.items()
-                 if value != self._last_counters.get(name, 0)}
-        self._last_counters = counters
-        record = {
-            "t": time.time(),
-            "mono": time.monotonic(),
-            "counters_delta": delta,
-            "gauges": {name: gauge.get("value")
-                       for name, gauge
-                       in snapshot.get("gauges", {}).items()},
-        }
-        self._checkpoints.append(record)
-        return record
-
     # ------------------------------------------------------------------
     # Dumping
     # ------------------------------------------------------------------
@@ -203,21 +174,14 @@ class FlightRecorder:
         records: typing.List[typing.Dict[str, typing.Any]] = []
         for event in self._events:
             records.append(dict(event, type="event"))
-        for checkpoint in self._checkpoints:
-            records.append(dict(checkpoint, type="checkpoint"))
         dropped_spans = 0
         if self.trace is not None:
             dropped_spans = getattr(self.trace, "dropped", 0)
             for span in self.trace.spans(limit=self.span_limit):
                 records.append(dict(span, type="span"))
         if self.metrics is not None:
-            snapshot = self.metrics.snapshot()
             records.append({"type": "metrics", "t": time.time(),
-                            "snapshot": snapshot})
-            timers = _stage_summaries(snapshot)
-            if timers:
-                records.append({"type": "stage", "t": time.time(),
-                                "timers": timers})
+                            "snapshot": self.metrics.snapshot()})
         for name, fn in sorted(self._sources.items()):
             try:
                 value = fn()
@@ -283,25 +247,6 @@ class FlightRecorder:
         self.last_dump_path = path
         self.last_dump_records = len(records)
         return path
-
-
-def _stage_summaries(snapshot: typing.Mapping[str, typing.Any]
-                     ) -> typing.Dict[str, typing.Dict[str, typing.Any]]:
-    """Compact stage-timer summary from a registry snapshot: per
-    histogram with samples, its count and pre-derived quantiles."""
-    timers: typing.Dict[str, typing.Dict[str, typing.Any]] = {}
-    for name, hist in snapshot.get("histograms", {}).items():
-        count = hist.get("count") or 0
-        if not count:
-            continue
-        timers[name] = {
-            "count": count,
-            "sum": hist.get("sum"),
-            "p50": hist.get("p50"),
-            "p95": hist.get("p95"),
-            "max": hist.get("max"),
-        }
-    return timers
 
 
 # ----------------------------------------------------------------------

@@ -6,31 +6,20 @@ causally ordered cross-site picture:
 
 1. **Collect** bundles (files or directories), keeping the newest
    bundle per site when a site dumped more than once.
-2. **Align clocks**: per-site offsets are estimated from trace-id hop
-   pairs — a ``forwarded`` span at the sender and the matching
-   ``received`` span at the receiver bound the skew between the two
-   sites.  With traffic in both directions the one-way latencies
-   cancel (offset ≈ half the difference of the two minimum deltas);
-   with one direction only, the minimum delta is an upper bound and
-   the estimate is biased by the network latency — the report says
-   which method each site got.  Sites reachable by no hop pair stay
-   unaligned (offset 0).
-3. **Merge** into one timeline: recorded events (alerts, epoch
+2. **Merge** into one timeline: recorded events (alerts, epoch
    commits, injected faults, lifecycle), bundle-dump markers, and
-   propagation-stall aggregates, all on the aligned clock, interleaved
-   with the reconstructed propagation trees and per-hop attribution of
-   :mod:`repro.obs.reconstruct`.
-4. **Localize**: rank findings — divergence, dead/dark sites, stalled
+   propagation-stall aggregates, interleaved with the reconstructed
+   propagation trees and per-hop attribution of
+   :mod:`repro.obs.reconstruct`.  Every site of a cluster runs on one
+   host (:meth:`repro.cluster.spec.ClusterSpec.address`) and stamps
+   ``time.time()``, so records merge on their recorded ``t`` as they
+   are.
+3. **Localize**: rank findings — divergence, dead/dark sites, stalled
    hops — each with the site and the time window the evidence spans
    ("first stall at hop s0→s2 within +1.2s..+3.4s").
 
 Outputs: a terminal report (:func:`format_report`); the analysis
 itself is plain JSON types (``repro postmortem --json``).
-
-All live runs in this repo share one host clock, so the estimated
-offsets should be ~0 there; the machinery exists for genuinely
-distributed bundles (and is exercised with synthetic skew in the
-tests).
 """
 
 from __future__ import annotations
@@ -121,101 +110,6 @@ def _latest_per_site(bundles: typing.Iterable[Bundle]
 
 
 # ----------------------------------------------------------------------
-# Clock alignment
-# ----------------------------------------------------------------------
-
-def estimate_offsets(spans_by_site: typing.Mapping[
-        int, typing.List[typing.Dict[str, typing.Any]]]
-        ) -> typing.Dict[str, typing.Any]:
-    """Per-site clock offsets from trace-id hop pairs.
-
-    ``offsets[site]`` is what to *subtract* from that site's local
-    timestamps to land on the reference site's clock.
-    """
-    forwarded: typing.Dict[typing.Tuple[int, int, str], float] = {}
-    received: typing.Dict[typing.Tuple[int, str], float] = {}
-    for site, spans in spans_by_site.items():
-        for span in spans:
-            wall = span.get("t")
-            if not isinstance(wall, (int, float)):
-                continue
-            traces: typing.List[str] = []
-            trace = span.get("trace")
-            if isinstance(trace, str):
-                traces.append(trace)
-            for tid in span.get("traces", ()) or ():
-                if isinstance(tid, str) and tid not in traces:
-                    traces.append(tid)
-            if not traces:
-                continue
-            event = span.get("event")
-            if event == "forwarded":
-                peer = span.get("peer")
-                if not isinstance(peer, int):
-                    continue
-                for tid in traces:
-                    key = (site, peer, tid)
-                    if key not in forwarded or wall < forwarded[key]:
-                        forwarded[key] = float(wall)
-            elif event == "received":
-                for tid in traces:
-                    rkey = (site, tid)
-                    if rkey not in received or wall < received[rkey]:
-                        received[rkey] = float(wall)
-    deltas: typing.Dict[typing.Tuple[int, int], float] = {}
-    pair_count = 0
-    for (src, dst, tid), sent in forwarded.items():
-        got = received.get((dst, tid))
-        if got is None:
-            continue
-        pair_count += 1
-        key = (src, dst)
-        delta = got - sent
-        if key not in deltas or delta < deltas[key]:
-            deltas[key] = delta
-
-    sites = sorted(spans_by_site)
-    offsets: typing.Dict[int, float] = {}
-    methods: typing.Dict[int, str] = {}
-    if sites:
-        reference = sites[0]
-        offsets[reference] = 0.0
-        methods[reference] = "reference"
-        frontier = [reference]
-        while frontier:
-            src = frontier.pop(0)
-            for dst in sites:
-                if dst in offsets:
-                    continue
-                d_ab = deltas.get((src, dst))
-                d_ba = deltas.get((dst, src))
-                if d_ab is not None and d_ba is not None:
-                    relative = (d_ab - d_ba) / 2.0
-                    method = "bidirectional"
-                elif d_ab is not None:
-                    relative = d_ab
-                    method = "one-way"
-                elif d_ba is not None:
-                    relative = -d_ba
-                    method = "one-way"
-                else:
-                    continue
-                offsets[dst] = offsets[src] + relative
-                methods[dst] = method
-                frontier.append(dst)
-    for site in sites:
-        if site not in offsets:
-            offsets[site] = 0.0
-            methods[site] = "unaligned"
-    return {
-        "reference": sites[0] if sites else None,
-        "offsets": offsets,
-        "methods": methods,
-        "pairs": pair_count,
-    }
-
-
-# ----------------------------------------------------------------------
 # Analysis
 # ----------------------------------------------------------------------
 
@@ -240,24 +134,14 @@ def analyze(bundles: typing.List[Bundle],
 
     spans_by_site = {site: bundle.spans()
                      for site, bundle in latest.items()}
-    clock = estimate_offsets(spans_by_site)
-    offsets = clock["offsets"]
-
-    aligned_spans: typing.List[typing.Dict[str, typing.Any]] = []
-    for site, spans in spans_by_site.items():
-        shift = offsets.get(site, 0.0)
-        for span in spans:
-            wall = span.get("t")
-            if isinstance(wall, (int, float)):
-                span = dict(span, t=float(wall) - shift)
-            aligned_spans.append(span)
-    trees = reconstruct(aligned_spans)
+    spans = [span for site_spans in spans_by_site.values()
+             for span in site_spans]
+    trees = reconstruct(spans)
 
     timeline: typing.List[typing.Dict[str, typing.Any]] = []
     for site, bundle in sorted(latest.items()):
-        shift = offsets.get(site, 0.0)
         timeline.append({
-            "t": bundle.wall_t - shift, "site": site, "kind": "dump",
+            "t": bundle.wall_t, "site": site, "kind": "dump",
             "label": "bundle dumped (trigger {})".format(
                 bundle.manifest.get("trigger")),
         })
@@ -267,7 +151,7 @@ def analyze(bundles: typing.List[Bundle],
                 continue
             entry = {key: value for key, value in event.items()
                      if key not in ("t", "mono", "type")}
-            entry.update(t=float(wall) - shift, site=site,
+            entry.update(t=float(wall), site=site,
                          kind=str(event.get("kind", "event")),
                          label=_event_label(event))
             timeline.append(entry)
@@ -286,7 +170,7 @@ def analyze(bundles: typing.List[Bundle],
 
     times = [entry["t"] for entry in timeline
              if isinstance(entry.get("t"), (int, float))]
-    times.extend(span["t"] for span in aligned_spans
+    times.extend(span["t"] for span in spans
                  if isinstance(span.get("t"), (int, float)))
     window = [min(times), max(times)] if times else [0.0, 0.0]
 
@@ -303,14 +187,6 @@ def analyze(bundles: typing.List[Bundle],
             "records": len(bundle.records),
             "spans": len(spans_by_site.get(site, ())),
         } for site, bundle in sorted(latest.items())],
-        "clock": {
-            "reference": clock["reference"],
-            "pairs": clock["pairs"],
-            "offsets_ms": {str(site): offset * 1000.0
-                           for site, offset in offsets.items()},
-            "methods": {str(site): method
-                        for site, method in clock["methods"].items()},
-        },
         "propagation": propagation_summary(trees),
         "attribution": attribution_summary(trees, top=3),
         "timeline": timeline,
@@ -490,18 +366,6 @@ def format_report(analysis: typing.Mapping[str, typing.Any],
             "git {}".format(
                 bundle["site"], bundle["records"], bundle["spans"],
                 bundle["trigger"], bundle["epoch"], bundle["git_sha"]))
-
-    clock = analysis["clock"]
-    parts = []
-    for site in analysis["sites"]:
-        method = clock["methods"].get(str(site), "unaligned")
-        if method == "reference":
-            parts.append("s{} reference".format(site))
-        else:
-            parts.append("s{} {:+.3f}ms ({})".format(
-                site, clock["offsets_ms"].get(str(site), 0.0), method))
-    lines.append("clock alignment: {} hop pair(s); {}".format(
-        clock["pairs"], "; ".join(parts) if parts else "n/a"))
 
     propagation = analysis["propagation"]
     lines.append(

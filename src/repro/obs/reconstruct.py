@@ -6,11 +6,13 @@ into one :class:`PropagationTree`: the origin commit at the root, one
 hop per replica site with its received → journaled → applied
 timestamps, and the end-to-end **propagation delay** (origin commit to
 last expected replica apply).  This is the paper's Sec. 5.3.4 measure,
-taken on real sockets instead of the simulator's perfect clock.
+taken on real sockets.
 
-All sites of a live cluster share one host clock (``time.time()``), so
-cross-site deltas are directly meaningful here; on a genuinely
-distributed deployment they would inherit the clock skew of the hosts.
+All sites of a cluster run on one host and share its clock
+(``time.time()``), so cross-site deltas are directly meaningful.  The
+simulator's spans (``repro run --trace``) carry its virtual time in
+``now`` beside that wall time; over them the trees match the
+simulator's own propagation bookkeeping.
 """
 
 from __future__ import annotations
@@ -83,13 +85,6 @@ class PropagationTree:
             return None
         return max(self.applied_at(site) for site in self.expected) \
             - self.committed_t
-
-    def hop_delay(self, site: int) -> typing.Optional[float]:
-        """Origin commit → apply at one replica site."""
-        applied = self.applied_at(site)
-        if applied is None or self.committed_t is None:
-            return None
-        return applied - self.committed_t
 
 
 def reconstruct(spans: typing.Iterable[typing.Mapping[str, typing.Any]]

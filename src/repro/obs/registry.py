@@ -136,10 +136,6 @@ class Histogram:
     def sum(self) -> float:
         return self._sum
 
-    def bucket_counts(self) -> typing.List[int]:
-        """Per-bucket counts; the last entry is the overflow bucket."""
-        return list(self._counts)
-
     def percentile(self, pct: float) -> float:
         """Upper-bound estimate of the ``pct``-th percentile."""
         with self._lock:

@@ -1,19 +1,14 @@
-"""Distributed update-propagation tracing for the live cluster.
+"""Update-propagation tracing, shared by the simulator and the live
+cluster.
 
 Every origin (primary) transaction gets a **trace id** derived
 deterministically from its global transaction id (:func:`trace_id`).
 Deterministic derivation is the crash-safety trick: a restarted site
-re-forwarding committed primaries from its WAL, or a gaining site
-installing a copy's lineage at an epoch commit, derives exactly the
-same trace id without any volatile lookup table — the invariant "every
-wire message derived from an origin transaction carries its trace id"
-survives restarts for free.
-
-The sender stamps the id onto the *wire object* of each message
-(:func:`stamp_message_obj`), outside the protocol payload: the protocol
-classes never see it, the codec ignores unknown keys, un-stamped
-frames decode identically, and the receiver can always re-derive the
-id from the decoded payload anyway.
+re-forwarding committed primaries from its WAL, a receiver replaying
+its inbox journal, or a gaining site installing a copy's lineage at an
+epoch commit derives exactly the same trace id from the message
+payload (:func:`message_trace_id`) without any volatile lookup table,
+and nothing rides on the wire beside the payload.
 
 Each site appends timestamped **span records** to its
 :class:`TraceSink`: a bounded in-memory ring (served live by the
@@ -24,6 +19,10 @@ Span events along one update's life:
 → forwarded → ... → acked`` (plus ``aborted``, ``replayed`` on the
 recovery path, and ``caught-up`` where an epoch commit installs a
 gained copy).
+
+:class:`SpanObserver` turns the protocols' commit notifications into
+``committed``/``applied`` spans; the live server and ``repro run
+--trace`` register the same observer.
 
 :mod:`repro.obs.reconstruct` stitches spans from all sites back into
 the origin→replica propagation tree with per-hop latencies.
@@ -63,19 +62,6 @@ def trace_id(gid: GlobalTransactionId) -> str:
     return "t{}.{}".format(gid.site, gid.seq)
 
 
-def gid_of_trace(trace: str) -> typing.Optional[GlobalTransactionId]:
-    """Invert :func:`trace_id`; ``None`` for a malformed id."""
-    if not isinstance(trace, str) or not trace.startswith("t"):
-        return None
-    site, sep, seq = trace[1:].partition(".")
-    if not sep:
-        return None
-    try:
-        return GlobalTransactionId(int(site), int(seq))
-    except ValueError:
-        return None
-
-
 def message_trace_id(message) -> typing.Optional[str]:
     """Trace id of the origin transaction ``message`` derives from.
 
@@ -87,29 +73,6 @@ def message_trace_id(message) -> typing.Optional[str]:
     gid = message.payload.get("gid")
     return trace_id(gid) if isinstance(gid, GlobalTransactionId) \
         else None
-
-
-def stamp_message_obj(obj: typing.Dict[str, typing.Any],
-                      message) -> typing.Dict[str, typing.Any]:
-    """Stamp trace ids onto an encoded wire message object, in place.
-
-    ``obj`` is the dict :func:`repro.cluster.codec.encode_message`
-    produced; the stamp lives beside (not inside) the payload, so
-    :func:`decode_message` and the protocols never see it, and the
-    journal — which stores the wire object verbatim — preserves it
-    across a receiver crash.
-    """
-    trace = message_trace_id(message)
-    if trace:
-        obj["trace"] = trace
-    return obj
-
-
-def trace_of_obj(obj: typing.Mapping[str, typing.Any]
-                 ) -> typing.Optional[str]:
-    """The trace id stamped on a wire message object, if any."""
-    trace = obj.get("trace")
-    return trace if isinstance(trace, str) else None
 
 
 class TraceSink:
@@ -157,7 +120,9 @@ class TraceSink:
         :class:`GlobalTransactionId`, encoded as ``[site, seq]``),
         ``now`` (site-local virtual time), ``peer`` (the other site of
         a hop), ``type`` (wire message type), ``traces`` (a span
-        that serves several origins), plus free-form extras.
+        that serves several origins), ``site`` (overrides the sink's
+        own id where one sink records several sites), plus free-form
+        extras.
         """
         span: typing.Dict[str, typing.Any] = {
             "t": time.time(),
@@ -224,6 +189,29 @@ class TraceSink:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+
+
+class SpanObserver:
+    """System observer turning the protocols' commit notifications into
+    ``committed`` and ``applied`` spans on ``sink``.
+
+    The notifying ``site`` rides on each span, so one sink serves a
+    live site and a whole simulated system alike; ``now`` is the
+    kernel's virtual time of the commit.
+    """
+
+    def __init__(self, sink: TraceSink):
+        self.sink = sink
+
+    def on_primary_commit(self, gid: GlobalTransactionId, site: int,
+                          time: float,
+                          expected_replicas: typing.Set[int]) -> None:
+        self.sink.emit("committed", gid=gid, site=site, now=time,
+                       expected=sorted(expected_replicas))
+
+    def on_replica_commit(self, gid: GlobalTransactionId, site: int,
+                          time: float) -> None:
+        self.sink.emit("applied", gid=gid, site=site, now=time)
 
 
 def load_trace_file(path: str

@@ -45,6 +45,21 @@ def test_run_verbose_includes_message_counts():
     assert "committed per site" in output
 
 
+def test_run_trace_prints_the_span_tail_with_simulated_time():
+    import re
+
+    code, output = run_cli("run", "--trace", "5", *SMALL)
+    assert code == 0
+    tail = output.split("trace tail:\n", 1)[1].splitlines()
+    assert len(tail) == 5
+    pattern = r"\[ *(\d+\.\d{4})s\] (committed|applied) +t\d+\.\d+ @s\d+" \
+              r"( expects s\d+(,s\d+)*)?"
+    assert all(re.fullmatch(pattern, line) for line in tail), tail
+    times = [float(re.match(r"\[ *([\d.]+)s\]", line).group(1))
+             for line in tail]
+    assert times == sorted(times)
+
+
 def test_run_unknown_protocol_raises():
     from repro.errors import ConfigurationError
     with pytest.raises(ConfigurationError):

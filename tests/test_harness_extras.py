@@ -1,15 +1,15 @@
 """Tests for the harness extras: ASCII plots, multi-seed analysis,
-serialization-order witnesses, and event tracing."""
+serialization-order witnesses, and span tracing of simulated runs."""
 
 import pytest
 
 from repro.errors import SerializabilityViolation
 from repro.harness.analysis import MetricSummary, compare, replicate
 from repro.harness.plots import render_series, render_sweep
-from repro.harness.runner import ExperimentConfig
+from repro.harness.runner import ExperimentConfig, run_experiment
 from repro.harness.serializability import serialization_order
 from repro.harness.sweep import sweep
-from repro.harness.tracing import Tracer
+from repro.obs.trace import SpanObserver, TraceSink, trace_id
 from repro.types import GlobalTransactionId
 from repro.workload.params import WorkloadParams
 
@@ -141,65 +141,53 @@ def test_compare_backedge_beats_psl():
 
 
 # ----------------------------------------------------------------------
-# Tracing
+# Tracing: the shared span observer on a simulated run
 # ----------------------------------------------------------------------
 
 
 def test_tracer_collects_protocol_events():
-    from repro.harness.runner import build_system
-    from repro.sim.events import AllOf
-    from repro.errors import TransactionAborted
+    sink = TraceSink(site_id=0)
+    run_experiment(ExperimentConfig(
+        protocol="backedge", params=TINY, seed=1,
+        extra_observers=[SpanObserver(sink)]))
 
-    config = ExperimentConfig(protocol="backedge", params=TINY, seed=1)
-    env, system, protocol, generator = build_system(config)
-    tracer = Tracer()
-    system.observers.append(tracer)
-
-    processes = []
-    for site_id in range(TINY.n_sites):
-        ref = []
-
-        def client(site_id=site_id, ref=ref):
-            for spec in generator.thread_stream(site_id, 0):
-                try:
-                    yield from protocol.run_transaction(site_id, spec,
-                                                        ref[0])
-                except TransactionAborted:
-                    pass
-
-        ref.append(env.process(client()))
-        processes.append(ref[0])
-    env.run(until=AllOf(env, processes))
-    env.run(until=env.now + 2.0)
-
-    commits = tracer.of_kind("primary_commit")
+    commits = [span for span in sink.spans()
+               if span["event"] == "committed"]
     assert commits
     # For some committed txn with replicas, applications follow commit.
-    for event in commits:
-        if event.details["expected_replicas"]:
-            chain = tracer.propagation_events(event.gid)
-            assert chain[0].kind == "primary_commit"
-            assert all(later.time >= event.time for later in chain)
+    for commit in commits:
+        if commit["expected"]:
+            chain = sink.spans(trace=commit["trace"])
+            assert chain[0] is commit
+            assert all(span["now"] >= commit["now"] for span in chain)
+            assert {span["site"] for span in chain[1:]} <= \
+                set(commit["expected"])
             break
-    assert "primary_commit" in tracer.tail()
+    else:
+        raise AssertionError("no committed transaction had replicas")
 
 
 def test_tracer_capacity_bound():
-    tracer = Tracer(capacity=2)
-    tracer.on_primary_commit(gid(1), 0, 1.0, set())
-    tracer.on_replica_commit(gid(1), 1, 2.0)
-    tracer.on_replica_commit(gid(1), 2, 3.0)
-    assert len(tracer) == 2
-    assert tracer.dropped == 1
-    assert "dropped" in tracer.tail()
+    sink = TraceSink(site_id=0, capacity=2)
+    observer = SpanObserver(sink)
+    observer.on_primary_commit(gid(1), 0, 1.0, set())
+    observer.on_replica_commit(gid(1), 1, 2.0)
+    observer.on_replica_commit(gid(1), 2, 3.0)
+    assert len(sink) == 2
+    assert sink.dropped == 1
+    # The ring keeps the newest spans.
+    assert [span["site"] for span in sink.spans()] == [1, 2]
 
 
 def test_tracer_queries():
-    tracer = Tracer()
-    tracer.on_primary_commit(gid(1), 0, 1.0, {1})
-    tracer.on_replica_commit(gid(1), 1, 2.0)
-    tracer.on_primary_commit(gid(2), 0, 3.0, set())
-    assert len(tracer.of_gid(gid(1))) == 2
-    assert len(tracer.of_kind("primary_commit")) == 2
-    assert [event.site for event
-            in tracer.propagation_events(gid(1))] == [0, 1]
+    sink = TraceSink(site_id=0)
+    observer = SpanObserver(sink)
+    observer.on_primary_commit(gid(1), 0, 1.0, {1})
+    observer.on_replica_commit(gid(1), 1, 2.0)
+    observer.on_primary_commit(gid(2), 0, 3.0, set())
+    assert len(sink.spans(trace=trace_id(gid(1)))) == 2
+    assert len([span for span in sink.spans()
+                if span["event"] == "committed"]) == 2
+    assert [(span["event"], span["site"], span["now"]) for span
+            in sink.spans(trace=trace_id(gid(1)))] == \
+        [("committed", 0, 1.0), ("applied", 1, 2.0)]

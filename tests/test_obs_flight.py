@@ -2,7 +2,8 @@
 validation, and the ``dump`` wire op on a live cluster.
 
 The unit tests drive :class:`~repro.obs.flight.FlightRecorder`
-directly — ring bounds, checkpoint deltas, damaged bundles.  The live tests boot a real 3-site cluster and prove
+directly — ring bounds, the metrics snapshot, damaged bundles.  The
+live tests boot a real 3-site cluster and prove
 the acceptance property: a dump taken *under load* runs off the event
 loop, so every transaction still gets its ack and the convergence /
 serializability oracles stay green while bundles land on disk.
@@ -42,7 +43,7 @@ def make_spec():
 
 
 # ----------------------------------------------------------------------
-# Rings and checkpoints
+# Rings and the metrics snapshot
 # ----------------------------------------------------------------------
 
 def test_event_ring_keeps_only_the_recent_past():
@@ -58,31 +59,29 @@ def test_event_ring_keeps_only_the_recent_past():
     assert all("t" in event and "mono" in event for event in events)
 
 
-def test_checkpoint_records_counter_deltas_and_gauges():
+def test_bundle_metrics_record_is_the_registry_at_dump_time():
+    """The one metrics record is the registry's snapshot when the dump
+    gathers."""
     metrics = MetricsRegistry()
     counter = metrics.counter("txn.committed")
     metrics.gauge("server.apply_queue").set(7)
-    recorder = FlightRecorder(1, metrics=metrics, max_checkpoints=4)
+    recorder = FlightRecorder(1, metrics=metrics)
     counter.inc(5)
-    first = recorder.checkpoint()
-    assert first["counters_delta"]["txn.committed"] == 5
-    assert first["gauges"]["server.apply_queue"] == 7
-    counter.inc(3)
-    second = recorder.checkpoint()
-    assert second["counters_delta"] == {"txn.committed": 3}
-    # An unchanged counter leaves the delta entirely.
-    third = recorder.checkpoint()
-    assert third["counters_delta"] == {}
-    for _ in range(10):
-        recorder.checkpoint()
     _, records = recorder.gather("test")
-    checkpoints = [record for record in records
-                   if record["type"] == "checkpoint"]
-    assert len(checkpoints) == 4
+    counter.inc(3)
+    manifest, later = recorder.gather("test")
+    (first,) = [r for r in records if r["type"] == "metrics"]
+    (second,) = [r for r in later if r["type"] == "metrics"]
+    assert first["snapshot"]["counters"]["txn.committed"] == 5
+    assert first["snapshot"]["gauges"]["server.apply_queue"]["value"] == 7
+    assert second["snapshot"]["counters"]["txn.committed"] == 8
+    assert set(manifest["counts"]) == {"metrics"}
 
 
-def test_checkpoint_is_noop_without_live_metrics():
-    assert FlightRecorder(0).checkpoint() is None
+def test_bundle_has_no_metrics_record_without_registry():
+    manifest, records = FlightRecorder(0).gather("test")
+    assert records == []
+    assert "metrics" not in manifest["counts"]
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +100,6 @@ def test_dump_writes_valid_bundle_atomically(tmp_path):
         cluster={"n_sites": 3, "protocol": "dag_wt"})
     recorder.add_source("watermarks", lambda: {"3": 4})
     recorder.record_event("server-start", epoch=2)
-    recorder.checkpoint()
 
     path = recorder.dump("unit-test", out_dir=str(tmp_path))
     assert os.path.basename(path) == "flight-s0-001.jsonl"
@@ -115,7 +113,9 @@ def test_dump_writes_valid_bundle_atomically(tmp_path):
     assert manifest["cluster"]["protocol"] == "dag_wt"
     assert sum(manifest["counts"].values()) == len(records)
     assert len([r for r in records if r["type"] == "span"]) == 5
-    assert len([r for r in records if r["type"] == "stage"]) == 1
+    (snapshot,) = [r["snapshot"] for r in records
+                   if r["type"] == "metrics"]
+    assert snapshot["histograms"]["server.apply_s"]["count"] == 1
     states = {record["name"]: record for record in records
               if record["type"] == "state"}
     assert states["watermarks"]["state"] == {"3": 4}

@@ -50,7 +50,7 @@ def test_histogram_bucket_edges_are_le_semantics():
     hist.observe(2.0)      # == second edge -> bucket 1
     hist.observe(4.0)      # == last edge -> bucket 2
     hist.observe(99.0)     # overflow
-    assert hist.bucket_counts() == [1, 2, 1, 1]
+    assert hist.snapshot()["counts"] == [1, 2, 1, 1]
     assert hist.count == 5
     assert hist.sum == pytest.approx(1.0 + 1.0001 + 2.0 + 4.0 + 99.0)
     snap = hist.snapshot()
@@ -120,7 +120,7 @@ def test_instruments_are_exact_under_thread_concurrency():
     total = n_threads * per_thread
     assert counter.value == total
     assert hist.count == total
-    assert hist.bucket_counts() == [0, total, 0]
+    assert hist.snapshot()["counts"] == [0, total, 0]
     assert hist.sum == pytest.approx(float(total))
 
 

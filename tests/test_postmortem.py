@@ -1,26 +1,22 @@
-"""Cross-site postmortem forensics: clock alignment from hop pairs,
-fault localization over synthetic incident bundles, and the end-to-end
-chaos → bundles → ``repro postmortem`` loop.
+"""Cross-site postmortem forensics: fault localization over synthetic
+incident bundles, and the end-to-end chaos → bundles → ``repro
+postmortem`` loop.
 
-The synthetic tests write bundles with controlled span timestamps
-(including injected clock skew) and assert the analyzer recovers the
-skew, names the dark site, and localizes the stalled hop.  The e2e
-test runs the committed known-bad chaos fixture with ``bundle_dir``
-armed and proves a failing verdict leaves one bundle per member plus
-the injection log, and that the analysis localizes the regression
-site.
+The synthetic tests write bundles with controlled span timestamps and
+assert the analyzer merges them on the recorded clock, names the dark
+site, and localizes the stalled hop.  The e2e test runs the committed
+known-bad chaos fixture with ``bundle_dir`` armed and proves a failing
+verdict leaves one bundle per member plus the injection log, and that
+the analysis localizes the regression site.
 """
 
 import json
-
-import pytest
 
 from repro.obs.flight import BUNDLE_NAME, write_bundle
 from repro.obs.postmortem import (
     Bundle,
     analyze,
     collect_bundles,
-    estimate_offsets,
     format_report,
 )
 
@@ -47,51 +43,6 @@ def make_bundle(directory, site, wall_t, spans=(), events=(),
     path = str(directory / BUNDLE_NAME.format(site, sequence))
     write_bundle(path, manifest, records)
     return path
-
-
-# ----------------------------------------------------------------------
-# Clock alignment
-# ----------------------------------------------------------------------
-
-def test_bidirectional_hop_pairs_recover_injected_skew():
-    """Traffic both ways between two sites: the one-way latencies
-    cancel and the estimated offset is the injected skew exactly."""
-    base = 1000.0
-    skew = 0.5      # site 1's clock runs half a second ahead
-    latency = 0.01  # symmetric one-way network latency
-    spans0 = [span(0, base + 0.00, "forwarded", "t0.1", peer=1),
-              span(0, base + 0.10 + latency, "received", "t1.1")]
-    spans1 = [span(1, base + latency + skew, "received", "t0.1"),
-              span(1, base + 0.10 + skew, "forwarded", "t1.1",
-                   peer=0)]
-    clock = estimate_offsets({0: spans0, 1: spans1})
-    assert clock["reference"] == 0
-    assert clock["methods"] == {0: "reference", 1: "bidirectional"}
-    assert clock["pairs"] == 2
-    assert clock["offsets"][0] == 0.0
-    assert clock["offsets"][1] == pytest.approx(skew)
-
-
-def test_one_way_traffic_bounds_skew_within_latency():
-    base = 1000.0
-    skew = -0.2
-    latency = 0.02
-    spans0 = [span(0, base, "forwarded", "t0.1", peer=2)]
-    spans2 = [span(2, base + latency + skew, "received", "t0.1")]
-    clock = estimate_offsets({0: spans0, 2: spans2})
-    assert clock["methods"][2] == "one-way"
-    # One-way estimates are biased by the (unknowable) latency.
-    assert abs(clock["offsets"][2] - skew) <= latency + 1e-9
-    assert clock["pairs"] == 1
-
-
-def test_site_with_no_hop_pairs_stays_unaligned():
-    spans0 = [span(0, 1000.0, "committed", "t0.1", expected=[1])]
-    spans1 = [span(1, 1000.5, "applied", "t9.9")]
-    clock = estimate_offsets({0: spans0, 1: spans1})
-    assert clock["methods"] == {0: "reference", 1: "unaligned"}
-    assert clock["offsets"][1] == 0.0
-    assert clock["pairs"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -187,7 +138,6 @@ def test_report_renders_localization(tmp_path):
         injections=[{"t": 0.4, "kind": "kill", "site": 2}])
     report = format_report(analysis)
     assert "postmortem: 3 bundle(s) from s0, s1, s2" in report
-    assert "clock alignment:" in report
     assert "fault localization:" in report
     assert "s2 dark" in report
     assert "fault script (1 injection decision(s)" in report
@@ -203,30 +153,24 @@ def test_report_renders_localization(tmp_path):
     json.dumps(analysis)  # the analysis is its machine-readable view
 
 
-def test_skewed_bundles_align_back_into_one_timeline(tmp_path):
-    """Site 1's bundle carries a +2 s clock skew; alignment must fold
-    its spans back so the s0→s1 hop delay is physical again."""
-    base, skew, latency = 3000.0, 2.0, 0.005
-    spans0 = [
+def test_bundles_merge_on_their_recorded_clock(tmp_path):
+    """Every site stamps the one host clock, so spans from different
+    bundles merge on their recorded ``t`` unshifted: the s0→s1 hop
+    delay is the raw difference, and the analysis has no clock
+    section."""
+    base = 3000.0
+    make_bundle(tmp_path, 0, base + 1.0, spans=[
         span(0, base + 0.000, "committed", "t0.7", expected=[1]),
-        span(0, base + 0.001, "forwarded", "t0.7", peer=1),
-        span(0, base + 0.050 + latency, "received", "t1.9"),
-    ]
-    spans1 = [
-        span(1, base + 0.001 + latency + skew, "received", "t0.7"),
-        span(1, base + 0.010 + skew, "applied", "t0.7"),
-        span(1, base + 0.050 + skew, "forwarded", "t1.9", peer=0),
-    ]
-    make_bundle(tmp_path, 0, base + 1.0, spans=spans0)
-    make_bundle(tmp_path, 1, base + 1.0 + skew, spans=spans1)
+        span(0, base + 0.001, "forwarded", "t0.7", peer=1)])
+    make_bundle(tmp_path, 1, base + 1.0, spans=[
+        span(1, base + 0.004, "received", "t0.7"),
+        span(1, base + 0.010, "applied", "t0.7")])
     bundles, _ = collect_bundles([str(tmp_path)])
     analysis = analyze(bundles)
-    assert analysis["clock"]["methods"]["1"] == "bidirectional"
-    assert analysis["clock"]["offsets_ms"]["1"] == \
-        pytest.approx(skew * 1000.0)
     assert analysis["propagation"]["complete"] == 1
-    # Without alignment the hop delay would read as ~2 s.
-    assert analysis["propagation"]["max"] < 0.5
+    assert analysis["propagation"]["max"] == (base + 0.010) - base
+    assert analysis["window"] == [base, base + 1.0]
+    assert "clock" not in analysis
 
 
 # ----------------------------------------------------------------------

@@ -133,9 +133,11 @@ def test_live_transport_counters_and_dedup():
         assert transport.fresh(1, "inc-b", 1)  # new incarnation
         assert len(delivered) == 1
 
-        transport.mark_seen(1, "inc-c", 7)  # journal replay preload
+        # Journal replay preloads the dedup table through accept.
+        assert transport.accept(1, "inc-c", 7, message)
         assert not transport.fresh(1, "inc-c", 3)
         assert transport.fresh(1, "inc-c", 8)
+        assert len(delivered) == 2
 
         # Counter contract parity with the simulated Network.
         with pytest.raises(ValueError):

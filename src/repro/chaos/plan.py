@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import typing
 
 #: Smallest extra delay a reorder decision adds (seconds) — enough to
@@ -202,16 +201,6 @@ class FaultPlan:
                    events=tuple(event_from_json(e)
                                 for e in obj.get("events", ()))
                    ).validate()
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "FaultPlan":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(json.load(handle))
 
 
 class FaultVerdict(typing.NamedTuple):

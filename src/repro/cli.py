@@ -421,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="NAME",
                         help="named fault profile (calm, jitter, "
                              "lossy, crash, torn-journal, bitflip-wal)")
-    source.add_argument("--script", metavar="PATH", default=None,
-                        help="load the fault plan from a JSON script")
     source.add_argument("--scenario", metavar="PATH", default=None,
                         help="load a complete scenario JSON (spec + "
                              "plan + regression switches); other "
@@ -504,10 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="per-transition ceiling in "
                                       "seconds; on expiry the change "
                                       "is aborted everywhere")
-    reconfig_parser.add_argument("--poll-interval", type=float,
-                                 default=0.1,
-                                 help="quiesce-loop version sampling "
-                                      "period in seconds")
     reconfig_parser.add_argument("--allow-empty-primaries",
                                  action="store_true",
                                  help="permit a change that leaves a "
@@ -1032,23 +1026,19 @@ def _cmd_chaos(args: argparse.Namespace, out: typing.TextIO) -> int:
     import json
     import tempfile
 
-    from repro.chaos import (ChaosScenario, FaultPlan, profile_plan,
-                             run_chaos, shrink_scenario)
+    from repro.chaos import (ChaosScenario, profile_plan, run_chaos,
+                             shrink_scenario)
 
     if args.scenario is not None:
         scenario = ChaosScenario.load(args.scenario)
     else:
         spec = _cluster_spec_from_args(args)
-        if args.script is not None:
-            plan = FaultPlan.load(args.script)
-        else:
-            plan = profile_plan(args.fault_profile, seed=args.fault_seed,
-                                n_sites=spec.params.n_sites)
+        plan = profile_plan(args.fault_profile, seed=args.fault_seed,
+                            n_sites=spec.params.n_sites)
         scenario = ChaosScenario(
             spec=spec, plan=plan, regression=args.regression,
             regression_site=args.regression_site,
-            name=(args.fault_profile if args.script is None
-                  else args.script))
+            name=args.fault_profile)
     scenario.validate()
 
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as scratch:
@@ -1142,8 +1132,7 @@ def _cmd_reconfig(args: argparse.Namespace, out: typing.TextIO) -> int:
     async def drive(change: PlacementChange) -> int:
         client = ClusterClient(spec, timeout=args.txn_timeout)
         coordinator = ReconfigCoordinator(
-            client, poll_interval=args.poll_interval,
-            timeout=args.txn_timeout,
+            client, timeout=args.txn_timeout,
             allow_empty_primaries=args.allow_empty_primaries)
         try:
             report = await coordinator.execute(change)

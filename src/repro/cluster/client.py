@@ -340,8 +340,7 @@ class ClusterClient:
         ``install``), journal the epoch commit and atomically swap the
         site's placement and propagation tree.  Idempotent — a site
         already at (or past) ``epoch`` acknowledges without re-applying;
-        carrying the change lets a site that lost its prepare (crash)
-        still commit."""
+        carrying the change lets a site commit without a prepare."""
         return await self._request(
             site, {"op": "reconfig_commit", "epoch": epoch,
                    "change": change}, idempotent=True)

@@ -34,15 +34,20 @@ The server, not the protocol, handles the cluster control plane:
   (journal-then-ack, once per round of frames instead of per message)
   — the WAL too when the round carried a message the journal does not
   hold;
-- ``RECONFIG`` — epoch-commit gossip, carrying the change and the
-  state of every copy it gains.  Updates reach a replica one way: the
-  propagation tree's acknowledged FIFO chain, repaired after a crash by
-  journal replay, primary re-forward and transport resend.  A gained
-  copy's state is read once from the item's primary while the item is
-  fenced and quiet, and a gaining site installs it inside its epoch
-  commit, ahead of the synced ``EPOCH_COMMIT``.  Nothing is pulled: a
-  reply installed beside the FIFO stream while its secondaries are in
-  flight is the one thing that ever produced a DSG cycle here;
+- ``RECONFIG`` — epoch-commit gossip, the one way a member that
+  missed a commit catches up; it carries the state of a gained copy
+  (the change's ``install``) only to the peers that gain one.  Updates
+  reach a replica one way: the propagation tree's acknowledged FIFO
+  chain, repaired after a crash by journal replay, primary re-forward
+  and transport resend.  A gained copy's state is read once from the
+  item's primary while the item is fenced and quiet, and a gaining site
+  installs it inside its epoch commit, ahead of the synced
+  ``EPOCH_COMMIT``.  The fence is a synced ``EPOCH_PREPARE``: recovery
+  restores it until an ``EPOCH_COMMIT`` or ``EPOCH_ABORT`` follows, so a
+  restarted primary takes no write the install already left out.
+  Nothing is pulled: a reply installed beside the FIFO stream while its
+  secondaries are in flight is the one thing that ever produced a DSG
+  cycle here;
 - delivery dedup — at-least-once transport resends and recovery
   re-forwards are filtered via the transport sequence numbers and the
   writer-lineage check before a ``SECONDARY`` reaches the protocol
@@ -240,14 +245,11 @@ class SiteServer:
         self.aborted = 0
         self.recovered = False
         # Reconfiguration plane (repro.reconfig).  ``epoch`` is the
-        # committed configuration epoch (recovered from the WAL's
-        # epoch-commit records on restart); ``pending_*`` track a
-        # prepared-but-uncommitted transition and die with the process —
-        # a coordinator re-prepares when reconfig_status shows no
-        # pending epoch.  Note: distinct from ``_epoch`` below, the
-        # wall-clock anchor of the event loop.
+        # committed configuration epoch and ``pending_*`` the prepared,
+        # uncommitted transition and its fence; recovery restores both
+        # from the WAL's epoch records.  Note: distinct from ``_epoch``
+        # below, the wall-clock anchor of the event loop.
         self.epoch = spec.epoch
-        self.last_change: typing.Optional[typing.Dict] = None
         self.pending_epoch: typing.Optional[int] = None
         self.pending_change: typing.Optional[PlacementChange] = None
         self._fenced_items: typing.Set[ItemId] = set()
@@ -376,23 +378,32 @@ class SiteServer:
                     time=self.env.now)
             self.wal.sync()
         self.system.epoch = self.epoch
+        commits = []
         if self.recovered:
             # Epoch recovery: the genesis placement plus the ordered
-            # epoch-commit records IS the current configuration.
-            # Prepares without a commit are dropped — the fence was
-            # volatile, and the coordinator re-prepares any site whose
-            # reconfig_status shows no pending epoch.
-            commits = [(record.item, record.value)
-                       for record in self.wal
-                       if record.kind is LogRecordKind.EPOCH_COMMIT]
+            # epoch-commit records IS the current configuration, and a
+            # prepare that no commit or abort record follows is still
+            # pending — it was synced before it answered, so its fence
+            # holds across the restart.
+            prepared = None
+            for record in self.wal:
+                if record.kind is LogRecordKind.EPOCH_PREPARE:
+                    prepared = record
+                elif record.kind is LogRecordKind.EPOCH_ABORT:
+                    prepared = None
+                elif record.kind is LogRecordKind.EPOCH_COMMIT:
+                    commits.append((record.item, record.value))
+                    prepared = None
             if commits:
                 epoch, placement = replay_epochs(
                     self.spec.build_placement(), commits,
                     start_epoch=self.spec.epoch)
                 self.epoch = epoch
                 self.placement = placement
-                self.last_change = commits[-1][1]
                 self.system.swap_placement(placement, epoch)
+            if prepared is not None and prepared.item == self.epoch + 1:
+                self._set_pending(prepared.item,
+                                  PlacementChange.from_json(prepared.value))
         self._g_epoch.set(self.epoch)
         self.flight.record_event("server-start", epoch=self.epoch,
                                  recovered=self.recovered)
@@ -409,8 +420,9 @@ class SiteServer:
             # commit happened: on every channel it precedes whatever we
             # send in this epoch, so a peer still one epoch behind
             # adopts the placement before an update that needs it.
-            if self.last_change is not None:
-                self._gossip_reconfig(self.epoch, self.last_change)
+            if commits:
+                self._gossip_reconfig(
+                    self.epoch, PlacementChange.from_json(commits[-1][1]))
             self._replay_journal()
             self._reforward_primaries()
         host, port = self.spec.address(self.site_id)
@@ -993,7 +1005,8 @@ class SiteServer:
                     "epoch": self.epoch,
                     "pending_epoch": self.pending_epoch,
                     "fenced": sorted(self._fenced_items),
-                    "last_change": self.last_change}
+                    "pending_change": (self.pending_change.to_json()
+                                       if self.pending_change else None)}
         if op == "reconfig_prepare":
             return self._reconfig_prepare(int(frame["epoch"]),
                                           dict(frame["change"]))
@@ -1092,9 +1105,11 @@ class SiteServer:
                           change_json: typing.Dict
                           ) -> typing.Dict[str, typing.Any]:
         """Phase 1 of an epoch transition at this member: journal the
-        proposal and fence writes on the affected items.  Nothing is
-        created or sent: gained copies are installed at commit.
-        Idempotent for re-prepares of the same (epoch, change)."""
+        proposal, synced before the answer, and fence writes on the
+        affected items.  The synced record is the fence: recovery
+        restores it.  Nothing is created or sent: gained copies are
+        installed at commit.  Idempotent for re-prepares of the same
+        (epoch, change)."""
         if epoch <= self.epoch:
             return {"ok": True, "site": self.site_id,
                     "epoch": self.epoch, "already_committed": True}
@@ -1112,17 +1127,12 @@ class SiteServer:
             return {"ok": False,
                     "error": "epoch {} already pending with a different "
                              "change".format(self.pending_epoch)}
-        first = self.pending_epoch is None
-        if first:
-            # Durability of the prepare is best-effort on purpose: a
-            # crash drops the volatile fence anyway, and the coordinator
-            # re-prepares on seeing no pending epoch.
+        if self.pending_epoch is None:
             self.wal.append(LogRecordKind.EPOCH_PREPARE, item=epoch,
                             value=change.to_json(), time=self.env.now)
+            self.wal.sync()
             self._pending_since = self._loop.time()
-        self.pending_epoch = epoch
-        self.pending_change = change
-        self._fenced_items = set(change.affected_items(self.placement))
+        self._set_pending(epoch, change)
         return {"ok": True, "site": self.site_id, "epoch": self.epoch,
                 "pending_epoch": epoch,
                 "fenced": sorted(self._fenced_items)}
@@ -1161,9 +1171,10 @@ class SiteServer:
         epoch commit (synced — the swap must survive a crash, and the
         same sync makes the install durable) and atomically adopt the
         new placement and propagation tree.  Carries the full change so
-        a member that lost its prepare (crash) can still commit, and a
-        gaining member refuses a change without its install; idempotent
-        for members already at or past ``epoch``."""
+        a member that committed through gossip needs no prepare; a
+        gaining member refuses a change without its install, and a
+        member that gains nothing is sent none.  Idempotent for members
+        already at or past ``epoch``."""
         if epoch <= self.epoch:
             return {"ok": True, "site": self.site_id,
                     "epoch": self.epoch, "already_committed": True}
@@ -1201,10 +1212,7 @@ class SiteServer:
         self.placement = new_placement
         self.system.swap_placement(new_placement, epoch)
         self.epoch = epoch
-        self.last_change = change.to_json()
-        self.pending_epoch = None
-        self.pending_change = None
-        self._fenced_items = set()
+        self._set_pending(None, None)
         self._g_epoch.set(epoch)
         self.flight.record_event("epoch-commit", epoch=epoch,
                                  change=change.to_json())
@@ -1212,28 +1220,40 @@ class SiteServer:
             self._h_reconfig.observe(
                 self._loop.time() - self._pending_since)
             self._pending_since = None
-        self._gossip_reconfig(epoch, change.to_json())
+        self._gossip_reconfig(epoch, change)
         return {"ok": True, "site": self.site_id, "epoch": self.epoch}
 
     def _reconfig_abort(self, epoch: int
                         ) -> typing.Dict[str, typing.Any]:
+        """Drop a pending epoch and its fence; the synced abort record
+        keeps recovery from restoring them."""
         if self.pending_epoch == epoch:
-            self.pending_epoch = None
-            self.pending_change = None
-            self._fenced_items = set()
+            self.wal.append(LogRecordKind.EPOCH_ABORT, item=epoch,
+                            time=self.env.now)
+            self.wal.sync()
+            self._set_pending(None, None)
             self._pending_since = None
         return {"ok": True, "site": self.site_id, "epoch": self.epoch}
 
+    def _set_pending(self, epoch: typing.Optional[int],
+                     change: typing.Optional[PlacementChange]) -> None:
+        self.pending_epoch = epoch
+        self.pending_change = change
+        self._fenced_items = set(change.affected_items(self.placement)) \
+            if change is not None else set()
+
     def _gossip_reconfig(self, epoch: int,
-                         change_json: typing.Dict) -> None:
-        """Tell every peer about a committed epoch.  Closes the window
-        where a coordinator dies between per-site commits: any one
-        committed member brings the rest forward."""
+                         change: PlacementChange) -> None:
+        """Tell every peer about a committed epoch: the one way a member
+        that missed the commit catches up.  The install goes only to
+        the peers that gain a copy."""
+        gainers = change.gaining_sites()
+        bare = dataclasses.replace(change, install=None).to_json()
         for peer in range(self.placement.n_sites):
             if peer != self.site_id:
-                self.transport.send(MessageType.RECONFIG, self.site_id,
-                                    peer, epoch=epoch,
-                                    change=dict(change_json))
+                self.transport.send(
+                    MessageType.RECONFIG, self.site_id, peer, epoch=epoch,
+                    change=change.to_json() if peer in gainers else bare)
 
     def _on_reconfig(self, message: Message) -> None:
         epoch = int(message.payload["epoch"])

@@ -66,12 +66,13 @@ class MessageType(enum.Enum):
       destination (the cross-process form of the victim policy's direct
       registry wound).  Payload: ``gid``, ``reason``.
     - ``RECONFIG`` — epoch-commit gossip (:mod:`repro.reconfig`): a
-      peer that committed epoch ``epoch`` tells the others, closing the
-      window where a coordinator dies between commits.  Payload:
+      peer that committed epoch ``epoch`` tells the others — the one
+      way a member that missed the commit catches up.  Payload:
       ``epoch``, ``change`` (:class:`repro.reconfig.PlacementChange`
-      JSON, with its ``install`` state).  Sent at the sender's commit,
-      before any update of the new epoch, so on every FIFO channel the
-      install arrives first.  Idempotent at the receiver.
+      JSON, with its ``install`` state only for a peer that gains a
+      copy).  Sent at the sender's commit, before any update of the
+      new epoch, so on every FIFO channel the install arrives first.
+      Idempotent at the receiver.
     """
 
     SECONDARY = "secondary"

@@ -92,15 +92,9 @@ def reconstruct(spans: typing.Iterable[typing.Mapping[str, typing.Any]]
     """Group spans (from any number of sites) into per-trace trees."""
     by_trace: typing.Dict[str, typing.List[typing.Dict]] = {}
     for span in spans:
-        ids: typing.List[str] = []
         trace = span.get("trace")
         if isinstance(trace, str):
-            ids.append(trace)
-        for tid in span.get("traces", ()):
-            if isinstance(tid, str) and tid not in ids:
-                ids.append(tid)
-        for tid in ids:
-            by_trace.setdefault(tid, []).append(dict(span))
+            by_trace.setdefault(trace, []).append(dict(span))
     trees: typing.Dict[str, PropagationTree] = {}
     for tid, trace_spans in sorted(by_trace.items()):
         trees[tid] = _build_tree(tid, trace_spans)

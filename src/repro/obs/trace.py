@@ -119,10 +119,9 @@ class TraceSink:
         Canonical optional ``fields``: ``gid`` (a
         :class:`GlobalTransactionId`, encoded as ``[site, seq]``),
         ``now`` (site-local virtual time), ``peer`` (the other site of
-        a hop), ``type`` (wire message type), ``traces`` (a span
-        that serves several origins), ``site`` (overrides the sink's
-        own id where one sink records several sites), plus free-form
-        extras.
+        a hop), ``type`` (wire message type), ``site`` (overrides the
+        sink's own id where one sink records several sites), plus
+        free-form extras.
         """
         span: typing.Dict[str, typing.Any] = {
             "t": time.time(),
@@ -155,13 +154,12 @@ class TraceSink:
               limit: typing.Optional[int] = None
               ) -> typing.List[typing.Dict[str, typing.Any]]:
         """Newest-last spans from the ring, optionally filtered to one
-        trace id (matches ``trace`` and multi-origin ``traces``)."""
+        trace id."""
         if trace is None:
             selected = list(self._ring)
         else:
             selected = [span for span in self._ring
-                        if span.get("trace") == trace
-                        or trace in span.get("traces", ())]
+                        if span.get("trace") == trace]
         if limit is not None and len(selected) > limit:
             selected = selected[-limit:]
         return selected

@@ -100,6 +100,14 @@ class PlacementChange:
         after = self.apply(placement).items_at(site)
         return frozenset(after - before)
 
+    def gaining_sites(self) -> typing.FrozenSet[SiteId]:
+        """Sites that install a copy at commit, and so the only ones
+        the ``install`` is sent to: ``add-replica``'s target is the one
+        kind that creates a copy (``migrate-primary`` promotes a
+        replica)."""
+        return frozenset({self.site}) if self.kind == "add-replica" \
+            else frozenset()
+
     def check_against(self, placement: DataPlacement,
                       protocol: str = "dag_wt",
                       allow_empty_primaries: bool = False) -> DataPlacement:

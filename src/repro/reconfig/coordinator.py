@@ -4,28 +4,37 @@ One :class:`ReconfigCoordinator` drives one
 :class:`~repro.reconfig.change.PlacementChange` at a time through a live
 cluster, entirely over the client plane (it holds no special authority —
 any client with the spec can coordinate, and a dead coordinator leaves
-nothing that blocks progress):
+nothing that blocks progress).  The plane assumes one transition at a
+time: two coordinators racing for the same epoch are not arbitrated.
 
-1. **Heal** — read every member's epoch; if a previous transition died
-   between per-site commits, re-drive its commit to the laggards using
-   the committed members' recorded last change (peer gossip usually
-   closes this gap first; heal makes it certain).
+1. **Agree** — wait until every member reports one epoch.  A previous
+   transition that died between per-site commits is finished by its
+   committed members' gossip, the one way a lagging member catches up;
+   a member still behind at the deadline is named in the error.  A
+   pending prepare of a *different* change is left over from an
+   abandoned attempt (no member has reached the target epoch) and is
+   aborted.
 2. **Validate** — :meth:`PlacementChange.check_against` the current
    placement: structure, copy-graph acyclicity (tree protocols), and the
    no-site-loses-its-last-primary rule.
-3. **Prepare** — fan ``reconfig_prepare`` to every member: each journals
-   the proposal and fences writes on the affected items.
+3. **Prepare** — fan ``reconfig_prepare`` to every member: each syncs
+   the proposal to its WAL — the synced record is the fence, restored
+   by recovery — and fences writes on the affected items.
 4. **Quiesce, then read once** — poll ``versions`` until every affected
    item's version agrees across its *old* copy sites and stays stable
-   for ``settle_polls`` polls, then read each gained item's state once
-   from its primary (``reconfig_state``); a refusal keeps polling.  A
-   member that restarted mid-transition (fence lost) is re-prepared.
-5. **Commit** — fan ``reconfig_commit`` carrying the change and the
-   state read, so every path that commits the epoch installs the same
-   copies, and verify every member reports the new epoch.
+   for :data:`SETTLE_POLLS` polls, then read each gained item's state
+   once from its primary (``reconfig_state``); a refusal keeps polling.
+5. **Commit** — fan ``reconfig_commit``, gaining members first with the
+   change and the state read, then the rest with the bare change: by
+   the time a member that gains nothing commits (or gossips), every
+   gainer's install is synced, so the install goes only where it is
+   installed.
 
-On timeout the coordinator fans ``reconfig_abort`` and raises — the
-cluster stays in the old epoch with no fence left behind.
+If the prepare or the quiesce fails (timeout, unreachable member) the
+coordinator fans ``reconfig_abort`` and raises — the cluster stays in
+the old epoch, and each member that takes the abort logs it.  A member
+the abort missed keeps its fence across restarts until the next
+transition's agreement step releases it.
 """
 
 from __future__ import annotations
@@ -40,6 +49,12 @@ from repro.graph.placement import DataPlacement
 from repro.reconfig.change import PlacementChange, ReconfigError
 from repro.types import ItemId, SiteId
 
+#: Quiesce loop: sample ``versions`` every ``POLL_INTERVAL`` seconds and
+#: require ``SETTLE_POLLS`` consecutive stable, agreed samples before
+#: reading the install.  The epoch agreement wait polls at the same rate.
+POLL_INTERVAL = 0.1
+SETTLE_POLLS = 2
+
 
 @dataclasses.dataclass
 class ReconfigReport:
@@ -51,28 +66,19 @@ class ReconfigReport:
     quiesce_s: float = 0.0
     commit_s: float = 0.0
     polls: int = 0
-    re_prepares: int = 0
-    healed_sites: typing.List[SiteId] = dataclasses.field(
-        default_factory=list)
 
     @property
     def total_s(self) -> float:
         return self.prepare_s + self.quiesce_s + self.commit_s
 
     def format(self) -> str:
-        lines = [
+        return "\n".join([
             "epoch {}: {}".format(self.epoch, self.change.describe()),
             "  prepare {:.3f}s  quiesce {:.3f}s ({} polls)  "
             "commit {:.3f}s  total {:.3f}s".format(
                 self.prepare_s, self.quiesce_s, self.polls,
                 self.commit_s, self.total_s),
-        ]
-        if self.re_prepares:
-            lines.append("  re-prepares {}".format(self.re_prepares))
-        if self.healed_sites:
-            lines.append("  healed laggards: {}".format(
-                ", ".join("s{}".format(s) for s in self.healed_sites)))
-        return "\n".join(lines)
+        ])
 
 
 class ReconfigCoordinator:
@@ -83,21 +89,14 @@ class ReconfigCoordinator:
     client:
         An open :class:`repro.cluster.client.ClusterClient`; its spec's
         epoch is adopted forward as transitions commit.
-    poll_interval, settle_polls:
-        Quiesce loop: sample ``versions`` every ``poll_interval``
-        seconds and require ``settle_polls`` consecutive stable, agreed
-        samples before committing.
     timeout:
         Per-transition ceiling; on expiry the transition is aborted
         everywhere and :class:`ReconfigError` raised.
     """
 
-    def __init__(self, client, poll_interval: float = 0.1,
-                 settle_polls: int = 2, timeout: float = 30.0,
+    def __init__(self, client, timeout: float = 30.0,
                  allow_empty_primaries: bool = False):
         self.client = client
-        self.poll_interval = poll_interval
-        self.settle_polls = max(1, int(settle_polls))
         self.timeout = timeout
         self.allow_empty_primaries = allow_empty_primaries
 
@@ -136,84 +135,71 @@ class ReconfigCoordinator:
         return int(best["epoch"]), \
             DataPlacement.from_json(best["placement"])
 
-    async def heal(self) -> typing.List[SiteId]:
-        """Re-drive a torn previous transition: any member behind the
-        maximal epoch gets that epoch's recorded change committed.
-        Returns the healed site ids (empty when the epochs agree)."""
-        healed: typing.List[SiteId] = []
-        while True:
-            statuses = await self.survey()
-            target = max(status["epoch"] for status in statuses.values())
-            laggards = sorted(site for site, status in statuses.items()
-                              if status["epoch"] < target)
-            if not laggards:
-                return healed
-            donors = [status for status in statuses.values()
-                      if status["epoch"] == target and
-                      status.get("last_change")]
-            if not donors:
-                raise ReconfigError(
-                    "members disagree on epoch ({} behind {}) but no "
-                    "member recorded the committing change".format(
-                        laggards, target))
-            change_json = donors[0]["last_change"]
-            for site in laggards:
-                status = statuses[site]
-                # A laggard more than one epoch behind needs the full
-                # WAL-recovery path, not a single re-commit.
-                if status["epoch"] != target - 1:
-                    raise ReconfigError(
-                        "s{} is at epoch {}, cluster at {} — too far "
-                        "behind to heal online".format(
-                            site, status["epoch"], target))
-                await self.client.reconfig_commit(site, target,
-                                                  change_json)
-                healed.append(site)
-
     # ------------------------------------------------------------------
     # The transition
     # ------------------------------------------------------------------
 
+    async def _agreed_statuses(self, deadline: float
+                               ) -> typing.Dict[SiteId, typing.Dict]:
+        """Every member's ``reconfig_status`` once all report one epoch
+        (a torn commit is finished by gossip meanwhile); raises naming
+        the laggards if they are still behind at ``deadline``."""
+        while True:
+            statuses = await self.survey()
+            top = max(status["epoch"] for status in statuses.values())
+            laggards = sorted(site for site, status in statuses.items()
+                              if status["epoch"] < top)
+            if not laggards:
+                return statuses
+            if time.monotonic() > deadline:
+                raise ReconfigError(
+                    "members behind epoch {}: {}".format(
+                        top, ", ".join("s{}".format(site)
+                                       for site in laggards)))
+            await asyncio.sleep(POLL_INTERVAL)
+
     async def execute(self, change: PlacementChange) -> ReconfigReport:
         """Drive one placement change to a committed epoch everywhere."""
         change.validate()
-        healed = await self.heal()
+        deadline = time.monotonic() + self.timeout
+        statuses = await self._agreed_statuses(deadline)
         epoch, placement = await self.current_placement()
         change.check_against(
             placement, protocol=self.spec.protocol,
             allow_empty_primaries=self.allow_empty_primaries)
         target = epoch + 1
-        report = ReconfigReport(epoch=target, change=change,
-                                healed_sites=healed)
-        deadline = time.monotonic() + self.timeout
+        report = ReconfigReport(epoch=target, change=change)
         sites = self._sites()
 
         started = time.monotonic()
-        for site in sites:
-            await self.client.reconfig_prepare(site, target,
-                                               change.to_json())
-        report.prepare_s = time.monotonic() - started
-
-        started = time.monotonic()
+        for site, status in sorted(statuses.items()):
+            pending = status.get("pending_change")
+            if pending is not None and \
+                    PlacementChange.from_json(pending) != change:
+                await self.client.reconfig_abort(site, target)
         try:
+            for site in sites:
+                await self.client.reconfig_prepare(site, target,
+                                                   change.to_json())
+            report.prepare_s = time.monotonic() - started
+            started = time.monotonic()
             installed = await self._quiesce(target, change, placement,
                                             report, deadline)
-        except ReconfigError:
+        except Exception:
             await self._abort_everywhere(target)
             raise
         report.quiesce_s = time.monotonic() - started
 
         started = time.monotonic()
-        for site in sites:
-            await self.client.reconfig_commit(site, target,
-                                              installed.to_json())
+        gainers = change.gaining_sites()
+        for group, carried in ((sorted(gainers), installed),
+                               ([s for s in sites if s not in gainers],
+                                change)):
+            await asyncio.gather(*(
+                self.client.reconfig_commit(site, target,
+                                            carried.to_json())
+                for site in group))
         await self.client.adopt_epoch(target)
-        statuses = await self.survey()
-        behind = sorted(site for site, status in statuses.items()
-                        if status["epoch"] < target)
-        if behind:
-            raise ReconfigError(
-                "commit fan-out left members behind: {}".format(behind))
         report.commit_s = time.monotonic() - started
         return report
 
@@ -249,8 +235,7 @@ class ReconfigCoordinator:
                        deadline: float) -> PlacementChange:
         """Wait until every affected item's version agrees and is stable
         across its old copy sites, then read the gained state; returns
-        the change to commit.  Re-prepares members whose fence vanished
-        (restart mid-transition); a refused read keeps polling."""
+        the change to commit.  A refused read keeps polling."""
         watch = self._watch_sets(change, placement)
         stable_streak = 0
         previous: typing.Optional[typing.Dict[ItemId, int]] = None
@@ -260,16 +245,6 @@ class ReconfigCoordinator:
                     "epoch {} transition timed out during quiesce "
                     "(watched items: {})".format(
                         target, sorted(watch)))
-            statuses = await self.survey()
-            for site, status in statuses.items():
-                if status["epoch"] >= target:
-                    # Gossip/another coordinator already moved this
-                    # member; our commit fan-out will be a no-op there.
-                    continue
-                if status.get("pending_epoch") != target:
-                    await self.client.reconfig_prepare(
-                        site, target, change.to_json())
-                    report.re_prepares += 1
             responses = await self.client.versions_all()
             versions = {site: decode_value(response["versions"])
                         for site, response in responses.items()}
@@ -281,14 +256,14 @@ class ReconfigCoordinator:
                 agreed = None
             stable_streak = stable_streak + 1 \
                 if agreed is not None and agreed == previous else 0
-            if not watch or stable_streak >= self.settle_polls:
+            if not watch or stable_streak >= SETTLE_POLLS:
                 installed = await self.read_install(change, placement)
                 if installed is not None:
                     return installed
                 stable_streak = 0
             previous = agreed
             report.polls += 1
-            await asyncio.sleep(self.poll_interval)
+            await asyncio.sleep(POLL_INTERVAL)
 
     async def _abort_everywhere(self, target: int) -> None:
         for site in self._sites():

@@ -41,11 +41,14 @@ class LogRecordKind(enum.Enum):
     WRITE = "write"
     COMMIT = "commit"
     # Reconfiguration plane (repro.reconfig): the epoch number rides the
-    # ``item`` field and the PlacementChange JSON rides ``value``.
-    # Transaction recovery ignores both kinds; epoch recovery scans for
-    # the committed ones (see repro.reconfig.change.replay_epochs).
+    # ``item`` field and the PlacementChange JSON rides ``value`` (an
+    # abort carries none).  Transaction recovery ignores the three
+    # kinds; epoch recovery replays the commits (see
+    # repro.reconfig.change.replay_epochs) and restores the fence of a
+    # prepare that no commit or abort follows.
     EPOCH_PREPARE = "epoch-prepare"
     EPOCH_COMMIT = "epoch-commit"
+    EPOCH_ABORT = "epoch-abort"
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -119,7 +122,8 @@ def recover(env, site_id: int, wal: WriteAheadLog,
             engine.history.record(record.gid, record.txn_kind,
                                   record.time, {}, versions)
         elif record.kind not in (LogRecordKind.EPOCH_PREPARE,
-                                 LogRecordKind.EPOCH_COMMIT):
+                                 LogRecordKind.EPOCH_COMMIT,
+                                 LogRecordKind.EPOCH_ABORT):
             raise ValueError(
                 "cannot replay a {!r} record (lsn {}): the redo log "
                 "holds create, commit and epoch records only".format(

@@ -41,13 +41,6 @@ def test_plan_json_round_trip_is_lossless():
         json.loads(json.dumps(plan.to_json()))) == plan
 
 
-def test_plan_save_load_round_trip(tmp_path):
-    plan = full_plan()
-    path = str(tmp_path / "plan.json")
-    plan.save(path)
-    assert FaultPlan.load(path) == plan
-
-
 def test_plan_event_views_partition_and_sort():
     plan = full_plan()
     assert len(plan.link_events()) == 2

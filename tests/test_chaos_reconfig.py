@@ -1,13 +1,15 @@
 """Chaos under reconfiguration: fault injection while epoch transitions
 are in flight.
 
-The flagship scenario SIGKILLs the replica-*gaining* member in the
-middle of its epoch transition.  The controller's reconfig driver must
-abort cleanly (an unreachable member aborts the transition everywhere),
-retry once the member restarts, and land the transition — and the
-verdict must be green: converged against the *final* placement, DSG
-acyclic, and every surviving member in the same epoch (the controller
-files an ``epoch-divergence`` violation otherwise).
+The flagship scenario SIGKILLs a member in the middle of its epoch
+transition: the replica-*gaining* member, or the primary of the item
+it gains, whose fence must survive the restart.  The controller's
+reconfig driver must abort cleanly (an unreachable member aborts the
+transition everywhere), retry once the member restarts, and land the
+transition — and the verdict must be green: converged against the
+*final* placement, DSG acyclic, and every surviving member in the same
+epoch (the controller files an ``epoch-divergence`` violation
+otherwise).
 """
 
 import pytest
@@ -19,7 +21,7 @@ from repro.workload.params import WorkloadParams
 from tests.helpers import free_base_port
 
 
-def _scenario(at=0.15, kill_at=0.2, down_for=0.8):
+def _scenario(killed=4, at=0.15, kill_at=0.2, down_for=0.8):
     params = WorkloadParams(n_sites=6, n_items=18,
                             placement_scheme="sharded-hash",
                             replication_factor=2,
@@ -31,7 +33,7 @@ def _scenario(at=0.15, kill_at=0.2, down_for=0.8):
         spec=ClusterSpec(params=params, protocol="dag_wt", seed=3,
                          base_port=free_base_port(params.n_sites)),
         plan=FaultPlan(seed=11, events=(
-            KillFault(site=4, at=kill_at, down_for=down_for),)),
+            KillFault(site=killed, at=kill_at, down_for=down_for),)),
         reconfig=({"at": at,
                    "change": {"kind": "add-replica", "site": 4,
                               "item": 1}},),
@@ -63,11 +65,13 @@ def test_scenario_rejects_bad_reconfig_entries():
                                             "site": 4}},)).validate()
 
 
-def test_kill_of_gaining_member_mid_transition_recovers(tmp_path):
-    """The epoch-recovery invariant, live: the transition targeted at
-    the killed member aborts, is retried after the restart, and the run
-    ends converged in an agreed epoch > 0 with green oracles."""
-    scenario = _scenario()
+@pytest.mark.parametrize("killed", [4, 1])
+def test_kill_of_gaining_member_mid_transition_recovers(tmp_path, killed):
+    """The epoch-recovery invariant, live: the transition that loses a
+    member — the gaining s4, or s1, the primary of the gained item —
+    aborts, is retried after the restart, and the run ends converged in
+    an agreed epoch > 0 with green oracles."""
+    scenario = _scenario(killed)
     report = run_chaos(scenario, str(tmp_path), quiesce_timeout=30.0)
     assert report.ok, report.violations
     assert report.final_epoch == 1

@@ -97,8 +97,7 @@ def test_hop_attribution_caught_up_only_is_all_unattributed():
     spans = [
         {"t": 1.0, "site": 0, "event": "committed", "trace": "t0.3",
          "expected": [2]},
-        {"t": 3.0, "site": 2, "event": "caught-up",
-         "traces": ["t0.3"]},
+        {"t": 3.0, "site": 2, "event": "caught-up", "trace": "t0.3"},
     ]
     hop = hop_attributions(reconstruct(spans)["t0.3"])[2]
     assert all(value == 0.0 for value in hop["components"].values())
@@ -190,7 +189,7 @@ def test_attribution_survives_torn_files_and_mixed_members(tmp_path):
     # The receiver sites' span files are lost: only a late catch-up
     # is visible.
     spans.append({"t": time.time() + 5.0, "site": 2,
-                  "event": "caught-up", "traces": ["t0.1"]})
+                  "event": "caught-up", "trace": "t0.1"})
     summary = attribution_summary(reconstruct(spans))
     assert summary["hops"] == 1
     assert summary["attributed_hops"] == 0

@@ -130,7 +130,7 @@ def test_sink_records_and_filters_spans():
     sink.emit("received", gid=gid(0, 3), peer=0, type="secondary")
     sink.emit("applied", gid=gid(0, 3))
     sink.emit("received", trace="t2.9", peer=2)
-    sink.emit("journaled", traces=["t0.3", "t2.9"])
+    sink.emit("journaled", trace="t0.3")
 
     assert len(sink) == 4
     spans = sink.spans(trace="t0.3")
@@ -139,7 +139,7 @@ def test_sink_records_and_filters_spans():
     assert spans[0]["gid"] == [0, 3]
     assert spans[0]["site"] == 1
     assert all("t" in span for span in spans)
-    assert len(sink.spans(trace="t2.9")) == 2
+    assert len(sink.spans(trace="t2.9")) == 1
     assert sink.spans(limit=2)[-1]["event"] == "journaled"
 
 
@@ -186,8 +186,7 @@ def synthetic_spans():
         {"t": 1.04, "site": 1, "event": "journaled", "trace": "t0.1"},
         {"t": 1.05, "site": 1, "event": "applied", "trace": "t0.1"},
         # s2 missed the forward; a catch-up reply carried the tail.
-        {"t": 1.50, "site": 2, "event": "caught-up",
-         "traces": ["t0.1"]},
+        {"t": 1.50, "site": 2, "event": "caught-up", "trace": "t0.1"},
         {"t": 2.00, "site": 0, "event": "committed", "trace": "t0.2",
          "expected": [1, 2]},
         {"t": 2.02, "site": 1, "event": "received", "trace": "t0.2"},

@@ -9,7 +9,8 @@ reconfiguration plane.  Offline tests cover the change vocabulary and
 the WAL epoch-replay rule.
 
 Port plan: this file owns 8100-8199 so it never collides with the
-other live-cluster suites (7450-7900) or the CI fixtures.
+other live-cluster suites (7450-7900) or the CI fixtures; newer tests
+draw a free range with ``tests.helpers.free_base_port``.
 """
 
 import asyncio
@@ -41,6 +42,7 @@ from repro.sim.rng import RngRegistry
 from repro.workload.distribution import generate_placement
 from repro.workload.generator import TransactionGenerator
 from repro.workload.params import WorkloadParams
+from tests.helpers import free_base_port
 
 
 # ----------------------------------------------------------------------
@@ -103,9 +105,14 @@ def test_affected_and_gained_items(chain6):
     assert change.affected_items(chain6) == {1}
     assert change.gained_items(chain6, 4) == {1}
     assert change.gained_items(chain6, 2) == frozenset()
+    assert change.gaining_sites() == {4}
     removal = PlacementChange(kind="remove-site", site=5)
     assert removal.affected_items(chain6) == \
         chain6.replica_items_at(5)
+    migration = PlacementChange(kind="migrate-primary", site=2, item=1)
+    assert migration.gained_items(chain6, 2) == frozenset()
+    assert removal.gaining_sites() == migration.gaining_sites() == \
+        frozenset()
 
 
 def test_check_against_rejects_cycles_for_tree_protocols(chain6):
@@ -391,10 +398,12 @@ def test_crashed_member_recovers_into_the_committed_epoch(tmp_path):
 
 def test_torn_commit_is_healed(tmp_path):
     """A coordinator that dies between per-site commits leaves epochs
-    torn; a later coordinator's heal pass re-drives the recorded change
-    to the laggard before doing anything else.  The laggard is the
-    gaining site, so the recorded change must carry the install: the
-    healed copy equals the primary's."""
+    torn, and the members' commit gossip alone finishes them.  The
+    laggard here is the gaining site, committed out of the coordinator's
+    order (it commits gainers first) so that only gossip can heal it:
+    members that logged the change with its install re-send it after
+    their restart to the peer that gains the copy, and the healed copy
+    equals the primary's."""
     spec = _spec(8140)
     change = PlacementChange(kind="add-replica", site=5, item=1)
 
@@ -410,9 +419,8 @@ def test_torn_commit_is_healed(tmp_path):
         # The torn schedule: s5 crashes, then the coordinator commits
         # everyone it can reach and dies before s5 returns.  The
         # commit-time gossip to s5 dies with the sockets when the
-        # committed members are bounced, and the gossip a recovered
-        # member re-sends is held back here, so nothing heals s5
-        # before the coordinator looks.
+        # committed members are bounced; what heals s5 is the gossip
+        # each recovered member re-sends.
         servers[5].kill()
         for site in range(5):
             await client.reconfig_commit(site, target,
@@ -421,32 +429,147 @@ def test_torn_commit_is_healed(tmp_path):
             servers[site].kill()
         await client.close()
         for site in range(spec.params.n_sites):
-            servers[site] = SiteServer(
-                spec, site,
-                wal_path=os.path.join(str(tmp_path),
-                                      "s{}.wal".format(site)))
-            servers[site]._gossip_reconfig = lambda epoch, change: None
-            await servers[site].start()
+            servers[site] = await _restart(spec, str(tmp_path), site)
         client = ClusterClient(spec, timeout=5.0)
         await client.wait_ready()
-        before = {site: (await client.reconfig_status(site))["epoch"]
-                  for site in range(spec.params.n_sites)}
-        coordinator = ReconfigCoordinator(client, timeout=20.0)
-        healed = await coordinator.heal()
-        after = {site: (await client.reconfig_status(site))["epoch"]
-                 for site in range(spec.params.n_sites)}
+        healed = await _until(lambda: servers[5].epoch == 1)
+        epochs = {site: server.epoch for site, server in servers.items()}
         try:
-            return before, healed, after, _copies(servers, 1)
+            return healed, epochs, _copies(servers, 1)
         finally:
             await _shutdown(servers, client)
 
-    before, healed, after, copies = asyncio.run(scenario())
-    assert {before[site] for site in range(5)} == {1}
-    assert before[5] == 0
-    assert healed == [5]
-    assert set(after.values()) == {1}
+    healed, epochs, copies = asyncio.run(scenario())
+    assert healed
+    assert set(epochs.values()) == {1}
     assert copies[5] == copies[1]
     assert copies[5][1] == 2
+
+
+def test_restarted_primary_keeps_its_fence_until_the_commit(tmp_path):
+    """The synced prepare is the fence: a primary restarted between the
+    install read and the commit refuses a write on the fenced item, so
+    it takes no version the install already left out, and after the
+    commit the primary, the old replica and the gained copy agree in
+    value, version and lineage."""
+    spec = _spec(free_base_port(6))
+    item, primary, replica, gainer = 1, 1, 2, 4
+    change = PlacementChange(kind="add-replica", site=gainer, item=item)
+
+    async def scenario():
+        servers, client = await _boot(spec, str(tmp_path))
+        for seq in (9700, 9701):
+            await client.run_transaction(_write(primary, seq, item))
+        for site in range(spec.params.n_sites):
+            await client.reconfig_prepare(site, 1, change.to_json())
+        installed = await _read_install(client, spec, change)
+        servers[primary].kill()
+        servers[primary] = await _restart(spec, str(tmp_path), primary)
+        third = await client.run_transaction(_write(primary, 9702, item))
+        # The coordinator's order: the gainer with its install, then
+        # everyone else with the bare change.
+        await client.reconfig_commit(gainer, 1, installed.to_json())
+        for site in range(spec.params.n_sites):
+            await client.reconfig_commit(site, 1, change.to_json())
+        await wait_quiescent(client, timeout=20.0, settle_polls=2)
+        try:
+            return third, _copies(servers, item)
+        finally:
+            await _shutdown(servers, client)
+
+    third, copies = asyncio.run(scenario())
+    assert third["status"] == "aborted"
+    assert "fenced" in third.get("reason", "")
+    assert copies[primary] == copies[replica] == copies[gainer]
+    assert copies[gainer][1] == 2
+
+
+def test_abort_record_clears_the_fence_and_a_lost_abort_keeps_it(
+        tmp_path):
+    """The fence follows the log across restarts: a member that took
+    the abort restarts unfenced; one whose abort was lost restarts
+    still fenced, and the next transition — of a different change —
+    releases it before it prepares, and commits."""
+    spec = _spec(free_base_port(6))
+    abandoned = PlacementChange(kind="add-replica", site=4, item=1)
+    took_abort, lost_abort = 2, 1
+
+    async def scenario():
+        servers, client = await _boot(spec, str(tmp_path))
+        for site in range(spec.params.n_sites):
+            await client.reconfig_prepare(site, 1, abandoned.to_json())
+        for site in range(spec.params.n_sites):
+            if site != lost_abort:
+                await client.reconfig_abort(site, 1)
+        for site in (took_abort, lost_abort):
+            servers[site].kill()
+            servers[site] = await _restart(spec, str(tmp_path), site)
+        restarted = {site: await client.reconfig_status(site)
+                     for site in (took_abort, lost_abort)}
+        refused = await client.run_transaction(_write(lost_abort, 9800, 1))
+        report = await ReconfigCoordinator(client, timeout=20.0).execute(
+            PlacementChange(kind="add-replica", site=5, item=2))
+        released = await client.run_transaction(
+            _write(lost_abort, 9801, 1))
+        epochs = {site: server.epoch for site, server in servers.items()}
+        try:
+            return restarted, refused, report, released, epochs
+        finally:
+            await _shutdown(servers, client)
+
+    restarted, refused, report, released, epochs = asyncio.run(scenario())
+    assert restarted[took_abort]["pending_epoch"] is None
+    assert restarted[took_abort]["fenced"] == []
+    assert restarted[lost_abort]["pending_epoch"] == 1
+    assert restarted[lost_abort]["fenced"] == [1]
+    assert refused["status"] == "aborted"
+    assert "fenced" in refused.get("reason", "")
+    assert report.epoch == 1
+    assert released["status"] == "committed"
+    assert set(epochs.values()) == {1}
+
+
+def test_install_goes_only_where_it_is_installed(tmp_path):
+    """The coordinator commits the gaining member first with the
+    install and every other member with the bare change, and commit
+    gossip carries the install only to a gaining peer: no non-gaining
+    member logs or receives it, and the gaining member logs it."""
+    from repro.cluster.wal import FileWal
+    from repro.storage.log import LogRecordKind
+
+    spec = _spec(free_base_port(6))
+    gainer = 4
+    change = PlacementChange(kind="add-replica", site=gainer, item=1)
+
+    async def scenario():
+        servers, client = await _boot(spec, str(tmp_path))
+        for seq in (9900, 9901):
+            await client.run_transaction(_write(1, seq, 1))
+        received = {site: [] for site in servers}
+        for site, server in servers.items():
+            def spy(message, site=site, deliver=server._on_reconfig):
+                received[site].append(message.payload["change"])
+                deliver(message)
+            server._on_reconfig = spy
+        await ReconfigCoordinator(client, timeout=20.0).execute(change)
+        # Every member gossips its commit to each of its peers.
+        gossiped = await _until(lambda: all(
+            len(changes) >= len(servers) - 1
+            for changes in received.values()))
+        await _shutdown(servers, client)
+        return gossiped, received
+
+    gossiped, received = asyncio.run(scenario())
+    assert gossiped
+    for site in range(spec.params.n_sites):
+        logged = [record.value for record in FileWal(
+            os.path.join(str(tmp_path), "s{}.wal".format(site)))
+            if record.kind is LogRecordKind.EPOCH_COMMIT]
+        assert len(logged) == 1
+        assert ("install" in logged[0]) == (site == gainer), site
+        if site != gainer:
+            assert not any("install" in payload
+                           for payload in received[site]), site
 
 
 def test_writes_on_fenced_items_are_refused_not_lost(tmp_path):
@@ -503,6 +626,23 @@ async def _read_install(client, spec, change):
     return installed
 
 
+async def _restart(spec, wal_dir, site):
+    """A fresh in-process member on ``site``'s WAL, started."""
+    server = SiteServer(spec, site, wal_path=os.path.join(
+        wal_dir, "s{}.wal".format(site)))
+    await server.start()
+    return server
+
+
+async def _until(predicate):
+    """Poll ``predicate`` until it holds (False after ~4 s)."""
+    for _ in range(400):
+        if predicate():
+            return True
+        await asyncio.sleep(0.01)
+    return False
+
+
 def _copies(servers, item):
     """Per in-process member holding ``item``: (value, version,
     writer lineage) of its copy."""
@@ -520,22 +660,18 @@ async def _version_reaches(server, item, want):
     """Poll one in-process member until its copy of ``item`` is at
     version ``want`` (False after ~4 s)."""
     engine = server.system.site_of(server.site_id).engine
-    for _ in range(400):
-        if engine.has_item(item) and \
-                engine.item(item).committed_version == want:
-            return True
-        await asyncio.sleep(0.01)
-    return False
+    return await _until(lambda: engine.has_item(item) and
+                        engine.item(item).committed_version == want)
 
 
 def test_state_transfer_runs_fenced_and_commit_gossip_orders_the_swap(
         tmp_path):
     """The gained copy's state is read once, from the fenced primary,
     and installed inside the epoch commit: the prepare creates nothing
-    and sends nothing, and a gaining site the coordinator never commits
-    installs the state from the primary's commit gossip, so its copy
-    equals the primary's — value, version and writer lineage — the
-    moment it adopts the epoch."""
+    and sends nothing, the gained copy equals the primary's — value,
+    version and writer lineage — the moment it adopts the epoch, and
+    once the gaining site commits (first, as the coordinator orders
+    it), every other member commits through commit gossip alone."""
     spec = _spec(8170)
     item, primary, gainer = 1, 1, 4
     change = PlacementChange(kind="add-replica", site=gainer, item=item)
@@ -554,12 +690,10 @@ def test_state_transfer_runs_fenced_and_commit_gossip_orders_the_swap(
                     {site: server.transport.total_sent - sent[site]
                      for site, server in servers.items()})
         installed = await _read_install(client, spec, change)
-        # Commit the primary only: the gainer commits through gossip.
-        await client.reconfig_commit(primary, 1, installed.to_json())
-        for _ in range(400):
-            if servers[gainer].epoch == 1:
-                break
-            await asyncio.sleep(0.01)
+        # Commit the gainer only: the others commit through gossip.
+        await client.reconfig_commit(gainer, 1, installed.to_json())
+        await _until(lambda: all(server.epoch == 1
+                                 for server in servers.values()))
         copies = _copies(servers, item)
         epochs = {site: server.epoch for site, server in servers.items()}
         try:
@@ -575,15 +709,16 @@ def test_state_transfer_runs_fenced_and_commit_gossip_orders_the_swap(
     assert set(epochs.values()) == {1}
 
 
-def test_write_right_after_the_primary_commit_reaches_a_gossip_only_gainer(
+def test_write_right_after_the_primary_commit_crosses_gossip_only_relays(
         tmp_path):
     """The ordering premise, pinned: a site gossips ``RECONFIG`` at its
     own commit, before it forwards any update of the new epoch, and
-    both share each FIFO channel.  A write committed at the primary
-    straight after its epoch commit therefore reaches a gaining site
-    that commits only through gossip after the install, never ahead of
-    it: the gained copy ends one version past the install, with the
-    primary's lineage."""
+    both share each FIFO channel.  The gaining site commits first, then
+    the primary; a write committed at the primary straight after its
+    epoch commit travels to the gained copy through relays (s2, s3 on
+    the DAG(WT) chain) that commit only through gossip, so each adopts
+    the placement before it forwards the update: the gained copy ends
+    one version past the install, with the primary's lineage."""
     spec = _spec(8150)
     item, primary, gainer = 1, 1, 4
     change = PlacementChange(kind="add-replica", site=gainer, item=item)
@@ -595,7 +730,8 @@ def test_write_right_after_the_primary_commit_reaches_a_gossip_only_gainer(
         for site in range(spec.params.n_sites):
             await client.reconfig_prepare(site, 1, change.to_json())
         installed = await _read_install(client, spec, change)
-        await client.reconfig_commit(primary, 1, installed.to_json())
+        await client.reconfig_commit(gainer, 1, installed.to_json())
+        await client.reconfig_commit(primary, 1, change.to_json())
         await client.adopt_epoch(1)
         after = await client.run_transaction(
             _write(primary, 9503, item))
@@ -715,13 +851,15 @@ def test_misaligned_install_raises_and_changes_nothing():
 def test_power_loss_in_the_commit_window_keeps_the_gained_copy_fed(
         tmp_path):
     """Reconfiguration x crash, with no pull plane to paper over it:
-    the gaining site is down while the primary commits the epoch and
-    takes a post-fence write, then the whole cluster loses power, so
-    every queued commit gossip is gone.  Recovered members re-send
-    their epoch's gossip — the change with its install — ahead of
-    everything they replay or re-forward, so the gainer installs the
-    copy and adopts the placement before the re-forwarded update
-    reaches it, and ends equal to the primary."""
+    the gaining site commits first, as the coordinator orders it, and
+    goes down; the primary then commits the epoch and takes a
+    post-fence write, and the whole cluster loses power, so every
+    queued commit gossip and forward is gone.  The gainer recovers
+    into the epoch with its install from its own WAL, and recovered
+    members re-send their epoch's gossip ahead of everything they
+    replay or re-forward, so every relay adopts the placement before
+    the re-forwarded update crosses it: the gained copy ends equal to
+    the primary."""
     spec = _spec(8180)
     item, primary, gainer = 1, 1, 4
     change = PlacementChange(kind="add-replica", site=gainer, item=item)
@@ -733,8 +871,9 @@ def test_power_loss_in_the_commit_window_keeps_the_gained_copy_fed(
         for site in range(spec.params.n_sites):
             await client.reconfig_prepare(site, 1, change.to_json())
         installed = await _read_install(client, spec, change)
+        await client.reconfig_commit(gainer, 1, installed.to_json())
         servers[gainer].kill()
-        await client.reconfig_commit(primary, 1, installed.to_json())
+        await client.reconfig_commit(primary, 1, change.to_json())
         await client.adopt_epoch(1)
         outcome = await client.run_transaction(
             _write(primary, 9303, item))

@@ -20,23 +20,17 @@ simulated network.  The demo
 
 Usage::
 
-    python examples/live_cluster.py
+    python examples/live_cluster.py [base_port]
+
+Sites listen on ``base_port`` .. ``base_port + 2`` (default 7470).
 """
 
 import asyncio
-import os
+import sys
 import tempfile
 
-from repro.cluster.client import ClusterClient
-from repro.cluster.codec import decode_value
-from repro.cluster.loadgen import history_from_status, wait_quiescent
-from repro.cluster.server import SiteServer
+from repro.cluster.loadgen import judge, start_cluster, start_site
 from repro.cluster.spec import ClusterSpec
-from repro.harness.convergence import divergent_copies
-from repro.harness.serializability import (
-    build_serialization_graph,
-    find_dsg_cycle,
-)
 from repro.types import (
     GlobalTransactionId,
     Operation,
@@ -73,74 +67,52 @@ async def commit_wave(client, placement, first_seq, n_per_site):
     return committed
 
 
-async def main() -> None:
+async def main(wal_dir: str) -> None:
+    base_port = int(sys.argv[1]) if len(sys.argv) > 1 else 7470
     params = WorkloadParams(n_sites=3, n_items=12,
                             replication_probability=0.8,
                             deadlock_timeout=0.05)
     spec = ClusterSpec(params=params, protocol="dag_wt", seed=3,
-                       base_port=7470)
+                       base_port=base_port)
     placement = spec.build_placement()
-    wal_dir = tempfile.mkdtemp(prefix="live-cluster-")
 
-    def wal_path(site):
-        return os.path.join(wal_dir, "site{}.wal".format(site))
+    async with start_cluster(spec, wal_dir) as (servers, client):
+        print("3-site DAG(WT) cluster up on ports {}..{}".format(
+            spec.base_port, spec.base_port + 2))
 
-    servers = {}
-    for site in range(3):
-        servers[site] = SiteServer(spec, site, wal_path=wal_path(site))
-        await servers[site].start()
-    client = ClusterClient(spec, timeout=5.0)
-    await client.wait_ready()
-    print("3-site DAG(WT) cluster up on ports {}..{}".format(
-        spec.base_port, spec.base_port + 2))
+        committed = await commit_wave(client, placement, first_seq=0,
+                                      n_per_site=4)
+        print("wave 1: {} transactions committed cluster-wide".format(
+            committed))
 
-    committed = await commit_wave(client, placement, first_seq=0,
-                                  n_per_site=4)
-    print("wave 1: {} transactions committed cluster-wide".format(
-        committed))
+        servers[VICTIM].kill()
+        print("site s{} killed (volatile state dropped; WAL + inbox "
+              "journal survive)".format(VICTIM))
 
-    servers[VICTIM].kill()
-    print("site s{} killed (volatile state dropped; WAL + inbox "
-          "journal survive)".format(VICTIM))
+        survivors = [s for s in range(3) if s != VICTIM]
+        committed = 0
+        for site in survivors:
+            primaries = sorted(placement.primary_items_at(site))
+            for seq in range(4, 8):
+                item = primaries[seq % len(primaries)]
+                outcome = await client.run_transaction(
+                    txn(site, seq, ("w", item)))
+                if outcome["status"] == "committed":
+                    committed += 1
+        print("wave 2 (victim down): {} transactions committed at the "
+              "survivors".format(committed))
 
-    survivors = [s for s in range(3) if s != VICTIM]
-    committed = 0
-    for site in survivors:
-        primaries = sorted(placement.primary_items_at(site))
-        for seq in range(4, 8):
-            item = primaries[seq % len(primaries)]
-            outcome = await client.run_transaction(
-                txn(site, seq, ("w", item)))
-            if outcome["status"] == "committed":
-                committed += 1
-    print("wave 2 (victim down): {} transactions committed at the "
-          "survivors".format(committed))
+        servers[VICTIM] = await start_site(spec, wal_dir, VICTIM)
+        assert servers[VICTIM].recovered, "restart should replay the WAL"
+        print("site s{} restarted: WAL replayed, inbox journal "
+              "re-delivered; peers resend the unacked rest".format(VICTIM))
 
-    servers[VICTIM] = SiteServer(spec, VICTIM,
-                                 wal_path=wal_path(VICTIM))
-    await servers[VICTIM].start()
-    assert servers[VICTIM].recovered, "restart should replay the WAL"
-    print("site s{} restarted: WAL replayed, inbox journal "
-          "re-delivered; peers resend the unacked rest".format(VICTIM))
-
-    statuses = await wait_quiescent(client, timeout=20.0,
-                                    settle_polls=3)
-    state = {site: decode_value(status["items"])
-             for site, status in statuses.items()}
-    divergent = divergent_copies(placement, state)
-    histories = [history_from_status(status)
-                 for status in statuses.values()]
-    cycle = find_dsg_cycle(build_serialization_graph(histories))
-
-    assert not divergent, "replicas diverged: {}".format(divergent)
-    assert cycle is None, "DSG cycle: {}".format(cycle)
-    print("Recovered site caught up: all replicas convergent, "
-          "serialization graph acyclic")
-
-    for server in servers.values():
-        await server.stop()
-    await client.close()
+        verdict = await judge(client, timeout=20.0)
+        assert not verdict.violations, verdict.violations
+        print("Recovered site caught up: all replicas convergent, "
+              "serialization graph acyclic")
 
 
 if __name__ == "__main__":
-    asyncio.run(main())
+    with tempfile.TemporaryDirectory(prefix="live-cluster-") as scratch:
+        asyncio.run(main(scratch))

@@ -18,10 +18,7 @@ from repro.core.base import ReplicatedSystem, SystemConfig, make_protocol
 from repro.errors import TransactionAborted
 from repro.graph.placement import DataPlacement
 from repro.harness.convergence import check_convergence
-from repro.harness.serializability import (
-    build_serialization_graph,
-    find_dsg_cycle,
-)
+from repro.harness.serializability import check_serializable
 from repro.sim.environment import Environment
 from repro.storage.log import WriteAheadLog, recover
 from repro.types import (
@@ -108,9 +105,7 @@ def main() -> None:
     env.run(until=env.now + 2.0)
 
     check_convergence(system)
-    graph = build_serialization_graph(
-        site.engine.history for site in system.sites)
-    assert find_dsg_cycle(graph) is None
+    check_serializable(site.engine.history for site in system.sites)
     print("Recovered site caught up; all replicas convergent; the "
           "post-crash execution is serializable.")
 

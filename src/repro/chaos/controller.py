@@ -1,16 +1,18 @@
-"""The chaos controller: script -> workload -> oracle verdict.
+"""The chaos controller: boot + drive + faults + verdict.
 
-One :func:`run_chaos` call boots the scenario's cluster in-process
-(every site a :class:`~repro.cluster.server.SiteServer` sharing one
-event loop, exactly the ``loadgen --spawn`` shape), arms the fault
-plan — a shared :class:`~repro.chaos.plan.LinkFaultInjector` on every
-transport, one asyncio task per ``kill`` event driving the crash /
-corrupt / restart lifecycle — and drives the spec's matched workload
-through a :class:`~repro.cluster.client.ClusterClient` while a light
-watchdog rides along.  After the schedule completes and the cluster
-quiesces, the verdict runs the offline oracles (replica convergence,
-DSG acyclicity) plus a fresh post-run watchdog whose polls must be
-critical-free.
+One :func:`run_chaos` call is a live run of :mod:`repro.cluster.loadgen`
+with faults on it: :func:`~repro.cluster.loadgen.start_cluster` boots
+the scenario's cluster in-process with a shared
+:class:`~repro.chaos.plan.LinkFaultInjector` on every transport,
+:func:`~repro.cluster.loadgen.drive` runs the spec's matched workload
+while the controller's watchdog rides along and, beside the workers,
+one task per ``kill`` event drives the crash / corrupt / restart
+lifecycle and the reconfiguration driver runs its timed epoch
+transitions.  :func:`~repro.cluster.loadgen.judge` then quiesces the
+cluster and checks the contract, and a fresh post-run watchdog's polls
+must be critical-free.  What is chaos's own is the fault plan, that
+lifecycle, the regressions, the reconfiguration driver, the tolerance
+rule below, the post-run polls and the flight bundles.
 
 Tolerance policy: faults within the paper's model (delays, jitter,
 drops repaired by resend — everything the reliable-FIFO assumption of
@@ -50,23 +52,15 @@ import time
 import typing
 
 from repro.chaos.plan import FaultPlan, KillFault, LinkFaultInjector
-from repro.cluster.client import ClusterClient, ClusterError
-from repro.cluster.codec import decode_value
-from repro.cluster.loadgen import history_from_status, wait_quiescent
+from repro.cluster.client import ClusterError
+from repro.cluster.loadgen import drive, judge, start_cluster, start_site
 from repro.cluster.server import SiteServer
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.wal import CorruptLogError
-from repro.harness.convergence import divergent_copies
-from repro.harness.serializability import (
-    build_serialization_graph,
-    find_dsg_cycle,
-)
 from repro.graph.placement import DataPlacement
 from repro.obs.monitor import MonitorConfig, Watchdog
 from repro.reconfig import (PlacementChange, ReconfigCoordinator,
                             ReconfigError)
-from repro.sim.rng import RngRegistry
-from repro.workload.generator import TransactionGenerator
 
 #: Protocol regressions the controller can inject (see module docs).
 REGRESSIONS = ("forward-before-wal", "ack-before-journal")
@@ -256,10 +250,11 @@ class ChaosRunReport:
 # Corruption plumbing
 # ----------------------------------------------------------------------
 
-def _corrupt_path(scenario: ChaosScenario, wal_dir: str,
-                  site: int, target: str) -> str:
-    base = os.path.join(wal_dir, "site{}.wal".format(site))
-    return base if target == "wal" else base + ".inbox"
+def _corrupt_path(server: SiteServer, target: str) -> str:
+    """The file a ``target`` corruption damages: the WAL the boot gave
+    ``server``, or its inbox journal beside it."""
+    return server.wal_path if target == "wal" else \
+        server.wal_path + ".inbox"
 
 
 def _apply_corruption(event, path: str,
@@ -400,20 +395,6 @@ def _broadcast_event(servers: typing.Dict[int, SiteServer],
         server.flight.record_event(kind, **fields)
 
 
-async def _start_site(scenario: ChaosScenario, wal_dir: str, site: int,
-                      injector: LinkFaultInjector) -> SiteServer:
-    server = SiteServer(
-        scenario.spec, site,
-        wal_path=os.path.join(wal_dir, "site{}.wal".format(site)),
-        faults=injector)
-    try:
-        await server.start()
-    except BaseException:
-        server.kill()
-        raise
-    return server
-
-
 async def _site_schedule(scenario: ChaosScenario, wal_dir: str,
                          kill: KillFault,
                          servers: typing.Dict[int, SiteServer],
@@ -430,7 +411,7 @@ async def _site_schedule(scenario: ChaosScenario, wal_dir: str,
     pristine: typing.Dict[str, bytes] = {}
     applied = []
     for event in scenario.plan.corrupt_events(kill.site):
-        path = _corrupt_path(scenario, wal_dir, kill.site, event.target)
+        path = _corrupt_path(servers[kill.site], event.target)
         if _apply_corruption(event, path, pristine):
             applied.append((event, path))
             _broadcast_event(servers, "fault", fault="corrupt",
@@ -440,8 +421,8 @@ async def _site_schedule(scenario: ChaosScenario, wal_dir: str,
 
     detected_error: typing.Optional[str] = None
     try:
-        replacement = await _start_site(scenario, wal_dir, kill.site,
-                                        injector)
+        replacement = await start_site(scenario.spec, wal_dir, kill.site,
+                                       injector)
     except CorruptLogError as exc:
         detected_error = str(exc)
         # Heal the damage and restart for real so the run completes
@@ -449,8 +430,8 @@ async def _site_schedule(scenario: ChaosScenario, wal_dir: str,
         for path, data in pristine.items():
             with open(path, "wb") as handle:
                 handle.write(data)
-        replacement = await _start_site(scenario, wal_dir, kill.site,
-                                        injector)
+        replacement = await start_site(scenario.spec, wal_dir, kill.site,
+                                       injector)
     servers[kill.site] = replacement
 
     for event, path in applied:
@@ -491,140 +472,62 @@ async def _run_chaos(scenario: ChaosScenario, wal_dir: str,
     spec = scenario.spec
     injector = LinkFaultInjector(scenario.plan)
     report = ChaosRunReport(scenario=scenario.to_json())
-    servers: typing.Dict[int, SiteServer] = {}
-    client: typing.Optional[ClusterClient] = None
-    watchdog: typing.Optional[Watchdog] = None
-    watchdog_task: typing.Optional[asyncio.Task] = None
     started = time.monotonic()
-    try:
-        for site in range(spec.params.n_sites):
-            servers[site] = await _start_site(scenario, wal_dir, site,
-                                              injector)
+    async with start_cluster(spec, wal_dir, faults=injector,
+                             timeout=txn_timeout) as (servers, client):
         if scenario.regression is not None:
             _inject_regression(servers[scenario.target_site],
                                scenario.regression)
-        client = ClusterClient(spec, timeout=txn_timeout)
-        await client.wait_ready()
+        faults = [_site_schedule(scenario, wal_dir, kill, servers,
+                                 injector, report)
+                  for kill in scenario.plan.kill_events()]
+        if scenario.reconfig:
+            faults.append(_drive_reconfigs(scenario, client, report,
+                                           deadline_s=quiesce_timeout))
+        config = None
         if monitor:
             config = monitor_config if monitor_config is not None \
                 else MonitorConfig(interval=0.25, convergence_every=0,
                                    trace_limit=0)
-            watchdog = Watchdog(
-                spec, client, config=config,
-                on_alert=lambda alert: _broadcast_event(
-                    servers, "alert", rule=alert.rule,
-                    severity=alert.severity, alert_site=alert.site,
-                    message=alert.message))
-            watchdog_task = asyncio.get_running_loop().create_task(
-                watchdog.run())
-
-        schedule = [
-            asyncio.get_running_loop().create_task(
-                _site_schedule(scenario, wal_dir, kill, servers,
-                               injector, report))
-            for kill in scenario.plan.kill_events()]
-        reconfig_task: typing.Optional[asyncio.Task] = None
-        if scenario.reconfig:
-            reconfig_task = asyncio.get_running_loop().create_task(
-                _drive_reconfigs(scenario, client, report,
-                                 deadline_s=quiesce_timeout))
-
-        generator = TransactionGenerator(
-            spec.params, spec.build_placement(),
-            RngRegistry(spec.seed).stream("workload"))
-
-        async def worker(site: int, thread: int) -> None:
-            for txn_spec in generator.thread_stream(site, thread):
-                outcome = await client.run_transaction(txn_spec)
-                status = outcome["status"]
-                if status == "committed":
-                    report.committed += 1
-                elif status == "aborted":
-                    report.aborted += 1
-                else:
-                    report.unknown += 1
-
-        await asyncio.gather(*(
-            worker(site, thread)
-            for site in range(spec.params.n_sites)
-            for thread in range(spec.params.threads_per_site)))
-        for task in schedule:
-            await task
-        if reconfig_task is not None:
-            await reconfig_task
-
-        if watchdog is not None:
-            watchdog.request_stop()
-            await watchdog_task
-            watchdog_task = None
-            summary = watchdog.summary()
-            report.alerts_during = summary
-            if summary["critical"] and not scenario.out_of_model:
-                report.violations.append(
-                    "monitor-critical: {} critical alert(s) in a "
-                    "within-tolerance run ({})".format(
-                        summary["critical"],
-                        ", ".join(sorted(summary["by_rule"]))))
+        run = await drive(
+            spec, client, monitor=config, alongside=faults,
+            on_alert=lambda alert: _broadcast_event(
+                servers, "alert", rule=alert.rule,
+                severity=alert.severity, alert_site=alert.site,
+                message=alert.message))
+        report.committed = run.metrics.total_committed
+        report.aborted = run.metrics.total_aborted
+        report.unknown = run.unknown
+        report.alerts_during = run.alerts
+        if run.alerts.get("critical") and not scenario.out_of_model:
+            report.violations.append(
+                "monitor-critical: {} critical alert(s) in a "
+                "within-tolerance run ({})".format(
+                    run.alerts["critical"],
+                    ", ".join(sorted(run.alerts["by_rule"]))))
 
         try:
-            statuses = await wait_quiescent(client,
-                                            timeout=quiesce_timeout)
+            verdict = await judge(client, timeout=quiesce_timeout)
+        except ReconfigError as exc:
+            verdict = None
+            report.violations.append(
+                "reconfig: cannot read the final placement: {}".format(exc))
         except (TimeoutError, ClusterError, OSError) as exc:
+            verdict = None
             report.violations.append(
                 "quiesce: cluster did not settle: {}".format(exc))
-            statuses = {}
-
-        final_placement = spec.build_placement()
-        if statuses:
-            report.final_epoch = max(
-                int(status.get("epoch", 0))
-                for status in statuses.values())
-            if scenario.reconfig:
-                # The epoch-recovery invariant: every member (including
-                # any that crashed and recovered from its WAL) must end
-                # the run in one agreed epoch, and the oracles below
-                # judge against that epoch's placement, not genesis.
-                epochs = {site: int(status.get("epoch", 0))
-                          for site, status in statuses.items()}
-                if len(set(epochs.values())) > 1:
-                    report.violations.append(
-                        "epoch-divergence: members ended in different "
-                        "epochs {}".format(epochs))
-                if report.final_epoch > 0:
-                    try:
-                        _, final_placement = await ReconfigCoordinator(
-                            client).current_placement()
-                    except (ReconfigError, ClusterError, OSError) as exc:
-                        report.violations.append(
-                            "reconfig: cannot read the final placement: "
-                            "{}".format(exc))
-        if statuses:
-            state = {site: decode_value(status["items"])
-                     for site, status in statuses.items()}
-            problems = divergent_copies(final_placement, state)
-            report.convergent = not problems
-            report.divergent = len(problems)
-            if problems:
-                report.violations.append(
-                    "convergence: {} divergent cop{} (e.g. {})".format(
-                        len(problems),
-                        "y" if len(problems) == 1 else "ies",
-                        problems[0]))
-            histories = [history_from_status(status)
-                         for status in statuses.values()]
-            graph = build_serialization_graph(histories)
-            report.dsg_nodes = len(graph)
-            cycle = find_dsg_cycle(graph)
-            report.serializable = cycle is None
-            if cycle is not None:
-                report.violations.append(
-                    "serializability: DSG cycle {}".format(
-                        " -> ".join(str(gid) for gid in cycle)))
+        if verdict is not None:
+            report.final_epoch = verdict.epoch
+            report.convergent = not verdict.divergent
+            report.divergent = len(verdict.divergent)
+            report.serializable = verdict.cycle is None
+            report.dsg_nodes = verdict.dsg_nodes
+            report.violations.extend(verdict.violations)
 
         # Post-quiesce polls from a fresh watchdog: every site must be
         # up and answering, replicas current, no divergence — even for
         # crash scenarios, this is the "recovered" assertion.
-        if monitor and statuses:
+        if monitor and verdict is not None:
             post = Watchdog(spec, client, config=MonitorConfig(
                 interval=0.1, convergence_every=1, trace_limit=0,
                 down_polls=1))
@@ -654,22 +557,6 @@ async def _run_chaos(scenario: ChaosScenario, wal_dir: str,
                             "chaos-verdict", out_dir=bundle_dir))
                 except OSError:
                     pass
-    finally:
-        if watchdog is not None:
-            watchdog.request_stop()
-            if watchdog_task is not None:
-                try:
-                    await watchdog_task
-                except Exception:
-                    pass
-            watchdog.close()
-        if client is not None:
-            await client.close()
-        for server in servers.values():
-            try:
-                await server.stop()
-            except Exception:
-                pass
 
     report.duration = time.monotonic() - started
     report.injections = injector.sorted_log()

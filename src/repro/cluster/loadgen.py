@@ -1,11 +1,20 @@
-"""Load generator for a live cluster (closed- or open-loop).
+"""One live run — boot, workload drive, verdict — and the load generator.
 
-Reproduces the paper's workload model against real servers: per site,
-``threads_per_site`` workers submit the transactions of their
-:meth:`~repro.workload.generator.TransactionGenerator.thread_stream`.
-The generator streams are seeded exactly as the simulation harness seeds
-them, so a live run and a sim run with the same :class:`ClusterSpec`
-execute a **matched workload** — the basis of the live-vs-sim benchmark.
+Every in-process run of the live cluster (``repro loadgen --spawn``, the
+chaos controller, ``examples/live_cluster.py``, the live tests) takes
+the same three steps: :func:`start_cluster` boots every site on
+``site<N>.wal`` logs in one directory and yields the servers plus a
+ready client; :func:`drive` runs the matched workload while a light
+:class:`~repro.obs.monitor.Watchdog` rides along; :func:`judge`
+quiesces the cluster and checks the paper's contract over the placement
+of the epoch its members agree on.
+
+The workload is the paper's model: per site, ``threads_per_site``
+workers submit the transactions of their
+:meth:`~repro.workload.generator.TransactionGenerator.thread_stream`,
+seeded exactly as the simulation harness seeds them, so a live run and
+a sim run with the same :class:`ClusterSpec` execute a **matched
+workload** — the basis of the live-vs-sim benchmark.
 
 Two loop disciplines:
 
@@ -18,16 +27,6 @@ Two loop disciplines:
   servers (and what the batching/group-commit layer amortizes);
   latencies include admission queueing, as open-loop latencies must.
 
-After the workload drains, the generator waits for the cluster to
-quiesce (propagation queues empty, histories stable), then runs the same
-oracles the simulation harness uses:
-
-- replica convergence, via :func:`repro.harness.convergence
-  .divergent_copies` over the item states the sites report;
-- global serializability, via :func:`repro.harness.serializability
-  .check_serializable` over site histories rebuilt from the reported
-  commit logs.
-
 Latencies are *wall-clock* seconds measured at the client; the report
 carries committed-transaction throughput plus p50/p95/p99 from
 :mod:`repro.harness.metrics`.
@@ -36,20 +35,25 @@ carries committed-transaction throughput plus p50/p95/p99 from
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import dataclasses
+import os
+import tempfile
 import time
 import typing
 
 from repro.cluster.client import ClusterClient, ClusterError
 from repro.cluster.codec import decode_value
+from repro.cluster.server import SiteServer
 from repro.cluster.spec import ClusterSpec
+from repro.graph.placement import DataPlacement
 from repro.harness.convergence import divergent_copies
 from repro.harness.metrics import MetricsCollector, percentile
 from repro.harness.serializability import (
     build_serialization_graph,
     find_dsg_cycle,
 )
-from repro.obs.monitor import MonitorConfig, Watchdog
+from repro.obs.monitor import Alert, MonitorConfig, Watchdog
 from repro.obs.reconstruct import (
     attribution_summary,
     propagation_summary,
@@ -188,47 +192,121 @@ class LoadReport:
         return "\n".join(lines)
 
 
-async def generate_load(spec: ClusterSpec, client: ClusterClient,
-                        verify: bool = True,
-                        quiesce_timeout: float = 30.0,
-                        loop_mode: str = "closed") -> LoadReport:
-    """Drive the matched workload through ``client`` and verify.
+#: Quiescence: every site's outbound queue empty and no history grown
+#: for ``SETTLE_POLLS`` consecutive ``status`` polls, ``POLL_INTERVAL``
+#: seconds apart.
+SETTLE_POLLS = 2
+POLL_INTERVAL = 0.1
 
-    An embedded :class:`~repro.obs.monitor.Watchdog` rides along: its
-    per-poll lag samples become :attr:`LoadReport.version_lag` (lag
-    measured while propagation queues are actually loaded) and its
-    alert counts :attr:`LoadReport.alerts` — a healthy run reports zero
-    criticals.  The embedded config is deliberately light (one
-    ``versions`` poll per period: no trace fetches, no convergence
-    sampling) so watching does not perturb the throughput being
-    measured.
+#: The watchdog that rides along a load run: one ``versions`` poll per
+#: period, no trace fetches and no convergence sampling, so watching
+#: does not perturb the throughput being measured.
+LOAD_MONITOR = MonitorConfig(interval=0.1, convergence_every=0,
+                             trace_limit=0)
+
+
+async def start_site(spec: ClusterSpec, wal_dir: str, site: int,
+                     faults: typing.Optional[typing.Any] = None
+                     ) -> SiteServer:
+    """Start ``site`` in-process on ``site<N>.wal`` in ``wal_dir``; a
+    restart after a kill is the same call on the same directory."""
+    server = SiteServer(
+        spec, site, wal_path=os.path.join(wal_dir, "site{}.wal".format(site)),
+        faults=faults)
+    try:
+        await server.start()
+    except BaseException:
+        server.kill()
+        raise
+    return server
+
+
+@contextlib.asynccontextmanager
+async def start_cluster(spec: ClusterSpec, wal_dir: str,
+                        faults: typing.Optional[typing.Any] = None,
+                        **client_options: typing.Any
+                        ) -> typing.AsyncIterator[
+                            typing.Tuple[typing.Dict[int, SiteServer],
+                                         ClusterClient]]:
+    """Boot every site of ``spec`` in-process and yield ``(servers,
+    client)``: the servers by site, and a ready :class:`ClusterClient`
+    built with ``client_options``.  On exit the client closes and every
+    server in ``servers`` stops — including restarts the caller put
+    there."""
+    servers: typing.Dict[int, SiteServer] = {}
+    client = ClusterClient(spec, **client_options)
+    try:
+        for site in range(spec.params.n_sites):
+            servers[site] = await start_site(spec, wal_dir, site, faults)
+        await client.wait_ready()
+        yield servers, client
+    finally:
+        await client.close()
+        for server in servers.values():
+            try:
+                await server.stop()
+            except Exception:  # noqa: BLE001 - teardown of a dead site
+                pass
+
+
+@dataclasses.dataclass
+class Drive:
+    """What one workload drive saw at the client."""
+
+    duration: float
+    metrics: MetricsCollector
+    unknown: int
+    #: The riding watchdog's per-poll replica lags, concatenated.
+    lags: typing.List[int]
+    #: The riding watchdog's summary (empty without a watchdog).
+    alerts: typing.Dict[str, typing.Any]
+
+
+async def drive(spec: ClusterSpec, client: ClusterClient,
+                loop_mode: str = "closed",
+                monitor: typing.Optional[MonitorConfig] = LOAD_MONITOR,
+                on_alert: typing.Optional[
+                    typing.Callable[[Alert], None]] = None,
+                alongside: typing.Sequence[typing.Awaitable] = ()
+                ) -> Drive:
+    """Drive the matched workload through ``client``.
+
+    A :class:`~repro.obs.monitor.Watchdog` with config ``monitor``
+    (``None``: none) and ``on_alert`` polls every ``monitor.interval``
+    while the workers and the ``alongside`` awaitables run, and takes
+    one more sample the moment the workers drain.
     """
-    spec.validate()
     if loop_mode not in ("closed", "open"):
         raise ValueError("loop_mode must be 'closed' or 'open', got "
                          "{!r}".format(loop_mode))
-    placement = spec.build_placement()
     # Streams are name-keyed, so this is the exact generator seeding the
     # simulation harness uses for the same (params, seed).
-    generator = TransactionGenerator(spec.params, placement,
+    generator = TransactionGenerator(spec.params, spec.build_placement(),
                                      RngRegistry(spec.seed)
                                      .stream("workload"))
     metrics = MetricsCollector(spec.params.n_sites)
-    unknown = [0]
-    watchdog = Watchdog(spec, client, config=MonitorConfig(
-        interval=0.1, convergence_every=0, trace_limit=0))
+    unknown = 0
+    duration = 0.0
     lags: typing.List[int] = []
+    watchdog = (Watchdog(spec, client, config=monitor, on_alert=on_alert)
+                if monitor is not None else None)
+    polling = asyncio.Lock()
+    finished = asyncio.Event()
 
-    async def watch() -> None:
-        while True:
-            await asyncio.sleep(watchdog.config.interval)
+    async def sample() -> None:
+        async with polling:
             await watchdog.poll_once()
             lags.extend(watchdog.lags)
 
-    started = time.monotonic()
-    watch_task = asyncio.get_running_loop().create_task(watch())
+    async def watch() -> None:
+        while not finished.is_set():
+            try:
+                await asyncio.wait_for(finished.wait(), monitor.interval)
+            except asyncio.TimeoutError:
+                await sample()
 
     async def submit_one(site: int, txn_spec) -> None:
+        nonlocal unknown
         sent = time.monotonic()
         outcome = await client.run_transaction(txn_spec)
         elapsed = time.monotonic() - sent
@@ -238,7 +316,7 @@ async def generate_load(spec: ClusterSpec, client: ClusterClient,
             metrics.transaction_aborted(
                 site, outcome.get("reason") or "aborted")
         else:
-            unknown[0] += 1
+            unknown += 1
 
     async def worker(site: int, thread: int) -> None:
         if loop_mode == "open":
@@ -252,28 +330,107 @@ async def generate_load(spec: ClusterSpec, client: ClusterClient,
             for txn_spec in generator.thread_stream(site, thread):
                 await submit_one(site, txn_spec)
 
-    try:
+    async def workload() -> None:
+        nonlocal duration
         await asyncio.gather(*(
             worker(site, thread)
             for site in range(spec.params.n_sites)
             for thread in range(spec.params.threads_per_site)))
-    finally:
-        watch_task.cancel()
-    duration = time.monotonic() - started
+        duration = time.monotonic() - started
+        if watchdog is not None:
+            # One sample as the workload drains, so even a run shorter
+            # than the poll interval has one.  With nothing alongside
+            # the watchdog stops here: a quiescent tail would only
+            # dilute the loaded-phase lags.
+            await sample()
+
+    started = time.monotonic()
+    watch_task = (asyncio.get_running_loop().create_task(watch())
+                  if watchdog is not None else None)
     try:
-        await watch_task
-    except asyncio.CancelledError:
-        pass
-    # One last sample after the workload drains, then stop — the
-    # quiescent tail would only dilute the loaded-phase lags.
-    await watchdog.poll_once()
-    lags.extend(watchdog.lags)
+        await asyncio.gather(workload(), *alongside)
+    finally:
+        finished.set()
+    if watchdog is None:
+        return Drive(duration, metrics, unknown, lags, {})
+    await watch_task
     watchdog.close()
-    summary = watchdog.summary()
-    alerts = {key: summary[key]
-              for key in ("polls", "critical", "warning", "by_rule")}
+    return Drive(duration, metrics, unknown, lags, watchdog.summary())
+
+
+@dataclasses.dataclass
+class Verdict:
+    """The paper's contract, checked on one quiesced cluster."""
+
+    statuses: typing.Dict[int, typing.Dict]
+    #: The agreed epoch and its placement, the one the checks read.
+    epoch: int
+    placement: DataPlacement
+    #: ``divergent_copies`` over that placement.
+    divergent: typing.List[typing.Tuple]
+    #: A DSG cycle (``None``: serializable) and the DSG's size.
+    cycle: typing.Optional[typing.List]
+    dsg_nodes: int
+    #: One line per broken check (empty: the contract holds).
+    violations: typing.List[str]
+
+
+async def judge(client: ClusterClient, timeout: float = 30.0) -> Verdict:
+    """Quiesce the cluster, then check that every member reports one
+    epoch, that every replica equals its primary under the placement of
+    the highest epoch a member reports, and that the DSG over the
+    reported histories is acyclic.
+
+    Raises what :func:`wait_quiescent` raises, and
+    :class:`~repro.reconfig.ReconfigError` when a member cannot report
+    its placement.
+    """
+    # Deferred: repro.reconfig imports this package.
+    from repro.reconfig import ReconfigCoordinator
+
+    statuses = await wait_quiescent(client, timeout=timeout)
+    violations = []
+    epochs = {site: int(status.get("epoch", 0))
+              for site, status in statuses.items()}
+    if len(set(epochs.values())) > 1:
+        violations.append("epoch-divergence: members ended in different "
+                          "epochs {}".format(epochs))
+    epoch, placement = await ReconfigCoordinator(client).current_placement()
+    divergent = divergent_copies(placement, {
+        site: decode_value(status["items"])
+        for site, status in statuses.items()})
+    if divergent:
+        violations.append("convergence: {} divergent cop{} (e.g. {})".format(
+            len(divergent), "y" if len(divergent) == 1 else "ies",
+            divergent[0]))
+    graph = build_serialization_graph(
+        [history_from_status(status) for status in statuses.values()])
+    cycle = find_dsg_cycle(graph)
+    if cycle is not None:
+        violations.append("serializability: DSG cycle {}".format(
+            " -> ".join(str(gid) for gid in cycle)))
+    return Verdict(statuses, epoch, placement, divergent, cycle, len(graph),
+                   violations)
+
+
+async def generate_load(spec: ClusterSpec, client: ClusterClient,
+                        verify: bool = True,
+                        quiesce_timeout: float = 30.0,
+                        loop_mode: str = "closed") -> LoadReport:
+    """:func:`drive` the matched workload through ``client``, then
+    :func:`judge` the cluster (``verify``) or only wait for it to
+    quiesce.
+
+    The riding watchdog's per-poll lag samples become
+    :attr:`LoadReport.version_lag` (lag measured while propagation
+    queues are actually loaded) and its alert counts
+    :attr:`LoadReport.alerts` — a healthy run reports zero criticals.
+    """
+    spec.validate()
+    run = await drive(spec, client, loop_mode=loop_mode)
+    lags = run.lags
     version_lag = {
-        "samples": summary["polls"],
+        "samples": run.alerts["polls"],
         "observations": len(lags),
         "mean": sum(lags) / len(lags) if lags else 0.0,
         "p95": percentile(lags, 95.0),
@@ -282,7 +439,14 @@ async def generate_load(spec: ClusterSpec, client: ClusterClient,
                              / len(lags) if lags else 1.0),
     }
 
-    statuses = await wait_quiescent(client, timeout=quiesce_timeout)
+    convergent, divergent, serializable, dsg_nodes = True, 0, True, 0
+    if verify:
+        verdict = await judge(client, timeout=quiesce_timeout)
+        statuses = verdict.statuses
+        convergent, divergent = not verdict.divergent, len(verdict.divergent)
+        serializable, dsg_nodes = verdict.cycle is None, verdict.dsg_nodes
+    else:
+        statuses = await wait_quiescent(client, timeout=quiesce_timeout)
     propagation: typing.Dict[str, typing.Any] = {}
     attribution: typing.Dict[str, typing.Any] = {}
     try:
@@ -293,30 +457,20 @@ async def generate_load(spec: ClusterSpec, client: ClusterClient,
         trees = reconstruct(spans)
         propagation = propagation_summary(trees)
         attribution = attribution_summary(trees)
-    convergent, divergent, serializable, dsg_nodes = True, 0, True, 0
-    if verify:
-        state = {site: decode_value(status["items"])
-                 for site, status in statuses.items()}
-        problems = divergent_copies(placement, state)
-        convergent, divergent = not problems, len(problems)
-        histories = [history_from_status(status)
-                     for status in statuses.values()]
-        graph = build_serialization_graph(histories)
-        dsg_nodes = len(graph)
-        serializable = find_dsg_cycle(graph) is None
 
+    metrics = run.metrics
     return LoadReport(
         protocol=spec.protocol,
         seed=spec.seed,
         n_sites=spec.params.n_sites,
         threads_per_site=spec.params.threads_per_site,
         transactions_per_thread=spec.params.transactions_per_thread,
-        duration=duration,
+        duration=run.duration,
         committed=metrics.total_committed,
         aborted=metrics.total_aborted,
-        unknown=unknown[0],
-        throughput=(metrics.total_committed / duration
-                    if duration > 0 else 0.0),
+        unknown=run.unknown,
+        throughput=(metrics.total_committed / run.duration
+                    if run.duration > 0 else 0.0),
         latency=metrics.latency_summary(),
         abort_rate=metrics.abort_rate(),
         convergent=convergent,
@@ -335,18 +489,18 @@ async def generate_load(spec: ClusterSpec, client: ClusterClient,
         propagation=propagation,
         attribution=attribution,
         version_lag=version_lag,
-        alerts=alerts,
+        alerts={key: run.alerts[key]
+                for key in ("polls", "critical", "warning", "by_rule")},
     )
 
 
-async def wait_quiescent(client: ClusterClient, timeout: float = 30.0,
-                         settle_polls: int = 2, poll_interval: float = 0.1
+async def wait_quiescent(client: ClusterClient, timeout: float = 30.0
                          ) -> typing.Dict[int, typing.Dict]:
     """Poll statuses until propagation stops moving.
 
     Quiescent = every site reports an empty outbound queue and no site's
-    history grew, for ``settle_polls`` consecutive polls.  Returns the
-    final statuses; raises :class:`TimeoutError` past ``timeout``.
+    history grew, for :data:`SETTLE_POLLS` consecutive polls.  Returns
+    the final statuses; raises :class:`TimeoutError` past ``timeout``.
     """
     deadline = time.monotonic() + timeout
     last_sizes: typing.Optional[typing.List[int]] = None
@@ -359,7 +513,7 @@ async def wait_quiescent(client: ClusterClient, timeout: float = 30.0,
                    for status in statuses.values())
         if idle and sizes == last_sizes:
             stable += 1
-            if stable >= settle_polls:
+            if stable >= SETTLE_POLLS:
                 return statuses
         else:
             stable = 0
@@ -367,7 +521,7 @@ async def wait_quiescent(client: ClusterClient, timeout: float = 30.0,
         if time.monotonic() > deadline:
             raise TimeoutError(
                 "cluster did not quiesce within {:.0f} s".format(timeout))
-        await asyncio.sleep(poll_interval)
+        await asyncio.sleep(POLL_INTERVAL)
 
 
 def history_from_status(status: typing.Mapping) -> SiteHistory:
@@ -413,37 +567,16 @@ def spawn_and_load(spec: ClusterSpec,
                    max_in_flight: int = 64,
                    timeout: float = 30.0,
                    loop_mode: str = "closed") -> LoadReport:
-    """``repro loadgen --spawn``: start every site in-process, drive the
-    workload, tear the cluster down.  Each site logs to ``site<N>.wal``
-    in ``wal_dir`` (default: a fresh temporary directory, removed
-    afterwards)."""
-    import os
-    import tempfile
-
-    from repro.cluster.server import SiteServer
+    """``repro loadgen --spawn``: :func:`start_cluster`, then the load
+    run.  ``wal_dir`` defaults to a fresh temporary directory, removed
+    afterwards."""
 
     async def _run(wal_dir: str) -> LoadReport:
-        servers = []
-        client = None
-        try:
-            for site in range(spec.params.n_sites):
-                server = SiteServer(
-                    spec, site,
-                    wal_path=os.path.join(wal_dir,
-                                          "site{}.wal".format(site)))
-                await server.start()
-                servers.append(server)
-            client = ClusterClient(spec, timeout=timeout,
-                                   max_in_flight=max_in_flight)
-            await client.wait_ready()
+        async with start_cluster(spec, wal_dir, timeout=timeout,
+                                 max_in_flight=max_in_flight) as (_, client):
             return await generate_load(spec, client, verify=verify,
                                        quiesce_timeout=quiesce_timeout,
                                        loop_mode=loop_mode)
-        finally:
-            if client is not None:
-                await client.close()
-            for server in servers:
-                await server.stop()
 
     if wal_dir is not None:
         return asyncio.run(_run(wal_dir))

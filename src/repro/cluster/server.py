@@ -562,15 +562,12 @@ class SiteServer:
 
         def body():
             start = env.now
-            self.trace.emit("submitted", gid=spec.gid, now=start)
             try:
                 yield from protocol.run_transaction(
                     spec.origin, spec, process_ref[0])
             except TransactionAborted as exc:
                 self.aborted += 1
                 self._m_aborted.inc()
-                self.trace.emit("aborted", gid=spec.gid, now=env.now,
-                                reason=exc.reason)
                 _resolve(future, ("aborted", exc.reason,
                                   env.now - start))
                 return
@@ -1198,14 +1195,10 @@ class SiteServer:
         for item in sorted(gained):
             state = install[item]
             writers = [GlobalTransactionId(*gid) for gid in state["writers"]]
-            record = engine.item(item) if engine.has_item(item) \
-                else engine.create_item(item)
-            local = record.committed_version
+            if not engine.has_item(item):
+                engine.create_item(item)
             engine.install(item, decode_value(state["value"]),
                            state["version"], writers)
-            for writer in writers[local:]:
-                self.trace.emit("caught-up", gid=writer, item=item,
-                                peer=self.placement.primary_site(item))
         self.wal.append(LogRecordKind.EPOCH_COMMIT, item=epoch,
                         value=change.to_json(), time=self.env.now)
         self.wal.sync()

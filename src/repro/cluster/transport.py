@@ -232,8 +232,8 @@ class _Channel:
                         continue
                     acked = int(frame["seq"])
                     while self.unacked and self.unacked[0][0] <= acked:
-                        _seq, message = self.unacked.popleft()
-                        self.transport._note_acked(self.dst, message)
+                        self.unacked.popleft()
+                        self.transport._m_acked.inc()
         except (ConnectionError, OSError, CodecError,
                 asyncio.CancelledError, ValueError, KeyError):
             return
@@ -330,7 +330,7 @@ class LiveTransport:
         self.delivery_log: typing.List[Message] = []
         #: Observability: a metrics registry (the server's, or a private
         #: one when none is handed in) and an optional span sink for the
-        #: ``forwarded`` and ``acked`` spans.
+        #: ``forwarded`` spans.
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry()
         self.trace_sink = trace_sink
@@ -409,16 +409,6 @@ class LiveTransport:
                 if trace:
                     sink.emit("forwarded", trace=trace, peer=dst,
                               type=message.msg_type.value, wal=wal)
-
-    def _note_acked(self, dst: SiteId, message: Message) -> None:
-        """The receiver durably took responsibility for ``message``."""
-        self._m_acked.inc()
-        sink = self.trace_sink
-        if sink is not None:
-            trace = message_trace_id(message)
-            if trace:
-                sink.emit("acked", trace=trace, peer=dst,
-                          type=message.msg_type.value)
 
     # ------------------------------------------------------------------
     # Receiving side (called by the SiteServer)

@@ -23,7 +23,7 @@ import typing
 from repro.harness.metrics import percentile
 
 #: Hop events recorded per replica site, in their causal order.
-HOP_EVENTS = ("received", "journaled", "applied", "caught-up")
+HOP_EVENTS = ("received", "journaled", "applied")
 
 #: Per-hop latency components, in hot-path order.  They telescope:
 #: ``queue`` + ``wal`` span commit→forward on the sender (channel
@@ -43,8 +43,7 @@ class PropagationTree:
 
     trace: str
     #: Origin site, from the ``committed`` span (``None`` if that span
-    #: was never captured — e.g. it fell off a ring, or the trace was
-    #: observed only via catch-up lineage).
+    #: was never captured — e.g. it fell off a ring).
     origin: typing.Optional[int] = None
     #: Wall-clock time of the origin commit.
     committed_t: typing.Optional[float] = None
@@ -59,10 +58,9 @@ class PropagationTree:
 
     @property
     def applied_sites(self) -> typing.List[int]:
-        """Replica sites that durably applied the update (including via
-        catch-up)."""
+        """Replica sites that durably applied the update."""
         return sorted(site for site, marks in self.hops.items()
-                      if "applied" in marks or "caught-up" in marks)
+                      if "applied" in marks)
 
     @property
     def complete(self) -> bool:
@@ -72,10 +70,7 @@ class PropagationTree:
                 set(self.expected) <= set(self.applied_sites))
 
     def applied_at(self, site: int) -> typing.Optional[float]:
-        marks = self.hops.get(site, {})
-        times = [marks[event] for event in ("applied", "caught-up")
-                 if event in marks]
-        return min(times) if times else None
+        return self.hops.get(site, {}).get("applied")
 
     @property
     def delay(self) -> typing.Optional[float]:
@@ -160,18 +155,17 @@ def hop_attributions(tree: PropagationTree
                      ) -> typing.Dict[int, typing.Dict[str, typing.Any]]:
     """Attribute each replica hop's delay to :data:`HOP_COMPONENTS`.
 
-    Per replica site with an applied (or caught-up) mark, the hop's
-    **anchor** is the moment the update became available at its
-    forwarder — the origin commit, or the upstream relay's own apply —
-    and the hop delay ``applied - anchor`` is partitioned along the
-    span timestamps::
+    Per replica site with an applied mark, the hop's **anchor** is the
+    moment the update became available at its forwarder — the origin
+    commit, or the upstream relay's own apply — and the hop delay
+    ``applied - anchor`` is partitioned along the span timestamps::
 
         anchor ──queue+wal── forwarded ──wire── received ──apply── applied
 
     Attribution degrades to partial, never fails: a hop whose
-    ``forwarded`` span is missing (lost with its sender) or that applied
-    via catch-up only keeps its measurable segments and banks the rest
-    in ``unattributed``, so components + unattributed always sum to
+    ``forwarded`` or ``received`` span is missing (lost with its site)
+    keeps its measurable segments and banks the rest in
+    ``unattributed``, so components + unattributed always sum to
     the hop delay.
     """
     hops: typing.Dict[int, typing.Dict[str, typing.Any]] = {}
@@ -221,7 +215,7 @@ def hop_attributions(tree: PropagationTree
             # No forward span (sender's spans lost, ring overflow): only
             # the receiver side is measurable.
             components["apply"] = applied - received
-        # else: applied/caught-up only — nothing to partition.
+        # else: applied only — nothing to partition.
         unattributed = max(0.0, total - sum(components.values()))
         hops[site] = {
             "site": site,

@@ -4,9 +4,8 @@ cluster.
 Every origin (primary) transaction gets a **trace id** derived
 deterministically from its global transaction id (:func:`trace_id`).
 Deterministic derivation is the crash-safety trick: a restarted site
-re-forwarding committed primaries from its WAL, a receiver replaying
-its inbox journal, or a gaining site installing a copy's lineage at an
-epoch commit derives exactly the same trace id from the message
+re-forwarding committed primaries from its WAL or a receiver replaying
+its inbox journal derives exactly the same trace id from the message
 payload (:func:`message_trace_id`) without any volatile lookup table,
 and nothing rides on the wire beside the payload.
 
@@ -15,10 +14,11 @@ Each site appends timestamped **span records** to its
 ``trace`` wire request) plus an optional JSONL file next to the WAL.
 Span events along one update's life:
 
-``submitted → committed → forwarded → received → journaled → applied
-→ forwarded → ... → acked`` (plus ``aborted``, ``replayed`` on the
-recovery path, and ``caught-up`` where an epoch commit installs a
-gained copy).
+``committed → forwarded → received → journaled → applied → forwarded
+→ ...`` (plus ``replayed`` on the recovery path).
+:mod:`repro.obs.reconstruct` builds trees from ``committed`` and the
+hop events ``received``/``journaled``/``applied``, and attribution
+splits each hop at ``forwarded``.
 
 :class:`SpanObserver` turns the protocols' commit notifications into
 ``committed``/``applied`` spans; the live server and ``repro run
@@ -44,16 +44,12 @@ _encode_span = json.JSONEncoder(separators=(",", ":")).encode
 #: Span events a sink may emit (documented set; not enforced, so new
 #: instrumentation points don't need a lockstep edit here).
 SPAN_EVENTS = (
-    "submitted",     # origin: client transaction entered the server
     "committed",     # origin: primary committed (expected replicas known)
-    "aborted",       # origin: primary aborted
     "forwarded",     # sender: message bytes left on a peer channel
     "received",      # receiver: frame entry accepted (post-dedup)
     "journaled",     # receiver: durable-class message journalled
     "applied",       # replica: secondary subtransaction committed
-    "acked",         # sender: receiver acknowledged (journal-then-ack)
     "replayed",      # receiver: re-delivered from the inbox journal
-    "caught-up",     # replica: version installed with a gained copy
 )
 
 

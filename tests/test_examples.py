@@ -15,6 +15,8 @@ import sys
 
 import pytest
 
+from tests.helpers import free_base_port
+
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 EXPECTED_SNIPPETS = {
@@ -35,6 +37,9 @@ EXPECTED_SNIPPETS = {
 ARGS = {
     # Keep the slowest example quick in CI.
     "protocol_comparison.py": ["25"],
+    # No fixed port under the suite: the example's default range may be
+    # taken on the host running it.
+    "live_cluster.py": [str(free_base_port(3))],
 }
 
 

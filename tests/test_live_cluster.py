@@ -1,14 +1,13 @@
 """Live-cluster acceptance tests: real sockets, real clocks, and the
 simulator's own oracles.
 
-Each test boots every site of the copy graph as a :class:`SiteServer`
-on localhost, drives the paper's closed-loop workload through the TCP
-client, waits for propagation to quiesce, and then verifies the two
-global correctness properties with the same checkers the simulation
-harness uses: value convergence of every replica
-(:func:`~repro.harness.convergence.divergent_copies`) and acyclicity of
-the dynamic serialization graph rebuilt from the sites' reported
-histories.
+Each test boots every site of the copy graph in-process on localhost
+(:func:`~repro.cluster.loadgen.start_cluster`), drives the paper's
+closed-loop workload through the TCP client, and then judges the run
+with :func:`~repro.cluster.loadgen.judge`: quiescence, then the same
+checkers the simulation harness uses — value convergence of every
+replica and acyclicity of the dynamic serialization graph rebuilt from
+the sites' reported histories.
 
 The kill/restart test is the reliability story end to end: a replica
 site dies abruptly mid-workload (volatile state dropped), restarts from
@@ -34,16 +33,12 @@ from repro.cluster.codec import (
 )
 from repro.cluster.loadgen import (
     generate_load,
-    history_from_status,
-    wait_quiescent,
+    judge,
+    start_cluster,
+    start_site,
 )
 from repro.cluster.server import SiteServer, encode_spec
 from repro.cluster.spec import ClusterSpec
-from repro.harness.convergence import divergent_copies
-from repro.harness.serializability import (
-    build_serialization_graph,
-    find_dsg_cycle,
-)
 from repro.network.message import Message, MessageType
 from repro.sim.rng import RngRegistry
 from repro.types import (
@@ -70,24 +65,6 @@ def make_spec(protocol, seed):
                        base_port=free_base_port(PARAMS.n_sites))
 
 
-async def start_cluster(spec, wal_dir):
-    servers = {}
-    for site in range(spec.params.n_sites):
-        servers[site] = SiteServer(
-            spec, site,
-            wal_path=os.path.join(wal_dir, "site{}.wal".format(site)))
-        await servers[site].start()
-    client = ClusterClient(spec, timeout=5.0)
-    await client.wait_ready()
-    return servers, client
-
-
-async def stop_cluster(servers, client):
-    await client.close()
-    for server in servers.values():
-        await server.stop()
-
-
 @pytest.mark.parametrize("protocol,seed", [
     ("dag_wt", 3),
     ("backedge", 5),
@@ -97,12 +74,8 @@ def test_live_mixed_workload_converges_and_serializes(
     spec = make_spec(protocol, seed)
 
     async def scenario():
-        servers, client = await start_cluster(spec,
-                                              wal_dir=str(tmp_path))
-        try:
+        async with start_cluster(spec, str(tmp_path)) as (_, client):
             return await generate_load(spec, client, verify=True)
-        finally:
-            await stop_cluster(servers, client)
 
     report = asyncio.run(scenario())
     expected = (PARAMS.n_sites * PARAMS.threads_per_site *
@@ -139,13 +112,10 @@ def test_live_batched_run_converges_and_keeps_pace(tmp_path):
         os.mkdir(wal_dir)
 
         async def scenario():
-            servers, client = await start_cluster(spec, wal_dir)
-            try:
+            async with start_cluster(spec, wal_dir) as (_, client):
                 report = await generate_load(spec, client, verify=True,
                                              loop_mode="open")
                 return report, await client.statuses()
-            finally:
-                await stop_cluster(servers, client)
 
         return asyncio.run(scenario())
 
@@ -224,20 +194,12 @@ def test_mixed_batched_and_unbatched_members_interoperate(tmp_path):
     assert odd_spec.fingerprint() == plain_spec.fingerprint()
 
     async def scenario():
-        servers = {}
-        for site in range(PARAMS.n_sites):
-            spec = odd_spec if site == 0 else plain_spec
-            servers[site] = SiteServer(
-                spec, site,
-                wal_path=os.path.join(str(tmp_path),
-                                      "site{}.wal".format(site)))
-            await servers[site].start()
-        client = ClusterClient(plain_spec, timeout=5.0)
-        await client.wait_ready()
-        try:
+        async with start_cluster(plain_spec, str(tmp_path)) as (
+                servers, client):
+            # Site 0 restarts as the odd member before any traffic.
+            await servers[0].stop()
+            servers[0] = await start_site(odd_spec, str(tmp_path), 0)
             return await generate_load(plain_spec, client, verify=True)
-        finally:
-            await stop_cluster(servers, client)
 
     report = asyncio.run(scenario())
     assert report.committed > 0
@@ -254,59 +216,41 @@ def test_dag_wt_survives_kill_and_wal_restart(tmp_path):
     placement = spec.build_placement()
     victim = 2
 
-    def wal_path(site):
-        return os.path.join(str(tmp_path), "site{}.wal".format(site))
-
     async def scenario():
-        servers, client = await start_cluster(spec,
-                                              wal_dir=str(tmp_path))
-        generator = TransactionGenerator(
-            spec.params, placement,
-            RngRegistry(spec.seed).stream("workload"))
-        outcomes = {"committed": 0, "aborted": 0, "unknown": 0}
+        async with start_cluster(spec, str(tmp_path)) as (servers, client):
+            generator = TransactionGenerator(
+                spec.params, placement,
+                RngRegistry(spec.seed).stream("workload"))
+            outcomes = {"committed": 0, "aborted": 0, "unknown": 0}
 
-        async def worker(site, thread):
-            for txn_spec in generator.thread_stream(site, thread):
-                outcome = await client.run_transaction(txn_spec)
-                outcomes[outcome["status"]] += 1
-                await asyncio.sleep(0.005)
+            async def worker(site, thread):
+                for txn_spec in generator.thread_stream(site, thread):
+                    outcome = await client.run_transaction(txn_spec)
+                    outcomes[outcome["status"]] += 1
+                    await asyncio.sleep(0.005)
 
-        async def crash_and_restart():
-            await asyncio.sleep(0.1)
-            servers[victim].kill()
-            await asyncio.sleep(0.3)
-            servers[victim] = SiteServer(
-                spec, victim, wal_path=wal_path(victim))
-            await servers[victim].start()
+            async def crash_and_restart():
+                await asyncio.sleep(0.1)
+                servers[victim].kill()
+                await asyncio.sleep(0.3)
+                servers[victim] = await start_site(spec, str(tmp_path),
+                                                   victim)
 
-        await asyncio.gather(
-            crash_and_restart(),
-            *(worker(site, thread)
-              for site in range(spec.params.n_sites)
-              for thread in range(spec.params.threads_per_site)))
+            await asyncio.gather(
+                crash_and_restart(),
+                *(worker(site, thread)
+                  for site in range(spec.params.n_sites)
+                  for thread in range(spec.params.threads_per_site)))
+            return servers[victim], outcomes, await judge(client)
 
-        statuses = await wait_quiescent(client, timeout=20.0,
-                                        settle_polls=3)
-        try:
-            return servers[victim], outcomes, statuses
-        finally:
-            await stop_cluster(servers, client)
-
-    restarted, outcomes, statuses = asyncio.run(scenario())
+    restarted, outcomes, verdict = asyncio.run(scenario())
 
     # The victim really did recover from its log, not from scratch.
     assert restarted.recovered
-    assert statuses[victim]["recovered"]
-    assert statuses[victim]["wal"]["records"] > 0
+    assert verdict.statuses[victim]["recovered"]
+    assert verdict.statuses[victim]["wal"]["records"] > 0
     assert outcomes["committed"] > 0
-
-    state = {site: decode_value(status["items"])
-             for site, status in statuses.items()}
-    assert divergent_copies(placement, state) == []
-    histories = [history_from_status(status)
-                 for status in statuses.values()]
-    cycle = find_dsg_cycle(build_serialization_graph(histories))
-    assert cycle is None, "DSG cycle after recovery: {}".format(cycle)
+    assert verdict.violations == []
 
 
 def test_recovered_site_keeps_serving_transactions(tmp_path):
@@ -315,45 +259,25 @@ def test_recovered_site_keeps_serving_transactions(tmp_path):
     spec = make_spec("dag_wt", 3)
     placement = spec.build_placement()
     victim = 2
+    primaries = sorted(placement.primary_items_at(victim))
+    if not primaries:
+        pytest.skip("victim has no primary items for this seed")
 
     async def scenario():
-        servers, client = await start_cluster(spec,
-                                              wal_dir=str(tmp_path))
-        from repro.types import (
-            GlobalTransactionId, Operation, OpType, TransactionSpec)
+        async with start_cluster(spec, str(tmp_path)) as (servers, client):
+            first = await client.run_transaction(
+                _write_txn(victim, 0, primaries[0]))
+            servers[victim].kill()
+            await asyncio.sleep(0.2)
+            servers[victim] = await start_site(spec, str(tmp_path), victim)
+            second = await client.run_transaction(
+                _write_txn(victim, 1, primaries[0]))
+            return first, second, await judge(client)
 
-        def txn(site, seq, item):
-            return TransactionSpec(
-                GlobalTransactionId(site, seq), site,
-                (Operation(OpType.WRITE, item),))
-
-        primaries = sorted(placement.primary_items_at(victim))
-        if not primaries:
-            pytest.skip("victim has no primary items for this seed")
-        first = await client.run_transaction(
-            txn(victim, 0, primaries[0]))
-        servers[victim].kill()
-        await asyncio.sleep(0.2)
-        servers[victim] = SiteServer(
-            spec, victim,
-            wal_path=os.path.join(str(tmp_path),
-                                  "site{}.wal".format(victim)))
-        await servers[victim].start()
-        second = await client.run_transaction(
-            txn(victim, 1, primaries[0]))
-        statuses = await wait_quiescent(client, timeout=20.0,
-                                        settle_polls=3)
-        try:
-            return first, second, statuses
-        finally:
-            await stop_cluster(servers, client)
-
-    first, second, statuses = asyncio.run(scenario())
+    first, second, verdict = asyncio.run(scenario())
     assert first["status"] == "committed"
     assert second["status"] == "committed"
-    state = {site: decode_value(status["items"])
-             for site, status in statuses.items()}
-    assert divergent_copies(placement, state) == []
+    assert verdict.violations == []
 
 
 # ----------------------------------------------------------------------
@@ -373,9 +297,7 @@ def test_stats_trace_wire_ops_and_durability_status(tmp_path):
     spec = make_spec("dag_wt", 3)
 
     async def scenario():
-        servers, client = await start_cluster(spec,
-                                              wal_dir=str(tmp_path))
-        try:
+        async with start_cluster(spec, str(tmp_path)) as (servers, client):
             report = await generate_load(spec, client, verify=True)
             stats = await client.stats_all()
             spans = await client.traces_all()
@@ -389,8 +311,6 @@ def test_stats_trace_wire_ops_and_durability_status(tmp_path):
                 assert server._h_encode.count > encodes
                 assert server._h_write.count > writes
             return report, stats, spans, statuses
-        finally:
-            await stop_cluster(servers, client)
 
     report, stats, spans, statuses = asyncio.run(scenario())
 
@@ -454,48 +374,39 @@ def test_trace_ids_survive_kill_restart_and_catchup(tmp_path):
     victim = 2
 
     async def scenario():
-        servers, client = await start_cluster(spec,
-                                              wal_dir=str(tmp_path))
-        generator = TransactionGenerator(
-            spec.params, placement,
-            RngRegistry(spec.seed).stream("workload"))
+        async with start_cluster(spec, str(tmp_path)) as (servers, client):
+            generator = TransactionGenerator(
+                spec.params, placement,
+                RngRegistry(spec.seed).stream("workload"))
 
-        async def worker(site, thread):
-            for txn_spec in generator.thread_stream(site, thread):
-                await client.run_transaction(txn_spec)
-                await asyncio.sleep(0.005)
+            async def worker(site, thread):
+                for txn_spec in generator.thread_stream(site, thread):
+                    await client.run_transaction(txn_spec)
+                    await asyncio.sleep(0.005)
 
-        async def crash_and_restart():
-            await asyncio.sleep(0.1)
-            servers[victim].kill()
-            await asyncio.sleep(0.3)
-            servers[victim] = SiteServer(
-                spec, victim,
-                wal_path=os.path.join(str(tmp_path),
-                                      "site{}.wal".format(victim)))
-            await servers[victim].start()
+            async def crash_and_restart():
+                await asyncio.sleep(0.1)
+                servers[victim].kill()
+                await asyncio.sleep(0.3)
+                servers[victim] = await start_site(spec, str(tmp_path),
+                                                   victim)
 
-        await asyncio.gather(
-            crash_and_restart(),
-            *(worker(site, thread)
-              for site in range(spec.params.n_sites)
-              for thread in range(spec.params.threads_per_site)))
-        statuses = await wait_quiescent(client, timeout=20.0,
-                                        settle_polls=3)
-        live_spans = await client.traces_all()
-        try:
-            return live_spans, statuses
-        finally:
-            await stop_cluster(servers, client)
+            await asyncio.gather(
+                crash_and_restart(),
+                *(worker(site, thread)
+                  for site in range(spec.params.n_sites)
+                  for thread in range(spec.params.threads_per_site)))
+            verdict = await judge(client)
+            traces = [server.wal_path + ".trace"
+                      for server in servers.values()]
+            return await client.traces_all(), verdict.statuses, traces
 
-    live_spans, statuses = asyncio.run(scenario())
+    live_spans, statuses, traces = asyncio.run(scenario())
 
     # Pool the live rings with the on-disk JSONL sinks: the victim's
     # pre-crash ring died with it, but its file did not.
     spans = list(live_spans)
-    for site in range(spec.params.n_sites):
-        path = os.path.join(str(tmp_path),
-                            "site{}.wal.trace".format(site))
+    for path in traces:
         spans.extend(load_trace_file(path))
 
     # Every stamped id has the deterministic shape.
@@ -507,7 +418,6 @@ def test_trace_ids_survive_kill_restart_and_catchup(tmp_path):
     victim_events = {span["event"] for span in spans
                      if span["site"] == victim}
     assert {"replayed", "received"} <= victim_events
-    assert "caught-up" not in {span["event"] for span in spans}
     # (The restarted victim's counters start from zero, so they cover
     # exactly the recovery it had to do.)
     for status in statuses.values():
@@ -955,59 +865,58 @@ def test_kernel_exception_fail_stops_the_site_and_survivors_converge(
         raise RuntimeError("injected kernel fault")
 
     async def scenario():
-        servers, client = await start_cluster(spec,
-                                              wal_dir=str(tmp_path))
-        seq = 0
-        for site in range(3):
-            for item in sorted(placement.primary_items_at(site))[:2]:
-                seq += 1
-                await client.run_transaction(_write_txn(site, seq, item))
-        dead = servers[victim]
-        dead.env.process(boom(dead.env))
-        dead._drive()
-        probe = ClusterClient(spec, timeout=0.5, retries=1)
-        try:
-            with pytest.raises((ClusterError, OSError)):
-                await probe.ping(victim)
-        finally:
-            await probe.close()
-        outcomes = []
-        for site in survivors:
-            for item in sorted(placement.primary_items_at(site)):
-                seq += 1
-                outcomes.append(await client.run_transaction(
-                    _write_txn(site, seq, item)))
+        async with start_cluster(spec, str(tmp_path)) as (servers, client):
+            seq = 0
+            for site in range(3):
+                for item in sorted(placement.primary_items_at(site))[:2]:
+                    seq += 1
+                    await client.run_transaction(
+                        _write_txn(site, seq, item))
+            dead = servers[victim]
+            dead.env.process(boom(dead.env))
+            dead._drive()
+            probe = ClusterClient(spec, timeout=0.5, retries=1)
+            try:
+                with pytest.raises((ClusterError, OSError)):
+                    await probe.ping(victim)
+            finally:
+                await probe.close()
+            outcomes = []
+            for site in survivors:
+                for item in sorted(placement.primary_items_at(site)):
+                    seq += 1
+                    outcomes.append(await client.run_transaction(
+                        _write_txn(site, seq, item)))
 
-        def settled(statuses):
-            state = {site: decode_value(status["items"])
-                     for site, status in statuses.items()}
-            return all(
-                len({state[site][item]["version"]
-                     for site in placement.sites_of(item)
-                     if site in survivors}) <= 1
-                for item in placement.items)
+            def settled(statuses):
+                state = {site: decode_value(status["items"])
+                         for site, status in statuses.items()}
+                return all(
+                    len({state[site][item]["version"]
+                         for site in placement.sites_of(item)
+                         if site in survivors}) <= 1
+                    for item in placement.items)
 
-        for _ in range(200):
-            statuses = {site: await client.status(site)
-                        for site in survivors}
-            if settled(statuses):
-                break
-            await asyncio.sleep(0.05)
-        try:
-            return dead, outcomes, statuses, settled(statuses)
-        finally:
-            await stop_cluster(servers, client)
+            for _ in range(200):
+                statuses = {site: await client.status(site)
+                            for site in survivors}
+                if settled(statuses):
+                    break
+                await asyncio.sleep(0.05)
+            converged = settled(statuses)
+            # Fail-stop is a crash: the dead site restarts from its WAL
+            # and the whole cluster passes the verdict.
+            servers[victim] = await start_site(spec, str(tmp_path), victim)
+            return dead, outcomes, converged, await judge(client)
 
-    dead, outcomes, statuses, converged = asyncio.run(scenario())
+    dead, outcomes, converged, verdict = asyncio.run(scenario())
     assert isinstance(dead.fatal, RuntimeError)
     assert dead._closed
     assert any(event["kind"] == "fatal" for event in dead.flight._events)
     assert outcomes and all(outcome["status"] == "committed"
                             for outcome in outcomes)
     assert converged
-    histories = [history_from_status(status)
-                 for status in statuses.values()]
-    assert find_dsg_cycle(build_serialization_graph(histories)) is None
+    assert verdict.violations == []
 
 
 def test_failed_journal_sync_fail_stops_the_site(tmp_path):
@@ -1114,45 +1023,42 @@ def test_client_kill_mid_flight_leaves_no_reader_task(tmp_path, monkeypatch):
     monkeypatch.setattr(client_module._Connection, "_read_loop", spy)
 
     async def scenario():
-        servers, client = await start_cluster(spec,
-                                              wal_dir=str(tmp_path))
+        async with start_cluster(spec, str(tmp_path)) as (servers, client):
 
-        async def restart(pause):
-            servers[victim].kill()
-            await asyncio.sleep(pause)
-            servers[victim] = SiteServer(
-                spec, victim, wal_path=os.path.join(
-                    str(tmp_path), "site{}.wal".format(victim)))
-            await servers[victim].start()
+            async def restart(pause):
+                servers[victim].kill()
+                await asyncio.sleep(pause)
+                servers[victim] = await start_site(spec, str(tmp_path),
+                                                   victim)
 
-        # Idle loss: the held connection is defunct when the burst
-        # arrives, and every request of the burst finds it so.
-        await client.ping(victim)
-        await restart(0.05)
-        await asyncio.gather(*(client.ping(victim) for _ in range(8)))
+            # Idle loss: the held connection is defunct when the burst
+            # arrives, and every request of the burst finds it so.
+            await client.ping(victim)
+            await restart(0.05)
+            await asyncio.gather(*(client.ping(victim) for _ in range(8)))
 
-        # Mid-flight loss: requests fail, drop and retry concurrently.
-        stop = asyncio.Event()
+            # Mid-flight loss: requests fail, drop and retry
+            # concurrently.
+            stop = asyncio.Event()
 
-        async def prober():
-            while not stop.is_set():
-                try:
-                    await client.ping(victim)
-                except client_module.ClusterError:
-                    pass
-                await asyncio.sleep(0)
+            async def prober():
+                while not stop.is_set():
+                    try:
+                        await client.ping(victim)
+                    except client_module.ClusterError:
+                        pass
+                    await asyncio.sleep(0)
 
-        async def crash_and_restart():
-            await asyncio.sleep(0.05)
-            await restart(0.02)
-            await asyncio.sleep(0.3)
-            stop.set()
+            async def crash_and_restart():
+                await asyncio.sleep(0.05)
+                await restart(0.02)
+                await asyncio.sleep(0.3)
+                stop.set()
 
-        await asyncio.gather(crash_and_restart(),
-                             *(prober() for _ in range(8)))
-        live = {conn for conn, task in readers if not task.done()}
-        held = set(client._connections.values())
-        await stop_cluster(servers, client)
+            await asyncio.gather(crash_and_restart(),
+                                 *(prober() for _ in range(8)))
+            live = {conn for conn, task in readers if not task.done()}
+            held = set(client._connections.values())
         return live, held
 
     live, held = asyncio.run(scenario())

@@ -93,17 +93,6 @@ def test_hop_attribution_degrades_without_forward_span():
     assert hop["unattributed"] == pytest.approx(0.4)
 
 
-def test_hop_attribution_caught_up_only_is_all_unattributed():
-    spans = [
-        {"t": 1.0, "site": 0, "event": "committed", "trace": "t0.3",
-         "expected": [2]},
-        {"t": 3.0, "site": 2, "event": "caught-up", "trace": "t0.3"},
-    ]
-    hop = hop_attributions(reconstruct(spans)["t0.3"])[2]
-    assert all(value == 0.0 for value in hop["components"].values())
-    assert hop["unattributed"] == pytest.approx(2.0)
-
-
 def test_hop_attribution_without_commit_is_empty():
     spans = [{"t": 1.0, "site": 1, "event": "received",
               "trace": "t9.9"}]
@@ -186,10 +175,10 @@ def test_attribution_survives_torn_files_and_mixed_members(tmp_path):
         handle.write('{"t": 9.0, "site": 0, "ev')  # torn tail
 
     spans = load_trace_file(path)
-    # The receiver sites' span files are lost: only a late catch-up
-    # is visible.
+    # The receiver sites' span files are lost: only a late apply is
+    # visible.
     spans.append({"t": time.time() + 5.0, "site": 2,
-                  "event": "caught-up", "trace": "t0.1"})
+                  "event": "applied", "trace": "t0.1"})
     summary = attribution_summary(reconstruct(spans))
     assert summary["hops"] == 1
     assert summary["attributed_hops"] == 0

@@ -13,9 +13,7 @@ import asyncio
 import os
 import re
 
-from repro.cluster.client import ClusterClient
-from repro.cluster.loadgen import generate_load
-from repro.cluster.server import SiteServer
+from repro.cluster.loadgen import generate_load, start_cluster
 from repro.cluster.spec import ClusterSpec
 from repro.obs.flight import (
     BUNDLE_VERSION,
@@ -184,34 +182,18 @@ def test_repo_git_sha_resolves_this_checkout(tmp_path):
 # Live cluster: the dump wire op, and dumping under load
 # ----------------------------------------------------------------------
 
-async def start_cluster(spec, wal_dir):
-    servers = {}
-    for site in range(spec.params.n_sites):
-        servers[site] = SiteServer(
-            spec, site,
-            wal_path=os.path.join(str(wal_dir), "site{}.wal".format(site)))
-        await servers[site].start()
-    client = ClusterClient(spec, timeout=2.0, retries=1)
-    await client.wait_ready()
-    return servers, client
-
-
 def test_dump_wire_op_on_live_cluster(tmp_path):
     spec = make_spec()
 
     async def scenario():
-        servers, client = await start_cluster(spec, tmp_path)
-        try:
+        async with start_cluster(spec, str(tmp_path), timeout=2.0,
+                                 retries=1) as (_, client):
             report = await generate_load(spec, client, verify=True)
             single = await client.dump(0, trigger="wire-test",
                                        out_dir=str(tmp_path))
             fanned, unreachable = await client.try_each(
                 "dump", trigger="wire-fan", dir=str(tmp_path))
             return report, single, fanned, unreachable
-        finally:
-            await client.close()
-            for server in servers.values():
-                await server.stop()
 
     report, single, fanned, unreachable = asyncio.run(scenario())
     assert report.convergent and report.serializable
@@ -249,8 +231,8 @@ def test_dump_under_load_drops_no_acks(tmp_path):
     spec = make_spec()
 
     async def scenario():
-        servers, client = await start_cluster(spec, tmp_path)
-        try:
+        async with start_cluster(spec, str(tmp_path), timeout=2.0,
+                                 retries=1) as (_, client):
             async def dumper():
                 paths = []
                 for _ in range(5):
@@ -262,13 +244,8 @@ def test_dump_under_load_drops_no_acks(tmp_path):
                                  if response.get("ok"))
                     await asyncio.sleep(0.05)
                 return paths
-            report, paths = await asyncio.gather(
+            return await asyncio.gather(
                 generate_load(spec, client, verify=True), dumper())
-            return report, paths
-        finally:
-            await client.close()
-            for server in servers.values():
-                await server.stop()
 
     report, paths = asyncio.run(scenario())
     assert report.convergent and report.serializable

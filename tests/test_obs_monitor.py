@@ -13,13 +13,10 @@ of the monitoring plane.
 
 import asyncio
 import json
-import os
 import time
 
-from repro.cluster.client import ClusterClient
 from repro.cluster.codec import encode_value
-from repro.cluster.loadgen import generate_load
-from repro.cluster.server import SiteServer
+from repro.cluster.loadgen import generate_load, start_cluster
 from repro.cluster.spec import ClusterSpec
 from repro.obs.monitor import Alert, AlertSink, MonitorConfig, Watchdog
 from repro.types import GlobalTransactionId, Operation, OpType, \
@@ -530,38 +527,24 @@ def test_without_dump_dir_no_dump_fanout():
 # Live cluster: healthy run clean, killed site localised
 # ----------------------------------------------------------------------
 
-async def start_cluster(spec, wal_dir):
-    servers = {}
-    for site in range(spec.params.n_sites):
-        servers[site] = SiteServer(
-            spec, site,
-            wal_path=os.path.join(str(wal_dir), "site{}.wal".format(site)))
-        await servers[site].start()
-    client = ClusterClient(spec, timeout=2.0, retries=1)
-    await client.wait_ready()
-    return servers, client
-
-
 def test_live_healthy_run_is_alert_free(tmp_path):
     spec = make_spec()
 
     async def scenario():
-        servers, client = await start_cluster(spec, tmp_path)
-        watchdog = Watchdog(spec, client, config=MonitorConfig(
-            interval=0.1, stuck_deadline=3.0))
-        try:
-            task = asyncio.get_running_loop().create_task(
-                watchdog.run())
-            report = await generate_load(spec, client, verify=True)
-            await asyncio.sleep(0.3)
-            watchdog.request_stop()
-            await task
-            return report, watchdog.summary()
-        finally:
-            watchdog.close()
-            await client.close()
-            for server in servers.values():
-                await server.stop()
+        async with start_cluster(spec, str(tmp_path), timeout=2.0,
+                                 retries=1) as (_, client):
+            watchdog = Watchdog(spec, client, config=MonitorConfig(
+                interval=0.1, stuck_deadline=3.0))
+            try:
+                task = asyncio.get_running_loop().create_task(
+                    watchdog.run())
+                report = await generate_load(spec, client, verify=True)
+                await asyncio.sleep(0.3)
+                watchdog.request_stop()
+                await task
+                return report, watchdog.summary()
+            finally:
+                watchdog.close()
 
     report, summary = asyncio.run(scenario())
     assert report.convergent and report.serializable
@@ -581,8 +564,8 @@ def test_live_killed_site_localised_by_stuck_propagation(tmp_path):
                 and victim in placement.replica_sites(it))
 
     async def scenario():
-        servers, client = await start_cluster(spec, tmp_path)
-        try:
+        async with start_cluster(spec, str(tmp_path), timeout=2.0,
+                                 retries=1) as (servers, client):
             servers[victim].kill()
             watchdog = Watchdog(spec, client, config=MonitorConfig(
                 interval=0.1, stuck_deadline=0.8, down_polls=2))
@@ -599,11 +582,6 @@ def test_live_killed_site_localised_by_stuck_propagation(tmp_path):
                     break
                 await asyncio.sleep(0.1)
             return watchdog
-        finally:
-            await client.close()
-            for site, server in servers.items():
-                if site != victim:
-                    await server.stop()
 
     watchdog = asyncio.run(scenario())
     assert ("site-down", victim) in watchdog.alerts

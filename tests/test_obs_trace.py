@@ -146,7 +146,7 @@ def test_sink_records_and_filters_spans():
 def test_sink_ring_keeps_tail_and_counts_dropped():
     sink = TraceSink(site_id=0, capacity=3)
     for seq in range(5):
-        sink.emit("submitted", gid=gid(0, seq))
+        sink.emit("committed", gid=gid(0, seq))
     assert len(sink) == 3
     assert sink.dropped == 2
     assert [span["gid"][1] for span in sink.spans()] == [2, 3, 4]
@@ -155,16 +155,16 @@ def test_sink_ring_keeps_tail_and_counts_dropped():
 def test_sink_jsonl_file_and_torn_tail(tmp_path):
     path = str(tmp_path / "site0.trace")
     sink = TraceSink(site_id=0, path=path)
-    sink.emit("submitted", gid=gid(0, 1))
     sink.emit("committed", gid=gid(0, 1), expected=[1, 2])
+    sink.emit("forwarded", gid=gid(0, 1), peer=1)
     sink.close()
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"t": 1.0, "site": 0, "ev')  # crashed writer
 
     spans = load_trace_file(path)
-    assert [span["event"] for span in spans] == ["submitted",
-                                                 "committed"]
-    assert spans[1]["expected"] == [1, 2]
+    assert [span["event"] for span in spans] == ["committed",
+                                                 "forwarded"]
+    assert spans[0]["expected"] == [1, 2]
     # every line that did load is valid JSON from the sink
     with open(path, "r", encoding="utf-8") as handle:
         assert json.loads(handle.readline())["trace"] == "t0.1"
@@ -175,18 +175,17 @@ def test_sink_jsonl_file_and_torn_tail(tmp_path):
 # ----------------------------------------------------------------------
 
 def synthetic_spans():
-    """t0.1 fully propagates to s1+s2 (s2 via catch-up); t0.2 never
-    reaches s2; t1.1 is read-only (no expected replicas)."""
+    """t0.1 fully propagates to s1+s2 (s2 seen only applying); t0.2
+    never reaches s2; t1.1 is read-only (no expected replicas)."""
     return [
-        {"t": 1.00, "site": 0, "event": "submitted", "trace": "t0.1"},
         {"t": 1.01, "site": 0, "event": "committed", "trace": "t0.1",
          "expected": [1, 2]},
         {"t": 1.02, "site": 0, "event": "forwarded", "trace": "t0.1"},
         {"t": 1.03, "site": 1, "event": "received", "trace": "t0.1"},
         {"t": 1.04, "site": 1, "event": "journaled", "trace": "t0.1"},
         {"t": 1.05, "site": 1, "event": "applied", "trace": "t0.1"},
-        # s2 missed the forward; a catch-up reply carried the tail.
-        {"t": 1.50, "site": 2, "event": "caught-up", "trace": "t0.1"},
+        # s2's receive spans fell off its ring; its apply survived.
+        {"t": 1.50, "site": 2, "event": "applied", "trace": "t0.1"},
         {"t": 2.00, "site": 0, "event": "committed", "trace": "t0.2",
          "expected": [1, 2]},
         {"t": 2.02, "site": 1, "event": "received", "trace": "t0.2"},
@@ -203,7 +202,7 @@ def test_reconstruct_builds_complete_and_incomplete_trees():
     done = trees["t0.1"]
     assert done.origin == 0
     assert done.expected == [1, 2]
-    assert done.applied_sites == [1, 2]  # caught-up counts as applied
+    assert done.applied_sites == [1, 2]
     assert done.complete
     assert done.delay == 1.50 - 1.01  # last expected apply wins
     assert done.applied_at(1) - done.committed_t == 1.05 - 1.01
@@ -256,7 +255,6 @@ def test_format_tree_renders_hops_and_verdict():
     assert "t0.1" in text and "origin s0" in text
     assert "expects s1,s2" in text
     assert "s1: received" in text and "applied" in text
-    assert "caught-up" in text
     assert "complete, propagation delay" in text
 
     text = format_tree(trees["t0.2"])

@@ -15,22 +15,21 @@ draw a free range with ``tests.helpers.free_base_port``.
 
 import asyncio
 import dataclasses
-import os
 import random
 
 import pytest
 
 from repro.cluster.client import ClusterClient
 from repro.cluster.codec import decode_value
-from repro.cluster.loadgen import history_from_status, wait_quiescent
-from repro.cluster.server import SiteServer
+from repro.cluster.loadgen import (
+    generate_load,
+    judge,
+    start_cluster,
+    start_site,
+    wait_quiescent,
+)
 from repro.cluster.spec import ClusterSpec
 from repro.graph import CopyGraph, DataPlacement
-from repro.harness.convergence import divergent_copies
-from repro.harness.serializability import (
-    build_serialization_graph,
-    find_dsg_cycle,
-)
 from repro.obs.monitor import MonitorConfig, Watchdog
 from repro.reconfig import (
     PlacementChange,
@@ -211,24 +210,6 @@ def _spec(base_port, n_sites=6, n_items=12, txns=8):
                        base_port=base_port)
 
 
-async def _boot(spec, wal_dir):
-    servers = {}
-    for site in range(spec.params.n_sites):
-        servers[site] = SiteServer(
-            spec, site,
-            wal_path=os.path.join(wal_dir, "s{}.wal".format(site)))
-        await servers[site].start()
-    client = ClusterClient(spec, timeout=5.0)
-    await client.wait_ready()
-    return servers, client
-
-
-async def _shutdown(servers, client):
-    await client.close()
-    for server in servers.values():
-        await server.stop()
-
-
 def test_live_transitions_under_load_with_watchdog(tmp_path):
     """The acceptance scenario: a 12-site partial-replication cluster
     completes add-replica, remove-secondary (drop-replica) and
@@ -239,66 +220,57 @@ def test_live_transitions_under_load_with_watchdog(tmp_path):
     placement = spec.build_placement()
 
     async def scenario():
-        servers, client = await _boot(spec, str(tmp_path))
-        watchdog = Watchdog(spec, ClusterClient(spec, timeout=2.0,
-                                                retries=1),
-                            config=MonitorConfig(interval=0.25,
-                                                 convergence_every=5,
-                                                 trace_limit=0))
-        watchdog_task = asyncio.get_running_loop().create_task(
-            watchdog.run())
-        generator = TransactionGenerator(
-            spec.params, placement,
-            RngRegistry(spec.seed).stream("workload"))
-        outcomes = {"committed": 0, "aborted": 0, "unknown": 0}
+        async with start_cluster(spec, str(tmp_path)) as (_, client):
+            watchdog = Watchdog(spec, ClusterClient(spec, timeout=2.0,
+                                                    retries=1),
+                                config=MonitorConfig(interval=0.25,
+                                                     convergence_every=5,
+                                                     trace_limit=0))
+            watchdog_task = asyncio.get_running_loop().create_task(
+                watchdog.run())
+            generator = TransactionGenerator(
+                spec.params, placement,
+                RngRegistry(spec.seed).stream("workload"))
+            outcomes = {"committed": 0, "aborted": 0, "unknown": 0}
 
-        async def worker(site, thread):
-            for txn_spec in generator.thread_stream(site, thread):
-                outcome = await client.run_transaction(txn_spec)
-                outcomes[outcome["status"]] += 1
-                await asyncio.sleep(0.01)
+            async def worker(site, thread):
+                for txn_spec in generator.thread_stream(site, thread):
+                    outcome = await client.run_transaction(txn_spec)
+                    outcomes[outcome["status"]] += 1
+                    await asyncio.sleep(0.01)
 
-        coordinator = ReconfigCoordinator(client, timeout=20.0)
-        reports = []
+            coordinator = ReconfigCoordinator(client, timeout=20.0)
+            reports = []
 
-        async def reconfigure():
-            await asyncio.sleep(0.15)
-            # Epoch 1: a new downstream replica (forward edge).
-            reports.append(await coordinator.execute(PlacementChange(
-                kind="add-replica", site=5, item=1)))
-            # Epoch 2: remove-secondary — item 16 shares s4's shard
-            # with item 4; dropping its s5 replica leaves item 4 the
-            # only witness of the s4 -> s5 copy edge...
-            reports.append(await coordinator.execute(PlacementChange(
-                kind="drop-replica", site=5, item=16)))
-            # Epoch 3: ...so promoting s5 to item 4's primary keeps
-            # the copy graph a DAG (the old edge flips with it).
-            reports.append(await coordinator.execute(PlacementChange(
-                kind="migrate-primary", site=5, item=4)))
+            async def reconfigure():
+                await asyncio.sleep(0.15)
+                # Epoch 1: a new downstream replica (forward edge).
+                reports.append(await coordinator.execute(PlacementChange(
+                    kind="add-replica", site=5, item=1)))
+                # Epoch 2: remove-secondary — item 16 shares s4's shard
+                # with item 4; dropping its s5 replica leaves item 4 the
+                # only witness of the s4 -> s5 copy edge...
+                reports.append(await coordinator.execute(PlacementChange(
+                    kind="drop-replica", site=5, item=16)))
+                # Epoch 3: ...so promoting s5 to item 4's primary keeps
+                # the copy graph a DAG (the old edge flips with it).
+                reports.append(await coordinator.execute(PlacementChange(
+                    kind="migrate-primary", site=5, item=4)))
 
-        await asyncio.gather(
-            reconfigure(),
-            *(worker(site, thread)
-              for site in range(spec.params.n_sites)
-              for thread in range(spec.params.threads_per_site)))
-        statuses = await wait_quiescent(client, timeout=20.0,
-                                        settle_polls=3)
-        epoch, final_placement = await coordinator.current_placement()
-        watchdog.request_stop()
-        await watchdog_task
-        summary = watchdog.summary()
-        watchdog.close()
-        await watchdog.client.close()
-        try:
-            return (outcomes, reports, statuses, epoch,
-                    final_placement, summary)
-        finally:
-            await _shutdown(servers, client)
+            await asyncio.gather(
+                reconfigure(),
+                *(worker(site, thread)
+                  for site in range(spec.params.n_sites)
+                  for thread in range(spec.params.threads_per_site)))
+            verdict = await judge(client)
+            watchdog.request_stop()
+            await watchdog_task
+            watchdog.close()
+            await watchdog.client.close()
+            return outcomes, reports, verdict, watchdog.summary()
 
-    outcomes, reports, statuses, epoch, final_placement, summary = \
-        asyncio.run(scenario())
+    outcomes, reports, verdict, summary = asyncio.run(scenario())
 
-    assert epoch == 3
     assert [r.epoch for r in reports] == [1, 2, 3]
     assert all(r.total_s < 20.0 for r in reports)
     assert outcomes["unknown"] == 0
@@ -309,17 +281,47 @@ def test_live_transitions_under_load_with_watchdog(tmp_path):
     assert summary["critical"] == 0, summary
     assert summary["epoch"] == 3
 
-    assert final_placement.sites_of(1) >= {1, 5}
-    assert final_placement.sites_of(16) == {4}
-    assert final_placement.primary_site(4) == 5
-    state = {site: decode_value(status["items"])
-             for site, status in statuses.items()}
-    assert divergent_copies(final_placement, state) == []
-    histories = [history_from_status(status)
-                 for status in statuses.values()]
-    assert find_dsg_cycle(build_serialization_graph(histories)) is None
-    # Every member agrees on the epoch.
-    assert {int(status["epoch"]) for status in statuses.values()} == {3}
+    # Every member agrees on epoch 3, and the oracles are green against
+    # its placement.
+    assert verdict.epoch == 3
+    assert verdict.placement.sites_of(1) >= {1, 5}
+    assert verdict.placement.sites_of(16) == {4}
+    assert verdict.placement.primary_site(4) == 5
+    assert verdict.violations == []
+
+
+def test_load_verdict_judges_the_agreed_placement(tmp_path):
+    """Loadgen's verify reads the placement of the epoch the members
+    agree on, not genesis: after ``drop-replica item 10 -> s5`` and two
+    more writes at item 10's primary s4, s5 still holds its old copy two
+    versions behind — by design, it is no replica any more — and the
+    run is convergent and serializable."""
+    spec = _spec(free_base_port(6), txns=2)
+    primary, dropped, item = 4, 5, 10
+
+    async def scenario():
+        async with start_cluster(spec, str(tmp_path)) as (_, client):
+            for seq in (9000, 9001):
+                await client.run_transaction(_write(primary, seq, item))
+            await ReconfigCoordinator(client, timeout=20.0).execute(
+                PlacementChange(kind="drop-replica", site=dropped,
+                                item=item))
+            writes = [await client.run_transaction(_write(primary, seq,
+                                                          item))
+                      for seq in (9002, 9003)]
+            report = await generate_load(spec, client, verify=True)
+            return writes, report, await judge(client)
+
+    writes, report, verdict = asyncio.run(scenario())
+    assert [write["status"] for write in writes] == ["committed"] * 2
+    assert verdict.epoch == 1
+    assert verdict.placement.sites_of(item) == {primary}
+    versions = {site: decode_value(verdict.statuses[site]["items"])[item]
+                ["version"] for site in (primary, dropped)}
+    assert versions[dropped] <= versions[primary] - 2, versions
+    assert report.convergent, report.divergent
+    assert report.serializable
+    assert verdict.violations == []
 
 
 def test_stale_epoch_client_adopts_forward(tmp_path):
@@ -328,20 +330,19 @@ def test_stale_epoch_client_adopts_forward(tmp_path):
     spec = _spec(8120)
 
     async def scenario():
-        servers, client = await _boot(spec, str(tmp_path))
-        coordinator = ReconfigCoordinator(client, timeout=20.0)
-        await coordinator.execute(PlacementChange(
-            kind="add-replica", site=4, item=1))
-        await coordinator.execute(PlacementChange(
-            kind="add-replica", site=5, item=2))
-        stale = ClusterClient(dataclasses.replace(spec, epoch=1),
-                              timeout=5.0)
-        try:
-            status = await stale.reconfig_status(0)
-            return status, stale.spec.epoch
-        finally:
-            await stale.close()
-            await _shutdown(servers, client)
+        async with start_cluster(spec, str(tmp_path)) as (_, client):
+            coordinator = ReconfigCoordinator(client, timeout=20.0)
+            await coordinator.execute(PlacementChange(
+                kind="add-replica", site=4, item=1))
+            await coordinator.execute(PlacementChange(
+                kind="add-replica", site=5, item=2))
+            stale = ClusterClient(dataclasses.replace(spec, epoch=1),
+                                  timeout=5.0)
+            try:
+                status = await stale.reconfig_status(0)
+                return status, stale.spec.epoch
+            finally:
+                await stale.close()
 
     status, adopted = asyncio.run(scenario())
     assert status["epoch"] == 2
@@ -357,43 +358,29 @@ def test_crashed_member_recovers_into_the_committed_epoch(tmp_path):
     victim = 4
 
     async def scenario():
-        servers, client = await _boot(spec, str(tmp_path))
-        coordinator = ReconfigCoordinator(client, timeout=20.0)
-        await coordinator.execute(PlacementChange(
-            kind="add-replica", site=victim, item=1))
-        # Write through item 1's primary so the new replica has real
-        # traffic to hold, then crash the gaining member.
-        from repro.types import (GlobalTransactionId, Operation, OpType,
-                                 TransactionSpec)
-        outcome = await client.run_transaction(TransactionSpec(
-            GlobalTransactionId(1, 9000), 1,
-            (Operation(OpType.WRITE, 1),)))
-        assert outcome["status"] == "committed"
-        await wait_quiescent(client, timeout=20.0, settle_polls=2)
-        servers[victim].kill()
-        await asyncio.sleep(0.2)
-        servers[victim] = SiteServer(
-            spec, victim,
-            wal_path=os.path.join(str(tmp_path),
-                                  "s{}.wal".format(victim)))
-        await servers[victim].start()
-        status = await client.reconfig_status(victim)
-        statuses = await wait_quiescent(client, timeout=20.0,
-                                        settle_polls=3)
-        placement_resp = await client.placement(victim)
-        try:
-            return status, statuses, placement_resp
-        finally:
-            await _shutdown(servers, client)
+        async with start_cluster(spec, str(tmp_path)) as (servers, client):
+            coordinator = ReconfigCoordinator(client, timeout=20.0)
+            await coordinator.execute(PlacementChange(
+                kind="add-replica", site=victim, item=1))
+            # Write through item 1's primary so the new replica has real
+            # traffic to hold, then crash the gaining member.
+            outcome = await client.run_transaction(_write(1, 9000, 1))
+            assert outcome["status"] == "committed"
+            await wait_quiescent(client)
+            servers[victim].kill()
+            await asyncio.sleep(0.2)
+            servers[victim] = await start_site(spec, str(tmp_path), victim)
+            status = await client.reconfig_status(victim)
+            verdict = await judge(client)
+            placement_resp = await client.placement(victim)
+            return status, verdict, placement_resp
 
-    status, statuses, placement_resp = asyncio.run(scenario())
+    status, verdict, placement_resp = asyncio.run(scenario())
     assert status["epoch"] == 1
     assert status["pending_epoch"] is None
     recovered = DataPlacement.from_json(placement_resp["placement"])
     assert victim in recovered.sites_of(1)
-    state = {site: decode_value(s["items"])
-             for site, s in statuses.items()}
-    assert divergent_copies(recovered, state) == []
+    assert verdict.violations == []
 
 
 def test_torn_commit_is_healed(tmp_path):
@@ -408,36 +395,33 @@ def test_torn_commit_is_healed(tmp_path):
     change = PlacementChange(kind="add-replica", site=5, item=1)
 
     async def scenario():
-        servers, client = await _boot(spec, str(tmp_path))
-        for seq in (9400, 9401):
-            await client.run_transaction(_write(1, seq, 1))
-        target = 1
-        for site in range(spec.params.n_sites):
-            await client.reconfig_prepare(site, target,
-                                          change.to_json())
-        installed = await _read_install(client, spec, change)
-        # The torn schedule: s5 crashes, then the coordinator commits
-        # everyone it can reach and dies before s5 returns.  The
-        # commit-time gossip to s5 dies with the sockets when the
-        # committed members are bounced; what heals s5 is the gossip
-        # each recovered member re-sends.
-        servers[5].kill()
-        for site in range(5):
-            await client.reconfig_commit(site, target,
-                                         installed.to_json())
-        for site in range(5):
-            servers[site].kill()
-        await client.close()
-        for site in range(spec.params.n_sites):
-            servers[site] = await _restart(spec, str(tmp_path), site)
-        client = ClusterClient(spec, timeout=5.0)
-        await client.wait_ready()
-        healed = await _until(lambda: servers[5].epoch == 1)
-        epochs = {site: server.epoch for site, server in servers.items()}
-        try:
+        async with start_cluster(spec, str(tmp_path)) as (servers, client):
+            for seq in (9400, 9401):
+                await client.run_transaction(_write(1, seq, 1))
+            target = 1
+            for site in range(spec.params.n_sites):
+                await client.reconfig_prepare(site, target,
+                                              change.to_json())
+            installed = await _read_install(client, spec, change)
+            # The torn schedule: s5 crashes, then the coordinator
+            # commits everyone it can reach and dies before s5 returns.
+            # The commit-time gossip to s5 dies with the sockets when
+            # the committed members are bounced; what heals s5 is the
+            # gossip each recovered member re-sends.
+            servers[5].kill()
+            for site in range(5):
+                await client.reconfig_commit(site, target,
+                                             installed.to_json())
+            for site in range(5):
+                servers[site].kill()
+            await client.close()
+            for site in range(spec.params.n_sites):
+                servers[site] = await start_site(spec, str(tmp_path), site)
+            await client.wait_ready()
+            healed = await _until(lambda: servers[5].epoch == 1)
+            epochs = {site: server.epoch
+                      for site, server in servers.items()}
             return healed, epochs, _copies(servers, 1)
-        finally:
-            await _shutdown(servers, client)
 
     healed, epochs, copies = asyncio.run(scenario())
     assert healed
@@ -457,25 +441,24 @@ def test_restarted_primary_keeps_its_fence_until_the_commit(tmp_path):
     change = PlacementChange(kind="add-replica", site=gainer, item=item)
 
     async def scenario():
-        servers, client = await _boot(spec, str(tmp_path))
-        for seq in (9700, 9701):
-            await client.run_transaction(_write(primary, seq, item))
-        for site in range(spec.params.n_sites):
-            await client.reconfig_prepare(site, 1, change.to_json())
-        installed = await _read_install(client, spec, change)
-        servers[primary].kill()
-        servers[primary] = await _restart(spec, str(tmp_path), primary)
-        third = await client.run_transaction(_write(primary, 9702, item))
-        # The coordinator's order: the gainer with its install, then
-        # everyone else with the bare change.
-        await client.reconfig_commit(gainer, 1, installed.to_json())
-        for site in range(spec.params.n_sites):
-            await client.reconfig_commit(site, 1, change.to_json())
-        await wait_quiescent(client, timeout=20.0, settle_polls=2)
-        try:
+        async with start_cluster(spec, str(tmp_path)) as (servers, client):
+            for seq in (9700, 9701):
+                await client.run_transaction(_write(primary, seq, item))
+            for site in range(spec.params.n_sites):
+                await client.reconfig_prepare(site, 1, change.to_json())
+            installed = await _read_install(client, spec, change)
+            servers[primary].kill()
+            servers[primary] = await start_site(spec, str(tmp_path),
+                                                primary)
+            third = await client.run_transaction(
+                _write(primary, 9702, item))
+            # The coordinator's order: the gainer with its install, then
+            # everyone else with the bare change.
+            await client.reconfig_commit(gainer, 1, installed.to_json())
+            for site in range(spec.params.n_sites):
+                await client.reconfig_commit(site, 1, change.to_json())
+            await wait_quiescent(client)
             return third, _copies(servers, item)
-        finally:
-            await _shutdown(servers, client)
 
     third, copies = asyncio.run(scenario())
     assert third["status"] == "aborted"
@@ -495,27 +478,28 @@ def test_abort_record_clears_the_fence_and_a_lost_abort_keeps_it(
     took_abort, lost_abort = 2, 1
 
     async def scenario():
-        servers, client = await _boot(spec, str(tmp_path))
-        for site in range(spec.params.n_sites):
-            await client.reconfig_prepare(site, 1, abandoned.to_json())
-        for site in range(spec.params.n_sites):
-            if site != lost_abort:
-                await client.reconfig_abort(site, 1)
-        for site in (took_abort, lost_abort):
-            servers[site].kill()
-            servers[site] = await _restart(spec, str(tmp_path), site)
-        restarted = {site: await client.reconfig_status(site)
-                     for site in (took_abort, lost_abort)}
-        refused = await client.run_transaction(_write(lost_abort, 9800, 1))
-        report = await ReconfigCoordinator(client, timeout=20.0).execute(
-            PlacementChange(kind="add-replica", site=5, item=2))
-        released = await client.run_transaction(
-            _write(lost_abort, 9801, 1))
-        epochs = {site: server.epoch for site, server in servers.items()}
-        try:
+        async with start_cluster(spec, str(tmp_path)) as (servers, client):
+            for site in range(spec.params.n_sites):
+                await client.reconfig_prepare(site, 1,
+                                              abandoned.to_json())
+            for site in range(spec.params.n_sites):
+                if site != lost_abort:
+                    await client.reconfig_abort(site, 1)
+            for site in (took_abort, lost_abort):
+                servers[site].kill()
+                servers[site] = await start_site(spec, str(tmp_path), site)
+            restarted = {site: await client.reconfig_status(site)
+                         for site in (took_abort, lost_abort)}
+            refused = await client.run_transaction(
+                _write(lost_abort, 9800, 1))
+            report = await ReconfigCoordinator(
+                client, timeout=20.0).execute(
+                PlacementChange(kind="add-replica", site=5, item=2))
+            released = await client.run_transaction(
+                _write(lost_abort, 9801, 1))
+            epochs = {site: server.epoch
+                      for site, server in servers.items()}
             return restarted, refused, report, released, epochs
-        finally:
-            await _shutdown(servers, client)
 
     restarted, refused, report, released, epochs = asyncio.run(scenario())
     assert restarted[took_abort]["pending_epoch"] is None
@@ -542,29 +526,29 @@ def test_install_goes_only_where_it_is_installed(tmp_path):
     change = PlacementChange(kind="add-replica", site=gainer, item=1)
 
     async def scenario():
-        servers, client = await _boot(spec, str(tmp_path))
-        for seq in (9900, 9901):
-            await client.run_transaction(_write(1, seq, 1))
-        received = {site: [] for site in servers}
-        for site, server in servers.items():
-            def spy(message, site=site, deliver=server._on_reconfig):
-                received[site].append(message.payload["change"])
-                deliver(message)
-            server._on_reconfig = spy
-        await ReconfigCoordinator(client, timeout=20.0).execute(change)
-        # Every member gossips its commit to each of its peers.
-        gossiped = await _until(lambda: all(
-            len(changes) >= len(servers) - 1
-            for changes in received.values()))
-        await _shutdown(servers, client)
-        return gossiped, received
+        async with start_cluster(spec, str(tmp_path)) as (servers, client):
+            for seq in (9900, 9901):
+                await client.run_transaction(_write(1, seq, 1))
+            received = {site: [] for site in servers}
+            for site, server in servers.items():
+                def spy(message, site=site, deliver=server._on_reconfig):
+                    received[site].append(message.payload["change"])
+                    deliver(message)
+                server._on_reconfig = spy
+            await ReconfigCoordinator(client, timeout=20.0).execute(change)
+            # Every member gossips its commit to each of its peers.
+            gossiped = await _until(lambda: all(
+                len(changes) >= len(servers) - 1
+                for changes in received.values()))
+            wals = {site: server.wal_path
+                    for site, server in servers.items()}
+        return gossiped, received, wals
 
-    gossiped, received = asyncio.run(scenario())
+    gossiped, received, wals = asyncio.run(scenario())
     assert gossiped
     for site in range(spec.params.n_sites):
-        logged = [record.value for record in FileWal(
-            os.path.join(str(tmp_path), "s{}.wal".format(site)))
-            if record.kind is LogRecordKind.EPOCH_COMMIT]
+        logged = [record.value for record in FileWal(wals[site])
+                  if record.kind is LogRecordKind.EPOCH_COMMIT]
         assert len(logged) == 1
         assert ("install" in logged[0]) == (site == gainer), site
         if site != gainer:
@@ -579,29 +563,19 @@ def test_writes_on_fenced_items_are_refused_not_lost(tmp_path):
     spec = _spec(8160)
 
     async def scenario():
-        servers, client = await _boot(spec, str(tmp_path))
-        from repro.types import (GlobalTransactionId, Operation, OpType,
-                                 TransactionSpec)
-
-        def write(seq):
-            return TransactionSpec(GlobalTransactionId(1, seq), 1,
-                                   (Operation(OpType.WRITE, 1),))
-
-        target = 1
-        change = PlacementChange(kind="add-replica", site=4, item=1)
-        for site in range(spec.params.n_sites):
-            await client.reconfig_prepare(site, target,
-                                          change.to_json())
-        fenced = await client.run_transaction(write(9100))
-        installed = await _read_install(client, spec, change)
-        for site in range(spec.params.n_sites):
-            await client.reconfig_commit(site, target,
-                                         installed.to_json())
-        unfenced = await client.run_transaction(write(9101))
-        try:
+        async with start_cluster(spec, str(tmp_path)) as (_, client):
+            target = 1
+            change = PlacementChange(kind="add-replica", site=4, item=1)
+            for site in range(spec.params.n_sites):
+                await client.reconfig_prepare(site, target,
+                                              change.to_json())
+            fenced = await client.run_transaction(_write(1, 9100, 1))
+            installed = await _read_install(client, spec, change)
+            for site in range(spec.params.n_sites):
+                await client.reconfig_commit(site, target,
+                                             installed.to_json())
+            unfenced = await client.run_transaction(_write(1, 9101, 1))
             return fenced, unfenced
-        finally:
-            await _shutdown(servers, client)
 
     fenced, unfenced = asyncio.run(scenario())
     assert fenced["status"] == "aborted"
@@ -624,14 +598,6 @@ async def _read_install(client, spec, change):
         change, spec.build_placement())
     assert installed is not None
     return installed
-
-
-async def _restart(spec, wal_dir, site):
-    """A fresh in-process member on ``site``'s WAL, started."""
-    server = SiteServer(spec, site, wal_path=os.path.join(
-        wal_dir, "s{}.wal".format(site)))
-    await server.start()
-    return server
 
 
 async def _until(predicate):
@@ -677,29 +643,27 @@ def test_state_transfer_runs_fenced_and_commit_gossip_orders_the_swap(
     change = PlacementChange(kind="add-replica", site=gainer, item=item)
 
     async def scenario():
-        servers, client = await _boot(spec, str(tmp_path))
-        for seq in (9200, 9201, 9202):
-            await client.run_transaction(_write(primary, seq, item))
-        await wait_quiescent(client, timeout=20.0, settle_polls=2)
-        sent = {site: server.transport.total_sent
-                for site, server in servers.items()}
-        for site in range(spec.params.n_sites):
-            await client.reconfig_prepare(site, 1, change.to_json())
-        prepared = (servers[gainer].system.site_of(gainer).engine
-                    .has_item(item),
-                    {site: server.transport.total_sent - sent[site]
-                     for site, server in servers.items()})
-        installed = await _read_install(client, spec, change)
-        # Commit the gainer only: the others commit through gossip.
-        await client.reconfig_commit(gainer, 1, installed.to_json())
-        await _until(lambda: all(server.epoch == 1
-                                 for server in servers.values()))
-        copies = _copies(servers, item)
-        epochs = {site: server.epoch for site, server in servers.items()}
-        try:
+        async with start_cluster(spec, str(tmp_path)) as (servers, client):
+            for seq in (9200, 9201, 9202):
+                await client.run_transaction(_write(primary, seq, item))
+            await wait_quiescent(client)
+            sent = {site: server.transport.total_sent
+                    for site, server in servers.items()}
+            for site in range(spec.params.n_sites):
+                await client.reconfig_prepare(site, 1, change.to_json())
+            prepared = (servers[gainer].system.site_of(gainer).engine
+                        .has_item(item),
+                        {site: server.transport.total_sent - sent[site]
+                         for site, server in servers.items()})
+            installed = await _read_install(client, spec, change)
+            # Commit the gainer only: the others commit through gossip.
+            await client.reconfig_commit(gainer, 1, installed.to_json())
+            await _until(lambda: all(server.epoch == 1
+                                     for server in servers.values()))
+            copies = _copies(servers, item)
+            epochs = {site: server.epoch
+                      for site, server in servers.items()}
             return prepared, copies, epochs
-        finally:
-            await _shutdown(servers, client)
 
     (had_copy, prepare_sent), copies, epochs = asyncio.run(scenario())
     assert not had_copy
@@ -724,24 +688,22 @@ def test_write_right_after_the_primary_commit_crosses_gossip_only_relays(
     change = PlacementChange(kind="add-replica", site=gainer, item=item)
 
     async def scenario():
-        servers, client = await _boot(spec, str(tmp_path))
-        for seq in (9500, 9501, 9502):
-            await client.run_transaction(_write(primary, seq, item))
-        for site in range(spec.params.n_sites):
-            await client.reconfig_prepare(site, 1, change.to_json())
-        installed = await _read_install(client, spec, change)
-        await client.reconfig_commit(gainer, 1, installed.to_json())
-        await client.reconfig_commit(primary, 1, change.to_json())
-        await client.adopt_epoch(1)
-        after = await client.run_transaction(
-            _write(primary, 9503, item))
-        fed = await _version_reaches(servers[gainer], item, 4)
-        copies = _copies(servers, item)
-        epochs = {site: server.epoch for site, server in servers.items()}
-        try:
+        async with start_cluster(spec, str(tmp_path)) as (servers, client):
+            for seq in (9500, 9501, 9502):
+                await client.run_transaction(_write(primary, seq, item))
+            for site in range(spec.params.n_sites):
+                await client.reconfig_prepare(site, 1, change.to_json())
+            installed = await _read_install(client, spec, change)
+            await client.reconfig_commit(gainer, 1, installed.to_json())
+            await client.reconfig_commit(primary, 1, change.to_json())
+            await client.adopt_epoch(1)
+            after = await client.run_transaction(
+                _write(primary, 9503, item))
+            fed = await _version_reaches(servers[gainer], item, 4)
+            copies = _copies(servers, item)
+            epochs = {site: server.epoch
+                      for site, server in servers.items()}
             return after, fed, copies, epochs
-        finally:
-            await _shutdown(servers, client)
 
     after, fed, copies, epochs = asyncio.run(scenario())
     assert after["status"] == "committed"
@@ -764,21 +726,19 @@ def test_reconfig_state_refuses_an_unfenced_item_and_a_locked_one(
     change = PlacementChange(kind="add-replica", site=0, item=item)
 
     async def scenario():
-        servers, client = await _boot(spec, str(tmp_path))
-        answers = {"unfenced": await client.reconfig_state(primary, item)}
-        for site in range(spec.params.n_sites):
-            await client.reconfig_prepare(site, 1, change.to_json())
-        answers["replica"] = await client.reconfig_state(2, item)
-        engine = servers[primary].system.site_of(primary).engine
-        reader = engine.begin(GlobalTransactionId(primary, 9600))
-        engine.locks.acquire(reader, item, LockMode.SHARED)
-        answers["locked"] = await client.reconfig_state(primary, item)
-        engine.abort(reader)
-        answers["quiet"] = await client.reconfig_state(primary, item)
-        try:
+        async with start_cluster(spec, str(tmp_path)) as (servers, client):
+            answers = {
+                "unfenced": await client.reconfig_state(primary, item)}
+            for site in range(spec.params.n_sites):
+                await client.reconfig_prepare(site, 1, change.to_json())
+            answers["replica"] = await client.reconfig_state(2, item)
+            engine = servers[primary].system.site_of(primary).engine
+            reader = engine.begin(GlobalTransactionId(primary, 9600))
+            engine.locks.acquire(reader, item, LockMode.SHARED)
+            answers["locked"] = await client.reconfig_state(primary, item)
+            engine.abort(reader)
+            answers["quiet"] = await client.reconfig_state(primary, item)
             return answers
-        finally:
-            await _shutdown(servers, client)
 
     answers = asyncio.run(scenario())
     for case in ("unfenced", "replica", "locked"):
@@ -798,20 +758,17 @@ def test_gaining_member_refuses_a_commit_without_its_install(tmp_path):
     change = PlacementChange(kind="add-replica", site=2, item=0)
 
     async def scenario():
-        servers, client = await _boot(spec, str(tmp_path))
-        for site in range(spec.params.n_sites):
-            await client.reconfig_prepare(site, 1, change.to_json())
-        with pytest.raises(ClusterError, match="no install"):
-            await client.reconfig_commit(2, 1, change.to_json())
-        refused = (servers[2].epoch,
-                   servers[2].system.site_of(2).engine.has_item(0))
-        installed = await _read_install(client, spec, change)
-        await client.reconfig_commit(1, 1, change.to_json())
-        await client.reconfig_commit(2, 1, installed.to_json())
-        try:
+        async with start_cluster(spec, str(tmp_path)) as (servers, client):
+            for site in range(spec.params.n_sites):
+                await client.reconfig_prepare(site, 1, change.to_json())
+            with pytest.raises(ClusterError, match="no install"):
+                await client.reconfig_commit(2, 1, change.to_json())
+            refused = (servers[2].epoch,
+                       servers[2].system.site_of(2).engine.has_item(0))
+            installed = await _read_install(client, spec, change)
+            await client.reconfig_commit(1, 1, change.to_json())
+            await client.reconfig_commit(2, 1, installed.to_json())
             return refused, servers[1].epoch, servers[2].epoch
-        finally:
-            await _shutdown(servers, client)
 
     refused, bystander, gainer = asyncio.run(scenario())
     assert refused == (0, False)
@@ -865,37 +822,28 @@ def test_power_loss_in_the_commit_window_keeps_the_gained_copy_fed(
     change = PlacementChange(kind="add-replica", site=gainer, item=item)
 
     async def scenario():
-        servers, client = await _boot(spec, str(tmp_path))
-        for seq in (9300, 9301, 9302):
-            await client.run_transaction(_write(primary, seq, item))
-        for site in range(spec.params.n_sites):
-            await client.reconfig_prepare(site, 1, change.to_json())
-        installed = await _read_install(client, spec, change)
-        await client.reconfig_commit(gainer, 1, installed.to_json())
-        servers[gainer].kill()
-        await client.reconfig_commit(primary, 1, change.to_json())
-        await client.adopt_epoch(1)
-        outcome = await client.run_transaction(
-            _write(primary, 9303, item))
-        for site in range(spec.params.n_sites):
-            if site != gainer:
-                servers[site].kill()
-        await client.close()
-        for site in range(spec.params.n_sites):
-            servers[site] = SiteServer(
-                spec, site,
-                wal_path=os.path.join(str(tmp_path),
-                                      "s{}.wal".format(site)))
-            await servers[site].start()
-        client = ClusterClient(spec, timeout=5.0)
-        await client.wait_ready()
-        await _version_reaches(servers[gainer], item, 4)
-        statuses = await wait_quiescent(client, timeout=20.0,
-                                        settle_polls=2)
-        try:
+        async with start_cluster(spec, str(tmp_path)) as (servers, client):
+            for seq in (9300, 9301, 9302):
+                await client.run_transaction(_write(primary, seq, item))
+            for site in range(spec.params.n_sites):
+                await client.reconfig_prepare(site, 1, change.to_json())
+            installed = await _read_install(client, spec, change)
+            await client.reconfig_commit(gainer, 1, installed.to_json())
+            servers[gainer].kill()
+            await client.reconfig_commit(primary, 1, change.to_json())
+            await client.adopt_epoch(1)
+            outcome = await client.run_transaction(
+                _write(primary, 9303, item))
+            for site in range(spec.params.n_sites):
+                if site != gainer:
+                    servers[site].kill()
+            await client.close()
+            for site in range(spec.params.n_sites):
+                servers[site] = await start_site(spec, str(tmp_path), site)
+            await client.wait_ready()
+            await _version_reaches(servers[gainer], item, 4)
+            statuses = await wait_quiescent(client)
             return outcome, statuses, _copies(servers, item)
-        finally:
-            await _shutdown(servers, client)
 
     outcome, statuses, copies = asyncio.run(scenario())
     assert outcome["status"] == "committed"

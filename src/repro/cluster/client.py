@@ -10,7 +10,8 @@ load generator cannot overrun the cluster (closed-loop backpressure).
 Only idempotence-safe requests are retried transparently (``ping``,
 ``status``).  A transaction request that times out or loses its
 connection has unknown outcome — it is reported as ``"unknown"`` rather
-than resubmitted, mirroring what a real client library must do.
+than resubmitted, mirroring what a real client library must do.  One
+whose connect is refused was never sent, and is ``"aborted"``.
 """
 
 from __future__ import annotations
@@ -239,7 +240,8 @@ class ClusterClient:
             if not response.get("ok", False):
                 raise ClusterError(response.get("error", "request failed"))
             return response
-        raise ClusterError("site s{}: {!r}".format(site, last_error))
+        raise ClusterError("site s{}: {!r}".format(site, last_error)) \
+            from last_error
 
     async def adopt_epoch(self, epoch: int) -> None:
         """Move this client's spec to ``epoch`` and drop every cached
@@ -264,6 +266,7 @@ class ClusterClient:
         Returns ``{"status": "committed"|"aborted"|"unknown", "reason",
         "elapsed"}``.  Unknown outcomes (timeout / connection loss while
         in flight) are *not* retried — resubmitting could double-execute.
+        A refused connect is ``"aborted"``, reason ``"not submitted: ..."``.
         """
         async with self._txn_slots:
             try:
@@ -271,6 +274,10 @@ class ClusterClient:
                     spec.origin, {"op": "txn", "spec": encode_spec(spec)},
                     idempotent=False, timeout=timeout)
             except ClusterError as exc:
+                if isinstance(exc.__cause__, ConnectionRefusedError):
+                    # Refused at connect: nothing was sent, nothing ran.
+                    return {"status": "aborted", "elapsed": None,
+                            "reason": "not submitted: {}".format(exc)}
                 return {"status": "unknown", "reason": str(exc),
                         "elapsed": None}
         return {"status": response["status"],

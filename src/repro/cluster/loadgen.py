@@ -269,7 +269,8 @@ async def drive(spec: ClusterSpec, client: ClusterClient,
                     typing.Callable[[Alert], None]] = None,
                 alongside: typing.Sequence[typing.Awaitable] = ()
                 ) -> Drive:
-    """Drive the matched workload through ``client``.
+    """Drive the matched workload, over the placement the members agree
+    on (:func:`judge` checks the same one), through ``client``.
 
     A :class:`~repro.obs.monitor.Watchdog` with config ``monitor``
     (``None``: none) and ``on_alert`` polls every ``monitor.interval``
@@ -279,9 +280,13 @@ async def drive(spec: ClusterSpec, client: ClusterClient,
     if loop_mode not in ("closed", "open"):
         raise ValueError("loop_mode must be 'closed' or 'open', got "
                          "{!r}".format(loop_mode))
-    # Streams are name-keyed, so this is the exact generator seeding the
-    # simulation harness uses for the same (params, seed).
-    generator = TransactionGenerator(spec.params, spec.build_placement(),
+    # Deferred: repro.reconfig imports this package.
+    from repro.reconfig import ReconfigCoordinator
+
+    # Streams are name-keyed, so at epoch 0 this is the exact generator
+    # the simulation harness seeds for the same (params, seed).
+    _, placement = await ReconfigCoordinator(client).current_placement()
+    generator = TransactionGenerator(spec.params, placement,
                                      RngRegistry(spec.seed)
                                      .stream("workload"))
     metrics = MetricsCollector(spec.params.n_sites)

@@ -191,6 +191,13 @@ class ReplicatedSystem:
         self.protocol = protocol
         protocol.setup()
 
+    def teardown(self) -> None:
+        """Drop a finished run's engine state and pending events; its
+        graph is cyclic, so they would wait for a full collection."""
+        for site in self.local_sites:
+            site.engine.crash()
+        self.env.clear()
+
     def swap_placement(self, placement: DataPlacement,
                        epoch: int) -> None:
         """Atomically adopt a new placement at an epoch boundary

@@ -211,7 +211,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 violation_explanation = explain_cycle(histories,
                                                       violation_cycle)
 
-    return ExperimentResult(
+    result = ExperimentResult(
         config=config,
         average_throughput=average_throughput,
         abort_rate=abort_rate,
@@ -228,3 +228,5 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         violation_cycle=violation_cycle,
         violation_explanation=violation_explanation,
     )
+    system.teardown()
+    return result

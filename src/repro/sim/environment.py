@@ -87,6 +87,10 @@ class Environment:
         heapq.heappush(self._queue, (when, priority, key, self._eid,
                                      event))
 
+    def clear(self) -> None:
+        """Drop every scheduled event (a finished run's pending timers)."""
+        self._queue.clear()
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if not self._queue:

@@ -1,6 +1,7 @@
 """Shared resources for simulation processes.
 
-- :class:`Resource` — a counted FIFO resource (used to model per-site CPUs).
+- :class:`Resource` — a counted FIFO resource with round-robin slicing
+  (used to model per-site CPUs).
 - :class:`Mailbox` — an unbounded FIFO message queue with blocking ``get``.
 """
 
@@ -9,17 +10,33 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.environment import Environment
 
 
-class Resource:
-    """A counted resource with FIFO granting.
+class _Job(Event):
+    """One :meth:`Resource.use` call, and the event its process awaits."""
 
-    ``request()`` returns an event that succeeds once a slot is available;
-    the returned event doubles as the grant token passed to ``release()``.
+    __slots__ = ("remaining", "quantum")
+
+    def __init__(self, env: "Environment", remaining: float,
+                 quantum: typing.Optional[float]):
+        super().__init__(env)
+        self.remaining = remaining
+        self.quantum = quantum
+
+
+class Resource:
+    """A counted resource with FIFO granting and round-robin slicing.
+
+    Each :meth:`use` call is a job that queues FIFO for a slot.  A job
+    holding a slot runs one slice as one scheduled event; at its end the
+    resource rotates the job itself, without waking the process: the
+    slot goes to the head waiter, which starts its own slice at once,
+    and the job re-queues at the tail (or runs on if nobody waits).  The
+    process waits only for its job's last slice.
     """
 
     def __init__(self, env: "Environment", capacity: int = 1):
@@ -37,42 +54,8 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
+        """Number of jobs waiting for a slot."""
         return len(self._waiting)
-
-    def request(self) -> Event:
-        """Request a slot.  The event succeeds when the slot is granted."""
-        event = Event(self.env)
-        if len(self._users) < self.capacity:
-            self._users.add(event)
-            event.succeed(event)
-        else:
-            self._waiting.append(event)
-        return event
-
-    def release(self, token: Event) -> None:
-        """Release a previously granted slot."""
-        if token not in self._users:
-            raise ValueError("token does not hold this resource")
-        self._users.discard(token)
-        self._grant_next()
-
-    def cancel(self, token: Event) -> None:
-        """Withdraw a request.
-
-        Safe to call whether the request is still queued, already granted,
-        or already released; a granted-but-unreleased token is released.
-        """
-        users = self._users
-        if token in users:
-            users.discard(token)
-            if self._waiting:
-                self._grant_next()
-            return
-        try:
-            self._waiting.remove(token)
-        except ValueError:
-            pass
 
     def use(self, duration: float,
             quantum: typing.Optional[float] = None):
@@ -82,8 +65,8 @@ class Resource:
         the work is consumed in quantum-sized slices, releasing the slot
         between slices — approximating a preemptive round-robin scheduler
         so short requests are not stuck behind long ones.  If the caller
-        is interrupted while holding or waiting, the slot/request is
-        cleaned up.
+        is interrupted while holding or waiting, it leaves the queue or
+        hands its slot straight to the next waiter.
 
         Zero work on an idle resource (a free slot, nobody queued) is a
         no-op that schedules nothing: the live runtime zeroes every CPU
@@ -95,27 +78,59 @@ class Resource:
         if remaining <= 0 and not self._waiting and \
                 len(self._users) < self.capacity:
             return
-        first = True
-        while first or remaining > 1e-12:
-            first = False
-            token = self.request()
-            try:
-                yield token
-                if quantum is None or remaining <= quantum:
-                    slice_duration = remaining
-                else:
-                    slice_duration = quantum
-                if slice_duration > 0:
-                    yield self.env.timeout(slice_duration)
-                remaining -= slice_duration
-            finally:
-                self.cancel(token)
+        job = _Job(self.env, remaining, quantum)
+        # Ahead of the process's resume: code after use() sees the slot free.
+        job.callbacks.append(self._release)
+        if len(self._users) < self.capacity:
+            self._start(job)
+        else:
+            self._waiting.append(job)
+        try:
+            yield job
+        except BaseException:
+            if job in self._users:
+                self._release(job)
+            else:
+                self._waiting.remove(job)
+            raise
 
-    def _grant_next(self) -> None:
-        while self._waiting and len(self._users) < self.capacity:
-            event = self._waiting.popleft()
-            self._users.add(event)
-            event.succeed(event)
+    def _start(self, job: _Job) -> None:
+        """Give ``job`` a slot and schedule the end of its next slice: a
+        rotation, or ``job`` itself when that slice is its last."""
+        self._users.add(job)
+        remaining, quantum = job.remaining, job.quantum
+        if quantum is None or remaining <= quantum:
+            slice_duration = remaining
+        else:
+            slice_duration = quantum
+        job.remaining = remaining = remaining - slice_duration
+        if remaining > 1e-12:
+            Timeout(self.env, slice_duration, job).callbacks.append(
+                self._rotate)
+            return
+        job._ok = True
+        job._value = None
+        self.env.schedule(job, delay=max(slice_duration, 0.0))
+
+    def _rotate(self, timer: Timeout) -> None:
+        """A slice that is not its job's last has ended."""
+        job = timer._value
+        if job not in self._users:
+            return  # withdrawn by an interrupt mid-slice
+        if self._waiting:
+            self._release(job)
+            self._waiting.append(job)
+        else:
+            self._start(job)
+
+    def _release(self, job: _Job) -> None:
+        """Free ``job``'s slot, if it still holds one, for the head
+        waiter."""
+        users = self._users
+        if job in users:
+            users.remove(job)
+            if self._waiting:
+                self._start(self._waiting.popleft())
 
 
 class Mailbox:

@@ -1065,3 +1065,30 @@ def test_client_kill_mid_flight_leaves_no_reader_task(tmp_path, monkeypatch):
     assert len(readers) > 1, "the kill never forced a reconnect"
     assert live <= held, "an unregistered connection kept reading"
     assert all(task.done() for _conn, task in readers)
+
+
+def test_refused_connect_is_an_abort_not_an_unknown_outcome():
+    """Nothing listens on the spec's ports: a transaction whose connect
+    to its origin is refused was never sent, so it cannot have run and
+    is aborted as not submitted; an idempotent request still fails
+    after its retries."""
+    from repro.cluster.client import ClusterError
+
+    spec = make_spec("dag_wt", 3)
+    write = TransactionSpec(GlobalTransactionId(0, 1), 0,
+                            (Operation(OpType.WRITE, 0),))
+
+    async def scenario():
+        client = ClusterClient(spec, timeout=2.0)
+        try:
+            outcome = await client.run_transaction(write)
+            with pytest.raises(ClusterError):
+                await client.ping(0)
+            return outcome
+        finally:
+            await client.close()
+
+    outcome = asyncio.run(scenario())
+    assert outcome["status"] == "aborted"
+    assert outcome["reason"].startswith("not submitted: "), outcome
+    assert "ConnectionRefusedError" in outcome["reason"]

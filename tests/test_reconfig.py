@@ -22,6 +22,7 @@ import pytest
 from repro.cluster.client import ClusterClient
 from repro.cluster.codec import decode_value
 from repro.cluster.loadgen import (
+    drive,
     generate_load,
     judge,
     start_cluster,
@@ -322,6 +323,34 @@ def test_load_verdict_judges_the_agreed_placement(tmp_path):
     assert report.convergent, report.divergent
     assert report.serializable
     assert verdict.violations == []
+
+
+def test_load_drives_the_agreed_placement(tmp_path):
+    """Loadgen generates its workload over the placement the members
+    agree on, not genesis: after ``drop-replica item 10 -> s5`` no
+    transaction it offers is refused for the copy s5 dropped."""
+    spec = _spec(free_base_port(6), txns=20)
+    outcomes = []
+
+    async def scenario():
+        async with start_cluster(spec, str(tmp_path)) as (_, client):
+            await ReconfigCoordinator(client, timeout=20.0).execute(
+                PlacementChange(kind="drop-replica", site=5, item=10))
+            submit = client.run_transaction
+
+            async def recorded(txn_spec, timeout=None):
+                outcomes.append(await submit(txn_spec, timeout))
+                return outcomes[-1]
+
+            client.run_transaction = recorded
+            return await drive(spec, client, monitor=None)
+
+    run = asyncio.run(scenario())
+    refused = [outcome["reason"] for outcome in outcomes
+               if "no copy of item 10 at s5" in (outcome["reason"] or "")]
+    assert refused == []
+    assert len(outcomes) == 120
+    assert run.metrics.total_committed + run.metrics.total_aborted == 120
 
 
 def test_stale_epoch_client_adopts_forward(tmp_path):

@@ -6,42 +6,70 @@ import pytest
 
 from repro.explorer import load_trace, run_schedule
 from repro.explorer.trace import trace_dict
-from repro.harness.runner import ExperimentConfig, run_experiment
-from repro.sim import Environment, Interrupt, Mailbox, Resource
+from repro.harness import runner
+from repro.sim import Environment, Interrupt, Mailbox, Process, Resource
 from repro.workload.params import WorkloadParams
+
+
+def _workers(env, cpu, jobs, log):
+    """Start one process per ``(name, arrival, duration)`` job, each
+    logging ``(name, finish time)`` when its ``use()`` returns."""
+    def worker(name, arrival, duration):
+        if arrival:
+            yield env.timeout(arrival)
+        yield from cpu.use(duration)
+        log.append((name, env.now))
+    return [env.process(worker(*job)) for job in jobs]
 
 
 def test_resource_grants_up_to_capacity_immediately():
     env = Environment()
     cpu = Resource(env, capacity=2)
-    first = cpu.request()
-    second = cpu.request()
-    third = cpu.request()
-    assert first.triggered and second.triggered
-    assert not third.triggered
+    log = []
+    _workers(env, cpu, [("a", 0, 1.0), ("b", 0, 1.0), ("c", 0, 1.0)], log)
+    env.run(until=0.5)
     assert cpu.count == 2
     assert cpu.queue_length == 1
+    env.run()
+    assert log == [("a", 1.0), ("b", 1.0), ("c", 2.0)]
 
 
 def test_resource_release_grants_fifo():
     env = Environment()
     cpu = Resource(env, capacity=1)
-    tokens = [cpu.request() for _ in range(3)]
-    assert tokens[0].triggered
-    assert not tokens[1].triggered
-    cpu.release(tokens[0])
-    assert tokens[1].triggered
-    assert not tokens[2].triggered
-    cpu.release(tokens[1])
-    assert tokens[2].triggered
+    log = []
+    _workers(env, cpu, [("a", 0, 1.0), ("b", 0, 1.0), ("c", 0, 1.0)], log)
+    env.run(until=1.5)
+    assert log == [("a", 1.0)]
+    assert cpu.count == 1 and cpu.queue_length == 1
+    env.run()
+    assert log == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
 
 
-def test_resource_release_foreign_token_raises():
+def test_stale_slice_end_of_an_interrupted_job_frees_nothing():
+    """An interrupted job's last slice is still on the schedule; when it
+    comes due it must not free the slot its successor now holds."""
     env = Environment()
     cpu = Resource(env, capacity=1)
-    cpu.request()
-    with pytest.raises(ValueError):
-        cpu.release(env.event())
+    log = []
+
+    def victim():
+        try:
+            yield from cpu.use(2.0)
+        except Interrupt:
+            log.append(("victim", env.now))
+
+    def killer(process):
+        yield env.timeout(1.0)
+        process.interrupt()
+
+    env.process(killer(env.process(victim())))
+    _workers(env, cpu, [("next", 0.5, 5.0), ("late", 1.5, 1.0)], log)
+    env.run(until=2.5)      # past the victim's stale slice end at 2.0
+    assert cpu.count == 1 and cpu.queue_length == 1
+    env.run()
+    assert log == [("victim", 1.0), ("next", 6.0), ("late", 7.0)]
+    assert cpu.count == 0 and cpu.queue_length == 0
 
 
 def test_resource_capacity_validation():
@@ -50,15 +78,29 @@ def test_resource_capacity_validation():
         Resource(env, capacity=0)
 
 
-def test_resource_cancel_waiting_request():
+def test_resource_interrupt_while_queued_withdraws_the_job():
     env = Environment()
     cpu = Resource(env, capacity=1)
-    held = cpu.request()
-    waiting = cpu.request()
-    cpu.cancel(waiting)
+    log = []
+
+    def waiter():
+        try:
+            yield from cpu.use(1.0)
+        except Interrupt:
+            log.append(("withdrawn", env.now))
+
+    def killer(process):
+        yield env.timeout(1.0)
+        assert cpu.queue_length == 1
+        process.interrupt()
+
+    _workers(env, cpu, [("held", 0, 2.0)], log)
+    env.process(killer(env.process(waiter())))
+    env.run(until=1.5)
     assert cpu.queue_length == 0
-    cpu.release(held)
-    assert not waiting.triggered  # Was withdrawn, never granted.
+    env.run()
+    assert log == [("withdrawn", 1.0), ("held", 2.0)]  # never granted
+    assert cpu.count == 0
 
 
 def test_resource_use_serialises_processes():
@@ -144,27 +186,27 @@ def test_resource_use_zero_queues_fifo_under_contention():
     assert log == [("holder", 2.0), ("waiter", 3.0), ("zero", 3.0)]
     assert cpu.count == 0 and cpu.queue_length == 0
 
-    # Slot free again but somebody still queued (granted, not yet
-    # resumed, plus one behind): zero work joins the queue's tail.
+    # A zero job that arrives while someone is queued joins the tail.
     env = Environment()
     cpu = Resource(env, capacity=1)
-    held = cpu.request()
-    queued = cpu.request()
-    zero = cpu.use(0.0)
-    token = next(zero)
-    assert cpu.queue_length == 2 and not token.triggered
-    cpu.release(held)
-    assert queued.triggered and not token.triggered
-    cpu.release(queued)
-    assert token.triggered
+    log = []
+    _workers(env, cpu, [("held", 0, 1.0), ("queued", 0, 1.0),
+                        ("zero", 0.5, 0.0)], log)
+    env.run(until=0.5)
+    assert cpu.queue_length == 2
+    env.run()
+    assert log == [("held", 1.0), ("queued", 2.0), ("zero", 2.0)]
 
 
-def test_simulated_schedules_are_identical_to_the_pre_fast_path_kernel():
+def test_simulated_schedules_are_identical_to_the_pre_fast_path_kernel(
+        monkeypatch):
     """Simulated runs have non-zero costs or contention wherever order
-    matters, so the fast path must leave them byte-identical: the
-    explorer trace recorded before it existed replays to the same
-    document (outcomes, DSG cycle, kernel event count), and a Table 1
-    BackEdge experiment keeps its fingerprint."""
+    matters, so neither the zero-work fast path nor the slice scheduler
+    may change what a run does: the explorer trace recorded before the
+    fast path existed replays to the same outcomes and DSG cycle, and a
+    Table 1 BackEdge experiment keeps its fingerprint.  The kernel
+    event count (in the trace and here) and the process resumes are
+    pinned exactly: one more event or wake-up per slice fails this."""
     path = "tests/data/explorer_trace_pr12.json"
     with open(path, encoding="utf-8") as handle:
         recorded = handle.read()
@@ -174,12 +216,29 @@ def test_simulated_schedules_are_identical_to_the_pre_fast_path_kernel():
     assert json.dumps(replayed, indent=2, sort_keys=True) + "\n" == \
         recorded
 
-    result = run_experiment(ExperimentConfig(
+    environments, resumes = [], [0]
+    build, resume = runner.build_system, Process._resume
+
+    def recording_build(config):
+        built = build(config)
+        environments.append(built[0])
+        return built
+
+    def counting_resume(process, event):
+        resumes[0] += 1
+        return resume(process, event)
+
+    monkeypatch.setattr(runner, "build_system", recording_build)
+    monkeypatch.setattr(Process, "_resume", counting_resume)
+    result = runner.run_experiment(runner.ExperimentConfig(
         protocol="backedge", seed=42,
         params=WorkloadParams(transactions_per_thread=25)))
     assert (result.committed, result.aborted, result.total_messages) \
         == (644, 31, 1147)
     assert result.serializable
+    assert result.duration == 3.441149999999807
+    assert (environments[0].events_processed, resumes[0]) == \
+        (43542, 18726)
 
 
 def test_mailbox_put_then_get():

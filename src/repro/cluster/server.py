@@ -993,10 +993,16 @@ class SiteServer:
                     "spans": self.trace.spans(trace=trace, limit=limit),
                     "dropped": self.trace.dropped}
         if op == "placement":
+            # ``tree``: each site's parent in the propagation tree updates
+            # relay along, or None when they go straight to replicas.
+            tree = getattr(self.system.protocol, "tree", None)
             return {"ok": True, "site": self.site_id,
                     "epoch": self.epoch,
                     "pending_epoch": self.pending_epoch,
-                    "placement": self.placement.to_json()}
+                    "placement": self.placement.to_json(),
+                    "tree": None if tree is None else [
+                        tree.parent.get(site)
+                        for site in range(self.placement.n_sites)]}
         if op == "reconfig_status":
             return {"ok": True, "site": self.site_id,
                     "epoch": self.epoch,

@@ -97,7 +97,9 @@ class IndiscriminateProtocol(ReplicationProtocol):
         for item in items:
             # Lock first, then re-check staleness (the Thomas write
             # rule): a newer update may have landed during the wait.
-            yield site.engine.locks.acquire(txn, item, LockMode.EXCLUSIVE)
+            grant = site.engine.locks.acquire(txn, item, LockMode.EXCLUSIVE)
+            if grant.callbacks is not None:
+                yield grant
             if is_stale(item):
                 continue
             yield from site.engine.write(txn, item, writes[item])

@@ -19,6 +19,7 @@ every experiment run.
 from __future__ import annotations
 
 import collections
+import operator
 import typing
 
 from repro.errors import SerializabilityViolation
@@ -80,16 +81,20 @@ def find_dsg_cycle(
     """One cycle in the DSG (as ``[t0, ..., t0]``), or ``None``.
 
     Iterative DFS: experiment DSGs can hold tens of thousands of nodes.
+    Nodes are visited in id order, sorted by a key rather than through
+    the dataclass ``__lt__`` (the same order, without a Python call per
+    comparison).
     """
+    by_id = operator.attrgetter("site", "seq")
     WHITE, GREY, BLACK = 0, 1, 2
     color = {node: WHITE for node in graph}
 
-    for root in sorted(graph):
+    for root in sorted(graph, key=by_id):
         if color[root] != WHITE:
             continue
         stack: typing.List[typing.Tuple[GlobalTransactionId,
                                         typing.Iterator]] = [
-            (root, iter(sorted(graph.get(root, ()))))]
+            (root, iter(sorted(graph.get(root, ()), key=by_id)))]
         color[root] = GREY
         path = [root]
         while stack:
@@ -103,7 +108,8 @@ def find_dsg_cycle(
                 if state == WHITE:
                     color[succ] = GREY
                     stack.append(
-                        (succ, iter(sorted(graph.get(succ, ())))))
+                        (succ, iter(sorted(graph.get(succ, ()),
+                                           key=by_id))))
                     path.append(succ)
                     advanced = True
                     break

@@ -20,9 +20,14 @@ evaluates live rules derived from the offline oracles:
 ``stuck-propagation``
     A committed primary update did not reach an expected replica within
     the deadline.  Localised via the propagation trees of
-    :mod:`repro.obs.reconstruct`: the evidence names the exact copy-
-    graph hop (origin → missing replica) and the stuck trace ids, so
-    the alert points at a channel, not just "something is slow".
+    :mod:`repro.obs.reconstruct`: the alert goes to the first site on
+    the update's path from its origin to the replica that lacks it (the
+    path down the protocol's propagation tree when updates relay along
+    one, else the direct copy-graph edge), and the evidence names that
+    hop (origin → first site lacking it) and the stuck trace ids.  The
+    deadline runs from when the site before that hop had the update, so
+    an update stuck at a dead relay is blamed on the relay, not on every
+    replica behind it, nor on a replica it has only just reached.
 ``divergence``
     Sampled convergence: two copies report the **same committed
     version with different values**.  With the paper's writer-lineage
@@ -229,6 +234,12 @@ class Watchdog:
         self._pairs: typing.List[typing.Tuple[int, int, int]] = []
         self._members: typing.Set[int] = set()
         self._rebuild_pairs(spec.build_placement())
+        #: Each site's parent in the propagation tree of the current
+        #: epoch (``None``: updates go straight to replicas); fetched
+        #: from the cluster the first time an update is stuck.
+        self._tree: typing.Optional[typing.List[typing.Optional[int]]] = \
+            None
+        self._tree_known = False
         #: Last known committed versions per site (kept across polls so
         #: a dead replica is judged against what it had).
         self._versions: typing.Dict[int, typing.Dict[str, int]] = {}
@@ -427,6 +438,7 @@ class Watchdog:
             return
         self._epoch = epoch
         self._rebuild_pairs(DataPlacement.from_json(best["placement"]))
+        self._tree, self._tree_known = best.get("tree"), True
 
     # ------------------------------------------------------------------
     # Rules
@@ -482,7 +494,7 @@ class Watchdog:
 
     async def _check_stuck(self, fired: typing.List[Alert]) -> None:
         """Committed updates past the propagation deadline, localised
-        to the copy-graph hop via the reconstructed trace trees."""
+        to the first site on their path that lacks them."""
         from repro.cluster.client import ClusterError
 
         config = self.config
@@ -493,8 +505,7 @@ class Watchdog:
         if not spans:
             return
         now = time.time()
-        stuck: typing.Dict[int, typing.List[
-            typing.Tuple[float, str, typing.Optional[int]]]] = {}
+        late = []
         for tid, tree in reconstruct(spans).items():
             if tree.committed_t is None or not tree.expected or \
                     tree.complete:
@@ -502,24 +513,45 @@ class Watchdog:
             if config.stuck_ignore_history and \
                     tree.committed_t < self._started:
                 continue
-            age = now - tree.committed_t
-            if age <= config.stuck_deadline:
-                continue
+            if now - tree.committed_t > config.stuck_deadline:
+                late.append((tid, tree))
+        if not late:
+            return
+        if not self._tree_known:
+            await self._fetch_tree()
+        stuck: typing.Dict[int, typing.Dict[
+            str, typing.Tuple[float, str, int]]] = {}
+        for tid, tree in late:
+            # When each site had the update: the origin at its commit, a
+            # relay at its first apply or forward (a relay that forwarded
+            # has it, applied or not).
+            since = {tree.origin: tree.committed_t}
+            for span in tree.events:
+                if span.get("event") == "forwarded":
+                    since.setdefault(span.get("site"), span.get("t"))
+            for site in tree.applied_sites:
+                since[site] = min(since.get(site, float("inf")),
+                                  tree.applied_at(site))
             for replica in tree.expected:
-                if replica not in tree.applied_sites:
-                    stuck.setdefault(replica, []).append(
-                        (age, tid, tree.origin))
-        for replica, entries in sorted(stuck.items()):
-            entries.sort(reverse=True)
+                if replica in since:
+                    continue
+                site, upstream = self._first_lacking(
+                    tree.origin, replica, since)
+                # Late at this hop: its upstream has had the update for
+                # longer than the deadline.
+                age = now - since[upstream]
+                if age > config.stuck_deadline:
+                    stuck.setdefault(site, {})[tid] = (age, tid,
+                                                       tree.origin)
+        for site, by_trace in sorted(stuck.items()):
+            entries = sorted(by_trace.values(), reverse=True)
             oldest, _tid, _origin = entries[0]
-            hops = sorted({(origin, replica)
-                           for _age, _t, origin in entries
-                           if origin is not None})
+            hops = sorted({(origin, site) for _age, _t, origin in entries})
             self._fire(
-                fired, "stuck-propagation", "critical", replica,
+                fired, "stuck-propagation", "critical", site,
                 "{} committed update(s) not applied at s{} within "
                 "{:.1f} s (oldest {:.1f} s; hop{} {})".format(
-                    len(entries), replica, config.stuck_deadline,
+                    len(entries), site, config.stuck_deadline,
                     oldest, "s" if len(hops) != 1 else "",
                     ", ".join("s{}->s{}".format(origin, dst)
                               for origin, dst in hops) or "unknown"),
@@ -529,6 +561,39 @@ class Watchdog:
                  "hops": [[origin, dst] for origin, dst in hops],
                  "traces": [tid for _age, tid, _origin
                             in entries[:config.max_evidence]]})
+
+    def _first_lacking(self, origin: int, replica: int,
+                       reached: typing.Container[int]
+                       ) -> typing.Tuple[int, int]:
+        """The first site below ``origin`` on its tree path to
+        ``replica`` that the update has not reached, and the site before
+        it; ``(replica, origin)`` when updates do not relay or ``origin``
+        is not above ``replica``."""
+        tree = self._tree
+        if tree is None:
+            return replica, origin
+        path = [replica]
+        node = tree[replica]
+        while node is not None and node != origin:
+            path.append(node)
+            node = tree[node]
+        if node is None:
+            return replica, origin
+        upstream = origin
+        for site in reversed(path):  # ends at ``replica``, not reached
+            if site not in reached:
+                break
+            upstream = site
+        return site, upstream
+
+    async def _fetch_tree(self) -> None:
+        """The current epoch's propagation tree, from any member that
+        answers; stays unknown (direct hops) until one does."""
+        responses, _ = await self.client.try_each("placement")
+        for response in responses.values():
+            if int(response.get("epoch", 0)) == self._epoch:
+                self._tree, self._tree_known = response.get("tree"), True
+                return
 
     async def _fetch_spans(self) -> typing.List[typing.Dict]:
         responses, _ = await self.client.try_each(

@@ -7,6 +7,11 @@ uses a constant, so ordering degenerates to the classical
 ``(time, priority, insertion-order)``.  A seeded policy (see
 :mod:`repro.explorer.decisions`) perturbs the order of same-time,
 same-priority events to explore alternative but equally-legal schedules.
+
+:meth:`Environment.take_turn` lets a caller process an event in place
+when the kernel would process it next anyway: nothing else is due now,
+and the running process is the last callback of the event being
+processed, so no other code could run between the two.
 """
 
 from __future__ import annotations
@@ -65,6 +70,9 @@ class Environment:
         self.schedule_policy = schedule_policy or INSERTION_ORDER
         #: Number of events processed so far (useful for debugging/stats).
         self.events_processed = 0
+        #: The callback ``run()`` is running as the last of its event
+        #: (``None`` between events, in ``step()`` and outside the kernel).
+        self._tail = None
 
     @property
     def now(self) -> float:
@@ -86,6 +94,36 @@ class Environment:
             policy.tie_break(when, priority, self._eid)
         heapq.heappush(self._queue, (when, priority, key, self._eid,
                                      event))
+
+    def take_turn(self) -> bool:
+        """Whether an event triggered now would be the next event
+        processed, and would resume the running process with nothing in
+        between.  That holds when ``run()`` is running a process's
+        resume as the last callback of its event (so no other callback
+        follows it) and nothing else is due at ``now`` (so no other event
+        precedes it, whatever its tie-break key).
+
+        On ``True`` the caller marks its event processed and consumes it
+        in place instead of scheduling it.  The event still takes the eid
+        and the policy query its ``schedule()`` would have taken, so
+        every later event keeps its key and the run keeps its schedule;
+        only ``events_processed`` does not count it.  The caller must
+        hand the event straight to the running process, which yields it
+        (or skips the yield) before attaching anything to it.
+        """
+        tail = self._tail
+        if tail is None or not isinstance(
+                getattr(tail, "__self__", None), Process):
+            return False
+        queue = self._queue
+        now = self._now
+        if queue and queue[0][0] <= now:
+            return False
+        self._eid += 1
+        policy = self.schedule_policy
+        if policy is not INSERTION_ORDER:
+            policy.tie_break(now, NORMAL, self._eid)
+        return True
 
     def clear(self) -> None:
         """Drop every scheduled event (a finished run's pending timers)."""
@@ -118,7 +156,10 @@ class Environment:
     # ------------------------------------------------------------------
 
     def step(self) -> None:
-        """Process the next scheduled event."""
+        """Process the next scheduled event.
+
+        The caller may act between two steps, so nothing is processed in
+        place here (:meth:`take_turn` is ``False`` throughout)."""
         if not self._queue:
             raise EmptySchedule()
         when, _priority, _key, _eid, event = heapq.heappop(self._queue)
@@ -152,25 +193,36 @@ class Environment:
             stop_event = None
 
         # ``step()`` inlined: this loop runs once per simulated event.
+        # The last callback runs as ``_tail`` (see ``take_turn``), unless
+        # the event is ``until``: the loop stops after it.
         queue = self._queue
         heappop = heapq.heappop
-        while queue:
-            if stop_event is not None and stop_event.callbacks is None:
-                break
-            if queue[0][0] > stop_time:
-                self._now = stop_time
-                break
-            when, _priority, _key, _eid, event = heappop(queue)
-            self._now = when
-            callbacks, event.callbacks = event.callbacks, None
-            self.events_processed += 1
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
-        else:
-            if stop_time != float("inf"):
-                self._now = stop_time
+        try:
+            while queue:
+                if stop_event is not None and stop_event.callbacks is None:
+                    break
+                if queue[0][0] > stop_time:
+                    self._now = stop_time
+                    break
+                when, _priority, _key, _eid, event = heappop(queue)
+                self._now = when
+                callbacks, event.callbacks = event.callbacks, None
+                self.events_processed += 1
+                if callbacks:
+                    if len(callbacks) > 1:
+                        self._tail = None
+                        for callback in callbacks[:-1]:
+                            callback(event)
+                    last = callbacks[-1]
+                    self._tail = last if event is not stop_event else None
+                    last(event)
+                if not event._ok and not event._defused:
+                    raise event._value
+            else:
+                if stop_time != float("inf"):
+                    self._now = stop_time
+        finally:
+            self._tail = None
 
         if stop_event is not None:
             if not stop_event.triggered:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.environment import Environment
@@ -26,6 +26,17 @@ class _Job(Event):
         super().__init__(env)
         self.remaining = remaining
         self.quantum = quantum
+
+
+class _SliceEnd:
+    """The end of a slice that is not its job's last: a slot-only tick
+    the kernel processes like an event.  Its ``callbacks`` is the
+    resource's shared one-tuple, and a fired tick is reused for the next
+    such slice, so a slice end allocates nothing."""
+
+    __slots__ = ("callbacks", "job")
+    _ok = True
+    _defused = False
 
 
 class Resource:
@@ -46,6 +57,9 @@ class Resource:
         self.capacity = capacity
         self._users: set = set()
         self._waiting: collections.deque = collections.deque()
+        self._on_slice_end = (self._rotate,)
+        #: A fired slice-end tick, free for the next slice.
+        self._spare: typing.Optional[_SliceEnd] = None
 
     @property
     def count(self) -> int:
@@ -95,9 +109,13 @@ class Resource:
             raise
 
     def _start(self, job: _Job) -> None:
-        """Give ``job`` a slot and schedule the end of its next slice: a
-        rotation, or ``job`` itself when that slice is its last."""
+        """Give ``job`` a slot and start its next slice."""
         self._users.add(job)
+        self._slice(job)
+
+    def _slice(self, job: _Job) -> None:
+        """Schedule the end of ``job``'s next slice: a rotation tick, or
+        ``job`` itself when that slice is its last."""
         remaining, quantum = job.remaining, job.quantum
         if quantum is None or remaining <= quantum:
             slice_duration = remaining
@@ -105,23 +123,34 @@ class Resource:
             slice_duration = quantum
         job.remaining = remaining = remaining - slice_duration
         if remaining > 1e-12:
-            Timeout(self.env, slice_duration, job).callbacks.append(
-                self._rotate)
+            tick = self._spare
+            if tick is None:
+                tick = _SliceEnd()
+            else:
+                self._spare = None
+            tick.job = job
+            tick.callbacks = self._on_slice_end
+            self.env.schedule(tick, delay=slice_duration)
             return
         job._ok = True
         job._value = None
         self.env.schedule(job, delay=max(slice_duration, 0.0))
 
-    def _rotate(self, timer: Timeout) -> None:
-        """A slice that is not its job's last has ended."""
-        job = timer._value
-        if job not in self._users:
+    def _rotate(self, tick: _SliceEnd) -> None:
+        """A slice that is not its job's last has ended: the slot goes to
+        the head waiter and the job to the tail, or the job runs on."""
+        self._spare = tick
+        job = tick.job
+        users = self._users
+        if job not in users:
             return  # withdrawn by an interrupt mid-slice
-        if self._waiting:
-            self._release(job)
-            self._waiting.append(job)
-        else:
-            self._start(job)
+        waiting = self._waiting
+        if waiting:
+            users.remove(job)
+            waiting.append(job)
+            job = waiting.popleft()
+            users.add(job)
+        self._slice(job)
 
     def _release(self, job: _Job) -> None:
         """Free ``job``'s slot, if it still holds one, for the head

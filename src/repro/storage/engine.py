@@ -124,7 +124,9 @@ class StorageEngine:
         if item_id in txn.writes:
             return txn.writes[item_id]
         record = self._items[item_id]
-        yield self.locks.acquire(txn, item_id, LockMode.SHARED)
+        grant = self.locks.acquire(txn, item_id, LockMode.SHARED)
+        if grant.callbacks is not None:  # not processed in place
+            yield grant
         # First read wins: record the committed version observed.
         if item_id not in txn.reads:
             txn.reads[item_id] = record.committed_version
@@ -138,7 +140,9 @@ class StorageEngine:
         """
         self._check_active(txn)
         record = self._items[item_id]
-        yield self.locks.acquire(txn, item_id, LockMode.EXCLUSIVE)
+        grant = self.locks.acquire(txn, item_id, LockMode.EXCLUSIVE)
+        if grant.callbacks is not None:
+            yield grant
         if item_id not in txn.writes:
             txn.undo.append((item_id, record.value))
         record.value = value

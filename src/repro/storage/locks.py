@@ -135,29 +135,33 @@ class LockManager:
         policy says to abort the waiter.
 
         ``timeout`` overrides the manager default for this request.
+
+        A request granted on the spot whose grant event the kernel would
+        process next anyway (:meth:`Environment.take_turn`) comes back
+        already processed: the caller may skip the ``yield``.  Callers
+        wait on the event at once; they attach no callbacks to it.
         """
-        entry = self._table.setdefault(item, _LockEntry())
-        event = Event(self.env)
+        entry = self._table.get(item)
+        if entry is None:
+            entry = self._table[item] = _LockEntry()
         held = entry.holders.get(txn)
 
         # Re-entrant cases that never block.
         if held is LockMode.EXCLUSIVE or held is mode:
-            event.succeed(item)
-            return event
+            return self._granted(item)
 
         is_upgrade = held is LockMode.SHARED and mode is LockMode.EXCLUSIVE
         if is_upgrade and len(entry.holders) == 1:
             entry.holders[txn] = LockMode.EXCLUSIVE
             self.stats["upgrades"] += 1
-            event.succeed(item)
-            return event
+            return self._granted(item)
 
         if not is_upgrade and self._grantable(entry, txn, mode):
             entry.holders[txn] = mode
             self._held.setdefault(txn, set()).add(item)
-            event.succeed(item)
-            return event
+            return self._granted(item)
 
+        event = Event(self.env)
         request = LockRequest(txn, item, mode, event, is_upgrade,
                               self.env.now)
         if is_upgrade:
@@ -168,6 +172,18 @@ class LockManager:
             entry.queue.append(request)
         self.stats["waits"] += 1
         self._arm_timer(request, timeout)
+        return event
+
+    def _granted(self, item) -> Event:
+        """The event of a request granted on the spot: processed in place
+        when its turn is now, else scheduled."""
+        event = Event(self.env)
+        if self.env.take_turn():
+            event.callbacks = None
+            event._ok = True
+            event._value = item
+        else:
+            event.succeed(item)
         return event
 
     def _grantable(self, entry: _LockEntry, txn: "Transaction",

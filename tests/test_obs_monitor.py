@@ -527,6 +527,44 @@ def test_without_dump_dir_no_dump_fanout():
 # Live cluster: healthy run clean, killed site localised
 # ----------------------------------------------------------------------
 
+def test_stuck_update_is_blamed_on_the_first_site_of_its_path_lacking_it():
+    """Seed 3 relays along the chain 0 -> 1 -> 2.  An update of s0's
+    that never reached s1 is stuck at s1 only (hop s0->s1), not also at
+    the s2 behind it; one s1 applied long ago is stuck at s2 (hop
+    s0->s2); one s1 forwarded just now is in flight, not stuck."""
+    spec, client, watchdog = stub_watchdog(MonitorConfig(
+        stuck_deadline=1.0, stuck_ignore_history=False,
+        convergence_every=0))
+    client.set("versions", uniform_versions(spec, 5))
+    client.set("placement", {
+        site: {"ok": True, "site": site, "epoch": 0, "tree": [None, 0, 1]}
+        for site in range(3)})
+    old, recent = time.time() - 5.0, time.time() - 0.1
+
+    def span(trace, site, event, t, **fields):
+        return dict(trace=trace, site=site, event=event, t=t, **fields)
+
+    spans = [
+        span("t0.1", 0, "committed", old, expected=[1, 2]),
+        span("t0.1", 0, "forwarded", old, peer=1),
+        span("t0.2", 0, "committed", old, expected=[1, 2]),
+        span("t0.2", 1, "applied", old),
+        span("t0.2", 1, "forwarded", old, peer=2),
+        span("t0.3", 0, "committed", old, expected=[1, 2]),
+        span("t0.3", 1, "replayed", recent),
+        span("t0.3", 1, "forwarded", recent, peer=2),
+    ]
+    client.set("trace", {0: {"ok": True, "spans": spans}})
+    asyncio.run(watchdog.poll_once())
+    stuck = {site: alert.evidence for (rule, site), alert
+             in watchdog.alerts.items() if rule == "stuck-propagation"}
+    assert sorted(stuck) == [1, 2]
+    assert stuck[1]["hops"] == [[0, 1]] and stuck[1]["traces"] == ["t0.1"]
+    assert stuck[2]["hops"] == [[0, 2]] and stuck[2]["traces"] == ["t0.2"]
+    # The tree is fetched once, on the first late update.
+    assert [op for op, _ in client.calls].count("placement") == 1
+
+
 def test_live_healthy_run_is_alert_free(tmp_path):
     spec = make_spec()
 

@@ -7,7 +7,8 @@ import pytest
 from repro.explorer import load_trace, run_schedule
 from repro.explorer.trace import trace_dict
 from repro.harness import runner
-from repro.sim import Environment, Interrupt, Mailbox, Process, Resource
+from repro.sim import (Environment, Event, Interrupt, Mailbox, Process,
+                       Resource, Timeout)
 from repro.workload.params import WorkloadParams
 
 
@@ -201,12 +202,14 @@ def test_resource_use_zero_queues_fifo_under_contention():
 def test_simulated_schedules_are_identical_to_the_pre_fast_path_kernel(
         monkeypatch):
     """Simulated runs have non-zero costs or contention wherever order
-    matters, so neither the zero-work fast path nor the slice scheduler
-    may change what a run does: the explorer trace recorded before the
-    fast path existed replays to the same outcomes and DSG cycle, and a
-    Table 1 BackEdge experiment keeps its fingerprint.  The kernel
-    event count (in the trace and here) and the process resumes are
-    pinned exactly: one more event or wake-up per slice fails this."""
+    matters, so neither the zero-work fast path, the slice scheduler nor
+    the lock grants processed in place may change what a run does: the
+    explorer trace recorded before the fast path existed replays to the
+    same outcomes and DSG cycle, and a Table 1 BackEdge experiment keeps
+    its fingerprint.  The kernel event count (in the trace and here),
+    the process resumes and the ``Event``/``Timeout`` objects built are
+    pinned exactly: one more event, wake-up or object per slice or per
+    lone grant fails this."""
     path = "tests/data/explorer_trace_pr12.json"
     with open(path, encoding="utf-8") as handle:
         recorded = handle.read()
@@ -216,8 +219,10 @@ def test_simulated_schedules_are_identical_to_the_pre_fast_path_kernel(
     assert json.dumps(replayed, indent=2, sort_keys=True) + "\n" == \
         recorded
 
-    environments, resumes = [], [0]
+    environments = []
+    counts = {"resumes": 0, "events": 0, "timeouts": 0}
     build, resume = runner.build_system, Process._resume
+    event_init, timeout_init = Event.__init__, Timeout.__init__
 
     def recording_build(config):
         built = build(config)
@@ -225,11 +230,21 @@ def test_simulated_schedules_are_identical_to_the_pre_fast_path_kernel(
         return built
 
     def counting_resume(process, event):
-        resumes[0] += 1
+        counts["resumes"] += 1
         return resume(process, event)
+
+    def counting_event_init(event, env):
+        counts["events"] += 1
+        event_init(event, env)
+
+    def counting_timeout_init(timeout, env, delay, value=None):
+        counts["timeouts"] += 1
+        timeout_init(timeout, env, delay, value)
 
     monkeypatch.setattr(runner, "build_system", recording_build)
     monkeypatch.setattr(Process, "_resume", counting_resume)
+    monkeypatch.setattr(Event, "__init__", counting_event_init)
+    monkeypatch.setattr(Timeout, "__init__", counting_timeout_init)
     result = runner.run_experiment(runner.ExperimentConfig(
         protocol="backedge", seed=42,
         params=WorkloadParams(transactions_per_thread=25)))
@@ -237,8 +252,11 @@ def test_simulated_schedules_are_identical_to_the_pre_fast_path_kernel(
         == (644, 31, 1147)
     assert result.serializable
     assert result.duration == 3.441149999999807
-    assert (environments[0].events_processed, resumes[0]) == \
-        (43542, 18726)
+    assert (environments[0].events_processed, counts["resumes"]) == \
+        (37727, 12911)
+    # Objects built: a Timeout per slice end or an evented lone grant
+    # fails one of these pins.
+    assert (counts["events"], counts["timeouts"]) == (19220, 1400)
 
 
 def test_mailbox_put_then_get():

@@ -65,6 +65,10 @@ from repro.reconfig import (PlacementChange, ReconfigCoordinator,
 #: Protocol regressions the controller can inject (see module docs).
 REGRESSIONS = ("forward-before-wal", "ack-before-journal")
 
+#: Client request timeout, quiescence deadline and reconfiguration
+#: deadline of a run, seconds.
+TIMEOUT_S = 30.0
+
 
 @dataclasses.dataclass
 class ChaosScenario:
@@ -464,7 +468,6 @@ async def _site_schedule(scenario: ChaosScenario, wal_dir: str,
 
 
 async def _run_chaos(scenario: ChaosScenario, wal_dir: str,
-                     quiesce_timeout: float, txn_timeout: float,
                      monitor: bool,
                      monitor_config: typing.Optional[MonitorConfig],
                      bundle_dir: typing.Optional[str] = None
@@ -474,7 +477,7 @@ async def _run_chaos(scenario: ChaosScenario, wal_dir: str,
     report = ChaosRunReport(scenario=scenario.to_json())
     started = time.monotonic()
     async with start_cluster(spec, wal_dir, faults=injector,
-                             timeout=txn_timeout) as (servers, client):
+                             timeout=TIMEOUT_S) as (servers, client):
         if scenario.regression is not None:
             _inject_regression(servers[scenario.target_site],
                                scenario.regression)
@@ -483,7 +486,7 @@ async def _run_chaos(scenario: ChaosScenario, wal_dir: str,
                   for kill in scenario.plan.kill_events()]
         if scenario.reconfig:
             faults.append(_drive_reconfigs(scenario, client, report,
-                                           deadline_s=quiesce_timeout))
+                                           deadline_s=TIMEOUT_S))
         config = None
         if monitor:
             config = monitor_config if monitor_config is not None \
@@ -507,7 +510,7 @@ async def _run_chaos(scenario: ChaosScenario, wal_dir: str,
                     ", ".join(sorted(run.alerts["by_rule"]))))
 
         try:
-            verdict = await judge(client, timeout=quiesce_timeout)
+            verdict = await judge(client, timeout=TIMEOUT_S)
         except ReconfigError as exc:
             verdict = None
             report.violations.append(
@@ -565,7 +568,6 @@ async def _run_chaos(scenario: ChaosScenario, wal_dir: str,
 
 
 def run_chaos(scenario: ChaosScenario, wal_dir: str,
-              quiesce_timeout: float = 30.0, txn_timeout: float = 30.0,
               monitor: bool = True,
               monitor_config: typing.Optional[MonitorConfig] = None,
               bundle_dir: typing.Optional[str] = None
@@ -584,8 +586,6 @@ def run_chaos(scenario: ChaosScenario, wal_dir: str,
     scenario.validate()
     os.makedirs(wal_dir, exist_ok=True)
     report = asyncio.run(_run_chaos(scenario, wal_dir,
-                                    quiesce_timeout=quiesce_timeout,
-                                    txn_timeout=txn_timeout,
                                     monitor=monitor,
                                     monitor_config=monitor_config,
                                     bundle_dir=bundle_dir))

@@ -27,9 +27,6 @@ from repro.explorer.shrink import ddmin
 
 
 def shrink_scenario(scenario: ChaosScenario, work_dir: str,
-                    quiesce_timeout: float = 30.0,
-                    txn_timeout: float = 30.0,
-                    monitor: bool = True,
                     log: typing.Optional[
                         typing.Callable[[str], None]] = None
                     ) -> typing.Tuple[ChaosScenario, ChaosRunReport]:
@@ -50,10 +47,7 @@ def shrink_scenario(scenario: ChaosScenario, work_dir: str,
                 scenario.plan, events=tuple(events)))
             wal_dir = os.path.join(
                 work_dir, "probe{}".format(next(counter)))
-            report = run_chaos(candidate, wal_dir,
-                               quiesce_timeout=quiesce_timeout,
-                               txn_timeout=txn_timeout,
-                               monitor=monitor)
+            report = run_chaos(candidate, wal_dir)
             cache[key] = report
             if log is not None:
                 log("shrink probe {}: {} event(s) -> {}".format(

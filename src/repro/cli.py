@@ -167,9 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--protocol", default="backedge",
                             help="protocol name (see 'protocols')")
     run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument("--verbose", action="store_true",
-                            help="print message counts and per-site "
-                                 "commits")
     run_parser.add_argument("--trace", type=int, default=0,
                             metavar="N",
                             help="print the last N commit spans "
@@ -186,9 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--protocols", default="backedge,psl",
                               help="comma-separated protocol names")
     sweep_parser.add_argument("--seed", type=int, default=0)
-    sweep_parser.add_argument("--export", metavar="PATH",
-                              help="write the sweep rows to a .csv or "
-                                   ".json file")
     _add_param_flags(sweep_parser)
 
     figure_parser = subparsers.add_parser(
@@ -208,16 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore_parser.add_argument("--seed", type=int, default=0)
     explore_parser.add_argument("--sites", default="2-6", metavar="A-B",
                                 help="scenario size range (default 2-6)")
-    explore_parser.add_argument("--latency-scale", type=float,
-                                default=300.0,
-                                help="max extra message delay as a "
-                                     "multiple of the base latency")
-    explore_parser.add_argument("--no-schedule-noise",
-                                action="store_true",
-                                help="disable same-time event "
-                                     "reordering")
-    explore_parser.add_argument("--no-shrink", action="store_true",
-                                help="skip shrinking the first failure")
     explore_parser.add_argument("--out", metavar="PATH",
                                 default="explorer-trace.json",
                                 help="where to write the failure trace")
@@ -268,18 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      "serializability oracles")
     loadgen_parser.add_argument("--json", metavar="PATH", default=None,
                                 help="also write the report as JSON")
-    loadgen_parser.add_argument("--txn-timeout", type=float,
-                                default=30.0,
-                                help="per-request client timeout "
-                                     "(seconds)")
-    loadgen_parser.add_argument("--max-in-flight", type=int, default=64,
-                                help="client-side transaction "
-                                     "admission bound")
     loadgen_parser.add_argument("--open-loop", action="store_true",
                                 help="submit each thread's whole "
-                                     "stream concurrently (bounded by "
-                                     "--max-in-flight) instead of the "
-                                     "closed per-thread loop")
+                                     "stream concurrently (at most 64 "
+                                     "in flight) instead of the closed "
+                                     "per-thread loop")
     _add_param_flags(loadgen_parser)
 
     stats_parser = subparsers.add_parser(
@@ -308,13 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="read spans offline from per-site "
                                    ".trace JSONL files instead of the "
                                    "live cluster")
-    trace_parser.add_argument("--limit", type=int, default=None,
-                              help="per-site span tail limit for live "
-                                   "fetches")
-    trace_parser.add_argument("--show", type=int, default=1,
-                              metavar="N",
-                              help="print the N slowest complete trees "
-                                   "(default 1)")
     trace_parser.add_argument("--require-complete", type=int, default=0,
                               metavar="N",
                               help="exit non-zero unless at least N "
@@ -346,26 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     monitor_parser.add_argument("--check", action="store_true",
                                 help="exit non-zero if any critical "
                                      "alert fired (CI mode)")
-    monitor_parser.add_argument("--lag-warn", type=int, default=4,
-                                help="replica version lag that warns")
-    monitor_parser.add_argument("--lag-slo", type=int, default=16,
-                                help="replica version-lag SLO; beyond "
-                                     "it the alert is critical")
     monitor_parser.add_argument("--stuck-deadline", type=float,
                                 default=5.0,
                                 help="seconds a committed update may "
                                      "stay un-applied at an expected "
                                      "replica before propagation "
                                      "counts as stuck")
-    monitor_parser.add_argument("--trace-limit", type=int,
-                                default=20000,
-                                help="per-site span fetch cap for "
-                                     "stuck-propagation localization "
-                                     "(0 disables the rule)")
-    monitor_parser.add_argument("--no-convergence",
-                                action="store_true",
-                                help="skip the sampled convergence "
-                                     "(divergence) checks")
     monitor_parser.add_argument("--json", metavar="PATH", default=None,
                                 help="also write the final alert "
                                      "summary as JSON")
@@ -378,13 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     monitor_parser.add_argument("--alerts-max-bytes", type=int,
                                 default=None, metavar="BYTES",
                                 help="rotate the --alerts JSONL past "
-                                     "this size (keeps --alerts-backups "
-                                     "older generations; default: "
-                                     "unbounded)")
-    monitor_parser.add_argument("--alerts-backups", type=int, default=3,
-                                metavar="N",
-                                help="rotated --alerts generations to "
-                                     "keep (default 3)")
+                                     "this size (keeps 3 older "
+                                     "generations; default: unbounded)")
     _add_param_flags(monitor_parser)
 
     top_parser = subparsers.add_parser(
@@ -396,14 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     top_parser.add_argument("--once", action="store_true",
                             help="print one snapshot and exit even on "
                                  "a terminal")
-    top_parser.add_argument("--iterations", type=int, default=None,
-                            metavar="N",
-                            help="refresh N times then exit (default: "
-                                 "until interrupted)")
-    top_parser.add_argument("--trace-limit", type=int, default=5000,
-                            help="per-site span fetch cap for the "
-                                 "propagation-delay panel (0 disables "
-                                 "it)")
     top_parser.add_argument("--json", action="store_true",
                             help="print one machine-readable snapshot "
                                  "(the same model as the non-TTY "
@@ -436,16 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
                                        "ack-before-journal"),
                               help="inject a protocol regression on "
                                    "the target site (the oracles must "
-                                   "catch it)")
-    chaos_parser.add_argument("--regression-site", type=int,
-                              default=None, metavar="SITE",
-                              help="site the regression neuters "
-                                   "(default: the first kill's victim)")
-    chaos_parser.add_argument("--quiesce-timeout", type=float,
-                              default=30.0, metavar="SECONDS")
-    chaos_parser.add_argument("--no-monitor", action="store_true",
-                              help="skip the during-run and post-run "
-                                   "watchdog passes")
+                                   "catch it; the site is the first "
+                                   "kill's victim)")
     chaos_parser.add_argument("--shrink", action="store_true",
                               help="on failure, ddmin the fault events "
                                    "to a minimal still-failing script")
@@ -497,15 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "new replica holder, the replica "
                                       "being dropped, the new primary, "
                                       "or the site being removed")
-    reconfig_parser.add_argument("--txn-timeout", type=float,
-                                 default=30.0,
-                                 help="per-transition ceiling in "
-                                      "seconds; on expiry the change "
-                                      "is aborted everywhere")
-    reconfig_parser.add_argument("--allow-empty-primaries",
-                                 action="store_true",
-                                 help="permit a change that leaves a "
-                                      "site with no primary items")
     _add_param_flags(reconfig_parser)
 
     dump_parser = subparsers.add_parser(
@@ -518,9 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="directory the bundles land in "
                                   "(default: each site's WAL "
                                   "directory, else its cwd)")
-    dump_parser.add_argument("--trigger", default="manual",
-                             help="trigger label recorded in each "
-                                  "bundle's manifest (default: manual)")
     _add_param_flags(dump_parser)
 
     postmortem_parser = subparsers.add_parser(
@@ -546,11 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
                                         "the schema; exit non-zero on "
                                         "violation or zero loadable "
                                         "bundles (CI mode)")
-    postmortem_parser.add_argument("--timeline-limit", type=int,
-                                   default=60, metavar="N",
-                                   help="timeline entries to print "
-                                        "(default 60; 0 hides the "
-                                        "timeline)")
 
     return parser
 
@@ -592,6 +510,45 @@ def _cluster_spec_from_args(args: argparse.Namespace):
                        **server)
 
 
+def _write_json(path: str, payload: typing.Any,
+                out: typing.Optional[typing.TextIO] = None) -> None:
+    """``payload`` as indented, key-sorted JSON in the file ``path``;
+    given ``out``, say so there."""
+    import json
+
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    if out is not None:
+        out.write("wrote {}\n".format(path))
+
+
+def _with_client(args: argparse.Namespace, out: typing.TextIO,
+                 failure: str, body: typing.Callable[..., typing.Any],
+                 **client_options) -> typing.Any:
+    """Run ``body(client)`` with a client of the cluster the flags name
+    and close the client.  Returns what ``body`` returns, or ``None``
+    once a :class:`ClusterError` or ``OSError`` is reported on ``out``
+    as ``"<failure>: <error>"``."""
+    import asyncio
+
+    from repro.cluster.client import ClusterClient, ClusterError
+
+    async def run() -> typing.Any:
+        client = ClusterClient(_cluster_spec_from_args(args),
+                               **client_options)
+        try:
+            return await body(client)
+        finally:
+            await client.close()
+
+    try:
+        return asyncio.run(run())
+    except (ClusterError, OSError) as exc:
+        out.write("{}: {}\n".format(failure, exc))
+        return None
+
+
 def _cmd_protocols(_args: argparse.Namespace,
                    out: typing.TextIO) -> int:
     # Importing the package registers every protocol module.
@@ -630,11 +587,6 @@ def _cmd_run(args: argparse.Namespace, out: typing.TextIO) -> int:
             " -> ".join(str(g) for g in result.violation_cycle)))
         if result.violation_explanation:
             out.write(result.violation_explanation + "\n")
-    if args.verbose:
-        out.write("messages by type: {}\n".format(
-            dict(sorted(result.messages_by_type.items()))))
-        out.write("committed per site: {}\n".format(
-            dict(sorted(result.committed_per_site.items()))))
     if sink is not None:
         out.write("trace tail:\n")
         for span in sink.spans():
@@ -670,10 +622,6 @@ def _cmd_sweep(args: argparse.Namespace, out: typing.TextIO) -> int:
     out.write("\n" + format_sweep_table(
         points, metric="abort_rate", metric_label="Abort rate (%)")
         + "\n")
-    if args.export:
-        from repro.harness.export import sweep_rows, write_rows
-        write_rows(sweep_rows(points), args.export)
-        out.write("\nwrote {}\n".format(args.export))
     return 0
 
 
@@ -707,19 +655,12 @@ def _cmd_explore(args: argparse.Namespace, out: typing.TextIO) -> int:
         return 2
     config = ExplorationConfig(
         protocol=args.protocol, budget=args.budget, seed=args.seed,
-        min_sites=min_sites, max_sites=max_sites,
-        latency_scale=args.latency_scale,
-        schedule_noise=not args.no_schedule_noise,
-        shrink=not args.no_shrink)
+        min_sites=min_sites, max_sites=max_sites)
     report = explore(config,
                      progress=lambda msg: out.write(msg + "\n"))
     out.write(report.summary() + "\n")
     if report.trace is not None:
-        import json
-
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report.trace, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.out, report.trace)
         out.write("wrote trace: {}\n".format(args.out))
         out.write("replay with: python -m repro replay {}\n".format(
             args.out))
@@ -824,30 +765,18 @@ def _cmd_loadgen(args: argparse.Namespace, out: typing.TextIO) -> int:
     if args.spawn:
         report = spawn_and_load(spec, wal_dir=args.wal_dir,
                                 verify=not args.no_verify,
-                                max_in_flight=args.max_in_flight,
-                                timeout=args.txn_timeout,
                                 loop_mode=loop_mode)
     else:
         report = run_loadgen(spec, verify=not args.no_verify,
-                             max_in_flight=args.max_in_flight,
-                             timeout=args.txn_timeout,
                              loop_mode=loop_mode)
     out.write(report.format() + "\n")
     if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        out.write("wrote {}\n".format(args.json))
+        _write_json(args.json, report.to_json(), out)
     return 0 if report.convergent and report.serializable else 1
 
 
 def _format_stats(site: int, response: typing.Mapping) -> str:
     """Human-readable rendering of one site's stats response."""
-    from repro.obs.registry import snapshot_percentile
-
     snapshot = response.get("stats", {})
     lines = ["site s{}".format(site)]
     counters = snapshot.get("counters", {})
@@ -861,43 +790,24 @@ def _format_stats(site: int, response: typing.Mapping) -> str:
     for name, hist in sorted(snapshot.get("histograms", {}).items()):
         if not hist.get("count"):
             continue
-        # Snapshots ship pre-derived quantiles since the registry
-        # started computing them server-side; fall back to deriving
-        # from the raw buckets for older senders.
-        p50 = hist.get("p50", None)
-        p95 = hist.get("p95", None)
-        if p50 is None or p95 is None:
-            p50 = snapshot_percentile(hist, 50.0)
-            p95 = snapshot_percentile(hist, 95.0)
         lines.append(
             "  hist {}: n={} mean={:.4g} p50<={:.4g} p95<={:.4g} "
             "max={:.4g}".format(
                 name, hist["count"], hist["sum"] / hist["count"],
-                p50, p95, hist.get("max") or 0.0))
+                hist["p50"], hist["p95"], hist.get("max") or 0.0))
     return "\n".join(lines)
 
 
 def _cmd_stats(args: argparse.Namespace, out: typing.TextIO) -> int:
-    import asyncio
-
-    from repro.cluster.client import ClusterClient, ClusterError
     from repro.obs.registry import validate_snapshot
 
-    spec = _cluster_spec_from_args(args)
+    async def fetch(client):
+        if args.site is not None:
+            return {args.site: await client.stats(args.site)}
+        return await client.stats_all()
 
-    async def fetch():
-        client = ClusterClient(spec)
-        try:
-            if args.site is not None:
-                return {args.site: await client.stats(args.site)}
-            return await client.stats_all()
-        finally:
-            await client.close()
-
-    try:
-        responses = asyncio.run(fetch())
-    except (ClusterError, OSError) as exc:
-        out.write("stats fetch failed: {}\n".format(exc))
+    responses = _with_client(args, out, "stats fetch failed", fetch)
+    if responses is None:
         return 1
     violations = 0
     payload = {}
@@ -914,50 +824,38 @@ def _cmd_stats(args: argparse.Namespace, out: typing.TextIO) -> int:
         out.write("all {} snapshot(s) schema-valid\n".format(
             len(responses)))
     if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        out.write("wrote {}\n".format(args.json))
+        _write_json(args.json, payload, out)
     return 1 if violations else 0
 
 
 def _cmd_monitor(args: argparse.Namespace, out: typing.TextIO) -> int:
-    import asyncio
-
-    from repro.cluster.client import ClusterClient
     from repro.obs.monitor import MonitorConfig, Watchdog
 
-    spec = _cluster_spec_from_args(args)
-    config = MonitorConfig(
-        interval=args.interval, lag_warn=args.lag_warn,
-        lag_critical=args.lag_slo, stuck_deadline=args.stuck_deadline,
-        trace_limit=args.trace_limit,
-        convergence_every=0 if args.no_convergence else 5)
+    config = MonitorConfig(interval=args.interval,
+                           stuck_deadline=args.stuck_deadline)
     duration = None if args.duration == 0 else args.duration
 
-    async def run() -> Watchdog:
-        # Short per-request timeout + one retry: a dead member must
-        # slow a poll by ~a connect failure, not a full client timeout.
-        client = ClusterClient(spec, timeout=2.0, retries=1)
+    async def watch(client) -> Watchdog:
         watchdog = Watchdog(
-            spec, client, config=config, sink_path=args.alerts,
+            client.spec, client, config=config, sink_path=args.alerts,
             on_alert=lambda alert: out.write(alert.format() + "\n"),
             sink_max_bytes=args.alerts_max_bytes,
-            sink_backups=args.alerts_backups,
             dump_dir=args.dump_dir)
         try:
             await watchdog.run(duration=duration)
         finally:
             watchdog.close()
-            await client.close()
         return watchdog
 
     try:
-        watchdog = asyncio.run(run())
+        # Short per-request timeout + one retry: a dead member must
+        # slow a poll by ~a connect failure, not a full client timeout.
+        watchdog = _with_client(args, out, "monitor failed", watch,
+                                timeout=2.0, retries=1)
     except KeyboardInterrupt:  # pragma: no cover - interactive
         return 130
+    if watchdog is None:
+        return 1
     summary = watchdog.summary()
     out.write("monitored {} poll(s): {} critical, {} warning "
               "alert(s)\n".format(summary["polls"],
@@ -971,12 +869,7 @@ def _cmd_monitor(args: argparse.Namespace, out: typing.TextIO) -> int:
         for path in summary["bundles"]:
             out.write("  {}\n".format(path))
     if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        out.write("wrote {}\n".format(args.json))
+        _write_json(args.json, summary, out)
     if args.check and summary["critical"]:
         out.write("FAIL: {} critical alert(s)\n".format(
             summary["critical"]))
@@ -985,41 +878,30 @@ def _cmd_monitor(args: argparse.Namespace, out: typing.TextIO) -> int:
 
 
 def _cmd_top(args: argparse.Namespace, out: typing.TextIO) -> int:
-    import asyncio
-
-    from repro.cluster.client import ClusterClient
     from repro.obs.dashboard import Dashboard
 
-    spec = _cluster_spec_from_args(args)
     live = (not args.once and not args.json and out is sys.stdout
             and sys.stdout.isatty())
 
-    async def run() -> None:
-        client = ClusterClient(spec, timeout=2.0, retries=1)
-        dashboard = Dashboard(spec, client, interval=args.interval,
-                              trace_limit=args.trace_limit)
-        try:
-            if args.json:
-                import json
+    async def show(client) -> int:
+        dashboard = Dashboard(client.spec, client, interval=args.interval)
+        if args.json:
+            import json
 
-                model = await dashboard.snapshot_json()
-                json.dump(model, out, indent=2, sort_keys=True)
-                out.write("\n")
-            elif live:
-                await dashboard.run(out, iterations=args.iterations)
-            elif args.iterations is not None and args.iterations > 1:
-                await dashboard.run(out, iterations=args.iterations,
-                                    clear=False)
-            else:
-                await dashboard.snapshot(out)
-        finally:
-            await client.close()
+            model = await dashboard.snapshot_json()
+            out.write(json.dumps(model, indent=2, sort_keys=True) + "\n")
+        elif live:
+            await dashboard.run(out)
+        else:
+            await dashboard.snapshot(out)
+        return 0
 
     try:
-        asyncio.run(run())
+        code = _with_client(args, out, "top failed", show,
+                            timeout=2.0, retries=1)
     except KeyboardInterrupt:  # pragma: no cover - interactive
         return 0
-    return 0
+    return 1 if code is None else code
 
 
 def _cmd_chaos(args: argparse.Namespace, out: typing.TextIO) -> int:
@@ -1035,18 +917,14 @@ def _cmd_chaos(args: argparse.Namespace, out: typing.TextIO) -> int:
         spec = _cluster_spec_from_args(args)
         plan = profile_plan(args.fault_profile, seed=args.fault_seed,
                             n_sites=spec.params.n_sites)
-        scenario = ChaosScenario(
-            spec=spec, plan=plan, regression=args.regression,
-            regression_site=args.regression_site,
-            name=args.fault_profile)
+        scenario = ChaosScenario(spec=spec, plan=plan,
+                                 regression=args.regression,
+                                 name=args.fault_profile)
     scenario.validate()
 
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as scratch:
         wal_dir = args.wal_dir or os.path.join(scratch, "wal")
-        report = run_chaos(scenario, wal_dir,
-                           quiesce_timeout=args.quiesce_timeout,
-                           monitor=not args.no_monitor,
-                           bundle_dir=args.bundle_dir)
+        report = run_chaos(scenario, wal_dir, bundle_dir=args.bundle_dir)
         out.write(report.format() + "\n")
 
         final_scenario = scenario
@@ -1055,8 +933,6 @@ def _cmd_chaos(args: argparse.Namespace, out: typing.TextIO) -> int:
                 len(scenario.plan.events)))
             final_scenario, report = shrink_scenario(
                 scenario, os.path.join(scratch, "shrink"),
-                quiesce_timeout=args.quiesce_timeout,
-                monitor=not args.no_monitor,
                 log=lambda line: out.write(line + "\n"))
             out.write("minimal script: {} event(s)\n".format(
                 len(final_scenario.plan.events)))
@@ -1069,10 +945,7 @@ def _cmd_chaos(args: argparse.Namespace, out: typing.TextIO) -> int:
     if args.save_script:
         final_scenario.save(args.save_script)
     if args.injection_log:
-        with open(args.injection_log, "w", encoding="utf-8") as handle:
-            json.dump(report.injections, handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
+        _write_json(args.injection_log, report.injections)
 
     if args.expect_fail:
         if report.ok:
@@ -1091,22 +964,13 @@ def _cmd_chaos(args: argparse.Namespace, out: typing.TextIO) -> int:
 
 
 def _cmd_reconfig(args: argparse.Namespace, out: typing.TextIO) -> int:
-    import asyncio
-
-    from repro.cluster.client import ClusterClient, ClusterError
     from repro.reconfig import (PlacementChange, ReconfigCoordinator,
                                 ReconfigError)
 
-    spec = _cluster_spec_from_args(args)
-
-    async def status() -> int:
-        client = ClusterClient(spec, timeout=5.0, retries=1)
+    async def status(client) -> int:
         coordinator = ReconfigCoordinator(client)
-        try:
-            statuses = await coordinator.survey()
-            epoch, placement = await coordinator.current_placement()
-        finally:
-            await client.close()
+        statuses = await coordinator.survey()
+        epoch, placement = await coordinator.current_placement()
         out.write("cluster epoch {} ({} members)\n".format(
             epoch, len(statuses)))
         for site, state in sorted(statuses.items()):
@@ -1129,32 +993,31 @@ def _cmd_reconfig(args: argparse.Namespace, out: typing.TextIO) -> int:
         epochs = {state["epoch"] for state in statuses.values()}
         return 0 if len(epochs) == 1 else 1
 
-    async def drive(change: PlacementChange) -> int:
-        client = ClusterClient(spec, timeout=args.txn_timeout)
-        coordinator = ReconfigCoordinator(
-            client, timeout=args.txn_timeout,
-            allow_empty_primaries=args.allow_empty_primaries)
-        try:
-            report = await coordinator.execute(change)
-        finally:
-            await client.close()
+    async def drive(client) -> int:
+        report = await ReconfigCoordinator(client).execute(change)
         out.write(report.format() + "\n")
         return 0
 
     try:
         if args.action == "status":
-            return asyncio.run(status())
-        if args.target_site is None:
+            code = _with_client(args, out, "reconfig failed", status,
+                                timeout=5.0, retries=1)
+        elif args.target_site is None:
             out.write("--target-site is required for {}\n".format(
                 args.action))
             return 2
-        change = PlacementChange(kind=args.action,
-                                 site=args.target_site,
-                                 item=args.item).validate()
-        return asyncio.run(drive(change))
-    except (ReconfigError, ClusterError, OSError) as exc:
+        else:
+            change = PlacementChange(kind=args.action,
+                                     site=args.target_site,
+                                     item=args.item).validate()
+            # A request may take as long as the coordinator's 30 s
+            # per-transition ceiling.
+            code = _with_client(args, out, "reconfig failed", drive,
+                                timeout=30.0)
+    except ReconfigError as exc:
         out.write("reconfig failed: {}\n".format(exc))
         return 1
+    return 1 if code is None else code
 
 
 def _cmd_trace(args: argparse.Namespace, out: typing.TextIO) -> int:
@@ -1168,24 +1031,10 @@ def _cmd_trace(args: argparse.Namespace, out: typing.TextIO) -> int:
         for path in args.files:
             spans.extend(load_trace_file(path))
     else:
-        import asyncio
-
-        from repro.cluster.client import ClusterClient, ClusterError
-
-        spec = _cluster_spec_from_args(args)
-
-        async def fetch():
-            client = ClusterClient(spec)
-            try:
-                return await client.traces_all(trace=args.id,
-                                               limit=args.limit)
-            finally:
-                await client.close()
-
-        try:
-            spans = asyncio.run(fetch())
-        except (ClusterError, OSError) as exc:
-            out.write("trace fetch failed: {}\n".format(exc))
+        spans = _with_client(
+            args, out, "trace fetch failed",
+            lambda client: client.traces_all(trace=args.id))
+        if spans is None:
             return 1
     trees = reconstruct(spans)
     if args.id is not None:
@@ -1204,30 +1053,24 @@ def _cmd_trace(args: argparse.Namespace, out: typing.TextIO) -> int:
                   "max {:.1f} ms\n".format(summary["p50"] * 1000,
                                            summary["p95"] * 1000,
                                            summary["max"] * 1000))
-    complete = sorted((tree for tree in trees.values() if tree.complete),
-                      key=lambda tree: tree.delay, reverse=True)
-    for tree in complete[:max(0, args.show)]:
-        out.write("\n" + format_tree(tree) + "\n")
+        slowest = max((tree for tree in trees.values() if tree.complete),
+                      key=lambda tree: tree.delay)
+        out.write("\n" + format_tree(slowest) + "\n")
     attribution = None
     if args.attribute:
         from repro.obs.reconstruct import (attribution_summary,
                                            format_attribution)
 
-        attribution = attribution_summary(trees, top=max(0, args.show))
+        attribution = attribution_summary(trees, top=1)
         out.write("\n" + format_attribution(attribution) + "\n")
     if args.json:
-        import json
-
         payload = {"summary": summary,
                    "delays_ms": {tid: tree.delay * 1000
                                  for tid, tree in trees.items()
                                  if tree.delay is not None}}
         if attribution is not None:
             payload["attribution"] = attribution
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        out.write("wrote {}\n".format(args.json))
+        _write_json(args.json, payload, out)
     if summary["complete"] < args.require_complete:
         out.write("FAIL: {} complete tree(s) < required {}\n".format(
             summary["complete"], args.require_complete))
@@ -1236,28 +1079,16 @@ def _cmd_trace(args: argparse.Namespace, out: typing.TextIO) -> int:
 
 
 def _cmd_dump(args: argparse.Namespace, out: typing.TextIO) -> int:
-    import asyncio
-
-    from repro.cluster.client import ClusterClient, ClusterError
-
-    spec = _cluster_spec_from_args(args)
-
-    async def fan():
-        client = ClusterClient(spec, timeout=5.0, retries=1)
-        try:
-            fields: typing.Dict[str, typing.Any] = {
-                "trigger": args.trigger}
-            if args.dir is not None:
-                fields["dir"] = args.dir
-            return await client.try_each("dump", **fields)
-        finally:
-            await client.close()
-
-    try:
-        responses, unreachable = asyncio.run(fan())
-    except (ClusterError, OSError) as exc:
-        out.write("dump failed: {}\n".format(exc))
+    fields = {"trigger": "manual"}
+    if args.dir is not None:
+        fields["dir"] = args.dir
+    fanned = _with_client(
+        args, out, "dump failed",
+        lambda client: client.try_each("dump", **fields),
+        timeout=5.0, retries=1)
+    if fanned is None:
         return 1
+    responses, unreachable = fanned
     if args.site is not None:
         responses = {site: response
                      for site, response in responses.items()
@@ -1308,13 +1139,9 @@ def _cmd_postmortem(args: argparse.Namespace,
         with open(args.injections, "r", encoding="utf-8") as handle:
             injections = json.load(handle)
     analysis = analyze(bundles, injections=injections)
-    out.write(format_report(analysis,
-                            timeline_limit=args.timeline_limit) + "\n")
+    out.write(format_report(analysis) + "\n")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(analysis, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        out.write("wrote {}\n".format(args.json))
+        _write_json(args.json, analysis, out)
     if args.check and (violations or problems):
         return 1
     return 0

@@ -402,26 +402,16 @@ class ClusterClient:
                 responses[site] = result
         return responses, unreachable
 
-    async def trace(self, site: SiteId,
-                    trace: typing.Optional[str] = None,
-                    limit: typing.Optional[int] = None
-                    ) -> typing.Dict[str, typing.Any]:
-        """One site's span tail, optionally filtered to one trace id."""
+    async def traces_all(self, trace: typing.Optional[str] = None
+                         ) -> typing.List[typing.Dict[str, typing.Any]]:
+        """All sites' span tails, optionally filtered to one trace id,
+        pooled — ready for :func:`repro.obs.reconstruct.reconstruct`."""
         frame: typing.Dict[str, typing.Any] = {"op": "trace"}
         if trace is not None:
             frame["trace"] = trace
-        if limit is not None:
-            frame["limit"] = limit
-        return await self._request(site, frame, idempotent=True)
-
-    async def traces_all(self, trace: typing.Optional[str] = None,
-                         limit: typing.Optional[int] = None
-                         ) -> typing.List[typing.Dict[str, typing.Any]]:
-        """All sites' spans pooled — ready for
-        :func:`repro.obs.reconstruct.reconstruct`."""
         sites = sorted(self.spec.addresses())
         results = await asyncio.gather(
-            *(self.trace(site, trace=trace, limit=limit)
+            *(self._request(site, dict(frame), idempotent=True)
               for site in sites))
         spans: typing.List[typing.Dict[str, typing.Any]] = []
         for result in results:
@@ -443,19 +433,6 @@ class ClusterClient:
         if out_dir is not None:
             frame["dir"] = out_dir
         return await self._request(site, frame, idempotent=True)
-
-    async def crash(self, site: SiteId) -> None:
-        """Ask a site to crash in place (volatile state lost, WAL kept)."""
-        await self._request(site, {"op": "crash"}, idempotent=False)
-        conn = self._connections.pop(site, None)
-        if conn is not None:
-            await conn.close()
-
-    async def shutdown(self, site: SiteId) -> None:
-        await self._request(site, {"op": "shutdown"}, idempotent=False)
-        conn = self._connections.pop(site, None)
-        if conn is not None:
-            await conn.close()
 
     async def wait_ready(self, timeout: float = 10.0) -> None:
         """Block until every site answers a ping."""

@@ -198,6 +198,9 @@ class LoadReport:
 SETTLE_POLLS = 2
 POLL_INTERVAL = 0.1
 
+#: Per-request client timeout of a ``repro loadgen`` run, seconds.
+TXN_TIMEOUT_S = 30.0
+
 #: The watchdog that rides along a load run: one ``versions`` poll per
 #: period, no trace fetches and no convergence sampling, so watching
 #: does not perturb the throughput being measured.
@@ -420,7 +423,6 @@ async def judge(client: ClusterClient, timeout: float = 30.0) -> Verdict:
 
 async def generate_load(spec: ClusterSpec, client: ClusterClient,
                         verify: bool = True,
-                        quiesce_timeout: float = 30.0,
                         loop_mode: str = "closed") -> LoadReport:
     """:func:`drive` the matched workload through ``client``, then
     :func:`judge` the cluster (``verify``) or only wait for it to
@@ -446,12 +448,12 @@ async def generate_load(spec: ClusterSpec, client: ClusterClient,
 
     convergent, divergent, serializable, dsg_nodes = True, 0, True, 0
     if verify:
-        verdict = await judge(client, timeout=quiesce_timeout)
+        verdict = await judge(client)
         statuses = verdict.statuses
         convergent, divergent = not verdict.divergent, len(verdict.divergent)
         serializable, dsg_nodes = verdict.cycle is None, verdict.dsg_nodes
     else:
-        statuses = await wait_quiescent(client, timeout=quiesce_timeout)
+        statuses = await wait_quiescent(client)
     propagation: typing.Dict[str, typing.Any] = {}
     attribution: typing.Dict[str, typing.Any] = {}
     try:
@@ -545,19 +547,14 @@ def history_from_status(status: typing.Mapping) -> SiteHistory:
 
 
 def run_loadgen(spec: ClusterSpec, verify: bool = True,
-                quiesce_timeout: float = 30.0,
-                max_in_flight: int = 64,
-                timeout: float = 30.0,
                 loop_mode: str = "closed") -> LoadReport:
     """Synchronous entry point (the ``repro loadgen`` command)."""
 
     async def _run() -> LoadReport:
-        client = ClusterClient(spec, timeout=timeout,
-                               max_in_flight=max_in_flight)
+        client = ClusterClient(spec, timeout=TXN_TIMEOUT_S)
         try:
             await client.wait_ready()
             return await generate_load(spec, client, verify=verify,
-                                       quiesce_timeout=quiesce_timeout,
                                        loop_mode=loop_mode)
         finally:
             await client.close()
@@ -568,19 +565,15 @@ def run_loadgen(spec: ClusterSpec, verify: bool = True,
 def spawn_and_load(spec: ClusterSpec,
                    wal_dir: typing.Optional[str] = None,
                    verify: bool = True,
-                   quiesce_timeout: float = 30.0,
-                   max_in_flight: int = 64,
-                   timeout: float = 30.0,
                    loop_mode: str = "closed") -> LoadReport:
     """``repro loadgen --spawn``: :func:`start_cluster`, then the load
     run.  ``wal_dir`` defaults to a fresh temporary directory, removed
     afterwards."""
 
     async def _run(wal_dir: str) -> LoadReport:
-        async with start_cluster(spec, wal_dir, timeout=timeout,
-                                 max_in_flight=max_in_flight) as (_, client):
+        async with start_cluster(spec, wal_dir,
+                                 timeout=TXN_TIMEOUT_S) as (_, client):
             return await generate_load(spec, client, verify=verify,
-                                       quiesce_timeout=quiesce_timeout,
                                        loop_mode=loop_mode)
 
     if wal_dir is not None:

@@ -53,9 +53,10 @@ The server, not the protocol, handles the cluster control plane:
   writer-lineage check before a ``SECONDARY`` reaches the protocol
   queue;
 - observability (always on) — a
-  :class:`repro.obs.registry.MetricsRegistry` instruments the hot path
-  (frames, batch sizes, WAL/journal sync latency, frames per apply
-  round, drive time), and a :class:`repro.obs.trace.TraceSink` records
+  :class:`repro.obs.registry.MetricsRegistry` holds what the ``repro
+  top`` dashboard reads (transaction outcomes, the apply-round backlog,
+  WAL sync latency and the stage timers along the hot path), and a
+  :class:`repro.obs.trace.TraceSink` records
   propagation spans (received → journaled → applied …) keyed by
   deterministic per-origin-transaction trace ids; both are served over
   the client plane by the ``stats`` and ``trace`` requests.  See
@@ -89,10 +90,7 @@ from repro.core.base import ReplicatedSystem, SystemConfig, make_protocol
 from repro.errors import PlacementError, TransactionAborted
 from repro.network.message import Message, MessageType
 from repro.obs.flight import FlightRecorder
-from repro.obs.registry import (
-    SIZE_BUCKETS,
-    MetricsRegistry,
-)
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import SpanObserver, TraceSink, message_trace_id
 # Imported from the change module directly (not repro.reconfig) to keep
 # the import graph acyclic: repro.reconfig -> coordinator -> client ->
@@ -241,8 +239,6 @@ class SiteServer:
         self._journal_syncer = _GroupCommitSyncer(self.journal,
                                                   self._fail_stop)
         self.placement = spec.build_placement()
-        self.committed = 0
-        self.aborted = 0
         self.recovered = False
         # Reconfiguration plane (repro.reconfig).  ``epoch`` is the
         # committed configuration epoch and ``pending_*`` the prepared,
@@ -253,11 +249,9 @@ class SiteServer:
         self.pending_epoch: typing.Optional[int] = None
         self.pending_change: typing.Optional[PlacementChange] = None
         self._fenced_items: typing.Set[ItemId] = set()
-        self._pending_since: typing.Optional[float] = None
         # Observability plane (docs/OBSERVABILITY.md).
         self.metrics = MetricsRegistry()
         self.trace = TraceSink(site_id, path=wal_path + ".trace")
-        self.apply_queue_hwm = 0
         #: Black-box flight recorder (docs/OBSERVABILITY.md): bounded
         #: rings of recent spans and events, dumped as
         #: an incident bundle on a trigger (``dump`` wire op, watchdog
@@ -273,27 +267,14 @@ class SiteServer:
         self.flight.add_source("journal",
                                lambda: _appender_stats(self.journal))
         self.flight.add_source("watermarks", self._watermarks)
-        self._m_frames_decoded = self.metrics.counter(
-            "server.frames_decoded")
-        self._m_frame_msgs = self.metrics.histogram(
-            "server.frame_msgs", SIZE_BUCKETS)
+        #: Primary transaction outcomes; the ``status`` reply's
+        #: ``committed``/``aborted`` are their values.
         self._m_committed = self.metrics.counter("txn.committed")
         self._m_aborted = self.metrics.counter("txn.aborted")
         self._h_drive = self.metrics.histogram("server.drive_s")
-        self._h_wal_sync = self.metrics.histogram("wal.sync_s")
-        self._h_journal_sync = self.metrics.histogram("journal.sync_s")
-        # Each sync round reports its duration and how many records it
-        # coalesced — the group-commit amortization in histogram form.
-        h_wal_records = self.metrics.histogram(
-            "wal.sync_records", SIZE_BUCKETS)
-        h_journal_records = self.metrics.histogram(
-            "journal.sync_records", SIZE_BUCKETS)
-        self.wal.observe_sync = \
-            lambda dt, n: (self._h_wal_sync.observe(dt),
-                           h_wal_records.observe(n))
-        self.journal.observe_sync = \
-            lambda dt, n: (self._h_journal_sync.observe(dt),
-                           h_journal_records.observe(n))
+        self.wal.observe_sync = self.metrics.histogram("wal.sync_s").observe
+        #: Frames one apply round took; its high-water mark is the
+        #: ``status`` reply's ``apply_queue_hwm``.
         self._g_apply_queue = self.metrics.gauge("server.apply_queue")
         # Wire/apply stage instrumentation: seconds spent decoding one
         # inbound peer frame body, seconds spent on one apply round
@@ -313,12 +294,6 @@ class SiteServer:
         self._h_write = self.metrics.histogram("server.write_s")
         self._h_wal_barrier = self.metrics.histogram(
             "wal.barrier_wait_s")
-        self._g_epoch = self.metrics.gauge("reconfig.epoch")
-        self._h_reconfig = self.metrics.histogram("reconfig.transition_s")
-        self._m_fence_refusals = self.metrics.counter(
-            "reconfig.fence_refusals")
-        self._m_placement_refusals = self.metrics.counter(
-            "reconfig.placement_refusals")
         self._closed = False
         #: The kernel exception this site fail-stopped on (see
         #: :meth:`_fail_stop`); ``serve_forever`` re-raises it.
@@ -328,7 +303,6 @@ class SiteServer:
         self._timer: typing.Optional[asyncio.TimerHandle] = None
         self._tcp_server: typing.Optional[asyncio.AbstractServer] = None
         self._conn_writers: typing.Set[asyncio.StreamWriter] = set()
-        self._shutdown_task: typing.Optional[asyncio.Task] = None
         self.env: typing.Optional[Environment] = None
         self.system: typing.Optional[ReplicatedSystem] = None
         self.transport: typing.Optional[LiveTransport] = None
@@ -404,7 +378,6 @@ class SiteServer:
             if prepared is not None and prepared.item == self.epoch + 1:
                 self._set_pending(prepared.item,
                                   PlacementChange.from_json(prepared.value))
-        self._g_epoch.set(self.epoch)
         self.flight.record_event("server-start", epoch=self.epoch,
                                  recovered=self.recovered)
         protocol = make_protocol(self.spec.protocol, self.system,
@@ -441,7 +414,19 @@ class SiteServer:
 
     async def stop(self) -> None:
         """Graceful shutdown (state preserved in the WAL)."""
-        await self._teardown()
+        self._closed = True
+        if self._timer is not None:
+            self._timer.cancel()
+        if self._tcp_server is not None:
+            self._tcp_server.close()
+            await self._tcp_server.wait_closed()
+        for writer in list(self._conn_writers):
+            writer.close()
+        if self.transport is not None:
+            await self.transport.close()
+        self.wal.close()
+        self.journal.close()
+        self.trace.close()
 
     def kill(self) -> None:
         """Abrupt in-process crash: volatile state is abandoned, the WAL
@@ -468,21 +453,6 @@ class SiteServer:
         self.journal.abandon()
         # Trace spans are diagnostics, not promises — keeping them
         # through a simulated crash only helps the post-mortem.
-        self.trace.close()
-
-    async def _teardown(self) -> None:
-        self._closed = True
-        if self._timer is not None:
-            self._timer.cancel()
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-        for writer in list(self._conn_writers):
-            writer.close()
-        if self.transport is not None:
-            await self.transport.close()
-        self.wal.close()
-        self.journal.close()
         self.trace.close()
 
     # ------------------------------------------------------------------
@@ -566,12 +536,10 @@ class SiteServer:
                 yield from protocol.run_transaction(
                     spec.origin, spec, process_ref[0])
             except TransactionAborted as exc:
-                self.aborted += 1
                 self._m_aborted.inc()
                 _resolve(future, ("aborted", exc.reason,
                                   env.now - start))
                 return
-            self.committed += 1
             self._m_committed.inc()
             _resolve(future, ("committed", None, env.now - start))
 
@@ -613,11 +581,14 @@ class SiteServer:
         """Dedup/journal/dispatch one channel entry (no kernel drive —
         the peer loop drives once per round, however many entries it
         carried).  The round's ack covers duplicates too: the sender
-        needs them acked to retire its unacked queue."""
+        needs them acked to retire its unacked queue.  A message for
+        another site raises, and the round fail-stops this site before
+        it acks anything: acking would retire the message at its sender
+        with no site left to apply it."""
         message = decode_message(obj_msg)
         if message.dst != self.site_id:
-            self.transport.dead_letters.append(message)
-            return
+            raise RuntimeError("s{} sent s{} a message for s{}".format(
+                message.src, self.site_id, message.dst))
         if not self.transport.fresh(message.src, incarnation, seq):
             return  # transport-level resend
         trace = message_trace_id(message)
@@ -666,8 +637,6 @@ class SiteServer:
                 raise CodecError("malformed batch entry")
             self._accept_entry(incarnation, seq, obj_msg)
             last_seq = seq
-        self._m_frames_decoded.inc()
-        self._m_frame_msgs.observe(len(msgs))
         return last_seq
 
     def _on_wound(self, message: Message) -> None:
@@ -800,8 +769,6 @@ class SiteServer:
             # share is histogrammed separately).
             self._h_read_wait.observe(started - reading)
             # The backlog this wake found: the frames one round takes.
-            if len(batch) > self.apply_queue_hwm:
-                self.apply_queue_hwm = len(batch)
             self._g_apply_queue.set(len(batch))
             self._advance()
             if self._closed:
@@ -899,7 +866,6 @@ class SiteServer:
             # Refused before touching the engine: an "aborted" outcome,
             # not an error — the client's workload loop counts it and
             # moves on, exactly as for a lock-timeout abort.
-            self.aborted += 1
             self._m_aborted.inc()
             return {"ok": True, "status": "aborted",
                     "reason": refusal, "elapsed": None}
@@ -952,13 +918,6 @@ class SiteServer:
             self._h_encode.observe(time.perf_counter() - started)
             out.write_chunks(chunks)
         out.flush_soon()
-        # Requests that end the server act after the response is out.
-        if response.get("_shutdown"):
-            out.flush()
-            self._shutdown_task = self._loop.create_task(self._teardown())
-        elif response.get("_crash"):
-            out.flush()
-            self.kill()
 
     def _dispatch(self, frame: typing.Mapping
                   ) -> typing.Dict[str, typing.Any]:
@@ -1020,10 +979,6 @@ class SiteServer:
             return self._reconfig_abort(int(frame["epoch"]))
         if op == "reconfig_state":
             return self._reconfig_state(int(frame["item"]))
-        if op == "crash":
-            return {"ok": True, "_crash": True}
-        if op == "shutdown":
-            return {"ok": True, "_shutdown": True}
         return {"ok": False, "error": "unknown op {!r}".format(op)}
 
     async def _dump_op(self, frame: typing.Mapping, rid: typing.Any,
@@ -1085,22 +1040,18 @@ class SiteServer:
             try:
                 if operation.is_read:
                     if self.site_id not in self.placement.sites_of(item):
-                        self._m_placement_refusals.inc()
                         return ("no copy of item {} at s{} in epoch {}"
                                 .format(item, self.site_id, self.epoch))
                 else:
                     if self.placement.primary_site(item) != self.site_id:
-                        self._m_placement_refusals.inc()
                         return ("s{} is not the primary of item {} in "
                                 "epoch {}".format(self.site_id, item,
                                                   self.epoch))
                     if item in self._fenced_items:
-                        self._m_fence_refusals.inc()
                         return ("item {} is fenced for the epoch {} "
                                 "transition".format(
                                     item, self.pending_epoch))
             except PlacementError as exc:
-                self._m_placement_refusals.inc()
                 return str(exc)
         return None
 
@@ -1134,7 +1085,6 @@ class SiteServer:
             self.wal.append(LogRecordKind.EPOCH_PREPARE, item=epoch,
                             value=change.to_json(), time=self.env.now)
             self.wal.sync()
-            self._pending_since = self._loop.time()
         self._set_pending(epoch, change)
         return {"ok": True, "site": self.site_id, "epoch": self.epoch,
                 "pending_epoch": epoch,
@@ -1212,13 +1162,8 @@ class SiteServer:
         self.system.swap_placement(new_placement, epoch)
         self.epoch = epoch
         self._set_pending(None, None)
-        self._g_epoch.set(epoch)
         self.flight.record_event("epoch-commit", epoch=epoch,
                                  change=change.to_json())
-        if self._pending_since is not None:
-            self._h_reconfig.observe(
-                self._loop.time() - self._pending_since)
-            self._pending_since = None
         self._gossip_reconfig(epoch, change)
         return {"ok": True, "site": self.site_id, "epoch": self.epoch}
 
@@ -1231,7 +1176,6 @@ class SiteServer:
                             time=self.env.now)
             self.wal.sync()
             self._set_pending(None, None)
-            self._pending_since = None
         return {"ok": True, "site": self.site_id, "epoch": self.epoch}
 
     def _set_pending(self, epoch: typing.Optional[int],
@@ -1273,9 +1217,8 @@ class SiteServer:
         return {
             "ok": True,
             "site": self.site_id,
-            "now": self.env.now,
-            "committed": self.committed,
-            "aborted": self.aborted,
+            "committed": self._m_committed.value,
+            "aborted": self._m_aborted.value,
             "items": encode_value(items),
             # The history is the bulk of the reply and grows with every
             # commit: _respond encodes each entry on its own and
@@ -1287,14 +1230,10 @@ class SiteServer:
                 in self.transport.sent_by_type.items()},
             "pending_out": self.transport.pending_out,
             "frames_sent": self.transport.frames_sent,
-            "connects": self.transport.connects,
             "resent_messages": self.transport.resent_messages,
-            "dedup_dropped": self.transport.dedup_dropped,
-            "batch": self.spec.batch,
-            "durability": self.spec.durability,
             "wal": wal_stats,
             "journal": journal_stats,
-            "apply_queue_hwm": self.apply_queue_hwm,
+            "apply_queue_hwm": int(self._g_apply_queue.high_water),
             "epoch": self.epoch,
             "pending_epoch": self.pending_epoch,
             "epoch_skew": getattr(self.system.protocol, "epoch_skew", 0),

@@ -72,7 +72,7 @@ from repro.cluster.codec import (
     write_frame,
 )
 from repro.network.message import Message, MessageType
-from repro.obs.registry import SIZE_BUCKETS, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import message_trace_id
 from repro.types import SiteId
 
@@ -145,8 +145,9 @@ class _Channel:
                     out = FrameWriter(
                         writer, on_encode=self.transport._h_encode.observe,
                         on_write=self.transport._h_write.observe)
-                    self.transport._note_connect(self.dst,
-                                                 len(self.unacked))
+                    # The unacked tail is resent through the receiver's
+                    # dedup filter.
+                    self.transport.resent_messages += len(self.unacked)
                     while self.unacked:
                         self.unsent.appendleft(self.unacked.pop())
                     self._ack_task = asyncio.get_running_loop() \
@@ -233,7 +234,6 @@ class _Channel:
                     acked = int(frame["seq"])
                     while self.unacked and self.unacked[0][0] <= acked:
                         self.unacked.popleft()
-                        self.transport._m_acked.inc()
         except (ConnectionError, OSError, CodecError,
                 asyncio.CancelledError, ValueError, KeyError):
             return
@@ -312,35 +312,19 @@ class LiveTransport:
         self._channels: typing.Dict[SiteId, _Channel] = {}
         #: Receiver-side dedup: (src, incarnation) -> highest seq seen.
         self._seen: typing.Dict[typing.Tuple[SiteId, str], int] = {}
-        # Counter parity with the simulated Network (harness/metrics).
-        self.dead_letters: typing.List[Message] = []
+        #: Messages sent, in total and by type; wire frames written; and
+        #: unacked messages requeued for resend on a reconnect.  The
+        #: ``status`` reply serves all four.
         self.sent_by_type: typing.Counter = collections.Counter()
         self.total_sent = 0
-        #: Wire frames written / messages they carried: the batching
-        #: amortization ratio (messages per syscall) for the bench.
         self.frames_sent = 0
-        self.batched_messages = 0
-        #: Channel repair accounting: connections (re)established,
-        #: unacked messages requeued for resend, inbound resends the
-        #: dedup filter dropped.
-        self.connects = 0
         self.resent_messages = 0
-        self.dedup_dropped = 0
-        self.record_deliveries = False
-        self.delivery_log: typing.List[Message] = []
         #: Observability: a metrics registry (the server's, or a private
         #: one when none is handed in) and an optional span sink for the
         #: ``forwarded`` spans.
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry()
         self.trace_sink = trace_sink
-        self._m_frames = self.metrics.counter("net.frames_sent")
-        self._m_batch = self.metrics.histogram("net.batch_size",
-                                               SIZE_BUCKETS)
-        self._m_connects = self.metrics.counter("net.connects")
-        self._m_resent = self.metrics.counter("net.resent")
-        self._m_dedup = self.metrics.counter("net.dedup_dropped")
-        self._m_acked = self.metrics.counter("net.acked")
         # Sender-side stage timers, shared by name with the server's
         # instruments (one registry per process): time a frame waits on
         # the WAL group-commit barrier before its bytes may leave, and
@@ -377,17 +361,6 @@ class LiveTransport:
     # Channel accounting (observability)
     # ------------------------------------------------------------------
 
-    def _note_connect(self, dst: SiteId, requeued: int) -> None:
-        """A channel (re)connected; ``requeued`` unacked messages will
-        be resent through the receiver's dedup filter."""
-        self.connects += 1
-        self._m_connects.inc()
-        if requeued:
-            self.resent_messages += requeued
-            self._m_resent.inc(requeued)
-            self.metrics.counter(
-                "net.resent.s{}".format(dst)).inc(requeued)
-
     def _note_frame(self, dst: SiteId,
                     entries: typing.Sequence[
                         typing.Tuple[int, Message]],
@@ -396,11 +369,7 @@ class LiveTransport:
         time the frame spent on the WAL group-commit barrier; stamped
         onto its forwarded spans (``wal``), it lets attribution split
         the commit→forward segment into barrier wait vs queueing."""
-        count = len(entries)
         self.frames_sent += 1
-        self.batched_messages += count
-        self._m_frames.inc()
-        self._m_batch.observe(count)
         sink = self.trace_sink
         if sink is not None:
             wal = round(sync_s, 6) if sync_s > 0.0 else None
@@ -419,10 +388,6 @@ class LiveTransport:
         was (a transport-level resend)."""
         key = (src, incarnation)
         if seq <= self._seen.get(key, 0):
-            self.dedup_dropped += 1
-            self._m_dedup.inc()
-            self.metrics.counter(
-                "net.dedup_dropped.s{}".format(src)).inc()
             return False
         self._seen[key] = seq
         return True
@@ -436,12 +401,13 @@ class LiveTransport:
         return True
 
     def deliver(self, message: Message) -> None:
-        if self.record_deliveries:
-            self.delivery_log.append(message)
+        """Hand ``message`` to the handler its protocol registered.  A
+        message no handler takes raises: the server fail-stops on it
+        rather than ack an update nothing applied."""
         handler = self._handlers.get(message.dst)
         if handler is None:
-            self.dead_letters.append(message)
-            return
+            raise RuntimeError("no handler for {} to s{}".format(
+                message.msg_type.value, message.dst))
         handler(message)
 
     # ------------------------------------------------------------------

@@ -200,11 +200,11 @@ class _LineAppender:
         #: served by the status plane: "how much of this process's life
         #: went to fsync".
         self.sync_seconds = 0.0
-        #: Optional observer called as ``observe_sync(seconds, records)``
+        #: Optional observer called as ``observe_sync(seconds)``
         #: after each sync that actually wrote — the server points it at
         #: a latency histogram.  ``None`` costs nothing.
         self.observe_sync: typing.Optional[
-            typing.Callable[[float, int], typing.Any]] = None
+            typing.Callable[[float], typing.Any]] = None
 
     @property
     def pending_sync(self) -> int:
@@ -267,7 +267,7 @@ class _LineAppender:
             elapsed = time.perf_counter() - started
             self.sync_seconds += elapsed
             if observer is not None:
-                observer(elapsed, len(lines))
+                observer(elapsed)
             return len(lines)
 
     def close(self) -> None:

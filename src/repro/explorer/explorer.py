@@ -19,6 +19,11 @@ from repro.explorer.shrink import shrink_failure
 from repro.explorer.trace import trace_dict
 
 
+#: Maximum extra per-message delay of a perturbed schedule, as a multiple
+#: of the base latency.
+LATENCY_SCALE = 300.0
+
+
 @dataclasses.dataclass
 class ExplorationConfig:
     """Knobs of one exploration campaign."""
@@ -29,14 +34,9 @@ class ExplorationConfig:
     seed: int = 0
     min_sites: int = 2
     max_sites: int = 6
-    #: Maximum extra per-message delay (multiple of the base latency).
-    latency_scale: float = 300.0
-    #: Reorder same-time simulation events.
-    schedule_noise: bool = True
     #: Distinct perturbation seeds tried per generated scenario.
     perturbations_per_scenario: int = 4
-    #: Shrink the first failure into a minimal reproducer.
-    shrink: bool = True
+    #: Probe-run budget for shrinking the first failure.
     max_shrink_runs: int = 400
     #: Stop at the first failure (otherwise keep counting).
     stop_on_failure: bool = True
@@ -105,8 +105,7 @@ def explore(config: ExplorationConfig,
                                  max_sites=config.max_sites)
         plan = PerturbationPlan(
             seed=stable_u64(config.seed, "plan", index),
-            latency_scale=config.latency_scale,
-            schedule_noise=config.schedule_noise)
+            latency_scale=LATENCY_SCALE)
         outcome = run_schedule(spec, plan)
         schedules_run += 1
         committed_total += outcome.committed
@@ -117,13 +116,11 @@ def explore(config: ExplorationConfig,
         report_progress("schedule {}: {} oracle failure(s)".format(
             index, len(outcome.failures)))
         if first_failure is None:
-            if config.shrink:
-                report_progress("shrinking ...")
-                stats: dict = {}
-                spec, plan, outcome = shrink_failure(
-                    spec, plan, max_runs=config.max_shrink_runs,
-                    stats=stats)
-                shrink_runs = stats.get("runs", 0)
+            report_progress("shrinking ...")
+            stats: dict = {}
+            spec, plan, outcome = shrink_failure(
+                spec, plan, max_runs=config.max_shrink_runs, stats=stats)
+            shrink_runs = stats.get("runs", 0)
             first_failure = outcome
             first_trace = trace_dict(
                 spec, plan, outcome,

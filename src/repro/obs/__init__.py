@@ -36,7 +36,6 @@ the module → consumer table):
 
 from repro.obs.registry import (  # noqa: F401
     MetricsRegistry,
-    snapshot_percentile,
     validate_snapshot,
 )
 from repro.obs.trace import (  # noqa: F401

@@ -248,25 +248,15 @@ class Dashboard:
     # Drive modes
     # ------------------------------------------------------------------
 
-    async def run(self, out: typing.TextIO,
-                  iterations: typing.Optional[int] = None,
-                  clear: bool = True) -> None:
-        """Refresh loop: sample, redraw, sleep; ``iterations=None``
-        runs until cancelled (Ctrl-C in the CLI)."""
-        count = 0
-        while iterations is None or count < iterations:
-            model = await self.sample()
-            frame = self.render(model)
-            if clear:
-                # Home + clear-below keeps the last frame on an
-                # interrupt, unlike a full screen wipe.
-                out.write("\x1b[H\x1b[J" + frame)
-            else:
-                out.write(frame)
+    async def run(self, out: typing.TextIO) -> None:
+        """Refresh loop: sample, redraw, sleep, until cancelled (Ctrl-C
+        in the CLI)."""
+        while True:
+            frame = self.render(await self.sample())
+            # Home + clear-below keeps the last frame on an interrupt,
+            # unlike a full screen wipe.
+            out.write("\x1b[H\x1b[J" + frame)
             out.flush()
-            count += 1
-            if iterations is not None and count >= iterations:
-                return
             await asyncio.sleep(self.interval)
 
     async def snapshot(self, out: typing.TextIO,

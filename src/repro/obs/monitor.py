@@ -105,9 +105,6 @@ class Alert:
     last_seen: float
     count: int = 1
 
-    def key(self) -> typing.Tuple[str, typing.Optional[int]]:
-        return (self.rule, self.site)
-
     def to_json(self) -> typing.Dict[str, typing.Any]:
         return {
             "rule": self.rule,
@@ -206,13 +203,11 @@ class Watchdog:
                  on_alert: typing.Optional[
                      typing.Callable[[Alert], None]] = None,
                  sink_max_bytes: typing.Optional[int] = None,
-                 sink_backups: int = 3,
                  dump_dir: typing.Optional[str] = None):
         self.spec = spec
         self.client = client
         self.config = config or MonitorConfig()
-        self.sink = AlertSink(sink_path, max_bytes=sink_max_bytes,
-                              backups=sink_backups)
+        self.sink = AlertSink(sink_path, max_bytes=sink_max_bytes)
         self.on_alert = on_alert
         #: When set, a *new* critical alert fans a flight-recorder
         #: ``dump`` to every reachable site, bundles landing here.
@@ -635,34 +630,3 @@ class Watchdog:
                 {"items": entries[:self.config.max_evidence],
                  "divergent": len(entries)})
 
-
-async def watch(spec: "ClusterSpec",
-                config: typing.Optional[MonitorConfig] = None,
-                duration: typing.Optional[float] = None,
-                sink_path: typing.Optional[str] = None,
-                on_alert: typing.Optional[
-                    typing.Callable[[Alert], None]] = None,
-                client: typing.Optional["ClusterClient"] = None,
-                sink_max_bytes: typing.Optional[int] = None,
-                sink_backups: int = 3,
-                dump_dir: typing.Optional[str] = None
-                ) -> Watchdog:
-    """Run a watchdog against ``spec``'s cluster for ``duration``
-    seconds (the ``repro monitor`` entry point); returns it with its
-    alert state for the exit-code decision."""
-    from repro.cluster.client import ClusterClient
-
-    own_client = client is None
-    if client is None:
-        client = ClusterClient(spec, timeout=2.0, retries=1)
-    watchdog = Watchdog(spec, client, config=config,
-                        sink_path=sink_path, on_alert=on_alert,
-                        sink_max_bytes=sink_max_bytes,
-                        sink_backups=sink_backups, dump_dir=dump_dir)
-    try:
-        await watchdog.run(duration=duration)
-    finally:
-        watchdog.close()
-        if own_client:
-            await client.close()
-    return watchdog

@@ -349,9 +349,9 @@ def _window_str(analysis: typing.Mapping[str, typing.Any],
                                   _rel(analysis, window[1]))
 
 
-def format_report(analysis: typing.Mapping[str, typing.Any],
-                  timeline_limit: int = 60) -> str:
-    """Terminal rendering of one :func:`analyze` result."""
+def format_report(analysis: typing.Mapping[str, typing.Any]) -> str:
+    """Terminal rendering of one :func:`analyze` result: the timeline
+    is its last 60 entries."""
     lines: typing.List[str] = []
     sites = ", ".join("s{}".format(site) for site in analysis["sites"])
     header = "postmortem: {} bundle(s) from {}".format(
@@ -398,7 +398,7 @@ def format_report(analysis: typing.Mapping[str, typing.Any],
                 len(analysis["injections"]) - 10))
 
     timeline = analysis["timeline"]
-    shown = timeline[-max(0, timeline_limit):]
+    shown = timeline[-60:]
     lines.append("timeline ({} of {} entr{}):".format(
         len(shown), len(timeline),
         "y" if len(timeline) == 1 else "ies"))

@@ -29,10 +29,6 @@ LATENCY_BUCKETS_S: typing.Tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 
-#: Default size buckets (counts): batch sizes, queue depths.
-SIZE_BUCKETS: typing.Tuple[float, ...] = (
-    1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
-
 
 class Counter:
     """A monotonically increasing integer."""
@@ -224,10 +220,9 @@ def bucket_percentile(edges: typing.Sequence[float],
                       pct: float) -> float:
     """Upper-bound ``pct``-th percentile of a fixed-bucket histogram.
 
-    The single implementation behind :meth:`Histogram.percentile`,
-    snapshot pre-derivation, and :func:`snapshot_percentile`: the edge
-    of the bucket containing the requested rank, or the exact maximum
-    for the overflow bucket.
+    The single implementation behind :meth:`Histogram.percentile` and
+    snapshot pre-derivation: the edge of the bucket containing the
+    requested rank, or the exact maximum for the overflow bucket.
     """
     if not 0.0 <= pct <= 100.0:
         raise ValueError("percentile {} outside [0, 100]".format(pct))
@@ -242,17 +237,6 @@ def bucket_percentile(edges: typing.Sequence[float],
                 return float(edges[index])
             break
     return float(maximum) if maximum is not None else 0.0
-
-
-def snapshot_percentile(snapshot: typing.Mapping[str, typing.Any],
-                        pct: float) -> float:
-    """:func:`bucket_percentile` over a histogram's *snapshot* dict —
-    for consumers (CLI, benchmarks) that only hold the wire-shipped
-    snapshot, not the live instrument, and need a cut the snapshot does
-    not pre-derive (it already carries ``p50``/``p95``/``p99``)."""
-    return bucket_percentile(snapshot["buckets"], snapshot["counts"],
-                             snapshot["count"], snapshot.get("max"),
-                             pct)
 
 
 def validate_snapshot(obj: typing.Any) -> None:

@@ -94,11 +94,9 @@ class ReconfigCoordinator:
         everywhere and :class:`ReconfigError` raised.
     """
 
-    def __init__(self, client, timeout: float = 30.0,
-                 allow_empty_primaries: bool = False):
+    def __init__(self, client, timeout: float = 30.0):
         self.client = client
         self.timeout = timeout
-        self.allow_empty_primaries = allow_empty_primaries
 
     @property
     def spec(self):
@@ -164,9 +162,7 @@ class ReconfigCoordinator:
         deadline = time.monotonic() + self.timeout
         statuses = await self._agreed_statuses(deadline)
         epoch, placement = await self.current_placement()
-        change.check_against(
-            placement, protocol=self.spec.protocol,
-            allow_empty_primaries=self.allow_empty_primaries)
+        change.check_against(placement, protocol=self.spec.protocol)
         target = epoch + 1
         report = ReconfigReport(epoch=target, change=change)
         sites = self._sites()

@@ -72,7 +72,7 @@ def test_kill_of_gaining_member_mid_transition_recovers(tmp_path, killed):
     aborts, is retried after the restart, and the run ends converged in
     an agreed epoch > 0 with green oracles."""
     scenario = _scenario(killed)
-    report = run_chaos(scenario, str(tmp_path), quiesce_timeout=30.0)
+    report = run_chaos(scenario, str(tmp_path))
     assert report.ok, report.violations
     assert report.final_epoch == 1
     assert len(report.reconfigs) == 1

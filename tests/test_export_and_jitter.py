@@ -1,78 +1,13 @@
-"""Tests for result export (CSV/JSON) and the network-jitter parameter."""
-
-import json
+"""Tests for the network-jitter parameter."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harness.export import (
-    result_row,
-    sweep_rows,
-    to_csv,
-    to_json,
-    write_rows,
-)
 from repro.harness.runner import ExperimentConfig, run_experiment
-from repro.harness.sweep import sweep
 from repro.workload.params import WorkloadParams
 
 TINY = WorkloadParams(n_sites=3, n_items=30, transactions_per_thread=6,
                       threads_per_site=2)
-
-
-@pytest.fixture(scope="module")
-def result():
-    return run_experiment(
-        ExperimentConfig(protocol="backedge", params=TINY, seed=1))
-
-
-def test_result_row_contains_all_fields(result):
-    row = result_row(result)
-    assert row["protocol"] == "backedge"
-    assert row["seed"] == 1
-    assert row["committed"] + row["aborted"] == \
-        TINY.n_sites * TINY.threads_per_site \
-        * TINY.transactions_per_thread
-    assert row["serializable"] is True
-
-
-def test_sweep_rows_and_csv_round_trip():
-    points = sweep("backedge_probability", [0.0, 1.0], ["backedge"],
-                   base_params=TINY, seed=1)
-    rows = sweep_rows(points)
-    assert len(rows) == 2
-    assert rows[0]["parameter"] == "backedge_probability"
-    text = to_csv(rows)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("parameter,value,protocol")
-    assert len(lines) == 3
-
-
-def test_to_json_parses_back(result):
-    payload = to_json([result_row(result)])
-    decoded = json.loads(payload)
-    assert decoded[0]["protocol"] == "backedge"
-
-
-def test_to_csv_empty():
-    assert to_csv([]) == ""
-
-
-def test_write_rows_dispatches_on_extension(tmp_path, result):
-    rows = [result_row(result)]
-    csv_path = tmp_path / "out.csv"
-    json_path = tmp_path / "out.json"
-    write_rows(rows, str(csv_path))
-    write_rows(rows, str(json_path))
-    assert csv_path.read_text().startswith("protocol,")
-    assert json.loads(json_path.read_text())[0]["seed"] == 1
-    with pytest.raises(ValueError):
-        write_rows(rows, str(tmp_path / "out.xml"))
-
-
-# ----------------------------------------------------------------------
-# Network jitter
-# ----------------------------------------------------------------------
 
 
 def test_jitter_validation():

@@ -122,7 +122,7 @@ def test_one_sync_round_releases_its_responses_in_one_write(site0):
         reader.feed_data(b"".join(
             _request(rid, rid, OpType.WRITE, items[rid - 1])
             for rid in range(1, count + 1)))
-        await settle(lambda: server.committed == count)
+        await settle(lambda: server._m_committed.value == count)
         await settle(entered.is_set)
         for _ in range(20):
             await asyncio.sleep(0)
@@ -159,7 +159,7 @@ def test_txn_response_waits_for_the_wal_read_only_included(site0):
         before = wal.appended
         reader.feed_data(_request(1, 1, OpType.WRITE, items[0]) +
                          _request(2, 2, OpType.READ, items[0]))
-        await settle(lambda: server.committed == 2)
+        await settle(lambda: server._m_committed.value == 2)
         await settle(entered.is_set)
         for _ in range(20):
             await asyncio.sleep(0)

@@ -315,17 +315,15 @@ def test_stats_trace_wire_ops_and_durability_status(tmp_path):
     report, stats, spans, statuses = asyncio.run(scenario())
 
     # -- stats op: schema-valid, hot-path instruments populated.
-    committed = frames = 0
+    committed = 0
     for site, response in stats.items():
         validate_snapshot(response["stats"])
         snapshot = response["stats"]
         committed += snapshot["counters"].get("txn.committed", 0)
-        frames += snapshot["counters"].get("net.frames_sent", 0)
         assert snapshot["histograms"]["wal.sync_s"]["count"] > 0
-        assert snapshot["histograms"]["journal.sync_s"]["count"] >= 0
         assert snapshot["histograms"]["server.drive_s"]["count"] > 0
     assert committed == report.committed
-    assert frames > 0
+    assert sum(status["frames_sent"] for status in statuses.values()) > 0
 
     # -- trace op: the pooled spans rebuild complete trees whose
     # aggregate matches what the load report embedded.
@@ -576,7 +574,6 @@ def test_apply_round_one_journal_sync_one_ack_after_the_sync(tmp_path):
             assert await writer.acks() == [6, 9, 10, 10]
             assert journal.appended == 10 and journal.syncs == 3
             assert engine.item(item).committed_version == 10
-            assert server.transport.dedup_dropped == 4
         finally:
             gate.release(8)
             await server.stop()
@@ -632,7 +629,9 @@ def test_unsynced_replica_applies_come_back_from_the_journal(tmp_path):
         await restarted.start()
         assert restarted.recovered
         assert copy_of(restarted) == (103, 3, gids)
-        assert restarted.transport.dedup_dropped == 0
+        # Replay restored the dedup table: a resend of the journalled
+        # updates would be dropped.
+        assert restarted.transport._seen == {(0, "inc-a"): 3}
         await restarted.stop()          # graceful: the commits sync
 
         again = SiteServer(spec, 1, wal_path=wal_path)
@@ -761,7 +760,7 @@ def test_read_only_transaction_waits_for_a_pending_commit_only(tmp_path):
             reader.feed_data(encode_frame(request(1, 1, OpType.WRITE)))
             await settle(entered.is_set)    # the writer's round, gated
             reader.feed_data(encode_frame(request(2, 2, OpType.READ)))
-            await settle(lambda: server.committed == 2)
+            await settle(lambda: server._m_committed.value == 2)
             for _ in range(20):
                 await asyncio.sleep(0.001)
             # Both committed in the engine; one record between them;
@@ -971,6 +970,115 @@ def test_failed_journal_sync_fail_stops_the_site(tmp_path):
     fatal, closed = asyncio.run(scenario())
     assert isinstance(fatal, OSError)
     assert closed
+
+
+def test_peer_frame_for_another_site_fail_stops_the_site(tmp_path):
+    """A peer message addressed to another site is a fault, not a dead
+    letter: acking it would retire it at its sender with no site left to
+    apply it.  The receiver fail-stops on it — ``fatal`` set, a
+    ``fatal`` flight event — and acks nothing of the round."""
+    spec = make_spec("dag_wt", 3)  # the chain s0 -> s1 -> s2
+    placement = spec.build_placement()
+    item = next(item for item in sorted(placement.items)
+                if placement.primary_site(item) == 0
+                and 1 in placement.replica_sites(item))
+
+    async def scenario():
+        server = SiteServer(
+            spec, 1, wal_path=os.path.join(str(tmp_path), "site1.wal"))
+        await server.start()
+        try:
+            reader = asyncio.StreamReader()
+            feed(reader, encode_batch_frame("inc-a", [(1, Message(
+                MessageType.SECONDARY, src=0, dst=2, payload={
+                    "gid": GlobalTransactionId(0, 1),
+                    "writes": {item: 101}, "epoch": spec.epoch}))]))
+            reader.feed_eof()
+            writer = RecordingWriter()
+            await asyncio.wait_for(server._peer_loop(reader, writer, 0),
+                                   10.0)
+            return server, await writer.acks()
+        finally:
+            if not server._closed:
+                await server.stop()
+
+    server, acks = asyncio.run(scenario())
+    assert acks == []
+    assert isinstance(server.fatal, RuntimeError)
+    assert "for s2" in str(server.fatal)
+    assert server._closed
+    assert any(event["kind"] == "fatal" for event in server.flight._events)
+
+
+def test_blocked_subtransaction_wounds_the_remote_primary(tmp_path):
+    """Live BackEdge's cross-site global-deadlock resolution (Example
+    4.1's victim rule).  On seed 5's chain s0 -> s1 -> s2, a primary T
+    at s2 writes item 11, whose replica at s0 sits across the back edge
+    s2 -> s0: T's backedge subtransaction locks the copy at s0 and
+    relays its special down s0 -> s1 -> s2, which a held link keeps
+    from returning.  A secondary at s0 then waits on that lock.  Its
+    timeout ships a ``WOUND`` to s2 — T runs in another process — and
+    T aborts with ``global-deadlock``; the teardown frees the lock, and
+    the cluster judges clean.
+
+    The blocked secondary is planted: a backedge subtransaction locks
+    only items its origin is the primary of, and every other writer of
+    those items waits for the primary's own lock there, so no workload
+    blocks a secondary behind the lock of a primary that is still
+    running."""
+    from types import SimpleNamespace
+
+    from repro.types import SubtransactionKind
+
+    spec = make_spec("backedge", 5)
+    placement = spec.build_placement()
+    item, origin, target = 11, 2, 0
+    assert placement.primary_site(item) == origin
+    assert placement.replica_sites(item) == {target}
+
+    class HeldLink:
+        """Delays every frame on s0 -> s1 while ``held``."""
+
+        held = True
+
+        def on_frame(self, src, dst, first_seq, count):
+            if self.held and (src, dst) == (0, 1):
+                return SimpleNamespace(delay=0.2, drop=False,
+                                       ack_loss=False)
+            return None
+
+    link = HeldLink()
+
+    async def scenario():
+        async with start_cluster(spec, str(tmp_path), faults=link) as (
+                servers, client):
+            engine = servers[target].system.site_of(target).engine
+            primary = asyncio.ensure_future(client.run_transaction(
+                _write_txn(origin, 1, item)))
+            await settle(lambda: engine.locks.holders(item))
+            probe_gid = GlobalTransactionId(1, 10 ** 6)
+
+            def blocked_secondary(env):
+                txn = engine.begin(probe_gid,
+                                   SubtransactionKind.SECONDARY)
+                yield from engine.write(txn, item, "probe")
+                engine.abort(txn)
+
+            probe = servers[target].env.process(
+                blocked_secondary(servers[target].env))
+            servers[target]._drive()
+            outcome = await asyncio.wait_for(primary, 10.0)
+            await settle(lambda: not probe.is_alive)
+            link.held = False
+            wounds = servers[target].transport.sent_by_type[
+                MessageType.WOUND]
+            return outcome, wounds, await judge(client)
+
+    outcome, wounds, verdict = asyncio.run(scenario())
+    assert outcome["status"] == "aborted"
+    assert outcome["reason"] == "global-deadlock"
+    assert wounds >= 1
+    assert verdict.violations == []
 
 
 def test_commit_time_is_stamped_at_arrival_not_at_the_previous_drive(

@@ -12,12 +12,10 @@ import pytest
 
 from repro.obs.registry import (
     LATENCY_BUCKETS_S,
-    SIZE_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    snapshot_percentile,
     validate_snapshot,
 )
 
@@ -79,21 +77,8 @@ def test_histogram_empty_and_invalid_buckets():
 
 
 def test_default_bucket_tables_are_ascending():
-    for table in (LATENCY_BUCKETS_S, SIZE_BUCKETS):
-        assert list(table) == sorted(table)
-        assert len(set(table)) == len(table)
-
-
-def test_snapshot_percentile_matches_live_instrument():
-    hist = Histogram("h", buckets=(0.001, 0.01, 0.1, 1.0))
-    for value in (0.0005, 0.003, 0.02, 0.02, 0.5, 3.0):
-        hist.observe(value)
-    snap = hist.snapshot()
-    for pct in (0.0, 25.0, 50.0, 90.0, 99.0, 100.0):
-        assert snapshot_percentile(snap, pct) == hist.percentile(pct)
-    assert snapshot_percentile(
-        {"counts": [0, 0], "buckets": [1.0], "count": 0,
-         "sum": 0.0, "min": None, "max": None}, 50.0) == 0.0
+    assert list(LATENCY_BUCKETS_S) == sorted(LATENCY_BUCKETS_S)
+    assert len(set(LATENCY_BUCKETS_S)) == len(LATENCY_BUCKETS_S)
 
 
 # ----------------------------------------------------------------------
@@ -138,13 +123,13 @@ def test_registry_get_or_create_returns_same_instrument():
 
 def test_enabled_registry_snapshot_roundtrip_and_schema():
     registry = MetricsRegistry()
-    registry.counter("net.frames_sent").inc(3)
+    registry.counter("txn.committed").inc(3)
     registry.gauge("server.apply_queue").set(2.0)
     registry.histogram("wal.sync_s").observe(0.004)
     snap = registry.snapshot()
     validate_snapshot(snap)
     assert set(snap) == {"counters", "gauges", "histograms"}
-    assert snap["counters"]["net.frames_sent"] == 3
+    assert snap["counters"]["txn.committed"] == 3
     assert snap["gauges"]["server.apply_queue"]["high_water"] == 2.0
     assert snap["histograms"]["wal.sync_s"]["count"] == 1
     # JSON-safe: survives an encode/decode round trip unchanged.
@@ -180,8 +165,7 @@ def test_validate_snapshot_rejects_malformed(mutate):
 def test_histogram_snapshot_pre_derives_percentiles():
     """Snapshots ship p50/p95/p99 alongside the raw buckets, so wire
     consumers (dashboard, watchdog, CLI) need no re-derivation — and
-    the pre-derived cuts must agree with recomputing from the raw
-    buckets that are still present."""
+    the pre-derived cuts must agree with the live instrument's."""
     hist = Histogram("lat", buckets=(0.001, 0.004, 0.016, 0.064))
     for value in [0.0005] * 50 + [0.002] * 45 + [0.05] * 4 + [0.25]:
         hist.observe(value)
@@ -190,7 +174,7 @@ def test_histogram_snapshot_pre_derives_percentiles():
     assert snap["p95"] == 0.004
     assert snap["p99"] == 0.064
     for pct, key in ((50.0, "p50"), (95.0, "p95"), (99.0, "p99")):
-        assert snapshot_percentile(snap, pct) == snap[key]
+        assert hist.percentile(pct) == snap[key]
     # Raw buckets are still the source of truth for windowed deltas.
     assert snap["buckets"] == [0.001, 0.004, 0.016, 0.064]
     assert sum(snap["counts"]) == snap["count"] == 100
@@ -208,7 +192,7 @@ def test_overflow_bucket_percentile_reports_exact_maximum():
     hist.observe(123.5)
     snap = hist.snapshot()
     assert snap["p95"] == 123.5   # overflow: the observed max, not inf
-    assert snapshot_percentile(snap, 100.0) == 123.5
+    assert hist.percentile(100.0) == 123.5
 
 
 def test_bucket_percentile_edge_cases():

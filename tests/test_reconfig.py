@@ -353,6 +353,43 @@ def test_load_drives_the_agreed_placement(tmp_path):
     assert run.metrics.total_committed + run.metrics.total_aborted == 120
 
 
+def test_backedge_add_replica_across_a_back_edge_judges_clean(tmp_path):
+    """Live BackEdge under reconfiguration.  ``add-replica item 5 ->
+    s0`` closes the chain s0 -> ... -> s5 into a cycle: every member's
+    epoch commit re-derives its site order, back-edge set and tree
+    (``BackEdgeProtocol.on_placement_change``), and item 5's updates
+    then reach the gained copy through the eager phase across the new
+    back edge s5 -> s0.  Writes on both sides of the transition and a
+    workload over the new placement judge clean."""
+    spec = dataclasses.replace(_spec(free_base_port(6), txns=4),
+                               protocol="backedge")
+    item, primary, gainer = 5, 5, 0
+
+    async def scenario():
+        async with start_cluster(spec, str(tmp_path)) as (servers, client):
+            writes = [await client.run_transaction(_write(primary, seq,
+                                                          item))
+                      for seq in (9600, 9601)]
+            report = await ReconfigCoordinator(client, timeout=20.0).execute(
+                PlacementChange(kind="add-replica", site=gainer, item=item))
+            writes += [await client.run_transaction(_write(primary, seq,
+                                                           item))
+                       for seq in (9602, 9603)]
+            backedges = [server.system.protocol.backedges
+                         for server in servers.values()]
+            load = await generate_load(spec, client, verify=True)
+            return writes, report, backedges, load, await judge(client)
+
+    writes, report, backedges, load, verdict = asyncio.run(scenario())
+    assert [write["status"] for write in writes] == ["committed"] * 4
+    assert report.epoch == 1
+    assert backedges == [{(primary, gainer)}] * spec.params.n_sites
+    assert load.convergent and load.serializable
+    assert verdict.epoch == 1
+    assert verdict.placement.sites_of(item) == {primary, gainer}
+    assert verdict.violations == []
+
+
 def test_stale_epoch_client_adopts_forward(tmp_path):
     """A client whose spec sits at a historical (non-genesis) epoch is
     rejected with an epoch hint and transparently re-fingerprints."""

@@ -11,7 +11,7 @@ less update-propagation weight.
 
 import random
 
-from common import run_once
+from common import banner
 from repro.graph.backedges import (
     backedges_of_order,
     dfs_backedges,
@@ -39,33 +39,25 @@ def set_weight(graph, edges):
     return sum(graph.edge_weight(src, dst) for src, dst in edges)
 
 
-def test_backedge_set_heuristics(benchmark):
-    def evaluate():
-        rng = random.Random(7)
-        totals = {"identity": 0, "dfs": 0, "greedy": 0}
-        trials = 30
-        for _ in range(trials):
-            graph = random_weighted_graph(10, 28, rng)
-            candidates = {
-                "identity": backedges_of_order(graph, range(10)),
-                "dfs": dfs_backedges(graph),
-                "greedy": backedges_of_order(
-                    graph, greedy_fas_order(graph)),
-            }
-            for name, backedges in candidates.items():
-                assert is_feedback_arc_set(graph, backedges)
-                totals[name] += set_weight(graph, backedges)
-        return {name: total / trials for name, total in totals.items()}
-
-    means = run_once(benchmark, evaluate)
-    print("")
-    print("=" * 64)
-    print("Ablation: mean backedge-set weight by heuristic "
-          "(lower = less eager propagation)")
-    print("=" * 64)
+def test_backedge_set_heuristics():
+    rng = random.Random(7)
+    totals = {"identity": 0, "dfs": 0, "greedy": 0}
+    trials = 30
+    for _ in range(trials):
+        graph = random_weighted_graph(10, 28, rng)
+        candidates = {
+            "identity": backedges_of_order(graph, range(10)),
+            "dfs": dfs_backedges(graph),
+            "greedy": backedges_of_order(graph, greedy_fas_order(graph)),
+        }
+        for name, backedges in candidates.items():
+            assert is_feedback_arc_set(graph, backedges)
+            totals[name] += set_weight(graph, backedges)
+    means = {name: total / trials for name, total in totals.items()}
+    banner("Ablation: mean backedge-set weight by heuristic "
+           "(lower = less eager propagation)")
     for name, weight in sorted(means.items(), key=lambda kv: kv[1]):
         print("{:<10}{:>10.1f}".format(name, weight))
-        benchmark.extra_info[name] = round(weight, 1)
 
     # The weighted greedy heuristic beats the naive identity order.
     assert means["greedy"] < means["identity"]

@@ -12,7 +12,7 @@ All three must be serializable; they trade propagation-path length
 against eager-phase latency differently.
 """
 
-from common import bench_params, run_once, run_point
+from common import banner, point
 
 VARIANTS = [
     ("backedge-chain", "backedge", {}),
@@ -21,27 +21,19 @@ VARIANTS = [
 ]
 
 
-def test_backedge_variant_ablation(benchmark):
-    params = bench_params()  # default b=0.2: cyclic copy graph
-
-    def run_all():
-        return {label: run_point(protocol, params,
-                                 protocol_options=dict(options),
-                                 drain_time=2.0)
-                for label, protocol, options in VARIANTS}
-
-    results = run_once(benchmark, run_all)
-    print("")
-    print("=" * 72)
-    print("Ablation: BackEdge variants at the default (cyclic) workload")
-    print("=" * 72)
+def test_backedge_variant_ablation():
+    # The default b=0.2: a cyclic copy graph.
+    results = {label: point(protocol, protocol_options=dict(options),
+                            drain_time=2.0)
+               for label, protocol, options in VARIANTS}
+    banner("Ablation: BackEdge variants at the default (cyclic) workload",
+           width=72)
     print("{:<16}{:>12}{:>10}{:>10}{:>12}".format(
         "variant", "txn/s/site", "abort %", "resp ms", "messages"))
     for label, result in results.items():
         print("{:<16}{:>12.2f}{:>10.1f}{:>10.1f}{:>12}".format(
             label, result.average_throughput, result.abort_rate,
             result.mean_response_time * 1000.0, result.total_messages))
-        benchmark.extra_info[label] = round(result.average_throughput, 2)
         assert result.serializable is True
 
     # Same band: no variant collapses at the default backedge density.

@@ -8,7 +8,7 @@ Sec. 3's stated motivation ("updates can now be directly sent to the
 relevant sites rather than routing them through intermediate nodes").
 """
 
-from common import bench_params, run_once, run_point
+from common import PARAMS, banner, point
 
 PROTOCOLS = [
     ("dag_wt", {}),
@@ -18,24 +18,17 @@ PROTOCOLS = [
 ]
 
 
-def test_ablation_dag_protocols(benchmark):
-    params = bench_params(backedge_probability=0.0)
-
-    def run_all():
-        results = {}
-        for name, options in PROTOCOLS:
-            label = name if not options else "{}-{}".format(
-                name, options["variant"])
-            results[label] = run_point(name, params,
-                                       protocol_options=dict(options),
-                                       drain_time=2.0)
-        return results
-
-    results = run_once(benchmark, run_all)
-    print("")
-    print("=" * 72)
-    print("Ablation: lazy DAG protocols at the default workload (b=0)")
-    print("=" * 72)
+def test_ablation_dag_protocols():
+    params = PARAMS.replaced(backedge_probability=0.0)
+    results = {}
+    for name, options in PROTOCOLS:
+        label = name if not options else "{}-{}".format(
+            name, options["variant"])
+        results[label] = point(name, params,
+                               protocol_options=dict(options),
+                               drain_time=2.0)
+    banner("Ablation: lazy DAG protocols at the default workload (b=0)",
+           width=72)
     print("{:<16}{:>12}{:>10}{:>12}{:>14}".format(
         "protocol", "txn/s/site", "abort %", "messages",
         "propagation"))
@@ -44,7 +37,6 @@ def test_ablation_dag_protocols(benchmark):
             label, result.average_throughput, result.abort_rate,
             result.total_messages,
             result.mean_propagation_delay * 1000.0))
-        benchmark.extra_info[label] = round(result.average_throughput, 2)
 
     # All serialize; throughputs are within the same band (the protocols
     # differ in propagation path, not in primary execution).

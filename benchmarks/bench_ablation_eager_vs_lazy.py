@@ -7,31 +7,21 @@ proportional to the fourth power of the transaction size").  The lazy
 protocols decouple replica maintenance from the transaction boundary.
 """
 
-from common import bench_params, run_once, run_point
+from common import PARAMS, banner, point
 
 
-def test_eager_vs_lazy_at_increasing_replication(benchmark):
-    def run_grid():
-        grid = {}
-        for r in (0.2, 0.8):
-            params = bench_params(replication_probability=r)
-            for protocol in ("backedge", "eager"):
-                grid[(protocol, r)] = run_point(protocol, params,
-                                                drain_time=2.0)
-        return grid
-
-    grid = run_once(benchmark, run_grid)
-    print("")
-    print("=" * 64)
-    print("Ablation: eager (write-all + 2PC) vs lazy BackEdge")
-    print("=" * 64)
+def test_eager_vs_lazy_at_increasing_replication():
+    grid = {}
+    for r in (0.2, 0.8):
+        params = PARAMS.replaced(replication_probability=r)
+        for protocol in ("backedge", "eager"):
+            grid[(protocol, r)] = point(protocol, params, drain_time=2.0)
+    banner("Ablation: eager (write-all + 2PC) vs lazy BackEdge")
     print("{:<12}{:>6}{:>14}{:>10}".format("protocol", "r",
                                            "txn/s/site", "abort %"))
     for (protocol, r), result in sorted(grid.items()):
         print("{:<12}{:>6}{:>14.2f}{:>10.1f}".format(
             protocol, r, result.average_throughput, result.abort_rate))
-        benchmark.extra_info["{} r={}".format(protocol, r)] = round(
-            result.average_throughput, 2)
 
     # Lazy beats eager at both replication levels...
     for r in (0.2, 0.8):

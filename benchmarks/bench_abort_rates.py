@@ -5,36 +5,34 @@ b=0, increasing with b; PSL's abort rate rises with remote reads and
 peaks around the contended middle of the read-op range.
 """
 
-from common import bench_params, report, run_once, run_sweep
+from common import PARAMS, SEED, banner
+from repro.harness.reporting import format_sweep_report
+from repro.harness.sweep import sweep
 
 
-def test_abort_rate_vs_backedge_probability(benchmark):
-    points = run_once(benchmark, lambda: run_sweep(
-        "backedge_probability", [0.0, 0.5, 1.0], ["backedge", "psl"]))
-    report(points, "Abort rates vs backedge probability", benchmark)
+def test_abort_rate_vs_backedge_probability():
+    points = sweep("backedge_probability", [0.0, 0.5, 1.0],
+                   ["backedge", "psl"], base_params=PARAMS, seed=SEED)
+    banner("Abort rates vs backedge probability")
+    print(format_sweep_report(points))
 
     backedge_aborts = {point.value: point.result.abort_rate
                        for point in points
                        if point.protocol == "backedge"}
     assert backedge_aborts[0.0] < 5.0          # "almost 0" at b=0
     assert backedge_aborts[1.0] > backedge_aborts[0.0]
-    for point in points:
-        benchmark.extra_info[
-            "abort {}={} {}".format(point.parameter, point.value,
-                                    point.protocol)] = round(
-            point.result.abort_rate, 2)
 
 
-def test_abort_rate_vs_read_fraction_for_psl(benchmark):
+def test_abort_rate_vs_read_fraction_for_psl():
     """Sec. 5.3.3 (b=0 case): PSL aborts increase with remote reads up
     to the middle of the range, then fall to zero at read-only."""
-    base = bench_params(backedge_probability=0.0,
-                        replication_probability=0.5,
-                        read_txn_probability=0.0)
-    points = run_once(benchmark, lambda: run_sweep(
-        "read_op_probability", [0.0, 0.5, 1.0], ["psl"], base=base))
-    report(points, "PSL abort rate vs read-op probability (b=0, r=0.5)",
-           benchmark)
+    base = PARAMS.replaced(backedge_probability=0.0,
+                           replication_probability=0.5,
+                           read_txn_probability=0.0)
+    points = sweep("read_op_probability", [0.0, 0.5, 1.0], ["psl"],
+                   base_params=base, seed=SEED)
+    banner("PSL abort rate vs read-op probability (b=0, r=0.5)")
+    print(format_sweep_report(points))
     aborts = {point.value: point.result.abort_rate for point in points}
     assert aborts[0.5] > aborts[1.0]
     assert aborts[1.0] == 0.0

@@ -11,25 +11,26 @@ both local writers and remote readers), so the BackEdge advantage widens
 with skew; under full skew both abort more than under uniform access.
 """
 
-from common import bench_params, report, run_once, run_sweep, throughputs
+from common import PARAMS, SEED, banner
+from repro.harness.reporting import format_sweep_report
+from repro.harness.sweep import series, sweep
 
 SKEWS = [0.0, 0.5, 0.9]
 
 
-def test_hotspot_skew_sweep(benchmark):
-    base = bench_params(hotspot_item_fraction=0.1,
-                        read_txn_probability=0.0,
-                        read_op_probability=0.5,
-                        replication_probability=0.5)
-    points = run_once(benchmark, lambda: run_sweep(
-        "hotspot_access_probability", SKEWS, ["backedge", "psl"],
-        base=base))
-    report(points, "Extension: throughput vs hot-spot access skew "
-                   "(hot set = 10% of items, write-heavy mix)",
-           benchmark)
+def test_hotspot_skew_sweep():
+    base = PARAMS.replaced(hotspot_item_fraction=0.1,
+                           read_txn_probability=0.0,
+                           read_op_probability=0.5,
+                           replication_probability=0.5)
+    points = sweep("hotspot_access_probability", SKEWS,
+                   ["backedge", "psl"], base_params=base, seed=SEED)
+    banner("Extension: throughput vs hot-spot access skew "
+           "(hot set = 10% of items, write-heavy mix)")
+    print(format_sweep_report(points))
 
-    backedge = throughputs(points, "backedge")
-    psl = throughputs(points, "psl")
+    backedge = dict(series(points, "backedge"))
+    psl = dict(series(points, "psl"))
     # Skew hurts PSL: its remote reads and writes pile onto a few
     # primary copies.
     assert psl[0.9] < psl[0.0]

@@ -7,19 +7,22 @@ above PSL even at b=1; PSL is only mildly affected by b.  BackEdge's
 abort rate is near zero at b=0 and rises with b.
 """
 
-from common import report, run_once, run_sweep, throughputs
+from common import PARAMS, SEED, banner
+from repro.harness.reporting import format_sweep_report
+from repro.harness.sweep import FIGURES, series, sweep
 
-B_VALUES = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+FIGURE = FIGURES["fig2a"]
 
 
-def test_fig2a_throughput_vs_backedge_probability(benchmark):
-    points = run_once(benchmark, lambda: run_sweep(
-        "backedge_probability", B_VALUES, ["backedge", "psl"]))
-    report(points, "Figure 2(a): throughput vs backedge probability b",
-           benchmark)
+def test_fig2a_throughput_vs_backedge_probability():
+    points = sweep(FIGURE.parameter, FIGURE.values, ["backedge", "psl"],
+                   base_params=PARAMS.replaced(**FIGURE.overrides),
+                   seed=SEED)
+    banner("Figure 2(a): throughput vs backedge probability b")
+    print(format_sweep_report(points))
 
-    backedge = throughputs(points, "backedge")
-    psl = throughputs(points, "psl")
+    backedge = dict(series(points, "backedge"))
+    psl = dict(series(points, "psl"))
 
     # BackEdge clearly ahead with no backedges.
     assert backedge[0.0] > 1.3 * psl[0.0]

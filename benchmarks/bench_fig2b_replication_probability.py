@@ -6,20 +6,22 @@ stays roughly ~2x PSL for every r > 0; both decline as r grows (more
 replicas, more propagation / remote reads, more backedges).
 """
 
-from common import report, run_once, run_sweep, throughputs
+from common import PARAMS, SEED, banner
+from repro.harness.reporting import format_sweep_report
+from repro.harness.sweep import FIGURES, series, sweep
 
-R_VALUES = [0.0, 0.1, 0.2, 0.4, 0.7, 1.0]
+FIGURE = FIGURES["fig2b"]
 
 
-def test_fig2b_throughput_vs_replication_probability(benchmark):
-    points = run_once(benchmark, lambda: run_sweep(
-        "replication_probability", R_VALUES, ["backedge", "psl"]))
-    report(points,
-           "Figure 2(b): throughput vs replication probability r",
-           benchmark)
+def test_fig2b_throughput_vs_replication_probability():
+    points = sweep(FIGURE.parameter, FIGURE.values, ["backedge", "psl"],
+                   base_params=PARAMS.replaced(**FIGURE.overrides),
+                   seed=SEED)
+    banner("Figure 2(b): throughput vs replication probability r")
+    print(format_sweep_report(points))
 
-    backedge = throughputs(points, "backedge")
-    psl = throughputs(points, "psl")
+    backedge = dict(series(points, "backedge"))
+    psl = dict(series(points, "psl"))
 
     # Identical (within noise) at r=0: no replicas, no protocol at work.
     assert abs(backedge[0.0] - psl[0.0]) < 0.15 * backedge[0.0]
@@ -27,7 +29,7 @@ def test_fig2b_throughput_vs_replication_probability(benchmark):
     # BackEdge degrades more gently.
     assert psl[0.1] < psl[0.0]
     # BackEdge ahead of PSL for every r > 0.
-    for r in R_VALUES[1:]:
+    for r in FIGURE.values[1:]:
         assert backedge[r] > psl[r], "r={}".format(r)
     # Both decline toward full replication.
     assert backedge[1.0] < backedge[0.1]

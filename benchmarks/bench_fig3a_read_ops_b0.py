@@ -9,27 +9,23 @@ remote reads pile up, then recovers as contention fades; at 1.0 both are
 abort-free and BackEdge is far ahead.
 """
 
-from common import bench_params, report, run_once, run_sweep, throughputs
+from common import PARAMS, SEED, banner
+from repro.harness.reporting import format_sweep_report
+from repro.harness.sweep import FIGURES, series, sweep
 
-ROP_VALUES = [0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0]
-
-
-def base_params():
-    return bench_params(backedge_probability=0.0,
-                        replication_probability=0.5,
-                        read_txn_probability=0.0)
+FIGURE = FIGURES["fig3a"]
 
 
-def test_fig3a_read_op_probability_b0(benchmark):
-    points = run_once(benchmark, lambda: run_sweep(
-        "read_op_probability", ROP_VALUES, ["backedge", "psl"],
-        base=base_params()))
-    report(points,
-           "Figure 3(a): throughput vs read-op probability (b=0, r=0.5, "
-           "update transactions only)", benchmark)
+def test_fig3a_read_op_probability_b0():
+    points = sweep(FIGURE.parameter, FIGURE.values, ["backedge", "psl"],
+                   base_params=PARAMS.replaced(**FIGURE.overrides),
+                   seed=SEED)
+    banner("Figure 3(a): throughput vs read-op probability (b=0, r=0.5, "
+           "update transactions only)")
+    print(format_sweep_report(points))
 
-    backedge = throughputs(points, "backedge")
-    psl = throughputs(points, "psl")
+    backedge = dict(series(points, "backedge"))
+    psl = dict(series(points, "psl"))
 
     # All-update workload: PSL does strictly less work and wins.
     assert psl[0.0] > backedge[0.0]

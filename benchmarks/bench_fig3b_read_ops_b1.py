@@ -9,27 +9,23 @@ reproduction the eager-phase lock windows of the simulated chain push it
 to ~0.7 — see EXPERIMENTS.md) and ends far ahead at 1.0.
 """
 
-from common import bench_params, report, run_once, run_sweep, throughputs
+from common import PARAMS, SEED, banner
+from repro.harness.reporting import format_sweep_report
+from repro.harness.sweep import FIGURES, series, sweep
 
-ROP_VALUES = [0.0, 0.3, 0.5, 0.7, 0.9, 1.0]
-
-
-def base_params():
-    return bench_params(backedge_probability=1.0,
-                        replication_probability=0.5,
-                        read_txn_probability=0.0)
+FIGURE = FIGURES["fig3b"]
 
 
-def test_fig3b_read_op_probability_b1(benchmark):
-    points = run_once(benchmark, lambda: run_sweep(
-        "read_op_probability", ROP_VALUES, ["backedge", "psl"],
-        base=base_params()))
-    report(points,
-           "Figure 3(b): throughput vs read-op probability (b=1, r=0.5, "
-           "update transactions only)", benchmark)
+def test_fig3b_read_op_probability_b1():
+    points = sweep(FIGURE.parameter, FIGURE.values, ["backedge", "psl"],
+                   base_params=PARAMS.replaced(**FIGURE.overrides),
+                   seed=SEED)
+    banner("Figure 3(b): throughput vs read-op probability (b=1, r=0.5, "
+           "update transactions only)")
+    print(format_sweep_report(points))
 
-    backedge = throughputs(points, "backedge")
-    psl = throughputs(points, "psl")
+    backedge = dict(series(points, "backedge"))
+    psl = dict(series(points, "psl"))
 
     # Update-heavy end: PSL clearly ahead (paper: BackEdge lags).
     assert psl[0.0] > backedge[0.0]
@@ -41,9 +37,8 @@ def test_fig3b_read_op_probability_b1(benchmark):
     assert low_end_aborts[0] > 20.0
     # A crossover exists: BackEdge wins at the read-heavy end.
     assert backedge[1.0] > psl[1.0]
-    crossover = min((value for value in ROP_VALUES
+    crossover = min((value for value in FIGURE.values
                      if backedge[value] > psl[value]), default=None)
     assert crossover is not None and crossover <= 0.9
     print("\nObserved crossover at read-op probability ~{} "
           "(paper: ~0.3)".format(crossover))
-    benchmark.extra_info["crossover"] = crossover

@@ -8,17 +8,16 @@ runs whose direct-serialization graph contains a cycle: the baseline
 produces anomalies routinely, the paper's protocols never do.
 """
 
-from common import bench_params, run_once
+from common import PARAMS, banner
 from repro.harness.runner import ExperimentConfig, run_experiment
 
 SEEDS = range(5)
 
 
-def run_grid():
-    params = bench_params(
+def test_indiscriminate_propagation_violates_serializability():
+    params = PARAMS.replaced(
         replication_probability=0.5, backedge_probability=0.3,
-        transactions_per_thread=max(
-            30, bench_params().transactions_per_thread // 4))
+        transactions_per_thread=30)
     violations = {}
     for protocol in ("indiscriminate", "backedge", "psl"):
         count = 0
@@ -29,23 +28,13 @@ def run_grid():
             result = run_experiment(config)
             count += 0 if result.serializable else 1
         violations[protocol] = count
-    return violations
-
-
-def test_indiscriminate_propagation_violates_serializability(benchmark):
-    violations = run_once(benchmark, run_grid)
-    print("")
-    print("=" * 64)
-    print("Sec. 1 motivation: non-serializable runs out of {} seeds".format(
-        len(list(SEEDS))))
-    print("=" * 64)
+    banner("Sec. 1 motivation: non-serializable runs out of {} seeds"
+           .format(len(SEEDS)))
     for protocol, count in violations.items():
-        print("{:<16}{:>3} / {}".format(protocol, count,
-                                        len(list(SEEDS))))
-        benchmark.extra_info[protocol] = count
+        print("{:<16}{:>3} / {}".format(protocol, count, len(SEEDS)))
 
     # The commercial-style baseline breaks serializability routinely...
-    assert violations["indiscriminate"] >= len(list(SEEDS)) // 2
+    assert violations["indiscriminate"] >= len(SEEDS) // 2
     # ... while the paper's protocol and PSL never do.
     assert violations["backedge"] == 0
     assert violations["psl"] == 0

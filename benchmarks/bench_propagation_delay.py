@@ -5,42 +5,28 @@ fast and in general took a few hundred millisec", so replica recency "can
 be expected to be very good in practice".
 """
 
-from common import bench_params, run_once, run_point
+from common import PARAMS, banner, point
 
 
-def test_propagation_delay_at_defaults(benchmark):
-    params = bench_params()
-
-    result = run_once(
-        benchmark,
-        lambda: run_point("backedge", params, drain_time=3.0))
+def test_propagation_delay_at_defaults():
+    result = point("backedge", drain_time=3.0)
 
     delay_ms = result.mean_propagation_delay * 1000.0
-    print("")
-    print("=" * 64)
-    print("Sec. 5.3.4: BackEdge update-propagation delay at defaults")
-    print("=" * 64)
+    banner("Sec. 5.3.4: BackEdge update-propagation delay at defaults")
     print("mean commit-to-last-replica delay: {:.1f} ms "
           "(paper: 'a few hundred millisec')".format(delay_ms))
-    benchmark.extra_info["propagation_ms"] = round(delay_ms, 1)
 
     # Shape: sub-second recency, i.e. the same order as the paper's.
     assert 0.0 < delay_ms < 1000.0
 
 
-def test_propagation_delay_grows_with_latency(benchmark):
+def test_propagation_delay_grows_with_latency():
     """Sanity: propagation delay tracks network latency (chain relaying
     multiplies the per-hop cost)."""
-    def run_two():
-        fast = run_point("backedge",
-                         bench_params(network_latency=0.00015),
-                         drain_time=3.0)
-        slow = run_point("backedge",
-                         bench_params(network_latency=0.020),
-                         drain_time=5.0)
-        return fast, slow
-
-    fast, slow = run_once(benchmark, run_two)
+    fast = point("backedge", PARAMS.replaced(network_latency=0.00015),
+                 drain_time=3.0)
+    slow = point("backedge", PARAMS.replaced(network_latency=0.020),
+                 drain_time=5.0)
     print("\nlatency 0.15 ms -> {:.1f} ms propagation; "
           "latency 20 ms -> {:.1f} ms propagation".format(
               fast.mean_propagation_delay * 1000.0,

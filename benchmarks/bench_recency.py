@@ -6,7 +6,7 @@ quantifies it — sampling every replica's version lag behind its primary
 during the default-setting run — and contrasts PSL, whose replicas are
 stale *by design* (refreshed only on access)."""
 
-from common import BENCH_TXNS, BENCH_SEED, run_once
+from common import SEED, banner
 from repro.errors import TransactionAborted
 from repro.harness.probes import StalenessProbe
 from repro.harness.runner import ExperimentConfig, build_system
@@ -15,10 +15,8 @@ from repro.workload.params import WorkloadParams
 
 
 def run_with_probe(protocol: str):
-    params = WorkloadParams(
-        transactions_per_thread=max(40, BENCH_TXNS // 3))
-    config = ExperimentConfig(protocol=protocol, params=params,
-                              seed=BENCH_SEED)
+    params = WorkloadParams(transactions_per_thread=40)
+    config = ExperimentConfig(protocol=protocol, params=params, seed=SEED)
     env, system, proto, generator = build_system(config)
     probe = StalenessProbe(system, period=0.050)
     probe.start()
@@ -42,24 +40,17 @@ def run_with_probe(protocol: str):
     return probe
 
 
-def test_replica_recency(benchmark):
-    def run_both():
-        return {protocol: run_with_probe(protocol)
-                for protocol in ("backedge", "psl")}
-
-    probes = run_once(benchmark, run_both)
-    print("")
-    print("=" * 70)
-    print("Sec. 5.3.4: replica recency at defaults (sampled every 50 ms)")
-    print("=" * 70)
+def test_replica_recency():
+    probes = {protocol: run_with_probe(protocol)
+              for protocol in ("backedge", "psl")}
+    banner("Sec. 5.3.4: replica recency at defaults (sampled every 50 ms)",
+           width=70)
     print("{:<10}{:>18}{:>14}{:>18}".format(
         "protocol", "mean version lag", "max lag", "% fully current"))
     for protocol, probe in probes.items():
         print("{:<10}{:>18.3f}{:>14}{:>17.1f}%".format(
             protocol, probe.mean_version_lag(), probe.max_version_lag(),
             probe.fraction_current() * 100.0))
-        benchmark.extra_info[protocol + "_mean_lag"] = round(
-            probe.mean_version_lag(), 3)
 
     backedge, psl = probes["backedge"], probes["psl"]
     # BackEdge replicas are almost always current ("very good recency").

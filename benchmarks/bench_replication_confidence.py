@@ -7,7 +7,7 @@ fraction.  The headline claim must hold in *every* seed, not just on
 average.
 """
 
-from common import BENCH_TXNS, run_once
+from common import banner
 from repro.harness.analysis import compare, replicate
 from repro.harness.runner import ExperimentConfig
 from repro.workload.params import WorkloadParams
@@ -15,34 +15,22 @@ from repro.workload.params import WorkloadParams
 SEEDS = [1, 2, 3, 4, 5]
 
 
-def test_default_comparison_across_seeds(benchmark):
-    params = WorkloadParams(
-        transactions_per_thread=max(40, BENCH_TXNS // 3))
-
-    def run_all():
-        backedge = replicate(
-            ExperimentConfig(protocol="backedge", params=params), SEEDS)
-        psl = replicate(
-            ExperimentConfig(protocol="psl", params=params), SEEDS)
-        paired = compare(
-            ExperimentConfig(protocol="backedge", params=params),
-            ExperimentConfig(protocol="psl", params=params), SEEDS)
-        return backedge, psl, paired
-
-    backedge, psl, paired = run_once(benchmark, run_all)
-    print("")
-    print("=" * 64)
-    print("Cross-seed confidence, default settings ({} seeds)".format(
+def test_default_comparison_across_seeds():
+    params = WorkloadParams(transactions_per_thread=40)
+    backedge = replicate(
+        ExperimentConfig(protocol="backedge", params=params), SEEDS)
+    psl = replicate(ExperimentConfig(protocol="psl", params=params), SEEDS)
+    paired = compare(
+        ExperimentConfig(protocol="backedge", params=params),
+        ExperimentConfig(protocol="psl", params=params), SEEDS)
+    banner("Cross-seed confidence, default settings ({} seeds)".format(
         len(SEEDS)))
-    print("=" * 64)
     backedge_summary = backedge.summary()
     psl_summary = psl.summary()
     print("backedge  {}".format(backedge_summary))
     print("psl       {}".format(psl_summary))
     print("paired mean ratio: {:.2f}x, win fraction: {:.0%}".format(
         paired["mean_ratio"], paired["win_fraction"]))
-    benchmark.extra_info["mean_ratio"] = round(paired["mean_ratio"], 2)
-    benchmark.extra_info["win_fraction"] = paired["win_fraction"]
 
     # The headline holds in every seed, by a clear margin on average.
     assert paired["win_fraction"] == 1.0

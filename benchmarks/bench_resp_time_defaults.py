@@ -6,27 +6,18 @@ parameter settings were approximately 180 millisec for the BackEdge and
 and the two sit in the low hundreds of milliseconds.
 """
 
-from common import bench_params, run_once, run_point
+from common import banner, point
 
 
-def test_response_times_at_defaults(benchmark):
-    params = bench_params()
-
-    def run_both():
-        return {protocol: run_point(protocol, params)
-                for protocol in ("backedge", "psl")}
-
-    results = run_once(benchmark, run_both)
-    print("")
-    print("=" * 64)
-    print("Sec. 5.3.4: mean response time at default settings")
-    print("=" * 64)
+def test_response_times_at_defaults():
+    results = {protocol: point(protocol)
+               for protocol in ("backedge", "psl")}
+    banner("Sec. 5.3.4: mean response time at default settings")
     paper = {"backedge": 180.0, "psl": 260.0}
     for protocol, result in results.items():
         measured = result.mean_response_time * 1000.0
         print("{:>9}: measured {:6.1f} ms   (paper ~{:3.0f} ms)".format(
             protocol, measured, paper[protocol]))
-        benchmark.extra_info[protocol + "_ms"] = round(measured, 1)
 
     backedge_ms = results["backedge"].mean_response_time * 1000.0
     psl_ms = results["psl"].mean_response_time * 1000.0

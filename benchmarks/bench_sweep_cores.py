@@ -7,36 +7,24 @@ saturation?  Answer: both protocols speed up, the ordering is unchanged
 — PSL's penalty is contention and messaging, not raw CPU.
 """
 
-from common import bench_params, run_once, run_point
+from common import banner, point
 
 CORES = [1, 2, 4]
 
 
-def test_sweep_cores_per_site(benchmark):
-    params = bench_params()
-
-    def run_grid():
-        grid = {}
-        for cores in CORES:
-            for protocol in ("backedge", "psl"):
-                grid[(protocol, cores)] = run_point(
-                    protocol, params,
-                    cost_overrides={"cpu_cores": cores})
-        return grid
-
-    grid = run_once(benchmark, run_grid)
-    print("")
-    print("=" * 64)
-    print("Hardware scaling: throughput vs cores/site")
-    print("=" * 64)
+def test_sweep_cores_per_site():
+    grid = {}
+    for cores in CORES:
+        for protocol in ("backedge", "psl"):
+            grid[(protocol, cores)] = point(
+                protocol, cost_overrides={"cpu_cores": cores})
+    banner("Hardware scaling: throughput vs cores/site")
     print("{:<10}{:>8}{:>14}{:>10}".format("protocol", "cores",
                                            "txn/s/site", "abort %"))
     for (protocol, cores), result in sorted(grid.items()):
         print("{:<10}{:>8}{:>14.2f}{:>10.1f}".format(
             protocol, cores, result.average_throughput,
             result.abort_rate))
-        benchmark.extra_info["{} cores={}".format(protocol, cores)] = \
-            round(result.average_throughput, 2)
 
     for protocol in ("backedge", "psl"):
         # More cores -> more committed throughput (CPU was a bottleneck).

@@ -7,19 +7,22 @@ the lazy BackEdge protocol only pays latency off the critical path
 so it degrades far more gracefully.
 """
 
-from common import report, run_once, run_sweep, throughputs
+from common import PARAMS, SEED, banner
+from repro.harness.reporting import format_sweep_report
+from repro.harness.sweep import series, sweep
 
 LATENCIES = [0.00015, 0.005, 0.020, 0.100]
 
 
-def test_sweep_network_latency(benchmark):
-    points = run_once(benchmark, lambda: run_sweep(
-        "network_latency", LATENCIES, ["backedge", "psl"]))
-    report(points, "Throughput vs one-way network latency "
-                   "(Table 1 range 0.15-100 ms)", benchmark)
+def test_sweep_network_latency():
+    points = sweep("network_latency", LATENCIES, ["backedge", "psl"],
+                   base_params=PARAMS, seed=SEED)
+    banner("Throughput vs one-way network latency "
+           "(Table 1 range 0.15-100 ms)")
+    print(format_sweep_report(points))
 
-    backedge = throughputs(points, "backedge")
-    psl = throughputs(points, "psl")
+    backedge = dict(series(points, "backedge"))
+    psl = dict(series(points, "psl"))
 
     # PSL deteriorates sharply with latency; BackEdge holds up.
     assert psl[0.100] < 0.6 * psl[0.00015]

@@ -17,9 +17,10 @@ with m.
 
 import statistics
 
-from common import (BENCH_SEED, bench_params, report, run_once,
-                    run_point, run_sweep, throughputs)
+from common import PARAMS, SEED, banner, point
 from repro.harness.metrics import MetricsCollector, percentile
+from repro.harness.reporting import format_sweep_report
+from repro.harness.sweep import series, sweep
 from repro.sim.rng import RngRegistry
 from repro.workload.distribution import generate_placement
 
@@ -32,23 +33,23 @@ M_LARGE = 24
 K_VALUES = [2, 3, 0]
 
 
-def test_sweep_number_of_sites(benchmark):
-    points = run_once(benchmark, lambda: run_sweep(
-        "n_sites", M_VALUES, ["backedge", "psl"]))
-    report(points, "Throughput vs number of sites m (Table 1 range)",
-           benchmark)
+def test_sweep_number_of_sites():
+    points = sweep("n_sites", M_VALUES, ["backedge", "psl"],
+                   base_params=PARAMS, seed=SEED)
+    banner("Throughput vs number of sites m (Table 1 range)")
+    print(format_sweep_report(points))
 
-    backedge = throughputs(points, "backedge")
-    psl = throughputs(points, "psl")
+    backedge = dict(series(points, "backedge"))
+    psl = dict(series(points, "psl"))
     for m in M_VALUES:
         assert backedge[m] > 0 and psl[m] > 0
         assert backedge[m] > psl[m], "m={}".format(m)
 
 
 def _partial_params(k):
-    return bench_params(n_sites=M_LARGE, n_items=4 * M_LARGE,
-                        placement_scheme="sharded-hash",
-                        replication_factor=k)
+    return PARAMS.replaced(n_sites=M_LARGE, n_items=4 * M_LARGE,
+                           placement_scheme="sharded-hash",
+                           replication_factor=k)
 
 
 def _footprint(params):
@@ -56,33 +57,23 @@ def _footprint(params):
     generators ignore the rng, so this is exactly the placement the
     experiment runs on)."""
     placement = generate_placement(
-        params, RngRegistry(BENCH_SEED).stream("placement"))
+        params, RngRegistry(SEED).stream("placement"))
     return [len(placement.items_at(site))
             for site in range(params.n_sites)]
 
 
-def test_partial_replication_at_24_sites(benchmark):
+def test_partial_replication_at_24_sites():
     """Beyond the paper's table: m=24 with k-sharded placements."""
-
-    def run():
-        rows = {}
-        for k in K_VALUES:
-            params = _partial_params(k)
-            probe = MetricsCollector(params.n_sites)
-            result = run_point("dag_wt", params,
-                               extra_observers=[probe])
-            rows[k] = (result, probe.propagation_delays,
-                       _footprint(params))
-        return rows
-
-    rows = run_once(benchmark, run)
+    rows = {}
+    for k in K_VALUES:
+        params = _partial_params(k)
+        probe = MetricsCollector(params.n_sites)
+        result = point("dag_wt", params, extra_observers=[probe])
+        rows[k] = (result, probe.propagation_delays, _footprint(params))
 
     label = {0: "full"}
-    print()
-    print("=" * 72)
-    print("Partial replication at m={} sites (dag_wt, sharded-hash)"
-          .format(M_LARGE))
-    print("=" * 72)
+    banner("Partial replication at m={} sites (dag_wt, sharded-hash)"
+           .format(M_LARGE), width=72)
     print("{:>6} {:>10} {:>8} {:>16} {:>12} {:>12}".format(
         "k", "thr/site", "abort%", "copies/site", "prop p50", "prop p95"))
     for k in K_VALUES:
@@ -96,10 +87,6 @@ def test_partial_replication_at_24_sites(benchmark):
         print("{:>6} {:>10.2f} {:>8.1f} {:>16} {:>12.4f} {:>12.4f}"
               .format(name, result.average_throughput,
                       result.abort_rate, copies, p50, p95))
-        benchmark.extra_info["k={} throughput".format(name)] = round(
-            result.average_throughput, 3)
-        benchmark.extra_info["k={} prop_p95".format(name)] = round(
-            p95, 5)
 
     for k in K_VALUES:
         result, delays, footprint = rows[k]

@@ -4,18 +4,20 @@ More threads raise offered load and contention: committed throughput
 grows toward CPU saturation while the abort rate climbs.
 """
 
-from common import report, run_once, run_sweep, throughputs
+from common import PARAMS, SEED, banner
+from repro.harness.reporting import format_sweep_report
+from repro.harness.sweep import series, sweep
 
 THREADS = [1, 3, 5]
 
 
-def test_sweep_threads_per_site(benchmark):
-    points = run_once(benchmark, lambda: run_sweep(
-        "threads_per_site", THREADS, ["backedge", "psl"]))
-    report(points, "Throughput vs threads/site (Table 1 range)",
-           benchmark)
+def test_sweep_threads_per_site():
+    points = sweep("threads_per_site", THREADS, ["backedge", "psl"],
+                   base_params=PARAMS, seed=SEED)
+    banner("Throughput vs threads/site (Table 1 range)")
+    print(format_sweep_report(points))
 
-    backedge = throughputs(points, "backedge")
+    backedge = dict(series(points, "backedge"))
     # Going from 1 to 3 threads raises throughput (more parallelism).
     assert backedge[3] > backedge[1]
     # Contention rises with the multiprogramming level.
@@ -23,6 +25,6 @@ def test_sweep_threads_per_site(benchmark):
               if point.protocol == "backedge"}
     assert aborts[5] >= aborts[1]
     # BackEdge stays ahead of PSL at every multiprogramming level.
-    psl = throughputs(points, "psl")
+    psl = dict(series(points, "psl"))
     for threads in THREADS:
         assert backedge[threads] > psl[threads]

@@ -7,7 +7,6 @@ distribution against the statistics the paper quotes (approximately
 
 import random
 
-from common import run_once
 from repro.workload.distribution import (
     generate_placement,
     placement_statistics,
@@ -18,34 +17,25 @@ from repro.workload.params import (
 )
 
 
-def test_table1_parameter_settings(benchmark):
-    def regenerate():
-        table = format_parameter_table(DEFAULT_PARAMS)
-        placement = generate_placement(DEFAULT_PARAMS, random.Random(42))
-        return table, placement_statistics(placement)
-
-    table, stats = run_once(benchmark, regenerate)
+def test_table1_parameter_settings():
+    table = format_parameter_table(DEFAULT_PARAMS)
+    stats = placement_statistics(
+        generate_placement(DEFAULT_PARAMS, random.Random(42)))
     print("\n" + table)
     print("\nDefault-placement statistics: {}".format(stats))
 
     assert "Backedge Probability" in table
     # ~n/m primaries per site is implied by the generator (round-robin).
     assert stats["items"] == 200
-    benchmark.extra_info["replicas"] = stats["replicas"]
 
 
-def test_table1_full_replication_replica_count(benchmark):
+def test_table1_full_replication_replica_count():
     """Sec. 5.3.2: 'at r = 1, there are almost 500 replicas'."""
     params = DEFAULT_PARAMS.replaced(replication_probability=1.0)
-
-    def count():
-        totals = [placement_statistics(
-            generate_placement(params, random.Random(seed)))["replicas"]
-            for seed in range(10)]
-        return sum(totals) / len(totals)
-
-    mean_replicas = run_once(benchmark, count)
+    totals = [placement_statistics(
+        generate_placement(params, random.Random(seed)))["replicas"]
+        for seed in range(10)]
+    mean_replicas = sum(totals) / len(totals)
     print("\nMean replicas at r=1: {:.1f} (paper: 'almost 500')".format(
         mean_replicas))
     assert 400 <= mean_replicas <= 560
-    benchmark.extra_info["mean_replicas_r1"] = round(mean_replicas, 1)

@@ -1,82 +1,35 @@
-"""Shared infrastructure for the per-table / per-figure benchmarks.
+"""Shared scale and helpers for the paper-shape benches.
 
-Every benchmark regenerates one artifact of the paper's Sec. 5
-evaluation: it runs the corresponding parameter sweep, prints the
-rows/series the paper plots, asserts the paper's qualitative *shape*
-(who wins, trend directions, crossovers), and reports the numbers via
-``benchmark.extra_info`` so they land in the pytest-benchmark JSON.
+Every bench regenerates one artifact of the paper's Sec. 5 evaluation:
+it runs the corresponding experiments, prints the rows/series the paper
+plots, and asserts the paper's qualitative *shape* (who wins, trend
+directions, crossovers).  They are plain pytest tests::
 
-Scale: by default each client thread runs a reduced number of
-transactions (the paper uses 1000/thread) so the whole suite finishes in
-minutes.  Set ``REPRO_BENCH_FULL=1`` for paper-scale runs.
+    pytest benchmarks --ignore=benchmarks/ledger
+
+Scale: each client thread runs 120 transactions (the paper uses 1000)
+so the whole suite finishes in minutes.  A paper-scale figure is
+``repro figure NAME --txns 1000``.
 """
 
 from __future__ import annotations
 
-import os
-import typing
-
-from repro.harness.reporting import format_comparison, format_sweep_table
 from repro.harness.runner import ExperimentConfig, run_experiment
-from repro.harness.sweep import SweepPoint, series, sweep
 from repro.workload.params import WorkloadParams
 
-#: Transactions per thread for bench runs (paper: 1000).
-BENCH_TXNS = 1000 if os.environ.get("REPRO_BENCH_FULL") else 120
+#: The paper's defaults at bench scale (paper: 1000 transactions/thread).
+PARAMS = WorkloadParams(transactions_per_thread=120)
 
 #: Seed shared by all benches (one placement/workload per configuration).
-BENCH_SEED = 42
+SEED = 42
 
 
-def bench_params(**changes) -> WorkloadParams:
-    """Paper-default parameters at bench scale."""
-    return WorkloadParams(
-        transactions_per_thread=BENCH_TXNS).replaced(**changes)
+def point(protocol: str, params: WorkloadParams = PARAMS,
+          **config_kwargs):
+    """One experiment run at the bench seed."""
+    return run_experiment(ExperimentConfig(
+        protocol=protocol, params=params, seed=SEED, **config_kwargs))
 
 
-def run_point(protocol: str, params: WorkloadParams,
-              **config_kwargs):
-    """One experiment run at bench scale."""
-    config = ExperimentConfig(protocol=protocol, params=params,
-                              seed=BENCH_SEED, **config_kwargs)
-    return run_experiment(config)
-
-
-def run_sweep(parameter: str, values: typing.Sequence,
-              protocols: typing.Sequence[str],
-              base: typing.Optional[WorkloadParams] = None
-              ) -> typing.List[SweepPoint]:
-    return sweep(parameter, values, protocols,
-                 base_params=base or bench_params(), seed=BENCH_SEED)
-
-
-def report(points: typing.Sequence[SweepPoint], title: str,
-           benchmark=None, baseline: str = "psl",
-           contender: str = "backedge") -> None:
-    """Print the paper-style table and stash it in the benchmark JSON."""
-    table = format_sweep_table(points)
-    lines = ["", "=" * 64, title, "=" * 64, table]
-    protocols = {point.protocol for point in points}
-    if baseline in protocols and contender in protocols:
-        lines += ["", format_comparison(points, baseline, contender)]
-    abort_table = format_sweep_table(
-        points, metric="abort_rate", metric_label="Abort rate (%)")
-    lines += ["", abort_table]
-    text = "\n".join(lines)
-    print(text)
-    if benchmark is not None:
-        for point in points:
-            key = "{}={} {}".format(point.parameter, point.value,
-                                    point.protocol)
-            benchmark.extra_info[key] = round(
-                point.result.average_throughput, 3)
-
-
-def throughputs(points: typing.Sequence[SweepPoint], protocol: str
-                ) -> typing.Dict[typing.Any, float]:
-    return dict(series(points, protocol))
-
-
-def run_once(benchmark, fn):
-    """Run ``fn`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
+def banner(title: str, width: int = 64) -> None:
+    print("\n{0}\n{1}\n{0}".format("=" * width, title))

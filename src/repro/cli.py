@@ -93,9 +93,9 @@ import sys
 import typing
 
 from repro.core.base import PROTOCOLS, make_protocol  # noqa: F401
-from repro.harness.reporting import format_comparison, format_sweep_table
+from repro.harness.reporting import format_sweep_report
 from repro.harness.runner import ExperimentConfig, run_experiment
-from repro.harness.sweep import sweep
+from repro.harness.sweep import FIGURES, sweep
 from repro.workload.params import WorkloadParams, format_parameter_table
 
 #: Workload fields settable from the command line: flag -> (field, type).
@@ -114,22 +114,6 @@ _PARAM_FLAGS: typing.Dict[str, typing.Tuple[str, type]] = {
     "timeout": ("deadlock_timeout", float),
     "placement-scheme": ("placement_scheme", str),
     "replication-factor": ("replication_factor", int),
-}
-
-#: figure name -> (parameter, values, base-parameter overrides).
-_FIGURES: typing.Dict[str, tuple] = {
-    "fig2a": ("backedge_probability", [0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
-              {}),
-    "fig2b": ("replication_probability", [0.0, 0.1, 0.2, 0.4, 0.7, 1.0],
-              {}),
-    "fig3a": ("read_op_probability", [0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0],
-              {"backedge_probability": 0.0,
-               "replication_probability": 0.5,
-               "read_txn_probability": 0.0}),
-    "fig3b": ("read_op_probability", [0.0, 0.3, 0.5, 0.7, 0.9, 1.0],
-              {"backedge_probability": 1.0,
-               "replication_probability": 0.5,
-               "read_txn_probability": 0.0}),
 }
 
 
@@ -188,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure_parser = subparsers.add_parser(
         "figure", help="regenerate a paper artifact")
     figure_parser.add_argument(
-        "name", choices=sorted(_FIGURES) + ["table1"],
+        "name", choices=sorted(FIGURES) + ["table1"],
         help="which artifact to regenerate")
     figure_parser.add_argument("--seed", type=int, default=42)
     _add_param_flags(figure_parser)
@@ -615,13 +599,7 @@ def _cmd_sweep(args: argparse.Namespace, out: typing.TextIO) -> int:
     protocols = [name.strip() for name in args.protocols.split(",")]
     points = sweep(args.parameter, values, protocols,
                    base_params=params, seed=args.seed)
-    out.write(format_sweep_table(points) + "\n")
-    if len(protocols) == 2:
-        out.write("\n" + format_comparison(points, protocols[1],
-                                           protocols[0]) + "\n")
-    out.write("\n" + format_sweep_table(
-        points, metric="abort_rate", metric_label="Abort rate (%)")
-        + "\n")
+    out.write(format_sweep_report(points) + "\n")
     return 0
 
 
@@ -631,15 +609,15 @@ def _cmd_figure(args: argparse.Namespace, out: typing.TextIO) -> int:
         return 0
     from repro.harness.plots import render_sweep
 
-    parameter, values, overrides = _FIGURES[args.name]
-    params = _params_from_args(args).replaced(**overrides)
-    points = sweep(parameter, values, ["backedge", "psl"],
-                   base_params=params, seed=args.seed)
+    figure = FIGURES[args.name]
+    points = sweep(figure.parameter, figure.values, ["backedge", "psl"],
+                   base_params=_params_from_args(args).replaced(
+                       **figure.overrides),
+                   seed=args.seed)
     out.write(render_sweep(
-        points, title="{}: throughput vs {}".format(args.name,
-                                                    parameter)) + "\n\n")
-    out.write(format_sweep_table(points) + "\n\n")
-    out.write(format_comparison(points, "psl", "backedge") + "\n")
+        points, title="{}: throughput vs {}".format(
+            args.name, figure.parameter)) + "\n\n")
+    out.write(format_sweep_report(points) + "\n")
     return 0
 
 

@@ -613,28 +613,32 @@ class SiteServer:
         else:
             self.transport.deliver(message)
 
-    def _apply_frame(self, frame: typing.Mapping) -> typing.Optional[int]:
-        """Accept one ``batch`` frame's entries; returns the cumulative
-        ack sequence (``None`` if the frame carried nothing to ack).
+    def _apply_frame(self, peer: typing.Optional[SiteId],
+                     frame: typing.Mapping) -> typing.Optional[int]:
+        """Accept one ``batch`` frame from ``peer``; returns the
+        cumulative ack sequence (``None`` if the frame carried nothing
+        to ack).
 
         Every entry is dedup-checked, journalled (buffered, not
         synced) and dispatched in arrival order.  Nothing here syncs,
         drives or acks: :meth:`_peer_loop` does each once per round,
-        over all the frames the round covers."""
+        over all the frames the round covers.  A frame that is not a
+        well-formed batch raises :class:`CodecError` naming the peer."""
         if frame.get("kind") != "batch":
-            raise CodecError("not a batch frame: {!r}".format(
-                frame.get("kind")))
+            raise CodecError("s{}: not a batch frame: {!r}".format(
+                peer, frame.get("kind")))
         incarnation = str(frame.get("inc", ""))
         msgs = frame.get("msgs")
         if not isinstance(msgs, list):
-            raise CodecError("batch frame without a msgs list")
+            raise CodecError(
+                "s{}: batch frame without a msgs list".format(peer))
         last_seq: typing.Optional[int] = None
         for item in msgs:
             try:
                 seq = int(item["seq"])
                 obj_msg = item["msg"]
             except (TypeError, KeyError, ValueError):
-                raise CodecError("malformed batch entry")
+                raise CodecError("s{}: malformed batch entry".format(peer))
             self._accept_entry(incarnation, seq, obj_msg)
             last_seq = seq
         return last_seq
@@ -753,9 +757,9 @@ class SiteServer:
         what it caused.  The ack is queued on the connection's
         coalescing writer, never behind a drain.
 
-        An exception out of a round (a failed sync) fail-stops the
-        site; a socket error or an over-cap frame ends only this
-        connection."""
+        An exception out of a round (a failed sync, a malformed frame)
+        fail-stops the site before it acks anything; a socket error or
+        an over-cap frame ends only this connection."""
         frames = FrameReader(reader, on_decode=self._h_decode.observe)
         out = FrameWriter(writer, on_encode=self._h_encode.observe,
                           on_write=self._h_write.observe)
@@ -776,14 +780,9 @@ class SiteServer:
             try:
                 last_seq: typing.Optional[int] = None
                 for frame in batch:
-                    try:
-                        seq = self._apply_frame(frame)
-                        if seq is not None:
-                            last_seq = seq
-                    except CodecError as exc:
-                        self.flight.record_event(
-                            "malformed-peer-frame", peer=peer,
-                            error=repr(exc))
+                    seq = self._apply_frame(peer, frame)
+                    if seq is not None:
+                        last_seq = seq
                 unsynced = \
                     self.journal.synced_records < self.journal.appended
                 if unsynced:

@@ -13,7 +13,6 @@ from repro.harness.serializability import (
     check_serializable,
     find_dsg_cycle,
 )
-from repro.harness.sweep import sweep
 
 __all__ = [
     "ExperimentConfig",
@@ -24,5 +23,4 @@ __all__ = [
     "check_serializable",
     "find_dsg_cycle",
     "run_experiment",
-    "sweep",
 ]

@@ -21,7 +21,8 @@ class ConvergenceViolation(ReproError):
 def divergent_copies(placement,
                      state: typing.Mapping[int, typing.Mapping]
                      ) -> typing.List[typing.Tuple]:
-    """Value-based divergence check over an externally collected state.
+    """Divergence check over an externally collected state: a replica
+    whose value or committed version differs from its primary's.
 
     ``state`` maps ``site -> item -> {"value": ..., "version": int}`` —
     the shape engines produce locally and live sites report in their
@@ -34,7 +35,8 @@ def divergent_copies(placement,
         primary = state[primary_site][item]
         for replica_site in sorted(placement.replica_sites(item)):
             replica = state[replica_site][item]
-            if replica["value"] != primary["value"]:
+            if replica["value"] != primary["value"] or \
+                    replica["version"] != primary["version"]:
                 problems.append((item, primary_site, replica_site,
                                  primary["version"],
                                  replica["version"]))

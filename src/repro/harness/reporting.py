@@ -51,6 +51,18 @@ def format_comparison(points: typing.Sequence[SweepPoint],
     return "\n".join(lines)
 
 
+def format_sweep_report(points: typing.Sequence[SweepPoint]) -> str:
+    """The throughput table, the speedup of the first protocol over the
+    second when exactly two are swept, and the abort-rate table."""
+    protocols = list(dict.fromkeys(point.protocol for point in points))
+    parts = [format_sweep_table(points)]
+    if len(protocols) == 2:
+        parts.append(format_comparison(points, protocols[1], protocols[0]))
+    parts.append(format_sweep_table(points, metric="abort_rate",
+                                    metric_label="Abort rate (%)"))
+    return "\n\n".join(parts)
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return "{:g}".format(value)

@@ -49,6 +49,35 @@ def sweep(parameter: str, values: typing.Sequence,
     return points
 
 
+class Figure(typing.NamedTuple):
+    """One of Sec. 5.3's throughput figures: BackEdge against PSL as
+    ``parameter`` takes ``values``, on the defaults changed by
+    ``overrides``."""
+
+    parameter: str
+    values: typing.Tuple
+    overrides: typing.Mapping[str, typing.Any] = {}
+
+
+#: The paper's Figs. 2 and 3, read by ``repro figure`` and the benches.
+FIGURES: typing.Dict[str, Figure] = {
+    "fig2a": Figure("backedge_probability",
+                    (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)),
+    "fig2b": Figure("replication_probability",
+                    (0.0, 0.1, 0.2, 0.4, 0.7, 1.0)),
+    "fig3a": Figure("read_op_probability",
+                    (0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0),
+                    {"backedge_probability": 0.0,
+                     "replication_probability": 0.5,
+                     "read_txn_probability": 0.0}),
+    "fig3b": Figure("read_op_probability",
+                    (0.0, 0.3, 0.5, 0.7, 0.9, 1.0),
+                    {"backedge_probability": 1.0,
+                     "replication_probability": 0.5,
+                     "read_txn_probability": 0.0}),
+}
+
+
 def series(points: typing.Iterable[SweepPoint], protocol: str,
            metric: str = "average_throughput"
            ) -> typing.List[typing.Tuple[typing.Any, float]]:

@@ -140,7 +140,7 @@ def test_explore_then_replay_roundtrip(tmp_path):
     code, output = run_cli("replay", trace)
     assert code == 0
     assert "reproduced exactly" in output
-    assert "acyclicity" in output
+    assert "[acyclicity]" in output or "[convergence]" in output
 
 
 def test_explore_rejects_bad_sites_range(tmp_path):

@@ -49,10 +49,13 @@ def test_divergence_report_contains_sites_and_versions():
     assert (primary_v, replica_v) == (0, 0)
 
 
-def test_matching_values_with_different_versions_still_converge():
-    """Convergence is value-based (PSL-style refresh semantics would
-    never bump replica versions)."""
+def test_matching_values_with_different_versions_diverge():
+    """A replica whose value matches its primary's but whose committed
+    version does not missed (or double-applied) an update that happened
+    to write the same value: a lost update the value alone hides."""
     system = build_system()
     replica = system.site_of(2).engine.item("a")
     replica.committed_version = 5  # Versions differ, values match.
-    assert divergent_replicas(system) == []
+    assert divergent_replicas(system) == [("a", 0, 2, 0, 5)]
+    with pytest.raises(ConvergenceViolation):
+        check_convergence(system)

@@ -173,12 +173,15 @@ def test_explorer_flags_indiscriminate(indiscriminate_report):
     report = indiscriminate_report
     assert report.failures_found >= 1
     assert report.failure is not None
-    assert any(failure.oracle == "acyclicity"
+    # The baseline loses updates and orders them inconsistently; which
+    # oracle sees it first depends on the schedule.
+    assert any(failure.oracle in ("acyclicity", "convergence")
                for failure in report.failure.failures)
 
 
 def test_shrunk_reproducer_is_minimal(indiscriminate_report):
     failure = indiscriminate_report.failure
+    oracles = {f.oracle for f in failure.failures}
     # The acceptance bound: a handful of transactions, not the full
     # generated workload.
     assert len(failure.spec.transactions) <= 4
@@ -188,7 +191,7 @@ def test_shrunk_reproducer_is_minimal(indiscriminate_report):
         keep = [i for i in range(len(failure.spec.transactions))
                 if i != index]
         probe = run_schedule(failure.spec.subset(keep), failure.plan)
-        assert not any(f.oracle == "acyclicity" for f in probe.failures)
+        assert not any(f.oracle in oracles for f in probe.failures)
 
 
 def test_serializable_protocols_survive_the_same_schedules():

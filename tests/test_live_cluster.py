@@ -26,6 +26,7 @@ import pytest
 
 from repro.cluster.client import ClusterClient
 from repro.cluster.codec import (
+    CodecError,
     decode_value,
     encode_batch_frame,
     encode_frame,
@@ -794,11 +795,12 @@ def test_read_only_transaction_waits_for_a_pending_commit_only(tmp_path):
     asyncio.run(scenario())
 
 
-def test_malformed_peer_frame_is_dropped_into_the_flight_ring(tmp_path):
-    """A peer frame whose body does not decode is dropped as a
-    structured flight-recorder event naming the peer and the error —
-    not a line on stderr — and the rest of its round still applies and
-    is acked."""
+def test_malformed_peer_frame_fail_stops_the_site(tmp_path):
+    """A peer frame that is not a well-formed batch means the peer's
+    channel state can no longer be trusted: the receiver fail-stops —
+    ``fatal`` set to the codec error, which names the peer, and recorded
+    as the ``fatal`` flight event — and acks nothing of the round, not
+    even the well-formed frame ahead of it."""
     spec = make_spec("dag_wt", 3)  # the chain s0 -> s1 -> s2
     placement = spec.build_placement()
     item = next(item for item in sorted(placement.items)
@@ -824,20 +826,19 @@ def test_malformed_peer_frame_is_dropped_into_the_flight_ring(tmp_path):
             reader.feed_eof()
             await asyncio.wait_for(
                 server._peer_loop(reader, writer, 0), 10.0)
-            engine = server.system.site_of(1).engine
-            assert engine.item(item).committed_version == 2
-            assert await writer.acks() == [2]
-            _manifest, records = server.flight.gather("test")
-            return [record for record in records
-                    if record["type"] == "event"
-                    and record["kind"] == "malformed-peer-frame"]
+            return server, await writer.acks()
         finally:
-            await server.stop()
+            if not server._closed:
+                await server.stop()
 
-    dropped = asyncio.run(scenario())
-    assert len(dropped) == 1
-    assert dropped[0]["peer"] == 0
-    assert "batch frame without a msgs list" in dropped[0]["error"]
+    server, acks = asyncio.run(scenario())
+    assert server._closed
+    assert isinstance(server.fatal, CodecError)
+    assert acks == []
+    fatal = [event for event in server.flight._events
+             if event["kind"] == "fatal"]
+    assert len(fatal) == 1
+    assert "s0: batch frame without a msgs list" in fatal[0]["error"]
 
 
 def _write_txn(site, seq, item):

@@ -2,7 +2,12 @@
 
 import dataclasses
 
-from repro.harness.reporting import _fmt, format_comparison, format_sweep_table
+from repro.harness.reporting import (
+    _fmt,
+    format_comparison,
+    format_sweep_report,
+    format_sweep_table,
+)
 from repro.harness.runner import ExperimentConfig, ExperimentResult
 from repro.harness.sweep import SweepPoint
 
@@ -71,6 +76,18 @@ def test_comparison_skips_zero_baseline():
     comparison = format_comparison(points, "psl", "backedge")
     assert "x" not in comparison.splitlines()[-1] or \
         len(comparison.splitlines()) == 1
+
+
+def test_sweep_report_is_tables_and_first_over_second_speedup():
+    points = make_points()
+    assert format_sweep_report(points) == "\n\n".join([
+        format_sweep_table(points),
+        format_comparison(points, "psl", "backedge"),
+        format_sweep_table(points, metric="abort_rate",
+                           metric_label="Abort rate (%)")])
+    psl_only = [point for point in points if point.protocol == "psl"]
+    assert "speedup" not in format_sweep_report(psl_only)
+    assert "Abort rate (%)" in format_sweep_report(psl_only)
 
 
 def test_fmt_renders_floats_compactly():

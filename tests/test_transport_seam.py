@@ -429,7 +429,7 @@ def test_empty_fault_plan_is_byte_identical_to_no_plan():
     import repro.network.message as message_module
     from repro.chaos.plan import FaultPlan, LinkFaultInjector
 
-    async def run_once(faults):
+    async def run_with(faults):
         # Pin the two process-wide sources of wire variation: the
         # message id counter and the transport incarnation.
         message_module._msg_counter = itertools.count(1)
@@ -468,8 +468,8 @@ def test_empty_fault_plan_is_byte_identical_to_no_plan():
 
     async def scenario():
         injector = LinkFaultInjector(FaultPlan(seed=99))
-        with_empty_plan = await run_once(injector)
-        without_plan = await run_once(None)
+        with_empty_plan = await run_with(injector)
+        without_plan = await run_with(None)
         assert with_empty_plan == without_plan
         assert with_empty_plan  # sanity: the stream is non-trivial
         assert injector.log == []

@@ -12,7 +12,9 @@ transitions.  :func:`~repro.cluster.loadgen.judge` then quiesces the
 cluster and checks the contract, and a fresh post-run watchdog's polls
 must be critical-free.  What is chaos's own is the fault plan, that
 lifecycle, the regressions, the reconfiguration driver, the tolerance
-rule below, the post-run polls and the flight bundles.
+rule below and the post-run polls.  Each site's black box is the span
+file beside its WAL in ``wal_dir``: ``repro postmortem`` reads the
+directory after the run.
 
 Tolerance policy: faults within the paper's model (delays, jitter,
 drops repaired by resend — everything the reliable-FIFO assumption of
@@ -196,8 +198,6 @@ class ChaosRunReport:
     #: The injector's canonical (sorted) injection log.
     injections: typing.List[typing.Dict[str, typing.Any]] = \
         dataclasses.field(default_factory=list)
-    #: Flight-recorder bundles dumped on a failing verdict (paths).
-    bundles: typing.List[str] = dataclasses.field(default_factory=list)
 
     def to_json(self) -> typing.Dict[str, typing.Any]:
         return dataclasses.asdict(self)
@@ -240,11 +240,6 @@ class ChaosRunReport:
                              self.alerts_post.get("critical", 0),
                              self.alerts_post.get("warning", 0),
                              self.alerts_post.get("polls", 0)))
-        if self.bundles:
-            lines.append(
-                "flight bundles: {} dumped under {}".format(
-                    len(self.bundles),
-                    os.path.dirname(self.bundles[0]) or "."))
         for violation in self.violations:
             lines.append("VIOLATION: " + violation)
         return "\n".join(lines)
@@ -390,13 +385,13 @@ async def _drive_reconfigs(scenario: ChaosScenario, client,
 
 def _broadcast_event(servers: typing.Dict[int, SiteServer],
                      kind: str, **fields) -> None:
-    """Stamp a wall-clock event into every site's flight recorder —
-    faults and alerts are cluster-level facts, and carrying them in
-    each bundle is what lets the postmortem align them against the
-    per-site spans.  Recording into a killed server's recorder is
-    harmless (pure memory on a dead object)."""
+    """Write a wall-clock record into every running site's span file —
+    faults and alerts are cluster-level facts, and carrying them in each
+    file is what lets the postmortem align them against the per-site
+    spans.  A killed site writes nothing more."""
     for server in servers.values():
-        server.flight.record_event(kind, **fields)
+        if not server._closed:
+            server.trace.record(kind, **fields)
 
 
 async def _site_schedule(scenario: ChaosScenario, wal_dir: str,
@@ -469,8 +464,7 @@ async def _site_schedule(scenario: ChaosScenario, wal_dir: str,
 
 async def _run_chaos(scenario: ChaosScenario, wal_dir: str,
                      monitor: bool,
-                     monitor_config: typing.Optional[MonitorConfig],
-                     bundle_dir: typing.Optional[str] = None
+                     monitor_config: typing.Optional[MonitorConfig]
                      ) -> ChaosRunReport:
     spec = scenario.spec
     injector = LinkFaultInjector(scenario.plan)
@@ -546,21 +540,6 @@ async def _run_chaos(scenario: ChaosScenario, wal_dir: str,
                         ", ".join(sorted(
                             report.alerts_post["by_rule"]))))
 
-        # Failing verdict: dump every member's flight recorder before
-        # teardown so the postmortem has a bundle per surviving site.
-        # A crashed-and-restarted member's recorder only spans its
-        # current incarnation — the previous life's black box is its
-        # WAL and trace file on disk.
-        if bundle_dir is not None and report.violations:
-            os.makedirs(bundle_dir, exist_ok=True)
-            for site in sorted(servers):
-                try:
-                    report.bundles.append(
-                        await servers[site].flight.dump_async(
-                            "chaos-verdict", out_dir=bundle_dir))
-                except OSError:
-                    pass
-
     report.duration = time.monotonic() - started
     report.injections = injector.sorted_log()
     report.ok = not report.violations
@@ -569,8 +548,7 @@ async def _run_chaos(scenario: ChaosScenario, wal_dir: str,
 
 def run_chaos(scenario: ChaosScenario, wal_dir: str,
               monitor: bool = True,
-              monitor_config: typing.Optional[MonitorConfig] = None,
-              bundle_dir: typing.Optional[str] = None
+              monitor_config: typing.Optional[MonitorConfig] = None
               ) -> ChaosRunReport:
     """Execute one chaos scenario end to end (synchronous entry point).
 
@@ -578,21 +556,10 @@ def run_chaos(scenario: ChaosScenario, wal_dir: str,
     the crash-recovery substrate and the corruption target.
     ``monitor_config`` overrides the during-run watchdog config (e.g.
     to turn on stuck-propagation localisation via ``trace_limit``).
-    ``bundle_dir`` arms the chaos-verdict flight-recorder trigger: a
-    run with violations dumps one incident bundle per member there,
-    plus the injection log as ``injections.json`` for
-    ``repro postmortem --injections``.
+    ``repro postmortem`` over ``wal_dir`` reads the run's span files.
     """
     scenario.validate()
     os.makedirs(wal_dir, exist_ok=True)
-    report = asyncio.run(_run_chaos(scenario, wal_dir,
-                                    monitor=monitor,
-                                    monitor_config=monitor_config,
-                                    bundle_dir=bundle_dir))
-    if bundle_dir is not None and report.bundles:
-        path = os.path.join(bundle_dir, "injections.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(report.injections, handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-    return report
+    return asyncio.run(_run_chaos(scenario, wal_dir,
+                                  monitor=monitor,
+                                  monitor_config=monitor_config))

@@ -43,8 +43,7 @@ Commands
     replica-lag SLO violations, stuck propagation (localized to the
     copy-graph hop via trace trees), divergence and dead sites.
     ``--check`` exits non-zero if any critical alert fired (CI mode);
-    ``--alerts`` appends each alert to a JSONL sink; ``--dump-dir``
-    fans a flight-recorder dump out on each new critical.
+    ``--alerts`` appends each alert to a JSONL sink.
 ``top``
     Live terminal dashboard: per-site throughput, queue depths,
     version lag, dominant stage, propagation-delay percentiles and
@@ -59,11 +58,10 @@ Commands
 ``chaos``
     Run one seeded fault script against an in-process live cluster and
     judge it with the offline oracles.  See docs/CHAOS.md.
-``dump``
-    Ask live sites to dump their flight-recorder incident bundles now.
 ``postmortem``
-    Merge flight-recorder bundles from all sites into one causally
-    ordered cross-site incident timeline with fault localization.
+    Merge the sites' ``.trace`` files (each site's black box, beside
+    its WAL) into one causally ordered cross-site incident timeline
+    with fault localization: dark and fail-stopped sites, stalled hops.
 
 Examples::
 
@@ -210,11 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Accepted and ignored: the frozen benchmarks/ledger passes it.
     serve_parser.add_argument("--anti-entropy", type=float,
                               help=argparse.SUPPRESS)
-    serve_parser.add_argument("--dump-dir", metavar="DIR", default=None,
-                              help="arm the flight-recorder exit "
-                                   "triggers: SIGTERM and fatal "
-                                   "exceptions dump an incident bundle "
-                                   "here before the process dies")
     _add_param_flags(serve_parser)
 
     loadgen_parser = subparsers.add_parser(
@@ -309,12 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     monitor_parser.add_argument("--json", metavar="PATH", default=None,
                                 help="also write the final alert "
                                      "summary as JSON")
-    monitor_parser.add_argument("--dump-dir", metavar="DIR",
-                                default=None,
-                                help="on each new critical alert, fan "
-                                     "a flight-recorder dump to every "
-                                     "reachable site; bundles land "
-                                     "here")
     monitor_parser.add_argument("--alerts-max-bytes", type=int,
                                 default=None, metavar="BYTES",
                                 help="rotate the --alerts JSONL past "
@@ -388,12 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
                               default=None,
                               help="write the canonical injection log "
                                    "as JSON (replay equality evidence)")
-    chaos_parser.add_argument("--bundle-dir", metavar="DIR",
-                              default=None,
-                              help="on a failing verdict, dump every "
-                                   "member's flight-recorder bundle "
-                                   "(plus injections.json) here for "
-                                   "repro postmortem")
     _add_param_flags(chaos_parser)
 
     reconfig_parser = subparsers.add_parser(
@@ -418,27 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
                                       "or the site being removed")
     _add_param_flags(reconfig_parser)
 
-    dump_parser = subparsers.add_parser(
-        "dump", help="ask live sites to dump their flight-recorder "
-                     "incident bundles now")
-    _add_cluster_flags(dump_parser)
-    dump_parser.add_argument("--site", type=int, default=None,
-                             help="dump one site instead of all")
-    dump_parser.add_argument("--dir", metavar="DIR", default=None,
-                             help="directory the bundles land in "
-                                  "(default: each site's WAL "
-                                  "directory, else its cwd)")
-    _add_param_flags(dump_parser)
-
     postmortem_parser = subparsers.add_parser(
-        "postmortem", help="merge flight-recorder bundles from all "
-                           "sites into one causally ordered cross-site "
-                           "incident timeline (offline; see "
+        "postmortem", help="merge the sites' span files into one "
+                           "causally ordered cross-site incident "
+                           "timeline (offline; see "
                            "docs/OBSERVABILITY.md)")
     postmortem_parser.add_argument(
-        "bundles", nargs="+", metavar="PATH",
-        help="bundle files and/or directories holding "
-             "flight-s*.jsonl bundles")
+        "paths", nargs="+", metavar="PATH",
+        help="span files (<wal>.trace) and/or directories holding "
+             "them, such as a chaos or loadgen --wal-dir")
     postmortem_parser.add_argument("--injections", metavar="PATH",
                                    default=None,
                                    help="chaos injection log "
@@ -448,11 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    default=None,
                                    help="also write the full analysis "
                                         "as JSON")
-    postmortem_parser.add_argument("--check", action="store_true",
-                                   help="validate every bundle against "
-                                        "the schema; exit non-zero on "
-                                        "violation or zero loadable "
-                                        "bundles (CI mode)")
 
     return parser
 
@@ -681,20 +645,14 @@ def _cmd_serve(args: argparse.Namespace, out: typing.TextIO) -> int:
         # scripts, CI smokes); a bare kill would drop the group-commit
         # buffers and the deferred trace spans.  Catch it (and SIGINT)
         # and tear down gracefully so the WAL, journal and `.trace`
-        # sink are all flushed before exit.
+        # sink are all flushed, the last with its `server-stop` record.
         import signal
 
         loop = asyncio.get_running_loop()
         stopping = asyncio.Event()
-        signals_seen: typing.List[str] = []
-
-        def _on_signal(name: str) -> None:
-            signals_seen.append(name)
-            stopping.set()
-
         for sig in (signal.SIGINT, signal.SIGTERM):
             try:
-                loop.add_signal_handler(sig, _on_signal, sig.name)
+                loop.add_signal_handler(sig, stopping.set)
             except NotImplementedError:  # pragma: no cover - non-unix
                 pass
         serve_task = asyncio.ensure_future(server.serve_forever())
@@ -702,16 +660,6 @@ def _cmd_serve(args: argparse.Namespace, out: typing.TextIO) -> int:
         await asyncio.wait({serve_task, stop_task},
                            return_when=asyncio.FIRST_COMPLETED)
         stop_task.cancel()
-        # SIGTERM with --dump-dir is the "operator pulled the plug"
-        # trigger: capture the black box before the graceful drain
-        # (SIGINT stays quiet — interactive stops are not incidents).
-        if args.dump_dir is not None and "SIGTERM" in signals_seen:
-            try:
-                path = await server.flight.dump_async(
-                    "sigterm", out_dir=args.dump_dir)
-                out.write("dumped flight bundle {}\n".format(path))
-            except OSError as exc:  # pragma: no cover - disk trouble
-                out.write("flight dump failed: {}\n".format(exc))
         if not serve_task.done():
             serve_task.cancel()  # serve_forever() absorbs the cancel
         await serve_task
@@ -722,14 +670,7 @@ def _cmd_serve(args: argparse.Namespace, out: typing.TextIO) -> int:
     except KeyboardInterrupt:  # pragma: no cover - interactive
         pass
     except Exception as exc:
-        # Fatal exception: the whole point of a black box.  The dump
-        # is synchronous — no event loop survives to await one.
-        try:
-            path = server.flight.dump("fatal-exception",
-                                      out_dir=args.dump_dir)
-            out.write("fatal: dumped flight bundle {}\n".format(path))
-        except OSError:  # pragma: no cover - disk trouble
-            pass
+        # Fail-stop: the site already wrote its `fatal` record.
         out.write("fatal: {}: {}\n".format(type(exc).__name__, exc))
         return 1
     return 0
@@ -817,8 +758,7 @@ def _cmd_monitor(args: argparse.Namespace, out: typing.TextIO) -> int:
         watchdog = Watchdog(
             client.spec, client, config=config, sink_path=args.alerts,
             on_alert=lambda alert: out.write(alert.format() + "\n"),
-            sink_max_bytes=args.alerts_max_bytes,
-            dump_dir=args.dump_dir)
+            sink_max_bytes=args.alerts_max_bytes)
         try:
             await watchdog.run(duration=duration)
         finally:
@@ -841,11 +781,6 @@ def _cmd_monitor(args: argparse.Namespace, out: typing.TextIO) -> int:
                                   summary["warning"]))
     for rule, count in summary["by_rule"].items():
         out.write("  {} x{}\n".format(rule, count))
-    if summary.get("bundles"):
-        out.write("dumped {} flight bundle(s):\n".format(
-            len(summary["bundles"])))
-        for path in summary["bundles"]:
-            out.write("  {}\n".format(path))
     if args.json:
         _write_json(args.json, summary, out)
     if args.check and summary["critical"]:
@@ -902,7 +837,7 @@ def _cmd_chaos(args: argparse.Namespace, out: typing.TextIO) -> int:
 
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as scratch:
         wal_dir = args.wal_dir or os.path.join(scratch, "wal")
-        report = run_chaos(scenario, wal_dir, bundle_dir=args.bundle_dir)
+        report = run_chaos(scenario, wal_dir)
         out.write(report.format() + "\n")
 
         final_scenario = scenario
@@ -1056,72 +991,27 @@ def _cmd_trace(args: argparse.Namespace, out: typing.TextIO) -> int:
     return 0
 
 
-def _cmd_dump(args: argparse.Namespace, out: typing.TextIO) -> int:
-    fields = {"trigger": "manual"}
-    if args.dir is not None:
-        fields["dir"] = args.dir
-    fanned = _with_client(
-        args, out, "dump failed",
-        lambda client: client.try_each("dump", **fields),
-        timeout=5.0, retries=1)
-    if fanned is None:
-        return 1
-    responses, unreachable = fanned
-    if args.site is not None:
-        responses = {site: response
-                     for site, response in responses.items()
-                     if site == args.site}
-        unreachable = [site for site in unreachable
-                       if site == args.site]
-    failures = 0
-    for site, response in sorted(responses.items()):
-        if response.get("ok"):
-            out.write("s{}: {} ({} record(s))\n".format(
-                site, response.get("path"), response.get("records")))
-        else:
-            failures += 1
-            out.write("s{}: FAILED: {}\n".format(
-                site, response.get("error")))
-    for site in sorted(unreachable):
-        failures += 1
-        out.write("s{}: unreachable\n".format(site))
-    return 1 if failures or not responses else 0
-
-
 def _cmd_postmortem(args: argparse.Namespace,
                     out: typing.TextIO) -> int:
     import json
 
-    from repro.obs.flight import validate_bundle
-    from repro.obs.postmortem import (analyze, collect_bundles,
+    from repro.obs.postmortem import (analyze, collect_traces,
                                       format_report)
 
-    bundles, problems = collect_bundles(args.bundles)
+    traces, problems = collect_traces(args.paths)
     for problem in problems:
         out.write("WARN: {}\n".format(problem))
-    if not bundles:
-        out.write("no loadable bundles\n")
+    if not traces:
+        out.write("no readable span files\n")
         return 1
-    violations = 0
-    if args.check:
-        for bundle in bundles:
-            for problem in validate_bundle(bundle.path):
-                out.write("SCHEMA VIOLATION {}: {}\n".format(
-                    bundle.path, problem))
-                violations += 1
-        if not violations:
-            out.write("all {} bundle(s) schema-valid\n".format(
-                len(bundles)))
     injections = None
     if args.injections:
         with open(args.injections, "r", encoding="utf-8") as handle:
             injections = json.load(handle)
-    analysis = analyze(bundles, injections=injections)
+    analysis = analyze(traces, injections=injections)
     out.write(format_report(analysis) + "\n")
     if args.json:
         _write_json(args.json, analysis, out)
-    if args.check and (violations or problems):
-        return 1
     return 0
 
 
@@ -1148,7 +1038,6 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None,
         "top": _cmd_top,
         "chaos": _cmd_chaos,
         "reconfig": _cmd_reconfig,
-        "dump": _cmd_dump,
         "postmortem": _cmd_postmortem,
     }
     return handlers[args.command](args, out)

@@ -418,22 +418,6 @@ class ClusterClient:
             spans.extend(result.get("spans", ()))
         return spans
 
-    async def dump(self, site: SiteId,
-                   trigger: typing.Optional[str] = None,
-                   out_dir: typing.Optional[str] = None
-                   ) -> typing.Dict[str, typing.Any]:
-        """Ask one site to dump its flight recorder into an incident
-        bundle; returns the server-side bundle path.  Retry-safe (a
-        repeat just writes another bundle), so the request is
-        idempotent.  All-site dumps go through ``try_each("dump", ...)``
-        — a dead member is the finding, not an error."""
-        frame: typing.Dict[str, typing.Any] = {"op": "dump"}
-        if trigger is not None:
-            frame["trigger"] = trigger
-        if out_dir is not None:
-            frame["dir"] = out_dir
-        return await self._request(site, frame, idempotent=True)
-
     async def wait_ready(self, timeout: float = 10.0) -> None:
         """Block until every site answers a ping."""
         deadline = asyncio.get_running_loop().time() + timeout

@@ -59,7 +59,10 @@ The server, not the protocol, handles the cluster control plane:
   :class:`repro.obs.trace.TraceSink` records
   propagation spans (received → journaled → applied …) keyed by
   deterministic per-origin-transaction trace ids; both are served over
-  the client plane by the ``stats`` and ``trace`` requests.  See
+  the client plane by the ``stats`` and ``trace`` requests.  The span
+  file beside the WAL is the site's black box: it also holds this
+  site's ``server-start``, ``epoch-commit``, ``fatal`` and
+  ``server-stop`` records, which ``repro postmortem`` reads.  See
   ``docs/OBSERVABILITY.md``.
 """
 
@@ -67,7 +70,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import os
 import time
 import typing
 
@@ -89,7 +91,6 @@ from repro.cluster.wal import FileWal, MessageJournal
 from repro.core.base import ReplicatedSystem, SystemConfig, make_protocol
 from repro.errors import PlacementError, TransactionAborted
 from repro.network.message import Message, MessageType
-from repro.obs.flight import FlightRecorder
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import SpanObserver, TraceSink, message_trace_id
 # Imported from the change module directly (not repro.reconfig) to keep
@@ -252,21 +253,6 @@ class SiteServer:
         # Observability plane (docs/OBSERVABILITY.md).
         self.metrics = MetricsRegistry()
         self.trace = TraceSink(site_id, path=wal_path + ".trace")
-        #: Black-box flight recorder (docs/OBSERVABILITY.md): bounded
-        #: rings of recent spans and events, dumped as
-        #: an incident bundle on a trigger (``dump`` wire op, watchdog
-        #: critical, chaos verdict, SIGTERM).
-        self.flight = FlightRecorder(
-            site_id, trace=self.trace, metrics=self.metrics,
-            epoch=lambda: self.epoch,
-            cluster={"n_sites": spec.params.n_sites,
-                     "protocol": spec.protocol, "seed": spec.seed,
-                     "base_port": spec.base_port},
-            default_dir=os.path.dirname(os.path.abspath(wal_path)))
-        self.flight.add_source("wal", lambda: _appender_stats(self.wal))
-        self.flight.add_source("journal",
-                               lambda: _appender_stats(self.journal))
-        self.flight.add_source("watermarks", self._watermarks)
         #: Primary transaction outcomes; the ``status`` reply's
         #: ``committed``/``aborted`` are their values.
         self._m_committed = self.metrics.counter("txn.committed")
@@ -378,8 +364,9 @@ class SiteServer:
             if prepared is not None and prepared.item == self.epoch + 1:
                 self._set_pending(prepared.item,
                                   PlacementChange.from_json(prepared.value))
-        self.flight.record_event("server-start", epoch=self.epoch,
-                                 recovered=self.recovered)
+        self.trace.record("server-start", epoch=self.epoch,
+                          recovered=self.recovered,
+                          n_sites=self.spec.params.n_sites)
         protocol = make_protocol(self.spec.protocol, self.system,
                                  **self.spec.protocol_options)
         self.system.use_protocol(protocol)
@@ -413,8 +400,10 @@ class SiteServer:
             raise self.fatal
 
     async def stop(self) -> None:
-        """Graceful shutdown (state preserved in the WAL)."""
-        self._closed = True
+        """Graceful shutdown (state preserved in the WAL), closed by a
+        ``server-stop`` record — unless the site was already killed:
+        a crash leaves no such record."""
+        killed, self._closed = self._closed, True
         if self._timer is not None:
             self._timer.cancel()
         if self._tcp_server is not None:
@@ -426,6 +415,8 @@ class SiteServer:
             await self.transport.close()
         self.wal.close()
         self.journal.close()
+        if not killed:
+            self.trace.record("server-stop", epoch=self.epoch)
         self.trace.close()
 
     def kill(self) -> None:
@@ -492,13 +483,14 @@ class SiteServer:
         engine, protocol or log state can no longer be trusted:
         crash-stop.  The site stops like :meth:`kill` (listeners closed,
         connections aborted, only synced log records survive), peers see
-        a dead site rather than a zombie, and ``serve_forever`` re-raises
-        so ``repro serve`` dumps its flight bundle and exits non-zero.
-        A site already stopped has nothing left to stop."""
+        a dead site rather than a zombie, the ``fatal`` record in the span
+        file names the error, and ``serve_forever`` re-raises so ``repro
+        serve`` exits non-zero.  A site already stopped has nothing left
+        to stop."""
         if self._closed:
             return
         self.fatal = exc
-        self.flight.record_event("fatal", error=repr(exc))
+        self.trace.record("fatal", error=repr(exc))
         self.kill()
 
     def _arm_timer(self) -> None:
@@ -813,35 +805,24 @@ class SiteServer:
     async def _client_loop(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
         """Requests are answered inline once their result is ready (the
-        answers one read releases leave in one write); a dump is a task."""
+        answers one read releases leave in one write)."""
         frames = FrameReader(reader)
         out = FrameWriter(writer, on_encode=self._h_encode.observe,
                           on_write=self._h_write.observe)
-        dumps: typing.Set[asyncio.Task] = set()
-        try:
-            while not self._closed:
-                batch = await frames.frames()
-                if batch is None:
-                    return
-                for frame in batch:
-                    if self._closed:
-                        return  # crashed mid-read: serve nothing more
-                    if frame.get("kind") == "req":
-                        self._serve(frame, out, dumps)
-                out.flush()
-                await out.drain()
-        finally:
-            for task in dumps:
-                task.cancel()
+        while not self._closed:
+            batch = await frames.frames()
+            if batch is None:
+                return
+            for frame in batch:
+                if self._closed:
+                    return  # crashed mid-read: serve nothing more
+                if frame.get("kind") == "req":
+                    self._serve(frame, out)
+            out.flush()
+            await out.drain()
 
-    def _serve(self, frame: typing.Mapping, out: FrameWriter,
-               dumps: typing.Set[asyncio.Task]) -> None:
+    def _serve(self, frame: typing.Mapping, out: FrameWriter) -> None:
         rid, op = frame.get("rid"), frame.get("op")
-        if op == "dump":
-            task = self._loop.create_task(self._dump_op(frame, rid, out))
-            dumps.add(task)
-            task.add_done_callback(dumps.discard)
-            return
         try:
             response = (self._txn_op(frame, rid, out) if op == "txn"
                         else self._dispatch(frame))
@@ -920,7 +901,7 @@ class SiteServer:
 
     def _dispatch(self, frame: typing.Mapping
                   ) -> typing.Dict[str, typing.Any]:
-        """Every request but ``txn`` and ``dump``, answered inline."""
+        """Every request but ``txn``, answered inline."""
         op = frame.get("op")
         if op == "ping":
             return {"ok": True, "site": self.site_id,
@@ -979,37 +960,6 @@ class SiteServer:
         if op == "reconfig_state":
             return self._reconfig_state(int(frame["item"]))
         return {"ok": False, "error": "unknown op {!r}".format(op)}
-
-    async def _dump_op(self, frame: typing.Mapping, rid: typing.Any,
-                       out: FrameWriter) -> None:
-        """``dump`` wire op: freeze the flight recorder into an
-        incident bundle.  Record gathering runs inline on the loop
-        (pure memory work); the atomic file write runs in the executor,
-        so in-flight transactions and acks are never stalled behind the
-        dump.  Retry-safe — a repeated dump just writes another
-        bundle."""
-        trigger = str(frame.get("trigger") or "wire")
-        out_dir = frame.get("dir")
-        try:
-            path = await self.flight.dump_async(
-                trigger, out_dir=str(out_dir) if out_dir else None)
-        except Exception as exc:
-            response = {"ok": False, "error": "dump failed: {}".format(exc)}
-        else:
-            response = {"ok": True, "site": self.site_id, "path": path,
-                        "trigger": trigger,
-                        "records": self.flight.last_dump_records}
-        self._respond(rid, response, out)
-
-    def _watermarks(self) -> typing.Dict[str, typing.Any]:
-        """Applied-version watermarks for the flight recorder: every
-        locally held item's committed version (the same numbers the
-        ``versions`` op serves)."""
-        if self.system is None:
-            return {}
-        engine = self.system.site_of(self.site_id).engine
-        return {str(item): engine.item(item).committed_version
-                for item in sorted(engine.item_ids())}
 
     # ------------------------------------------------------------------
     # Reconfiguration plane (repro.reconfig)
@@ -1161,8 +1111,8 @@ class SiteServer:
         self.system.swap_placement(new_placement, epoch)
         self.epoch = epoch
         self._set_pending(None, None)
-        self.flight.record_event("epoch-commit", epoch=epoch,
-                                 change=change.to_json())
+        self.trace.record("epoch-commit", epoch=epoch,
+                          change=change.to_json())
         self._gossip_reconfig(epoch, change)
         return {"ok": True, "site": self.site_id, "epoch": self.epoch}
 

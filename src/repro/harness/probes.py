@@ -1,12 +1,11 @@
-"""Periodic sampling probes: replica staleness and CPU utilisation.
+"""Periodic sampling probe: replica staleness.
 
 Sec. 5.3.4 argues BackEdge's replica *recency* "can be expected to be
 very good in practice".  :class:`StalenessProbe` measures it directly:
 it samples, at a fixed period, how far each replica's committed version
-lags its primary's.  :class:`CpuUtilizationProbe` samples per-site CPU
-busyness — useful to confirm where each protocol's bottleneck sits.
+lags its primary's.
 
-Both are simulation processes; start them before ``env.run``::
+It is a simulation process; start it before ``env.run``::
 
     probe = StalenessProbe(system, period=0.05)
     probe.start()
@@ -73,37 +72,3 @@ class StalenessProbe:
         if not values:
             return 1.0
         return sum(1 for lag in values if lag == 0) / len(values)
-
-
-class CpuUtilizationProbe:
-    """Samples whether each site's CPU is busy at the probe instants."""
-
-    def __init__(self, system: ReplicatedSystem, period: float = 0.010):
-        self.system = system
-        self.period = period
-        self.busy_samples = [0] * len(system.sites)
-        self.total_samples = 0
-
-    def start(self):
-        return self.system.env.process(self._sampler())
-
-    def _sampler(self):
-        env = self.system.env
-        while True:
-            yield env.timeout(self.period)
-            self.total_samples += 1
-            for site in self.system.sites:
-                if site.cpu.count > 0:
-                    self.busy_samples[site.site_id] += 1
-
-    def utilization(self, site_id: int) -> float:
-        if self.total_samples == 0:
-            return 0.0
-        return self.busy_samples[site_id] / self.total_samples
-
-    def mean_utilization(self) -> float:
-        if not self.busy_samples:
-            return 0.0
-        return statistics.fmean(
-            self.utilization(site_id)
-            for site_id in range(len(self.busy_samples)))

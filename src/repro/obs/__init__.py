@@ -10,8 +10,9 @@ the module → consumer table):
 - :mod:`repro.obs.trace` — update-propagation tracing: per-origin
   transaction trace ids derived from the message payload (nothing rides
   on the wire), a per-site span sink (ring buffer + optional JSONL
-  file), and the one span observer the live server and the simulator
-  share.
+  file, which for a live site is its black box: spans plus lifecycle
+  records), and the one span observer the live server and the
+  simulator share.
 - :mod:`repro.obs.reconstruct` — stitches span records from many sites
   into per-transaction propagation trees with per-hop latencies and
   attribution — the paper's Sec. 5.3.4 propagation-delay measure on
@@ -24,14 +25,10 @@ the module → consumer table):
 - :mod:`repro.obs.dashboard` — the ``repro top`` terminal dashboard
   (per-site rates, lag, stage shares, propagation percentiles, active
   alerts).
-- :mod:`repro.obs.flight` — the per-site black-box flight recorder:
-  bounded in-memory rings of recent spans and cluster events, dumped
-  atomically with a metrics snapshot as a versioned incident bundle on
-  watchdog criticals, chaos verdicts, the ``dump`` wire op, SIGTERM
-  or a fatal exception.
 - :mod:`repro.obs.postmortem` — the ``repro postmortem`` analyzer:
-  merges bundles from all sites into one cross-site timeline on the
-  sites' shared host clock, with automatic fault localization.
+  merges the sites' span files into one cross-site timeline on the
+  sites' shared host clock, with automatic fault localization (dark
+  and fail-stopped sites, stalled hops).
 """
 
 from repro.obs.registry import (  # noqa: F401
@@ -57,15 +54,8 @@ from repro.obs.monitor import (  # noqa: F401
     Watchdog,
 )
 from repro.obs.dashboard import Dashboard  # noqa: F401
-from repro.obs.flight import (  # noqa: F401
-    FlightRecorder,
-    bundle_paths,
-    load_bundle,
-    validate_bundle,
-    write_bundle,
-)
 from repro.obs.postmortem import (  # noqa: F401
     analyze,
-    collect_bundles,
+    collect_traces,
     format_report,
 )

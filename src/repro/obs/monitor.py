@@ -202,20 +202,12 @@ class Watchdog:
                  sink_path: typing.Optional[str] = None,
                  on_alert: typing.Optional[
                      typing.Callable[[Alert], None]] = None,
-                 sink_max_bytes: typing.Optional[int] = None,
-                 dump_dir: typing.Optional[str] = None):
+                 sink_max_bytes: typing.Optional[int] = None):
         self.spec = spec
         self.client = client
         self.config = config or MonitorConfig()
         self.sink = AlertSink(sink_path, max_bytes=sink_max_bytes)
         self.on_alert = on_alert
-        #: When set, a *new* critical alert fans a flight-recorder
-        #: ``dump`` to every reachable site, bundles landing here.
-        self.dump_dir = dump_dir
-        self._dumped: typing.Set[
-            typing.Tuple[str, typing.Optional[int]]] = set()
-        #: Bundle paths reported back by sites across all dump fan-outs.
-        self.bundles: typing.List[str] = []
         self.polls = 0
         #: Deduplicated alerts, insertion-ordered.
         self.alerts: typing.Dict[typing.Tuple[str, typing.Optional[int]],
@@ -311,7 +303,6 @@ class Watchdog:
             "by_rule": dict(sorted(by_rule.items())),
             "alerts": [alert.to_json()
                        for alert in self.alerts.values()],
-            "bundles": list(self.bundles),
         }
 
     def close(self) -> None:
@@ -357,30 +348,7 @@ class Watchdog:
         if config.convergence_every > 0 and \
                 self.polls % config.convergence_every == 0:
             await self._check_convergence(fired)
-        if self.dump_dir is not None:
-            await self._dump_on_critical(fired)
         return fired
-
-    async def _dump_on_critical(self, fired: typing.List[Alert]) -> None:
-        """Fan a flight-recorder dump to every reachable site the first
-        time each ``(rule, site)`` goes critical.  One fan-out per poll
-        covers any number of simultaneous new criticals; a site that is
-        itself down simply doesn't answer (its black box is its WAL and
-        trace file on disk)."""
-        new_criticals = [alert for alert in fired
-                         if alert.severity == "critical"
-                         and (alert.rule, alert.site) not in self._dumped]
-        if not new_criticals:
-            return
-        for alert in new_criticals:
-            self._dumped.add((alert.rule, alert.site))
-        trigger = "watchdog:" + new_criticals[0].rule
-        responses, _ = await self.client.try_each(
-            "dump", trigger=trigger, dir=self.dump_dir)
-        for _site, response in sorted(responses.items()):
-            path = response.get("path")
-            if response.get("ok") and path:
-                self.bundles.append(str(path))
 
     async def run(self, duration: typing.Optional[float] = None
                   ) -> None:

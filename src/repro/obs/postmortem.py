@@ -1,22 +1,29 @@
-"""Cross-site postmortem forensics over flight-recorder bundles.
+"""Cross-site postmortem forensics over the sites' span files.
 
-One incident leaves one bundle per surviving site
-(:mod:`repro.obs.flight`).  This module merges them back into a single
-causally ordered cross-site picture:
+Each live site's black box is the ``.trace`` JSONL beside its WAL
+(:class:`repro.obs.trace.TraceSink`).  It outlives the process — a
+SIGKILLed site leaves everything it flushed — and it holds every life
+of a restarted site: a life opens with a ``server-start`` record and
+closes with ``server-stop`` (graceful) or ``fatal`` (fail-stop), or
+with neither when the site was killed.  This module merges the files of
+one incident into a single cross-site picture:
 
-1. **Collect** bundles (files or directories), keeping the newest
-   bundle per site when a site dumped more than once.
-2. **Merge** into one timeline: recorded events (alerts, epoch
-   commits, injected faults, lifecycle), bundle-dump markers, and
-   propagation-stall aggregates, interleaved with the reconstructed
-   propagation trees and per-hop attribution of
-   :mod:`repro.obs.reconstruct`.  Every site of a cluster runs on one
-   host (:meth:`repro.cluster.spec.ClusterSpec.address`) and stamps
+1. **Collect** span files (or the directories holding them) and split
+   each site's records into lives at its ``server-start`` records.
+2. **Merge** into one timeline: the lifecycle records (starts, stops,
+   epoch commits, fail-stops, the chaos controller's faults and
+   alerts), the end of every earlier life that was cut short, and
+   propagation-stall aggregates, beside the propagation trees and
+   per-hop attribution of :mod:`repro.obs.reconstruct`.  Every site of
+   a cluster runs on one host
+   (:meth:`repro.cluster.spec.ClusterSpec.address`) and stamps
    ``time.time()``, so records merge on their recorded ``t`` as they
    are.
-3. **Localize**: rank findings — divergence, dead/dark sites, stalled
-   hops — each with the site and the time window the evidence spans
-   ("first stall at hop s0→s2 within +1.2s..+3.4s").
+3. **Localize**: rank findings — divergence, fail-stops, dark sites,
+   stalled hops — each with the site and the time window the evidence
+   spans ("first stall at hop s0→s2 within +1.2s..+3.4s").  A site is
+   *dark* when its last life ends with neither ``server-stop`` nor
+   ``fatal``, or when it left no file.
 
 Outputs: a terminal report (:func:`format_report`); the analysis
 itself is plain JSON types (``repro postmortem --json``).
@@ -24,89 +31,78 @@ itself is plain JSON types (``repro postmortem --json``).
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import typing
 
-from repro.obs.flight import bundle_paths, load_bundle
 from repro.obs.reconstruct import (
     attribution_summary,
     propagation_summary,
     reconstruct,
 )
+from repro.obs.trace import load_trace_file
+
+Record = typing.Dict[str, typing.Any]
+
+#: The records that close a life: a graceful stop or a fail-stop.
+_ENDINGS = ("server-stop", "fatal")
 
 
-class Bundle:
-    """One loaded incident bundle."""
+def collect_traces(paths: typing.Iterable[str]
+                   ) -> typing.Tuple[typing.Dict[int, typing.List[Record]],
+                                     typing.List[str]]:
+    """Load span files and/or directories of ``*.trace`` files.
 
-    def __init__(self, path: str,
-                 manifest: typing.Dict[str, typing.Any],
-                 records: typing.List[typing.Dict[str, typing.Any]]):
-        self.path = path
-        self.manifest = manifest
-        self.records = records
-
-    @property
-    def site(self) -> int:
-        return int(self.manifest.get("site", -1))
-
-    @property
-    def wall_t(self) -> float:
-        return float(self.manifest.get("wall_t", 0.0))
-
-    def spans(self) -> typing.List[typing.Dict[str, typing.Any]]:
-        return [record for record in self.records
-                if record.get("type") == "span"]
-
-    def events(self) -> typing.List[typing.Dict[str, typing.Any]]:
-        return [record for record in self.records
-                if record.get("type") == "event"]
-
-    def states(self) -> typing.Dict[str, typing.Any]:
-        return {record["name"]: record.get("state")
-                for record in self.records
-                if record.get("type") == "state"
-                and isinstance(record.get("name"), str)}
-
-
-def collect_bundles(paths: typing.Iterable[str]
-                    ) -> typing.Tuple[typing.List[Bundle],
-                                      typing.List[str]]:
-    """Load bundles from files and/or directories.
-
-    Returns ``(bundles, problems)`` — an unreadable bundle becomes a
-    problem string, never an exception (a postmortem over a damaged
-    fleet must report what it *can* read).
+    Returns ``(traces, problems)``: each site's records in file order,
+    and one problem string per file that cannot be read or holds no
+    record — never an exception (a postmortem over a damaged fleet must
+    report what it *can* read).
     """
     files: typing.List[str] = []
     for path in paths:
         if os.path.isdir(path):
-            files.extend(bundle_paths(path))
+            files.extend(sorted(glob.glob(os.path.join(path, "*.trace"))))
         else:
             files.append(path)
-    bundles: typing.List[Bundle] = []
+    traces: typing.Dict[int, typing.List[Record]] = {}
     problems: typing.List[str] = []
     for path in files:
         try:
-            manifest, records = load_bundle(path)
+            records = load_trace_file(path)
         except (OSError, ValueError) as exc:
             problems.append(str(exc))
             continue
-        bundles.append(Bundle(path, manifest, records))
-    return bundles, problems
+        site = next((record["site"] for record in records
+                     if isinstance(record.get("site"), int)), None)
+        if site is None:
+            problems.append("{}: no trace records".format(path))
+            continue
+        traces.setdefault(site, []).extend(records)
+    return traces, problems
 
 
-def _latest_per_site(bundles: typing.Iterable[Bundle]
-                     ) -> typing.Dict[int, Bundle]:
-    """Newest bundle per site (by manifest wall clock, then sequence)."""
-    latest: typing.Dict[int, Bundle] = {}
-    for bundle in bundles:
-        current = latest.get(bundle.site)
-        if current is None or \
-                (bundle.wall_t, bundle.manifest.get("sequence", 0)) > \
-                (current.wall_t, current.manifest.get("sequence", 0)):
-            latest[bundle.site] = bundle
-    return latest
+def _lives(records: typing.List[Record]) -> typing.List[typing.List[Record]]:
+    """One site's records split at its ``server-start`` records."""
+    lives: typing.List[typing.List[Record]] = [[]]
+    for record in records:
+        if record.get("event") == "server-start" and lives[-1]:
+            lives.append([])
+        lives[-1].append(record)
+    return lives
+
+
+def _ending(life: typing.List[Record]) -> typing.Optional[Record]:
+    """The record that closed ``life``, or ``None`` when it was cut
+    short."""
+    return next((record for record in reversed(life)
+                 if record.get("event") in _ENDINGS), None)
+
+
+def _last_t(records: typing.List[Record]) -> typing.Optional[float]:
+    return max((float(record["t"]) for record in records
+                if isinstance(record.get("t"), (int, float))),
+               default=None)
 
 
 # ----------------------------------------------------------------------
@@ -114,47 +110,49 @@ def _latest_per_site(bundles: typing.Iterable[Bundle]
 # ----------------------------------------------------------------------
 
 #: Ranking of finding kinds, most damning first.
-_FINDING_ORDER = ("divergence", "site-down", "stall", "critical-alert")
+_FINDING_ORDER = ("divergence", "fatal", "site-down", "stall",
+                  "critical-alert")
 
 
-def analyze(bundles: typing.List[Bundle],
+def analyze(traces: typing.Mapping[int, typing.List[Record]],
             injections: typing.Optional[typing.List[typing.Dict]] = None
             ) -> typing.Dict[str, typing.Any]:
-    """Merge loaded bundles into one cross-site analysis (plain JSON
-    types throughout)."""
-    latest = _latest_per_site(bundles)
-    sites = sorted(latest)
-    n_sites = 0
-    for bundle in latest.values():
-        cluster = bundle.manifest.get("cluster") or {}
-        n_sites = max(n_sites, int(cluster.get("n_sites") or 0))
-    n_sites = max(n_sites, (max(sites) + 1) if sites else 0)
-    missing_sites = [site for site in range(n_sites)
-                     if site not in latest]
+    """Merge the sites' records (:func:`collect_traces`) into one
+    cross-site analysis (plain JSON types throughout)."""
+    sites = sorted(traces)
+    lives = {site: _lives(traces[site]) for site in sites}
+    n_sites = max([int(record.get("n_sites") or 0)
+                   for records in traces.values() for record in records
+                   if record.get("event") == "server-start"]
+                  + [max(sites) + 1 if sites else 0])
+    endings = {site: _ending(lives[site][-1]) for site in sites}
+    dark_sites = sorted(
+        [site for site in range(n_sites) if site not in traces]
+        + [site for site in sites if endings[site] is None])
 
-    spans_by_site = {site: bundle.spans()
-                     for site, bundle in latest.items()}
-    spans = [span for site_spans in spans_by_site.values()
-             for span in site_spans]
-    trees = reconstruct(spans)
+    records = [record for site in sites for record in traces[site]]
+    trees = reconstruct(records)
 
     timeline: typing.List[typing.Dict[str, typing.Any]] = []
-    for site, bundle in sorted(latest.items()):
-        timeline.append({
-            "t": bundle.wall_t, "site": site, "kind": "dump",
-            "label": "bundle dumped (trigger {})".format(
-                bundle.manifest.get("trigger")),
-        })
-        for event in bundle.events():
-            wall = event.get("t")
-            if not isinstance(wall, (int, float)):
-                continue
-            entry = {key: value for key, value in event.items()
-                     if key not in ("t", "mono", "type")}
-            entry.update(t=float(wall), site=site,
-                         kind=str(event.get("kind", "event")),
-                         label=_event_label(event))
-            timeline.append(entry)
+    for site in sites:
+        for number, life in enumerate(lives[site], 1):
+            for record in life:
+                wall = record.get("t")
+                if "trace" in record or \
+                        not isinstance(wall, (int, float)):
+                    continue
+                entry = {key: value for key, value in record.items()
+                         if key not in ("t", "site", "event")}
+                entry.update(t=float(wall), site=site,
+                             kind=str(record.get("event")),
+                             label=_record_label(record))
+                timeline.append(entry)
+            if number < len(lives[site]) and _ending(life) is None:
+                timeline.append({
+                    "t": _last_t(life) or 0.0, "site": site,
+                    "kind": "crash",
+                    "label": "life {} cut short (no server-stop or "
+                             "fatal record); restarted".format(number)})
 
     stalls = _stalls(trees)
     for stall in stalls:
@@ -166,27 +164,36 @@ def analyze(bundles: typing.List[Bundle],
         })
     timeline.sort(key=lambda entry: entry.get("t", 0.0))
 
-    findings = _findings(latest, missing_sites, timeline, stalls)
+    last_seen = {site: _last_t(lives[site][-1]) for site in sites}
+    findings = _findings(dark_sites, last_seen, timeline, stalls)
 
-    times = [entry["t"] for entry in timeline
-             if isinstance(entry.get("t"), (int, float))]
-    times.extend(span["t"] for span in spans
-                 if isinstance(span.get("t"), (int, float)))
+    times = [entry["t"] for entry in timeline]
+    times.extend(float(record["t"]) for record in records
+                 if isinstance(record.get("t"), (int, float)))
     window = [min(times), max(times)] if times else [0.0, 0.0]
+
+    summaries = []
+    for site in sites:
+        ending = endings[site] or {}
+        summaries.append({
+            "site": site,
+            "records": len(traces[site]),
+            "spans": sum(1 for record in traces[site]
+                         if "trace" in record),
+            "lives": len(lives[site]),
+            "epoch": next((record["epoch"]
+                           for record in reversed(traces[site])
+                           if "epoch" in record
+                           and "trace" not in record), None),
+            "ended": ending.get("event"),
+            "error": ending.get("error"),
+        })
 
     return {
         "sites": sites,
-        "missing_sites": missing_sites,
+        "dark_sites": dark_sites,
         "n_sites": n_sites,
-        "bundles": [{
-            "path": bundle.path, "site": site,
-            "trigger": bundle.manifest.get("trigger"),
-            "epoch": bundle.manifest.get("epoch"),
-            "git_sha": bundle.manifest.get("git_sha"),
-            "wall_t": bundle.wall_t,
-            "records": len(bundle.records),
-            "spans": len(spans_by_site.get(site, ())),
-        } for site, bundle in sorted(latest.items())],
+        "traces": summaries,
         "propagation": propagation_summary(trees),
         "attribution": attribution_summary(trees, top=3),
         "timeline": timeline,
@@ -196,26 +203,32 @@ def analyze(bundles: typing.List[Bundle],
     }
 
 
-def _event_label(event: typing.Mapping[str, typing.Any]) -> str:
-    kind = event.get("kind")
-    if kind == "alert":
-        site = event.get("alert_site")
+def _record_label(record: typing.Mapping[str, typing.Any]) -> str:
+    event = record.get("event")
+    if event == "alert":
+        site = record.get("alert_site")
         return "[{}] {}{}: {}".format(
-            event.get("severity", "?"), event.get("rule", "?"),
+            record.get("severity", "?"), record.get("rule", "?"),
             " s{}".format(site) if site is not None else "",
-            str(event.get("message", ""))[:120])
-    if kind == "epoch-commit":
-        return "epoch -> {}".format(event.get("epoch"))
-    if kind == "fault":
-        victim = event.get("victim")
+            str(record.get("message", ""))[:120])
+    if event == "epoch-commit":
+        return "epoch -> {}".format(record.get("epoch"))
+    if event == "fault":
+        victim = record.get("victim")
         return "injected {}{}".format(
-            event.get("fault", "fault"),
+            record.get("fault", "fault"),
             " on s{}".format(victim) if victim is not None else "")
-    if kind == "server-start":
-        return "server started (epoch {})".format(event.get("epoch", 0))
-    extras = {key: value for key, value in event.items()
-              if key not in ("t", "mono", "kind", "type")}
-    return "{} {}".format(kind, extras) if extras else str(kind)
+    if event == "server-start":
+        return "server started (epoch {}{})".format(
+            record.get("epoch", 0),
+            ", recovered" if record.get("recovered") else "")
+    if event == "server-stop":
+        return "server stopped"
+    if event == "fatal":
+        return "fail-stop: {}".format(str(record.get("error"))[:120])
+    extras = {key: value for key, value in record.items()
+              if key not in ("t", "site", "event")}
+    return "{} {}".format(event, extras) if extras else str(event)
 
 
 def _stalls(trees: typing.Mapping[str, typing.Any]
@@ -252,8 +265,8 @@ def _stalls(trees: typing.Mapping[str, typing.Any]
     return stalls
 
 
-def _findings(latest: typing.Mapping[int, Bundle],
-              missing_sites: typing.List[int],
+def _findings(dark_sites: typing.List[int],
+              last_seen: typing.Mapping[int, typing.Optional[float]],
               timeline: typing.List[typing.Dict[str, typing.Any]],
               stalls: typing.List[typing.Dict[str, typing.Any]]
               ) -> typing.List[typing.Dict[str, typing.Any]]:
@@ -274,27 +287,43 @@ def _findings(latest: typing.Mapping[int, Bundle],
             "evidence": 1,
         })
 
+    for entry in timeline:
+        if entry.get("kind") == "fatal":
+            findings.append({
+                "kind": "fatal",
+                "site": entry["site"],
+                "window": [entry["t"], entry["t"]],
+                "summary": "s{} fail-stopped: {}".format(
+                    entry["site"], entry.get("error")),
+                "evidence": 1,
+            })
+
     down_times: typing.Dict[int, typing.List[float]] = {}
     for entry in alert_entries("site-down"):
         site = entry.get("alert_site")
         if isinstance(site, int):
             down_times.setdefault(site, []).append(entry["t"])
-    dark = sorted(set(missing_sites) | set(down_times))
-    for site in dark:
-        times = down_times.get(site, [])
-        window = [min(times), max(times)] if times else None
+    for site in sorted(set(dark_sites) | set(down_times)):
+        times = list(down_times.get(site, []))
         parts = []
-        if site in missing_sites:
-            parts.append("no bundle recovered")
-        if times:
+        if site in dark_sites:
+            if site in last_seen:
+                parts.append("killed (its last life has no server-stop "
+                             "or fatal record)")
+                if last_seen[site] is not None:
+                    times.append(last_seen[site])
+            else:
+                parts.append("no readable span file")
+        if site in down_times:
             parts.append("site-down critical fired {} time(s)".format(
-                len(times)))
+                len(down_times[site])))
         findings.append({
             "kind": "site-down",
             "site": site,
-            "window": window,
+            "window": [min(times), max(times)] if times else None,
             "summary": "s{} dark: {}".format(site, ", ".join(parts)),
-            "evidence": len(times) + (1 if site in missing_sites else 0),
+            "evidence": len(down_times.get(site, ()))
+            + (1 if site in dark_sites else 0),
         })
 
     for stall in stalls:
@@ -324,9 +353,7 @@ def _findings(latest: typing.Mapping[int, Bundle],
             })
 
     findings.sort(key=lambda finding: (
-        _FINDING_ORDER.index(finding["kind"])
-        if finding["kind"] in _FINDING_ORDER else len(_FINDING_ORDER),
-        -finding["evidence"]))
+        _FINDING_ORDER.index(finding["kind"]), -finding["evidence"]))
     return findings
 
 
@@ -354,18 +381,20 @@ def format_report(analysis: typing.Mapping[str, typing.Any]) -> str:
     is its last 60 entries."""
     lines: typing.List[str] = []
     sites = ", ".join("s{}".format(site) for site in analysis["sites"])
-    header = "postmortem: {} bundle(s) from {}".format(
-        len(analysis["bundles"]), sites or "no site")
-    if analysis["missing_sites"]:
-        header += " (missing: {})".format(", ".join(
-            "s{}".format(site) for site in analysis["missing_sites"]))
+    header = "postmortem: span files from {}".format(sites or "no site")
+    if analysis["dark_sites"]:
+        header += " (dark: {})".format(", ".join(
+            "s{}".format(site) for site in analysis["dark_sites"]))
     lines.append(header)
-    for bundle in analysis["bundles"]:
+    for summary in analysis["traces"]:
+        ended = summary["ended"] or "cut short"
+        if summary["error"]:
+            ended += " ({})".format(summary["error"])
         lines.append(
-            "  s{}: {} record(s), {} span(s), trigger {!r}, epoch {}, "
-            "git {}".format(
-                bundle["site"], bundle["records"], bundle["spans"],
-                bundle["trigger"], bundle["epoch"], bundle["git_sha"]))
+            "  s{}: {} record(s), {} span(s), {} life(s), epoch {}, "
+            "last life ended: {}".format(
+                summary["site"], summary["records"], summary["spans"],
+                summary["lives"], summary["epoch"], ended))
 
     propagation = analysis["propagation"]
     lines.append(
@@ -385,7 +414,7 @@ def format_report(analysis: typing.Mapping[str, typing.Any]) -> str:
                 rank, finding["kind"], finding["summary"],
                 _window_str(analysis, finding.get("window"))))
     else:
-        lines.append("  no anomaly localized (clean bundles)")
+        lines.append("  no anomaly localized")
 
     if analysis["injections"]:
         lines.append("fault script ({} injection decision(s), times "
@@ -403,7 +432,7 @@ def format_report(analysis: typing.Mapping[str, typing.Any]) -> str:
         len(shown), len(timeline),
         "y" if len(timeline) == 1 else "ies"))
     for entry in shown:
-        lines.append("  {:>10} s{:<2} {:<6} {}".format(
+        lines.append("  {:>10} s{:<2} {:<12} {}".format(
             _rel(analysis, entry.get("t")),
             entry.get("site", "?"), entry.get("kind", "?"),
             entry.get("label", "")))

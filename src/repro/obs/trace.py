@@ -20,6 +20,13 @@ Span events along one update's life:
 hop events ``received``/``journaled``/``applied``, and attribution
 splits each hop at ``forwarded``.
 
+The file is also the site's black box.  Beside the spans it holds
+lifecycle records with no trace id, written through at once by
+:meth:`TraceSink.record`: ``server-start`` (with ``n_sites``),
+``server-stop``, ``fatal`` (with ``error``), ``epoch-commit``, and the
+chaos controller's ``fault`` and ``alert``.  Reconstruction skips them;
+:mod:`repro.obs.postmortem` reads a site's lives from them.
+
 :class:`SpanObserver` turns the protocols' commit notifications into
 ``committed``/``applied`` spans; the live server and ``repro run
 --trace`` register the same observer.
@@ -145,6 +152,22 @@ class TraceSink:
             if len(self._pending) >= self.flush_every or self._closed:
                 self.flush()
         return span
+
+    def record(self, event: str, **fields) -> None:
+        """Write one lifecycle record (no trace id) to the file now,
+        behind every span queued before it, so a site killed right after
+        still leaves it on disk.  It stays out of the ring."""
+        record: typing.Dict[str, typing.Any] = {
+            "t": time.time(),
+            "site": self.site_id,
+            "event": event,
+        }
+        for key, value in fields.items():
+            if value is not None:
+                record[key] = value
+        if self.path is not None:
+            self._pending.append(record)
+            self.flush()
 
     def spans(self, trace: typing.Optional[str] = None,
               limit: typing.Optional[int] = None

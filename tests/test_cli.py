@@ -438,12 +438,6 @@ def test_monitoring_commands_against_live_cluster(tmp_path):
         assert "commit/s" in output
         assert "s0" in output and "up" in output
 
-        # Every member dumps its flight recorder on request.
-        bundles = tmp_path / "bundles"
-        code, output = run_cli("dump", "--dir", str(bundles), *cluster)
-        assert code == 0, output
-        assert len(list(bundles.glob("flight-s*.jsonl"))) == 3
-
         # Single-shot machine-readable snapshot.
         code, output = run_cli("top", "--json", *cluster)
         assert code == 0, output
@@ -479,84 +473,73 @@ def test_monitoring_commands_against_live_cluster(tmp_path):
 
 
 def test_dump_and_postmortem_args_round_trip():
+    """The dump plane is gone: no ``dump`` command and no bundle flags;
+    ``postmortem`` takes span files or the directories holding them."""
     parser = build_parser()
-    args = parser.parse_args(
-        ["dump", "--site", "1", "--dir", "/tmp/bundles",
-         "--base-port", "7450", "--sites", "3"])
-    assert args.command == "dump"
-    assert args.site == 1
-    assert args.dir == "/tmp/bundles"
-
-    args = parser.parse_args(["dump"])
-    assert args.site is None
-    assert args.dir is None
+    for argv in (["dump"],
+                 ["serve", "--site", "0", "--wal", "s0.wal",
+                  "--dump-dir", "/tmp/bundles"],
+                 ["monitor", "--dump-dir", "/tmp/bundles"],
+                 ["chaos", "--bundle-dir", "/tmp/b"],
+                 ["postmortem", "wal/", "--check"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
 
     args = parser.parse_args(
-        ["postmortem", "bundles/", "extra.jsonl", "--check",
+        ["postmortem", "wal/", "site0.wal.trace",
          "--injections", "inj.json", "--json", "analysis.json"])
     assert args.command == "postmortem"
-    assert args.bundles == ["bundles/", "extra.jsonl"]
-    assert args.check
+    assert args.paths == ["wal/", "site0.wal.trace"]
     assert args.injections == "inj.json"
     assert args.json == "analysis.json"
 
-    args = parser.parse_args(
-        ["monitor", "--dump-dir", "/tmp/bundles",
-         "--alerts-max-bytes", "65536"])
-    assert args.dump_dir == "/tmp/bundles"
+    args = parser.parse_args(["monitor", "--alerts-max-bytes", "65536"])
     assert args.alerts_max_bytes == 65536
-
-    args = parser.parse_args(
-        ["serve", "--site", "0", "--wal", "s0.wal",
-         "--dump-dir", "/tmp/bundles"])
-    assert args.dump_dir == "/tmp/bundles"
 
     args = parser.parse_args(["top", "--json"])
     assert args.json
 
-    args = parser.parse_args(["chaos", "--bundle-dir", "/tmp/b"])
-    assert args.bundle_dir == "/tmp/b"
-
 
 def test_postmortem_cli_offline_roundtrip(tmp_path):
-    """`repro postmortem` over crafted bundles: report + schema check
-    + JSON, all offline (no cluster)."""
+    """`repro postmortem` over span files: report + JSON, all offline
+    (no cluster).  s0 stopped cleanly after seeing an alert about s1,
+    which left no file."""
     import json
 
-    from repro.obs.flight import FlightRecorder
+    from repro.obs.trace import TraceSink
 
-    recorder = FlightRecorder(0, cluster={"n_sites": 2})
-    recorder.record_event("alert", rule="site-down",
-                          severity="critical", alert_site=1,
-                          message="site s1 unreachable")
-    recorder.dump("drill", out_dir=str(tmp_path))
+    sink = TraceSink(0, path=str(tmp_path / "site0.wal.trace"))
+    sink.record("server-start", epoch=0, n_sites=2)
+    sink.record("alert", rule="site-down", severity="critical",
+                alert_site=1, message="site s1 unreachable")
+    sink.record("server-stop", epoch=0)
+    sink.close()
 
     analysis_path = tmp_path / "analysis.json"
     code, output = run_cli(
-        "postmortem", str(tmp_path), "--check",
-        "--json", str(analysis_path))
+        "postmortem", str(tmp_path), "--json", str(analysis_path))
     assert code == 0, output
-    assert "all 1 bundle(s) schema-valid" in output
-    assert "postmortem: 1 bundle(s) from s0 (missing: s1)" in output
+    assert "postmortem: span files from s0 (dark: s1)" in output
+    assert "last life ended: server-stop" in output
     assert "fault localization:" in output
-    assert "s1 dark" in output
+    assert "s1 dark: no readable span file" in output
 
     analysis = json.loads(analysis_path.read_text())
-    assert analysis["missing_sites"] == [1]
+    assert analysis["dark_sites"] == [1]
     assert analysis["findings"][0]["kind"] == "site-down"
     assert not any(key.startswith("_") for key in analysis)
 
-    # A damaged bundle fails --check with a non-zero exit.
-    (tmp_path / "flight-s1-001.jsonl").write_text("not json\n")
-    code, output = run_cli("postmortem", str(tmp_path), "--check")
-    assert code == 1
-    assert "WARN:" in output
+    # A file with no record is reported, not fatal to the report.
+    (tmp_path / "site1.wal.trace").write_text("not json\n")
+    code, output = run_cli("postmortem", str(tmp_path))
+    assert code == 0
+    assert "WARN:" in output and "no trace records" in output
 
 
 def test_postmortem_cli_no_bundles_is_an_error(tmp_path):
     code, output = run_cli("postmortem", str(tmp_path / "empty"))
     assert code == 1
-    assert "no loadable bundles" in output
+    assert "no readable span files" in output
 
 
 def test_chaos_args_round_trip():
@@ -629,11 +612,10 @@ def test_anti_entropy_knobs_are_gone(capsys):
 def test_serve_exits_nonzero_with_a_bundle_on_a_kernel_exception(
         tmp_path, monkeypatch):
     """Fail-stop end to end: an exception out of the site's kernel
-    ends ``repro serve`` with exit 1 and a ``fatal-exception`` flight
-    bundle whose event ring names the failure."""
-    import json
-
+    ends ``repro serve`` with exit 1, and the span file beside ``--wal``
+    ends with the ``fatal`` record naming the failure."""
     from repro.cluster.server import SiteServer
+    from repro.obs.trace import load_trace_file
 
     def boom(env):
         yield env.timeout(0)
@@ -651,20 +633,19 @@ def test_serve_exits_nonzero_with_a_bundle_on_a_kernel_exception(
         self._loop.call_later(0.05, inject)
 
     monkeypatch.setattr(SiteServer, "start", start_then_fault)
-    dump_dir = tmp_path / "bundles"
     code, output = run_cli(
         "serve", "--site", "0", "--sites", "3", "--items", "12",
         "--replication", "0.8", "--protocol", "dag_wt", "--seed", "3",
         "--base-port", str(free_base_port(1)),
-        "--wal", str(tmp_path / "s0.wal"), "--dump-dir", str(dump_dir))
+        "--wal", str(tmp_path / "s0.wal"))
     assert code == 1
     assert "fatal: RuntimeError: injected kernel fault" in output
-    bundles = sorted(dump_dir.glob("flight-s0-*.jsonl"))
-    assert len(bundles) == 1
-    records = [json.loads(line)
-               for line in bundles[0].read_text().splitlines()]
-    assert records[0]["trigger"] == "fatal-exception"
-    assert any(record.get("kind") == "fatal" for record in records)
+    lifecycle = [record for record in
+                 load_trace_file(str(tmp_path / "s0.wal.trace"))
+                 if "trace" not in record]
+    assert [record["event"] for record in lifecycle] == \
+        ["server-start", "fatal"]
+    assert "injected kernel fault" in lifecycle[-1]["error"]
 
 
 def test_chaos_cli_jitter_run_green(tmp_path):

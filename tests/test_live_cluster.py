@@ -41,6 +41,7 @@ from repro.cluster.loadgen import (
 from repro.cluster.server import SiteServer, encode_spec
 from repro.cluster.spec import ClusterSpec
 from repro.network.message import Message, MessageType
+from repro.obs.trace import load_trace_file
 from repro.sim.rng import RngRegistry
 from repro.types import (
     GlobalTransactionId,
@@ -59,6 +60,12 @@ PARAMS = WorkloadParams(n_sites=3, n_items=12,
                         threads_per_site=2, transactions_per_thread=6,
                         read_txn_probability=0.3,
                         deadlock_timeout=0.05)
+
+
+def fatal_records(server):
+    """The ``fatal`` records in ``server``'s span file on disk."""
+    return [record for record in load_trace_file(server.trace.path)
+            if record["event"] == "fatal"]
 
 
 def make_spec(protocol, seed):
@@ -798,9 +805,9 @@ def test_read_only_transaction_waits_for_a_pending_commit_only(tmp_path):
 def test_malformed_peer_frame_fail_stops_the_site(tmp_path):
     """A peer frame that is not a well-formed batch means the peer's
     channel state can no longer be trusted: the receiver fail-stops —
-    ``fatal`` set to the codec error, which names the peer, and recorded
-    as the ``fatal`` flight event — and acks nothing of the round, not
-    even the well-formed frame ahead of it."""
+    ``fatal`` set to the codec error, which names the peer, and written
+    as the ``fatal`` record of its span file — and acks nothing of the
+    round, not even the well-formed frame ahead of it."""
     spec = make_spec("dag_wt", 3)  # the chain s0 -> s1 -> s2
     placement = spec.build_placement()
     item = next(item for item in sorted(placement.items)
@@ -835,8 +842,7 @@ def test_malformed_peer_frame_fail_stops_the_site(tmp_path):
     assert server._closed
     assert isinstance(server.fatal, CodecError)
     assert acks == []
-    fatal = [event for event in server.flight._events
-             if event["kind"] == "fatal"]
+    fatal = fatal_records(server)
     assert len(fatal) == 1
     assert "s0: batch frame without a msgs list" in fatal[0]["error"]
 
@@ -912,7 +918,7 @@ def test_kernel_exception_fail_stops_the_site_and_survivors_converge(
     dead, outcomes, converged, verdict = asyncio.run(scenario())
     assert isinstance(dead.fatal, RuntimeError)
     assert dead._closed
-    assert any(event["kind"] == "fatal" for event in dead.flight._events)
+    assert len(fatal_records(dead)) == 1
     assert outcomes and all(outcome["status"] == "committed"
                             for outcome in outcomes)
     assert converged
@@ -977,7 +983,7 @@ def test_peer_frame_for_another_site_fail_stops_the_site(tmp_path):
     """A peer message addressed to another site is a fault, not a dead
     letter: acking it would retire it at its sender with no site left to
     apply it.  The receiver fail-stops on it — ``fatal`` set, a
-    ``fatal`` flight event — and acks nothing of the round."""
+    ``fatal`` record in its span file — and acks nothing of the round."""
     spec = make_spec("dag_wt", 3)  # the chain s0 -> s1 -> s2
     placement = spec.build_placement()
     item = next(item for item in sorted(placement.items)
@@ -1008,7 +1014,9 @@ def test_peer_frame_for_another_site_fail_stops_the_site(tmp_path):
     assert isinstance(server.fatal, RuntimeError)
     assert "for s2" in str(server.fatal)
     assert server._closed
-    assert any(event["kind"] == "fatal" for event in server.flight._events)
+    fatal = fatal_records(server)
+    assert len(fatal) == 1
+    assert "for s2" in fatal[0]["error"]
 
 
 def test_blocked_subtransaction_wounds_the_remote_primary(tmp_path):

@@ -455,75 +455,6 @@ def test_dashboard_lag_follows_the_placement_across_an_epoch_change():
 
 
 # ----------------------------------------------------------------------
-# Watchdog dump-on-critical fan-out
-# ----------------------------------------------------------------------
-
-def dump_frames(sites, directory):
-    return {site: {"ok": True, "site": site,
-                   "path": "{}/flight-s{}-001.jsonl".format(directory,
-                                                            site),
-                   "records": 7}
-            for site in sites}
-
-
-def test_new_critical_fans_one_dump_per_key(tmp_path):
-    """The first time a ``(rule, site)`` goes critical the watchdog
-    fans exactly one ``dump`` to the cluster; the persisting critical
-    never re-dumps, a *new* critical key does."""
-    config = MonitorConfig(down_polls=2, trace_limit=0,
-                           convergence_every=0)
-    spec = make_spec()
-    client = StubClient()
-    watchdog = Watchdog(spec, client, config=config,
-                        dump_dir=str(tmp_path))
-    healthy = uniform_versions(spec, 5)
-    client.set("versions", {site: frame for site, frame
-                            in healthy.items() if site != 2},
-               unreachable=[2])
-    client.set("dump", dump_frames([0, 1], str(tmp_path)),
-               unreachable=[2])
-
-    def dump_calls():
-        return [fields for op, fields in client.calls if op == "dump"]
-
-    asyncio.run(watchdog.poll_once())          # miss 1: nothing yet
-    assert dump_calls() == []
-    asyncio.run(watchdog.poll_once())          # miss 2: site-down fires
-    assert len(dump_calls()) == 1
-    assert dump_calls()[0]["trigger"] == "watchdog:site-down"
-    assert dump_calls()[0]["dir"] == str(tmp_path)
-    assert watchdog.bundles == [
-        "{}/flight-s0-001.jsonl".format(tmp_path),
-        "{}/flight-s1-001.jsonl".format(tmp_path)]
-    asyncio.run(watchdog.poll_once())          # persisting: no re-dump
-    assert len(dump_calls()) == 1
-
-    # A second member dies: a new (rule, site) key, a second fan-out.
-    client.set("versions", {0: healthy[0]}, unreachable=[1, 2])
-    client.set("dump", dump_frames([0], str(tmp_path)),
-               unreachable=[1, 2])
-    asyncio.run(watchdog.poll_once())
-    asyncio.run(watchdog.poll_once())
-    assert len(dump_calls()) == 2
-    assert watchdog.summary()["bundles"] == watchdog.bundles
-    assert len(watchdog.bundles) == 3
-
-
-def test_without_dump_dir_no_dump_fanout():
-    config = MonitorConfig(down_polls=1, trace_limit=0,
-                           convergence_every=0)
-    spec, client, watchdog = stub_watchdog(config)
-    healthy = uniform_versions(spec, 5)
-    client.set("versions", {site: frame for site, frame
-                            in healthy.items() if site != 2},
-               unreachable=[2])
-    fired = asyncio.run(watchdog.poll_once())
-    assert [(a.rule, a.site) for a in fired] == [("site-down", 2)]
-    assert [op for op, _fields in client.calls if op == "dump"] == []
-    assert watchdog.bundles == []
-
-
-# ----------------------------------------------------------------------
 # Live cluster: healthy run clean, killed site localised
 # ----------------------------------------------------------------------
 

@@ -170,6 +170,23 @@ def test_sink_jsonl_file_and_torn_tail(tmp_path):
         assert json.loads(handle.readline())["trace"] == "t0.1"
 
 
+def test_record_writes_through_behind_the_queued_spans(tmp_path):
+    """A lifecycle record reaches the file when it is written — so a
+    site SIGKILLed right after still leaves it — behind every span
+    queued before it, with no trace id and outside the ring."""
+    path = str(tmp_path / "site0.trace")
+    sink = TraceSink(site_id=0, path=path)
+    sink.emit("committed", gid=gid(0, 1), expected=[1])
+    sink.record("fatal", error="RuntimeError('boom')")
+
+    records = load_trace_file(path)  # no close: what a kill leaves
+    assert [record["event"] for record in records] == ["committed",
+                                                       "fatal"]
+    assert "trace" not in records[1]
+    assert records[1]["error"] == "RuntimeError('boom')"
+    assert [span["event"] for span in sink.spans()] == ["committed"]
+
+
 # ----------------------------------------------------------------------
 # Reconstruction
 # ----------------------------------------------------------------------

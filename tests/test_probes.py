@@ -1,8 +1,8 @@
-"""Tests for the staleness and CPU-utilisation probes."""
+"""Tests for the staleness probe."""
 
 import pytest
 
-from repro.harness.probes import CpuUtilizationProbe, StalenessProbe
+from repro.harness.probes import StalenessProbe
 from repro.testing import ScenarioBuilder
 
 
@@ -50,26 +50,3 @@ def test_psl_replicas_stay_stale():
     assert result.all_committed
     assert probe.max_version_lag() == 8  # All commits, never applied.
     assert probe.fraction_current() < 1.0
-
-
-def test_cpu_probe_reports_busy_fraction():
-    scenario = busy_scenario()
-    env, system, _protocol = scenario.build()
-    probe = CpuUtilizationProbe(system, period=0.001)
-    probe.start()
-    result = scenario.run(until=1.0)
-    assert result.all_committed
-    assert probe.total_samples > 0
-    # Site 0 did all the primary work; it must show some utilisation.
-    assert probe.utilization(0) > 0.0
-    assert 0.0 <= probe.mean_utilization() <= 1.0
-
-
-def test_cpu_probe_idle_system_is_zero():
-    scenario = (ScenarioBuilder(n_sites=2, protocol="dag_wt")
-                .item("a", primary=0))
-    env, system, _protocol = scenario.build()
-    probe = CpuUtilizationProbe(system, period=0.01)
-    probe.start()
-    env.run(until=0.2)
-    assert probe.mean_utilization() == 0.0
